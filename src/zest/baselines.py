@@ -205,5 +205,3 @@ def vae_k(train_l: np.ndarray, train_labels: np.ndarray,
     return _clustering_report(setting, cluster, train_labels, test_mu,
                               test_labels, num_classes, "vae_k", seed)
 
-
-PIPELINES = {"vae-k": vae_k, "seqcr": seqcr, "seqcs": seqcs, "deft": deft}

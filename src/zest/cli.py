@@ -1,9 +1,13 @@
 """Command-line entry point for the fingerprinting pipeline.
 
 Every experiment lives in an output directory holding config.json plus the
-staged artifacts. Stage commands validate their upstream manifests and are
-idempotent: re-running with an unchanged config is a cache hit. Flags
-override the persisted config.
+staged artifacts. Flags override the persisted config. Each per-seed stage
+in `pipeline.STAGES` gets one command (the baselines share `zest baseline
+NAME`); it runs `partition` first, which is cheap and cached, then the named
+stage, under the directory's lock. Commands are idempotent: re-running with
+an unchanged config is a cache hit. Any other upstream artifact that is
+missing or does not match its manifest is fatal, and the error names the
+stage to re-run.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from pathlib import Path
 from . import pipeline as pl
 from .pipeline import ExperimentConfig, RunLock, StageError, resolve_config
 from .synth import generate_csv, load_profiles, preset_profiles
-
-logger = logging.getLogger("zest.cli")
 
 
 def _add_outdir(parser: argparse.ArgumentParser) -> None:
@@ -61,9 +63,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    epilog = ["per-seed stages, in dependency order (each command runs "
+              "partition first):"]
+    epilog += [f"  {stage.name.replace('baseline-', 'baseline ', 1):<16} "
+               f"{stage.help}" for stage in pl.STAGES.values()]
     parser = argparse.ArgumentParser(
         prog="zest",
-        description="Zero-shot IoT device fingerprinting pipeline")
+        description="Zero-shot IoT device fingerprinting pipeline",
+        epilog="\n".join(epilog),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -79,28 +87,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_outdir(p)
     _add_source_flags(p)
     _add_config_flags(p)
+    p.set_defaults(run=_ingest)
 
-    for name, text in (
-            ("train-sane", "train the feature extractor on seen devices"),
-            ("extract-attrs", "extract latents and attribute vectors"),
-            ("train-cvae", "train the conditional VAE on seen latents"),
-            ("gen-pseudo", "generate balanced pseudo latents"),
-            ("train-clf", "train the final classifiers on pseudo data"),
-            ("eval", "evaluate ZSL and GZSL accuracy on test latents")):
-        p = sub.add_parser(name, help=text)
+    for stage in pl.STAGES.values():
+        if stage.name.startswith("baseline-"):
+            continue   # the baselines share `zest baseline NAME`
+        p = sub.add_parser(stage.name, help=stage.help)
         _add_outdir(p)
         _add_seed(p)
         _add_config_flags(p)
+        p.set_defaults(run=_stage)
 
     p = sub.add_parser("baseline", help="run one comparison pipeline")
     p.add_argument("name", choices=sorted(pl.BASELINE_NAMES))
     _add_outdir(p)
     _add_seed(p)
+    p.set_defaults(run=_stage)
 
     p = sub.add_parser("pipeline", help="run every stage over all seeds")
     _add_outdir(p)
     _add_source_flags(p)
     _add_config_flags(p)
+    p.set_defaults(run=_pipeline)
 
     p = sub.add_parser("sweep", help="sweep one parameter over values")
     p.add_argument("param", choices=sorted(pl.SWEEP_PARAMS))
@@ -108,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_outdir(p)
     _add_source_flags(p)
     _add_config_flags(p)
+    p.set_defaults(run=_sweep)
 
     return parser
 
@@ -145,26 +154,57 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = _overrides_from_args(args)
+    """The persisted config, then the --config file, then the flags."""
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        file_cfg = pl.read_json(args.config)
         file_cfg.pop("outdir", None)
-        merged = file_cfg
-        for key, value in overrides.items():
-            if key in ("sane", "cvae", "svm") and key in merged:
-                merged[key] = {**merged[key], **value}
-            else:
-                merged[key] = value
-        overrides = merged
-    return resolve_config(args.outdir, overrides)
+        resolve_config(args.outdir, file_cfg)
+    return resolve_config(args.outdir, _overrides_from_args(args))
 
 
-def _run_seed_stage(args: argparse.Namespace, fn) -> None:
-    config = _resolve(args)
+def _synth(args: argparse.Namespace) -> None:
+    if bool(args.preset) == bool(args.profiles):
+        raise StageError("synth", "give exactly one of --preset/--profiles")
+    if args.profiles:
+        profiles = load_profiles(args.profiles)
+    else:
+        profiles = preset_profiles(
+            args.preset, sessions=args.sessions,
+            packets_per_session=args.packets_per_session)
+    generate_csv(profiles, seed=args.seed, path=args.out)
+    print(f"wrote {args.out}")
+
+
+def _ingest(args: argparse.Namespace, config: ExperimentConfig) -> None:
+    dataset = pl.stage_ingest(config)
+    print(f"dataset: {len(dataset.points)} sequences, "
+          f"{len(dataset.class_map)} devices")
+
+
+def _stage(args: argparse.Namespace, config: ExperimentConfig) -> None:
+    """Run partition, then the named per-seed stage."""
+    name = (f"baseline-{args.name}" if args.command == "baseline"
+            else args.command)
     seed = args.seed if args.seed is not None else config.seeds[0]
-    with RunLock(config.outdir):
-        fn(config, seed)
+    if name != "partition":
+        pl.run_stage("partition", config, seed)
+    pl.run_stage(name, config, seed)
+    method = pl.STAGES[name].method
+    if method:
+        for setting, report in pl.read_reports(config, seed, method).items():
+            print(f"{method} {setting}: accuracy {report.accuracy:.4f} "
+                  f"(n={report.num_test})")
+
+
+def _pipeline(args: argparse.Namespace, config: ExperimentConfig) -> None:
+    pl.run_pipeline(config)
+    print((Path(config.outdir) / "report.txt").read_text(), end="")
+
+
+def _sweep(args: argparse.Namespace, config: ExperimentConfig) -> None:
+    pl.run_sweep(config, args.param, args.values)
+    print(f"sweep written to "
+          f"{Path(config.outdir) / f'sweep-{args.param}' / 'sweep.csv'}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -172,71 +212,18 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-
     try:
         if args.command == "synth":
-            if bool(args.preset) == bool(args.profiles):
-                raise StageError("synth",
-                                 "give exactly one of --preset/--profiles")
-            if args.profiles:
-                profiles = load_profiles(args.profiles)
-            else:
-                profiles = preset_profiles(
-                    args.preset, sessions=args.sessions,
-                    packets_per_session=args.packets_per_session)
-            generate_csv(profiles, seed=args.seed, path=args.out)
-            print(f"wrote {args.out}")
-        elif args.command == "ingest":
+            _synth(args)
+        else:
             config = _resolve(args)
             with RunLock(config.outdir):
-                dataset = pl.stage_ingest(config)
-            print(f"dataset: {len(dataset.points)} sequences, "
-                  f"{len(dataset.class_map)} devices")
-        elif args.command == "train-sane":
-            _run_seed_stage(args, pl.stage_train_sane)
-        elif args.command == "extract-attrs":
-            _run_seed_stage(args, pl.stage_extract_attrs)
-        elif args.command == "train-cvae":
-            _run_seed_stage(args, pl.stage_train_cvae)
-        elif args.command == "gen-pseudo":
-            _run_seed_stage(args, pl.stage_gen_pseudo)
-        elif args.command == "train-clf":
-            _run_seed_stage(args, pl.stage_train_clf)
-        elif args.command == "eval":
-            config = _resolve(args)
-            seed = args.seed if args.seed is not None else config.seeds[0]
-            with RunLock(config.outdir):
-                reports = pl.stage_eval(config, seed)
-            for setting, report in reports.items():
-                print(f"{setting}: accuracy {report.accuracy:.4f} "
-                      f"(n={report.num_test})")
-        elif args.command == "baseline":
-            config = _resolve(args)
-            seed = args.seed if args.seed is not None else config.seeds[0]
-            with RunLock(config.outdir):
-                reports = pl.stage_baseline(config, seed, args.name)
-            for setting, report in reports.items():
-                print(f"{args.name} {setting}: accuracy "
-                      f"{report.accuracy:.4f} (n={report.num_test})")
-        elif args.command == "pipeline":
-            config = _resolve(args)
-            with RunLock(config.outdir):
-                rows = pl.run_pipeline(config)
-            print((Path(config.outdir) / "report.txt").read_text(), end="")
-        elif args.command == "sweep":
-            config = _resolve(args)
-            with RunLock(config.outdir):
-                rows = pl.run_sweep(config, args.param, args.values)
-            print(f"sweep written to "
-                  f"{Path(config.outdir) / f'sweep-{args.param}' / 'sweep.csv'}")
-        else:  # pragma: no cover
-            raise StageError("cli", f"unhandled command {args.command}")
+                args.run(args, config)
     except StageError as exc:
         print(f"[{exc.stage}] error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001
-        stage = getattr(args, "command", "cli")
-        print(f"[{stage}] error: {exc}", file=sys.stderr)
+        print(f"[{args.command}] error: {exc}", file=sys.stderr)
         return 1
     return 0
 

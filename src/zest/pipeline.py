@@ -6,6 +6,15 @@ the checksums of its inputs and outputs. A stage is skipped (cache hit) when
 its manifest matches the current config and all input/output checksums still
 agree; downstream stages refuse to run against inputs whose checksums do not
 match the upstream manifest.
+
+`ingest` runs once per experiment into `data/`. Every per-seed stage is one
+entry of `STAGES`, in dependency order: the files it reads and the stage that
+makes each one, the files it writes, the config its cache key covers, and a
+body. `run_stage` does the checking and caching for all of them, and the
+body gets a `StageContext` that loads the dataset, partition, latents and
+class attributes only when the body first asks for them. `run_seed` runs the
+table in order; the CLI builds one command per entry and runs `partition`
+before the named stage.
 """
 
 from __future__ import annotations
@@ -16,7 +25,9 @@ import json
 import logging
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +45,12 @@ from .synth import generate_csv, load_profiles, preset_profiles
 
 logger = logging.getLogger("zest.pipeline")
 
-BASELINE_NAMES = ("vae-k", "seqcr", "seqcs", "deft")
+# baseline -> (the latent it clusters, whether it takes the class attributes
+# as k-means seeds)
+BASELINES = {"vae-k": ("l", False), "seqcr": ("lam", False),
+             "seqcs": ("lam", True), "deft": ("lam", True)}
+BASELINE_NAMES = tuple(BASELINES)
+SETTINGS = ("zsl", "gzsl")
 
 
 class StageError(RuntimeError):
@@ -69,23 +85,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds list must be non-empty")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(**d)
+        unknown = set(self.baselines) - set(BASELINE_NAMES)
+        if unknown:
+            raise ValueError(f"unknown baselines {sorted(unknown)}; "
+                             f"have {BASELINE_NAMES}")
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        write_json(path, asdict(self))
 
     def sane_config(self, num_classes: int, seed: int) -> SaneConfig:
         # n, num_classes, and seed come from the experiment, not the overrides
@@ -94,10 +100,10 @@ class ExperimentConfig:
         return SaneConfig(**params)
 
     def cvae_config(self, seed: int) -> CvaeConfig:
-        sane_cfg = {"M": 20, "N": 3} | self.sane
+        # the CVAE decodes SANE's l latents (width M) from attributes (width N)
+        sane = SaneConfig(**self.sane)
         params = dict(self.cvae)
-        params.update(input_dim=sane_cfg["M"], cond_dim=sane_cfg["N"],
-                      seed=seed)
+        params.update(input_dim=sane.M, cond_dim=sane.N, seed=seed)
         return CvaeConfig(**params)
 
 
@@ -107,7 +113,7 @@ def resolve_config(outdir: str | Path, overrides: dict | None = None) -> Experim
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "config.json"
     if path.exists():
-        config = ExperimentConfig.load(path)
+        config = ExperimentConfig(**read_json(path))
         config.outdir = str(outdir)
     else:
         config = ExperimentConfig(outdir=str(outdir))
@@ -168,9 +174,18 @@ def _json_default(o):
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    """Write to a temp file beside `path`, then move it into place, so a
+    crash never leaves a half-written file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True,
+                      default=_json_default)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_json(path: str | Path) -> dict:
@@ -194,7 +209,12 @@ class StageRunner:
             raise StageError(
                 stage, f"missing upstream artifact {path.name}; "
                        f"re-run stage '{producer}'")
-        manifest = read_json(manifest_path)
+        try:
+            manifest = read_json(manifest_path)
+        except (OSError, ValueError):
+            raise StageError(
+                stage, f"the manifest of stage '{producer}' is unreadable; "
+                       f"re-run '{producer}'") from None
         recorded = manifest["outputs"].get(path.name)
         if recorded is None or sha256_file(path) != recorded:
             raise StageError(
@@ -207,30 +227,28 @@ class StageRunner:
         """Execute fn() unless the stage manifest shows a valid cache hit.
         Returns True when the stage actually ran."""
         manifest_path = self._manifest_path(stage)
+        config = json.loads(json.dumps(config, default=_json_default,
+                                       sort_keys=True))
         input_sums = {p.name: sha256_file(p) for p in inputs}
-        if manifest_path.exists():
+        try:
             manifest = read_json(manifest_path)
-            if (manifest.get("config") == json.loads(
-                    json.dumps(config, default=_json_default, sort_keys=True))
-                    and manifest.get("inputs") == input_sums
-                    and all(Path(self.root / name).exists()
-                            and sha256_file(self.root / name) == digest
-                            for name, digest in manifest["outputs"].items())):
-                logger.info("stage %s: cache hit", stage)
-                return False
+        except (OSError, ValueError):
+            manifest = {}   # none yet, or unreadable: a cache miss
+        if (manifest and manifest.get("config") == config
+                and manifest.get("inputs") == input_sums
+                and all((self.root / name).exists()
+                        and sha256_file(self.root / name) == digest
+                        for name, digest in manifest["outputs"].items())):
+            logger.info("stage %s: cache hit", stage)
+            return False
         logger.info("stage %s: running", stage)
         fn()
         missing = [p for p in outputs if not p.exists()]
         if missing:
             raise StageError(stage, f"stage did not produce {missing}")
-        manifest = {
-            "stage": stage,
-            "config": json.loads(json.dumps(config, default=_json_default,
-                                            sort_keys=True)),
-            "inputs": input_sums,
-            "outputs": {p.name: sha256_file(p) for p in outputs},
-        }
-        write_json(manifest_path, manifest)
+        write_json(manifest_path, {
+            "stage": stage, "config": config, "inputs": input_sums,
+            "outputs": {p.name: sha256_file(p) for p in outputs}})
         return True
 
 
@@ -294,214 +312,163 @@ def stage_ingest(config: ExperimentConfig) -> Dataset:
     return load_dataset(npz_path, manifest_path)
 
 
-def load_ingested(config: ExperimentConfig, stage: str) -> Dataset:
-    ddir = data_dir(config)
-    runner = StageRunner(ddir)
-    npz = runner.require_input(stage, "ingest", ddir / "dataset.npz")
-    manifest = runner.require_input(stage, "ingest", ddir / "dataset.json")
-    return load_dataset(npz, manifest)
-
-
 # ---------------------------------------------------------------------------
 # per-seed stages
 # ---------------------------------------------------------------------------
 
-def stage_partition(config: ExperimentConfig, seed: int) -> dict:
-    dataset = load_ingested(config, "partition")
-    rdir = run_dir(config, seed)
-    rdir.mkdir(parents=True, exist_ok=True)
-    runner = StageRunner(rdir)
-    out = rdir / "partition.json"
-    ddir = data_dir(config)
+class StageContext:
+    """What a stage body reads, each piece loaded from disk on first use."""
 
-    def fn():
-        devices = dataset.device_ids
-        if config.num_unseen > 0:
-            part = make_partition(devices, config.num_unseen, seed)
-            seen, unseen = sorted(part.seen), sorted(part.unseen)
-        else:
-            seen, unseen = list(range(len(devices))), []
-        splits = split_indices([p.device_id for p in dataset.points],
-                               tuple(config.ratios), seed)
-        write_json(out, {"seed": seed, "seen": seen, "unseen": unseen,
-                         "splits": splits})
+    def __init__(self, config: ExperimentConfig, seed: int):
+        self.config = config
+        self.seed = seed
+        self.rdir = run_dir(config, seed)
+        self.ddir = data_dir(config)
 
-    runner.run("partition",
-               {"seed": seed, "num_unseen": config.num_unseen,
-                "ratios": config.ratios},
-               [ddir / "dataset.npz"], [out], fn)
-    return read_json(out)
+    @cached_property
+    def dataset(self) -> Dataset:
+        return load_dataset(self.ddir / "dataset.npz",
+                            self.ddir / "dataset.json")
+
+    @cached_property
+    def class_map(self) -> dict[str, int]:
+        class_map = read_json(self.ddir / "dataset.json")["class_map"]
+        return {dev: int(label) for dev, label in class_map.items()}
+
+    @cached_property
+    def partition(self) -> dict:
+        return read_json(self.rdir / "partition.json")
+
+    @cached_property
+    def latents(self) -> dict[str, np.ndarray]:
+        data = np.load(self.rdir / "latents.npz")
+        return {"l": data["l"], "lam": data["lam"], "labels": data["labels"]}
+
+    @cached_property
+    def class_attrs(self) -> dict[int, np.ndarray]:
+        attrs = load_attributes_csv(self.rdir / "attributes.csv")
+        return {self.class_map[dev]: attrs[dev].a for dev in attrs}
+
+    def sane_config(self) -> SaneConfig:
+        return self.config.sane_config(num_classes=len(self.partition["seen"]),
+                                       seed=self.seed)
 
 
-def _normalized_points(dataset: Dataset, partition: dict,
-                       normalizer: Normalizer) -> dict:
-    """Normalized DataPoints per split."""
-    return {
-        split: apply_normalizer(normalizer,
-                                [dataset.points[i] for i in indices])
-        for split, indices in partition["splits"].items()
-    }
+@dataclass(frozen=True)
+class Stage:
+    """One per-seed stage. `reads` are (producer stage, file) pairs; the
+    stage refuses to run unless each file matches its producer's manifest,
+    and their checksums plus `key(ctx)` form its cache key. `body(ctx)`
+    writes `writes` into the run directory. `method` names the method whose
+    reports the stage writes."""
+
+    name: str
+    help: str
+    reads: tuple[tuple[str, str], ...]
+    writes: tuple[str, ...]
+    key: Callable[[StageContext], dict]
+    body: Callable[[StageContext], None]
+    method: str | None = None
 
 
-def stage_train_sane(config: ExperimentConfig, seed: int) -> None:
-    dataset = load_ingested(config, "train-sane")
-    rdir = run_dir(config, seed)
-    runner = StageRunner(rdir)
-    part_path = runner.require_input("train-sane", "partition",
-                                     rdir / "partition.json")
-    partition = read_json(part_path)
-    norm_path = rdir / "normalizer.json"
-    ckpt_path = rdir / "sane.ckpt"
-    log_path = rdir / "sane_log.csv"
+def _partition(ctx: StageContext) -> None:
+    config, dataset = ctx.config, ctx.dataset
+    devices = dataset.device_ids
+    if config.num_unseen > 0:
+        part = make_partition(devices, config.num_unseen, ctx.seed)
+        seen, unseen = sorted(part.seen), sorted(part.unseen)
+    else:
+        seen, unseen = list(range(len(devices))), []
+    splits = split_indices([p.device_id for p in dataset.points],
+                           tuple(config.ratios), ctx.seed)
+    write_json(ctx.rdir / "partition.json",
+               {"seed": ctx.seed, "seen": seen, "unseen": unseen,
+                "splits": splits})
+
+
+def _train_sane(ctx: StageContext) -> None:
+    dataset, partition = ctx.dataset, ctx.partition
     seen = partition["seen"]
-    sane_cfg = config.sane_config(num_classes=len(seen), seed=seed)
+    train_idx = [i for i in partition["splits"]["train"]
+                 if dataset.points[i].label in seen]
+    val_idx = [i for i in partition["splits"]["val"]
+               if dataset.points[i].label in seen]
+    norm = fit_normalizer([dataset.points[i] for i in train_idx])
+    write_json(ctx.rdir / "normalizer.json", norm.to_dict())
+    local = {label: i for i, label in enumerate(seen)}
 
-    def fn():
-        train_idx = [i for i in partition["splits"]["train"]
-                     if dataset.points[i].label in seen]
-        val_idx = [i for i in partition["splits"]["val"]
-                   if dataset.points[i].label in seen]
-        norm = fit_normalizer([dataset.points[i] for i in train_idx])
-        write_json(norm_path, norm.to_dict())
-        local = {label: i for i, label in enumerate(seen)}
+    def localized(indices):
+        points = apply_normalizer(norm, [dataset.points[i] for i in indices])
+        for p in points:
+            p.label = local[p.label]
+        return points
 
-        def localized(indices):
-            points = apply_normalizer(norm, [dataset.points[i]
-                                             for i in indices])
-            for p in points:
-                p.label = local[p.label]
-            return points
-
-        model, _ = train_sane(localized(train_idx), localized(val_idx),
-                              sane_cfg, log_path=log_path)
-        model.save(ckpt_path)
-
-    runner.run("train-sane", {"sane": asdict(sane_cfg)},
-               [data_dir(config) / "dataset.npz", part_path],
-               [norm_path, ckpt_path, log_path], fn)
+    model, _ = train_sane(localized(train_idx), localized(val_idx),
+                          ctx.sane_config(),
+                          log_path=ctx.rdir / "sane_log.csv")
+    model.save(ctx.rdir / "sane.ckpt")
 
 
-def stage_extract_attrs(config: ExperimentConfig, seed: int) -> None:
-    dataset = load_ingested(config, "extract-attrs")
-    rdir = run_dir(config, seed)
-    runner = StageRunner(rdir)
-    part_path = runner.require_input("extract-attrs", "partition",
-                                     rdir / "partition.json")
-    ckpt_path = runner.require_input("extract-attrs", "train-sane",
-                                     rdir / "sane.ckpt")
-    norm_path = runner.require_input("extract-attrs", "train-sane",
-                                     rdir / "normalizer.json")
-    partition = read_json(part_path)
-    latents_path = rdir / "latents.npz"
-    attrs_path = rdir / "attributes.csv"
-
-    def fn():
-        model = SaneModel.load(ckpt_path)
-        norm = Normalizer.from_dict(read_json(norm_path))
-        _, c_l, c_lam = strip(model)
-        points = apply_normalizer(norm, dataset.points)
-        x = np.stack([p.features for p in points])
-        out = model.predict_arrays(x)
-        np.savez(latents_path, l=out["l"], lam=out["lam"],
-                 labels=np.array([p.label for p in dataset.points],
-                                 dtype=np.int64))
-
-        # attribute source: train split for seen devices, train+val for
-        # unseen (test data never contributes)
-        seen = set(partition["seen"])
-        splits = partition["splits"]
-        attr_idx: dict[str, list[int]] = {}
-        for split in ("train", "val"):
-            for i in splits[split]:
-                p = dataset.points[i]
-                if split == "val" and p.label in seen:
-                    continue
-                attr_idx.setdefault(p.device_id, []).append(i)
-        latent_sets = []
-        for dev in sorted(attr_idx):
-            pts = [points[i] for i in attr_idx[dev]]
-            latent_sets.append(extract_latents(c_l, c_lam, pts,
-                                               device_id=dev))
-        attrs = compute_attributes(latent_sets)
-        save_attributes_csv(attrs, attrs_path)
-
-    runner.run("extract-attrs", {"N": config.sane.get("N", 3)},
-               [ckpt_path, norm_path, part_path],
-               [latents_path, attrs_path], fn)
+def _fit_idx(partition: dict, labels: np.ndarray) -> list[int]:
+    """The sequences attributes and clusters are fitted on: the train split,
+    plus the val split of unseen devices. Test data never contributes."""
+    unseen = set(partition["unseen"])
+    return list(partition["splits"]["train"]) + [
+        i for i in partition["splits"]["val"] if int(labels[i]) in unseen]
 
 
-def _load_latents(rdir: Path) -> dict:
-    data = np.load(rdir / "latents.npz")
-    return {"l": data["l"], "lam": data["lam"], "labels": data["labels"]}
+def _extract_attrs(ctx: StageContext) -> None:
+    dataset, partition = ctx.dataset, ctx.partition
+    model = SaneModel.load(ctx.rdir / "sane.ckpt")
+    norm = Normalizer.from_dict(read_json(ctx.rdir / "normalizer.json"))
+    _, c_l, c_lam = strip(model)
+    points = apply_normalizer(norm, dataset.points)
+    x = np.stack([p.features for p in points])
+    out = model.predict_arrays(x)
+    labels = np.array([p.label for p in dataset.points], dtype=np.int64)
+    np.savez(ctx.rdir / "latents.npz", l=out["l"], lam=out["lam"],
+             labels=labels)
+
+    attr_idx: dict[str, list[int]] = {}
+    for i in _fit_idx(partition, labels):
+        attr_idx.setdefault(dataset.points[i].device_id, []).append(i)
+    latent_sets = [extract_latents(c_l, c_lam,
+                                   [points[i] for i in attr_idx[dev]],
+                                   device_id=dev)
+                   for dev in sorted(attr_idx)]
+    save_attributes_csv(compute_attributes(latent_sets),
+                        ctx.rdir / "attributes.csv")
 
 
-def _class_attributes(dataset: Dataset, attrs_path: Path) -> dict[int, np.ndarray]:
-    attrs = load_attributes_csv(attrs_path)
-    return {dataset.class_map[dev]: attrs[dev].a for dev in attrs}
+def _train_cvae(ctx: StageContext) -> None:
+    labels, class_attrs = ctx.latents["labels"], ctx.class_attrs
+    seen = set(ctx.partition["seen"])
+    train_idx = [i for i in ctx.partition["splits"]["train"]
+                 if int(labels[i]) in seen]
+    for i in train_idx:
+        if int(labels[i]) not in class_attrs:
+            raise StageError("train-cvae", f"missing attribute for seen class "
+                                           f"{int(labels[i])}")
+    conds = np.stack([class_attrs[int(labels[i])] for i in train_idx])
+    model, _ = train_cvae(ctx.latents["l"][train_idx], conds,
+                          ctx.config.cvae_config(seed=ctx.seed))
+    model.save(ctx.rdir / "cvae.ckpt")
 
 
-def stage_train_cvae(config: ExperimentConfig, seed: int) -> None:
-    dataset = load_ingested(config, "train-cvae")
-    rdir = run_dir(config, seed)
-    runner = StageRunner(rdir)
-    part_path = runner.require_input("train-cvae", "partition",
-                                     rdir / "partition.json")
-    latents_path = runner.require_input("train-cvae", "extract-attrs",
-                                        rdir / "latents.npz")
-    attrs_path = runner.require_input("train-cvae", "extract-attrs",
-                                      rdir / "attributes.csv")
-    partition = read_json(part_path)
-    cvae_cfg = config.cvae_config(seed=seed)
-    ckpt_path = rdir / "cvae.ckpt"
-
-    def fn():
-        latents = _load_latents(rdir)
-        class_attrs = _class_attributes(dataset, attrs_path)
-        seen = set(partition["seen"])
-        train_idx = [i for i in partition["splits"]["train"]
-                     if int(latents["labels"][i]) in seen]
-        for i in train_idx:
-            if int(latents["labels"][i]) not in class_attrs:
-                raise StageError("train-cvae",
-                                 f"missing attribute for seen class "
-                                 f"{int(latents['labels'][i])}")
-        x = latents["l"][train_idx]
-        conds = np.stack([class_attrs[int(latents["labels"][i])]
-                          for i in train_idx])
-        model, _ = train_cvae(x, conds, cvae_cfg)
-        model.save(ckpt_path)
-
-    runner.run("train-cvae", {"cvae": asdict(cvae_cfg)},
-               [latents_path, attrs_path, part_path], [ckpt_path], fn)
-
-
-def stage_gen_pseudo(config: ExperimentConfig, seed: int) -> None:
-    dataset = load_ingested(config, "gen-pseudo")
-    rdir = run_dir(config, seed)
-    runner = StageRunner(rdir)
-    cvae_path = runner.require_input("gen-pseudo", "train-cvae",
-                                     rdir / "cvae.ckpt")
-    attrs_path = runner.require_input("gen-pseudo", "extract-attrs",
-                                      rdir / "attributes.csv")
-    pseudo_path = rdir / "pseudo.csv"
-    pseudo_manifest = rdir / "pseudo.json"
-
-    def fn():
-        model = CvaeModel.load(cvae_path)
-        class_attrs = _class_attributes(dataset, attrs_path)
-        pseudo = generate_pseudo(model, class_attrs, k=config.pseudo_k,
-                                 seed=seed)
-        dim = pseudo.samples.shape[1]
-        with open(pseudo_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label"] + [f"l_{i}" for i in range(dim)])
-            for label, row in zip(pseudo.labels, pseudo.samples):
-                writer.writerow([int(label)] + [f"{v:.8f}" for v in row])
-        write_json(pseudo_manifest, {"k": config.pseudo_k, "seed": seed,
-                                     "decoder_checksum": sha256_file(cvae_path)})
-
-    runner.run("gen-pseudo", {"k": config.pseudo_k, "seed": seed},
-               [cvae_path, attrs_path], [pseudo_path, pseudo_manifest], fn)
+def _gen_pseudo(ctx: StageContext) -> None:
+    cvae_path = ctx.rdir / "cvae.ckpt"
+    k = ctx.config.pseudo_k
+    pseudo = generate_pseudo(CvaeModel.load(cvae_path), ctx.class_attrs, k=k,
+                             seed=ctx.seed)
+    dim = pseudo.samples.shape[1]
+    with open(ctx.rdir / "pseudo.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label"] + [f"l_{i}" for i in range(dim)])
+        for label, row in zip(pseudo.labels, pseudo.samples):
+            writer.writerow([int(label)] + [f"{v:.8f}" for v in row])
+    write_json(ctx.rdir / "pseudo.json",
+               {"k": k, "seed": ctx.seed,
+                "decoder_checksum": sha256_file(cvae_path)})
 
 
 def load_pseudo_csv(path: str | Path) -> PseudoDataset:
@@ -518,38 +485,24 @@ def load_pseudo_csv(path: str | Path) -> PseudoDataset:
                          labels=labels, k=int(counts[0]))
 
 
-def stage_train_clf(config: ExperimentConfig, seed: int) -> None:
-    rdir = run_dir(config, seed)
-    runner = StageRunner(rdir)
-    part_path = runner.require_input("train-clf", "partition",
-                                     rdir / "partition.json")
-    pseudo_path = runner.require_input("train-clf", "gen-pseudo",
-                                       rdir / "pseudo.csv")
-    partition = read_json(part_path)
-    svm_cfg = dict(config.svm)
-    zsl_path = rdir / "svm_zsl.json"
-    gzsl_path = rdir / "svm_gzsl.json"
+def _train_clf(ctx: StageContext) -> None:
+    svm_cfg = ctx.config.svm
+    pseudo = load_pseudo_csv(ctx.rdir / "pseudo.csv")
+    unseen = ctx.partition["unseen"]
 
-    def fn():
-        pseudo = load_pseudo_csv(pseudo_path)
-        unseen = partition["unseen"]
+    def fit(p: PseudoDataset) -> dict:
+        model = train_svm(p.samples, p.labels, c_reg=svm_cfg["c_reg"],
+                          epochs=svm_cfg["epochs"], lr=svm_cfg["lr"],
+                          seed=ctx.seed)
+        return {"type": "svm", "model": model.to_dict()}
 
-        def fit(p: PseudoDataset) -> dict:
-            model = train_svm(p.samples, p.labels, c_reg=svm_cfg["c_reg"],
-                              epochs=svm_cfg["epochs"], lr=svm_cfg["lr"],
-                              seed=seed)
-            return {"type": "svm", "model": model.to_dict()}
-
-        write_json(gzsl_path, fit(pseudo))
-        if len(unseen) == 1:
-            # one unseen class: nothing to separate in the ZSL setting
-            write_json(zsl_path, {"type": "constant",
-                                  "classes": [unseen[0]]})
-        else:
-            write_json(zsl_path, fit(pseudo.for_classes(unseen)))
-
-    runner.run("train-clf", {"svm": svm_cfg},
-               [pseudo_path, part_path], [zsl_path, gzsl_path], fn)
+    write_json(ctx.rdir / "svm_gzsl.json", fit(pseudo))
+    if len(unseen) == 1:
+        # one unseen class: nothing to separate in the ZSL setting
+        write_json(ctx.rdir / "svm_zsl.json",
+                   {"type": "constant", "classes": [unseen[0]]})
+    else:
+        write_json(ctx.rdir / "svm_zsl.json", fit(pseudo.for_classes(unseen)))
 
 
 def _load_classifier(path: Path):
@@ -559,114 +512,153 @@ def _load_classifier(path: Path):
     return SvmModel.from_dict(payload["model"])
 
 
-def stage_eval(config: ExperimentConfig, seed: int) -> dict[str, EvalReport]:
+def _eval(ctx: StageContext) -> None:
+    labels = ctx.latents["labels"]
+    unseen = set(ctx.partition["unseen"])
+    test_idx = ctx.partition["splits"]["test"]
+    lines = []
+    for setting in SETTINGS:
+        model = _load_classifier(ctx.rdir / f"svm_{setting}.json")
+        idx = ([i for i in test_idx if int(labels[i]) in unseen]
+               if setting == "zsl" else list(test_idx))
+        report = evaluate(setting, model, ctx.latents["l"][idx], labels[idx],
+                          extra={"method": "zest", "seed": ctx.seed})
+        report.save_json(ctx.rdir / f"report_{setting}.json")
+        lines.append(report.format_table())
+    (ctx.rdir / "report.txt").write_text("\n\n".join(lines) + "\n")
+
+
+def _baseline(ctx: StageContext, name: str) -> None:
+    latent, attr_seeded = BASELINES[name]
+    labels, features = ctx.latents["labels"], ctx.latents[latent]
+    unseen = set(ctx.partition["unseen"])
+    num_classes = len(ctx.partition["seen"]) + len(unseen)
+    fit_idx = _fit_idx(ctx.partition, labels)
+    test_idx = ctx.partition["splits"]["test"]
+    if set(ctx.class_attrs) != set(range(num_classes)):
+        raise StageError(f"baseline-{name}", "missing attribute for seeding")
+    attr_seeds = np.stack([ctx.class_attrs[c] for c in range(num_classes)])
+    pipeline = getattr(bl, name.replace("-", "_"))
+
+    reports = {}
+    for setting in SETTINGS:
+        idx = ([i for i in test_idx if int(labels[i]) in unseen]
+               if setting == "zsl" else list(test_idx))
+        report = pipeline(features[fit_idx], labels[fit_idx], features[idx],
+                          labels[idx], *([attr_seeds] if attr_seeded else []),
+                          num_classes, ctx.seed, setting=setting)
+        report.extra["method"] = name
+        reports[setting] = report
+    write_json(ctx.rdir / f"baseline_{name}.json",
+               {s: r.to_dict() for s, r in reports.items()})
+
+
+_NPZ = ("ingest", "dataset.npz")
+_CLASS_MAP = ("ingest", "dataset.json")
+_PARTITION = ("partition", "partition.json")
+_ATTRS = (("extract-attrs", "latents.npz"),
+          ("extract-attrs", "attributes.csv"))
+
+# every per-seed stage, in dependency order
+STAGES: dict[str, Stage] = {stage.name: stage for stage in (
+    Stage("partition", "split devices into seen/unseen and sequences into "
+                       "train/val/test",
+          reads=(_NPZ, _CLASS_MAP), writes=("partition.json",),
+          key=lambda ctx: {"seed": ctx.seed,
+                           "num_unseen": ctx.config.num_unseen,
+                           "ratios": ctx.config.ratios},
+          body=_partition),
+    Stage("train-sane", "train the feature extractor on seen devices",
+          reads=(_NPZ, _CLASS_MAP, _PARTITION),
+          writes=("normalizer.json", "sane.ckpt", "sane_log.csv"),
+          key=lambda ctx: {"sane": asdict(ctx.sane_config())},
+          body=_train_sane),
+    Stage("extract-attrs", "extract latents and attribute vectors",
+          reads=(_NPZ, _CLASS_MAP, _PARTITION, ("train-sane", "sane.ckpt"),
+                 ("train-sane", "normalizer.json")),
+          writes=("latents.npz", "attributes.csv"),
+          key=lambda ctx: {"N": SaneConfig(**ctx.config.sane).N},
+          body=_extract_attrs),
+    Stage("train-cvae", "train the conditional VAE on seen latents",
+          reads=(_CLASS_MAP, _PARTITION, *_ATTRS), writes=("cvae.ckpt",),
+          key=lambda ctx: {"cvae": asdict(ctx.config.cvae_config(ctx.seed))},
+          body=_train_cvae),
+    Stage("gen-pseudo", "generate balanced pseudo latents",
+          reads=(_CLASS_MAP, ("train-cvae", "cvae.ckpt"),
+                 ("extract-attrs", "attributes.csv")),
+          writes=("pseudo.csv", "pseudo.json"),
+          key=lambda ctx: {"k": ctx.config.pseudo_k, "seed": ctx.seed},
+          body=_gen_pseudo),
+    Stage("train-clf", "train the final classifiers on pseudo data",
+          reads=(_PARTITION, ("gen-pseudo", "pseudo.csv")),
+          writes=("svm_zsl.json", "svm_gzsl.json"),
+          key=lambda ctx: {"svm": ctx.config.svm}, body=_train_clf),
+    Stage("eval", "evaluate ZSL and GZSL accuracy on test latents",
+          reads=(_PARTITION, ("extract-attrs", "latents.npz"),
+                 ("train-clf", "svm_zsl.json"),
+                 ("train-clf", "svm_gzsl.json")),
+          writes=("report_zsl.json", "report_gzsl.json", "report.txt"),
+          key=lambda ctx: {"svm": ctx.config.svm}, body=_eval, method="zest"),
+    *(Stage(f"baseline-{name}", f"run the {name} comparison pipeline",
+            reads=(_CLASS_MAP, _PARTITION, *_ATTRS),
+            writes=(f"baseline_{name}.json",),
+            key=lambda ctx, name=name: {"name": name},
+            body=partial(_baseline, name=name), method=name)
+      for name in BASELINE_NAMES),
+)}
+
+
+def run_stage(name: str, config: ExperimentConfig, seed: int) -> bool:
+    """Run the per-seed stage `name` from STAGES: check every file it reads
+    against its producer's manifest, then run its body unless its own
+    manifest shows a cache hit. Returns True when the body ran."""
+    if name not in STAGES:
+        raise StageError(name, f"unknown stage {name!r}; have {list(STAGES)}")
+    stage = STAGES[name]
+    ctx = StageContext(config, seed)
+    ctx.rdir.mkdir(parents=True, exist_ok=True)
+    inputs = []
+    for producer, file in stage.reads:
+        root = ctx.ddir if producer == "ingest" else ctx.rdir
+        inputs.append(StageRunner(root).require_input(name, producer,
+                                                      root / file))
+    return StageRunner(ctx.rdir).run(
+        name, stage.key(ctx), inputs, [ctx.rdir / f for f in stage.writes],
+        lambda: stage.body(ctx))
+
+
+def read_reports(config: ExperimentConfig, seed: int,
+                 method: str) -> dict[str, EvalReport]:
+    """{setting: EvalReport} as written by the stage of `method`."""
     rdir = run_dir(config, seed)
-    runner = StageRunner(rdir)
-    part_path = runner.require_input("eval", "partition",
-                                     rdir / "partition.json")
-    latents_path = runner.require_input("eval", "extract-attrs",
-                                        rdir / "latents.npz")
-    zsl_path = runner.require_input("eval", "train-clf", rdir / "svm_zsl.json")
-    gzsl_path = runner.require_input("eval", "train-clf",
-                                     rdir / "svm_gzsl.json")
-    partition = read_json(part_path)
-    outputs = {name: rdir / f"report_{name}.json" for name in ("zsl", "gzsl")}
-    table_path = rdir / "report.txt"
+    if method == "zest":
+        payload = {s: read_json(rdir / f"report_{s}.json") for s in SETTINGS}
+    else:
+        payload = read_json(rdir / f"baseline_{method}.json")
+    return {s: EvalReport.from_dict(d) for s, d in payload.items()}
 
-    def fn():
-        latents = _load_latents(rdir)
-        unseen = set(partition["unseen"])
-        test_idx = partition["splits"]["test"]
-        lines = []
-        for setting, clf_path in (("zsl", zsl_path), ("gzsl", gzsl_path)):
-            model = _load_classifier(clf_path)
-            if setting == "zsl":
-                idx = [i for i in test_idx
-                       if int(latents["labels"][i]) in unseen]
-            else:
-                idx = list(test_idx)
-            report = evaluate(setting, model, latents["l"][idx],
-                              latents["labels"][idx],
-                              extra={"method": "zest", "seed": seed})
-            report.save_json(outputs[setting])
-            lines.append(report.format_table())
-        table_path.write_text("\n\n".join(lines) + "\n")
 
-    runner.run("eval", {"svm": config.svm},
-               [latents_path, zsl_path, gzsl_path, part_path],
-               list(outputs.values()) + [table_path], fn)
-    return {name: EvalReport.from_dict(read_json(path))
-            for name, path in outputs.items()}
+def stage_partition(config: ExperimentConfig, seed: int) -> dict:
+    run_stage("partition", config, seed)
+    return read_json(run_dir(config, seed) / "partition.json")
+
+
+stage_train_sane = partial(run_stage, "train-sane")
+stage_extract_attrs = partial(run_stage, "extract-attrs")
+stage_train_cvae = partial(run_stage, "train-cvae")
+stage_gen_pseudo = partial(run_stage, "gen-pseudo")
+stage_train_clf = partial(run_stage, "train-clf")
+
+
+def stage_eval(config: ExperimentConfig, seed: int) -> dict[str, EvalReport]:
+    run_stage("eval", config, seed)
+    return read_reports(config, seed, "zest")
 
 
 def stage_baseline(config: ExperimentConfig, seed: int,
                    name: str) -> dict[str, EvalReport]:
-    if name not in BASELINE_NAMES:
-        raise StageError("baseline",
-                         f"unknown baseline {name!r}; have {BASELINE_NAMES}")
-    dataset = load_ingested(config, "baseline")
-    rdir = run_dir(config, seed)
-    runner = StageRunner(rdir)
-    part_path = runner.require_input("baseline", "partition",
-                                     rdir / "partition.json")
-    latents_path = runner.require_input("baseline", "extract-attrs",
-                                        rdir / "latents.npz")
-    attrs_path = runner.require_input("baseline", "extract-attrs",
-                                      rdir / "attributes.csv")
-    partition = read_json(part_path)
-    out_path = rdir / f"baseline_{name}.json"
-
-    def fn():
-        latents = _load_latents(rdir)
-        labels = latents["labels"]
-        seen = set(partition["seen"])
-        unseen = set(partition["unseen"])
-        num_classes = len(seen) + len(unseen)
-        splits = partition["splits"]
-        # cluster-fit data mirrors the attribute source: train split for
-        # seen devices, train+val for unseen
-        fit_idx = [i for i in splits["train"]] + \
-                  [i for i in splits["val"] if int(labels[i]) in unseen]
-        test_idx = splits["test"]
-        class_attrs = _class_attributes(dataset, attrs_path)
-        if set(class_attrs) != set(range(num_classes)):
-            raise StageError("baseline", "missing attribute for seeding")
-        attr_seeds = np.stack([class_attrs[c] for c in range(num_classes)])
-
-        reports = {}
-        for setting in ("zsl", "gzsl"):
-            if setting == "zsl":
-                idx = [i for i in test_idx if int(labels[i]) in unseen]
-            else:
-                idx = list(test_idx)
-            fit_labels = labels[fit_idx]
-            test_labels = labels[idx]
-            if name == "vae-k":
-                report = bl.vae_k(latents["l"][fit_idx], fit_labels,
-                                  latents["l"][idx], test_labels,
-                                  num_classes, seed, setting=setting)
-            elif name == "seqcr":
-                report = bl.seqcr(latents["lam"][fit_idx], fit_labels,
-                                  latents["lam"][idx], test_labels,
-                                  num_classes, seed, setting=setting)
-            elif name == "seqcs":
-                report = bl.seqcs(latents["lam"][fit_idx], fit_labels,
-                                  latents["lam"][idx], test_labels,
-                                  attr_seeds, num_classes, seed,
-                                  setting=setting)
-            else:
-                report = bl.deft(latents["lam"][fit_idx], fit_labels,
-                                 latents["lam"][idx], test_labels,
-                                 attr_seeds, num_classes, seed,
-                                 setting=setting)
-            report.extra["method"] = name
-            reports[setting] = report
-        write_json(out_path, {s: r.to_dict() for s, r in reports.items()})
-
-    runner.run(f"baseline-{name}", {"name": name},
-               [latents_path, attrs_path, part_path], [out_path], fn)
-    payload = read_json(out_path)
-    return {s: EvalReport.from_dict(d) for s, d in payload.items()}
+    run_stage(f"baseline-{name}", config, seed)
+    return read_reports(config, seed, name)
 
 
 # ---------------------------------------------------------------------------
@@ -674,17 +666,13 @@ def stage_baseline(config: ExperimentConfig, seed: int,
 # ---------------------------------------------------------------------------
 
 def run_seed(config: ExperimentConfig, seed: int) -> dict:
-    """All per-seed stages; returns {method: {setting: EvalReport}}."""
-    stage_partition(config, seed)
-    stage_train_sane(config, seed)
-    stage_extract_attrs(config, seed)
-    stage_train_cvae(config, seed)
-    stage_gen_pseudo(config, seed)
-    stage_train_clf(config, seed)
-    results = {"zest": stage_eval(config, seed)}
-    for name in config.baselines:
-        results[name] = stage_baseline(config, seed, name)
-    return results
+    """Every per-seed stage in table order, leaving out the baselines the
+    config does not list; returns {method: {setting: EvalReport}}."""
+    methods = ["zest", *config.baselines]
+    for stage in STAGES.values():
+        if stage.method is None or stage.method in methods:
+            run_stage(stage.name, config, seed)
+    return {method: read_reports(config, seed, method) for method in methods}
 
 
 def aggregate_reports(per_seed: list[dict]) -> list[dict]:
@@ -692,7 +680,7 @@ def aggregate_reports(per_seed: list[dict]) -> list[dict]:
     rows = []
     methods = list(per_seed[0])
     for method in methods:
-        for setting in ("zsl", "gzsl"):
+        for setting in SETTINGS:
             accs = [res[method][setting].accuracy for res in per_seed]
             rows.append({
                 "method": method,
@@ -705,17 +693,20 @@ def aggregate_reports(per_seed: list[dict]) -> list[dict]:
     return rows
 
 
-def write_aggregate(rows: list[dict], outdir: Path) -> None:
-    csv_path = outdir / "report.csv"
-    with open(csv_path, "w", newline="") as fh:
+def _write_accuracy_csv(path: Path, rows: list[dict],
+                        keys: tuple[str, ...]) -> None:
+    """One line per row: its `keys`, then mean, std and number of seeds."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "setting", "mean_accuracy",
-                         "std_accuracy", "num_seeds"])
+        writer.writerow([*keys, "mean_accuracy", "std_accuracy", "num_seeds"])
         for row in rows:
-            writer.writerow([row["method"], row["setting"],
+            writer.writerow([*(row[k] for k in keys),
                              f"{row['mean_accuracy']:.6f}",
-                             f"{row['std_accuracy']:.6f}",
-                             row["num_seeds"]])
+                             f"{row['std_accuracy']:.6f}", row["num_seeds"]])
+
+
+def write_aggregate(rows: list[dict], outdir: Path) -> None:
+    _write_accuracy_csv(outdir / "report.csv", rows, ("method", "setting"))
     lines = [f"{'method':<10} {'setting':<6} {'mean':>8} {'std':>8}"]
     for row in rows:
         lines.append(f"{row['method']:<10} {row['setting']:<6} "
@@ -753,7 +744,7 @@ def run_sweep(config: ExperimentConfig, param: str,
     all_rows = []
     for value in values:
         value = cast(value)
-        sub = ExperimentConfig.from_dict(config.to_dict())
+        sub = ExperimentConfig(**asdict(config))
         sub.outdir = str(sweep_root / str(value))
         if section is None:
             setattr(sub, key, value)
@@ -766,13 +757,6 @@ def run_sweep(config: ExperimentConfig, param: str,
             row["param"] = param
             row["value"] = value
             all_rows.append(row)
-    csv_path = sweep_root / "sweep.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "value", "method", "setting",
-                         "mean_accuracy", "std_accuracy", "num_seeds"])
-        for row in all_rows:
-            writer.writerow([row["param"], row["value"], row["method"],
-                             row["setting"], f"{row['mean_accuracy']:.6f}",
-                             f"{row['std_accuracy']:.6f}", row["num_seeds"]])
+    _write_accuracy_csv(sweep_root / "sweep.csv", all_rows,
+                        ("param", "value", "method", "setting"))
     return all_rows

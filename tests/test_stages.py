@@ -1,0 +1,135 @@
+"""The per-seed stage table: lazy dataset loads, crash-safe manifests, SANE
+dimensions, and agreement between the table, the CLI and `run_pipeline`."""
+
+import json
+import shutil
+
+import pytest
+
+from conftest import tiny_profiles
+from test_cli import (SANE_OVERRIDES, _base_args,  # noqa: F401
+                      experiment, profile_file)
+from zest import pipeline as pl
+from zest.cli import build_parser, main
+from zest.pipeline import (STAGES, ExperimentConfig, StageContext,
+                           resolve_config, write_json)
+from zest.sane import SaneConfig
+from zest.synth import save_profiles
+
+
+def _command(stage_name: str) -> list[str]:
+    if stage_name.startswith("baseline-"):
+        return ["baseline", stage_name[len("baseline-"):]]
+    return [stage_name]
+
+
+def test_cvae_config_follows_sane_dims(tmp_path):
+    default = ExperimentConfig(outdir=str(tmp_path)).cvae_config(seed=0)
+    assert (default.input_dim, default.cond_dim) == (SaneConfig().M,
+                                                     SaneConfig().N)
+    config = ExperimentConfig(outdir=str(tmp_path), sane={"M": 8, "N": 2})
+    tuned = config.cvae_config(seed=4)
+    assert (tuned.input_dim, tuned.cond_dim, tuned.seed) == (8, 2, 4)
+    assert STAGES["extract-attrs"].key(StageContext(config, 0)) == {"N": 2}
+
+
+def test_unknown_baseline_in_config_rejected(tmp_path):
+    with pytest.raises(ValueError, match="nope"):
+        ExperimentConfig(outdir=str(tmp_path), baselines=["seqcs", "nope"])
+
+
+def test_write_json_keeps_old_file_on_failure(tmp_path):
+    path = tmp_path / "m.json"
+    write_json(path, {"a": 1})
+    with pytest.raises(TypeError):
+        write_json(path, {"a": object()})
+    assert json.loads(path.read_text()) == {"a": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_every_stage_has_a_command(experiment):
+    parser = build_parser()
+    for name in STAGES:
+        args = parser.parse_args(_command(name) + ["--outdir", "x"])
+        assert args.run is not None
+    epilog = parser.epilog.splitlines()[1:]
+    assert len(epilog) == len(STAGES)
+    for line, stage in zip(epilog, STAGES.values()):
+        assert " ".join(_command(stage.name)) in line
+        assert line.endswith(stage.help)
+    assert main(["partition", "--outdir", str(experiment), "--seed", "0"]) == 0
+
+
+def test_partition_runs_before_any_stage(tmp_path, profile_file):
+    outdir = tmp_path / "fresh"
+    assert main(["ingest"] + _base_args(outdir, profile_file)) == 0
+    assert main(["train-sane", "--outdir", str(outdir), "--seed", "1"]) == 0
+    rdir = outdir / "runs" / "seed-1"
+    assert json.loads((rdir / "partition.json").read_text())["seed"] == 1
+    assert (rdir / "sane.ckpt").exists()
+
+
+def test_truncated_own_manifest_is_a_cache_miss(experiment, tmp_path):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    manifest = work / "runs" / "seed-0" / "train-clf.manifest.json"
+    manifest.write_text(manifest.read_text()[:20])
+    assert main(["train-clf", "--outdir", str(work), "--seed", "0"]) == 0
+    payload = json.loads(manifest.read_text())
+    assert payload["stage"] == "train-clf"
+    assert set(payload["outputs"]) == {"svm_zsl.json", "svm_gzsl.json"}
+
+
+def test_unreadable_producer_manifest_names_producer(experiment, tmp_path,
+                                                      capsys):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    (work / "runs" / "seed-0" / "train-sane.manifest.json").write_text("{")
+    assert main(["extract-attrs", "--outdir", str(work), "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "[extract-attrs]" in err and "re-run 'train-sane'" in err
+
+
+def test_missing_upstream_names_stage_to_rerun(tmp_path, profile_file,
+                                               capsys):
+    outdir = tmp_path / "fresh"
+    assert main(["ingest"] + _base_args(outdir, profile_file)) == 0
+    assert main(["gen-pseudo", "--outdir", str(outdir), "--seed", "0"]) == 1
+    assert "re-run stage 'train-cvae'" in capsys.readouterr().err
+
+
+def test_cli_stages_match_pipeline(experiment, tmp_path, profile_file):
+    assert main(["baseline", "seqcs", "--outdir", str(experiment),
+                 "--seed", "0"]) == 0
+    outdir = tmp_path / "pipe"
+    assert main(["pipeline"] + _base_args(outdir, profile_file)) == 0
+    for name in ("report_zsl.json", "report_gzsl.json", "baseline_seqcs.json"):
+        assert ((experiment / "runs" / "seed-0" / name).read_bytes()
+                == (outdir / "runs" / "seed-0" / name).read_bytes()), name
+
+
+def test_dataset_loads_only_where_needed(tmp_path, monkeypatch):
+    profiles = tmp_path / "tiny.json"
+    save_profiles(tiny_profiles(num_devices=5, sessions=25), profiles)
+    config = resolve_config(tmp_path / "exp", {
+        "source": {"profiles": str(profiles)}, "n": 10, "num_unseen": 2,
+        "seeds": [0], "sane": SANE_OVERRIDES,
+        "cvae": {"z_dim": 4, "epochs": 60}, "pseudo_k": 40})
+    pl.stage_ingest(config)
+    calls = []
+    load_dataset = pl.load_dataset
+
+    def counting(*args):
+        calls.append(args)
+        return load_dataset(*args)
+
+    monkeypatch.setattr(pl, "load_dataset", counting)
+    cold = pl.run_seed(config, 0)
+    assert len(calls) == 3
+    calls.clear()
+    warm = pl.run_seed(config, 0)
+    assert calls == []
+    assert ({m: {s: r.accuracy for s, r in reports.items()}
+             for m, reports in cold.items()}
+            == {m: {s: r.accuracy for s, r in reports.items()}
+                for m, reports in warm.items()})
