@@ -1,124 +1,58 @@
-"""Latent feature and attribute extraction from a trained feature extractor.
+"""Latents and attribute vectors from a trained SANE encoder.
 
-Strips the classifier head off a trained model to obtain feature extractors,
-collects per-sequence latents (l, lambda) for any device, and derives each
-device's attribute vector as the mean of its lambda latents.
+`extract_latents` runs the encoder once over a (P, n, f) tensor and returns
+both latent taps of every sequence: l (width M) and lambda (width N); the
+classifier head's logits are not used. A device's attribute vector is the
+mean of its lambda latents.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import DataPoint
 from .sane import SaneModel
 
 
-@dataclass
-class LatentSet:
-    """All (l, lambda) pairs extracted for one device, order-preserving."""
-
-    device_id: str
-    l: np.ndarray       # (m, M)
-    lam: np.ndarray     # (m, N)
-
-    @property
-    def count(self) -> int:
-        return self.l.shape[0]
+def extract_latents(model: SaneModel, x: np.ndarray,
+                    batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """(l, lambda), one row per sequence of `x`, in input order."""
+    if len(x) == 0:
+        raise ValueError("no sequences to encode")
+    out = model.predict_arrays(x, batch_size=batch_size)
+    return out["l"], out["lam"]
 
 
-@dataclass
-class AttributeVector:
-    """Per-device semantic vector: the mean of the device's lambda latents."""
-
-    device_id: str
-    a: np.ndarray       # (N,)
-
-
-class FeatureExtractor:
-    """The trained model minus its classifier head. Shares weights with the
-    original model; read-only."""
-
-    def __init__(self, model: SaneModel):
-        self.model = model
-
-    def latents(self, x: np.ndarray, batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
-        out = self.model.predict_arrays(x, batch_size=batch_size)
-        return out["l"], out["lam"]
+def compute_attributes(lam: np.ndarray,
+                       device_ids) -> dict[str, np.ndarray]:
+    """Mean of each device's rows of `lam`; `device_ids` names the device
+    of each row."""
+    if len(lam) == 0:
+        raise ValueError("no latents to average")
+    device_ids = np.asarray(device_ids)
+    return {str(dev): lam[device_ids == dev].mean(axis=0)
+            for dev in np.unique(device_ids)}
 
 
-class LatentLExtractor:
-    """Emits l (stops after the first latent head)."""
-
-    def __init__(self, model: SaneModel):
-        self.model = model
-
-    def __call__(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        return self.model.predict_arrays(x, batch_size=batch_size)["l"]
-
-
-class LatentLambdaExtractor:
-    """Emits lambda (full path through the second latent head)."""
-
-    def __init__(self, model: SaneModel):
-        self.model = model
-
-    def __call__(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        return self.model.predict_arrays(x, batch_size=batch_size)["lam"]
-
-
-def strip(model: SaneModel) -> tuple[FeatureExtractor, LatentLExtractor, LatentLambdaExtractor]:
-    """Remove the classifier head, then expose the two latent taps."""
-    extractor = FeatureExtractor(model)
-    return extractor, LatentLExtractor(model), LatentLambdaExtractor(model)
-
-
-def extract_latents(c_l: LatentLExtractor, c_lam: LatentLambdaExtractor,
-                    points: list[DataPoint], device_id: str | None = None,
-                    batch_size: int = 64) -> LatentSet:
-    """One (l, lambda) pair per data point, in input order."""
-    if device_id is None and points:
-        device_id = points[0].device_id
-    if not points:
-        raise ValueError(f"no data points for device {device_id!r}")
-    x = np.stack([p.features for p in points])
-    l = c_l(x, batch_size=batch_size)
-    lam = c_lam(x, batch_size=batch_size)
-    return LatentSet(device_id=device_id, l=l, lam=lam)
-
-
-def compute_attributes(latent_sets: list[LatentSet]) -> dict[str, AttributeVector]:
-    """Mean of each device's lambda latents, seen and unseen alike."""
-    attrs: dict[str, AttributeVector] = {}
-    for ls in latent_sets:
-        if ls.count < 1:
-            raise ValueError(f"device {ls.device_id!r} has no latents")
-        attrs[ls.device_id] = AttributeVector(
-            device_id=ls.device_id, a=ls.lam.mean(axis=0))
-    return attrs
-
-
-def save_attributes_csv(attrs: dict[str, AttributeVector],
+def save_attributes_csv(attrs: dict[str, np.ndarray],
                         path: str | Path) -> None:
     devices = sorted(attrs)
-    dim = attrs[devices[0]].a.shape[0]
+    dim = attrs[devices[0]].shape[0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["device_id"] + [f"a_{i}" for i in range(dim)])
         for dev in devices:
-            writer.writerow([dev] + [f"{v:.8f}" for v in attrs[dev].a])
+            writer.writerow([dev] + [f"{v:.8f}" for v in attrs[dev]])
 
 
-def load_attributes_csv(path: str | Path) -> dict[str, AttributeVector]:
-    attrs: dict[str, AttributeVector] = {}
+def load_attributes_csv(path: str | Path) -> dict[str, np.ndarray]:
+    attrs: dict[str, np.ndarray] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            attrs[row[0]] = AttributeVector(
-                device_id=row[0],
-                a=np.asarray([float(v) for v in row[1:]], dtype=np.float32))
+            attrs[row[0]] = np.asarray([float(v) for v in row[1:]],
+                                       dtype=np.float32)
     return attrs

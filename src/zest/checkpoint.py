@@ -1,15 +1,21 @@
-"""Deterministic model checkpoints.
+"""Atomic file writes, JSON artifacts and deterministic model checkpoints.
 
-Layout: 8-byte magic, uint32 format version, uint64 manifest length, manifest
-JSON (UTF-8, sorted keys), then a payload of little-endian IEEE-754 float32
-values. The manifest lists (name, shape, offset) per tensor plus an echo of
-the model config, so identical runs produce identical bytes.
+Every writer here writes a temp file beside its target and moves it into
+place, so a crash never leaves a half-written file.
+
+Checkpoint layout: 8-byte magic, uint32 format version, uint64 manifest
+length, manifest JSON (UTF-8, sorted keys), then a payload of little-endian
+IEEE-754 float32 values. The manifest lists (name, shape, offset) per
+tensor plus an echo of the model config, so identical runs produce identical
+bytes.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +26,41 @@ FORMAT_VERSION = 1
 
 class CheckpointError(RuntimeError):
     pass
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "wb"):
+    """Yield a file open on a temp file beside `path`; move it into place
+    when the block ends without an error, and delete it otherwise."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def json_default(o):
+    if isinstance(o, (np.integer,)):
+        return int(o)
+    if isinstance(o, (np.floating,)):
+        return float(o)
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"not JSON serializable: {type(o)}")
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    with atomic_write(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=json_default)
+        fh.write("\n")
+
+
+def read_json(path: str | Path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
@@ -40,7 +81,7 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
         "tensors": entries,
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))

@@ -177,7 +177,7 @@ def _synth(args: argparse.Namespace) -> None:
 
 def _ingest(args: argparse.Namespace, config: ExperimentConfig) -> None:
     dataset = pl.stage_ingest(config)
-    print(f"dataset: {len(dataset.points)} sequences, "
+    print(f"dataset: {len(dataset.labels)} sequences, "
           f"{len(dataset.class_map)} devices")
 
 

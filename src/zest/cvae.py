@@ -178,12 +178,11 @@ class PseudoDataset:
 
     samples: np.ndarray    # (num_classes * k, M)
     labels: np.ndarray     # (num_classes * k,)
-    k: int
 
     def for_classes(self, classes: list[int]) -> "PseudoDataset":
         mask = np.isin(self.labels, classes)
         return PseudoDataset(samples=self.samples[mask],
-                             labels=self.labels[mask], k=self.k)
+                             labels=self.labels[mask])
 
 
 def generate_pseudo(model: CvaeModel, class_attributes: dict[int, np.ndarray],
@@ -203,4 +202,4 @@ def generate_pseudo(model: CvaeModel, class_attributes: dict[int, np.ndarray],
         samples.append(model.decode_arrays(noise, cond))
         labels.append(np.full(k, label, dtype=np.int64))
     return PseudoDataset(samples=np.concatenate(samples),
-                         labels=np.concatenate(labels), k=k)
+                         labels=np.concatenate(labels))

@@ -1,21 +1,26 @@
-"""Packet trace ingestion: CSV parsing, per-packet raw features, sequence
-segmentation, normalization, and seen/unseen device partitioning.
+"""Packet trace ingestion as arrays: CSV parsing, per-packet raw features,
+sequence segmentation, normalization, and seen/unseen device partitioning.
 
 Canonical input is a packet metadata CSV with header
 ``timestamp,src_port,dst_port,src_internal,dst_internal,proto,size,direction,device_id``
 (proto in {tcp,udp,other}, direction in {in,out}, booleans as 0/1).
+
+Packets travel as one structured array with the fields of `packet_dtype`
+(proto and direction as their codes). `build_dataset` turns it into a
+`Dataset`: one (P, n, f) float32 tensor of sequences and one class label per
+sequence, with classes numbered by sorted device id.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import logging
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .checkpoint import atomic_write, read_json, write_json
 
 logger = logging.getLogger("zest.ingest")
 
@@ -67,57 +72,39 @@ class IngestError(RuntimeError):
     pass
 
 
-class Transport(Enum):
-    TCP = "tcp"
-    UDP = "udp"
-    OTHER = "other"
+def packet_dtype(id_width: int = 1) -> np.dtype:
+    """One packet per row; `id_width` is the length of the longest device
+    id."""
+    return np.dtype([("timestamp", "f8"), ("src_port", "i4"),
+                     ("dst_port", "i4"), ("src_internal", "?"),
+                     ("dst_internal", "?"), ("proto", "u1"), ("size", "i8"),
+                     ("direction", "u1"), ("device_id", f"U{id_width}")])
 
 
-class Direction(Enum):
-    INBOUND = "in"
-    OUTBOUND = "out"
+def packet_array(rows: list[tuple]) -> np.ndarray:
+    """A packet array from tuples in `packet_dtype` field order."""
+    width = max((len(row[-1]) for row in rows), default=1)
+    return np.array(rows, dtype=packet_dtype(width))
 
 
-@dataclass
-class PacketRecord:
-    """One packet's metadata as read from a trace file."""
-
-    timestamp: float
-    src_port: int
-    dst_port: int
-    src_internal: bool
-    dst_internal: bool
-    transport_proto: Transport
-    packet_size: int
-    direction: Direction
-    device_id: str
+def port_category(port) -> np.ndarray:
+    port = np.asarray(port)
+    cat = np.select([port <= 1023, port <= 49151],
+                    [BUCKET_WELL_KNOWN, BUCKET_REGISTERED], BUCKET_DYNAMIC)
+    for service, code in PORT_CATEGORY_CODES.items():
+        cat[port == service] = code
+    return cat
 
 
-@dataclass
-class DataPoint:
-    """One n-by-f feature sequence, optionally labeled with a class index."""
-
-    features: np.ndarray
-    device_id: str
-    label: int | None = None
-
-
-def port_category(port: int) -> int:
-    code = PORT_CATEGORY_CODES.get(port)
-    if code is not None:
-        return code
-    if port <= 1023:
-        return BUCKET_WELL_KNOWN
-    if port <= 49151:
-        return BUCKET_REGISTERED
-    return BUCKET_DYNAMIC
+def app_protocol(service_port) -> np.ndarray:
+    service_port = np.asarray(service_port)
+    app = np.full(service_port.shape, APP_OTHER)
+    for service, code in APP_PROTO_CODES.items():
+        app[service_port == service] = code
+    return app
 
 
-def app_protocol(service_port: int) -> int:
-    return APP_PROTO_CODES.get(service_port, APP_OTHER)
-
-
-def _parse_row(row: list[str]) -> PacketRecord:
+def _parse_row(row: list[str]) -> tuple:
     if len(row) != len(CSV_HEADER):
         raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
     ts = float(row[0])
@@ -142,26 +129,17 @@ def _parse_row(row: list[str]) -> PacketRecord:
     device_id = row[8]
     if not device_id:
         raise ValueError("empty device_id")
-    return PacketRecord(
-        timestamp=ts,
-        src_port=src_port,
-        dst_port=dst_port,
-        src_internal=src_internal == "1",
-        dst_internal=dst_internal == "1",
-        transport_proto=Transport(proto),
-        packet_size=size,
-        direction=Direction(direction),
-        device_id=device_id,
-    )
+    return (ts, src_port, dst_port, src_internal == "1", dst_internal == "1",
+            PROTO_CODES[proto], size, DIRECTION_CODES[direction], device_id)
 
 
-def parse_packet_csv(path: str | Path) -> list[PacketRecord]:
-    """Read packet records in file order, skipping malformed rows with a
+def parse_packet_csv(path: str | Path) -> np.ndarray:
+    """A packet array in file order, skipping malformed rows with a
     warning. Aborts when more than 1% of rows (and more than one row) fail."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"packet CSV not found: {path}")
-    records: list[PacketRecord] = []
+    rows: list[tuple] = []
     skipped = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -173,60 +151,52 @@ def parse_packet_csv(path: str | Path) -> list[PacketRecord]:
             if not row:
                 continue
             try:
-                records.append(_parse_row(row))
-            except (ValueError, KeyError) as exc:
+                rows.append(_parse_row(row))
+            except ValueError as exc:
                 skipped += 1
                 logger.warning("%s:%d skipped: %s", path, line_no, exc)
-    total = len(records) + skipped
+    total = len(rows) + skipped
     if skipped > max(1, 0.01 * total):
         raise IngestError(
             f"{path}: {skipped}/{total} rows unparseable (limit 1%)")
     if skipped:
         logger.warning("%s: skipped %d of %d rows", path, skipped, total)
-    return records
+    return packet_array(rows)
 
 
-def featurize(records: list[PacketRecord]) -> np.ndarray:
-    """Raw per-packet features for one device's records, sorted by time.
+def featurize(packets: np.ndarray) -> np.ndarray:
+    """Raw per-packet features for one device's packets, sorted by time.
 
     Columns: src_internal, dst_internal, service-port category, transport
     proto, app proto, inter-arrival time, packet size, direction.
     """
-    rows = np.zeros((len(records), NUM_FEATURES), dtype=np.float64)
-    prev_ts: float | None = None
-    for i, rec in enumerate(records):
-        if prev_ts is not None and rec.timestamp < prev_ts:
-            raise IngestError(
-                f"records not sorted by timestamp at index {i} "
-                f"(device {rec.device_id})")
-        service_port = min(rec.src_port, rec.dst_port)
-        rows[i, COL_SRC_INTERNAL] = 1.0 if rec.src_internal else 0.0
-        rows[i, COL_DST_INTERNAL] = 1.0 if rec.dst_internal else 0.0
-        rows[i, COL_PORT_CATEGORY] = port_category(service_port)
-        rows[i, COL_PROTO] = PROTO_CODES[rec.transport_proto.value]
-        rows[i, COL_APP_PROTO] = app_protocol(service_port)
-        rows[i, COL_INTER_ARRIVAL] = 0.0 if prev_ts is None else rec.timestamp - prev_ts
-        rows[i, COL_SIZE] = rec.packet_size
-        rows[i, COL_DIRECTION] = DIRECTION_CODES[rec.direction.value]
-        prev_ts = rec.timestamp
+    ts = packets["timestamp"]
+    gaps = np.diff(ts, prepend=ts[:1])
+    if (gaps < 0).any():
+        i = int(np.argmax(gaps < 0))
+        raise IngestError(
+            f"packets not sorted by timestamp at index {i} "
+            f"(device {packets['device_id'][i]})")
+    service_port = np.minimum(packets["src_port"], packets["dst_port"])
+    rows = np.empty((len(packets), NUM_FEATURES), dtype=np.float64)
+    rows[:, COL_SRC_INTERNAL] = packets["src_internal"]
+    rows[:, COL_DST_INTERNAL] = packets["dst_internal"]
+    rows[:, COL_PORT_CATEGORY] = port_category(service_port)
+    rows[:, COL_PROTO] = packets["proto"]
+    rows[:, COL_APP_PROTO] = app_protocol(service_port)
+    rows[:, COL_INTER_ARRIVAL] = gaps
+    rows[:, COL_SIZE] = packets["size"]
+    rows[:, COL_DIRECTION] = packets["direction"]
     return rows
 
 
-def segment(feature_rows: np.ndarray, n: int, device_id: str,
-            label: int | None = None) -> list[DataPoint]:
-    """Split one device's feature rows into non-overlapping windows of n rows;
+def segment(feature_rows: np.ndarray, n: int) -> np.ndarray:
+    """Non-overlapping windows of n rows as a (count, n, f) float32 tensor;
     the trailing remainder is dropped."""
     if n < 1:
         raise IngestError(f"sequence length must be >= 1, got {n}")
-    count = feature_rows.shape[0] // n
-    return [
-        DataPoint(
-            features=feature_rows[i * n:(i + 1) * n].astype(np.float32),
-            device_id=device_id,
-            label=label,
-        )
-        for i in range(count)
-    ]
+    count, f = feature_rows.shape[0] // n, feature_rows.shape[1]
+    return feature_rows[:count * n].reshape(count, n, f).astype(np.float32)
 
 
 @dataclass
@@ -236,18 +206,6 @@ class Normalizer:
     mins: np.ndarray
     maxs: np.ndarray
     log1p_columns: tuple = LOG1P_COLUMNS
-
-    def _transform(self, features: np.ndarray) -> np.ndarray:
-        out = features.astype(np.float64, copy=True)
-        for col in self.log1p_columns:
-            out[:, col] = np.log1p(out[:, col])
-        return out
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        t = self._transform(features)
-        span = self.maxs - self.mins
-        scaled = np.where(span > 0, (t - self.mins) / np.where(span > 0, span, 1.0), 0.0)
-        return np.clip(scaled, 0.0, 1.0).astype(np.float32)
 
     def to_dict(self) -> dict:
         return {
@@ -265,24 +223,28 @@ class Normalizer:
         )
 
 
-def fit_normalizer(train_points: list[DataPoint]) -> Normalizer:
-    """Fit per-feature ranges; call only on training-split data of seen devices."""
-    if not train_points:
+def _log1p_columns(x: np.ndarray, columns: tuple) -> np.ndarray:
+    out = x.astype(np.float64, copy=True)
+    out[..., list(columns)] = np.log1p(out[..., list(columns)])
+    return out
+
+
+def fit_normalizer(x: np.ndarray) -> Normalizer:
+    """Fit per-feature ranges over every row of `x` (..., f); call only on
+    training-split data of seen devices."""
+    if x.size == 0:
         raise IngestError("cannot fit normalizer on empty training data")
-    stacked = np.concatenate([p.features for p in train_points], axis=0)
-    stacked = stacked.astype(np.float64)
-    for col in LOG1P_COLUMNS:
-        stacked[:, col] = np.log1p(stacked[:, col])
-    return Normalizer(mins=stacked.min(axis=0), maxs=stacked.max(axis=0))
+    t = _log1p_columns(x.reshape(-1, x.shape[-1]), LOG1P_COLUMNS)
+    return Normalizer(mins=t.min(axis=0), maxs=t.max(axis=0))
 
 
-def apply_normalizer(normalizer: Normalizer,
-                     points: list[DataPoint]) -> list[DataPoint]:
-    return [
-        DataPoint(features=normalizer.apply(p.features),
-                  device_id=p.device_id, label=p.label)
-        for p in points
-    ]
+def apply_normalizer(normalizer: Normalizer, x: np.ndarray) -> np.ndarray:
+    """Scale every row of `x` (..., f) into [0, 1] as float32."""
+    t = _log1p_columns(x, normalizer.log1p_columns)
+    span = normalizer.maxs - normalizer.mins
+    scaled = np.where(span > 0, (t - normalizer.mins)
+                      / np.where(span > 0, span, 1.0), 0.0)
+    return np.clip(scaled, 0.0, 1.0).astype(np.float32)
 
 
 @dataclass
@@ -312,38 +274,26 @@ def make_partition(device_ids: list[str], num_unseen: int,
     return DevicePartition(seen=seen, unseen=unseen, seed=seed)
 
 
-def split_indices(device_per_point: list[str],
-                  ratios: tuple = (0.6, 0.2, 0.2),
+def split_indices(labels, ratios: tuple = (0.6, 0.2, 0.2),
                   seed: int = 0) -> dict[str, list[int]]:
-    """Index arrays for a train/val/test split, shuffled within each device
-    class; deterministic per seed."""
+    """Index lists for a train/val/test split, shuffled within each class
+    of `labels` (one per point, taken in sorted order); deterministic per
+    seed."""
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise IngestError(f"split ratios {ratios} must sum to 1")
     rng = np.random.default_rng(seed)
-    by_device: dict[str, list[int]] = {}
-    for idx, dev in enumerate(device_per_point):
-        by_device.setdefault(dev, []).append(idx)
+    labels = np.asarray(labels)
     out: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    for device in sorted(by_device):
-        group = by_device[device]
-        order = rng.permutation(len(group))
+    for label in np.unique(labels):
+        group = np.flatnonzero(labels == label)
+        order = group[rng.permutation(len(group))]
         m = len(group)
         i1 = int(m * ratios[0])
         i2 = int(m * (ratios[0] + ratios[1]))
-        out["train"].extend(group[j] for j in order[:i1])
-        out["val"].extend(group[j] for j in order[i1:i2])
-        out["test"].extend(group[j] for j in order[i2:])
+        out["train"].extend(order[:i1].tolist())
+        out["val"].extend(order[i1:i2].tolist())
+        out["test"].extend(order[i2:].tolist())
     return out
-
-
-def train_val_test_split(points: list[DataPoint],
-                         ratios: tuple = (0.6, 0.2, 0.2),
-                         seed: int = 0) -> tuple[list[DataPoint], list[DataPoint], list[DataPoint]]:
-    """Shuffle within each device class and split by the given ratios."""
-    idx = split_indices([p.device_id for p in points], ratios, seed)
-    return ([points[i] for i in idx["train"]],
-            [points[i] for i in idx["val"]],
-            [points[i] for i in idx["test"]])
 
 
 # ---------------------------------------------------------------------------
@@ -352,71 +302,55 @@ def train_val_test_split(points: list[DataPoint],
 
 @dataclass
 class Dataset:
-    """Segmented raw-feature sequences for all devices plus class mapping."""
+    """Segmented raw-feature sequences of every device: `features` (P, n, f)
+    float32 and the class index of each sequence in `labels` (P,)."""
 
-    points: list[DataPoint]
+    features: np.ndarray
+    labels: np.ndarray
     class_map: dict[str, int]
     n: int
-    f: int = NUM_FEATURES
-    normalizer: Normalizer | None = None
 
     @property
     def device_ids(self) -> list[str]:
         return sorted(self.class_map, key=self.class_map.get)
 
-    def points_for_class(self, label: int) -> list[DataPoint]:
-        return [p for p in self.points if p.label == label]
 
-
-def build_dataset(records: list[PacketRecord], n: int) -> Dataset:
-    """Group records by device, featurize, segment, and assign class indices
-    by sorted device id."""
-    by_device: dict[str, list[PacketRecord]] = {}
-    for rec in records:
-        by_device.setdefault(rec.device_id, []).append(rec)
-    class_map = {dev: idx for idx, dev in enumerate(sorted(by_device))}
-    points: list[DataPoint] = []
-    for dev in sorted(by_device):
-        recs = sorted(by_device[dev], key=lambda r: r.timestamp)
-        rows = featurize(recs)
-        points.extend(segment(rows, n, dev, label=class_map[dev]))
-    return Dataset(points=points, class_map=class_map, n=n)
+def build_dataset(packets: np.ndarray, n: int) -> Dataset:
+    """Group packets by device, sort each device's packets by time (ties
+    keep file order), featurize, segment, and assign class indices by
+    sorted device id."""
+    devices, codes = np.unique(packets["device_id"], return_inverse=True)
+    order = np.lexsort((packets["timestamp"], codes))
+    bounds = np.searchsorted(codes[order], np.arange(len(devices) + 1))
+    windows = [segment(featurize(packets[order[a:b]]), n)
+               for a, b in zip(bounds[:-1], bounds[1:])]
+    features = np.concatenate(
+        [np.zeros((0, n, NUM_FEATURES), dtype=np.float32), *windows])
+    labels = np.repeat(np.arange(len(devices), dtype=np.int64),
+                       [len(w) for w in windows])
+    return Dataset(features=features, labels=labels,
+                   class_map={str(dev): i for i, dev in enumerate(devices)},
+                   n=n)
 
 
 def save_dataset(dataset: Dataset, npz_path: str | Path,
                  manifest_path: str | Path) -> None:
-    features = np.stack([p.features for p in dataset.points])
-    labels = np.array([p.label if p.label is not None else -1
-                       for p in dataset.points], dtype=np.int64)
-    device_idx = np.array([dataset.class_map[p.device_id]
-                           for p in dataset.points], dtype=np.int64)
-    np.savez(npz_path, features=features, labels=labels, device_idx=device_idx)
-    manifest = {
+    with atomic_write(npz_path) as fh:
+        np.savez(fh, features=dataset.features, labels=dataset.labels)
+    write_json(manifest_path, {
         "n": dataset.n,
-        "f": dataset.f,
-        "num_points": len(dataset.points),
+        "f": dataset.features.shape[2],
+        "num_points": len(dataset.labels),
         "class_map": dataset.class_map,
-        "normalizer": dataset.normalizer.to_dict() if dataset.normalizer else None,
-    }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_dataset(npz_path: str | Path, manifest_path: str | Path) -> Dataset:
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    data = np.load(npz_path)
-    class_map = {k: int(v) for k, v in manifest["class_map"].items()}
-    inverse = {v: k for k, v in class_map.items()}
-    points = [
-        DataPoint(features=data["features"][i],
-                  device_id=inverse[int(data["device_idx"][i])],
-                  label=int(data["labels"][i]) if data["labels"][i] >= 0 else None)
-        for i in range(data["features"].shape[0])
-    ]
-    normalizer = None
-    if manifest.get("normalizer"):
-        normalizer = Normalizer.from_dict(manifest["normalizer"])
-    return Dataset(points=points, class_map=class_map, n=manifest["n"],
-                   f=manifest["f"], normalizer=normalizer)
+    manifest = read_json(manifest_path)
+    with np.load(npz_path) as data:
+        # np.load hands out a reshaped view; the copy owns its memory
+        features, labels = data["features"].copy(), data["labels"]
+    return Dataset(features=features, labels=labels,
+                   class_map={k: int(v)
+                              for k, v in manifest["class_map"].items()},
+                   n=manifest["n"])

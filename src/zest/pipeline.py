@@ -33,7 +33,8 @@ import numpy as np
 
 from . import baselines as bl
 from .attributes import (compute_attributes, extract_latents,
-                         load_attributes_csv, save_attributes_csv, strip)
+                         load_attributes_csv, save_attributes_csv)
+from .checkpoint import atomic_write, json_default, read_json, write_json
 from .classifier import (ConstantClassifier, EvalReport, SvmModel, evaluate,
                          train_svm)
 from .cvae import CvaeConfig, CvaeModel, PseudoDataset, generate_pseudo, train_cvae
@@ -133,19 +134,37 @@ def resolve_config(outdir: str | Path, overrides: dict | None = None) -> Experim
 # ---------------------------------------------------------------------------
 
 class RunLock:
-    """One command at a time per output directory."""
+    """One command at a time per output directory. The lock file holds the
+    pid of its run; a lock whose process no longer exists is taken over."""
 
     def __init__(self, outdir: str | Path):
         self.path = Path(outdir) / ".lock"
 
-    def __enter__(self):
+    def _stale(self) -> bool:
+        """True when the lock names a process that is gone. An empty or
+        unparseable lock is not stale: its run may sit between creating the
+        file and writing its pid."""
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StageError(
-                "lock",
-                f"{self.path} exists; another run is in progress "
-                f"(remove the file if it is stale)") from None
+            os.kill(int(self.path.read_text()), 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError, OverflowError):
+            return False
+        return False
+
+    def __enter__(self):
+        for attempt in range(2):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt or not self._stale():
+                    raise StageError(
+                        "lock",
+                        f"{self.path} exists; another run is in progress "
+                        f"(remove the file if none is)") from None
+                logger.warning("taking over stale lock %s", self.path)
+                self.path.unlink(missing_ok=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()))
         return self
@@ -161,36 +180,6 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
-def write_json(path: str | Path, payload: dict) -> None:
-    """Write to a temp file beside `path`, then move it into place, so a
-    crash never leaves a half-written file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True,
-                      default=_json_default)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def read_json(path: str | Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 class StageRunner:
@@ -227,7 +216,7 @@ class StageRunner:
         """Execute fn() unless the stage manifest shows a valid cache hit.
         Returns True when the stage actually ran."""
         manifest_path = self._manifest_path(stage)
-        config = json.loads(json.dumps(config, default=_json_default,
+        config = json.loads(json.dumps(config, default=json_default,
                                        sort_keys=True))
         input_sums = {p.name: sha256_file(p) for p in inputs}
         try:
@@ -301,9 +290,8 @@ def stage_ingest(config: ExperimentConfig) -> Dataset:
     manifest_path = ddir / "dataset.json"
 
     def ingest_fn():
-        records = parse_packet_csv(csv_path)
-        dataset = build_dataset(records, n=config.n)
-        if not dataset.points:
+        dataset = build_dataset(parse_packet_csv(csv_path), n=config.n)
+        if not len(dataset.labels):
             raise StageError("ingest", "no sequences after segmentation")
         save_dataset(dataset, npz_path, manifest_path)
 
@@ -347,7 +335,7 @@ class StageContext:
     @cached_property
     def class_attrs(self) -> dict[int, np.ndarray]:
         attrs = load_attributes_csv(self.rdir / "attributes.csv")
-        return {self.class_map[dev]: attrs[dev].a for dev in attrs}
+        return {self.class_map[dev]: attrs[dev] for dev in attrs}
 
     def sane_config(self) -> SaneConfig:
         return self.config.sane_config(num_classes=len(self.partition["seen"]),
@@ -379,31 +367,30 @@ def _partition(ctx: StageContext) -> None:
         seen, unseen = sorted(part.seen), sorted(part.unseen)
     else:
         seen, unseen = list(range(len(devices))), []
-    splits = split_indices([p.device_id for p in dataset.points],
-                           tuple(config.ratios), ctx.seed)
+    splits = split_indices(dataset.labels, tuple(config.ratios), ctx.seed)
     write_json(ctx.rdir / "partition.json",
                {"seed": ctx.seed, "seen": seen, "unseen": unseen,
                 "splits": splits})
 
 
 def _train_sane(ctx: StageContext) -> None:
-    dataset, partition = ctx.dataset, ctx.partition
-    seen = partition["seen"]
-    train_idx = [i for i in partition["splits"]["train"]
-                 if dataset.points[i].label in seen]
-    val_idx = [i for i in partition["splits"]["val"]
-               if dataset.points[i].label in seen]
-    norm = fit_normalizer([dataset.points[i] for i in train_idx])
+    features, labels = ctx.dataset.features, ctx.dataset.labels
+    seen = np.asarray(ctx.partition["seen"])
+
+    def seen_split(name: str) -> np.ndarray:
+        idx = np.asarray(ctx.partition["splits"][name], dtype=np.int64)
+        return idx[np.isin(labels[idx], seen)]
+
+    train_idx, val_idx = seen_split("train"), seen_split("val")
+    norm = fit_normalizer(features[train_idx])
     write_json(ctx.rdir / "normalizer.json", norm.to_dict())
-    local = {label: i for i, label in enumerate(seen)}
 
-    def localized(indices):
-        points = apply_normalizer(norm, [dataset.points[i] for i in indices])
-        for p in points:
-            p.label = local[p.label]
-        return points
+    def localized(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # seen classes renumbered 0..len(seen)-1 in sorted order
+        return (apply_normalizer(norm, features[idx]),
+                np.searchsorted(seen, labels[idx]))
 
-    model, _ = train_sane(localized(train_idx), localized(val_idx),
+    model, _ = train_sane(*localized(train_idx), *localized(val_idx),
                           ctx.sane_config(),
                           log_path=ctx.rdir / "sane_log.csv")
     model.save(ctx.rdir / "sane.ckpt")
@@ -418,25 +405,15 @@ def _fit_idx(partition: dict, labels: np.ndarray) -> list[int]:
 
 
 def _extract_attrs(ctx: StageContext) -> None:
-    dataset, partition = ctx.dataset, ctx.partition
+    dataset = ctx.dataset
     model = SaneModel.load(ctx.rdir / "sane.ckpt")
     norm = Normalizer.from_dict(read_json(ctx.rdir / "normalizer.json"))
-    _, c_l, c_lam = strip(model)
-    points = apply_normalizer(norm, dataset.points)
-    x = np.stack([p.features for p in points])
-    out = model.predict_arrays(x)
-    labels = np.array([p.label for p in dataset.points], dtype=np.int64)
-    np.savez(ctx.rdir / "latents.npz", l=out["l"], lam=out["lam"],
-             labels=labels)
-
-    attr_idx: dict[str, list[int]] = {}
-    for i in _fit_idx(partition, labels):
-        attr_idx.setdefault(dataset.points[i].device_id, []).append(i)
-    latent_sets = [extract_latents(c_l, c_lam,
-                                   [points[i] for i in attr_idx[dev]],
-                                   device_id=dev)
-                   for dev in sorted(attr_idx)]
-    save_attributes_csv(compute_attributes(latent_sets),
+    l, lam = extract_latents(model, apply_normalizer(norm, dataset.features))
+    with atomic_write(ctx.rdir / "latents.npz") as fh:
+        np.savez(fh, l=l, lam=lam, labels=dataset.labels)
+    fit_idx = _fit_idx(ctx.partition, dataset.labels)
+    devices = np.asarray(dataset.device_ids)[dataset.labels[fit_idx]]
+    save_attributes_csv(compute_attributes(lam[fit_idx], devices),
                         ctx.rdir / "attributes.csv")
 
 
@@ -479,10 +456,8 @@ def load_pseudo_csv(path: str | Path) -> PseudoDataset:
         for row in reader:
             labels.append(int(row[0]))
             rows.append([float(v) for v in row[1:]])
-    labels = np.asarray(labels, dtype=np.int64)
-    counts = np.unique(labels, return_counts=True)[1]
     return PseudoDataset(samples=np.asarray(rows, dtype=np.float32),
-                         labels=labels, k=int(counts[0]))
+                         labels=np.asarray(labels, dtype=np.int64))
 
 
 def _train_clf(ctx: StageContext) -> None:

@@ -228,18 +228,14 @@ class SaneModel:
 # training and evaluation
 # ---------------------------------------------------------------------------
 
-def _to_arrays(points) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([p.features for p in points]).astype(np.float32)
-    y = np.array([p.label for p in points], dtype=np.int64)
-    return x, y
-
-
-def train_sane(train_points, val_points, config: SaneConfig,
+def train_sane(x_train: np.ndarray, y_train: np.ndarray, x_val: np.ndarray,
+               y_val: np.ndarray, config: SaneConfig,
                log_path: str | Path | None = None) -> tuple[SaneModel, list[dict]]:
-    """Supervised training on seen devices; returns the best-validation model
-    (ties broken by earlier epoch) and the per-epoch log."""
-    x_train, y_train = _to_arrays(train_points)
-    x_val, y_val = _to_arrays(val_points)
+    """Supervised training on seen devices, from (P, n, f) sequences and
+    their class labels; returns the best-validation model (ties broken by
+    earlier epoch) and the per-epoch log."""
+    x_train = np.asarray(x_train, dtype=np.float32)
+    y_train = np.asarray(y_train, dtype=np.int64)
     counts = np.bincount(y_train, minlength=config.num_classes)
     if y_train.min() < 0 or y_train.max() >= config.num_classes:
         raise ValueError(
@@ -291,11 +287,11 @@ def train_sane(train_points, val_points, config: SaneConfig,
     return model, log
 
 
-def evaluate_supervised(model: SaneModel, test_points) -> tuple[float, np.ndarray]:
+def evaluate_supervised(model: SaneModel, x: np.ndarray,
+                        y: np.ndarray) -> tuple[float, np.ndarray]:
     """Accuracy and per-class confusion matrix on labeled test sequences."""
-    if not test_points:
+    if len(y) == 0:
         raise ValueError("empty test set")
-    x, y = _to_arrays(test_points)
     c = model.config.num_classes
     if y.min() < 0 or y.max() >= c:
         raise ValueError(f"test labels outside 0..{c - 1}")

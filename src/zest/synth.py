@@ -3,9 +3,10 @@ Bayes oracle.
 
 Each device profile draws per-packet transport protocol, service port, and
 direction from categorical distributions, and packet size / inter-arrival
-time from log-normals. The oracle classifies feature sequences under the true
-generator parameters and serves as the accuracy ceiling for calibrating
-model thresholds.
+time from log-normals, as whole columns of one packet array (the fields of
+`ingest.packet_dtype`). The oracle classifies a (P, n, f) tensor of raw
+feature sequences under the true generator parameters and serves as the
+accuracy ceiling for calibrating model thresholds.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import (APP_PROTO_CODES, CSV_HEADER, COL_DIRECTION,
-                     COL_INTER_ARRIVAL, COL_PORT_CATEGORY, COL_PROTO,
-                     COL_SIZE, DIRECTION_CODES, PROTO_CODES, DataPoint,
-                     PacketRecord, Direction, Transport, port_category)
+from .ingest import (CSV_HEADER, COL_DIRECTION, COL_INTER_ARRIVAL,
+                     COL_PORT_CATEGORY, COL_PROTO, COL_SIZE, DIRECTION_CODES,
+                     PROTO_CODES, packet_dtype, port_category)
 
 _EPHEMERAL_LOW = 49152
 _EPHEMERAL_HIGH = 65536
@@ -88,25 +88,27 @@ def save_profiles(profiles: list[DeviceProfile], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def generate_records(profiles: list[DeviceProfile],
-                     seed: int) -> list[PacketRecord]:
-    """All devices' packets with per-device derived seeds and monotone
-    timestamps; deterministic per seed."""
+                     seed: int) -> np.ndarray:
+    """A packet array of every device's packets, devices in sorted order,
+    with per-device derived seeds and monotone timestamps; deterministic per
+    seed."""
     if len(profiles) < 2:
         raise SynthError("need at least 2 profiles")
-    records: list[PacketRecord] = []
+    dtype = packet_dtype(max(len(p.device_id) for p in profiles))
+    parts = []
     for dev_idx, profile in enumerate(sorted(profiles,
                                              key=lambda p: p.device_id)):
         profile.validate()
         rng = np.random.default_rng([seed, dev_idx])
         count = profile.sessions * profile.packets_per_session
 
-        protos = rng.choice(list(profile.proto_probs),
+        protos = rng.choice([PROTO_CODES[k] for k in profile.proto_probs],
                             p=list(profile.proto_probs.values()), size=count)
         ports = rng.choice(list(profile.port_probs),
                            p=list(profile.port_probs.values()), size=count)
-        directions = rng.choice(list(profile.direction_probs),
-                                p=list(profile.direction_probs.values()),
-                                size=count)
+        directions = rng.choice(
+            [DIRECTION_CODES[k] for k in profile.direction_probs],
+            p=list(profile.direction_probs.values()), size=count)
         sizes = np.maximum(
             1, np.round(rng.lognormal(profile.size_log_mean,
                                       profile.size_log_sigma, size=count))
@@ -114,34 +116,31 @@ def generate_records(profiles: list[DeviceProfile],
         iats = rng.lognormal(profile.iat_log_mean, profile.iat_log_sigma,
                              size=count)
         ephemerals = rng.integers(_EPHEMERAL_LOW, _EPHEMERAL_HIGH, size=count)
-        timestamps = _BASE_TIMESTAMP + np.cumsum(iats)
 
-        for i in range(count):
-            outbound = directions[i] == "out"
-            service = int(ports[i])
-            ephemeral = int(ephemerals[i])
-            records.append(PacketRecord(
-                timestamp=float(timestamps[i]),
-                src_port=ephemeral if outbound else service,
-                dst_port=service if outbound else ephemeral,
-                src_internal=outbound,
-                dst_internal=not outbound,
-                transport_proto=Transport(protos[i]),
-                packet_size=int(sizes[i]),
-                direction=Direction.OUTBOUND if outbound else Direction.INBOUND,
-                device_id=profile.device_id,
-            ))
-    return records
+        outbound = directions == DIRECTION_CODES["out"]
+        packets = np.empty(count, dtype=dtype)
+        packets["timestamp"] = _BASE_TIMESTAMP + np.cumsum(iats)
+        packets["src_port"] = np.where(outbound, ephemerals, ports)
+        packets["dst_port"] = np.where(outbound, ports, ephemerals)
+        packets["src_internal"] = outbound
+        packets["dst_internal"] = ~outbound
+        packets["proto"] = protos
+        packets["size"] = sizes
+        packets["direction"] = directions
+        packets["device_id"] = profile.device_id
+        parts.append(packets)
+    return np.concatenate(parts)
 
 
-def write_csv(records: list[PacketRecord], path: str | Path) -> None:
+def write_csv(packets: np.ndarray, path: str | Path) -> None:
+    protos, directions = list(PROTO_CODES), list(DIRECTION_CODES)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for r in records:
-            fh.write(f"{r.timestamp:.6f},{r.src_port},{r.dst_port},"
-                     f"{int(r.src_internal)},{int(r.dst_internal)},"
-                     f"{r.transport_proto.value},{r.packet_size},"
-                     f"{r.direction.value},{r.device_id}\n")
+        for ts, src, dst, src_in, dst_in, proto, size, direction, device \
+                in packets.tolist():
+            fh.write(f"{ts:.6f},{src},{dst},{src_in:d},{dst_in:d},"
+                     f"{protos[proto]},{size},{directions[direction]},"
+                     f"{device}\n")
 
 
 def generate_csv(profiles: list[DeviceProfile], seed: int,
@@ -180,47 +179,43 @@ def _lognormal_logpdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
             - (np.log(x) - mu) ** 2 / (2 * sigma ** 2))
 
 
-def _sequence_loglik(features: np.ndarray, table: dict) -> float:
-    """Log-likelihood of one raw feature sequence. The application protocol
-    and internal flags are deterministic given the port category and
-    direction, so they contribute no extra terms; inter-arrival rows equal to
-    the first-packet sentinel 0 are skipped."""
+def _sequence_loglik(features: np.ndarray, table: dict) -> np.ndarray:
+    """Log-likelihood of each raw feature sequence in `features` (P, n, f).
+    The application protocol and internal flags are deterministic given the
+    port category and direction, so they contribute no extra terms;
+    inter-arrival entries equal to the first-packet sentinel 0 are
+    skipped."""
     f = features.astype(np.float64)
-    cats = f[:, COL_PORT_CATEGORY].astype(np.int64)
-    protos = f[:, COL_PROTO].astype(np.int64)
-    dirs = f[:, COL_DIRECTION].astype(np.int64)
-    ll = (table["log_cat"][cats].sum() + table["log_proto"][protos].sum()
-          + table["log_dir"][dirs].sum())
-    sizes = f[:, COL_SIZE]
-    ll += _lognormal_logpdf(sizes, table["size_mu"], table["size_sigma"]).sum()
-    iats = f[:, COL_INTER_ARRIVAL]
+    cats = f[..., COL_PORT_CATEGORY].astype(np.int64)
+    protos = f[..., COL_PROTO].astype(np.int64)
+    dirs = f[..., COL_DIRECTION].astype(np.int64)
+    ll = (table["log_cat"][cats] + table["log_proto"][protos]
+          + table["log_dir"][dirs]).sum(axis=-1)
+    ll += _lognormal_logpdf(f[..., COL_SIZE], table["size_mu"],
+                            table["size_sigma"]).sum(axis=-1)
+    iats = f[..., COL_INTER_ARRIVAL]
     valid = iats > 0
-    if valid.any():
-        ll += _lognormal_logpdf(iats[valid], table["iat_mu"],
-                                table["iat_sigma"]).sum()
-    return float(ll)
+    iat_ll = _lognormal_logpdf(np.where(valid, iats, 1.0), table["iat_mu"],
+                               table["iat_sigma"])
+    return ll + np.where(valid, iat_ll, 0.0).sum(axis=-1)
 
 
 def oracle_predict(profiles: list[DeviceProfile],
-                   points: list[DataPoint]) -> np.ndarray:
-    """Class index (by sorted device id) with maximum log-likelihood per
-    sequence; ties break to the lowest index."""
+                   features: np.ndarray) -> np.ndarray:
+    """Class index (by sorted device id) with maximum log-likelihood for
+    each sequence of `features` (P, n, f); ties break to the lowest
+    index."""
     ordered = sorted(profiles, key=lambda p: p.device_id)
-    tables = [_profile_log_tables(p) for p in ordered]
-    preds = np.empty(len(points), dtype=np.int64)
-    for i, point in enumerate(points):
-        lls = np.array([_sequence_loglik(point.features, t) for t in tables])
-        preds[i] = int(lls.argmax())
-    return preds
+    lls = np.stack([_sequence_loglik(features, _profile_log_tables(p))
+                    for p in ordered], axis=-1)
+    return lls.argmax(axis=-1)
 
 
-def bayes_oracle(profiles: list[DeviceProfile],
-                 points: list[DataPoint]) -> float:
+def bayes_oracle(profiles: list[DeviceProfile], features: np.ndarray,
+                 labels: np.ndarray) -> float:
     """Accuracy of the true-parameter maximum-likelihood classifier; an upper
     bound (up to sampling noise) for any model on the same data."""
-    preds = oracle_predict(profiles, points)
-    labels = np.array([p.label for p in points], dtype=np.int64)
-    return float((preds == labels).mean())
+    return float((oracle_predict(profiles, features) == labels).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zest.ingest import (apply_normalizer, build_dataset, fit_normalizer,
-                         train_val_test_split)
+                         split_indices)
 from zest.sane import SaneConfig, SaneModel, train_sane
 from zest.synth import DeviceProfile, generate_records
 
@@ -39,12 +39,15 @@ def tiny_config(num_classes=3, **overrides):
 
 
 def make_tiny_splits(num_devices=3, sessions=30, seed=0):
+    """Normalized (x, y) pairs for train, val and test, plus the profiles."""
     profiles = tiny_profiles(num_devices, sessions)
     dataset = build_dataset(generate_records(profiles, seed=seed), n=TINY_N)
-    train, val, test = train_val_test_split(dataset.points, seed=seed)
-    norm = fit_normalizer(train)
-    return (apply_normalizer(norm, train), apply_normalizer(norm, val),
-            apply_normalizer(norm, test), profiles)
+    idx = split_indices(dataset.labels, seed=seed)
+    norm = fit_normalizer(dataset.features[idx["train"]])
+    train, val, test = (
+        (apply_normalizer(norm, dataset.features[idx[name]]),
+         dataset.labels[idx[name]]) for name in ("train", "val", "test"))
+    return train, val, test, profiles
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +58,7 @@ def tiny_splits():
 @pytest.fixture(scope="session")
 def tiny_trained(tiny_splits):
     train, val, test, _ = tiny_splits
-    model, log = train_sane(train, val, tiny_config())
+    model, log = train_sane(*train, *val, tiny_config())
     return model, log, test
 
 

@@ -1,139 +1,118 @@
-"""Extractor stripping, latent extraction, and attribute computation."""
+"""Latent extraction and attribute computation."""
 
 import numpy as np
 import pytest
 
-from zest.attributes import (AttributeVector, LatentSet, compute_attributes,
-                             extract_latents, load_attributes_csv,
-                             save_attributes_csv, strip)
-from zest.ingest import DataPoint
+from zest.attributes import (compute_attributes, extract_latents,
+                             load_attributes_csv, save_attributes_csv)
 
 
 @pytest.fixture(scope="module")
-def stripped(tiny_trained):
-    model, _, test = tiny_trained
-    c, c_l, c_lam = strip(model)
-    return model, c, c_l, c_lam, test
+def trained(tiny_trained):
+    model, _, (x, y) = tiny_trained
+    return model, x, y
 
 
-def test_composition_identity(stripped):
-    model, c, c_l, c_lam, test = stripped
-    x = np.stack([p.features for p in test[:6]])
-    l = c_l(x)
-    lam = c_lam(x)
+def test_composition_identity(trained):
+    model, x, _ = trained
+    l, lam = extract_latents(model, x[:6])
     w = model.params["latent_lam.w"].data
     b = model.params["latent_lam.b"].data
     np.testing.assert_allclose(lam, l @ w + b, atol=1e-6)
 
 
-def test_logits_reconstruction_identity(stripped):
-    model, c, c_l, c_lam, test = stripped
-    x = np.stack([p.features for p in test[:6]])
-    lam = c_lam(x)
+def test_logits_reconstruction_identity(trained):
+    model, x, _ = trained
+    _, lam = extract_latents(model, x[:6])
     w = model.params["head.w"].data
     b = model.params["head.b"].data
-    logits = model.predict_arrays(x)["logits"]
+    logits = model.predict_arrays(x[:6])["logits"]
     np.testing.assert_allclose(logits, lam @ w + b, atol=1e-6)
 
 
-def test_strip_idempotent(stripped):
-    model, c, c_l, c_lam, test = stripped
-    _, c_l2, c_lam2 = strip(model)
-    x = np.stack([p.features for p in test[:4]])
-    np.testing.assert_array_equal(c_l(x), c_l2(x))
-    np.testing.assert_array_equal(c_lam(x), c_lam2(x))
+def test_extract_latents_repeatable(trained):
+    model, x, _ = trained
+    l1, lam1 = extract_latents(model, x[:4])
+    l2, lam2 = extract_latents(model, x[:4])
+    np.testing.assert_array_equal(l1, l2)
+    np.testing.assert_array_equal(lam1, lam2)
 
 
-def test_extract_single_point(stripped):
-    _, _, c_l, c_lam, test = stripped
-    ls = extract_latents(c_l, c_lam, test[:1])
-    assert ls.count == 1
-    assert ls.l.shape[0] == 1 and ls.lam.shape[0] == 1
+def test_extract_single_point(trained):
+    model, x, _ = trained
+    l, lam = extract_latents(model, x[:1])
+    assert l.shape == (1, model.config.M)
+    assert lam.shape == (1, model.config.N)
 
 
-def test_extract_batch_invariance(stripped):
-    _, _, c_l, c_lam, test = stripped
-    points = test[:8]
-    batched = extract_latents(c_l, c_lam, points)
-    singles = [extract_latents(c_l, c_lam, [p]) for p in points]
-    for i, single in enumerate(singles):
-        np.testing.assert_allclose(batched.l[i], single.l[0], atol=1e-6)
-        np.testing.assert_allclose(batched.lam[i], single.lam[0], atol=1e-6)
+def test_extract_batch_invariance(trained):
+    model, x, _ = trained
+    l, lam = extract_latents(model, x[:8])
+    for i in range(8):
+        l1, lam1 = extract_latents(model, x[i:i + 1])
+        np.testing.assert_allclose(l[i], l1[0], atol=1e-6)
+        np.testing.assert_allclose(lam[i], lam1[0], atol=1e-6)
 
 
-def test_duplicated_point_duplicates_latents(stripped):
-    _, _, c_l, c_lam, test = stripped
-    ls = extract_latents(c_l, c_lam, [test[0], test[0]])
-    np.testing.assert_array_equal(ls.l[0], ls.l[1])
-    np.testing.assert_array_equal(ls.lam[0], ls.lam[1])
+def test_duplicated_point_duplicates_latents(trained):
+    model, x, _ = trained
+    l, lam = extract_latents(model, x[[0, 0]])
+    np.testing.assert_array_equal(l[0], l[1])
+    np.testing.assert_array_equal(lam[0], lam[1])
 
 
-def test_extract_empty_fatal(stripped):
-    _, _, c_l, c_lam, _ = stripped
-    with pytest.raises(ValueError, match="dev-x"):
-        extract_latents(c_l, c_lam, [], device_id="dev-x")
+def test_extract_empty_fatal(trained):
+    model, x, _ = trained
+    with pytest.raises(ValueError, match="no sequences"):
+        extract_latents(model, x[:0])
 
 
 def test_attribute_is_mean():
-    ls = LatentSet(device_id="d",
-                   l=np.zeros((2, 4), dtype=np.float32),
-                   lam=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-                                dtype=np.float32))
-    attrs = compute_attributes([ls])
-    np.testing.assert_allclose(attrs["d"].a, [0.5, 0.5, 0.0])
+    lam = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=np.float32)
+    attrs = compute_attributes(lam, ["d", "d"])
+    np.testing.assert_allclose(attrs["d"], [0.5, 0.5, 0.0])
 
 
 def test_attribute_of_constant_device():
     lam = np.tile(np.array([[0.3, -0.2, 1.1]], dtype=np.float32), (5, 1))
-    ls = LatentSet(device_id="d", l=np.zeros((5, 2), dtype=np.float32),
-                   lam=lam)
-    attrs = compute_attributes([ls])
-    np.testing.assert_allclose(attrs["d"].a, [0.3, -0.2, 1.1], atol=1e-6)
+    attrs = compute_attributes(lam, ["d"] * 5)
+    np.testing.assert_allclose(attrs["d"], [0.3, -0.2, 1.1], atol=1e-6)
 
 
-def test_attribute_permutation_invariant(stripped):
-    _, _, c_l, c_lam, test = stripped
-    points = test[:10]
-    rng = np.random.default_rng(0)
-    shuffled = [points[i] for i in rng.permutation(len(points))]
-    a1 = compute_attributes([extract_latents(c_l, c_lam, points)])
-    a2 = compute_attributes([extract_latents(c_l, c_lam, shuffled)])
-    np.testing.assert_allclose(a1[points[0].device_id].a,
-                               a2[points[0].device_id].a, atol=1e-6)
+def test_attribute_permutation_invariant(trained):
+    model, x, y = trained
+    x = x[y == y[0]][:10]
+    shuffled = x[np.random.default_rng(0).permutation(len(x))]
+    a1 = compute_attributes(extract_latents(model, x)[1], ["d"] * len(x))
+    a2 = compute_attributes(extract_latents(model, shuffled)[1],
+                            ["d"] * len(x))
+    np.testing.assert_allclose(a1["d"], a2["d"], atol=1e-6)
 
 
 def test_empty_latent_set_fatal():
-    ls = LatentSet(device_id="d", l=np.zeros((0, 2), dtype=np.float32),
-                   lam=np.zeros((0, 3), dtype=np.float32))
     with pytest.raises(ValueError, match="no latents"):
-        compute_attributes([ls])
+        compute_attributes(np.zeros((0, 3), dtype=np.float32), [])
 
 
-def test_every_device_gets_one_attribute(stripped, tiny_trained):
-    _, _, c_l, c_lam, _ = stripped
-    _, _, test = tiny_trained
-    by_dev = {}
-    for p in test:
-        by_dev.setdefault(p.device_id, []).append(p)
-    sets = [extract_latents(c_l, c_lam, pts) for pts in by_dev.values()]
-    attrs = compute_attributes(sets)
-    assert set(attrs) == set(by_dev)
+def test_every_device_gets_one_attribute(trained):
+    model, x, y = trained
+    devices = np.array([f"dev-{label}" for label in y])
+    attrs = compute_attributes(extract_latents(model, x)[1], devices)
+    assert set(attrs) == set(devices)
 
 
-def test_attributes_separate_distinct_devices(stripped):
+def test_attributes_separate_distinct_devices(trained):
     # devices with distinct generators: between-device attribute distances
     # exceed the within-device lambda spread
-    _, _, c_l, c_lam, test = stripped
-    by_dev = {}
-    for p in test:
-        by_dev.setdefault(p.device_id, []).append(p)
-    sets = {d: extract_latents(c_l, c_lam, pts) for d, pts in by_dev.items()}
-    attrs = compute_attributes(list(sets.values()))
+    model, x, y = trained
+    _, lam = extract_latents(model, x)
+    attrs = compute_attributes(lam, y)
     devices = sorted(attrs)
-    within = max(float(np.linalg.norm(sets[d].lam - attrs[d].a, axis=1).std())
+    within = max(float(np.linalg.norm(lam[y == int(d)] - attrs[d],
+                                      axis=1).std())
                  for d in devices)
     between = min(
-        float(np.linalg.norm(attrs[a].a - attrs[b].a))
+        float(np.linalg.norm(attrs[a] - attrs[b]))
         for i, a in enumerate(devices) for b in devices[i + 1:]
     )
     assert between > within
@@ -141,10 +120,8 @@ def test_attributes_separate_distinct_devices(stripped):
 
 def test_csv_roundtrip(tmp_path):
     attrs = {
-        "dev-b": AttributeVector("dev-b", np.array([0.25, -1.5, 3.0],
-                                                   dtype=np.float32)),
-        "dev-a": AttributeVector("dev-a", np.array([1.0, 2.0, -0.125],
-                                                   dtype=np.float32)),
+        "dev-b": np.array([0.25, -1.5, 3.0], dtype=np.float32),
+        "dev-a": np.array([1.0, 2.0, -0.125], dtype=np.float32),
     }
     path = tmp_path / "attrs.csv"
     save_attributes_csv(attrs, path)
@@ -153,4 +130,4 @@ def test_csv_roundtrip(tmp_path):
     loaded = load_attributes_csv(path)
     assert sorted(loaded) == ["dev-a", "dev-b"]
     for dev in attrs:
-        np.testing.assert_allclose(loaded[dev].a, attrs[dev].a, atol=1e-6)
+        np.testing.assert_allclose(loaded[dev], attrs[dev], atol=1e-6)

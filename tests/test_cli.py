@@ -2,6 +2,7 @@
 experiment."""
 
 import json
+import os
 import shutil
 import time
 from pathlib import Path
@@ -117,8 +118,9 @@ def test_baseline_command(experiment):
 
 
 def test_lock_blocks_concurrent_runs(experiment):
+    # a live process holds the lock: this test's own
     lock = experiment / ".lock"
-    lock.write_text("999999")
+    lock.write_text(str(os.getpid()))
     try:
         assert main(["eval", "--outdir", str(experiment), "--seed", "0"]) == 1
     finally:

@@ -6,10 +6,11 @@ import pytest
 
 from zest import ingest
 from zest.ingest import (COL_APP_PROTO, COL_DIRECTION, COL_INTER_ARRIVAL,
-                         COL_PORT_CATEGORY, COL_SIZE, DataPoint, Direction,
-                         IngestError, PacketRecord, Transport, featurize,
-                         fit_normalizer, apply_normalizer, make_partition,
-                         parse_packet_csv, segment, train_val_test_split)
+                         COL_PORT_CATEGORY, COL_SIZE, DIRECTION_CODES,
+                         PROTO_CODES, IngestError, apply_normalizer,
+                         featurize, fit_normalizer, make_partition,
+                         packet_array, parse_packet_csv, segment,
+                         split_indices)
 
 HEADER = "timestamp,src_port,dst_port,src_internal,dst_internal,proto,size,direction,device_id\n"
 
@@ -20,13 +21,15 @@ def _write(tmp_path, rows, name="trace.csv"):
     return path
 
 
-def _record(ts=0.0, src=51514, dst=443, proto=Transport.TCP, size=100,
-            direction=Direction.OUTBOUND, device="dev-a"):
-    return PacketRecord(timestamp=ts, src_port=src, dst_port=dst,
-                        src_internal=direction is Direction.OUTBOUND,
-                        dst_internal=direction is Direction.INBOUND,
-                        transport_proto=proto, packet_size=size,
-                        direction=direction, device_id=device)
+def _record(ts=0.0, src=51514, dst=443, proto="tcp", size=100,
+            direction="out", device="dev-a"):
+    """One packet as a tuple in packet field order."""
+    return (ts, src, dst, direction == "out", direction == "in",
+            PROTO_CODES[proto], size, DIRECTION_CODES[direction], device)
+
+
+def _packets(*records):
+    return packet_array(list(records))
 
 
 class TestParse:
@@ -36,10 +39,11 @@ class TestParse:
             "2.0,443,1234,0,1,tcp,200,in,dev-a\n",
             "3.5,5353,5353,1,1,udp,80,out,dev-b\n",
         ])
-        records = parse_packet_csv(path)
-        assert len(records) == 3
-        assert [r.timestamp for r in records] == [1.0, 2.0, 3.5]
-        assert records[2].transport_proto is Transport.UDP
+        packets = parse_packet_csv(path)
+        assert len(packets) == 3
+        assert packets["timestamp"].tolist() == [1.0, 2.0, 3.5]
+        assert packets["proto"][2] == PROTO_CODES["udp"]
+        assert packets["device_id"].tolist() == ["dev-a", "dev-a", "dev-b"]
 
     def test_bad_port_skipped_with_warning(self, tmp_path, caplog):
         path = _write(tmp_path, [
@@ -54,7 +58,7 @@ class TestParse:
 
     def test_header_only_gives_empty_list(self, tmp_path):
         path = _write(tmp_path, [])
-        assert parse_packet_csv(path) == []
+        assert len(parse_packet_csv(path)) == 0
 
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(IngestError, match="not found"):
@@ -76,36 +80,53 @@ class TestParse:
 
 class TestFeaturize:
     def test_inter_arrival(self):
-        rows = featurize([_record(ts=10.0), _record(ts=10.5)])
+        rows = featurize(_packets(_record(ts=10.0), _record(ts=10.5)))
         assert rows[0, COL_INTER_ARRIVAL] == 0.0
         assert rows[1, COL_INTER_ARRIVAL] == pytest.approx(0.5)
 
     def test_service_port_is_lower_and_https(self):
-        rows = featurize([_record(src=443, dst=51514)])
+        rows = featurize(_packets(_record(src=443, dst=51514)))
         assert rows[0, COL_PORT_CATEGORY] == ingest.PORT_CATEGORY_CODES[443]
         assert rows[0, COL_APP_PROTO] == ingest.APP_PROTO_CODES[443]
 
     def test_single_packet_inter_arrival_zero(self):
-        rows = featurize([_record(ts=123.0)])
+        rows = featurize(_packets(_record(ts=123.0)))
         assert rows.shape == (1, 8)
         assert rows[0, COL_INTER_ARRIVAL] == 0.0
 
     def test_unsorted_fatal(self):
         with pytest.raises(IngestError, match="sorted"):
-            featurize([_record(ts=2.0), _record(ts=1.0)])
+            featurize(_packets(_record(ts=2.0), _record(ts=1.0)))
 
     def test_port_swap_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             a, b = int(rng.integers(0, 65536)), int(rng.integers(0, 65536))
-            r1 = featurize([_record(src=a, dst=b)])
-            r2 = featurize([_record(src=b, dst=a)])
+            r1 = featurize(_packets(_record(src=a, dst=b)))
+            r2 = featurize(_packets(_record(src=b, dst=a)))
             assert r1[0, COL_PORT_CATEGORY] == r2[0, COL_PORT_CATEGORY]
             assert r1[0, COL_APP_PROTO] == r2[0, COL_APP_PROTO]
 
+    def test_port_tables_match_the_scalar_rules(self):
+        def category(port):
+            if port in ingest.PORT_CATEGORY_CODES:
+                return ingest.PORT_CATEGORY_CODES[port]
+            if port <= 1023:
+                return ingest.BUCKET_WELL_KNOWN
+            if port <= 49151:
+                return ingest.BUCKET_REGISTERED
+            return ingest.BUCKET_DYNAMIC
+
+        ports = np.arange(65536)
+        assert ingest.port_category(ports).tolist() == [
+            category(p) for p in range(65536)]
+        assert ingest.app_protocol(ports).tolist() == [
+            ingest.APP_PROTO_CODES.get(p, ingest.APP_OTHER)
+            for p in range(65536)]
+
     def test_all_eight_columns(self):
-        rows = featurize([_record(size=321, proto=Transport.UDP,
-                                  direction=Direction.INBOUND)])
+        rows = featurize(_packets(_record(size=321, proto="udp",
+                                          direction="in")))
         assert rows.shape == (1, ingest.NUM_FEATURES)
         assert rows[0, COL_SIZE] == 321
         assert rows[0, COL_DIRECTION] == ingest.DIRECTION_CODES["in"]
@@ -116,11 +137,9 @@ class TestSegment:
                                                  (199, 200, 0)])
     def test_window_counts(self, rows, n, expected):
         feats = np.arange(rows * 8, dtype=np.float64).reshape(rows, 8)
-        points = segment(feats, n, "dev", label=3)
-        assert len(points) == expected
-        for p in points:
-            assert p.features.shape == (n, 8)
-            assert p.label == 3
+        windows = segment(feats, n)
+        assert windows.shape == (expected, n, 8)
+        assert windows.dtype == np.float32
 
     def test_row_count_preserved(self):
         rng = np.random.default_rng(1)
@@ -128,27 +147,27 @@ class TestSegment:
             rows = int(rng.integers(1, 1000))
             n = int(rng.integers(1, 300))
             feats = rng.normal(size=(rows, 8))
-            points = segment(feats, n, "dev")
-            assert sum(p.features.shape[0] for p in points) == n * (rows // n)
+            windows = segment(feats, n)
+            assert windows.shape[0] * windows.shape[1] == n * (rows // n)
 
     def test_windows_are_consecutive(self):
         feats = np.arange(400 * 8, dtype=np.float64).reshape(400, 8)
-        points = segment(feats, 200, "dev")
-        np.testing.assert_array_equal(points[0].features,
+        windows = segment(feats, 200)
+        np.testing.assert_array_equal(windows[0],
                                       feats[:200].astype(np.float32))
-        np.testing.assert_array_equal(points[1].features,
+        np.testing.assert_array_equal(windows[1],
                                       feats[200:].astype(np.float32))
 
 
 class TestNormalizer:
-    def _points(self, matrix):
-        return [DataPoint(features=np.asarray(matrix, dtype=np.float32),
-                          device_id="d")]
+    def _x(self, matrix):
+        """One sequence holding the rows of `matrix`."""
+        return np.asarray(matrix, dtype=np.float32)[None]
 
     def test_constant_feature_maps_to_zero(self):
         feats = np.full((4, 8), 7.0)
-        norm = fit_normalizer(self._points(feats))
-        out = apply_normalizer(norm, self._points(feats))[0].features
+        norm = fit_normalizer(self._x(feats))
+        out = apply_normalizer(norm, self._x(feats))[0]
         np.testing.assert_array_equal(out, np.zeros((4, 8)))
 
     def test_identity_transform_midpoint(self):
@@ -156,34 +175,34 @@ class TestNormalizer:
         feats = np.zeros((2, 8))
         feats[0, COL_PORT_CATEGORY] = 0.0
         feats[1, COL_PORT_CATEGORY] = 10.0
-        norm = fit_normalizer(self._points(feats))
+        norm = fit_normalizer(self._x(feats))
         probe = np.zeros((1, 8))
         probe[0, COL_PORT_CATEGORY] = 5.0
-        out = norm.apply(probe)
+        out = apply_normalizer(norm, probe)
         assert out[0, COL_PORT_CATEGORY] == pytest.approx(0.5)
 
     def test_clamps_out_of_range(self):
         feats = np.zeros((2, 8))
         feats[1, COL_PORT_CATEGORY] = 10.0
-        norm = fit_normalizer(self._points(feats))
+        norm = fit_normalizer(self._x(feats))
         probe = np.zeros((1, 8))
         probe[0, COL_PORT_CATEGORY] = 20.0
-        assert norm.apply(probe)[0, COL_PORT_CATEGORY] == 1.0
+        assert apply_normalizer(norm, probe)[0, COL_PORT_CATEGORY] == 1.0
         probe[0, COL_PORT_CATEGORY] = -4.0
-        assert norm.apply(probe)[0, COL_PORT_CATEGORY] == 0.0
+        assert apply_normalizer(norm, probe)[0, COL_PORT_CATEGORY] == 0.0
 
     def test_own_fitting_data_lands_in_unit_interval(self):
         rng = np.random.default_rng(2)
         feats = np.abs(rng.normal(size=(50, 8))) * 100
-        norm = fit_normalizer(self._points(feats))
-        out = apply_normalizer(norm, self._points(feats))[0].features
+        norm = fit_normalizer(self._x(feats))
+        out = apply_normalizer(norm, self._x(feats))[0]
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_log_columns_use_log1p(self):
         feats = np.zeros((3, 8))
         feats[:, COL_SIZE] = [0.0, np.e - 1.0, np.e ** 2 - 1.0]
-        norm = fit_normalizer(self._points(feats))
-        out = apply_normalizer(norm, self._points(feats))[0].features
+        norm = fit_normalizer(self._x(feats))
+        out = apply_normalizer(norm, self._x(feats))[0]
         # log1p maps to [0, 1, 2]; min-max to [0, 0.5, 1]
         np.testing.assert_allclose(out[:, COL_SIZE], [0.0, 0.5, 1.0],
                                    atol=1e-6)
@@ -193,13 +212,13 @@ class TestNormalizer:
         # identity for identity-transform columns; log columns stay in [0,1]
         rng = np.random.default_rng(3)
         feats = np.abs(rng.normal(size=(40, 8))) * 10
-        norm = fit_normalizer(self._points(feats))
-        once = apply_normalizer(norm, self._points(feats))
+        norm = fit_normalizer(self._x(feats))
+        once = apply_normalizer(norm, self._x(feats))
         norm2 = fit_normalizer(once)
-        twice = apply_normalizer(norm2, once)[0].features
+        twice = apply_normalizer(norm2, once)[0]
         identity_cols = [c for c in range(8) if c not in ingest.LOG1P_COLUMNS]
         np.testing.assert_allclose(twice[:, identity_cols],
-                                   once[0].features[:, identity_cols],
+                                   once[0][:, identity_cols],
                                    atol=1e-6)
         assert twice.min() >= 0.0 and twice.max() <= 1.0
 
@@ -231,24 +250,13 @@ class TestPartitionAndSplit:
             make_partition(["a", "b"], 2, seed=0)
 
     def test_split_ratios_per_device(self):
-        points = []
-        for dev in ("a", "b"):
-            for i in range(20):
-                points.append(DataPoint(features=np.zeros((2, 8),
-                                                          dtype=np.float32),
-                                        device_id=dev, label=0))
-        train, val, test = train_val_test_split(points, (0.6, 0.2, 0.2),
-                                                seed=1)
-        assert len(train) == 24 and len(val) == 8 and len(test) == 8
-        for subset in (train, val, test):
-            counts = {d: sum(1 for p in subset if p.device_id == d)
-                      for d in ("a", "b")}
-            assert counts["a"] == counts["b"]
+        labels = np.repeat([0, 1], 20)
+        idx = split_indices(labels, (0.6, 0.2, 0.2), seed=1)
+        assert [len(idx[s]) for s in ("train", "val", "test")] == [24, 8, 8]
+        for subset in idx.values():
+            counts = np.bincount(labels[subset], minlength=2)
+            assert counts[0] == counts[1]
 
     def test_split_deterministic(self):
-        points = [DataPoint(features=np.zeros((1, 8), dtype=np.float32),
-                            device_id=f"d{i % 3}") for i in range(30)]
-        a = train_val_test_split(points, seed=9)
-        b = train_val_test_split(points, seed=9)
-        for sa, sb in zip(a, b):
-            assert [id(p) for p in sa] == [id(p) for p in sb]
+        labels = np.arange(30) % 3
+        assert split_indices(labels, seed=9) == split_indices(labels, seed=9)

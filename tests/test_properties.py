@@ -1,0 +1,136 @@
+"""Property tests of the data path: CSV parsing, featurize and segment,
+normalization, splits, and the dataset round trip."""
+
+import contextlib
+import logging
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from zest.ingest import (COL_INTER_ARRIVAL, CSV_HEADER, NUM_FEATURES,
+                         Dataset, IngestError, apply_normalizer, featurize,
+                         fit_normalizer, load_dataset, packet_array,
+                         parse_packet_csv, save_dataset, segment,
+                         split_indices)
+
+GOOD_ROW = "{i}.5,51514,443,1,0,tcp,90,out,dev-{d}\n"
+BAD_ROWS = ["1.0,70000,443,1,0,tcp,9,out,d\n",    # port out of range
+            "1.0,1,443,1,0,icmp,9,out,d\n",       # unknown proto
+            "1.0,1,443,2,0,tcp,9,out,d\n",        # flag not 0/1
+            "1.0,1,443,1,0,tcp,-3,out,d\n",       # negative size
+            "nan,1,443,1,0,tcp,9,out,d\n",        # non-finite timestamp
+            "1.0,1,443,1,0,tcp,9,out\n"]          # missing field
+
+
+@contextlib.contextmanager
+def _scratch():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp)
+
+
+@contextlib.contextmanager
+def _line_warnings():
+    """Messages of the per-row skip warnings logged while the block runs."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("zest.ingest")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+@settings(max_examples=60, deadline=None)
+@given(good=st.integers(0, 400), bad=st.lists(st.sampled_from(BAD_ROWS),
+                                              max_size=8),
+       data=st.data())
+def test_parse_skips_up_to_one_percent(good, bad, data):
+    rows = [GOOD_ROW.format(i=i, d=i % 3) for i in range(good)]
+    for row in bad:
+        rows.insert(data.draw(st.integers(0, len(rows))), row)
+    limit = max(1, 0.01 * (good + len(bad)))
+    with _scratch() as tmp, _line_warnings() as messages:
+        path = tmp / "trace.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + "".join(rows))
+        if len(bad) > limit:
+            with pytest.raises(IngestError, match="unparseable"):
+                parse_packet_csv(path)
+            return
+        packets = parse_packet_csv(path)
+    assert len(packets) == good
+    assert packets["timestamp"].tolist() == [i + 0.5 for i in range(good)]
+    assert sum(":" in m and "skipped:" in m for m in messages) == len(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaps=st.lists(st.floats(0, 1e4), max_size=300),
+       ports=st.data(), n=st.integers(1, 40))
+def test_featurize_then_segment(gaps, ports, n):
+    ts = 1_700_000_000.0 + np.cumsum([0.0, *gaps])
+    rows = len(ts)
+    src = ports.draw(st.lists(st.integers(0, 65535), min_size=rows,
+                              max_size=rows))
+    packets = packet_array([(t, s, 443, True, False, 0, 60, 1, "d")
+                            for t, s in zip(ts.tolist(), src)])
+    features = featurize(packets)
+    windows = segment(features, n)
+    assert windows.shape == (rows // n, n, NUM_FEATURES)
+    np.testing.assert_array_equal(
+        windows.reshape(-1, NUM_FEATURES),
+        features[:rows // n * n].astype(np.float32))
+    assert (features[:, COL_INTER_ARRIVAL] >= 0).all()
+    assert features[0, COL_INTER_ARRIVAL] == 0.0
+
+
+_tensors = arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 6),
+                                        st.just(NUM_FEATURES)),
+                  elements=st.floats(0, 1e6, width=32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit=_tensors, x=_tensors)
+def test_normalizer_is_per_sequence_and_in_unit_interval(fit, x):
+    norm = fit_normalizer(fit)
+    out = apply_normalizer(norm, x)
+    assert out.dtype == np.float32 and out.shape == x.shape
+    assert out.min() >= 0.0 and out.max() <= 1.0
+    np.testing.assert_array_equal(
+        out, np.stack([apply_normalizer(norm, seq) for seq in x]))
+
+
+@given(labels=st.lists(st.integers(0, 5), max_size=200),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_indices_partition_every_index(labels, seed):
+    splits = split_indices(labels, seed=seed)
+    parts = [set(splits[name]) for name in ("train", "val", "test")]
+    assert sum(len(p) for p in parts) == len(labels)
+    assert set().union(*parts) == set(range(len(labels)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(features=arrays(np.float32, st.tuples(st.integers(0, 5),
+                                             st.integers(1, 4),
+                                             st.just(NUM_FEATURES))),
+       data=st.data())
+def test_dataset_round_trip_is_exact(features, data):
+    labels = np.asarray(data.draw(st.lists(
+        st.integers(0, 2), min_size=len(features), max_size=len(features))),
+        dtype=np.int64)
+    dataset = Dataset(features=features, labels=labels,
+                      class_map={"a": 0, "b": 1, "c": 2},
+                      n=features.shape[1])
+    with _scratch() as tmp:
+        save_dataset(dataset, tmp / "d.npz", tmp / "d.json")
+        loaded = load_dataset(tmp / "d.npz", tmp / "d.json")
+    assert loaded.features.base is None
+    assert loaded.features.dtype == np.float32
+    np.testing.assert_array_equal(loaded.features, features)
+    np.testing.assert_array_equal(loaded.labels, labels)
+    assert (loaded.class_map, loaded.n) == (dataset.class_map, dataset.n)

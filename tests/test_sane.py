@@ -81,16 +81,16 @@ def test_standard_residual_variant_runs_and_differs():
 def test_training_reaches_high_accuracy(tiny_trained):
     model, log, test = tiny_trained
     assert log[-1]["val_acc"] >= 0.95
-    acc, confusion = evaluate_supervised(model, test)
+    acc, confusion = evaluate_supervised(model, *test)
     assert acc >= 0.95
-    assert confusion.sum() == len(test)
+    assert confusion.sum() == len(test[1])
 
 
 def test_training_determinism(tiny_splits):
     train, val, _, _ = tiny_splits
     config = tiny_config(epochs=3)
-    _, log_a = train_sane(train, val, config)
-    _, log_b = train_sane(train, val, config)
+    _, log_a = train_sane(*train, *val, config)
+    _, log_b = train_sane(*train, *val, config)
     assert log_a == log_b
 
 
@@ -98,13 +98,12 @@ def test_training_log_and_best_checkpoint(tiny_splits, tmp_path):
     train, val, _, _ = tiny_splits
     config = tiny_config(epochs=4)
     log_path = tmp_path / "log.csv"
-    model, log = train_sane(train, val, config, log_path=log_path)
-    lines = log_path.read_text().strip().split("\n")
+    model, log = train_sane(*train, *val, config, log_path=log_path)
+    lines = log_path.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,train_acc,val_acc"
     assert len(lines) == 5
     best = max(log, key=lambda r: (r["val_acc"], -r["epoch"]))
-    x = np.stack([p.features for p in val])
-    y = np.array([p.label for p in val])
+    x, y = val
     acc = float((model.predict_arrays(x)["logits"].argmax(axis=1) == y).mean())
     assert acc == pytest.approx(best["val_acc"], abs=1e-9)
 
@@ -116,23 +115,25 @@ def test_encoder_stack_sweep_non_degrading():
         for e in (1, 2):
             config = tiny_config(e=e, epochs=10, seed=seed,
                                  learning_rate=3e-3)
-            model, _ = train_sane(train, val, config)
-            acc, _ = evaluate_supervised(model, test)
+            model, _ = train_sane(*train, *val, config)
+            acc, _ = evaluate_supervised(model, *test)
             accs[e].append(acc)
     assert np.mean(accs[2]) >= np.mean(accs[1]) - 1e-9
 
 
 def test_empty_class_fatal(tiny_splits):
     train, val, _, _ = tiny_splits
-    only_two = [p for p in train if p.label != 1]
+    x, y = train
     with pytest.raises(ValueError, match="class 1"):
-        train_sane(only_two, val, tiny_config())
+        train_sane(x[y != 1], y[y != 1], *val, tiny_config())
 
 
 def test_empty_test_set_fatal(tiny_trained):
     model, _, _ = tiny_trained
+    c = model.config
     with pytest.raises(ValueError, match="empty"):
-        evaluate_supervised(model, [])
+        evaluate_supervised(model, np.zeros((0, c.n, c.f), dtype=np.float32),
+                            np.zeros(0, dtype=np.int64))
 
 
 def test_checkpoint_roundtrip_bit_exact(tiny_trained, tmp_path):
@@ -141,7 +142,7 @@ def test_checkpoint_roundtrip_bit_exact(tiny_trained, tmp_path):
     model.save(path)
     loaded = SaneModel.load(path)
     assert loaded.config == model.config
-    x = np.stack([p.features for p in test[:4]])
+    x = test[0][:4]
     out_a = model.predict_arrays(x)
     out_b = loaded.predict_arrays(x)
     np.testing.assert_array_equal(out_a["logits"], out_b["logits"])

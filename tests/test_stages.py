@@ -2,8 +2,12 @@
 dimensions, and agreement between the table, the CLI and `run_pipeline`."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from conftest import tiny_profiles
@@ -11,9 +15,10 @@ from test_cli import (SANE_OVERRIDES, _base_args,  # noqa: F401
                       experiment, profile_file)
 from zest import pipeline as pl
 from zest.cli import build_parser, main
-from zest.pipeline import (STAGES, ExperimentConfig, StageContext,
-                           resolve_config, write_json)
-from zest.sane import SaneConfig
+from zest.ingest import Dataset, load_dataset, save_dataset
+from zest.pipeline import (STAGES, ExperimentConfig, RunLock, StageContext,
+                           StageError, resolve_config, write_json)
+from zest.sane import SaneConfig, SaneModel
 from zest.synth import save_profiles
 
 
@@ -45,6 +50,49 @@ def test_write_json_keeps_old_file_on_failure(tmp_path):
         write_json(path, {"a": object()})
     assert json.loads(path.read_text()) == {"a": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_failed_dataset_write_keeps_old_files(tmp_path, monkeypatch):
+    npz, manifest = tmp_path / "dataset.npz", tmp_path / "dataset.json"
+    old = Dataset(features=np.ones((2, 3, 8), dtype=np.float32),
+                  labels=np.array([0, 1]), class_map={"a": 0, "b": 1}, n=3)
+    save_dataset(old, npz, manifest)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def crash(fh, **arrays):
+        fh.write(b"half an archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", crash)
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(Dataset(features=np.zeros((5, 3, 8), dtype=np.float32),
+                             labels=np.zeros(5, dtype=np.int64),
+                             class_map={"c": 0}, n=3), npz, manifest)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    np.testing.assert_array_equal(load_dataset(npz, manifest).features,
+                                  old.features)
+
+
+def test_stale_lock_is_taken_over(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()   # reaped: its pid names no process now
+    lock = tmp_path / ".lock"
+    lock.write_text(str(child.pid))
+    with RunLock(tmp_path):
+        assert lock.read_text() == str(os.getpid())
+    assert not lock.exists()
+
+
+@pytest.mark.parametrize("content", [str(os.getpid()), "", "not a pid"],
+                         ids=["live-pid", "empty", "garbage"])
+def test_live_or_unreadable_lock_is_refused(tmp_path, content):
+    # an empty or unreadable lock may belong to a run that has not yet
+    # written its pid
+    (tmp_path / ".lock").write_text(content)
+    with pytest.raises(StageError, match="in progress"):
+        with RunLock(tmp_path):
+            pass
+    assert (tmp_path / ".lock").read_text() == content
 
 
 def test_every_stage_has_a_command(experiment):
@@ -133,3 +181,23 @@ def test_dataset_loads_only_where_needed(tmp_path, monkeypatch):
              for m, reports in cold.items()}
             == {m: {s: r.accuracy for s, r in reports.items()}
                 for m, reports in warm.items()})
+
+
+def test_extract_attrs_encodes_each_sequence_once(experiment, tmp_path,
+                                                  monkeypatch):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    (work / "runs" / "seed-0" / "extract-attrs.manifest.json").unlink()
+    config = resolve_config(work)
+    encoded = []
+    predict_arrays = SaneModel.predict_arrays
+
+    def counting(self, x, *args, **kwargs):
+        encoded.append(len(x))
+        return predict_arrays(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(SaneModel, "predict_arrays", counting)
+    assert pl.run_stage("extract-attrs", config, 0)
+    num_points = json.loads((work / "data" / "dataset.json").read_text())[
+        "num_points"]
+    assert sum(encoded) == num_points

@@ -24,12 +24,11 @@ def _profile(device_id, port, proto="udp", sessions=3,
 
 def test_sequence_counts_after_segmentation():
     profiles = preset_profiles("separable-12", sessions=5)
-    records = generate_records(profiles, seed=0)
-    dataset = build_dataset(records, n=200)
+    packets = generate_records(profiles, seed=0)
+    dataset = build_dataset(packets, n=200)
     assert len(dataset.class_map) == 12
-    assert len(dataset.points) == 12 * 5      # one sequence per session
-    labels = {p.label for p in dataset.points}
-    assert labels == set(range(12))
+    assert dataset.features.shape == (12 * 5, 200, 8)   # one per session
+    assert set(dataset.labels.tolist()) == set(range(12))
 
 
 def test_same_seed_byte_identical_csv(tmp_path):
@@ -46,49 +45,48 @@ def test_generated_csv_passes_ingest_with_zero_skips(tmp_path):
     profiles = preset_profiles("separable-12", sessions=2)
     path = tmp_path / "traffic.csv"
     generate_csv(profiles, seed=3, path=path)
-    records = parse_packet_csv(path)
-    assert len(records) == 12 * 2 * 200
+    packets = parse_packet_csv(path)
+    assert len(packets) == 12 * 2 * 200
 
 
 def test_timestamps_monotone_per_device():
-    records = generate_records([_profile("a", 53), _profile("b", 80)], seed=1)
-    by_dev = {}
-    for r in records:
-        by_dev.setdefault(r.device_id, []).append(r.timestamp)
-    for ts in by_dev.values():
-        assert all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))
+    packets = generate_records([_profile("a", 53), _profile("b", 80)], seed=1)
+    for dev in ("a", "b"):
+        ts = packets["timestamp"][packets["device_id"] == dev]
+        assert len(ts) == 150 and (np.diff(ts) > 0).all()
 
 
 def test_identical_profiles_oracle_at_chance():
     a = _profile("a", 53, sessions=40)
     b = _profile("b", 53, sessions=40)
-    records = generate_records([a, b], seed=2)
-    dataset = build_dataset(records, n=50)
-    acc = bayes_oracle([a, b], dataset.points)
+    dataset = build_dataset(generate_records([a, b], seed=2), n=50)
+    acc = bayes_oracle([a, b], dataset.features, dataset.labels)
     assert acc == pytest.approx(0.5, abs=0.02)
 
 
 def test_disjoint_port_categories_oracle_perfect():
     a = _profile("a", 53, sessions=10)
     b = _profile("b", 443, proto="tcp", sessions=10)
-    records = generate_records([a, b], seed=4)
-    dataset = build_dataset(records, n=50)
-    assert bayes_oracle([a, b], dataset.points) == 1.0
+    dataset = build_dataset(generate_records([a, b], seed=4), n=50)
+    assert bayes_oracle([a, b], dataset.features, dataset.labels) == 1.0
 
 
 def test_oracle_predictions_shape_and_determinism():
     profiles = [_profile("a", 53), _profile("b", 80, proto="tcp")]
     dataset = build_dataset(generate_records(profiles, seed=5), n=50)
-    p1 = oracle_predict(profiles, dataset.points)
-    p2 = oracle_predict(profiles, dataset.points)
+    p1 = oracle_predict(profiles, dataset.features)
+    p2 = oracle_predict(profiles, dataset.features)
     np.testing.assert_array_equal(p1, p2)
-    assert p1.shape == (len(dataset.points),)
+    assert p1.shape == (len(dataset.labels),)
+    alone = [oracle_predict(profiles, seq[None])[0]
+             for seq in dataset.features]
+    np.testing.assert_array_equal(p1, alone)
 
 
 def test_separable_preset_oracle_calibration():
     profiles = separable_profiles(sessions=6)
     dataset = build_dataset(generate_records(profiles, seed=11), n=200)
-    assert bayes_oracle(profiles, dataset.points) >= 0.99
+    assert bayes_oracle(profiles, dataset.features, dataset.labels) >= 0.99
 
 
 def test_invalid_profile_fatal():
