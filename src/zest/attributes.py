@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .sane import SaneModel
 
 
@@ -40,7 +41,7 @@ def save_attributes_csv(attrs: dict[str, np.ndarray],
                         path: str | Path) -> None:
     devices = sorted(attrs)
     dim = attrs[devices[0]].shape[0]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["device_id"] + [f"a_{i}" for i in range(dim)])
         for dev in devices:

@@ -29,13 +29,15 @@ class CheckpointError(RuntimeError):
 
 
 @contextmanager
-def atomic_write(path: str | Path, mode: str = "wb"):
+def atomic_write(path: str | Path, mode: str = "wb",
+                 newline: str | None = None):
     """Yield a file open on a temp file beside `path`; move it into place
-    when the block ends without an error, and delete it otherwise."""
+    when the block ends without an error, and delete it otherwise.
+    `newline` is passed to `open` (text modes only)."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -7,12 +7,13 @@ from held-out test traffic.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .checkpoint import write_json
 
 logger = logging.getLogger("zest.classifier")
 
@@ -153,9 +154,7 @@ class EvalReport:
                    num_test=d["num_test"], extra=d.get("extra", {}))
 
     def save_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def format_table(self) -> str:
         lines = [f"setting: {self.setting}",

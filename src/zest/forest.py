@@ -133,8 +133,7 @@ class RandomForest:
             else:
                 idx = np.arange(x.shape[0])
             tree = DecisionTree(max_depth=self.max_depth,
-                                feature_subsample=self.feature_subsample,
-                                seed=int(rng.integers(0, 2 ** 31)))
+                                feature_subsample=self.feature_subsample)
             tree.num_classes = self.num_classes
             tree.root = tree._build(x[idx], y[idx], depth=0,
                                     rng=np.random.default_rng([self.seed, t, 1]))

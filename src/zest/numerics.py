@@ -16,6 +16,9 @@ import numpy as np
 from scipy.special import erf
 
 LN_EPS = 1e-5
+# most elements in one chunk of (b, h, T, T) attention scores: 1 MB of
+# float32, so a chunk's scores stay in cache whatever the batch size
+ATTN_SCORE_ELEMS = 2 ** 18
 
 # python floats: weak scalars that do not promote float32 arrays
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
@@ -233,6 +236,99 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
+def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+              wv: Tensor, bv: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention over x (B, T, d).
+
+    With q = x wq + bq, k = x wk + bk and v = x wv + bv split into `heads`
+    heads of width d / heads, returns the (B, T, d) context
+    softmax(q k^T / sqrt(d / heads)) v, heads side by side.
+
+    The batch runs in chunks whose scores hold at most ATTN_SCORE_ELEMS
+    elements, and only each score row's max and sum are kept: backward
+    recomputes the probabilities chunk by chunk (Rabe & Staats, arXiv
+    2112.05682), so no (B, h, T, T) array is ever stored.
+    """
+    if x.data.ndim != 3:
+        raise NumericsError(
+            f"attention expects (B, T, d) input, got {x.shape}")
+    batch, tokens, d = x.shape
+    if (heads < 1 or d % heads
+            or any(w.shape != (d, d) for w in (wq, wk, wv))
+            or any(b.shape != (d,) for b in (bq, bk, bv))):
+        raise NumericsError(
+            f"attention shape mismatch: input {x.shape}, {heads} heads, "
+            f"weights {[w.shape for w in (wq, wk, wv)]}, "
+            f"biases {[b.shape for b in (bq, bk, bv)]}")
+    head_dim = d // heads
+    c = 1.0 / float(np.sqrt(head_dim))
+    w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    qkv = x.data @ w + np.concatenate([bq.data, bk.data, bv.data])
+    _require_finite("attention", qkv)
+    # (3, B, h, T, head_dim) views of q, k and v
+    qkv = qkv.reshape(batch, tokens, 3, heads, head_dim)
+    qkv = qkv.transpose(2, 0, 3, 1, 4)
+    # scale q rather than the much larger score matrix
+    q = np.multiply(qkv[0], c, order="C")
+    k = np.ascontiguousarray(qkv[1])
+    v = np.ascontiguousarray(qkv[2])
+    step = max(1, ATTN_SCORE_ELEMS // (heads * tokens * tokens))
+    row_max = np.empty((batch, heads, tokens, 1), dtype=q.dtype)
+    row_sum = np.empty_like(row_max)
+    out_data = np.empty((batch, tokens, heads, head_dim), dtype=q.dtype)
+    for start in range(0, batch, step):
+        sl = slice(start, start + step)
+        p = q[sl] @ np.swapaxes(k[sl], -1, -2)
+        _require_finite("attention", p)
+        np.max(p, axis=-1, keepdims=True, out=row_max[sl])
+        p -= row_max[sl]
+        np.exp(p, out=p)
+        np.sum(p, axis=-1, keepdims=True, out=row_sum[sl])
+        p /= row_sum[sl]
+        out_data[sl] = (p @ v[sl]).transpose(0, 2, 1, 3)
+    out_data = out_data.reshape(batch, tokens, d)
+    _require_finite("attention", out_data)
+    out = Tensor(out_data, name="attention",
+                 _parents=(x, wq, bq, wk, bk, wv, bv))
+
+    def bw(o: Tensor) -> None:
+        def split(a: np.ndarray) -> np.ndarray:
+            a = a.reshape(batch, tokens, heads, head_dim)
+            return a.transpose(0, 2, 1, 3)
+
+        g = split(o.grad)
+        # rowsum(dP * P) = rowsum(dO * O), since dP = dO v^T and O = P v
+        dot = (g * split(o.data)).sum(axis=-1, keepdims=True)
+        # laid out as the forward's qkv, so it reshapes to (B*T, 3d)
+        g_qkv = np.empty((batch, tokens, 3, heads, head_dim), dtype=q.dtype)
+        gq, gk, gv = g_qkv.transpose(2, 0, 3, 1, 4)
+        for start in range(0, batch, step):
+            sl = slice(start, start + step)
+            # P again, by exactly the forward's operations
+            p = q[sl] @ np.swapaxes(k[sl], -1, -2)
+            p -= row_max[sl]
+            np.exp(p, out=p)
+            p /= row_sum[sl]
+            gv[sl] = np.swapaxes(p, -1, -2) @ g[sl]
+            # softmax Jacobian folded into the score gradient:
+            # dS = P * (dP - rowsum(dP * P))
+            gs = g[sl] @ np.swapaxes(v[sl], -1, -2)
+            gs -= dot[sl]
+            gs *= p
+            gq[sl] = gs @ k[sl]
+            gk[sl] = np.swapaxes(gs, -1, -2) @ q[sl]
+        gq *= c
+        g_qkv = g_qkv.reshape(batch * tokens, 3 * d)
+        x._accumulate((g_qkv @ w.T).reshape(x.shape), own=True)
+        g_w = np.split(x.data.reshape(-1, d).T @ g_qkv, 3, axis=1)
+        g_b = np.split(g_qkv.sum(axis=0), 3)
+        for t, g_t in zip((wq, wk, wv, bq, bk, bv), g_w + g_b):
+            t._accumulate(g_t, own=True)
+
+    out._backward = bw
+    return out
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
     """Row-wise normalization over the last axis with learnable gain/bias."""
     mean = x.data.mean(axis=-1, keepdims=True)
@@ -316,17 +412,6 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
 
     def bw(o: Tensor) -> None:
         x._accumulate(o.grad.reshape(x.shape), own=True)
-
-    out._backward = bw
-    return out
-
-
-def transpose(x: Tensor, axes: tuple) -> Tensor:
-    out = Tensor(x.data.transpose(axes), name="transpose", _parents=(x,))
-    inverse = tuple(np.argsort(axes))
-
-    def bw(o: Tensor) -> None:
-        x._accumulate(o.grad.transpose(inverse), own=True)
 
     out._backward = bw
     return out

@@ -437,15 +437,19 @@ def _gen_pseudo(ctx: StageContext) -> None:
     k = ctx.config.pseudo_k
     pseudo = generate_pseudo(CvaeModel.load(cvae_path), ctx.class_attrs, k=k,
                              seed=ctx.seed)
+    save_pseudo_csv(pseudo, ctx.rdir / "pseudo.csv")
+    write_json(ctx.rdir / "pseudo.json",
+               {"k": k, "seed": ctx.seed,
+                "decoder_checksum": sha256_file(cvae_path)})
+
+
+def save_pseudo_csv(pseudo: PseudoDataset, path: str | Path) -> None:
     dim = pseudo.samples.shape[1]
-    with open(ctx.rdir / "pseudo.csv", "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"l_{i}" for i in range(dim)])
         for label, row in zip(pseudo.labels, pseudo.samples):
             writer.writerow([int(label)] + [f"{v:.8f}" for v in row])
-    write_json(ctx.rdir / "pseudo.json",
-               {"k": k, "seed": ctx.seed,
-                "decoder_checksum": sha256_file(cvae_path)})
 
 
 def load_pseudo_csv(path: str | Path) -> PseudoDataset:
@@ -500,7 +504,8 @@ def _eval(ctx: StageContext) -> None:
                           extra={"method": "zest", "seed": ctx.seed})
         report.save_json(ctx.rdir / f"report_{setting}.json")
         lines.append(report.format_table())
-    (ctx.rdir / "report.txt").write_text("\n\n".join(lines) + "\n")
+    with atomic_write(ctx.rdir / "report.txt", "w") as fh:
+        fh.write("\n\n".join(lines) + "\n")
 
 
 def _baseline(ctx: StageContext, name: str) -> None:
@@ -671,7 +676,7 @@ def aggregate_reports(per_seed: list[dict]) -> list[dict]:
 def _write_accuracy_csv(path: Path, rows: list[dict],
                         keys: tuple[str, ...]) -> None:
     """One line per row: its `keys`, then mean, std and number of seeds."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*keys, "mean_accuracy", "std_accuracy", "num_seeds"])
         for row in rows:
@@ -687,7 +692,8 @@ def write_aggregate(rows: list[dict], outdir: Path) -> None:
         lines.append(f"{row['method']:<10} {row['setting']:<6} "
                      f"{row['mean_accuracy']:>8.4f} "
                      f"{row['std_accuracy']:>8.4f}")
-    (outdir / "report.txt").write_text("\n".join(lines) + "\n")
+    with atomic_write(outdir / "report.txt", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def run_pipeline(config: ExperimentConfig) -> list[dict]:

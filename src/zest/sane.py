@@ -4,6 +4,13 @@ A stack of pre-norm encoder blocks over packet embeddings with a learnable
 sequence-level aggregation (SLA) token and positional embedding, average
 pooling, two latent heads (l of width M, lambda of width N) and a softmax
 classifier over seen device classes.
+
+Each block's multi-head self-attention is one `numerics.attention` call
+(Q/K/V projections, scaled scores, softmax and context in a single op with a
+hand-written backward) followed by the output projection `wo`/`bo`. That op
+works through the batch in bounded chunks and recomputes the attention
+probabilities in backward, so neither training nor encoding keeps a
+(B, h, n+1, n+1) array; the attention maps are not returned.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 
 logger = logging.getLogger("zest.sane")
 
@@ -98,37 +105,19 @@ class SaneModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _attention(self, x: nm.Tensor, block: int) -> tuple[nm.Tensor, nm.Tensor]:
-        c = self.config
+    def _attention(self, x: nm.Tensor, block: int) -> nm.Tensor:
         p = self.params
-        batch, tokens = x.shape[0], x.shape[1]
-        head_dim = c.d_model // c.h
         pre = f"block{block}.attn"
-        q = nm.linear(x, p[f"{pre}.wq"], p[f"{pre}.bq"])
-        k = nm.linear(x, p[f"{pre}.wk"], p[f"{pre}.bk"])
-        v = nm.linear(x, p[f"{pre}.wv"], p[f"{pre}.bv"])
-        # scale q rather than the much larger score matrix
-        q = nm.scale(q, 1.0 / float(np.sqrt(head_dim)))
+        ctx = nm.attention(x, *(p[f"{pre}.{name}"] for name in
+                                ("wq", "bq", "wk", "bk", "wv", "bv")),
+                           heads=self.config.h)
+        return nm.linear(ctx, p[f"{pre}.wo"], p[f"{pre}.bo"])
 
-        def split_heads(t: nm.Tensor) -> nm.Tensor:
-            t = nm.reshape(t, (batch, tokens, c.h, head_dim))
-            return nm.transpose(t, (0, 2, 1, 3))
-
-        q, k, v = split_heads(q), split_heads(k), split_heads(v)
-        scores = nm.matmul(q, nm.transpose(k, (0, 1, 3, 2)))
-        attn = nm.softmax(scores)
-        ctx = nm.matmul(attn, v)
-        ctx = nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)),
-                         (batch, tokens, c.d_model))
-        out = nm.linear(ctx, p[f"{pre}.wo"], p[f"{pre}.bo"])
-        return out, attn
-
-    def forward(self, x: np.ndarray, collect_attention: bool = False) -> dict:
+    def forward(self, x: np.ndarray) -> dict:
         """Run a batch (B, n, f) through the network.
 
         Returns a dict of live Tensors: 'logits' (B, num_classes),
-        'l' (B, M), 'lam' (B, N), and optionally 'attention' (list of
-        per-block (B, h, n+1, n+1) arrays).
+        'l' (B, M) and 'lam' (B, N).
         """
         c = self.config
         p = self.params
@@ -146,12 +135,11 @@ class SaneModel:
         e = nm.concat_rows([sla, emb])
         e = nm.add(e, p["pos"])
 
-        attention = []
         for i in range(c.e):
             pre = f"block{i}"
             if c.standard_residual:
                 # textbook post-norm encoder
-                r1, attn = self._attention(e, i)
+                r1 = self._attention(e, i)
                 e = nm.layer_norm(nm.add(e, r1),
                                   p[f"{pre}.ln1.gain"], p[f"{pre}.ln1.bias"])
                 m = nm.linear(e, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"])
@@ -162,7 +150,7 @@ class SaneModel:
             else:
                 # as-printed: R1 = MHA(Norm(E)); R2 = MLP(Norm(E + R1));
                 # E <- R2 + (E + R1)
-                r1, attn = self._attention(
+                r1 = self._attention(
                     nm.layer_norm(e, p[f"{pre}.ln1.gain"], p[f"{pre}.ln1.bias"]), i)
                 e_r1 = nm.add(e, r1)
                 m = nm.layer_norm(e_r1, p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
@@ -170,17 +158,12 @@ class SaneModel:
                 m = nm.gelu(m)
                 m = nm.linear(m, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
                 e = nm.add(m, e_r1)
-            if collect_attention:
-                attention.append(attn.data)
 
         pooled = nm.mean_pool(e)
         latent_l = nm.linear(pooled, p["latent_l.w"], p["latent_l.b"])
         latent_lam = nm.linear(latent_l, p["latent_lam.w"], p["latent_lam.b"])
         logits = nm.linear(latent_lam, p["head.w"], p["head.b"])
-        out = {"logits": logits, "l": latent_l, "lam": latent_lam}
-        if collect_attention:
-            out["attention"] = attention
-        return out
+        return {"logits": logits, "l": latent_l, "lam": latent_lam}
 
     def predict_arrays(self, x: np.ndarray, batch_size: int = 64) -> dict:
         """Forward without keeping graphs; returns plain arrays."""
@@ -279,7 +262,7 @@ def train_sane(x_train: np.ndarray, y_train: np.ndarray, x_val: np.ndarray,
     if best_state is not None:
         model.load_state_arrays(best_state)
     if log_path is not None:
-        with open(log_path, "w") as fh:
+        with atomic_write(log_path, "w") as fh:
             fh.write("epoch,train_loss,train_acc,val_acc\n")
             for row in log:
                 fh.write(f"{row['epoch']},{row['train_loss']:.6f},"

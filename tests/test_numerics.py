@@ -90,13 +90,105 @@ def test_grad_pool_concat_reshape_transpose(seed):
 
     def f():
         c = nm.concat_rows([b, a])            # (2, 4, 4)
-        c = nm.transpose(c, (0, 2, 1))        # (2, 4, 4)
         c = nm.reshape(c, (2, 16))
         c = nm.reshape(c, (2, 4, 4))
         p = nm.mean_pool(c)                   # (2, 4)
         return nm.l2_loss(p, np.zeros((2, 4)))
 
     _check(f, [a, b])
+
+
+def _attention_inputs(rng, batch, tokens, d):
+    """x, wq, bq, wk, bk, wv, bv as float64 leaf tensors."""
+    return [nm.param(_rand(rng, batch, tokens, d))] + [
+        nm.param(_rand(rng, *shape))
+        for _ in range(3) for shape in ((d, d), (d,))]
+
+
+def _transpose(x, axes):
+    """Axis permutation with its backward rule, for the reference below."""
+    out = nm.Tensor(x.data.transpose(axes), _parents=(x,))
+    out._backward = lambda o: x._accumulate(
+        o.grad.transpose(np.argsort(axes)), own=True)
+    return out
+
+
+def _reference_attention(x, wq, bq, wk, bk, wv, bv, heads):
+    """Attention as a composite of linear, scale, reshape, matmul and
+    softmax."""
+    batch, tokens, d = x.shape
+
+    def split_heads(t):
+        t = nm.reshape(t, (batch, tokens, heads, d // heads))
+        return _transpose(t, (0, 2, 1, 3))
+
+    q = nm.scale(nm.linear(x, wq, bq), 1.0 / np.sqrt(d // heads))
+    q, k, v = (split_heads(t) for t in
+               (q, nm.linear(x, wk, bk), nm.linear(x, wv, bv)))
+    attn = nm.softmax(nm.matmul(q, _transpose(k, (0, 1, 3, 2))))
+    ctx = _transpose(nm.matmul(attn, v), (0, 2, 1, 3))
+    return nm.reshape(ctx, (batch, tokens, d))
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS[:6])
+def test_grad_attention(seed):
+    rng = np.random.default_rng(seed)
+    inputs = _attention_inputs(rng, 3, 5, 6)
+    target = _rand(rng, 3, 5, 6)
+
+    def f():
+        return nm.l2_loss(nm.attention(*inputs, heads=2), target)
+
+    _check(f, inputs)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_matches_composite_across_chunks(heads):
+    tokens, d = 96, 8
+    step = nm.ATTN_SCORE_ELEMS // (heads * tokens * tokens)
+    # two full chunks and a shorter last one
+    batch = 2 * step + step // 2
+    assert step >= 2 and batch % step
+    rng = np.random.default_rng(heads)
+    inputs = _attention_inputs(rng, batch, tokens, d)
+    target = _rand(rng, batch, tokens, d)
+    grads = []
+    for f in (nm.attention, _reference_attention):
+        for t in inputs:
+            t.zero_grad()
+        out = f(*inputs, heads=heads)
+        nm.l2_loss(out, target).backward()
+        grads.append((out.data, [t.grad for t in inputs]))
+    (out, got), (ref_out, want) = grads
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+    for g, r in zip(got, want):
+        np.testing.assert_allclose(g, r, rtol=1e-10, atol=1e-12)
+
+
+def test_attention_non_finite_is_fatal():
+    rng = np.random.default_rng(4)
+    inputs = _attention_inputs(rng, 2, 3, 4)
+    inputs[0].data[1, 2, 0] = np.nan
+    with pytest.raises(nm.NumericsError, match="attention"):
+        nm.attention(*inputs, heads=2)
+    # finite q and k whose dot product overflows float32 to -inf in a row
+    # that also has a finite score, so the softmax alone would hide it
+    x = np.array([[[1e20, 1e20], [1.0, 1.0]]], dtype=np.float32)
+    eye, zero = np.eye(2, dtype=np.float32), np.zeros(2, dtype=np.float32)
+    weights = [eye, zero, -eye, zero, eye, zero]
+    with np.errstate(over="ignore"), \
+            pytest.raises(nm.NumericsError, match="attention"):
+        nm.attention(nm.param(x), *map(nm.param, weights), heads=1)
+
+
+def test_attention_shape_mismatch():
+    rng = np.random.default_rng(5)
+    inputs = _attention_inputs(rng, 2, 3, 4)
+    with pytest.raises(nm.NumericsError, match="attention shape"):
+        nm.attention(*inputs, heads=3)
+    inputs[3] = nm.param(_rand(rng, 4, 5))
+    with pytest.raises(nm.NumericsError, match="attention shape"):
+        nm.attention(*inputs, heads=2)
 
 
 @pytest.mark.parametrize("seed", RNG_SEEDS)

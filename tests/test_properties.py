@@ -1,5 +1,6 @@
-"""Property tests of the data path: CSV parsing, featurize and segment,
-normalization, splits, and the dataset round trip."""
+"""Property tests of the data path (CSV parsing, featurize and segment,
+normalization, splits, the dataset round trip) and of the metrics: k-means
+inertia and the evaluation report's confusion matrix."""
 
 import contextlib
 import logging
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from zest.baselines import kmeans
+from zest.classifier import build_report
 from zest.ingest import (COL_INTER_ARRIVAL, CSV_HEADER, NUM_FEATURES,
                          Dataset, IngestError, apply_normalizer, featurize,
                          fit_normalizer, load_dataset, packet_array,
@@ -134,3 +137,48 @@ def test_dataset_round_trip_is_exact(features, data):
     np.testing.assert_array_equal(loaded.features, features)
     np.testing.assert_array_equal(loaded.labels, labels)
     assert (loaded.class_map, loaded.n) == (dataset.class_map, dataset.n)
+
+
+_coords = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                    st.floats(-50, 50))
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=arrays(np.float64, st.tuples(st.integers(1, 30),
+                                           st.integers(1, 3)),
+                     elements=_coords),
+       data=st.data())
+def test_kmeans_inertia_never_rises(points, data):
+    k = data.draw(st.integers(1, min(len(points), 5)))
+    seeded = data.draw(st.booleans())
+    # seeded centres anywhere in the box, so clusters can start empty
+    init = (data.draw(arrays(np.float64, (k, points.shape[1]),
+                             elements=_coords)) if seeded else "random")
+    result = kmeans(points, k, init=init, seed=data.draw(st.integers(0, 99)))
+    history = np.asarray(result.inertia_history)
+    assert len(history) == result.n_iter >= 1
+    # exact arithmetic never rises; allow for rounding in the centre means
+    assert (np.diff(history) <= 1e-9 * np.maximum(1.0, history[:-1])).all()
+    assert result.inertia == history[-1]
+
+
+@given(labels=st.lists(st.integers(-5, 50), min_size=1, max_size=6,
+                       unique=True),
+       data=st.data())
+def test_confusion_rows_sum_to_class_counts(labels, data):
+    size = data.draw(st.integers(1, 60))
+    y_true = np.asarray(data.draw(st.lists(st.sampled_from(labels),
+                                           min_size=size, max_size=size)),
+                        dtype=np.int64)
+    # predictions may fall outside the label set
+    y_pred = np.asarray(data.draw(st.lists(
+        st.one_of(st.sampled_from(labels), st.integers(-10, 60)),
+        min_size=size, max_size=size)), dtype=np.int64)
+    report = build_report("gzsl", y_true, y_pred, labels)
+    k = len(labels)
+    outside = ~np.isin(y_pred, labels)
+    assert report.confusion.shape == (k, k + int(outside.any()))
+    np.testing.assert_array_equal(report.confusion.sum(axis=1),
+                                  [(y_true == c).sum() for c in labels])
+    assert report.confusion[:, k:].sum() == outside.sum()
+    assert np.trace(report.confusion) == (y_true == y_pred).sum()

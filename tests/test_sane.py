@@ -28,14 +28,25 @@ def test_output_shapes(tiny_model):
 
 
 def test_attention_rows_sum_to_one(tiny_model):
+    # one-hot tokens and a value map that copies token t to slot t of every
+    # head make the context equal to the attention probabilities
     c = tiny_model.config
-    x = np.random.default_rng(1).random((3, c.n, c.f), dtype=np.float32)
-    out = tiny_model.forward(x, collect_attention=True)
-    assert len(out["attention"]) == c.e
-    for attn in out["attention"]:
-        assert attn.shape == (3, c.h, c.n + 1, c.n + 1)
-        assert (attn >= 0).all()
-        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
+    head_dim = c.d_model // c.h
+    tokens = head_dim
+    x = np.zeros((3, tokens, c.d_model), dtype=np.float32)
+    x[:, np.arange(tokens), np.arange(tokens)] = 1.0
+    wv = np.zeros((c.d_model, c.d_model), dtype=np.float32)
+    for head in range(c.h):
+        wv[np.arange(tokens), head * head_dim + np.arange(tokens)] = 1.0
+    p = tiny_model.params
+    ctx = nm.attention(nm.param(x), p["block0.attn.wq"], p["block0.attn.bq"],
+                       p["block0.attn.wk"], p["block0.attn.bk"],
+                       nm.param(wv), nm.param(np.zeros(c.d_model, np.float32)),
+                       heads=c.h).data
+    attn = ctx.reshape(3, tokens, c.h, head_dim).transpose(0, 2, 1, 3)
+    assert (attn >= 0).all()
+    assert attn.std() > 0
+    np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_permutation_invariance_with_zero_positional(tiny_model):

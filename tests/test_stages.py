@@ -10,15 +10,19 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import tiny_profiles
+from conftest import tiny_config, tiny_profiles
 from test_cli import (SANE_OVERRIDES, _base_args,  # noqa: F401
                       experiment, profile_file)
+from zest import checkpoint
 from zest import pipeline as pl
+from zest.attributes import save_attributes_csv
+from zest.classifier import build_report
+from zest.cvae import PseudoDataset
 from zest.cli import build_parser, main
 from zest.ingest import Dataset, load_dataset, save_dataset
 from zest.pipeline import (STAGES, ExperimentConfig, RunLock, StageContext,
                            StageError, resolve_config, write_json)
-from zest.sane import SaneConfig, SaneModel
+from zest.sane import SaneConfig, SaneModel, train_sane
 from zest.synth import save_profiles
 
 
@@ -50,6 +54,65 @@ def test_write_json_keeps_old_file_on_failure(tmp_path):
         write_json(path, {"a": object()})
     assert json.loads(path.read_text()) == {"a": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+class _DiskFull:
+    """A file that takes half of its first write, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _aggregate_rows(version):
+    return [{"method": "zest", "setting": "gzsl", "mean_accuracy": version / 4,
+             "std_accuracy": 0.0, "num_seeds": version}]
+
+
+# artifact name -> writer(directory, version, tiny splits)
+TEXT_WRITERS = {
+    "attributes.csv": lambda d, v, _: save_attributes_csv(
+        {"dev": np.full(3, v, dtype=np.float32)}, d / "attributes.csv"),
+    "pseudo.csv": lambda d, v, _: pl.save_pseudo_csv(
+        PseudoDataset(samples=np.full((2, 3), v, dtype=np.float32),
+                      labels=np.array([0, 1])), d / "pseudo.csv"),
+    "sane_log.csv": lambda d, v, splits: train_sane(
+        *splits[0], *splits[1], tiny_config(epochs=v),
+        log_path=d / "sane_log.csv"),
+    "report.csv": lambda d, v, _: pl.write_aggregate(_aggregate_rows(v), d),
+    "report.txt": lambda d, v, _: pl.write_aggregate(_aggregate_rows(v), d),
+    "report_gzsl.json": lambda d, v, _: build_report(
+        "gzsl", [0, 1], [0, v % 2], [0, 1]).save_json(d / "report_gzsl.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_WRITERS))
+def test_failed_text_write_keeps_old_file(name, tmp_path, monkeypatch,
+                                          tiny_splits):
+    write = TEXT_WRITERS[name]
+    write(tmp_path, 1, tiny_splits)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_open = open
+
+    def open_failing(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return _DiskFull(fh) if name in os.path.basename(file) else fh
+
+    monkeypatch.setattr(checkpoint, "open", open_failing, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path, 2, tiny_splits)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert after[name] == before[name]
+    assert sorted(after) == sorted(before)
 
 
 def test_failed_dataset_write_keeps_old_files(tmp_path, monkeypatch):
