@@ -165,18 +165,13 @@ def seqcs(train_lam: np.ndarray, train_labels: np.ndarray,
 def deft(train_lam: np.ndarray, train_labels: np.ndarray,
          test_lam: np.ndarray, test_labels: np.ndarray,
          attribute_seeds: np.ndarray, num_classes: int, seed: int,
-         setting: str = "gzsl",
-         forest_params: dict | None = None) -> EvalReport:
+         setting: str = "gzsl") -> EvalReport:
     """Seeded clustering followed by a random forest trained on the cluster
     labels; test predictions route through the clustering's label mapping."""
     cluster = kmeans(train_lam, k=num_classes, init=attribute_seeds, seed=seed)
     mapping = cluster_label_mapping(cluster.assignments, train_labels,
                                     num_classes)
-    params = {"n_trees": 50, "max_depth": 10, "bootstrap": True,
-              "feature_subsample": True}
-    params.update(forest_params or {})
-    forest = RandomForest(seed=seed, **params)
-    forest.fit(train_lam, cluster.assignments)
+    forest = RandomForest(seed=seed).fit(train_lam, cluster.assignments)
     test_pred = mapping[forest.predict(test_lam)]
     return build_report(setting, test_labels, test_pred,
                         sorted(set(int(v) for v in test_labels)),

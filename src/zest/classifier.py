@@ -1,8 +1,9 @@
 """Final supervised classifier and the ZSL/GZSL evaluation protocols.
 
 A linear one-vs-rest SVM is trained on pseudo latents by subgradient descent
-on the L2-regularized hinge objective and evaluated on real latents extracted
-from held-out test traffic.
+on the L2-regularized hinge objective, with the weights of all classes in one
+(classes, dim) matrix updated together, and evaluated on real latents
+extracted from held-out test traffic.
 """
 
 from __future__ import annotations
@@ -60,60 +61,53 @@ class ConstantClassifier:
         return np.zeros((np.asarray(x).shape[0], 1))
 
 
-def hinge_objective(w: np.ndarray, b: float, x: np.ndarray,
-                    y_signed: np.ndarray, c_reg: float) -> float:
-    """0.5*||w||^2 + C * mean(max(0, 1 - y*(w.x + b)))."""
-    margins = np.maximum(0.0, 1.0 - y_signed * (x @ w + b))
-    return 0.5 * float(w @ w) + c_reg * float(margins.mean())
-
-
-def _fit_binary(x: np.ndarray, y_signed: np.ndarray, c_reg: float,
-                epochs: int, lr: float) -> tuple[np.ndarray, float]:
-    """Full-batch subgradient descent with 1/t decay; returns the iterate with
-    the lowest objective (subgradient descent is not monotone)."""
-    dim = x.shape[1]
-    w = np.zeros(dim)
-    b = 0.0
-    best = (hinge_objective(w, b, x, y_signed, c_reg), w.copy(), b)
-    n = x.shape[0]
-    for t in range(1, epochs + 1):
-        margins = 1.0 - y_signed * (x @ w + b)
-        active = margins > 0
-        grad_w = w - c_reg * (y_signed[active, None] * x[active]).sum(axis=0) / n
-        grad_b = -c_reg * y_signed[active].sum() / n
-        step = lr / t
-        w = w - step * grad_w
-        b = b - step * grad_b
-        obj = hinge_objective(w, b, x, y_signed, c_reg)
-        if obj < best[0]:
-            best = (obj, w.copy(), b)
-    return best[1], best[2]
+def hinge_objective(w: np.ndarray, b: np.ndarray, x: np.ndarray,
+                    y_signed: np.ndarray, c_reg: float) -> np.ndarray:
+    """Per class c: 0.5*||w_c||^2 + C * mean(max(0, 1 - y_c*(w_c.x + b_c))),
+    for weights w (classes, dim), biases b (classes,) and signed targets
+    y_signed (n, classes)."""
+    margins = np.maximum(0.0, 1.0 - y_signed * (x @ w.T + b))
+    return 0.5 * (w * w).sum(axis=1) + c_reg * margins.mean(axis=0)
 
 
 def train_svm(x: np.ndarray, y: np.ndarray, c_reg: float = 1.0,
-              epochs: int = 100, lr: float = 0.01, seed: int = 0) -> SvmModel:
-    """One-vs-rest linear SVM on a balanced labeled set; deterministic
-    (cold start from zero weights, full-batch updates)."""
+              epochs: int = 100, lr: float = 0.01) -> SvmModel:
+    """One-vs-rest linear SVM on a balanced labeled set, every class fitted
+    at once by full-batch subgradient descent with 1/t decay from zero
+    weights. Each class keeps the iterate with its lowest objective
+    (subgradient descent is not monotone)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     classes = sorted(set(int(v) for v in y))
     if len(classes) < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
-    weights = np.zeros((len(classes), x.shape[1]))
-    biases = np.zeros(len(classes))
-    for row, cls in enumerate(classes):
-        y_signed = np.where(y == cls, 1.0, -1.0)
-        weights[row], biases[row] = _fit_binary(x, y_signed, c_reg, epochs, lr)
-    return SvmModel(classes=classes, weights=weights, biases=biases,
+    y_signed = np.where(y[:, None] == np.asarray(classes), 1.0, -1.0)
+    n = x.shape[0]
+    w = np.zeros((len(classes), x.shape[1]))
+    b = np.zeros(len(classes))
+    best_obj = hinge_objective(w, b, x, y_signed, c_reg)
+    best_w, best_b = w.copy(), b.copy()
+    for t in range(1, epochs + 1):
+        margins = 1.0 - y_signed * (x @ w.T + b)
+        active = np.where(margins > 0, y_signed, 0.0)
+        grad_w = w - c_reg * (active.T @ x) / n
+        grad_b = -c_reg * active.sum(axis=0) / n
+        step = lr / t
+        w = w - step * grad_w
+        b = b - step * grad_b
+        obj = hinge_objective(w, b, x, y_signed, c_reg)
+        better = obj < best_obj
+        best_obj = np.where(better, obj, best_obj)
+        best_w[better], best_b[better] = w[better], b[better]
+    return SvmModel(classes=classes, weights=best_w, biases=best_b,
                     regularization=c_reg,
-                    metadata={"epochs": epochs, "lr": lr, "seed": seed})
+                    metadata={"epochs": epochs, "lr": lr})
 
 
 def predict(model, latents: np.ndarray) -> np.ndarray:
     """Argmax over class scores; ties break to the lowest class index."""
     scores = model.scores(np.asarray(latents))
-    idx = scores.argmax(axis=1)
-    return np.asarray([model.classes[i] for i in idx], dtype=np.int64)
+    return np.asarray(model.classes, dtype=np.int64)[scores.argmax(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +167,15 @@ def build_report(setting: str, y_true: np.ndarray, y_pred: np.ndarray,
     dedicated overflow column so row sums equal per-class test counts."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
-    index = {c: i for i, c in enumerate(class_labels)}
-    k = len(class_labels)
-    outside = any(int(p) not in index for p in y_pred)
-    confusion = np.zeros((k, k + (1 if outside else 0)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        col = index.get(int(p), k)
-        confusion[index[int(t)], col] += 1
+    labels = np.asarray(class_labels, dtype=np.int64)
+    k = len(labels)
+    row_hit = y_true[:, None] == labels
+    if not row_hit.any(axis=1).all():
+        raise ValueError(f"true labels outside {list(class_labels)}")
+    col_hit = y_pred[:, None] == labels
+    cols = np.where(col_hit.any(axis=1), col_hit.argmax(axis=1), k)
+    confusion = np.zeros((k, k + int((cols == k).any())), dtype=np.int64)
+    np.add.at(confusion, (row_hit.argmax(axis=1), cols), 1)
     per_class = {}
     for c in class_labels:
         mask = y_true == c

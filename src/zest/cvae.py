@@ -179,11 +179,6 @@ class PseudoDataset:
     samples: np.ndarray    # (num_classes * k, M)
     labels: np.ndarray     # (num_classes * k,)
 
-    def for_classes(self, classes: list[int]) -> "PseudoDataset":
-        mask = np.isin(self.labels, classes)
-        return PseudoDataset(samples=self.samples[mask],
-                             labels=self.labels[mask])
-
 
 def generate_pseudo(model: CvaeModel, class_attributes: dict[int, np.ndarray],
                     k: int, seed: int) -> PseudoDataset:

@@ -1,26 +1,17 @@
 """Random forest of Gini decision trees with bootstrap sampling and sqrt(d)
-feature subsampling per split. Prediction is majority vote over trees; with a
-single tree and bootstrap disabled it reduces to that tree's output.
+feature subsampling per split, stored as flat node arrays.
+
+Every node of every tree is one index into `feature`, `threshold`, `left`,
+`right` and `label`; `roots` holds each tree's root. A leaf has feature -1
+and is its own left and right child, so `max_depth` branch steps from the
+roots, taken for all rows and trees at once, end on every row's leaves.
+Prediction is a majority vote over trees, ties going to the lowest label;
+with a single tree and bootstrap disabled it is that tree's output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    label: int = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 def _gini_best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray,
@@ -57,58 +48,6 @@ def _gini_best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray,
     return best_feature, best_threshold, best_gini
 
 
-class DecisionTree:
-    def __init__(self, max_depth: int = 10, feature_subsample: bool = True,
-                 seed: int = 0):
-        self.max_depth = max_depth
-        self.feature_subsample = feature_subsample
-        self.seed = seed
-        self.root: _Node | None = None
-        self.num_classes = 0
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        self.num_classes = int(y.max()) + 1
-        rng = np.random.default_rng(self.seed)
-        self.root = self._build(x, y, depth=0, rng=rng)
-        return self
-
-    def _build(self, x: np.ndarray, y: np.ndarray, depth: int,
-               rng: np.random.Generator) -> _Node:
-        counts = np.bincount(y, minlength=self.num_classes)
-        majority = int(counts.argmax())
-        if depth >= self.max_depth or counts.max() == y.size or y.size < 2:
-            return _Node(label=majority)
-        dim = x.shape[1]
-        if self.feature_subsample:
-            m = max(1, int(np.sqrt(dim)))
-            features = rng.choice(dim, size=m, replace=False)
-        else:
-            features = np.arange(dim)
-        feature, threshold, gini = _gini_best_split(x, y, features,
-                                                    self.num_classes)
-        if feature < 0:
-            return _Node(label=majority)
-        mask = x[:, feature] <= threshold
-        if not mask.any() or mask.all():
-            return _Node(label=majority)
-        return _Node(feature=feature, threshold=threshold,
-                     left=self._build(x[mask], y[mask], depth + 1, rng),
-                     right=self._build(x[~mask], y[~mask], depth + 1, rng),
-                     label=majority)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty(x.shape[0], dtype=np.int64)
-        for i, row in enumerate(x):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.label
-        return out
-
-
 class RandomForest:
     def __init__(self, n_trees: int = 50, max_depth: int = 10,
                  bootstrap: bool = True, feature_subsample: bool = True,
@@ -118,32 +57,66 @@ class RandomForest:
         self.bootstrap = bootstrap
         self.feature_subsample = feature_subsample
         self.seed = seed
-        self.trees: list[DecisionTree] = []
         self.num_classes = 0
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForest":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.num_classes = int(y.max()) + 1
-        self.trees = []
+        nodes: list[list] = []
+        roots = []
         for t in range(self.n_trees):
             rng = np.random.default_rng([self.seed, t])
             if self.bootstrap:
                 idx = rng.integers(0, x.shape[0], size=x.shape[0])
             else:
                 idx = np.arange(x.shape[0])
-            tree = DecisionTree(max_depth=self.max_depth,
-                                feature_subsample=self.feature_subsample)
-            tree.num_classes = self.num_classes
-            tree.root = tree._build(x[idx], y[idx], depth=0,
-                                    rng=np.random.default_rng([self.seed, t, 1]))
-            self.trees.append(tree)
+            roots.append(self._build(nodes, x[idx], y[idx], depth=0,
+                                     rng=np.random.default_rng([self.seed, t,
+                                                                1])))
+        feature, threshold, left, right, label = zip(*nodes)
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.label = np.asarray(label, dtype=np.int64)
+        self.roots = np.asarray(roots, dtype=np.int64)
         return self
 
+    def _build(self, nodes: list[list], x: np.ndarray, y: np.ndarray,
+               depth: int, rng: np.random.Generator) -> int:
+        """Append the tree for (x, y) to `nodes` in pre-order, as
+        [feature, threshold, left, right, label] rows; returns its root."""
+        counts = np.bincount(y, minlength=self.num_classes)
+        node = len(nodes)
+        nodes.append([-1, 0.0, node, node, int(counts.argmax())])
+        if depth >= self.max_depth or counts.max() == y.size or y.size < 2:
+            return node
+        dim = x.shape[1]
+        if self.feature_subsample:
+            m = max(1, int(np.sqrt(dim)))
+            features = rng.choice(dim, size=m, replace=False)
+        else:
+            features = np.arange(dim)
+        feature, threshold, gini = _gini_best_split(x, y, features,
+                                                    self.num_classes)
+        if feature < 0:
+            return node
+        mask = x[:, feature] <= threshold
+        if not mask.any() or mask.all():
+            return node
+        left = self._build(nodes, x[mask], y[mask], depth + 1, rng)
+        right = self._build(nodes, x[~mask], y[~mask], depth + 1, rng)
+        nodes[node][:4] = [feature, threshold, left, right]
+        return node
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        votes = np.stack([tree.predict(x) for tree in self.trees])
-        out = np.empty(votes.shape[1], dtype=np.int64)
-        for i in range(votes.shape[1]):
-            out[i] = int(np.bincount(votes[:, i],
-                                     minlength=self.num_classes).argmax())
-        return out
+        x = np.asarray(x, dtype=np.float64)
+        rows = np.arange(x.shape[0])[:, None]
+        node = np.broadcast_to(self.roots, (x.shape[0], self.roots.size))
+        for _ in range(self.max_depth):
+            go_left = x[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        votes = (self.label[node][:, :, None]
+                 == np.arange(self.num_classes)).sum(axis=1)
+        return votes.argmax(axis=1)

@@ -37,7 +37,7 @@ from .attributes import (compute_attributes, extract_latents,
 from .checkpoint import atomic_write, json_default, read_json, write_json
 from .classifier import (ConstantClassifier, EvalReport, SvmModel, evaluate,
                          train_svm)
-from .cvae import CvaeConfig, CvaeModel, PseudoDataset, generate_pseudo, train_cvae
+from .cvae import CvaeConfig, CvaeModel, generate_pseudo, train_cvae
 from .ingest import (Dataset, Normalizer, apply_normalizer, build_dataset,
                      fit_normalizer, load_dataset, make_partition,
                      parse_packet_csv, save_dataset, split_indices)
@@ -135,22 +135,25 @@ def resolve_config(outdir: str | Path, overrides: dict | None = None) -> Experim
 
 class RunLock:
     """One command at a time per output directory. The lock file holds the
-    pid of its run; a lock whose process no longer exists is taken over."""
+    pid of its run; a lock whose process no longer exists is taken over, and
+    the temp files that process left (`.<name>.<pid>.tmp`, see
+    `atomic_write`) anywhere under the directory are deleted."""
 
     def __init__(self, outdir: str | Path):
         self.path = Path(outdir) / ".lock"
 
-    def _stale(self) -> bool:
-        """True when the lock names a process that is gone. An empty or
+    def _stale_pid(self) -> int | None:
+        """The lock's pid when it names a process that is gone. An empty or
         unparseable lock is not stale: its run may sit between creating the
         file and writing its pid."""
         try:
-            os.kill(int(self.path.read_text()), 0)
+            pid = int(self.path.read_text())
+            os.kill(pid, 0)
         except ProcessLookupError:
-            return True
+            return pid
         except (OSError, ValueError, OverflowError):
-            return False
-        return False
+            return None
+        return None
 
     def __enter__(self):
         for attempt in range(2):
@@ -158,12 +161,15 @@ class RunLock:
                 fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
                 break
             except FileExistsError:
-                if attempt or not self._stale():
+                pid = None if attempt else self._stale_pid()
+                if pid is None:
                     raise StageError(
                         "lock",
                         f"{self.path} exists; another run is in progress "
                         f"(remove the file if none is)") from None
                 logger.warning("taking over stale lock %s", self.path)
+                for tmp in self.path.parent.rglob(f".*.{pid}.tmp"):
+                    tmp.unlink(missing_ok=True)
                 self.path.unlink(missing_ok=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()))
@@ -223,8 +229,11 @@ class StageRunner:
             manifest = read_json(manifest_path)
         except (OSError, ValueError):
             manifest = {}   # none yet, or unreadable: a cache miss
+        # a manifest whose outputs are not the declared ones (say, an older
+        # file name) is a miss: the stages that read them would fail
         if (manifest and manifest.get("config") == config
                 and manifest.get("inputs") == input_sums
+                and set(manifest["outputs"]) == {p.name for p in outputs}
                 and all((self.root / name).exists()
                         and sha256_file(self.root / name) == digest
                         for name, digest in manifest["outputs"].items())):
@@ -437,51 +446,31 @@ def _gen_pseudo(ctx: StageContext) -> None:
     k = ctx.config.pseudo_k
     pseudo = generate_pseudo(CvaeModel.load(cvae_path), ctx.class_attrs, k=k,
                              seed=ctx.seed)
-    save_pseudo_csv(pseudo, ctx.rdir / "pseudo.csv")
+    with atomic_write(ctx.rdir / "pseudo.npz") as fh:
+        np.savez(fh, samples=pseudo.samples, labels=pseudo.labels)
     write_json(ctx.rdir / "pseudo.json",
                {"k": k, "seed": ctx.seed,
                 "decoder_checksum": sha256_file(cvae_path)})
 
 
-def save_pseudo_csv(pseudo: PseudoDataset, path: str | Path) -> None:
-    dim = pseudo.samples.shape[1]
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"l_{i}" for i in range(dim)])
-        for label, row in zip(pseudo.labels, pseudo.samples):
-            writer.writerow([int(label)] + [f"{v:.8f}" for v in row])
-
-
-def load_pseudo_csv(path: str | Path) -> PseudoDataset:
-    labels, rows = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            labels.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
-    return PseudoDataset(samples=np.asarray(rows, dtype=np.float32),
-                         labels=np.asarray(labels, dtype=np.int64))
-
-
 def _train_clf(ctx: StageContext) -> None:
     svm_cfg = ctx.config.svm
-    pseudo = load_pseudo_csv(ctx.rdir / "pseudo.csv")
+    with np.load(ctx.rdir / "pseudo.npz") as pseudo:
+        samples, labels = pseudo["samples"], pseudo["labels"]
     unseen = ctx.partition["unseen"]
 
-    def fit(p: PseudoDataset) -> dict:
-        model = train_svm(p.samples, p.labels, c_reg=svm_cfg["c_reg"],
-                          epochs=svm_cfg["epochs"], lr=svm_cfg["lr"],
-                          seed=ctx.seed)
+    def fit(keep) -> dict:
+        model = train_svm(samples[keep], labels[keep], c_reg=svm_cfg["c_reg"],
+                          epochs=svm_cfg["epochs"], lr=svm_cfg["lr"])
         return {"type": "svm", "model": model.to_dict()}
 
-    write_json(ctx.rdir / "svm_gzsl.json", fit(pseudo))
+    write_json(ctx.rdir / "svm_gzsl.json", fit(slice(None)))
     if len(unseen) == 1:
         # one unseen class: nothing to separate in the ZSL setting
         write_json(ctx.rdir / "svm_zsl.json",
                    {"type": "constant", "classes": [unseen[0]]})
     else:
-        write_json(ctx.rdir / "svm_zsl.json", fit(pseudo.for_classes(unseen)))
+        write_json(ctx.rdir / "svm_zsl.json", fit(np.isin(labels, unseen)))
 
 
 def _load_classifier(path: Path):
@@ -566,11 +555,11 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
     Stage("gen-pseudo", "generate balanced pseudo latents",
           reads=(_CLASS_MAP, ("train-cvae", "cvae.ckpt"),
                  ("extract-attrs", "attributes.csv")),
-          writes=("pseudo.csv", "pseudo.json"),
+          writes=("pseudo.npz", "pseudo.json"),
           key=lambda ctx: {"k": ctx.config.pseudo_k, "seed": ctx.seed},
           body=_gen_pseudo),
     Stage("train-clf", "train the final classifiers on pseudo data",
-          reads=(_PARTITION, ("gen-pseudo", "pseudo.csv")),
+          reads=(_PARTITION, ("gen-pseudo", "pseudo.npz")),
           writes=("svm_zsl.json", "svm_gzsl.json"),
           key=lambda ctx: {"svm": ctx.config.svm}, body=_train_clf),
     Stage("eval", "evaluate ZSL and GZSL accuracy on test latents",

@@ -9,7 +9,7 @@ import pytest
 from zest.baselines import (BaselineError, cluster_accuracy,
                             cluster_label_mapping, deft, kmeans, seqcr,
                             seqcs, vae_k)
-from zest.forest import DecisionTree, RandomForest
+from zest.forest import RandomForest
 
 
 def _blobs(centers, per_class=30, spread=0.25, seed=0):
@@ -117,16 +117,28 @@ class TestClusterAccuracy:
 
 class TestForest:
     def test_single_tree_no_bootstrap_equals_tree(self):
+        # one tree on every row and every feature: the forest's output is
+        # that tree's leaf label, and the seed changes nothing
         x, y = _blobs([(-2, 0), (2, 0), (0, 2)], per_class=25, seed=10)
         forest = RandomForest(n_trees=1, bootstrap=False,
                               feature_subsample=False, seed=3).fit(x, y)
-        tree = DecisionTree(feature_subsample=False, seed=3)
-        tree.num_classes = forest.num_classes
-        tree.root = tree._build(x, y, depth=0,
-                                rng=np.random.default_rng([3, 0, 1]))
+        other = RandomForest(n_trees=1, bootstrap=False,
+                             feature_subsample=False, seed=4).fit(x, y)
+        for name in ("feature", "threshold", "left", "right", "label",
+                     "roots"):
+            np.testing.assert_array_equal(getattr(forest, name),
+                                          getattr(other, name))
         grid = np.random.default_rng(11).normal(size=(60, 2)) * 3
-        np.testing.assert_array_equal(forest.predict(grid),
-                                      tree.predict(grid))
+        leaves = []
+        for row in grid:
+            node = forest.roots[0]
+            while forest.left[node] != node:
+                node = (forest.left[node]
+                        if row[forest.feature[node]] <= forest.threshold[node]
+                        else forest.right[node])
+            leaves.append(forest.label[node])
+        np.testing.assert_array_equal(forest.predict(grid), leaves)
+        assert (forest.predict(x) == y).all()
 
     def test_forest_fits_separable_data(self):
         x, y = _blobs([(-3, 0), (3, 0), (0, 3)], per_class=40, seed=12)
@@ -142,9 +154,13 @@ class TestForest:
 
     def test_max_depth_limits_tree(self):
         x, y = _blobs([(-1, 0), (1, 0)], per_class=50, spread=1.5, seed=15)
-        stump = DecisionTree(max_depth=1, feature_subsample=False, seed=0)
-        stump.fit(x, y)
-        assert stump.root.left.is_leaf and stump.root.right.is_leaf
+        stump = RandomForest(n_trees=1, max_depth=1, bootstrap=False,
+                             feature_subsample=False).fit(x, y)
+        root = stump.roots[0]
+        assert stump.left[root] != root
+        for child in (stump.left[root], stump.right[root]):
+            assert stump.left[child] == stump.right[child] == child
+        assert len(stump.label) == 3
 
 
 def _pipeline_data(seed=0):

@@ -54,20 +54,21 @@ def test_objective_within_two_percent_of_grid_optimum():
     y_signed = np.array([1.0] * 10 + [-1.0] * 10)
     c_reg = 1.0
 
-    best_grid = np.inf
+    # every grid point is one row of the weight matrix
     ws = np.linspace(-2.0, 2.0, 41)
     bs = np.linspace(-1.0, 1.0, 21)
-    for w1, w2, b in itertools.product(ws, ws, bs):
-        obj = hinge_objective(np.array([w1, w2]), b, x, y_signed, c_reg)
-        best_grid = min(best_grid, obj)
+    grid = np.array(list(itertools.product(ws, ws, bs)))
+    best_grid = hinge_objective(grid[:, :2], grid[:, 2], x, y_signed[:, None],
+                                c_reg).min()
 
     # convergent schedule for the oracle comparison: the objective has unit
     # strong convexity, so lr/t with lr=1.0 is the textbook step size
     model = train_svm(x, (y_signed > 0).astype(int), c_reg=c_reg,
                       epochs=1000, lr=1.0)
     row = model.classes.index(1)
-    ours = hinge_objective(model.weights[row], float(model.biases[row]),
-                           x, y_signed, c_reg)
+    ours = hinge_objective(model.weights[row:row + 1],
+                           model.biases[row:row + 1], x, y_signed[:, None],
+                           c_reg)[0]
     assert ours <= best_grid * 1.02
 
 
@@ -179,3 +180,8 @@ def test_report_with_predictions_outside_label_set():
     assert report.accuracy == 0.5
     assert report.confusion.shape == (2, 3)      # overflow column
     assert report.confusion.sum() == 4
+
+
+def test_report_true_label_outside_label_set_fatal():
+    with pytest.raises(ValueError, match="outside"):
+        build_report("gzsl", np.array([0, 9]), np.array([0, 0]), [0, 1])

@@ -62,7 +62,7 @@ def test_stage_artifacts_exist(experiment):
     rdir = experiment / "runs" / "seed-0"
     for name in ("partition.json", "normalizer.json", "sane.ckpt",
                  "sane_log.csv", "latents.npz", "attributes.csv",
-                 "cvae.ckpt", "pseudo.csv", "svm_zsl.json", "svm_gzsl.json",
+                 "cvae.ckpt", "pseudo.npz", "svm_zsl.json", "svm_gzsl.json",
                  "report_zsl.json", "report_gzsl.json", "report.txt"):
         assert (rdir / name).exists(), name
 
@@ -77,18 +77,24 @@ def test_stage_cache_hit_skips_retraining(experiment):
 
 def test_config_change_invalidates_cache(experiment):
     # a different pseudo-k must regenerate pseudo data but not the model
-    pseudo = experiment / "runs" / "seed-0" / "pseudo.csv"
+    pseudo = experiment / "runs" / "seed-0" / "pseudo.npz"
     ckpt = experiment / "runs" / "seed-0" / "sane.ckpt"
     ckpt_before = ckpt.stat().st_mtime_ns
-    rows_before = len(pseudo.read_text().splitlines())
+
+    def rows():
+        with np.load(pseudo) as data:
+            assert len(data["samples"]) == len(data["labels"])
+            return len(data["labels"])
+
+    rows_before = rows()
     assert main(["gen-pseudo", "--outdir", str(experiment), "--seed", "0",
                  "--pseudo-k", "25"]) == 0
-    assert len(pseudo.read_text().splitlines()) == 1 + 25 * 5
+    assert rows() == 25 * 5
     assert ckpt.stat().st_mtime_ns == ckpt_before
     # restore for other tests
     assert main(["gen-pseudo", "--outdir", str(experiment), "--seed", "0",
                  "--pseudo-k", "40"]) == 0
-    assert len(pseudo.read_text().splitlines()) == rows_before
+    assert rows() == rows_before == 40 * 5
 
 
 def test_corrupted_upstream_artifact_fatal(experiment, tmp_path):

@@ -165,13 +165,6 @@ class TestGeneratePseudo:
         with pytest.raises(ValueError, match="k"):
             generate_pseudo(model, class_attrs, k=0, seed=0)
 
-    def test_for_classes_filter(self, trained):
-        model, class_attrs, _, _, _ = trained
-        pseudo = generate_pseudo(model, class_attrs, k=10, seed=1)
-        sub = pseudo.for_classes([1, 3])
-        assert set(np.unique(sub.labels)) == {1, 3}
-        assert sub.samples.shape[0] == 20
-
 
 def test_checkpoint_roundtrip(tmp_path):
     config = CvaeConfig(input_dim=6, cond_dim=2, z_dim=3, seed=9)

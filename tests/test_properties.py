@@ -1,6 +1,8 @@
 """Property tests of the data path (CSV parsing, featurize and segment,
-normalization, splits, the dataset round trip) and of the metrics: k-means
-inertia and the evaluation report's confusion matrix."""
+normalization, splits, the dataset round trip), of the metrics (k-means
+inertia and the evaluation report's confusion matrix) and of the downstream
+models against scalar references: the flat forest's vote and the all-class
+SVM fit."""
 
 import contextlib
 import logging
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zest.baselines import kmeans
-from zest.classifier import build_report
+from zest.classifier import build_report, train_svm
+from zest.forest import RandomForest
 from zest.ingest import (COL_INTER_ARRIVAL, CSV_HEADER, NUM_FEATURES,
                          Dataset, IngestError, apply_normalizer, featurize,
                          fit_normalizer, load_dataset, packet_array,
@@ -182,3 +185,89 @@ def test_confusion_rows_sum_to_class_counts(labels, data):
                                   [(y_true == c).sum() for c in labels])
     assert report.confusion[:, k:].sum() == outside.sum()
     assert np.trace(report.confusion) == (y_true == y_pred).sum()
+
+
+def _walk(forest: RandomForest, root: int, row: np.ndarray) -> int:
+    node = root
+    while forest.feature[node] >= 0:
+        node = (forest.left[node]
+                if row[forest.feature[node]] <= forest.threshold[node]
+                else forest.right[node])
+    return int(forest.label[node])
+
+
+# split thresholds fall half-way between training values, so queries that
+# hit a threshold exactly test the `<=` branch
+_train_values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+_query_values = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0,
+                                 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 3)),
+                elements=_train_values),
+       data=st.data())
+def test_forest_vote_equals_scalar_walk(x, data):
+    y = np.asarray(data.draw(st.lists(st.integers(0, 3), min_size=len(x),
+                                      max_size=len(x))))
+    forest = RandomForest(n_trees=data.draw(st.integers(1, 4)),
+                          max_depth=data.draw(st.integers(0, 4)),
+                          bootstrap=data.draw(st.booleans()),
+                          feature_subsample=data.draw(st.booleans()),
+                          seed=data.draw(st.integers(0, 99))).fit(x, y)
+    query = data.draw(arrays(np.float64, (data.draw(st.integers(1, 20)),
+                                          x.shape[1]),
+                             elements=_query_values))
+    # one vote per tree, ties to the lowest label
+    expected = [np.bincount([_walk(forest, r, row) for r in forest.roots],
+                            minlength=forest.num_classes).argmax()
+                for row in query]
+    np.testing.assert_array_equal(forest.predict(query), expected)
+
+
+def _fit_binary(x, y_signed, c_reg, epochs, lr):
+    """One class at a time: full-batch subgradient descent with 1/t decay,
+    keeping the iterate with the lowest objective."""
+
+    def objective(w, b):
+        margins = np.maximum(0.0, 1.0 - y_signed * (x @ w + b))
+        return 0.5 * float(w @ w) + c_reg * float(margins.mean())
+
+    w, b = np.zeros(x.shape[1]), 0.0
+    best = (objective(w, b), w.copy(), b)
+    n = x.shape[0]
+    for t in range(1, epochs + 1):
+        active = 1.0 - y_signed * (x @ w + b) > 0
+        grad_w = w - c_reg * (y_signed[active, None] * x[active]).sum(
+            axis=0) / n
+        grad_b = -c_reg * y_signed[active].sum() / n
+        w = w - lr / t * grad_w
+        b = b - lr / t * grad_b
+        if objective(w, b) < best[0]:
+            best = (objective(w, b), w.copy(), b)
+    return best[1], best[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_svm_fits_each_class_like_one_binary_fit(data):
+    n, dim = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 4))
+    num_classes = data.draw(st.integers(2, min(n, 5)))
+    # multiples of 1/16: the gradient sums are exact in any order
+    x = data.draw(arrays(np.float64, (n, dim),
+                         elements=st.integers(-64, 64).map(lambda v: v / 16)))
+    y = np.asarray(data.draw(st.permutations(
+        [i % num_classes for i in range(n)])))
+    c_reg = data.draw(st.sampled_from([0.1, 1.0, 4.0]))
+    lr = data.draw(st.sampled_from([0.05, 0.5, 1.0, 2.0]))
+    epochs = data.draw(st.integers(1, 40))
+    model = train_svm(x, y, c_reg=c_reg, epochs=epochs, lr=lr)
+    assert model.classes == list(range(num_classes))
+    for row, cls in enumerate(model.classes):
+        w, b = _fit_binary(x, np.where(y == cls, 1.0, -1.0), c_reg, epochs,
+                           lr)
+        # the margins are summed in another order: allow float64 rounding
+        np.testing.assert_allclose(model.weights[row], w, rtol=1e-12,
+                                   atol=1e-15)
+        np.testing.assert_allclose(model.biases[row], b, rtol=1e-12,
+                                   atol=1e-15)

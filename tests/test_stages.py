@@ -6,6 +6,8 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,11 @@ import pytest
 from conftest import tiny_config, tiny_profiles
 from test_cli import (SANE_OVERRIDES, _base_args,  # noqa: F401
                       experiment, profile_file)
+import zest
 from zest import checkpoint
 from zest import pipeline as pl
 from zest.attributes import save_attributes_csv
 from zest.classifier import build_report
-from zest.cvae import PseudoDataset
 from zest.cli import build_parser, main
 from zest.ingest import Dataset, load_dataset, save_dataset
 from zest.pipeline import (STAGES, ExperimentConfig, RunLock, StageContext,
@@ -82,9 +84,6 @@ def _aggregate_rows(version):
 TEXT_WRITERS = {
     "attributes.csv": lambda d, v, _: save_attributes_csv(
         {"dev": np.full(3, v, dtype=np.float32)}, d / "attributes.csv"),
-    "pseudo.csv": lambda d, v, _: pl.save_pseudo_csv(
-        PseudoDataset(samples=np.full((2, 3), v, dtype=np.float32),
-                      labels=np.array([0, 1])), d / "pseudo.csv"),
     "sane_log.csv": lambda d, v, splits: train_sane(
         *splits[0], *splits[1], tiny_config(epochs=v),
         log_path=d / "sane_log.csv"),
@@ -134,6 +133,100 @@ def test_failed_dataset_write_keeps_old_files(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     np.testing.assert_array_equal(load_dataset(npz, manifest).features,
                                   old.features)
+
+
+def test_failed_pseudo_write_keeps_old_file(experiment, tmp_path,
+                                            monkeypatch):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    rdir = work / "runs" / "seed-0"
+    before = {p.name: p.read_bytes() for p in rdir.iterdir()}
+
+    def crash(fh, **arrays):
+        fh.write(b"half an archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", crash)
+    config = resolve_config(work, {"pseudo_k": 7})
+    with pytest.raises(OSError, match="disk full"):
+        pl.run_stage("gen-pseudo", config, 0)
+    assert {p.name: p.read_bytes() for p in rdir.iterdir()} == before
+
+
+def test_renamed_output_is_a_cache_miss(experiment, tmp_path):
+    # a run directory whose gen-pseudo manifest names an older output file
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    rdir = work / "runs" / "seed-0"
+    manifest_path = rdir / "gen-pseudo.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"]["pseudo.csv"] = manifest["outputs"].pop("pseudo.npz")
+    (rdir / "pseudo.npz").rename(rdir / "pseudo.csv")
+    write_json(manifest_path, manifest)
+    assert main(["gen-pseudo", "--outdir", str(work), "--seed", "0"]) == 0
+    assert (rdir / "pseudo.npz").exists()
+    assert main(["train-clf", "--outdir", str(work), "--seed", "0"]) == 0
+    assert set(json.loads(manifest_path.read_text())["outputs"]) == {
+        "pseudo.npz", "pseudo.json"}
+
+
+def test_zsl_classifier_sees_only_unseen_pseudo(experiment):
+    rdir = experiment / "runs" / "seed-0"
+    partition = json.loads((rdir / "partition.json").read_text())
+    with np.load(rdir / "pseudo.npz") as pseudo:
+        assert pseudo["samples"].dtype == np.float32
+        assert pseudo["labels"].dtype == np.int64
+        labels = sorted(set(pseudo["labels"].tolist()))
+    assert labels == sorted(partition["seen"] + partition["unseen"])
+    svm = {s: json.loads((rdir / f"svm_{s}.json").read_text())["model"]
+           for s in ("zsl", "gzsl")}
+    assert svm["zsl"]["classes"] == sorted(partition["unseen"])
+    assert svm["gzsl"]["classes"] == labels
+
+
+KILLED_WRITER = """
+import sys, time
+from pathlib import Path
+from zest.checkpoint import atomic_write
+from zest.pipeline import RunLock
+outdir = Path(sys.argv[1])
+with RunLock(outdir):
+    with atomic_write(outdir / "runs" / "seed-0" / "a.txt", "w") as fh:
+        fh.write("half")
+        fh.flush()
+        time.sleep(60)
+"""
+
+
+def test_killed_writer_leaves_whole_artifact_and_no_temp(tmp_path):
+    rdir = tmp_path / "runs" / "seed-0"
+    rdir.mkdir(parents=True)
+    with checkpoint.atomic_write(rdir / "a.txt", "w") as fh:
+        fh.write("whole")
+    # a temp file of a live process is not ours to delete
+    live_tmp = rdir / f".b.txt.{os.getpid()}.tmp"
+    live_tmp.write_text("in use")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(zest.__file__).resolve().parents[1]))
+    child = subprocess.Popen([sys.executable, "-c", KILLED_WRITER,
+                              str(tmp_path)], env=env)
+    killed_tmp = rdir / f".a.txt.{child.pid}.tmp"
+    try:
+        deadline = time.monotonic() + 30
+        while not (killed_tmp.exists() and killed_tmp.read_text()):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+    assert (tmp_path / ".lock").read_text() == str(child.pid)
+    assert (rdir / "a.txt").read_text() == "whole"
+    with RunLock(tmp_path):
+        assert not killed_tmp.exists()
+    assert (rdir / "a.txt").read_text() == "whole"
+    assert sorted(p.name for p in rdir.iterdir()) == sorted(
+        ["a.txt", live_tmp.name])
+    assert not (tmp_path / ".lock").exists()
 
 
 def test_stale_lock_is_taken_over(tmp_path):
