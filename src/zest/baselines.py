@@ -1,8 +1,8 @@
 """Comparison pipelines over the shared attention-extracted features:
-VAE-K (VAE compression + k-means), SeqCR (k-means on the narrow latents),
-SeqCS (k-means seeded with attribute vectors), and DEFT (random forest on
-SeqCS cluster labels). Includes Lloyd k-means and optimal cluster-to-label
-accuracy scoring.
+VAE-K (VAE compression to the attribute width + k-means), SeqCR (k-means on
+the narrow latents), SeqCS (k-means seeded with attribute vectors), and DEFT
+(random forest on SeqCS cluster labels). Includes Lloyd k-means and optimal
+cluster-to-label accuracy scoring.
 """
 
 from __future__ import annotations
@@ -180,23 +180,17 @@ def deft(train_lam: np.ndarray, train_labels: np.ndarray,
 
 def vae_k(train_l: np.ndarray, train_labels: np.ndarray,
           test_l: np.ndarray, test_labels: np.ndarray,
-          num_classes: int, seed: int, setting: str = "gzsl",
-          compress_dim: int = 3, epochs: int = 100,
-          trained: bool = True) -> EvalReport:
-    """Unconditional VAE compresses the wide latents to the attribute width,
-    then random-init k-means clusters the compressed features. `trained=False`
-    skips VAE training (untrained compression, for paired comparisons)."""
+          attributes: np.ndarray, num_classes: int, seed: int,
+          setting: str = "gzsl", epochs: int = 100) -> EvalReport:
+    """An unconditional VAE compresses the wide latents to the attribute
+    width N (the columns of the class `attributes`, which seed nothing
+    here), then random-init k-means clusters the compressed features.
+    `epochs=0` keeps the initial, untrained compression."""
     config = CvaeConfig(input_dim=train_l.shape[1], cond_dim=0,
-                        z_dim=compress_dim, epochs=epochs if trained else 0,
-                        seed=seed)
-    if trained:
-        model, _ = train_cvae(train_l, None, config)
-    else:
-        from .cvae import CvaeModel
-        model = CvaeModel(config)
+                        z_dim=attributes.shape[1], epochs=epochs, seed=seed)
+    model, _ = train_cvae(train_l, None, config)
     train_mu, _ = model.encode_arrays(train_l)
     test_mu, _ = model.encode_arrays(test_l)
     cluster = kmeans(train_mu, k=num_classes, init="random", seed=seed)
     return _clustering_report(setting, cluster, train_labels, test_mu,
                               test_labels, num_classes, "vae_k", seed)
-

@@ -61,13 +61,13 @@ class ConstantClassifier:
         return np.zeros((np.asarray(x).shape[0], 1))
 
 
-def hinge_objective(w: np.ndarray, b: np.ndarray, x: np.ndarray,
-                    y_signed: np.ndarray, c_reg: float) -> np.ndarray:
-    """Per class c: 0.5*||w_c||^2 + C * mean(max(0, 1 - y_c*(w_c.x + b_c))),
-    for weights w (classes, dim), biases b (classes,) and signed targets
-    y_signed (n, classes)."""
-    margins = np.maximum(0.0, 1.0 - y_signed * (x @ w.T + b))
-    return 0.5 * (w * w).sum(axis=1) + c_reg * margins.mean(axis=0)
+def hinge_objective(w: np.ndarray, margins: np.ndarray,
+                    c_reg: float) -> np.ndarray:
+    """Per class c: 0.5*||w_c||^2 + C * mean(max(0, margins_c)), for weights
+    w (classes, dim) and margins (n, classes), 1 - y_c*(w_c.x + b_c) with
+    signed targets y_c."""
+    hinge = np.maximum(0.0, margins).mean(axis=0)
+    return 0.5 * (w * w).sum(axis=1) + c_reg * hinge
 
 
 def train_svm(x: np.ndarray, y: np.ndarray, c_reg: float = 1.0,
@@ -75,7 +75,8 @@ def train_svm(x: np.ndarray, y: np.ndarray, c_reg: float = 1.0,
     """One-vs-rest linear SVM on a balanced labeled set, every class fitted
     at once by full-batch subgradient descent with 1/t decay from zero
     weights. Each class keeps the iterate with its lowest objective
-    (subgradient descent is not monotone)."""
+    (subgradient descent is not monotone). Each iterate's margins give both
+    its objective and the next subgradient."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     classes = sorted(set(int(v) for v in y))
@@ -85,17 +86,18 @@ def train_svm(x: np.ndarray, y: np.ndarray, c_reg: float = 1.0,
     n = x.shape[0]
     w = np.zeros((len(classes), x.shape[1]))
     b = np.zeros(len(classes))
-    best_obj = hinge_objective(w, b, x, y_signed, c_reg)
+    margins = 1.0 - y_signed * (x @ w.T + b)
+    best_obj = hinge_objective(w, margins, c_reg)
     best_w, best_b = w.copy(), b.copy()
     for t in range(1, epochs + 1):
-        margins = 1.0 - y_signed * (x @ w.T + b)
         active = np.where(margins > 0, y_signed, 0.0)
         grad_w = w - c_reg * (active.T @ x) / n
         grad_b = -c_reg * active.sum(axis=0) / n
         step = lr / t
         w = w - step * grad_w
         b = b - step * grad_b
-        obj = hinge_objective(w, b, x, y_signed, c_reg)
+        margins = 1.0 - y_signed * (x @ w.T + b)
+        obj = hinge_objective(w, margins, c_reg)
         better = obj < best_obj
         best_obj = np.where(better, obj, best_obj)
         best_w[better], best_b[better] = w[better], b[better]

@@ -5,6 +5,10 @@ Gaussian (mu, log sigma^2); the decoder reconstructs l from a reparameterized
 sample and the attribute. After training on seen devices only, the decoder
 maps (Gaussian noise, attribute) to pseudo latents for any device. Setting
 cond_dim=0 gives a plain unconditional VAE (used by the VAE-K baseline).
+
+The model's tensors, their Glorot initialisation and their shape-checked
+loading are the `params.Model` layer the SANE encoder uses too. `train_cvae`
+with epochs=0 returns the model as initialised and an empty log.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import load_checkpoint, save_checkpoint
+from .params import Model, xavier
 
 logger = logging.getLogger("zest.cvae")
 
@@ -38,38 +43,29 @@ class CvaeConfig:
             raise ValueError(f"recon_loss must be l1 or l2, got {self.recon_loss}")
 
 
-class CvaeModel:
+class CvaeModel(Model):
     """Encoder (l + attr -> mu, logvar) and decoder (z + attr -> l-hat)."""
 
     def __init__(self, config: CvaeConfig, dtype=np.float32,
                  rng: np.random.Generator | None = None):
+        super().__init__(dtype)
         self.config = config
-        self.dtype = dtype
         if rng is None:
             rng = np.random.default_rng(config.seed)
         c = config
-
-        def xavier(fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
         enc_in = c.input_dim + c.cond_dim
         dec_in = c.z_dim + c.cond_dim
-        self.params = {
-            "enc.w1": nm.param(xavier(enc_in, c.hidden_dim), "enc.w1"),
-            "enc.b1": nm.param(np.zeros(c.hidden_dim, dtype=dtype), "enc.b1"),
-            "enc.mu_w": nm.param(xavier(c.hidden_dim, c.z_dim), "enc.mu_w"),
-            "enc.mu_b": nm.param(np.zeros(c.z_dim, dtype=dtype), "enc.mu_b"),
-            "enc.lv_w": nm.param(xavier(c.hidden_dim, c.z_dim), "enc.lv_w"),
-            "enc.lv_b": nm.param(np.zeros(c.z_dim, dtype=dtype), "enc.lv_b"),
-            "dec.w1": nm.param(xavier(dec_in, c.hidden_dim), "dec.w1"),
-            "dec.b1": nm.param(np.zeros(c.hidden_dim, dtype=dtype), "dec.b1"),
-            "dec.w2": nm.param(xavier(c.hidden_dim, c.input_dim), "dec.w2"),
-            "dec.b2": nm.param(np.zeros(c.input_dim, dtype=dtype), "dec.b2"),
-        }
-
-    def parameters(self) -> list[nm.Tensor]:
-        return list(self.params.values())
+        add_param = self.add_param
+        add_param("enc.w1", xavier(rng, enc_in, c.hidden_dim, dtype))
+        add_param("enc.b1", np.zeros(c.hidden_dim))
+        add_param("enc.mu_w", xavier(rng, c.hidden_dim, c.z_dim, dtype))
+        add_param("enc.mu_b", np.zeros(c.z_dim))
+        add_param("enc.lv_w", xavier(rng, c.hidden_dim, c.z_dim, dtype))
+        add_param("enc.lv_b", np.zeros(c.z_dim))
+        add_param("dec.w1", xavier(rng, dec_in, c.hidden_dim, dtype))
+        add_param("dec.b1", np.zeros(c.hidden_dim))
+        add_param("dec.w2", xavier(rng, c.hidden_dim, c.input_dim, dtype))
+        add_param("dec.b2", np.zeros(c.input_dim))
 
     def _with_cond(self, x: nm.Tensor, cond: np.ndarray | None) -> nm.Tensor:
         if self.config.cond_dim == 0:
@@ -98,9 +94,6 @@ class CvaeModel:
 
     # -- persistence ------------------------------------------------------
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
-
     def save(self, path: str | Path) -> None:
         save_checkpoint(path, self.state_arrays(), asdict(self.config))
 
@@ -108,8 +101,7 @@ class CvaeModel:
     def load(cls, path: str | Path) -> "CvaeModel":
         tensors, config = load_checkpoint(path)
         model = cls(CvaeConfig(**config))
-        for name, t in model.params.items():
-            t.data = np.asarray(tensors[name], dtype=model.dtype).copy()
+        model.load_state_arrays(tensors)
         return model
 
 
@@ -167,8 +159,9 @@ def train_cvae(latents: np.ndarray, conds: np.ndarray | None,
             tot_kl += kl_v * len(idx)
         log.append({"epoch": epoch, "loss": tot_loss / num,
                     "recon": tot_recon / num, "kl": tot_kl / num})
-    logger.info("cvae trained: first epoch loss %.4f, last %.4f",
-                log[0]["loss"], log[-1]["loss"])
+    if log:
+        logger.info("cvae trained: first epoch loss %.4f, last %.4f",
+                    log[0]["loss"], log[-1]["loss"])
     return model, log
 
 

@@ -255,10 +255,6 @@ class DevicePartition:
     unseen: set[int]
     seed: int
 
-    def to_dict(self) -> dict:
-        return {"seen": sorted(self.seen), "unseen": sorted(self.unseen),
-                "seed": self.seed}
-
 
 def make_partition(device_ids: list[str], num_unseen: int,
                    seed: int) -> DevicePartition:

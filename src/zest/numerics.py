@@ -1,15 +1,21 @@
-"""Dense numeric core: tensors with hand-written backward rules, Adam, and
-finite-difference gradient checking.
+"""Dense numeric core: tensors with hand-written backward rules, one Adam
+optimizer, and finite-difference gradient checking.
 
-This is intentionally *not* a general autodiff system. It supports exactly the
-primitives the models in this package need, each with an explicit backward
-rule that is validated against central finite differences in the test suite.
-Model computation runs in float32; gradient checks run in float64.
+This is intentionally *not* a general autodiff system. Its primitives are the
+ones the models in this package need: add, mul, scale, exp, matmul, linear,
+softmax, attention, layer_norm, gelu, mean_pool, concat, reshape and
+broadcast_to, and the losses cross_entropy, l1_loss, l2_loss and gaussian_kl.
+Each has an explicit backward rule that is validated against central finite
+differences in the test suite. Model computation runs in float32; gradient
+checks run in float64.
+
+`Adam` allocates one pair of moment arrays per parameter, in list order, when
+it is built. Its beta1, beta2 and epsilon are the constants of Kingma & Ba
+(arXiv 1412.6980); only the learning rate is set by the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -402,11 +408,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return out
 
 
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the row axis (second-to-last)."""
-    return concat(tensors, axis=-2)
-
-
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     out = Tensor(x.data.reshape(shape), name="reshape", _parents=(x,))
 
@@ -558,57 +559,41 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
 # optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OptimizerState:
-    """Adam accumulators shared across steps."""
-
-    learning_rate: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
-              state: OptimizerState) -> Sequence[Tensor]:
-    """One bias-corrected Adam update; mutates params in place."""
-    if state.learning_rate <= 0:
-        raise ValueError("learning rate must be positive")
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    for idx, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.data.shape:
-            raise NumericsError(
-                f"adam_step grad shape {g.shape} != param shape {p.data.shape}")
-        m = state.m.setdefault(idx, np.zeros_like(p.data))
-        v = state.v.setdefault(idx, np.zeros_like(p.data))
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g ** 2
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Convenience wrapper applying adam_step to a fixed parameter list."""
+    """Bias-corrected Adam over a fixed parameter list. `step()` updates each
+    parameter in place from its gradient (zero when it has none)."""
 
-    def __init__(self, params: Sequence[Tensor], learning_rate: float = 5e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], learning_rate: float):
+        if learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
         self.params = list(params)
-        self.state = OptimizerState(learning_rate=learning_rate, beta1=beta1,
-                                    beta2=beta2, eps=eps)
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
     def step(self) -> None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for p in self.params]
-        adam_step(self.params, grads, self.state)
+        self.step_count += 1
+        t = self.step_count
+        b1, b2, lr = ADAM_BETA1, ADAM_BETA2, self.learning_rate
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if g.shape != p.data.shape:
+                raise NumericsError(
+                    f"Adam grad shape {g.shape} != param shape {p.data.shape}")
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g ** 2
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

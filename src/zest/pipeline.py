@@ -46,9 +46,9 @@ from .synth import generate_csv, load_profiles, preset_profiles
 
 logger = logging.getLogger("zest.pipeline")
 
-# baseline -> (the latent it clusters, whether it takes the class attributes
-# as k-means seeds)
-BASELINES = {"vae-k": ("l", False), "seqcr": ("lam", False),
+# baseline -> (the latent it clusters, whether it takes the class attributes:
+# as k-means seeds, or for VAE-K as the width to compress to)
+BASELINES = {"vae-k": ("l", True), "seqcr": ("lam", False),
              "seqcs": ("lam", True), "deft": ("lam", True)}
 BASELINE_NAMES = tuple(BASELINES)
 SETTINGS = ("zsl", "gzsl")
@@ -382,15 +382,26 @@ def _partition(ctx: StageContext) -> None:
                 "splits": splits})
 
 
+def _select(idx: list[int], labels: np.ndarray, classes) -> np.ndarray:
+    """The indices in `idx` whose label is one of `classes` (a list or an
+    array), in `idx` order."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return idx[np.isin(labels[idx], classes)]
+
+
+def _test_idx(partition: dict, labels: np.ndarray, setting: str) -> np.ndarray:
+    """The test split; for ZSL, only its sequences of unseen devices."""
+    test = partition["splits"]["test"]
+    if setting == "zsl":
+        return _select(test, labels, partition["unseen"])
+    return np.asarray(test, dtype=np.int64)
+
+
 def _train_sane(ctx: StageContext) -> None:
     features, labels = ctx.dataset.features, ctx.dataset.labels
-    seen = np.asarray(ctx.partition["seen"])
-
-    def seen_split(name: str) -> np.ndarray:
-        idx = np.asarray(ctx.partition["splits"][name], dtype=np.int64)
-        return idx[np.isin(labels[idx], seen)]
-
-    train_idx, val_idx = seen_split("train"), seen_split("val")
+    seen, splits = np.asarray(ctx.partition["seen"]), ctx.partition["splits"]
+    train_idx = _select(splits["train"], labels, seen)
+    val_idx = _select(splits["val"], labels, seen)
     norm = fit_normalizer(features[train_idx])
     write_json(ctx.rdir / "normalizer.json", norm.to_dict())
 
@@ -405,12 +416,12 @@ def _train_sane(ctx: StageContext) -> None:
     model.save(ctx.rdir / "sane.ckpt")
 
 
-def _fit_idx(partition: dict, labels: np.ndarray) -> list[int]:
+def _fit_idx(partition: dict, labels: np.ndarray) -> np.ndarray:
     """The sequences attributes and clusters are fitted on: the train split,
     plus the val split of unseen devices. Test data never contributes."""
-    unseen = set(partition["unseen"])
-    return list(partition["splits"]["train"]) + [
-        i for i in partition["splits"]["val"] if int(labels[i]) in unseen]
+    return np.concatenate([
+        np.asarray(partition["splits"]["train"], dtype=np.int64),
+        _select(partition["splits"]["val"], labels, partition["unseen"])])
 
 
 def _extract_attrs(ctx: StageContext) -> None:
@@ -428,14 +439,14 @@ def _extract_attrs(ctx: StageContext) -> None:
 
 def _train_cvae(ctx: StageContext) -> None:
     labels, class_attrs = ctx.latents["labels"], ctx.class_attrs
-    seen = set(ctx.partition["seen"])
-    train_idx = [i for i in ctx.partition["splits"]["train"]
-                 if int(labels[i]) in seen]
-    for i in train_idx:
-        if int(labels[i]) not in class_attrs:
-            raise StageError("train-cvae", f"missing attribute for seen class "
-                                           f"{int(labels[i])}")
-    conds = np.stack([class_attrs[int(labels[i])] for i in train_idx])
+    train_idx = _select(ctx.partition["splits"]["train"], labels,
+                        ctx.partition["seen"])
+    classes, row_class = np.unique(labels[train_idx], return_inverse=True)
+    for c in classes.tolist():
+        if c not in class_attrs:
+            raise StageError("train-cvae",
+                             f"missing attribute for seen class {c}")
+    conds = np.stack([class_attrs[c] for c in classes.tolist()])[row_class]
     model, _ = train_cvae(ctx.latents["l"][train_idx], conds,
                           ctx.config.cvae_config(seed=ctx.seed))
     model.save(ctx.rdir / "cvae.ckpt")
@@ -482,13 +493,10 @@ def _load_classifier(path: Path):
 
 def _eval(ctx: StageContext) -> None:
     labels = ctx.latents["labels"]
-    unseen = set(ctx.partition["unseen"])
-    test_idx = ctx.partition["splits"]["test"]
     lines = []
     for setting in SETTINGS:
         model = _load_classifier(ctx.rdir / f"svm_{setting}.json")
-        idx = ([i for i in test_idx if int(labels[i]) in unseen]
-               if setting == "zsl" else list(test_idx))
+        idx = _test_idx(ctx.partition, labels, setting)
         report = evaluate(setting, model, ctx.latents["l"][idx], labels[idx],
                           extra={"method": "zest", "seed": ctx.seed})
         report.save_json(ctx.rdir / f"report_{setting}.json")
@@ -500,10 +508,8 @@ def _eval(ctx: StageContext) -> None:
 def _baseline(ctx: StageContext, name: str) -> None:
     latent, attr_seeded = BASELINES[name]
     labels, features = ctx.latents["labels"], ctx.latents[latent]
-    unseen = set(ctx.partition["unseen"])
-    num_classes = len(ctx.partition["seen"]) + len(unseen)
+    num_classes = len(ctx.partition["seen"]) + len(ctx.partition["unseen"])
     fit_idx = _fit_idx(ctx.partition, labels)
-    test_idx = ctx.partition["splits"]["test"]
     if set(ctx.class_attrs) != set(range(num_classes)):
         raise StageError(f"baseline-{name}", "missing attribute for seeding")
     attr_seeds = np.stack([ctx.class_attrs[c] for c in range(num_classes)])
@@ -511,8 +517,7 @@ def _baseline(ctx: StageContext, name: str) -> None:
 
     reports = {}
     for setting in SETTINGS:
-        idx = ([i for i in test_idx if int(labels[i]) in unseen]
-               if setting == "zsl" else list(test_idx))
+        idx = _test_idx(ctx.partition, labels, setting)
         report = pipeline(features[fit_idx], labels[fit_idx], features[idx],
                           labels[idx], *([attr_seeds] if attr_seeded else []),
                           num_classes, ctx.seed, setting=setting)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
+from .params import Model, xavier
 
 logger = logging.getLogger("zest.sane")
 
@@ -53,28 +54,19 @@ class SaneConfig:
             raise ValueError(f"encoder stack size must be >= 1, got {self.e}")
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
-            dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
-
-class SaneModel:
+class SaneModel(Model):
     """All learnable tensors of the feature extractor plus its configuration."""
 
     def __init__(self, config: SaneConfig, dtype=np.float32,
                  rng: np.random.Generator | None = None):
+        super().__init__(dtype)
         self.config = config
-        self.dtype = dtype
         if rng is None:
             rng = np.random.default_rng(config.seed)
         c = config
-        p: dict[str, nm.Tensor] = {}
+        add_param = self.add_param
 
-        def add_param(name: str, data: np.ndarray) -> None:
-            p[name] = nm.param(np.asarray(data, dtype=dtype), name=name)
-
-        add_param("embed.w", _xavier(rng, c.f, c.d_model, dtype))
+        add_param("embed.w", xavier(rng, c.f, c.d_model, dtype))
         add_param("embed.b", np.zeros(c.d_model))
         add_param("sla", rng.normal(0.0, 0.02, size=c.d_model))
         add_param("pos", rng.normal(0.0, 0.02, size=(c.n + 1, c.d_model)))
@@ -83,25 +75,22 @@ class SaneModel:
             add_param(f"{pre}.ln1.gain", np.ones(c.d_model))
             add_param(f"{pre}.ln1.bias", np.zeros(c.d_model))
             for proj in ("wq", "wk", "wv", "wo"):
-                add_param(f"{pre}.attn.{proj}", _xavier(rng, c.d_model, c.d_model, dtype))
+                add_param(f"{pre}.attn.{proj}",
+                          xavier(rng, c.d_model, c.d_model, dtype))
             for bias in ("bq", "bk", "bv", "bo"):
                 add_param(f"{pre}.attn.{bias}", np.zeros(c.d_model))
             add_param(f"{pre}.ln2.gain", np.ones(c.d_model))
             add_param(f"{pre}.ln2.bias", np.zeros(c.d_model))
-            add_param(f"{pre}.mlp.w1", _xavier(rng, c.d_model, c.d_mlp, dtype))
+            add_param(f"{pre}.mlp.w1", xavier(rng, c.d_model, c.d_mlp, dtype))
             add_param(f"{pre}.mlp.b1", np.zeros(c.d_mlp))
-            add_param(f"{pre}.mlp.w2", _xavier(rng, c.d_mlp, c.d_model, dtype))
+            add_param(f"{pre}.mlp.w2", xavier(rng, c.d_mlp, c.d_model, dtype))
             add_param(f"{pre}.mlp.b2", np.zeros(c.d_model))
-        add_param("latent_l.w", _xavier(rng, c.d_model, c.M, dtype))
+        add_param("latent_l.w", xavier(rng, c.d_model, c.M, dtype))
         add_param("latent_l.b", np.zeros(c.M))
-        add_param("latent_lam.w", _xavier(rng, c.M, c.N, dtype))
+        add_param("latent_lam.w", xavier(rng, c.M, c.N, dtype))
         add_param("latent_lam.b", np.zeros(c.N))
-        add_param("head.w", _xavier(rng, c.N, c.num_classes, dtype))
+        add_param("head.w", xavier(rng, c.N, c.num_classes, dtype))
         add_param("head.b", np.zeros(c.num_classes))
-        self.params = p
-
-    def parameters(self) -> list[nm.Tensor]:
-        return list(self.params.values())
 
     # -- forward ----------------------------------------------------------
 
@@ -132,7 +121,7 @@ class SaneModel:
         emb = nm.linear(nm.param(x, "input"), p["embed.w"], p["embed.b"])
         sla = nm.broadcast_to(nm.reshape(p["sla"], (1, 1, c.d_model)),
                               (batch, 1, c.d_model))
-        e = nm.concat_rows([sla, emb])
+        e = nm.concat([sla, emb], axis=-2)
         e = nm.add(e, p["pos"])
 
         for i in range(c.e):
@@ -183,18 +172,6 @@ class SaneModel:
         }
 
     # -- persistence ------------------------------------------------------
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
-
-    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        for name, t in self.params.items():
-            arr = np.asarray(state[name], dtype=self.dtype)
-            if arr.shape != t.data.shape:
-                raise ValueError(
-                    f"checkpoint tensor {name} has shape {arr.shape}, "
-                    f"expected {t.data.shape}")
-            t.data = arr.copy()
 
     def save(self, path: str | Path) -> None:
         save_checkpoint(path, self.state_arrays(), asdict(self.config))

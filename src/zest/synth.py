@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .ingest import (CSV_HEADER, COL_DIRECTION, COL_INTER_ARRIVAL,
                      COL_PORT_CATEGORY, COL_PROTO, COL_SIZE, DIRECTION_CODES,
                      PROTO_CODES, packet_dtype, port_category)
@@ -134,7 +135,7 @@ def generate_records(profiles: list[DeviceProfile],
 
 def write_csv(packets: np.ndarray, path: str | Path) -> None:
     protos, directions = list(PROTO_CODES), list(DIRECTION_CODES)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for ts, src, dst, src_in, dst_in, proto, size, direction, device \
                 in packets.tolist():

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from zest import baselines as bl
 from zest.baselines import (BaselineError, cluster_accuracy,
                             cluster_label_mapping, deft, kmeans, seqcr,
                             seqcs, vae_k)
@@ -201,15 +202,32 @@ class TestPipelines:
         assert r_df.accuracy >= r_cs.accuracy - 0.02
 
     def test_vae_k_trained_vs_untrained(self):
-        accs = {True: [], False: []}
+        accs = {60: [], 0: []}
         for seed in range(3):
             (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,
              k) = _pipeline_data(seed=seed)
-            for trained in (True, False):
-                r = vae_k(train_l, train_y, test_l, test_y, k, seed=seed,
-                          epochs=60, trained=trained)
-                accs[trained].append(r.accuracy)
-        assert np.mean(accs[True]) >= np.mean(accs[False])
+            # class means of the wide features: compress to width 3
+            attrs_l = np.stack([train_l[train_y == c].mean(axis=0)
+                                for c in range(k)])
+            for epochs in accs:
+                r = vae_k(train_l, train_y, test_l, test_y, attrs_l, k,
+                          seed=seed, epochs=epochs)
+                accs[epochs].append(r.accuracy)
+        assert np.mean(accs[60]) >= np.mean(accs[0])
+
+    def test_vae_k_compresses_to_attribute_width(self, monkeypatch):
+        (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,
+         k) = _pipeline_data()
+        clustered = []
+
+        def spy(points, *args, **kwargs):
+            clustered.append(points.shape)
+            return kmeans(points, *args, **kwargs)
+
+        monkeypatch.setattr(bl, "kmeans", spy)
+        attrs_4 = np.hstack([attrs, attrs])            # N = 4
+        vae_k(train_l, train_y, test_l, test_y, attrs_4, k, seed=0, epochs=2)
+        assert clustered == [(len(train_l), 4)]
 
     def test_reports_tag_pipeline(self):
         (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,

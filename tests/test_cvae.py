@@ -1,10 +1,13 @@
 """Conditional VAE loss components, training behavior, and pseudo-data
 generation."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from zest import numerics as nm
+from zest.checkpoint import save_checkpoint
 from zest.cvae import (CvaeConfig, CvaeModel, PseudoDataset, cvae_loss,
                        generate_pseudo, train_cvae)
 
@@ -177,3 +180,23 @@ def test_checkpoint_roundtrip(tmp_path):
     cond = np.zeros((4, 2), dtype=np.float32)
     np.testing.assert_array_equal(model.decode_arrays(z, cond),
                                   loaded.decode_arrays(z, cond))
+
+
+def test_load_rejects_wrong_shaped_tensor(tmp_path):
+    config = CvaeConfig(input_dim=6, cond_dim=2, z_dim=3, seed=9)
+    state = CvaeModel(config).state_arrays()
+    state["dec.w2"] = state["dec.w2"][:, :-1]
+    path = tmp_path / "cvae.ckpt"
+    save_checkpoint(path, state, asdict(config))
+    with pytest.raises(ValueError, match="dec.w2"):
+        CvaeModel.load(path)
+
+
+def test_zero_epochs_returns_initial_model():
+    latents, conds, _, _, _ = _toy_latents()
+    config = CvaeConfig(input_dim=8, cond_dim=3, z_dim=4, epochs=0, seed=4)
+    model, log = train_cvae(latents, conds, config)
+    assert log == []
+    initial = CvaeModel(config).state_arrays()
+    for name, arr in model.state_arrays().items():
+        np.testing.assert_array_equal(arr, initial[name])

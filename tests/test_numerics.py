@@ -89,7 +89,7 @@ def test_grad_pool_concat_reshape_transpose(seed):
     b = nm.param(_rand(rng, 2, 1, 4))
 
     def f():
-        c = nm.concat_rows([b, a])            # (2, 4, 4)
+        c = nm.concat([b, a], axis=-2)        # (2, 4, 4)
         c = nm.reshape(c, (2, 16))
         c = nm.reshape(c, (2, 4, 4))
         p = nm.mean_pool(c)                   # (2, 4)
@@ -285,10 +285,19 @@ def test_non_finite_is_fatal():
         nm.exp(nm.param(np.array([1e6])))
 
 
+def _adam_step(opt, grads):
+    for p, g in zip(opt.params, grads):
+        p.grad = np.asarray(g, dtype=p.data.dtype)
+    opt.step()
+
+
 def test_adam_zero_gradient_keeps_params():
     p = nm.param(np.array([1.0, -2.0, 3.0]))
-    state = nm.OptimizerState(learning_rate=0.1)
-    nm.adam_step([p], [np.zeros(3)], state)
+    opt = nm.Adam([p], learning_rate=0.1)
+    _adam_step(opt, [np.zeros(3)])
+    np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
+    opt.zero_grad()    # no gradient counts as a zero gradient
+    opt.step()
     np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
 
@@ -296,8 +305,7 @@ def test_adam_first_step_is_lr_times_sign():
     # bias correction: m_hat = g, v_hat = g^2, update = -lr*g/(|g|+eps)
     g = np.array([0.3, -4.0, 1e-3])
     p = nm.param(np.zeros(3))
-    state = nm.OptimizerState(learning_rate=0.05)
-    nm.adam_step([p], [g], state)
+    _adam_step(nm.Adam([p], learning_rate=0.05), [g])
     np.testing.assert_allclose(p.data, -0.05 * np.sign(g), rtol=1e-4)
 
 
@@ -305,11 +313,11 @@ def test_adam_constant_gradient_step_approaches_lr():
     # with constant g, m_hat/v_hat -> g/|g|, so |delta| -> lr
     g = np.array([2.5])
     p = nm.param(np.array([0.0]))
-    state = nm.OptimizerState(learning_rate=0.01)
+    opt = nm.Adam([p], learning_rate=0.01)
     prev = p.data.copy()
     for _ in range(500):
         prev = p.data.copy()
-        nm.adam_step([p], [g], state)
+        _adam_step(opt, [g])
     assert abs(abs(p.data.item() - prev.item()) - 0.01) < 1e-4
 
 
@@ -317,13 +325,22 @@ def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(5)
         p = nm.param(rng.normal(size=(4, 4)))
-        state = nm.OptimizerState(learning_rate=0.01)
+        opt = nm.Adam([p], learning_rate=0.01)
         for i in range(10):
             g = rng.normal(size=(4, 4))
-            nm.adam_step([p], [g], state)
+            _adam_step(opt, [g])
         return p.data
 
     np.testing.assert_array_equal(run(), run())
+
+
+def test_adam_rejects_bad_learning_rate_and_grad_shape():
+    p = nm.param(np.zeros(3))
+    with pytest.raises(ValueError, match="learning rate"):
+        nm.Adam([p], learning_rate=0.0)
+    p.grad = np.zeros(4)
+    with pytest.raises(nm.NumericsError, match="grad shape"):
+        nm.Adam([p], learning_rate=0.1).step()
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -25,7 +25,7 @@ from zest.ingest import Dataset, load_dataset, save_dataset
 from zest.pipeline import (STAGES, ExperimentConfig, RunLock, StageContext,
                            StageError, resolve_config, write_json)
 from zest.sane import SaneConfig, SaneModel, train_sane
-from zest.synth import save_profiles
+from zest.synth import generate_csv, save_profiles
 
 
 def _command(stage_name: str) -> list[str]:
@@ -91,6 +91,9 @@ TEXT_WRITERS = {
     "report.txt": lambda d, v, _: pl.write_aggregate(_aggregate_rows(v), d),
     "report_gzsl.json": lambda d, v, _: build_report(
         "gzsl", [0, 1], [0, v % 2], [0, 1]).save_json(d / "report_gzsl.json"),
+    "traffic.csv": lambda d, v, _: generate_csv(
+        tiny_profiles(num_devices=2, sessions=v), seed=0,
+        path=d / "traffic.csv"),
 }
 
 
