@@ -41,6 +41,10 @@ class CvaeConfig:
     def __post_init__(self):
         if self.recon_loss not in ("l1", "l2"):
             raise ValueError(f"recon_loss must be l1 or l2, got {self.recon_loss}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 class CvaeModel(Model):

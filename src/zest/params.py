@@ -33,10 +33,12 @@ class Model:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
+        """Write each named array into its tensor in place, so an optimizer
+        whose buffer the tensors view keeps training the loaded values."""
         for name, t in self.params.items():
             arr = np.asarray(state[name], dtype=self.dtype)
             if arr.shape != t.data.shape:
                 raise ValueError(
                     f"checkpoint tensor {name} has shape {arr.shape}, "
                     f"expected {t.data.shape}")
-            t.data = arr.copy()
+            t.data[...] = arr

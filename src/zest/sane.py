@@ -52,6 +52,10 @@ class SaneConfig:
             raise ValueError(f"require N < M, got N={self.N}, M={self.M}")
         if self.e < 1:
             raise ValueError(f"encoder stack size must be >= 1, got {self.e}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 class SaneModel(Model):
@@ -203,6 +207,9 @@ def train_sane(x_train: np.ndarray, y_train: np.ndarray, x_val: np.ndarray,
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValueError(f"no training data for class {int(empty[0])}")
+    if len(x_val) == 0:
+        raise ValueError("the validation split is empty: the best epoch "
+                         "is chosen on it")
 
     rng = np.random.default_rng(config.seed)
     model = SaneModel(config, rng=rng)

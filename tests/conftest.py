@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from zest.ingest import (apply_normalizer, build_dataset, fit_normalizer,
                          split_indices)
 from zest.sane import SaneConfig, SaneModel, train_sane
 from zest.synth import DeviceProfile, generate_records
+
+# property tests draw the same examples on every run, and a failure prints
+# the blob that replays it
+settings.register_profile("derandomized", derandomize=True, print_blob=True)
+settings.load_profile("derandomized")
 
 TINY_N = 10
 

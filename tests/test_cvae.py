@@ -117,6 +117,13 @@ def test_attribute_shape_mismatch_fatal():
         train_cvae(latents, None, config)
 
 
+@pytest.mark.parametrize("field, value", [("batch_size", 0),
+                                          ("batch_size", -3), ("epochs", -1)])
+def test_config_rejects_bad_batch_size_and_epochs(field, value):
+    with pytest.raises(ValueError, match=field):
+        CvaeConfig(**{field: value})
+
+
 def test_recon_loss_switch():
     with pytest.raises(ValueError, match="recon_loss"):
         CvaeConfig(recon_loss="huber")

@@ -1,11 +1,19 @@
 """Gradient correctness of every primitive against central finite
-differences, plus optimizer and serialization behavior."""
+differences, the GELU kernel's error against the erf-based GELU, `linear`
+and the flat Adam against reference forms, plus serialization."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import erf
 
 from zest import numerics as nm
 from zest.checkpoint import load_checkpoint, save_checkpoint
+from zest.cvae import CvaeConfig, CvaeModel
 
 RNG_SEEDS = list(range(12))
 
@@ -285,6 +293,67 @@ def test_non_finite_is_fatal():
         nm.exp(nm.param(np.array([1e6])))
 
 
+# signed zeros, subnormals, |x| > 6 up to the float32 limit, and a grid
+# over the range where the cdf is neither 0 nor 1
+_GELU_EDGES = np.concatenate([
+    np.array([0.0, -0.0, 1e-45, -1e-45, 1e-39, -1e-39, 6.5, -6.5, 40.0,
+              -40.0, 1e30, -1e30, 3.4e38, -3.4e38], dtype=np.float32),
+    np.linspace(-8.0, 8.0, 4001, dtype=np.float32)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float32, st.integers(1, 300),
+              elements=st.floats(width=32, allow_nan=False,
+                                 allow_infinity=False)),
+       st.integers(256, 8192))
+def test_gelu_within_5e7_of_erf_gelu(x, block):
+    x = np.concatenate([x, _GELU_EDGES])
+    x64 = x.astype(np.float64)
+    want = x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
+    with mock.patch.object(nm, "GELU_BLOCK_ELEMS", block):
+        got = nm.gelu(nm.param(x)).data
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() <= 5e-7
+
+
+def test_gelu_non_finite_is_fatal():
+    for bad in (np.nan, np.inf, -np.inf):
+        # the bad value sits in the second of three blocks
+        x = np.linspace(-3.0, 3.0, 12, dtype=np.float32)
+        x[6] = bad
+        with mock.patch.object(nm, "GELU_BLOCK_ELEMS", 5), \
+                pytest.raises(nm.NumericsError, match="gelu"):
+            nm.gelu(nm.param(x))
+
+
+def _reference_linear(x, w, b, g):
+    """Output and x, w, b gradients of x @ w + b for the upstream gradient
+    g, with the input gradient as one 3-D product."""
+    k, n = w.shape
+    return (x @ w + b, g @ w.T, x.reshape(-1, k).T @ g.reshape(-1, n),
+            g.reshape(-1, n).sum(axis=0))
+
+
+@pytest.mark.parametrize("shape", [(4, 26, 64, 256), (3, 7, 256, 64),
+                                   (2, 5, 8, 64)])
+def test_linear_matches_3d_reference(shape):
+    batch, tokens, k, n = shape
+    rng = np.random.default_rng(k + n)
+    # small integers: every product and sum is exact in float32, so any
+    # summation order gives the same bits
+    x, w, b, g = (rng.integers(-4, 5, size=s).astype(np.float32)
+                  for s in ((batch, tokens, k), (k, n), (n,),
+                            (batch, tokens, n)))
+    xt, wt, bt = nm.param(x), nm.param(w), nm.param(b)
+    out = nm.linear(xt, wt, bt)
+    out.grad = g
+    out._backward(out)
+    want = _reference_linear(x, w, b, g)
+    for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), want):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, ref)
+
+
 def _adam_step(opt, grads):
     for p, g in zip(opt.params, grads):
         p.grad = np.asarray(g, dtype=p.data.dtype)
@@ -334,6 +403,62 @@ def test_adam_deterministic():
     np.testing.assert_array_equal(run(), run())
 
 
+def _reference_adam(values, grads, lr):
+    """Adam applied parameter by parameter, the rule the flat buffer
+    implements; `grads` holds one list per step, None for no gradient."""
+    b1, b2 = nm.ADAM_BETA1, nm.ADAM_BETA2
+    params = [x.copy() for x in values]
+    m = [np.zeros_like(x) for x in values]
+    v = [np.zeros_like(x) for x in values]
+    for t, step_grads in enumerate(grads, start=1):
+        for i, g in enumerate(step_grads):
+            if g is None:
+                g = np.zeros_like(params[i])
+            m[i] *= b1
+            m[i] += (1 - b1) * g
+            v[i] *= b2
+            v[i] += (1 - b2) * g ** 2
+            m_hat = m[i] / (1 - b1 ** t)
+            v_hat = v[i] / (1 - b2 ** t)
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + nm.ADAM_EPS)
+    return params
+
+
+def test_adam_flat_buffer_matches_per_parameter_rule():
+    rng = np.random.default_rng(11)
+    shapes = [(3, 4), (5,), (), (2, 1, 3)]
+    values = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    # the third parameter never has a gradient; the last skips every 7th step
+    grads = [[rng.normal(size=s).astype(np.float32)
+              if i != 2 and not (i == 3 and t % 7 == 0) else None
+              for i, s in enumerate(shapes)] for t in range(50)]
+    params = [nm.param(v.copy()) for v in values]
+    opt = nm.Adam(params, learning_rate=3e-3)
+    for step_grads in grads:
+        opt.zero_grad()
+        for p, g in zip(params, step_grads):
+            p.grad = g
+        opt.step()
+    for p, want in zip(params, _reference_adam(values, grads, 3e-3)):
+        assert p.data.dtype == np.float32 and p.data.shape == want.shape
+        np.testing.assert_array_equal(p.data, want)
+    np.testing.assert_array_equal(params[2].data, values[2])
+
+
+def test_adam_keeps_training_a_loaded_model():
+    config = CvaeConfig(input_dim=4, cond_dim=2, z_dim=2, hidden_dim=5)
+    model = CvaeModel(config)
+    opt = nm.Adam(model.parameters(), learning_rate=0.1)
+    loaded = CvaeModel(config, rng=np.random.default_rng(8)).state_arrays()
+    model.load_state_arrays(loaded)
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(t.data, loaded[name])
+        t.grad = np.ones_like(t.data)
+    opt.step()
+    for name, t in model.params.items():
+        assert np.all(t.data != loaded[name]), name
+
+
 def test_adam_rejects_bad_learning_rate_and_grad_shape():
     p = nm.param(np.zeros(3))
     with pytest.raises(ValueError, match="learning rate"):
@@ -341,6 +466,8 @@ def test_adam_rejects_bad_learning_rate_and_grad_shape():
     p.grad = np.zeros(4)
     with pytest.raises(nm.NumericsError, match="grad shape"):
         nm.Adam([p], learning_rate=0.1).step()
+    with pytest.raises(nm.NumericsError, match="one dtype"):
+        nm.Adam([p, nm.param(np.zeros(3, dtype=np.float32))], 0.1)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

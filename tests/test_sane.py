@@ -16,6 +16,10 @@ def test_config_validation():
         SaneConfig(M=3, N=3)
     with pytest.raises(ValueError, match="stack"):
         SaneConfig(e=0)
+    with pytest.raises(ValueError, match="batch_size"):
+        SaneConfig(batch_size=0)
+    with pytest.raises(ValueError, match="epochs"):
+        SaneConfig(epochs=-1)
 
 
 def test_output_shapes(tiny_model):
@@ -137,6 +141,14 @@ def test_empty_class_fatal(tiny_splits):
     x, y = train
     with pytest.raises(ValueError, match="class 1"):
         train_sane(x[y != 1], y[y != 1], *val, tiny_config())
+
+
+def test_empty_validation_split_fatal():
+    # two sequences per device: the 60/20/20 split leaves no val sequence
+    train, val, _, _ = make_tiny_splits(sessions=2)
+    assert len(val[0]) == 0
+    with pytest.raises(ValueError, match="validation split"):
+        train_sane(*train, *val, tiny_config())
 
 
 def test_empty_test_set_fatal(tiny_trained):
