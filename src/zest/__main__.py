@@ -1,0 +1,9 @@
+"""`python -m zest`: the `zest` command line, runnable from a checkout
+with `PYTHONPATH=src` and no install."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

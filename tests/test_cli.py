@@ -4,6 +4,8 @@ experiment."""
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,9 +14,9 @@ import pytest
 
 from conftest import tiny_profiles
 from zest.cli import main
-from zest.pipeline import (ExperimentConfig, StageError, resolve_config,
-                           run_pipeline, run_sweep, stage_baseline,
-                           stage_eval, stage_ingest)
+from zest.pipeline import (STAGES, ExperimentConfig, StageError,
+                           resolve_config, run_pipeline, run_sweep,
+                           stage_baseline, stage_eval, stage_ingest)
 from zest.synth import save_profiles
 
 SANE_OVERRIDES = {"d_model": 16, "e": 1, "h": 2, "d_mlp": 32, "M": 8, "N": 3,
@@ -56,6 +58,16 @@ def test_synth_command(tmp_path, profile_file):
 
 def test_synth_requires_one_source(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def test_python_m_zest_runs_from_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "zest", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    for name in STAGES:
+        assert name.replace("baseline-", "baseline ", 1) in done.stdout
 
 
 def test_stage_artifacts_exist(experiment):

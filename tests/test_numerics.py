@@ -150,15 +150,34 @@ def test_grad_attention(seed):
     _check(f, inputs)
 
 
-@pytest.mark.parametrize("heads", [1, 2])
-def test_attention_matches_composite_across_chunks(heads):
-    tokens, d = 96, 8
+@pytest.mark.parametrize("tokens, d, heads, full_chunks, w_scale, bk_scale", [
+    pytest.param(96, 8, 1, 2, 1.0, 1.0, id="1"),
+    pytest.param(96, 8, 2, 2, 1.0, 1.0, id="2"),
+    # SANE's short-sequence shape, weights at its Xavier scale 1/sqrt(d)
+    pytest.param(26, 64, 8, 1, 0.125, 1.0, id="sane-short"),
+    # a large key bias adds q.bk to every score of a query: the softmax is
+    # unchanged, but unshifted float32 exp would overflow, and a shift that
+    # is not each query's own max can leave a query's exp-sum 0
+    pytest.param(96, 8, 2, 1, 1.0, 30.0, id="large-scores"),
+])
+def test_attention_matches_composite_across_chunks(tokens, d, heads,
+                                                   full_chunks, w_scale,
+                                                   bk_scale):
     step = nm.ATTN_SCORE_ELEMS // (heads * tokens * tokens)
-    # two full chunks and a shorter last one
-    batch = 2 * step + step // 2
+    # full chunks and a shorter last one
+    batch = full_chunks * step + step // 2
     assert step >= 2 and batch % step
     rng = np.random.default_rng(heads)
     inputs = _attention_inputs(rng, batch, tokens, d)
+    x, wq, bq, wk, bk, wv, bv = (t.data for t in inputs)
+    for w in (wq, wk, wv):
+        w *= w_scale
+    bk *= bk_scale
+    if bk_scale > 1:
+        q, k = (a.reshape(batch, tokens, heads, -1)
+                for a in (x @ wq + bq, x @ wk + bk))
+        scores = np.einsum("bqhe,bkhe->bhqk", q, k) / np.sqrt(d // heads)
+        assert np.abs(scores).max() > np.log(np.finfo(np.float32).max)
     target = _rand(rng, batch, tokens, d)
     grads = []
     for f in (nm.attention, _reference_attention):
@@ -258,16 +277,48 @@ def test_softmax_shift_invariance():
         np.testing.assert_allclose(a, b, atol=1e-6)
 
 
+def _reference_layer_norm(x, gain, bias, g):
+    """Output and x, gain and bias gradients by `np.mean`, in float64."""
+    x, gain, bias, g = (np.asarray(a, dtype=np.float64)
+                        for a in (x, gain, bias, g))
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True)
+                            + nm.LN_EPS)
+    xhat = centered * inv_std
+    gxhat = g * gain
+    gx = inv_std * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+    d = x.shape[-1]
+    return (gain * xhat + bias, gx, (g * xhat).reshape(-1, d).sum(axis=0),
+            g.reshape(-1, d).sum(axis=0))
+
+
 def test_layer_norm_standardizes_and_shift_invariant():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(6, 16)) * 3 + 5
-    gain = nm.param(np.ones(16))
-    bias = nm.param(np.zeros(16))
-    out = nm.layer_norm(nm.param(x), gain, bias).data
-    np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-5)
-    np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-3)
-    shifted = nm.layer_norm(nm.param(x + 7.5), gain, bias).data
-    np.testing.assert_allclose(out, shifted, atol=1e-5)
+    for width in (1, 3, 64):
+        x = rng.normal(size=(6, width)) * 3 + 5
+        gain = nm.param(np.ones(width))
+        bias = nm.param(np.zeros(width))
+        out = nm.layer_norm(nm.param(x), gain, bias).data
+        np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-5)
+        # a single value normalises to 0
+        np.testing.assert_allclose(out.var(axis=1), float(width > 1),
+                                   atol=1e-3)
+        shifted = nm.layer_norm(nm.param(x + 7.5), gain, bias).data
+        np.testing.assert_allclose(out, shifted, atol=1e-5)
+        # float32, as the models run, against the float64 reference
+        x, gain, bias, g = (rng.normal(size=shape).astype(np.float32)
+                            for shape in ((4, 5, width), (width,), (width,),
+                                          (4, 5, width)))
+        x = x * 3 + 5
+        leaves = [nm.param(a) for a in (x, gain, bias)]
+        out = nm.layer_norm(*leaves)
+        out.grad = g
+        out._backward(out)
+        want = _reference_layer_norm(x, gain, bias, g)
+        for got, ref in zip([out.data] + [t.grad for t in leaves], want):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-4)
 
 
 def test_matmul_identity():
@@ -286,6 +337,14 @@ def test_cross_entropy_confident_limit():
     logits = np.array([[30.0, 0.0, 0.0], [0.0, 30.0, 0.0]])
     loss = nm.cross_entropy(nm.param(logits), np.array([0, 1]))
     assert float(loss.data) < 1e-9
+
+
+def test_cross_entropy_rejects_bad_labels():
+    logits = nm.param(np.array([[0.0, 1.0, 2.0]]))
+    nm.cross_entropy(logits, np.array([2]))
+    for labels in (np.array([-1]), np.array([3]), np.array([2.0])):
+        with pytest.raises(nm.NumericsError, match="cross_entropy labels"):
+            nm.cross_entropy(logits, labels)
 
 
 def test_non_finite_is_fatal():
