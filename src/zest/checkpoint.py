@@ -54,13 +54,13 @@ def json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def write_json(path: str | Path, payload: dict) -> None:
+def write_json(path: str | Path, payload: dict | list) -> None:
     with atomic_write(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")
 
 
-def read_json(path: str | Path) -> dict:
+def read_json(path: str | Path) -> dict | list:
     with open(path) as fh:
         return json.load(fh)
 

@@ -2,7 +2,8 @@
 
 The encoder compresses a latent l conditioned on its device attribute into a
 Gaussian (mu, log sigma^2); the decoder reconstructs l from a reparameterized
-sample and the attribute. After training on seen devices only, the decoder
+sample and the attribute, under the paper's L1 reconstruction loss plus the
+KL term. After training on seen devices only, the decoder
 maps (Gaussian noise, attribute) to pseudo latents for any device. Setting
 cond_dim=0 gives a plain unconditional VAE (used by the VAE-K baseline).
 
@@ -35,12 +36,9 @@ class CvaeConfig:
     epochs: int = 200
     batch_size: int = 64
     learning_rate: float = 1e-3
-    recon_loss: str = "l1"     # "l1" (as specified) or "l2"
     seed: int = 0
 
     def __post_init__(self):
-        if self.recon_loss not in ("l1", "l2"):
-            raise ValueError(f"recon_loss must be l1 or l2, got {self.recon_loss}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -111,7 +109,7 @@ class CvaeModel(Model):
 
 def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray | None,
               eps: np.ndarray) -> tuple[nm.Tensor, float, float]:
-    """Reconstruction + KL(N(mu, sigma) || N(0, 1)) with a reparameterized
+    """L1 reconstruction + KL(N(mu, sigma) || N(0, 1)) with a reparameterized
     sample z = mu + sigma * eps. Returns (loss tensor, recon value, kl value)."""
     batch = np.asarray(batch, dtype=model.dtype)
     x = nm.param(batch)
@@ -119,10 +117,7 @@ def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray | None,
     sigma = nm.exp(nm.scale(logvar, 0.5))
     z = nm.add(mu, nm.mul(sigma, nm.param(np.asarray(eps, dtype=model.dtype))))
     recon = model.decode(z, cond)
-    if model.config.recon_loss == "l1":
-        recon_term = nm.l1_loss(recon, batch)
-    else:
-        recon_term = nm.l2_loss(recon, batch)
+    recon_term = nm.l1_loss(recon, batch)
     kl_term = nm.gaussian_kl(mu, logvar)
     loss = nm.add(recon_term, kl_term)
     return loss, float(recon_term.data), float(kl_term.data)

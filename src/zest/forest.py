@@ -1,12 +1,13 @@
-"""Random forest of Gini decision trees with bootstrap sampling and sqrt(d)
-feature subsampling per split, stored as flat node arrays.
+"""Random forest of Gini decision trees, as DEFT uses it: each tree grows on
+a bootstrap sample and each split weighs sqrt(d) randomly drawn features.
+The trees are stored as flat node arrays.
 
 Every node of every tree is one index into `feature`, `threshold`, `left`,
 `right` and `label`; `roots` holds each tree's root. A leaf has feature -1
 and is its own left and right child, so `max_depth` branch steps from the
 roots, taken for all rows and trees at once, end on every row's leaves.
 Prediction is a majority vote over trees, ties going to the lowest label;
-with a single tree and bootstrap disabled it is that tree's output.
+with a single tree it is that tree's output.
 """
 
 from __future__ import annotations
@@ -50,12 +51,9 @@ def _gini_best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray,
 
 class RandomForest:
     def __init__(self, n_trees: int = 50, max_depth: int = 10,
-                 bootstrap: bool = True, feature_subsample: bool = True,
                  seed: int = 0):
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.bootstrap = bootstrap
-        self.feature_subsample = feature_subsample
         self.seed = seed
         self.num_classes = 0
 
@@ -67,10 +65,7 @@ class RandomForest:
         roots = []
         for t in range(self.n_trees):
             rng = np.random.default_rng([self.seed, t])
-            if self.bootstrap:
-                idx = rng.integers(0, x.shape[0], size=x.shape[0])
-            else:
-                idx = np.arange(x.shape[0])
+            idx = rng.integers(0, x.shape[0], size=x.shape[0])
             roots.append(self._build(nodes, x[idx], y[idx], depth=0,
                                      rng=np.random.default_rng([self.seed, t,
                                                                 1])))
@@ -93,11 +88,8 @@ class RandomForest:
         if depth >= self.max_depth or counts.max() == y.size or y.size < 2:
             return node
         dim = x.shape[1]
-        if self.feature_subsample:
-            m = max(1, int(np.sqrt(dim)))
-            features = rng.choice(dim, size=m, replace=False)
-        else:
-            features = np.arange(dim)
+        m = max(1, int(np.sqrt(dim)))
+        features = rng.choice(dim, size=m, replace=False)
         feature, threshold, gini = _gini_best_split(x, y, features,
                                                     self.num_classes)
         if feature < 0:

@@ -4,7 +4,7 @@ optimizer, and finite-difference gradient checking.
 This is intentionally *not* a general autodiff system. Its primitives are the
 ones the models in this package need: add, mul, scale, exp, matmul, linear,
 softmax, attention, layer_norm, gelu, mean_pool, concat, reshape and
-broadcast_to, and the losses cross_entropy, l1_loss, l2_loss and gaussian_kl.
+broadcast_to, and the losses cross_entropy, l1_loss and gaussian_kl.
 Each has an explicit backward rule that is validated against central finite
 differences in the test suite. Model computation runs in float32; gradient
 checks run in float64.
@@ -268,13 +268,17 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
-def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
-              wv: Tensor, bv: Tensor, heads: int) -> Tensor:
+def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
+              bv: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product self-attention over x (B, T, d).
 
-    With q = x wq + bq, k = x wk + bk and v = x wv + bv split into `heads`
-    heads of width d / heads, returns the (B, T, d) context
+    With q = x wq + bq, k = x wk and v = x wv + bv split into `heads` heads
+    of width d / heads, returns the (B, T, d) context
     softmax(q k^T / sqrt(d / heads)) v, heads side by side.
+
+    k has no bias: a key bias bk adds q.bk to every score of a query, which
+    the softmax cancels, so its gradient is rounding noise. Whisper drops
+    it for the same reason (Radford et al., arXiv 2212.04356).
 
     The batch runs in chunks whose scores hold at most ATTN_SCORE_ELEMS
     elements, and only each query's score max and exp-sum l are kept:
@@ -299,15 +303,16 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     batch, tokens, d = x.shape
     if (heads < 1 or d % heads
             or any(w.shape != (d, d) for w in (wq, wk, wv))
-            or any(b.shape != (d,) for b in (bq, bk, bv))):
+            or any(b.shape != (d,) for b in (bq, bv))):
         raise NumericsError(
             f"attention shape mismatch: input {x.shape}, {heads} heads, "
             f"weights {[w.shape for w in (wq, wk, wv)]}, "
-            f"biases {[b.shape for b in (bq, bk, bv)]}")
+            f"biases {[b.shape for b in (bq, bv)]}")
     head_dim = d // heads
     c = 1.0 / float(np.sqrt(head_dim))
     w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv = x.data @ w + np.concatenate([bq.data, bk.data, bv.data])
+    qkv = x.data @ w + np.concatenate([bq.data, np.zeros_like(bq.data),
+                                       bv.data])
     _require_finite("attention", qkv)
     # (3, B, h, T, head_dim) views of q, k and v
     qkv = qkv.reshape(batch, tokens, 3, heads, head_dim)
@@ -339,7 +344,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     out_data = out_data.reshape(batch, tokens, d)
     _require_finite("attention", out_data)
     out = Tensor(out_data, name="attention",
-                 _parents=(x, wq, bq, wk, bk, wv, bv))
+                 _parents=(x, wq, bq, wk, wv, bv))
 
     def bw(o: Tensor) -> None:
         g = o.grad.reshape(batch, tokens, heads, head_dim)
@@ -376,8 +381,8 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         g_qkv = g_qkv.reshape(batch * tokens, 3 * d)
         x._accumulate((g_qkv @ w.T).reshape(x.shape), own=True)
         g_w = np.split(x.data.reshape(-1, d).T @ g_qkv, 3, axis=1)
-        g_b = np.split(g_qkv.sum(axis=0), 3)
-        for t, g_t in zip((wq, wk, wv, bq, bk, bv), g_w + g_b):
+        g_bq, _, g_bv = np.split(g_qkv.sum(axis=0), 3)
+        for t, g_t in zip((wq, wk, wv, bq, bv), g_w + [g_bq, g_bv]):
             t._accumulate(g_t, own=True)
 
     out._backward = bw
@@ -591,26 +596,6 @@ def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 
     def bw(o: Tensor) -> None:
         pred._accumulate(o.grad * np.sign(diff) / batch, own=True)
-
-    out._backward = bw
-    return out
-
-
-def l2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Sum of squared errors over the last axis, averaged over the batch."""
-    target = np.asarray(target)
-    if pred.data.shape != target.shape:
-        raise NumericsError(
-            f"l2_loss shape mismatch: {pred.data.shape} vs {target.shape}")
-    diff = pred.data - target
-    batch = pred.data.shape[0] if pred.data.ndim > 1 else 1
-    val = (diff ** 2).sum() / batch
-    _require_finite("l2_loss", np.asarray(val))
-    out = Tensor(np.asarray(val, dtype=pred.dtype), name="l2_loss",
-                 _parents=(pred,))
-
-    def bw(o: Tensor) -> None:
-        pred._accumulate(o.grad * 2.0 * diff / batch, own=True)
 
     out._backward = bw
     return out

@@ -86,6 +86,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds list must be non-empty")
+        if self.num_unseen < 1:
+            raise ValueError(f"num_unseen must be >= 1, got {self.num_unseen}")
         unknown = set(self.baselines) - set(BASELINE_NAMES)
         if unknown:
             raise ValueError(f"unknown baselines {sorted(unknown)}; "
@@ -109,22 +111,22 @@ class ExperimentConfig:
 
 
 def resolve_config(outdir: str | Path, overrides: dict | None = None) -> ExperimentConfig:
-    """Load outdir/config.json if present, apply overrides, persist."""
+    """Load outdir/config.json if present, apply overrides, validate the
+    result and persist it."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "config.json"
-    if path.exists():
-        config = ExperimentConfig(**read_json(path))
-        config.outdir = str(outdir)
-    else:
-        config = ExperimentConfig(outdir=str(outdir))
+    fields = (read_json(path) if path.exists()
+              else asdict(ExperimentConfig(outdir=str(outdir))))
+    fields["outdir"] = str(outdir)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key in ("sane", "cvae", "svm"):
-            getattr(config, key).update(value)
+            fields[key] = {**fields.get(key, {}), **value}
         else:
-            setattr(config, key, value)
+            fields[key] = value
+    config = ExperimentConfig(**fields)
     config.save(path)
     return config
 
@@ -371,11 +373,8 @@ class Stage:
 def _partition(ctx: StageContext) -> None:
     config, dataset = ctx.config, ctx.dataset
     devices = dataset.device_ids
-    if config.num_unseen > 0:
-        part = make_partition(devices, config.num_unseen, ctx.seed)
-        seen, unseen = sorted(part.seen), sorted(part.unseen)
-    else:
-        seen, unseen = list(range(len(devices))), []
+    part = make_partition(devices, config.num_unseen, ctx.seed)
+    seen, unseen = sorted(part.seen), sorted(part.unseen)
     splits = split_indices(dataset.labels, tuple(config.ratios), ctx.seed)
     write_json(ctx.rdir / "partition.json",
                {"seed": ctx.seed, "seen": seen, "unseen": unseen,
@@ -715,16 +714,18 @@ def run_sweep(config: ExperimentConfig, param: str,
                                   f"have {sorted(SWEEP_PARAMS)}")
     section, key, cast = SWEEP_PARAMS[param]
     sweep_root = Path(config.outdir) / f"sweep-{param}"
-    sweep_root.mkdir(parents=True, exist_ok=True)
-    all_rows = []
-    for value in values:
-        value = cast(value)
-        sub = ExperimentConfig(**asdict(config))
-        sub.outdir = str(sweep_root / str(value))
+    subs = []
+    for value in map(cast, values):
+        fields = asdict(config)
+        fields["outdir"] = str(sweep_root / str(value))
         if section is None:
-            setattr(sub, key, value)
+            fields[key] = value
         else:
-            getattr(sub, section)[key] = value
+            fields[section][key] = value
+        # every value is validated before the first one runs
+        subs.append((value, ExperimentConfig(**fields)))
+    all_rows = []
+    for value, sub in subs:
         Path(sub.outdir).mkdir(parents=True, exist_ok=True)
         sub.save(Path(sub.outdir) / "config.json")
         rows = run_pipeline(sub)

@@ -1,16 +1,16 @@
 """Self-attention feature extractor over packet sequences.
 
-A stack of pre-norm encoder blocks over packet embeddings with a learnable
-sequence-level aggregation (SLA) token and positional embedding, average
-pooling, two latent heads (l of width M, lambda of width N) and a softmax
-classifier over seen device classes.
+A stack of pre-norm encoder blocks, in the one form the paper prints, over
+packet embeddings with a learnable sequence-level aggregation (SLA) token
+and positional embedding, average pooling, two latent heads (l of width M,
+lambda of width N) and a softmax classifier over seen device classes.
 
 Each block's multi-head self-attention is one `numerics.attention` call
-(Q/K/V projections, scaled scores, softmax and context in a single op with a
-hand-written backward) followed by the output projection `wo`/`bo`. That op
-works through the batch in bounded chunks and recomputes the attention
-probabilities in backward, so neither training nor encoding keeps a
-(B, h, n+1, n+1) array; the attention maps are not returned.
+(Q/K/V projections, K's without a bias; scaled scores, softmax and context
+in a single op with a hand-written backward) followed by the output
+projection `wo`/`bo`. That op works through the batch in bounded chunks and
+recomputes the attention probabilities in backward, so neither training nor
+encoding keeps a (B, h, n+1, n+1) array; the attention maps are not returned.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class SaneConfig:
     epochs: int = 20
     learning_rate: float = 5e-4
     seed: int = 0
-    standard_residual: bool = False   # post-norm encoder variant
 
     def __post_init__(self):
         if self.d_model % self.h != 0:
@@ -81,7 +80,7 @@ class SaneModel(Model):
             for proj in ("wq", "wk", "wv", "wo"):
                 add_param(f"{pre}.attn.{proj}",
                           xavier(rng, c.d_model, c.d_model, dtype))
-            for bias in ("bq", "bk", "bv", "bo"):
+            for bias in ("bq", "bv", "bo"):
                 add_param(f"{pre}.attn.{bias}", np.zeros(c.d_model))
             add_param(f"{pre}.ln2.gain", np.ones(c.d_model))
             add_param(f"{pre}.ln2.bias", np.zeros(c.d_model))
@@ -102,7 +101,7 @@ class SaneModel(Model):
         p = self.params
         pre = f"block{block}.attn"
         ctx = nm.attention(x, *(p[f"{pre}.{name}"] for name in
-                                ("wq", "bq", "wk", "bk", "wv", "bv")),
+                                ("wq", "bq", "wk", "wv", "bv")),
                            heads=self.config.h)
         return nm.linear(ctx, p[f"{pre}.wo"], p[f"{pre}.bo"])
 
@@ -130,27 +129,16 @@ class SaneModel(Model):
 
         for i in range(c.e):
             pre = f"block{i}"
-            if c.standard_residual:
-                # textbook post-norm encoder
-                r1 = self._attention(e, i)
-                e = nm.layer_norm(nm.add(e, r1),
-                                  p[f"{pre}.ln1.gain"], p[f"{pre}.ln1.bias"])
-                m = nm.linear(e, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"])
-                m = nm.gelu(m)
-                m = nm.linear(m, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
-                e = nm.layer_norm(nm.add(e, m),
-                                  p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
-            else:
-                # as-printed: R1 = MHA(Norm(E)); R2 = MLP(Norm(E + R1));
-                # E <- R2 + (E + R1)
-                r1 = self._attention(
-                    nm.layer_norm(e, p[f"{pre}.ln1.gain"], p[f"{pre}.ln1.bias"]), i)
-                e_r1 = nm.add(e, r1)
-                m = nm.layer_norm(e_r1, p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
-                m = nm.linear(m, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"])
-                m = nm.gelu(m)
-                m = nm.linear(m, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
-                e = nm.add(m, e_r1)
+            # as printed: R1 = MHA(Norm(E)); R2 = MLP(Norm(E + R1));
+            # E <- R2 + (E + R1)
+            r1 = self._attention(
+                nm.layer_norm(e, p[f"{pre}.ln1.gain"], p[f"{pre}.ln1.bias"]), i)
+            e_r1 = nm.add(e, r1)
+            m = nm.layer_norm(e_r1, p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
+            m = nm.linear(m, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"])
+            m = nm.gelu(m)
+            m = nm.linear(m, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
+            e = nm.add(m, e_r1)
 
         pooled = nm.mean_pool(e)
         latent_l = nm.linear(pooled, p["latent_l.w"], p["latent_l.b"])

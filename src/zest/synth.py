@@ -11,13 +11,12 @@ accuracy ceiling for calibrating model thresholds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write
+from .checkpoint import atomic_write, read_json, write_json
 from .ingest import (CSV_HEADER, COL_DIRECTION, COL_INTER_ARRIVAL,
                      COL_PORT_CATEGORY, COL_PROTO, COL_SIZE, DIRECTION_CODES,
                      PROTO_CODES, packet_dtype, port_category)
@@ -73,15 +72,11 @@ class DeviceProfile:
 
 
 def load_profiles(path: str | Path) -> list[DeviceProfile]:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return [DeviceProfile.from_dict(d) for d in raw]
+    return [DeviceProfile.from_dict(d) for d in read_json(path)]
 
 
 def save_profiles(profiles: list[DeviceProfile], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump([p.to_dict() for p in profiles], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [p.to_dict() for p in profiles])
 
 
 # ---------------------------------------------------------------------------

@@ -205,3 +205,25 @@ class TestPipelineAndSweep:
     def test_sweep_unknown_param(self, pipe_dir):
         with pytest.raises(SystemExit):
             main(["sweep", "bogus", "1", "--outdir", str(pipe_dir)])
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--num-unseen", "0", "num_unseen"), ("--seeds", "0", "seeds")])
+def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,
+                                                    capsys, flag, value,
+                                                    field):
+    outdir = tmp_path / "exp"
+    args = ["pipeline", "--outdir", str(outdir), "--profiles",
+            str(profile_file), "--n", "10", flag, value]
+    assert main(args) == 1
+    assert field in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
+def test_invalid_sweep_value_rejected_before_any_stage(tmp_path,
+                                                       profile_file, capsys):
+    outdir = tmp_path / "exp"
+    assert main(["sweep", "unseen", "2", "0"]
+                + _base_args(outdir, profile_file)) == 1
+    assert "num_unseen" in capsys.readouterr().err
+    assert [p.name for p in outdir.iterdir()] == ["config.json"]

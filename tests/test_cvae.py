@@ -124,16 +124,6 @@ def test_config_rejects_bad_batch_size_and_epochs(field, value):
         CvaeConfig(**{field: value})
 
 
-def test_recon_loss_switch():
-    with pytest.raises(ValueError, match="recon_loss"):
-        CvaeConfig(recon_loss="huber")
-    latents, conds, _, _, _ = _toy_latents()
-    cfg = CvaeConfig(input_dim=8, cond_dim=3, z_dim=4, epochs=5, seed=0,
-                     recon_loss="l2")
-    _, log = train_cvae(latents, conds, cfg)
-    assert log[-1]["recon"] > 0
-
-
 @pytest.fixture(scope="module")
 def trained():
     latents, conds, labels, centers, attrs = _toy_latents()

@@ -212,8 +212,6 @@ def test_forest_vote_equals_scalar_walk(x, data):
                                       max_size=len(x))))
     forest = RandomForest(n_trees=data.draw(st.integers(1, 4)),
                           max_depth=data.draw(st.integers(0, 4)),
-                          bootstrap=data.draw(st.booleans()),
-                          feature_subsample=data.draw(st.booleans()),
                           seed=data.draw(st.integers(0, 99))).fit(x, y)
     query = data.draw(arrays(np.float64, (data.draw(st.integers(1, 20)),
                                           x.shape[1]),

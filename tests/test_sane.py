@@ -4,8 +4,9 @@ serialization."""
 import numpy as np
 import pytest
 
-from conftest import make_tiny_splits, tiny_config
+from conftest import TINY_N, make_tiny_splits, tiny_config
 from zest import numerics as nm
+from zest.cvae import CvaeConfig, CvaeModel, cvae_loss
 from zest.sane import SaneConfig, SaneModel, evaluate_supervised, train_sane
 
 
@@ -44,8 +45,8 @@ def test_attention_rows_sum_to_one(tiny_model):
         wv[np.arange(tokens), head * head_dim + np.arange(tokens)] = 1.0
     p = tiny_model.params
     ctx = nm.attention(nm.param(x), p["block0.attn.wq"], p["block0.attn.bq"],
-                       p["block0.attn.wk"], p["block0.attn.bk"],
-                       nm.param(wv), nm.param(np.zeros(c.d_model, np.float32)),
+                       p["block0.attn.wk"], nm.param(wv),
+                       nm.param(np.zeros(c.d_model, np.float32)),
                        heads=c.h).data
     attn = ctx.reshape(3, tokens, c.h, head_dim).transpose(0, 2, 1, 3)
     assert (attn >= 0).all()
@@ -84,13 +85,30 @@ def test_full_loss_gradcheck_tiny_config():
     assert err < 1e-4, f"max relative error {err}"
 
 
-def test_standard_residual_variant_runs_and_differs():
-    base = tiny_config()
-    alt = tiny_config(standard_residual=True)
-    x = np.random.default_rng(3).random((2, base.n, base.f), dtype=np.float32)
-    out_a = SaneModel(base, rng=np.random.default_rng(1)).forward(x)
-    out_b = SaneModel(alt, rng=np.random.default_rng(1)).forward(x)
-    assert not np.allclose(out_a["logits"].data, out_b["logits"].data)
+@pytest.mark.parametrize("model_name", ["sane-tiny", "sane-default",
+                                        "cvae"])
+def test_every_parameter_moves_the_loss(model_name, tiny_splits):
+    # a parameter whose gradient is rounding noise next to the others
+    # cannot change the loss, and Adam's normalised step still moves it
+    rng = np.random.default_rng(0)
+    if model_name == "cvae":
+        model = CvaeModel(CvaeConfig())
+        c = model.config
+        loss, _, _ = cvae_loss(model, rng.normal(size=(16, c.input_dim)),
+                               rng.normal(size=(16, c.cond_dim)),
+                               rng.standard_normal((16, c.z_dim)))
+    else:
+        config = (tiny_config() if model_name == "sane-tiny"
+                  else SaneConfig(n=TINY_N, num_classes=3))
+        model = SaneModel(config)
+        x, y = tiny_splits[0]
+        loss = nm.cross_entropy(model.forward(x[:16])["logits"], y[:16])
+    loss.backward()
+    peaks = {name: float(np.abs(t.grad).max())
+             for name, t in model.params.items()}
+    top = max(peaks.values())
+    assert {name: peak / top for name, peak in peaks.items()
+            if peak <= 1e-5 * top} == {}
 
 
 def test_training_reaches_high_accuracy(tiny_trained):

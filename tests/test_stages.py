@@ -91,6 +91,8 @@ TEXT_WRITERS = {
     "report.txt": lambda d, v, _: pl.write_aggregate(_aggregate_rows(v), d),
     "report_gzsl.json": lambda d, v, _: build_report(
         "gzsl", [0, 1], [0, v % 2], [0, 1]).save_json(d / "report_gzsl.json"),
+    "profiles.json": lambda d, v, _: save_profiles(
+        tiny_profiles(num_devices=2, sessions=v), d / "profiles.json"),
     "traffic.csv": lambda d, v, _: generate_csv(
         tiny_profiles(num_devices=2, sessions=v), seed=0,
         path=d / "traffic.csv"),
