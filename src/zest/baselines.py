@@ -3,6 +3,12 @@ VAE-K (VAE compression to the attribute width + k-means), SeqCR (k-means on
 the narrow latents), SeqCS (k-means seeded with attribute vectors), and DEFT
 (random forest on SeqCS cluster labels). Includes Lloyd k-means and optimal
 cluster-to-label accuracy scoring.
+
+Each pipeline fits its model (k-means, plus the VAE or the forest) once on
+the fit rows, then scores every evaluation setting's test split against
+it: `tests` maps a setting name to that split's (features, labels), and
+the result maps it to one `EvalReport`. The fit never sees test rows, so
+the ZSL and GZSL reports come from one and the same model.
 """
 
 from __future__ import annotations
@@ -121,67 +127,72 @@ def cluster_accuracy(assignments: np.ndarray, labels: np.ndarray,
 # baseline pipelines
 # ---------------------------------------------------------------------------
 
-def _clustering_report(setting: str, cluster: ClusterResult,
-                       train_labels: np.ndarray, test_features: np.ndarray,
-                       test_labels: np.ndarray, num_classes: int,
-                       pipeline: str, seed: int) -> EvalReport:
-    """Map clusters to labels on the training data, then score held-out test
-    points routed through nearest centers and the same mapping."""
+# evaluation setting -> its test split's (features, labels)
+Tests = dict[str, tuple[np.ndarray, np.ndarray]]
+
+
+def _test_report(setting: str, test_labels: np.ndarray, test_pred: np.ndarray,
+                 extra: dict) -> EvalReport:
+    return build_report(setting, test_labels, test_pred,
+                        sorted(set(int(v) for v in test_labels)),
+                        extra=dict(extra))
+
+
+def _clustering_reports(cluster: ClusterResult, train_labels: np.ndarray,
+                        tests: Tests, num_classes: int, pipeline: str,
+                        seed: int) -> dict[str, EvalReport]:
+    """Map clusters to labels on the training data, then score each
+    setting's held-out test points routed through nearest centers and the
+    same mapping."""
     mapping = cluster_label_mapping(cluster.assignments, train_labels,
                                     num_classes)
-    test_pred = mapping[cluster.assign(test_features)]
-    report = build_report(setting, test_labels, test_pred,
-                          sorted(set(int(v) for v in test_labels)),
-                          extra={"pipeline": pipeline, "seed": seed,
-                                 "train_accuracy": cluster_accuracy(
-                                     cluster.assignments, train_labels,
-                                     num_classes)})
-    return report
+    extra = {"pipeline": pipeline, "seed": seed,
+             "train_accuracy": cluster_accuracy(cluster.assignments,
+                                                train_labels, num_classes)}
+    return {setting: _test_report(setting, test_labels,
+                                  mapping[cluster.assign(test_points)], extra)
+            for setting, (test_points, test_labels) in tests.items()}
 
 
-def seqcr(train_lam: np.ndarray, train_labels: np.ndarray,
-          test_lam: np.ndarray, test_labels: np.ndarray,
-          num_classes: int, seed: int, setting: str = "gzsl") -> EvalReport:
+def seqcr(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
+          num_classes: int, seed: int) -> dict[str, EvalReport]:
     """k-means with random centers on the narrow latents."""
     cluster = kmeans(train_lam, k=num_classes, init="random", seed=seed)
-    return _clustering_report(setting, cluster, train_labels, test_lam,
-                              test_labels, num_classes, "seqcr", seed)
+    return _clustering_reports(cluster, train_labels, tests, num_classes,
+                               "seqcr", seed)
 
 
-def seqcs(train_lam: np.ndarray, train_labels: np.ndarray,
-          test_lam: np.ndarray, test_labels: np.ndarray,
-          attribute_seeds: np.ndarray, num_classes: int, seed: int,
-          setting: str = "gzsl") -> EvalReport:
+def seqcs(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
+          attribute_seeds: np.ndarray, num_classes: int,
+          seed: int) -> dict[str, EvalReport]:
     """Seeded k-means: initial centers are the attribute vectors of all
     devices."""
     if attribute_seeds.shape[0] != num_classes:
         raise BaselineError(
             f"need {num_classes} attribute seeds, got {attribute_seeds.shape[0]}")
     cluster = kmeans(train_lam, k=num_classes, init=attribute_seeds, seed=seed)
-    return _clustering_report(setting, cluster, train_labels, test_lam,
-                              test_labels, num_classes, "seqcs", seed)
+    return _clustering_reports(cluster, train_labels, tests, num_classes,
+                               "seqcs", seed)
 
 
-def deft(train_lam: np.ndarray, train_labels: np.ndarray,
-         test_lam: np.ndarray, test_labels: np.ndarray,
-         attribute_seeds: np.ndarray, num_classes: int, seed: int,
-         setting: str = "gzsl") -> EvalReport:
+def deft(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
+         attribute_seeds: np.ndarray, num_classes: int,
+         seed: int) -> dict[str, EvalReport]:
     """Seeded clustering followed by a random forest trained on the cluster
     labels; test predictions route through the clustering's label mapping."""
     cluster = kmeans(train_lam, k=num_classes, init=attribute_seeds, seed=seed)
     mapping = cluster_label_mapping(cluster.assignments, train_labels,
                                     num_classes)
     forest = RandomForest(seed=seed).fit(train_lam, cluster.assignments)
-    test_pred = mapping[forest.predict(test_lam)]
-    return build_report(setting, test_labels, test_pred,
-                        sorted(set(int(v) for v in test_labels)),
-                        extra={"pipeline": "deft", "seed": seed})
+    extra = {"pipeline": "deft", "seed": seed}
+    return {setting: _test_report(setting, test_labels,
+                                  mapping[forest.predict(test_lam)], extra)
+            for setting, (test_lam, test_labels) in tests.items()}
 
 
-def vae_k(train_l: np.ndarray, train_labels: np.ndarray,
-          test_l: np.ndarray, test_labels: np.ndarray,
+def vae_k(train_l: np.ndarray, train_labels: np.ndarray, tests: Tests,
           attributes: np.ndarray, num_classes: int, seed: int,
-          setting: str = "gzsl", epochs: int = 100) -> EvalReport:
+          epochs: int = 100) -> dict[str, EvalReport]:
     """An unconditional VAE compresses the wide latents to the attribute
     width N (the columns of the class `attributes`, which seed nothing
     here), then random-init k-means clusters the compressed features.
@@ -190,7 +201,8 @@ def vae_k(train_l: np.ndarray, train_labels: np.ndarray,
                         z_dim=attributes.shape[1], epochs=epochs, seed=seed)
     model, _ = train_cvae(train_l, None, config)
     train_mu, _ = model.encode_arrays(train_l)
-    test_mu, _ = model.encode_arrays(test_l)
     cluster = kmeans(train_mu, k=num_classes, init="random", seed=seed)
-    return _clustering_report(setting, cluster, train_labels, test_mu,
-                              test_labels, num_classes, "vae_k", seed)
+    encoded = {setting: (model.encode_arrays(test_l)[0], test_labels)
+               for setting, (test_l, test_labels) in tests.items()}
+    return _clustering_reports(cluster, train_labels, encoded, num_classes,
+                               "vae_k", seed)

@@ -7,6 +7,15 @@ KL term. After training on seen devices only, the decoder
 maps (Gaussian noise, attribute) to pseudo latents for any device. Setting
 cond_dim=0 gives a plain unconditional VAE (used by the VAE-K baseline).
 
+The encoder and decoder run on plain arrays, for inference
+(`encode_arrays`, `decode_arrays`) and for training alike: `cvae_loss` is
+one graph node whose parents are the model's ten parameters, and one
+hand-written backward fills their gradients, as `nm.attention` does for
+SANE. The forward keeps every finite check of the composite of `nm`
+primitives it replaces, under the same op names, and the backward does
+that composite's float operations in the same order, so a trained model
+is bit-identical to one trained through the composite.
+
 The model's tensors, their Glorot initialisation and their shape-checked
 loading are the `params.Model` layer the SANE encoder uses too. `train_cvae`
 with epochs=0 returns the model as initialised and an empty log.
@@ -69,30 +78,43 @@ class CvaeModel(Model):
         add_param("dec.w2", xavier(rng, c.hidden_dim, c.input_dim, dtype))
         add_param("dec.b2", np.zeros(c.input_dim))
 
-    def _with_cond(self, x: nm.Tensor, cond: np.ndarray | None) -> nm.Tensor:
+    def _with_cond_arrays(self, x: np.ndarray,
+                          cond: np.ndarray | None) -> np.ndarray:
+        """x with its attribute columns appended (as `nm.concat`), or x
+        itself when the model is unconditional."""
         if self.config.cond_dim == 0:
             return x
-        return nm.concat([x, nm.param(np.asarray(cond, dtype=x.dtype))], axis=-1)
+        out = np.concatenate([x, np.asarray(cond, dtype=x.dtype)], axis=-1)
+        nm.require_finite("concat", out)
+        return out
 
-    def encode(self, x: nm.Tensor, cond: np.ndarray | None) -> tuple[nm.Tensor, nm.Tensor]:
+    def _encoder(self, x: np.ndarray, cond: np.ndarray | None) -> tuple:
+        """Encoder forward on arrays: its input with the attribute, the
+        hidden activation and its GELU derivative, mu and logvar."""
         p = self.params
-        h = nm.gelu(nm.linear(self._with_cond(x, cond), p["enc.w1"], p["enc.b1"]))
-        mu = nm.linear(h, p["enc.mu_w"], p["enc.mu_b"])
-        logvar = nm.linear(h, p["enc.lv_w"], p["enc.lv_b"])
-        return mu, logvar
+        xc = self._with_cond_arrays(x, cond)
+        h, dh = nm.gelu_arrays(nm.linear_arrays(xc, p["enc.w1"].data,
+                                                p["enc.b1"].data))
+        mu = nm.linear_arrays(h, p["enc.mu_w"].data, p["enc.mu_b"].data)
+        logvar = nm.linear_arrays(h, p["enc.lv_w"].data, p["enc.lv_b"].data)
+        return xc, h, dh, mu, logvar
 
-    def decode(self, z: nm.Tensor, cond: np.ndarray | None) -> nm.Tensor:
+    def _decoder(self, z: np.ndarray, cond: np.ndarray | None) -> tuple:
+        """Decoder forward on arrays: its input with the attribute, the
+        hidden activation and its GELU derivative, and the reconstruction."""
         p = self.params
-        h = nm.gelu(nm.linear(self._with_cond(z, cond), p["dec.w1"], p["dec.b1"]))
-        return nm.linear(h, p["dec.w2"], p["dec.b2"])
+        zc = self._with_cond_arrays(z, cond)
+        h, dh = nm.gelu_arrays(nm.linear_arrays(zc, p["dec.w1"].data,
+                                                p["dec.b1"].data))
+        return zc, h, dh, nm.linear_arrays(h, p["dec.w2"].data,
+                                           p["dec.b2"].data)
 
     def decode_arrays(self, z: np.ndarray, cond: np.ndarray | None) -> np.ndarray:
-        return self.decode(nm.param(np.asarray(z, dtype=self.dtype)), cond).data
+        return self._decoder(np.asarray(z, dtype=self.dtype), cond)[-1]
 
     def encode_arrays(self, x: np.ndarray,
                       cond: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        mu, logvar = self.encode(nm.param(np.asarray(x, dtype=self.dtype)), cond)
-        return mu.data, logvar.data
+        return self._encoder(np.asarray(x, dtype=self.dtype), cond)[-2:]
 
     # -- persistence ------------------------------------------------------
 
@@ -107,20 +129,84 @@ class CvaeModel(Model):
         return model
 
 
+def _dense_param_grads(g: np.ndarray, x: np.ndarray, w: nm.Tensor,
+                       b: nm.Tensor) -> None:
+    """`nm.linear`'s backward into w and b, for a 2-D input x."""
+    w._accumulate(x.T @ g, own=True)
+    b._accumulate(g.sum(axis=0), own=True)
+
+
 def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray | None,
               eps: np.ndarray) -> tuple[nm.Tensor, float, float]:
     """L1 reconstruction + KL(N(mu, sigma) || N(0, 1)) with a reparameterized
-    sample z = mu + sigma * eps. Returns (loss tensor, recon value, kl value)."""
-    batch = np.asarray(batch, dtype=model.dtype)
-    x = nm.param(batch)
-    mu, logvar = model.encode(x, cond)
-    sigma = nm.exp(nm.scale(logvar, 0.5))
-    z = nm.add(mu, nm.mul(sigma, nm.param(np.asarray(eps, dtype=model.dtype))))
-    recon = model.decode(z, cond)
-    recon_term = nm.l1_loss(recon, batch)
-    kl_term = nm.gaussian_kl(mu, logvar)
-    loss = nm.add(recon_term, kl_term)
-    return loss, float(recon_term.data), float(kl_term.data)
+    sample z = mu + sigma * eps. Returns (loss tensor, recon value, kl value).
+
+    The loss is one node whose parents are the model's parameters. Its
+    forward and backward are those of the composite of `nm` primitives
+    concat, linear, gelu, scale (logvar / 2), exp, mul, add, l1_loss and
+    gaussian_kl, op for op: each forward output is checked under that op's
+    name, and the backward takes the same float operations in the order
+    `Tensor.backward` ran the composite's closures."""
+    dtype = model.dtype
+    batch = np.asarray(batch, dtype=dtype)
+    if batch.ndim != 2:
+        raise nm.NumericsError(
+            f"cvae_loss expects a (B, input_dim) batch, got {batch.shape}")
+    p = model.params
+    xc, h1, d1, mu, logvar = model._encoder(batch, cond)
+    half_logvar = logvar * 0.5
+    nm.require_finite("scale", half_logvar)
+    with np.errstate(over="ignore"):
+        sigma = np.exp(half_logvar)
+    nm.require_finite("exp", sigma)
+    eps = np.asarray(eps, dtype=dtype)
+    noise = sigma * eps
+    nm.require_finite("mul", noise)
+    z = mu + noise
+    nm.require_finite("add", z)
+    zc, h2, d2, recon = model._decoder(z, cond)
+    if recon.shape != batch.shape:
+        raise nm.NumericsError(
+            f"l1_loss shape mismatch: {recon.shape} vs {batch.shape}")
+    # the l1 and KL means over the batch, as nm.l1_loss and nm.gaussian_kl
+    n = batch.shape[0]
+    diff = recon - batch
+    recon_v = np.abs(diff).sum() / n
+    nm.require_finite("l1_loss", np.asarray(recon_v))
+    recon_v = np.asarray(recon_v, dtype=dtype)
+    var = np.exp(logvar)
+    kl_v = 0.5 * (mu ** 2 + var - 1.0 - logvar).sum() / n
+    nm.require_finite("gaussian_kl", np.asarray(kl_v))
+    kl_v = np.asarray(kl_v, dtype=dtype)
+    loss_data = recon_v + kl_v
+    nm.require_finite("add", loss_data)
+    loss = nm.Tensor(loss_data, name="cvae_loss",
+                     _parents=tuple(model.parameters()))
+
+    def bw(o: nm.Tensor) -> None:
+        # decoder, from the l1 term
+        g = o.grad * np.sign(diff) / n
+        _dense_param_grads(g, h2, p["dec.w2"], p["dec.b2"])
+        g = (g @ p["dec.w2"].data.T) * d2
+        _dense_param_grads(g, zc, p["dec.w1"], p["dec.b1"])
+        g_z = g @ p["dec.w1"].data.T
+        if model.config.cond_dim:
+            g_z = g_z[:, :z.shape[1]]
+        # through z = mu + exp(logvar / 2) eps, plus the KL term's
+        # gradients; each sum has two terms, so its order is free
+        g_mu = g_z + o.grad * mu / n
+        g_logvar = g_z * eps
+        g_logvar *= sigma
+        g_logvar *= 0.5
+        g_logvar += o.grad * 0.5 * (var - 1.0) / n
+        # encoder
+        _dense_param_grads(g_mu, h1, p["enc.mu_w"], p["enc.mu_b"])
+        _dense_param_grads(g_logvar, h1, p["enc.lv_w"], p["enc.lv_b"])
+        g = (g_mu @ p["enc.mu_w"].data.T + g_logvar @ p["enc.lv_w"].data.T)
+        _dense_param_grads(g * d1, xc, p["enc.w1"], p["enc.b1"])
+
+    loss._backward = bw
+    return loss, float(recon_v), float(kl_v)
 
 
 def train_cvae(latents: np.ndarray, conds: np.ndarray | None,

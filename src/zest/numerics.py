@@ -2,12 +2,13 @@
 optimizer, and finite-difference gradient checking.
 
 This is intentionally *not* a general autodiff system. Its primitives are the
-ones the models in this package need: add, mul, scale, exp, matmul, linear,
-softmax, attention, layer_norm, gelu, mean_pool, concat, reshape and
-broadcast_to, and the losses cross_entropy, l1_loss and gaussian_kl.
-Each has an explicit backward rule that is validated against central finite
-differences in the test suite. Model computation runs in float32; gradient
-checks run in float64.
+ones the models in this package need: add, exp, matmul, linear, softmax,
+attention, layer_norm, gelu, mean_pool, concat, reshape and broadcast_to,
+and the losses cross_entropy, l1_loss and gaussian_kl. Each has an explicit
+backward rule that is validated against central finite differences in the
+test suite. A model may also make one node of its own whose backward fills
+its parameters' gradients directly, as `cvae.cvae_loss` does. Model
+computation runs in float32; gradient checks run in float64.
 
 `attention` and `layer_norm` take no reduction over a short last axis,
 which numpy runs several times slower than the same sum as a BLAS product:
@@ -58,7 +59,7 @@ class NumericsError(RuntimeError):
     """Shape mismatch or non-finite value in a numeric primitive."""
 
 
-def _require_finite(op: str, data: np.ndarray) -> None:
+def require_finite(op: str, data: np.ndarray) -> None:
     # min/max propagate NaN and expose Inf without allocating a bool mask
     if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise NumericsError(f"non-finite output in op '{op}'")
@@ -157,7 +158,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
-    _require_finite("add", out_data)
+    require_finite("add", out_data)
     out = Tensor(out_data, name="add", _parents=(a, b))
 
     def bw(o: Tensor) -> None:
@@ -170,35 +171,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-    _require_finite("mul", out_data)
-    out = Tensor(out_data, name="mul", _parents=(a, b))
-
-    def bw(o: Tensor) -> None:
-        a._accumulate(_unbroadcast(o.grad * b.data, a.shape), own=True)
-        b._accumulate(_unbroadcast(o.grad * a.data, b.shape), own=True)
-
-    out._backward = bw
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out_data = a.data * c
-    _require_finite("scale", out_data)
-    out = Tensor(out_data, name="scale", _parents=(a,))
-
-    def bw(o: Tensor) -> None:
-        a._accumulate(o.grad * c, own=True)
-
-    out._backward = bw
-    return out
-
-
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out_data = np.exp(a.data)
-    _require_finite("exp", out_data)
+    require_finite("exp", out_data)
     out = Tensor(out_data, name="exp", _parents=(a,))
 
     def bw(o: Tensor) -> None:
@@ -214,7 +190,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise NumericsError(
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
-    _require_finite("matmul", out_data)
+    require_finite("matmul", out_data)
     out = Tensor(out_data, name="matmul", _parents=(a, b))
 
     def bw(o: Tensor) -> None:
@@ -227,14 +203,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b over the last axis of x."""
-    if x.data.shape[-1] != w.data.shape[0]:
+def linear_arrays(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b over the last axis of x, on arrays."""
+    if x.shape[-1] != w.shape[0]:
         raise NumericsError(
-            f"linear shape mismatch: input {x.data.shape}, weight {w.data.shape}")
-    out_data = x.data @ w.data
-    out_data += b.data
-    _require_finite("linear", out_data)
+            f"linear shape mismatch: input {x.shape}, weight {w.shape}")
+    out = x @ w
+    out += b
+    require_finite("linear", out)
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`linear_arrays` as a graph node."""
+    out_data = linear_arrays(x.data, w.data, b.data)
     out = Tensor(out_data, name="linear", _parents=(x, w, b))
 
     def bw(o: Tensor) -> None:
@@ -255,7 +237,7 @@ def softmax(x: Tensor) -> Tensor:
     out_data = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= out_data.sum(axis=-1, keepdims=True)
-    _require_finite("softmax", out_data)
+    require_finite("softmax", out_data)
     out = Tensor(out_data, name="softmax", _parents=(x,))
 
     def bw(o: Tensor) -> None:
@@ -313,7 +295,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
     w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
     qkv = x.data @ w + np.concatenate([bq.data, np.zeros_like(bq.data),
                                        bv.data])
-    _require_finite("attention", qkv)
+    require_finite("attention", qkv)
     # (3, B, h, T, head_dim) views of q, k and v
     qkv = qkv.reshape(batch, tokens, 3, heads, head_dim)
     qkv = qkv.transpose(2, 0, 3, 1, 4)
@@ -332,7 +314,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
         sl = slice(start, start + step)
         # key-major scores: column j holds query j's scores over the keys
         e = k[sl] @ np.swapaxes(q[sl], -1, -2)
-        _require_finite("attention", e)
+        require_finite("attention", e)
         np.max(e, axis=-2, keepdims=True, out=row_max[sl])
         e -= row_max[sl]
         np.exp(e, out=e)
@@ -342,7 +324,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
         ctx /= np.swapaxes(row_sum[sl], -1, -2)
         out_data[sl] = ctx.transpose(0, 2, 1, 3)
     out_data = out_data.reshape(batch, tokens, d)
-    _require_finite("attention", out_data)
+    require_finite("attention", out_data)
     out = Tensor(out_data, name="attention",
                  _parents=(x, wq, bq, wk, wv, bv))
 
@@ -411,7 +393,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv_std
     out_data = gain.data * xhat + bias.data
-    _require_finite("layer_norm", out_data)
+    require_finite("layer_norm", out_data)
     out = Tensor(out_data, name="layer_norm", _parents=(x, gain, bias))
 
     def bw(o: Tensor) -> None:
@@ -428,8 +410,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit x Phi(x), Phi the standard normal cdf.
+def gelu_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian error linear unit x Phi(x), Phi the standard normal cdf, and
+    its derivative Phi(x) + x pdf(x), of an array.
 
     Computed as max(x, 0) - |x| Phi(-|x|), from the tail mass
     Phi(-|x|) = pdf(x) R(|x| / sqrt 2), where R is a rational fit to
@@ -438,10 +421,10 @@ def gelu(x: Tensor) -> Tensor:
     near +-1 keeps the error at the rounding of the result: within 2.4e-7
     absolute of the erf-based GELU for every float32 input, and within 1e-8
     in float64. The input runs in blocks of GELU_BLOCK_ELEMS elements, so
-    the temporaries stay in cache, and each block forms the derivative
-    Phi(x) + x pdf(x) in the same pass: backward is one product.
+    the temporaries stay in cache, and each block forms the derivative in
+    the same pass. A non-finite output raises NumericsError.
     """
-    flat = x.data.reshape(-1)
+    flat = x.reshape(-1)
     out_data = np.empty_like(flat)
     deriv = np.empty_like(flat)
     temps = np.empty((4, min(flat.size, GELU_BLOCK_ELEMS)), dtype=flat.dtype)
@@ -483,8 +466,14 @@ def gelu(x: Tensor) -> Tensor:
             db += pb
             db += 0.5
     out_data = out_data.reshape(x.shape)
-    deriv = deriv.reshape(x.shape)
-    _require_finite("gelu", out_data)
+    require_finite("gelu", out_data)
+    return out_data, deriv.reshape(x.shape)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """`gelu_arrays` as a graph node: backward is one product with the
+    derivative."""
+    out_data, deriv = gelu_arrays(x.data)
     out = Tensor(out_data, name="gelu", _parents=(x,))
 
     def bw(o: Tensor) -> None:
@@ -500,7 +489,7 @@ def mean_pool(x: Tensor) -> Tensor:
         raise NumericsError("mean_pool needs at least 2 dims")
     n = x.data.shape[-2]
     out_data = x.data.mean(axis=-2)
-    _require_finite("mean_pool", out_data)
+    require_finite("mean_pool", out_data)
     out = Tensor(out_data, name="mean_pool", _parents=(x,))
 
     def bw(o: Tensor) -> None:
@@ -513,7 +502,7 @@ def mean_pool(x: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    _require_finite("concat", out_data)
+    require_finite("concat", out_data)
     out = Tensor(out_data, name="concat", _parents=tuple(tensors))
 
     def bw(o: Tensor) -> None:
@@ -568,7 +557,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     log_probs = shifted - log_z
     batch = logits.data.shape[0]
     nll = -log_probs[np.arange(batch), labels].mean()
-    _require_finite("cross_entropy", np.asarray(nll))
+    require_finite("cross_entropy", np.asarray(nll))
     out = Tensor(np.asarray(nll, dtype=logits.dtype), name="cross_entropy",
                  _parents=(logits,))
 
@@ -590,7 +579,7 @@ def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     diff = pred.data - target
     batch = pred.data.shape[0] if pred.data.ndim > 1 else 1
     val = np.abs(diff).sum() / batch
-    _require_finite("l1_loss", np.asarray(val))
+    require_finite("l1_loss", np.asarray(val))
     out = Tensor(np.asarray(val, dtype=pred.dtype), name="l1_loss",
                  _parents=(pred,))
 
@@ -611,7 +600,7 @@ def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
     var = np.exp(logvar.data)
     batch = mu.data.shape[0] if mu.data.ndim > 1 else 1
     val = 0.5 * (mu.data ** 2 + var - 1.0 - logvar.data).sum() / batch
-    _require_finite("gaussian_kl", np.asarray(val))
+    require_finite("gaussian_kl", np.asarray(val))
     out = Tensor(np.asarray(val, dtype=mu.dtype), name="gaussian_kl",
                  _parents=(mu, logvar))
 

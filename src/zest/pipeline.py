@@ -92,6 +92,13 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown baselines {sorted(unknown)}; "
                              f"have {BASELINE_NAMES}")
+        # the model sections fail here, naming the field, not at the stage
+        # that first builds them
+        try:
+            SaneConfig(**self.sane)
+            self.cvae_config(seed=0)
+        except TypeError as exc:        # an unknown field
+            raise ValueError(str(exc)) from None
 
     def save(self, path: str | Path) -> None:
         write_json(path, asdict(self))
@@ -514,14 +521,15 @@ def _baseline(ctx: StageContext, name: str) -> None:
     attr_seeds = np.stack([ctx.class_attrs[c] for c in range(num_classes)])
     pipeline = getattr(bl, name.replace("-", "_"))
 
-    reports = {}
+    tests = {}
     for setting in SETTINGS:
         idx = _test_idx(ctx.partition, labels, setting)
-        report = pipeline(features[fit_idx], labels[fit_idx], features[idx],
-                          labels[idx], *([attr_seeds] if attr_seeded else []),
-                          num_classes, ctx.seed, setting=setting)
+        tests[setting] = (features[idx], labels[idx])
+    reports = pipeline(features[fit_idx], labels[fit_idx], tests,
+                       *([attr_seeds] if attr_seeded else []), num_classes,
+                       ctx.seed)
+    for report in reports.values():
         report.extra["method"] = name
-        reports[setting] = report
     write_json(ctx.rdir / f"baseline_{name}.json",
                {s: r.to_dict() for s, r in reports.items()})
 

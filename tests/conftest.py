@@ -1,9 +1,11 @@
-"""Shared fixtures: small synthetic datasets and trained tiny models."""
+"""Shared fixtures: small synthetic datasets and trained tiny models, and
+the two elementwise graph nodes the tests build composites from."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from zest import numerics as nm
 from zest.ingest import (apply_normalizer, build_dataset, fit_normalizer,
                          split_indices)
 from zest.sane import SaneConfig, SaneModel, train_sane
@@ -34,6 +36,29 @@ def tiny_profiles(num_devices=3, sessions=30):
             sessions=sessions, packets_per_session=TINY_N,
         ))
     return profiles
+
+
+def mul(a, b):
+    """Elementwise product as a graph node, with a finite check."""
+    out_data = a.data * b.data
+    nm.require_finite("mul", out_data)
+    out = nm.Tensor(out_data, name="mul", _parents=(a, b))
+
+    def bw(o):
+        a._accumulate(nm._unbroadcast(o.grad * b.data, a.shape), own=True)
+        b._accumulate(nm._unbroadcast(o.grad * a.data, b.shape), own=True)
+
+    out._backward = bw
+    return out
+
+
+def scale(a, c):
+    """a times the constant c as a graph node, with a finite check."""
+    out_data = a.data * c
+    nm.require_finite("scale", out_data)
+    out = nm.Tensor(out_data, name="scale", _parents=(a,))
+    out._backward = lambda o: a._accumulate(o.grad * c, own=True)
+    return out
 
 
 def tiny_config(num_classes=3, **overrides):

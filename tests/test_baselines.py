@@ -171,12 +171,24 @@ def _pipeline_data(seed=0):
             num_classes)
 
 
+def _gzsl(features, labels):
+    return {"gzsl": (features, labels)}
+
+
+def _settings(features, labels):
+    """A ZSL split of the last two classes' test points, and the GZSL split
+    of all of them."""
+    zsl = labels >= 2
+    return {"zsl": (features[zsl], labels[zsl]), "gzsl": (features, labels)}
+
+
 class TestPipelines:
     def test_seqcr_and_seqcs_on_separable(self):
         (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,
          k) = _pipeline_data()
-        r_cr = seqcr(train_lam, train_y, test_lam, test_y, k, seed=0)
-        r_cs = seqcs(train_lam, train_y, test_lam, test_y, attrs, k, seed=0)
+        tests = _gzsl(test_lam, test_y)
+        r_cr = seqcr(train_lam, train_y, tests, k, seed=0)["gzsl"]
+        r_cs = seqcs(train_lam, train_y, tests, attrs, k, seed=0)["gzsl"]
         assert r_cs.accuracy >= r_cr.accuracy
         assert r_cs.accuracy == 1.0
 
@@ -184,13 +196,15 @@ class TestPipelines:
         (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,
          k) = _pipeline_data()
         with pytest.raises(BaselineError, match="attribute seeds"):
-            seqcs(train_lam, train_y, test_lam, test_y, attrs[:2], k, seed=0)
+            seqcs(train_lam, train_y, _gzsl(test_lam, test_y), attrs[:2], k,
+                  seed=0)
 
     def test_deft_close_to_seqcs_on_clean_clusters(self):
         (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,
          k) = _pipeline_data()
-        r_cs = seqcs(train_lam, train_y, test_lam, test_y, attrs, k, seed=0)
-        r_df = deft(train_lam, train_y, test_lam, test_y, attrs, k, seed=0)
+        tests = _gzsl(test_lam, test_y)
+        r_cs = seqcs(train_lam, train_y, tests, attrs, k, seed=0)["gzsl"]
+        r_df = deft(train_lam, train_y, tests, attrs, k, seed=0)["gzsl"]
         assert r_df.accuracy >= r_cs.accuracy - 0.02
 
     def test_vae_k_trained_vs_untrained(self):
@@ -202,8 +216,8 @@ class TestPipelines:
             attrs_l = np.stack([train_l[train_y == c].mean(axis=0)
                                 for c in range(k)])
             for epochs in accs:
-                r = vae_k(train_l, train_y, test_l, test_y, attrs_l, k,
-                          seed=seed, epochs=epochs)
+                r = vae_k(train_l, train_y, _gzsl(test_l, test_y), attrs_l, k,
+                          seed=seed, epochs=epochs)["gzsl"]
                 accs[epochs].append(r.accuracy)
         assert np.mean(accs[60]) >= np.mean(accs[0])
 
@@ -218,12 +232,36 @@ class TestPipelines:
 
         monkeypatch.setattr(bl, "kmeans", spy)
         attrs_4 = np.hstack([attrs, attrs])            # N = 4
-        vae_k(train_l, train_y, test_l, test_y, attrs_4, k, seed=0, epochs=2)
+        vae_k(train_l, train_y, _settings(test_l, test_y), attrs_4, k, seed=0,
+              epochs=2)
         assert clustered == [(len(train_l), 4)]
 
     def test_reports_tag_pipeline(self):
         (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,
          k) = _pipeline_data()
-        r = seqcr(train_lam, train_y, test_lam, test_y, k, seed=0)
-        assert r.extra["pipeline"] == "seqcr"
-        assert r.setting == "gzsl"
+        reports = seqcr(train_lam, train_y, _settings(test_lam, test_y), k,
+                        seed=0)
+        assert list(reports) == ["zsl", "gzsl"]
+        for setting, r in reports.items():
+            assert r.extra["pipeline"] == "seqcr"
+            assert r.setting == setting
+
+    @pytest.mark.parametrize("name", ["seqcr", "seqcs", "deft", "vae_k"])
+    def test_one_fit_reports_as_one_fit_per_setting(self, name):
+        # each setting's report equals that of a fit that saw only it
+        (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,
+         k) = _pipeline_data(seed=1)
+        pipeline = getattr(bl, name)
+        if name == "vae_k":
+            train, tests = train_l, _settings(test_l, test_y)
+            args, kwargs = (attrs, k, 3), {"epochs": 5}
+        else:
+            train, tests = train_lam, _settings(test_lam, test_y)
+            args = (k, 3) if name == "seqcr" else (attrs, k, 3)
+            kwargs = {}
+        both = pipeline(train, train_y, tests, *args, **kwargs)
+        assert list(both) == ["zsl", "gzsl"]
+        for setting, split in tests.items():
+            alone = pipeline(train, train_y, {setting: split}, *args,
+                             **kwargs)
+            assert both[setting].to_dict() == alone[setting].to_dict()

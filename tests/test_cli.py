@@ -227,3 +227,30 @@ def test_invalid_sweep_value_rejected_before_any_stage(tmp_path,
                 + _base_args(outdir, profile_file)) == 1
     assert "num_unseen" in capsys.readouterr().err
     assert [p.name for p in outdir.iterdir()] == ["config.json"]
+
+
+def test_invalid_sweep_model_value_rejected_before_any_stage(tmp_path,
+                                                             profile_file,
+                                                             capsys):
+    # 3 heads do not divide SANE_OVERRIDES' d_model of 16
+    outdir = tmp_path / "exp"
+    assert main(["sweep", "heads", "3"]
+                + _base_args(outdir, profile_file)) == 1
+    assert "d_model=16 not divisible by h=3" in capsys.readouterr().err
+    assert not (outdir / "sweep-heads" / "3" / "data").exists()
+    assert [p.name for p in outdir.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--sane", '{"d_model": 12, "h": 5}', "d_model"),
+    ("--sane", '{"bogus": 1}', "bogus"),
+    ("--cvae", '{"epochs": -1}', "epochs"),
+    ("--cvae", '{"z": 4}', "'z'")])
+def test_invalid_model_override_rejected_before_any_stage(
+        tmp_path, profile_file, capsys, flag, value, field):
+    outdir = tmp_path / "exp"
+    args = ["pipeline", "--outdir", str(outdir), "--profiles",
+            str(profile_file), "--n", "10", flag, value]
+    assert main(args) == 1
+    assert field in capsys.readouterr().err
+    assert not any(outdir.iterdir())

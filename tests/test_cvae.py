@@ -1,11 +1,13 @@
-"""Conditional VAE loss components, training behavior, and pseudo-data
-generation."""
+"""Conditional VAE loss components, the one-node loss against the composite
+of primitives it replaced, training behavior, and pseudo-data generation."""
 
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conftest import mul, scale
+from zest import cvae
 from zest import numerics as nm
 from zest.checkpoint import save_checkpoint
 from zest.cvae import (CvaeConfig, CvaeModel, PseudoDataset, cvae_loss,
@@ -63,6 +65,112 @@ def test_full_loss_gradcheck():
 
     err = nm.grad_check(f, model.parameters())
     assert err < 1e-4, f"max relative error {err}"
+
+
+def test_unconditional_loss_gradcheck():
+    config = CvaeConfig(input_dim=5, cond_dim=0, z_dim=3, hidden_dim=8,
+                        seed=6)
+    model = CvaeModel(config, dtype=np.float64,
+                      rng=np.random.default_rng(6))
+    rng = np.random.default_rng(7)
+    batch = rng.normal(size=(3, 5))
+    eps = rng.normal(size=(3, 3))
+
+    def f():
+        return cvae_loss(model, batch, None, eps)[0]
+
+    err = nm.grad_check(f, model.parameters())
+    assert err < 1e-4, f"max relative error {err}"
+
+
+def _graph_loss(model, batch, cond, eps):
+    """`cvae_loss` as the composite of graph primitives it replaced, node
+    for node."""
+    p = model.params
+    batch = np.asarray(batch, dtype=model.dtype)
+
+    def with_cond(t):
+        if model.config.cond_dim == 0:
+            return t
+        return nm.concat([t, nm.param(np.asarray(cond, dtype=t.dtype))],
+                         axis=-1)
+
+    h = nm.gelu(nm.linear(with_cond(nm.param(batch)), p["enc.w1"],
+                          p["enc.b1"]))
+    mu = nm.linear(h, p["enc.mu_w"], p["enc.mu_b"])
+    logvar = nm.linear(h, p["enc.lv_w"], p["enc.lv_b"])
+    sigma = nm.exp(scale(logvar, 0.5))
+    z = nm.add(mu, mul(sigma, nm.param(np.asarray(eps, dtype=model.dtype))))
+    h = nm.gelu(nm.linear(with_cond(z), p["dec.w1"], p["dec.b1"]))
+    recon = nm.linear(h, p["dec.w2"], p["dec.b2"])
+    recon_term = nm.l1_loss(recon, batch)
+    kl_term = nm.gaussian_kl(mu, logvar)
+    return (nm.add(recon_term, kl_term), float(recon_term.data),
+            float(kl_term.data))
+
+
+@pytest.mark.parametrize("cond_dim", [3, 0])
+def test_cvae_loss_matches_primitive_graph(cond_dim, monkeypatch):
+    latents, conds, _, _, _ = _toy_latents(per_class=30)
+    conds = conds if cond_dim else None
+    config = CvaeConfig(input_dim=8, cond_dim=cond_dim, z_dim=4, epochs=10,
+                        batch_size=24, seed=8)
+    # a trained model, so that no weight is at its initial value
+    model, _ = train_cvae(latents, conds, config)
+    eps = np.random.default_rng(9).standard_normal((24, 4))
+    batch = latents[10:34]
+    cond = conds[10:34] if cond_dim else None
+    results = []
+    for loss_fn in (_graph_loss, cvae_loss):
+        for t in model.parameters():
+            t.zero_grad()
+        loss, recon, kl = loss_fn(model, batch, cond, eps)
+        loss.backward()
+        results.append((loss.data, recon, kl,
+                        {name: t.grad for name, t in model.params.items()}))
+    (want_loss, want_recon, want_kl, want_grads), (loss, recon, kl, grads) = \
+        results
+    assert loss.dtype == want_loss.dtype == np.float32
+    np.testing.assert_array_equal(loss, want_loss)
+    assert (recon, kl) == (want_recon, want_kl)
+    assert len(grads) == 10
+    for name, g in grads.items():
+        assert g.dtype == want_grads[name].dtype, name
+        np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
+
+    # 5 batches an epoch for 10 epochs: 50 Adam steps either way
+    trained, _ = train_cvae(latents, conds, config)
+    monkeypatch.setattr(cvae, "cvae_loss", _graph_loss)
+    reference, _ = train_cvae(latents, conds, config)
+    for name, t in trained.params.items():
+        np.testing.assert_array_equal(t.data, reference.params[name].data,
+                                      err_msg=name)
+
+
+@pytest.mark.parametrize("cond_dim, op", [(3, "concat"), (0, "linear")])
+def test_nan_in_batch_is_fatal(cond_dim, op):
+    config = CvaeConfig(input_dim=4, cond_dim=cond_dim, z_dim=2)
+    batch = np.ones((3, 4), dtype=np.float32)
+    batch[1, 2] = np.nan
+    cond = np.zeros((3, cond_dim), dtype=np.float32) if cond_dim else None
+    with pytest.raises(nm.NumericsError, match=f"'{op}'"):
+        cvae_loss(CvaeModel(config), batch, cond, np.zeros((3, 2)))
+
+
+def test_loss_rejects_unbatched_input():
+    config = CvaeConfig(input_dim=4, cond_dim=0, z_dim=2)
+    with pytest.raises(nm.NumericsError, match="batch"):
+        cvae_loss(CvaeModel(config), np.ones(4), None, np.zeros(2))
+
+
+def test_overflowing_logvar_is_fatal():
+    # logvar = 1000 makes sigma = exp(500), beyond float32
+    config = CvaeConfig(input_dim=4, cond_dim=2, z_dim=2)
+    model = _zeroed_model(config)
+    model.params["enc.lv_b"].data = np.full(2, 1000.0, dtype=np.float32)
+    with pytest.raises(nm.NumericsError, match="'exp'"):
+        cvae_loss(model, np.ones((3, 4), dtype=np.float32),
+                  np.zeros((3, 2), dtype=np.float32), np.zeros((3, 2)))
 
 
 def _toy_latents(num_classes=4, per_class=40, dim=8, attr_dim=3, seed=0,

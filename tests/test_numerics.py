@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
+from conftest import mul, scale
 from zest import numerics as nm
 from zest.checkpoint import load_checkpoint, save_checkpoint
 from zest.cvae import CvaeConfig, CvaeModel
@@ -26,7 +27,7 @@ def _l2_loss(out, target):
     """Sum of squared errors over the last axis, averaged over the batch,
     from primitives with their own checks: the l1 loss of d * d."""
     d = nm.add(out, nm.param(-np.asarray(target)))
-    return nm.l1_loss(nm.mul(d, d), np.zeros(out.shape))
+    return nm.l1_loss(mul(d, d), np.zeros(out.shape))
 
 
 def _check(f, params, tol=1e-4):
@@ -46,9 +47,9 @@ def test_grad_add_mul_scale_exp(seed):
     def f():
         s = nm.add(a, b)
         s = nm.add(s, row)                 # broadcast add
-        s = nm.mul(s, b)
-        s = nm.scale(s, 0.7)
-        s = nm.exp(nm.scale(s, 0.1))
+        s = mul(s, b)
+        s = scale(s, 0.7)
+        s = nm.exp(scale(s, 0.1))
         s = nm.matmul(s, w)
         return _l2_loss(s, np.zeros((3, 2)))
 
@@ -136,7 +137,7 @@ def _reference_attention(x, wq, bq, wk, wv, bv, heads):
         t = nm.reshape(t, (batch, tokens, heads, d // heads))
         return _transpose(t, (0, 2, 1, 3))
 
-    q = nm.scale(nm.linear(x, wq, bq), 1.0 / np.sqrt(d // heads))
+    q = scale(nm.linear(x, wq, bq), 1.0 / np.sqrt(d // heads))
     q, k, v = (split_heads(t) for t in
                (q, nm.matmul(x, wk), nm.linear(x, wv, bv)))
     attn = nm.softmax(nm.matmul(q, _transpose(k, (0, 1, 3, 2))))
@@ -258,7 +259,7 @@ def test_grad_check_scalar_square():
     x = nm.param(np.array([3.0]))
 
     def f():
-        return nm.mul(x, x)
+        return mul(x, x)
 
     x.zero_grad()
     out = f()

@@ -16,11 +16,13 @@ from conftest import tiny_config, tiny_profiles
 from test_cli import (SANE_OVERRIDES, _base_args,  # noqa: F401
                       experiment, profile_file)
 import zest
+from zest import baselines as bl
 from zest import checkpoint
 from zest import pipeline as pl
 from zest.attributes import save_attributes_csv
 from zest.classifier import build_report
 from zest.cli import build_parser, main
+from zest.forest import RandomForest
 from zest.ingest import Dataset, load_dataset, save_dataset
 from zest.pipeline import (STAGES, ExperimentConfig, RunLock, StageContext,
                            StageError, resolve_config, write_json)
@@ -362,3 +364,30 @@ def test_extract_attrs_encodes_each_sequence_once(experiment, tmp_path,
     num_points = json.loads((work / "data" / "dataset.json").read_text())[
         "num_points"]
     assert sum(encoded) == num_points
+
+
+def test_each_baseline_fits_once(experiment, tmp_path, monkeypatch):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    # other tests may have run baselines in the shared experiment
+    for manifest in (work / "runs" / "seed-0").glob("baseline-*.manifest.json"):
+        manifest.unlink()
+    config = resolve_config(work)
+    calls = []
+
+    def spy(name, fn):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counting
+
+    monkeypatch.setattr(bl, "kmeans", spy("kmeans", bl.kmeans))
+    monkeypatch.setattr(bl, "train_cvae", spy("train_cvae", bl.train_cvae))
+    monkeypatch.setattr(RandomForest, "fit", spy("forest", RandomForest.fit))
+    fits = {}
+    for name in pl.BASELINE_NAMES:
+        calls.clear()
+        assert pl.run_stage(f"baseline-{name}", config, 0)
+        fits[name] = sorted(calls)
+    assert fits == {"vae-k": ["kmeans", "train_cvae"], "seqcr": ["kmeans"],
+                    "seqcs": ["kmeans"], "deft": ["forest", "kmeans"]}
