@@ -193,16 +193,20 @@ def deft(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
 def vae_k(train_l: np.ndarray, train_labels: np.ndarray, tests: Tests,
           attributes: np.ndarray, num_classes: int, seed: int,
           epochs: int = 100) -> dict[str, EvalReport]:
-    """An unconditional VAE compresses the wide latents to the attribute
-    width N (the columns of the class `attributes`, which seed nothing
-    here), then random-init k-means clusters the compressed features.
-    `epochs=0` keeps the initial, untrained compression."""
+    """A plain VAE, the CVAE given zero-width attributes, compresses the
+    wide latents to the attribute width N (the columns of the class
+    `attributes`, which seed nothing here), then random-init k-means
+    clusters the compressed features. `epochs=0` keeps the initial,
+    untrained compression."""
     config = CvaeConfig(input_dim=train_l.shape[1], cond_dim=0,
                         z_dim=attributes.shape[1], epochs=epochs, seed=seed)
-    model, _ = train_cvae(train_l, None, config)
-    train_mu, _ = model.encode_arrays(train_l)
-    cluster = kmeans(train_mu, k=num_classes, init="random", seed=seed)
-    encoded = {setting: (model.encode_arrays(test_l)[0], test_labels)
+    model, _ = train_cvae(train_l, np.empty((len(train_l), 0)), config)
+
+    def encode(x: np.ndarray) -> np.ndarray:
+        return model.encode_arrays(x, np.empty((len(x), 0)))[0]
+
+    cluster = kmeans(encode(train_l), k=num_classes, init="random", seed=seed)
+    encoded = {setting: (encode(test_l), test_labels)
                for setting, (test_l, test_labels) in tests.items()}
     return _clustering_reports(cluster, train_labels, encoded, num_classes,
                                "vae_k", seed)

@@ -3,29 +3,22 @@
 Every writer here writes a temp file beside its target and moves it into
 place, so a crash never leaves a half-written file.
 
-Checkpoint layout: 8-byte magic, uint32 format version, uint64 manifest
-length, manifest JSON (UTF-8, sorted keys), then a payload of little-endian
-IEEE-754 float32 values. The manifest lists (name, shape, offset) per
-tensor plus an echo of the model config, so identical runs produce identical
-bytes.
+A checkpoint is an npz archive, like every other array file of a run: one
+float32 array per tensor, in sorted name order, then the model config as a
+JSON string under the reserved key `CONFIG_KEY`. It loads without pickle,
+and identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"ZSTCKPT\x01"
-FORMAT_VERSION = 1
-
-
-class CheckpointError(RuntimeError):
-    pass
+CONFIG_KEY = "__config__"
 
 
 @contextmanager
@@ -67,46 +60,16 @@ def read_json(path: str | Path) -> dict | list:
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
                     config: dict) -> None:
-    names = sorted(tensors)
-    entries = []
-    offset = 0
-    payload = bytearray()
-    for name in names:
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        raw = arr.tobytes()
-        payload.extend(raw)
-        offset += len(raw)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "config": config,
-        "tensors": entries,
-    }
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    arrays = {name: np.ascontiguousarray(tensors[name], dtype="<f4")
+              for name in sorted(tensors)}
+    arrays[CONFIG_KEY] = np.array(json.dumps(config, sort_keys=True))
     with atomic_write(path) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        (manifest_len,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(manifest_len))
-        payload = fh.read()
-    tensors = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).copy()
-    return tensors, manifest["config"]
+    with np.load(path, allow_pickle=False) as archive:
+        tensors = {name: archive[name] for name in archive.files
+                   if name != CONFIG_KEY}
+        config = json.loads(str(archive[CONFIG_KEY]))
+    return tensors, config

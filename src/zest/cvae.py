@@ -4,8 +4,9 @@ The encoder compresses a latent l conditioned on its device attribute into a
 Gaussian (mu, log sigma^2); the decoder reconstructs l from a reparameterized
 sample and the attribute, under the paper's L1 reconstruction loss plus the
 KL term. After training on seen devices only, the decoder
-maps (Gaussian noise, attribute) to pseudo latents for any device. Setting
-cond_dim=0 gives a plain unconditional VAE (used by the VAE-K baseline).
+maps (Gaussian noise, attribute) to pseudo latents for any device. Every
+call takes an attribute array; the VAE-K baseline's plain VAE is this model
+with cond_dim=0 and zero-width (n, 0) attributes.
 
 The encoder and decoder run on plain arrays, for inference
 (`encode_arrays`, `decode_arrays`) and for training alike: `cvae_loss` is
@@ -39,7 +40,7 @@ logger = logging.getLogger("zest.cvae")
 @dataclass
 class CvaeConfig:
     input_dim: int = 20
-    cond_dim: int = 3          # 0 for an unconditional VAE
+    cond_dim: int = 3          # 0 for a plain VAE (zero-width attributes)
     z_dim: int = 8
     hidden_dim: int = 32
     epochs: int = 200
@@ -78,17 +79,13 @@ class CvaeModel(Model):
         add_param("dec.w2", xavier(rng, c.hidden_dim, c.input_dim, dtype))
         add_param("dec.b2", np.zeros(c.input_dim))
 
-    def _with_cond_arrays(self, x: np.ndarray,
-                          cond: np.ndarray | None) -> np.ndarray:
-        """x with its attribute columns appended (as `nm.concat`), or x
-        itself when the model is unconditional."""
-        if self.config.cond_dim == 0:
-            return x
+    def _with_cond_arrays(self, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
+        """x with its attribute columns appended, as `nm.concat`."""
         out = np.concatenate([x, np.asarray(cond, dtype=x.dtype)], axis=-1)
         nm.require_finite("concat", out)
         return out
 
-    def _encoder(self, x: np.ndarray, cond: np.ndarray | None) -> tuple:
+    def _encoder(self, x: np.ndarray, cond: np.ndarray) -> tuple:
         """Encoder forward on arrays: its input with the attribute, the
         hidden activation and its GELU derivative, mu and logvar."""
         p = self.params
@@ -99,7 +96,7 @@ class CvaeModel(Model):
         logvar = nm.linear_arrays(h, p["enc.lv_w"].data, p["enc.lv_b"].data)
         return xc, h, dh, mu, logvar
 
-    def _decoder(self, z: np.ndarray, cond: np.ndarray | None) -> tuple:
+    def _decoder(self, z: np.ndarray, cond: np.ndarray) -> tuple:
         """Decoder forward on arrays: its input with the attribute, the
         hidden activation and its GELU derivative, and the reconstruction."""
         p = self.params
@@ -109,11 +106,11 @@ class CvaeModel(Model):
         return zc, h, dh, nm.linear_arrays(h, p["dec.w2"].data,
                                            p["dec.b2"].data)
 
-    def decode_arrays(self, z: np.ndarray, cond: np.ndarray | None) -> np.ndarray:
+    def decode_arrays(self, z: np.ndarray, cond: np.ndarray) -> np.ndarray:
         return self._decoder(np.asarray(z, dtype=self.dtype), cond)[-1]
 
     def encode_arrays(self, x: np.ndarray,
-                      cond: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self._encoder(np.asarray(x, dtype=self.dtype), cond)[-2:]
 
     # -- persistence ------------------------------------------------------
@@ -136,7 +133,7 @@ def _dense_param_grads(g: np.ndarray, x: np.ndarray, w: nm.Tensor,
     b._accumulate(g.sum(axis=0), own=True)
 
 
-def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray | None,
+def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray,
               eps: np.ndarray) -> tuple[nm.Tensor, float, float]:
     """L1 reconstruction + KL(N(mu, sigma) || N(0, 1)) with a reparameterized
     sample z = mu + sigma * eps. Returns (loss tensor, recon value, kl value).
@@ -189,9 +186,7 @@ def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray | None,
         _dense_param_grads(g, h2, p["dec.w2"], p["dec.b2"])
         g = (g @ p["dec.w2"].data.T) * d2
         _dense_param_grads(g, zc, p["dec.w1"], p["dec.b1"])
-        g_z = g @ p["dec.w1"].data.T
-        if model.config.cond_dim:
-            g_z = g_z[:, :z.shape[1]]
+        g_z = (g @ p["dec.w1"].data.T)[:, :z.shape[1]]
         # through z = mu + exp(logvar / 2) eps, plus the KL term's
         # gradients; each sum has two terms, so its order is free
         g_mu = g_z + o.grad * mu / n
@@ -209,20 +204,17 @@ def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray | None,
     return loss, float(recon_v), float(kl_v)
 
 
-def train_cvae(latents: np.ndarray, conds: np.ndarray | None,
+def train_cvae(latents: np.ndarray, conds: np.ndarray,
                config: CvaeConfig) -> tuple[CvaeModel, list[dict]]:
-    """Train on seen-device latents (with per-sample attributes when
-    conditional); deterministic per seed. Returns the model (its decoder is
-    the generator) and the per-epoch loss log."""
+    """Train on seen-device latents with their per-sample attributes, an
+    (n, cond_dim) array; deterministic per seed. Returns the model (its
+    decoder is the generator) and the per-epoch loss log."""
     latents = np.asarray(latents, dtype=np.float32)
-    if config.cond_dim > 0:
-        if conds is None:
-            raise ValueError("conditional model requires attribute vectors")
-        conds = np.asarray(conds, dtype=np.float32)
-        if conds.shape != (latents.shape[0], config.cond_dim):
-            raise ValueError(
-                f"attribute array shape {conds.shape} does not match "
-                f"({latents.shape[0]}, {config.cond_dim})")
+    conds = np.asarray(conds, dtype=np.float32)
+    if conds.shape != (latents.shape[0], config.cond_dim):
+        raise ValueError(
+            f"attribute array shape {conds.shape} does not match "
+            f"({latents.shape[0]}, {config.cond_dim})")
     rng = np.random.default_rng(config.seed)
     model = CvaeModel(config, rng=rng)
     opt = nm.Adam(model.parameters(), learning_rate=config.learning_rate)
@@ -234,8 +226,8 @@ def train_cvae(latents: np.ndarray, conds: np.ndarray | None,
         for start in range(0, num, config.batch_size):
             idx = order[start:start + config.batch_size]
             eps = rng.standard_normal((len(idx), config.z_dim))
-            cond_b = conds[idx] if config.cond_dim > 0 else None
-            loss, recon_v, kl_v = cvae_loss(model, latents[idx], cond_b, eps)
+            loss, recon_v, kl_v = cvae_loss(model, latents[idx], conds[idx],
+                                            eps)
             opt.zero_grad()
             loss.backward()
             opt.step()

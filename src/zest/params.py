@@ -1,6 +1,7 @@
 """The parameter layer shared by the SANE encoder and the CVAE: Glorot
 initialisation and a model's named tensors as plain arrays, the form its
-checkpoint stores and its best-epoch snapshot keeps."""
+best-epoch snapshot keeps and its npz checkpoint stores, one array per
+tensor name (`checkpoint.save_checkpoint`)."""
 
 from __future__ import annotations
 

@@ -52,6 +52,10 @@ BASELINES = {"vae-k": ("l", True), "seqcr": ("lam", False),
              "seqcs": ("lam", True), "deft": ("lam", True)}
 BASELINE_NAMES = tuple(BASELINES)
 SETTINGS = ("zsl", "gzsl")
+# model fields the experiment sets, from the data, the partition seed, the
+# seen classes or SANE's widths: an override of one is an error
+DERIVED_FIELDS = {"sane": ("n", "f", "num_classes", "seed"),
+                  "cvae": ("input_dim", "cond_dim", "seed")}
 
 
 class StageError(RuntimeError):
@@ -94,6 +98,11 @@ class ExperimentConfig:
                              f"have {BASELINE_NAMES}")
         # the model sections fail here, naming the field, not at the stage
         # that first builds them
+        for section, keys in DERIVED_FIELDS.items():
+            for key in keys:
+                if key in getattr(self, section):
+                    raise ValueError(f"{section}.{key} is set by the "
+                                     f"experiment and cannot be overridden")
         try:
             SaneConfig(**self.sane)
             self.cvae_config(seed=0)
@@ -229,11 +238,14 @@ class StageRunner:
     def run(self, stage: str, config: dict, inputs: list[Path],
             outputs: list[Path], fn) -> bool:
         """Execute fn() unless the stage manifest shows a valid cache hit.
-        Returns True when the stage actually ran."""
+        Returns True when the stage actually ran. A file that the replaced
+        manifest lists as an output and `outputs` does not (an older file
+        name, say) is deleted: no manifest names it any more."""
         manifest_path = self._manifest_path(stage)
         config = json.loads(json.dumps(config, default=json_default,
                                        sort_keys=True))
         input_sums = {p.name: sha256_file(p) for p in inputs}
+        declared = {p.name for p in outputs}
         try:
             manifest = read_json(manifest_path)
         except (OSError, ValueError):
@@ -242,7 +254,7 @@ class StageRunner:
         # file name) is a miss: the stages that read them would fail
         if (manifest and manifest.get("config") == config
                 and manifest.get("inputs") == input_sums
-                and set(manifest["outputs"]) == {p.name for p in outputs}
+                and set(manifest["outputs"]) == declared
                 and all((self.root / name).exists()
                         and sha256_file(self.root / name) == digest
                         for name, digest in manifest["outputs"].items())):
@@ -256,6 +268,9 @@ class StageRunner:
         write_json(manifest_path, {
             "stage": stage, "config": config, "inputs": input_sums,
             "outputs": {p.name: sha256_file(p) for p in outputs}})
+        for name in set(manifest.get("outputs", ())) - declared:
+            if Path(name).name == name:     # only files of this directory
+                (self.root / name).unlink(missing_ok=True)
         return True
 
 
@@ -419,7 +434,7 @@ def _train_sane(ctx: StageContext) -> None:
     model, _ = train_sane(*localized(train_idx), *localized(val_idx),
                           ctx.sane_config(),
                           log_path=ctx.rdir / "sane_log.csv")
-    model.save(ctx.rdir / "sane.ckpt")
+    model.save(ctx.rdir / "sane.npz")
 
 
 def _fit_idx(partition: dict, labels: np.ndarray) -> np.ndarray:
@@ -432,7 +447,7 @@ def _fit_idx(partition: dict, labels: np.ndarray) -> np.ndarray:
 
 def _extract_attrs(ctx: StageContext) -> None:
     dataset = ctx.dataset
-    model = SaneModel.load(ctx.rdir / "sane.ckpt")
+    model = SaneModel.load(ctx.rdir / "sane.npz")
     norm = Normalizer.from_dict(read_json(ctx.rdir / "normalizer.json"))
     l, lam = extract_latents(model, apply_normalizer(norm, dataset.features))
     with atomic_write(ctx.rdir / "latents.npz") as fh:
@@ -455,11 +470,11 @@ def _train_cvae(ctx: StageContext) -> None:
     conds = np.stack([class_attrs[c] for c in classes.tolist()])[row_class]
     model, _ = train_cvae(ctx.latents["l"][train_idx], conds,
                           ctx.config.cvae_config(seed=ctx.seed))
-    model.save(ctx.rdir / "cvae.ckpt")
+    model.save(ctx.rdir / "cvae.npz")
 
 
 def _gen_pseudo(ctx: StageContext) -> None:
-    cvae_path = ctx.rdir / "cvae.ckpt"
+    cvae_path = ctx.rdir / "cvae.npz"
     k = ctx.config.pseudo_k
     pseudo = generate_pseudo(CvaeModel.load(cvae_path), ctx.class_attrs, k=k,
                              seed=ctx.seed)
@@ -551,21 +566,21 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
           body=_partition),
     Stage("train-sane", "train the feature extractor on seen devices",
           reads=(_NPZ, _CLASS_MAP, _PARTITION),
-          writes=("normalizer.json", "sane.ckpt", "sane_log.csv"),
+          writes=("normalizer.json", "sane.npz", "sane_log.csv"),
           key=lambda ctx: {"sane": asdict(ctx.sane_config())},
           body=_train_sane),
     Stage("extract-attrs", "extract latents and attribute vectors",
-          reads=(_NPZ, _CLASS_MAP, _PARTITION, ("train-sane", "sane.ckpt"),
+          reads=(_NPZ, _CLASS_MAP, _PARTITION, ("train-sane", "sane.npz"),
                  ("train-sane", "normalizer.json")),
           writes=("latents.npz", "attributes.csv"),
           key=lambda ctx: {"N": SaneConfig(**ctx.config.sane).N},
           body=_extract_attrs),
     Stage("train-cvae", "train the conditional VAE on seen latents",
-          reads=(_CLASS_MAP, _PARTITION, *_ATTRS), writes=("cvae.ckpt",),
+          reads=(_CLASS_MAP, _PARTITION, *_ATTRS), writes=("cvae.npz",),
           key=lambda ctx: {"cvae": asdict(ctx.config.cvae_config(ctx.seed))},
           body=_train_cvae),
     Stage("gen-pseudo", "generate balanced pseudo latents",
-          reads=(_CLASS_MAP, ("train-cvae", "cvae.ckpt"),
+          reads=(_CLASS_MAP, ("train-cvae", "cvae.npz"),
                  ("extract-attrs", "attributes.csv")),
           writes=("pseudo.npz", "pseudo.json"),
           key=lambda ctx: {"k": ctx.config.pseudo_k, "seed": ctx.seed},

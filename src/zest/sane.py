@@ -23,6 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
+from .ingest import NUM_FEATURES
 from .params import Model, xavier
 
 logger = logging.getLogger("zest.sane")
@@ -31,7 +32,7 @@ logger = logging.getLogger("zest.sane")
 @dataclass
 class SaneConfig:
     n: int = 200               # packets per sequence
-    f: int = 8                 # raw features per packet
+    f: int = NUM_FEATURES      # raw features per packet
     d_model: int = 64
     e: int = 2                 # encoder stack size
     h: int = 8                 # attention heads

@@ -72,15 +72,15 @@ def test_python_m_zest_runs_from_checkout():
 
 def test_stage_artifacts_exist(experiment):
     rdir = experiment / "runs" / "seed-0"
-    for name in ("partition.json", "normalizer.json", "sane.ckpt",
+    for name in ("partition.json", "normalizer.json", "sane.npz",
                  "sane_log.csv", "latents.npz", "attributes.csv",
-                 "cvae.ckpt", "pseudo.npz", "svm_zsl.json", "svm_gzsl.json",
+                 "cvae.npz", "pseudo.npz", "svm_zsl.json", "svm_gzsl.json",
                  "report_zsl.json", "report_gzsl.json", "report.txt"):
         assert (rdir / name).exists(), name
 
 
 def test_stage_cache_hit_skips_retraining(experiment):
-    ckpt = experiment / "runs" / "seed-0" / "sane.ckpt"
+    ckpt = experiment / "runs" / "seed-0" / "sane.npz"
     before = ckpt.stat().st_mtime_ns
     assert main(["train-sane", "--outdir", str(experiment),
                  "--seed", "0"]) == 0
@@ -90,7 +90,7 @@ def test_stage_cache_hit_skips_retraining(experiment):
 def test_config_change_invalidates_cache(experiment):
     # a different pseudo-k must regenerate pseudo data but not the model
     pseudo = experiment / "runs" / "seed-0" / "pseudo.npz"
-    ckpt = experiment / "runs" / "seed-0" / "sane.ckpt"
+    ckpt = experiment / "runs" / "seed-0" / "sane.npz"
     ckpt_before = ckpt.stat().st_mtime_ns
 
     def rows():
@@ -112,7 +112,7 @@ def test_config_change_invalidates_cache(experiment):
 def test_corrupted_upstream_artifact_fatal(experiment, tmp_path):
     work = tmp_path / "copy"
     shutil.copytree(experiment, work)
-    ckpt = work / "runs" / "seed-0" / "sane.ckpt"
+    ckpt = work / "runs" / "seed-0" / "sane.npz"
     raw = bytearray(ckpt.read_bytes())
     raw[-1] ^= 0xFF
     ckpt.write_bytes(bytes(raw))
@@ -178,7 +178,7 @@ class TestPipelineAndSweep:
         assert all(line.split(",")[4] == "2" for line in report[1:])
 
     def test_pipeline_rerun_is_cache_hit(self, pipe_dir):
-        ckpt = pipe_dir / "runs" / "seed-1" / "sane.ckpt"
+        ckpt = pipe_dir / "runs" / "seed-1" / "sane.npz"
         before = ckpt.stat().st_mtime_ns
         assert main(["pipeline", "--outdir", str(pipe_dir)]) == 0
         assert ckpt.stat().st_mtime_ns == before
@@ -245,7 +245,11 @@ def test_invalid_sweep_model_value_rejected_before_any_stage(tmp_path,
     ("--sane", '{"d_model": 12, "h": 5}', "d_model"),
     ("--sane", '{"bogus": 1}', "bogus"),
     ("--cvae", '{"epochs": -1}', "epochs"),
-    ("--cvae", '{"z": 4}', "'z'")])
+    ("--cvae", '{"z": 4}', "'z'"),
+    *(("--sane", json.dumps({key: 5}), f"sane.{key}")
+      for key in ("n", "f", "num_classes", "seed")),
+    *(("--cvae", json.dumps({key: 5}), f"cvae.{key}")
+      for key in ("input_dim", "cond_dim", "seed"))])
 def test_invalid_model_override_rejected_before_any_stage(
         tmp_path, profile_file, capsys, flag, value, field):
     outdir = tmp_path / "exp"

@@ -37,7 +37,7 @@ def test_kl_half_for_unit_mean():
     model = _zeroed_model(config)
     model.params["enc.mu_b"].data = np.ones(1, dtype=np.float32)
     batch = np.zeros((3, 4), dtype=np.float32)
-    _, _, kl = cvae_loss(model, batch, None, np.zeros((3, 1)))
+    _, _, kl = cvae_loss(model, batch, np.zeros((3, 0)), np.zeros((3, 1)))
     assert kl == pytest.approx(0.5, abs=1e-6)
 
 
@@ -77,7 +77,7 @@ def test_unconditional_loss_gradcheck():
     eps = rng.normal(size=(3, 3))
 
     def f():
-        return cvae_loss(model, batch, None, eps)[0]
+        return cvae_loss(model, batch, np.zeros((3, 0)), eps)[0]
 
     err = nm.grad_check(f, model.parameters())
     assert err < 1e-4, f"max relative error {err}"
@@ -90,8 +90,6 @@ def _graph_loss(model, batch, cond, eps):
     batch = np.asarray(batch, dtype=model.dtype)
 
     def with_cond(t):
-        if model.config.cond_dim == 0:
-            return t
         return nm.concat([t, nm.param(np.asarray(cond, dtype=t.dtype))],
                          axis=-1)
 
@@ -112,14 +110,14 @@ def _graph_loss(model, batch, cond, eps):
 @pytest.mark.parametrize("cond_dim", [3, 0])
 def test_cvae_loss_matches_primitive_graph(cond_dim, monkeypatch):
     latents, conds, _, _, _ = _toy_latents(per_class=30)
-    conds = conds if cond_dim else None
+    conds = conds[:, :cond_dim]
     config = CvaeConfig(input_dim=8, cond_dim=cond_dim, z_dim=4, epochs=10,
                         batch_size=24, seed=8)
     # a trained model, so that no weight is at its initial value
     model, _ = train_cvae(latents, conds, config)
     eps = np.random.default_rng(9).standard_normal((24, 4))
     batch = latents[10:34]
-    cond = conds[10:34] if cond_dim else None
+    cond = conds[10:34]
     results = []
     for loss_fn in (_graph_loss, cvae_loss):
         for t in model.parameters():
@@ -147,12 +145,12 @@ def test_cvae_loss_matches_primitive_graph(cond_dim, monkeypatch):
                                       err_msg=name)
 
 
-@pytest.mark.parametrize("cond_dim, op", [(3, "concat"), (0, "linear")])
+@pytest.mark.parametrize("cond_dim, op", [(3, "concat"), (0, "concat")])
 def test_nan_in_batch_is_fatal(cond_dim, op):
     config = CvaeConfig(input_dim=4, cond_dim=cond_dim, z_dim=2)
     batch = np.ones((3, 4), dtype=np.float32)
     batch[1, 2] = np.nan
-    cond = np.zeros((3, cond_dim), dtype=np.float32) if cond_dim else None
+    cond = np.zeros((3, cond_dim), dtype=np.float32)
     with pytest.raises(nm.NumericsError, match=f"'{op}'"):
         cvae_loss(CvaeModel(config), batch, cond, np.zeros((3, 2)))
 
@@ -160,7 +158,7 @@ def test_nan_in_batch_is_fatal(cond_dim, op):
 def test_loss_rejects_unbatched_input():
     config = CvaeConfig(input_dim=4, cond_dim=0, z_dim=2)
     with pytest.raises(nm.NumericsError, match="batch"):
-        cvae_loss(CvaeModel(config), np.ones(4), None, np.zeros(2))
+        cvae_loss(CvaeModel(config), np.ones(4), np.zeros(0), np.zeros(2))
 
 
 def test_overflowing_logvar_is_fatal():
@@ -222,7 +220,11 @@ def test_attribute_shape_mismatch_fatal():
     with pytest.raises(ValueError, match="attribute"):
         train_cvae(latents, conds[:, :2], config)
     with pytest.raises(ValueError, match="attribute"):
-        train_cvae(latents, None, config)
+        train_cvae(latents, conds[:, :0], config)
+    # a plain VAE takes zero-width attributes and no others
+    plain = CvaeConfig(input_dim=8, cond_dim=0)
+    with pytest.raises(ValueError, match="attribute"):
+        train_cvae(latents, conds, plain)
 
 
 @pytest.mark.parametrize("field, value", [("batch_size", 0),
@@ -277,7 +279,7 @@ class TestGeneratePseudo:
 def test_checkpoint_roundtrip(tmp_path):
     config = CvaeConfig(input_dim=6, cond_dim=2, z_dim=3, seed=9)
     model = CvaeModel(config, rng=np.random.default_rng(9))
-    path = tmp_path / "cvae.ckpt"
+    path = tmp_path / "cvae.npz"
     model.save(path)
     loaded = CvaeModel.load(path)
     assert loaded.config == config
@@ -291,7 +293,7 @@ def test_load_rejects_wrong_shaped_tensor(tmp_path):
     config = CvaeConfig(input_dim=6, cond_dim=2, z_dim=3, seed=9)
     state = CvaeModel(config).state_arrays()
     state["dec.w2"] = state["dec.w2"][:, :-1]
-    path = tmp_path / "cvae.ckpt"
+    path = tmp_path / "cvae.npz"
     save_checkpoint(path, state, asdict(config))
     with pytest.raises(ValueError, match="dec.w2"):
         CvaeModel.load(path)

@@ -2,6 +2,8 @@
 differences, the GELU kernel's error against the erf-based GELU, `linear`
 and the flat Adam against reference forms, plus serialization."""
 
+import json
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ from scipy.special import erf
 
 from conftest import mul, scale
 from zest import numerics as nm
-from zest.checkpoint import load_checkpoint, save_checkpoint
+from zest.checkpoint import CONFIG_KEY, load_checkpoint, save_checkpoint
 from zest.cvae import CvaeConfig, CvaeModel
 
 RNG_SEEDS = list(range(12))
@@ -548,7 +550,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         "scalar": np.float32(2.5).reshape(()),
     }
     config = {"n": 5, "name": "tiny"}
-    path = tmp_path / "model.ckpt"
+    path = tmp_path / "model.npz"
     save_checkpoint(path, tensors, config)
     loaded, cfg = load_checkpoint(path)
     assert cfg == config
@@ -557,6 +559,20 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(loaded[name],
                                       np.asarray(arr, dtype=np.float32))
     # identical bytes on re-save
-    path2 = tmp_path / "model2.ckpt"
+    path2 = tmp_path / "model2.npz"
     save_checkpoint(path2, loaded, cfg)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_members_load_without_pickle(tmp_path):
+    model = CvaeModel(CvaeConfig(input_dim=4, cond_dim=2, z_dim=2))
+    config = asdict(model.config)
+    path = tmp_path / "cvae.npz"
+    model.save(path)
+    with np.load(path, allow_pickle=False) as archive:
+        assert archive.files == [*sorted(model.params), CONFIG_KEY]
+        for name, t in model.params.items():
+            arr = archive[name]
+            assert arr.dtype == np.float32, name
+            np.testing.assert_array_equal(arr, t.data, err_msg=name)
+        assert json.loads(str(archive[CONFIG_KEY])) == config

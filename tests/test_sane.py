@@ -179,7 +179,7 @@ def test_empty_test_set_fatal(tiny_trained):
 
 def test_checkpoint_roundtrip_bit_exact(tiny_trained, tmp_path):
     model, _, test = tiny_trained
-    path = tmp_path / "sane.ckpt"
+    path = tmp_path / "sane.npz"
     model.save(path)
     loaded = SaneModel.load(path)
     assert loaded.config == model.config
@@ -189,7 +189,7 @@ def test_checkpoint_roundtrip_bit_exact(tiny_trained, tmp_path):
     np.testing.assert_array_equal(out_a["logits"], out_b["logits"])
     np.testing.assert_array_equal(out_a["lam"], out_b["lam"])
     # identical bytes when saved again
-    path2 = tmp_path / "sane2.ckpt"
+    path2 = tmp_path / "sane2.npz"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
 

@@ -172,9 +172,63 @@ def test_renamed_output_is_a_cache_miss(experiment, tmp_path):
     write_json(manifest_path, manifest)
     assert main(["gen-pseudo", "--outdir", str(work), "--seed", "0"]) == 0
     assert (rdir / "pseudo.npz").exists()
+    assert not (rdir / "pseudo.csv").exists()   # no manifest names it now
     assert main(["train-clf", "--outdir", str(work), "--seed", "0"]) == 0
     assert set(json.loads(manifest_path.read_text())["outputs"]) == {
         "pseudo.npz", "pseudo.json"}
+
+
+def test_no_file_has_two_producers():
+    # a stage deletes what its replaced manifest lists and it no longer
+    # writes; that is safe only while no other stage writes the same name
+    writes = [name for stage in STAGES.values() for name in stage.writes]
+    assert len(writes) == len(set(writes))
+    assert not {"traffic.csv", "dataset.npz", "dataset.json"} & set(writes)
+
+
+def _to_ckpt_layout(rdir: Path) -> None:
+    """The older layout: the checkpoints named `sane.ckpt` and `cvae.ckpt`,
+    in the run directory and in every manifest."""
+    old = {"sane.npz": "sane.ckpt", "cvae.npz": "cvae.ckpt"}
+    for new, name in old.items():
+        (rdir / new).rename(rdir / name)
+    for path in rdir.glob("*.manifest.json"):
+        manifest = json.loads(path.read_text())
+        for part in ("inputs", "outputs"):
+            manifest[part] = {old.get(k, k): v
+                              for k, v in manifest[part].items()}
+        write_json(path, manifest)
+
+
+def test_ckpt_layout_upgrades_from_train_sane(experiment, tmp_path):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    rdir = work / "runs" / "seed-0"
+    assert main(["pipeline", "--outdir", str(work)]) == 0
+    _to_ckpt_layout(rdir)
+    # files no manifest names stay, as does one outside the run directory
+    (rdir / "notes.txt").write_text("mine")
+    (rdir.parent / "keep.txt").write_text("mine")
+    manifest_path = rdir / "train-sane.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"]["../keep.txt"] = "0" * 64
+    write_json(manifest_path, manifest)
+    before = {name: (rdir / f"{name}.manifest.json").read_bytes()
+              for name in STAGES}
+
+    assert main(["pipeline", "--outdir", str(work)]) == 0
+    assert not list(rdir.glob("*.ckpt"))
+    assert (rdir / "notes.txt").exists() and (rdir.parent / "keep.txt").exists()
+    after = {name: (rdir / f"{name}.manifest.json").read_bytes()
+             for name in STAGES}
+    rerun = {name for name in STAGES if after[name] != before[name]}
+    # train-clf, eval and the baselines read unchanged bytes: cache hits
+    assert rerun == {"train-sane", "extract-attrs", "train-cvae",
+                     "gen-pseudo"}
+
+    files = {p.name: p.stat().st_mtime_ns for p in rdir.iterdir()}
+    assert main(["pipeline", "--outdir", str(work)]) == 0
+    assert {p.name: p.stat().st_mtime_ns for p in rdir.iterdir()} == files
 
 
 def test_zsl_classifier_sees_only_unseen_pseudo(experiment):
@@ -277,7 +331,7 @@ def test_partition_runs_before_any_stage(tmp_path, profile_file):
     assert main(["train-sane", "--outdir", str(outdir), "--seed", "1"]) == 0
     rdir = outdir / "runs" / "seed-1"
     assert json.loads((rdir / "partition.json").read_text())["seed"] == 1
-    assert (rdir / "sane.ckpt").exists()
+    assert (rdir / "sane.npz").exists()
 
 
 def test_truncated_own_manifest_is_a_cache_miss(experiment, tmp_path):
