@@ -4,6 +4,10 @@ sequence segmentation, normalization, and seen/unseen device partitioning.
 Canonical input is a packet metadata CSV with header
 ``timestamp,src_port,dst_port,src_internal,dst_internal,proto,size,direction,device_id``
 (proto in {tcp,udp,other}, direction in {in,out}, booleans as 0/1).
+`parse_packet_csv` reads the file once and parses it by columns: one
+`np.loadtxt` call, then each rule of `_parse_row` as a whole-column mask.
+Only a file with a malformed row goes through `_parse_row` line by line,
+which warns about each skipped line by number and aborts above 1 %.
 
 Packets travel as one structured array with the fields of `packet_dtype`
 (proto and direction as their codes). `build_dataset` turns it into a
@@ -133,28 +137,25 @@ def _parse_row(row: list[str]) -> tuple:
             PROTO_CODES[proto], size, DIRECTION_CODES[direction], device_id)
 
 
-def parse_packet_csv(path: str | Path) -> np.ndarray:
-    """A packet array in file order, skipping malformed rows with a
-    warning. Aborts when more than 1% of rows (and more than one row) fail."""
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"packet CSV not found: {path}")
+def _parse_rows(path: Path, lines: list[str]) -> np.ndarray:
+    """The packet array of the file at `path`, read as `lines`, by
+    `_parse_row`, skipping malformed rows with a warning that names
+    `path:line`."""
     rows: list[tuple] = []
     skipped = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise IngestError(
-                f"{path}: header {header} does not match {CSV_HEADER}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append(_parse_row(row))
-            except ValueError as exc:
-                skipped += 1
-                logger.warning("%s:%d skipped: %s", path, line_no, exc)
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != CSV_HEADER:
+        raise IngestError(
+            f"{path}: header {header} does not match {CSV_HEADER}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            rows.append(_parse_row(row))
+        except ValueError as exc:
+            skipped += 1
+            logger.warning("%s:%d skipped: %s", path, line_no, exc)
     total = len(rows) + skipped
     if skipped > max(1, 0.01 * total):
         raise IngestError(
@@ -162,6 +163,92 @@ def parse_packet_csv(path: str | Path) -> np.ndarray:
     if skipped:
         logger.warning("%s: skipped %d of %d rows", path, skipped, total)
     return packet_array(rows)
+
+
+def _code_column(column: np.ndarray, codes: dict) -> np.ndarray:
+    """`codes.get(value.lower(), -1)` for every value; each distinct
+    spelling goes through `str.lower`, as in `_parse_row`."""
+    spellings, index = np.unique(column, return_inverse=True)
+    return np.array([codes.get(s.lower(), -1)
+                     for s in spellings.tolist()], dtype=np.int64)[index]
+
+
+def _text_field(codes: dict) -> str:
+    # one character wider than the longest code, so a longer value cannot
+    # be cut down to a valid one
+    return f"U{max(map(len, codes)) + 1}"
+
+
+def _parse_columns(lines: list[str]) -> np.ndarray | None:
+    """The packet array of the file read as `lines` from one `np.loadtxt`
+    call and a mask per row rule of `_parse_row`, or None when any row
+    breaks a rule or the file has something on which `loadtxt` and `csv`
+    may disagree: a header other than `CSV_HEADER`, fewer rows than
+    non-blank lines (a quoted field over more than one line), a NUL (numpy
+    strips trailing NULs from strings), or a \\x1c-\\x1f separator (numpy
+    strips them around numbers, `int` and `float` do not)."""
+    if not lines or lines[0].rstrip("\r\n") != ",".join(CSV_HEADER):
+        return None
+    text = "".join(lines)
+    if any(c in text for c in "\x00\x1c\x1d\x1e\x1f"):
+        return None
+    num_rows = (len(lines) - 1 - lines.count("\n") - lines.count("\r\n")
+                - lines.count("\r"))
+    if not num_rows:
+        return packet_array([])
+    fields = np.dtype([
+        ("timestamp", "f8"), ("src_port", "i4"), ("dst_port", "i4"),
+        ("src_internal", "U2"), ("dst_internal", "U2"),
+        ("proto", _text_field(PROTO_CODES)), ("size", "i8"),
+        ("direction", _text_field(DIRECTION_CODES)), ("device_id", "O")])
+    try:
+        raw = np.loadtxt(lines, dtype=fields, delimiter=",", quotechar='"',
+                         comments=None, skiprows=1, ndmin=1)
+    except ValueError:
+        return None
+    if len(raw) != num_rows:
+        return None
+    proto = _code_column(raw["proto"], PROTO_CODES)
+    direction = _code_column(raw["direction"], DIRECTION_CODES)
+    device_id = raw["device_id"].astype(str)  # as wide as the longest id
+    valid = np.isfinite(raw["timestamp"])
+    for port in (raw["src_port"], raw["dst_port"]):
+        valid &= (port >= 0) & (port <= 65535)
+    for flag in (raw["src_internal"], raw["dst_internal"]):
+        valid &= (flag == "0") | (flag == "1")
+    valid &= (proto >= 0) & (raw["size"] >= 0) & (direction >= 0)
+    valid &= device_id != ""
+    if not valid.all():
+        return None
+    packets = np.empty(num_rows, packet_dtype(
+        int(np.char.str_len(device_id).max())))
+    for name in ("timestamp", "src_port", "dst_port", "size"):
+        packets[name] = raw[name]
+    packets["device_id"] = device_id
+    packets["src_internal"] = raw["src_internal"] == "1"
+    packets["dst_internal"] = raw["dst_internal"] == "1"
+    packets["proto"] = proto
+    packets["direction"] = direction
+    return packets
+
+
+def parse_packet_csv(path: str | Path) -> np.ndarray:
+    """A packet array in file order, skipping malformed rows with a
+    warning. Aborts when more than 1% of rows (and more than one row) fail.
+
+    The file is read once, into lines as `csv` splits them. A well-formed
+    file is parsed by columns: one `np.loadtxt` call, then every rule of
+    `_parse_row` as a whole-column mask. Only when any row fails (or the
+    file holds something the column reader might read differently from
+    `csv`) do the lines go through `_parse_row` one by one, which names
+    each malformed line and applies the 1% limit."""
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"packet CSV not found: {path}")
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    packets = _parse_columns(lines)
+    return _parse_rows(path, lines) if packets is None else packets
 
 
 def featurize(packets: np.ndarray) -> np.ndarray:

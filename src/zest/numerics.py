@@ -1,14 +1,16 @@
 """Dense numeric core: tensors with hand-written backward rules, one Adam
 optimizer, and finite-difference gradient checking.
 
-This is intentionally *not* a general autodiff system. Its primitives are the
-ones the models in this package need: add, exp, matmul, linear, softmax,
-attention, layer_norm, gelu, mean_pool, concat, reshape and broadcast_to,
-and the losses cross_entropy, l1_loss and gaussian_kl. Each has an explicit
-backward rule that is validated against central finite differences in the
-test suite. A model may also make one node of its own whose backward fills
-its parameters' gradients directly, as `cvae.cvae_loss` does. Model
-computation runs in float32; gradient checks run in float64.
+This is intentionally *not* a general autodiff system. The models call
+linear, attention, layer_norm, gelu, add, mean_pool, concat, reshape,
+broadcast_to and the loss cross_entropy. A model may also make one node of
+its own whose backward fills its parameters' gradients directly, as
+`cvae.cvae_loss` does from `linear_arrays` and `gelu_arrays`. exp, matmul,
+softmax, l1_loss and gaussian_kl have no caller in the models: the tests
+build reference graphs from them, and the benchmark's tracer wraps them by
+name. Each primitive has an explicit backward rule that is validated
+against central finite differences in the test suite. Model computation
+runs in float32; gradient checks run in float64.
 
 `attention` and `layer_norm` take no reduction over a short last axis,
 which numpy runs several times slower than the same sum as a BLAS product:
@@ -293,8 +295,10 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
     head_dim = d // heads
     c = 1.0 / float(np.sqrt(head_dim))
     w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv = x.data @ w + np.concatenate([bq.data, np.zeros_like(bq.data),
-                                       bv.data])
+    # the bias is added in place: a fresh (B, T, 3d) sum would fault in
+    # new pages on every call
+    qkv = x.data @ w
+    qkv += np.concatenate([bq.data, np.zeros_like(bq.data), bv.data])
     require_finite("attention", qkv)
     # (3, B, h, T, head_dim) views of q, k and v
     qkv = qkv.reshape(batch, tokens, 3, heads, head_dim)

@@ -128,9 +128,8 @@ class ExperimentConfig:
 
 def resolve_config(outdir: str | Path, overrides: dict | None = None) -> ExperimentConfig:
     """Load outdir/config.json if present, apply overrides, validate the
-    result and persist it."""
+    result and persist it. A rejected config creates no directory."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "config.json"
     fields = (read_json(path) if path.exists()
               else asdict(ExperimentConfig(outdir=str(outdir))))
@@ -143,6 +142,7 @@ def resolve_config(outdir: str | Path, overrides: dict | None = None) -> Experim
         else:
             fields[key] = value
     config = ExperimentConfig(**fields)
+    outdir.mkdir(parents=True, exist_ok=True)
     config.save(path)
     return config
 

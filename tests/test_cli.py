@@ -60,14 +60,52 @@ def test_synth_requires_one_source(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 1
 
 
-def test_python_m_zest_runs_from_checkout():
+def _zest(*args):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "zest", "--help"], env=env,
+    return subprocess.run([sys.executable, "-m", "zest", *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_zest_runs_from_checkout():
+    done = _zest("--help")
     assert done.returncode == 0, done.stderr
     for name in STAGES:
         assert name.replace("baseline-", "baseline ", 1) in done.stdout
+
+
+def _packet_csv(path, bad_lines):
+    """200 packets of two devices, 100 each; the rows on `bad_lines` (file
+    line numbers, the header being line 1) have an out-of-range port."""
+    lines = ["timestamp,src_port,dst_port,src_internal,dst_internal,proto,"
+             "size,direction,device_id"]
+    for i in range(200):
+        port = 70000 if i + 2 in bad_lines else 443
+        lines.append(f"{i}.5,51514,{port},1,0,tcp,90,out,dev-{i % 2}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_ingest_entry_point_skips_a_bad_row(tmp_path):
+    csv_path = _packet_csv(tmp_path / "trace.csv", bad_lines={57})
+    outdir = tmp_path / "exp"
+    done = _zest("ingest", "--outdir", str(outdir), "--csv", str(csv_path),
+                 "--n", "10")
+    assert done.returncode == 0, done.stderr
+    assert f"{csv_path}:57 skipped: port 70000 out of range" in done.stderr
+    # dev-1 keeps 100 packets (10 windows), dev-0 keeps 99 (9 windows)
+    manifest = json.loads((outdir / "data" / "dataset.json").read_text())
+    assert manifest["num_points"] == 19
+
+
+def test_ingest_entry_point_aborts_over_one_percent(tmp_path):
+    csv_path = _packet_csv(tmp_path / "trace.csv", bad_lines={10, 20, 30})
+    outdir = tmp_path / "exp"
+    done = _zest("ingest", "--outdir", str(outdir), "--csv", str(csv_path),
+                 "--n", "10")
+    assert done.returncode == 1
+    assert "3/200 rows unparseable" in done.stderr
+    assert not (outdir / "data" / "dataset.json").exists()
 
 
 def test_stage_artifacts_exist(experiment):
@@ -217,7 +255,7 @@ def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,
             str(profile_file), "--n", "10", flag, value]
     assert main(args) == 1
     assert field in capsys.readouterr().err
-    assert not any(outdir.iterdir())
+    assert not outdir.exists()
 
 
 def test_invalid_sweep_value_rejected_before_any_stage(tmp_path,
@@ -257,4 +295,4 @@ def test_invalid_model_override_rejected_before_any_stage(
             str(profile_file), "--n", "10", flag, value]
     assert main(args) == 1
     assert field in capsys.readouterr().err
-    assert not any(outdir.iterdir())
+    assert not outdir.exists()

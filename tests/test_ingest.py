@@ -56,6 +56,17 @@ class TestParse:
         assert len(records) == 2
         assert any("skipped" in m for m in caplog.messages)
 
+    def test_clean_file_skips_the_row_rules(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(HEADER.encode() + b"".join(
+            b'%d.5,80,443,1,0,"TCP",9,In,cam#2\r\n' % i for i in range(5)))
+        monkeypatch.setattr(ingest, "_parse_row", lambda row: pytest.fail(
+            "a clean file went through the row rules"))
+        packets = parse_packet_csv(path)
+        assert packets["proto"].tolist() == [PROTO_CODES["tcp"]] * 5
+        assert packets["direction"].tolist() == [DIRECTION_CODES["in"]] * 5
+        assert packets.dtype["device_id"] == np.dtype("U5")
+
     def test_header_only_gives_empty_list(self, tmp_path):
         path = _write(tmp_path, [])
         assert len(parse_packet_csv(path)) == 0

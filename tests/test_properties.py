@@ -5,13 +5,15 @@ models against scalar references: the flat forest's vote and the all-class
 SVM fit."""
 
 import contextlib
+import csv
 import logging
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,8 +23,8 @@ from zest.forest import RandomForest
 from zest.ingest import (COL_INTER_ARRIVAL, CSV_HEADER, NUM_FEATURES,
                          Dataset, IngestError, apply_normalizer, featurize,
                          fit_normalizer, load_dataset, packet_array,
-                         parse_packet_csv, save_dataset, segment,
-                         split_indices)
+                         packet_dtype, parse_packet_csv, save_dataset,
+                         segment, split_indices)
 
 GOOD_ROW = "{i}.5,51514,443,1,0,tcp,90,out,dev-{d}\n"
 BAD_ROWS = ["1.0,70000,443,1,0,tcp,9,out,d\n",    # port out of range
@@ -73,6 +75,144 @@ def test_parse_skips_up_to_one_percent(good, bad, data):
     assert len(packets) == good
     assert packets["timestamp"].tolist() == [i + 0.5 for i in range(good)]
     assert sum(":" in m and "skipped:" in m for m in messages) == len(bad)
+
+
+def _row_rules_parse(path):
+    """A copy of the row-by-row parser, the reference the column reader
+    must match: the packets (None when it aborts) and the line numbers it
+    skips."""
+    protos, directions = {"tcp": 0, "udp": 1, "other": 2}, {"in": 0, "out": 1}
+
+    def parse_row(row):
+        if len(row) != 9:
+            raise ValueError
+        ts = float(row[0])
+        if not np.isfinite(ts):
+            raise ValueError
+        src_port, dst_port = int(row[1]), int(row[2])
+        if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
+            raise ValueError
+        if row[3] not in ("0", "1") or row[4] not in ("0", "1"):
+            raise ValueError
+        proto, size, direction = row[5].lower(), int(row[6]), row[7].lower()
+        if proto not in protos or size < 0 or direction not in directions:
+            raise ValueError
+        if not row[8]:
+            raise ValueError
+        return (ts, src_port, dst_port, row[3] == "1", row[4] == "1",
+                protos[proto], size, directions[direction], row[8])
+
+    rows, skipped = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == CSV_HEADER
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                rows.append(parse_row(row))
+            except ValueError:
+                skipped.append(line_no)
+    if len(skipped) > max(1, 0.01 * (len(rows) + len(skipped))):
+        return None, skipped
+    width = max((len(row[-1]) for row in rows), default=1)
+    return np.array(rows, dtype=packet_dtype(width)), skipped
+
+
+_PLAIN = ["1.5", "80", "443", "1", "0", "tcp", "90", "out", "dev-1"]
+# per column, spellings on which the row rules (`csv` with `int`, `float`
+# and `str.lower`) and `np.loadtxt` may part ways: some the rules accept
+# and loadtxt rejects or reads otherwise, some the rules reject and loadtxt
+# reads without complaint
+_ODD = [
+    ["5.0", "1_000.5", " 1.5 ", "+2", ".5", "1.", "1e3", "-0.0", "1e-320",
+     "\xa01.5", "١.5", "nan", "inf", "-Infinity", "1e400", "", "x",
+     "\x1c1.5", "1.5\x1f", "0x1p3", "1.5\x00"],
+    ["0", "65535", " 80 ", "+80", "080", "1_000", "٣", "-1", "65536", "5.0",
+     "\x1d80", "80\x1e", "99999999999", "0x50", ""],
+    ["\t53\t", "-0", "5_3", "-3", "1e2", "8 0", "\x1c53", "53\x00"],
+    [" 1", "1 ", "01", "2", "", "1\x00", "true", "10"],
+    ["0 ", "\x1f1", "00", "0\x00", "1"],
+    ["TCP", "Udp", "oTHer", "tcp ", " udp", "icmp", "", "tcp\x00", "otherx",
+     "othe", "İcp", "udp\x1c"],
+    ["0", "9223372036854775807", " 7 ", "+0", "1_000", "٧", "-3", "5.0",
+     "9e2", "\x1f7", "-1_0", "7\x00"],
+    ["IN", "Out", "iN", "İn", "in ", "inn", "", "ou", "o\x00ut", "out\x00",
+     "ın", "outx"],
+    ["cam#2", "c\xe2m", "a,b", 'a"b', '"', " d", "d ", "x" * 70, "d\x1c",
+     "\x00", "dev\x00", "a\nb", "a\r\nb", "a\rb", "#", "İn", ""],
+]
+_SHAPES = ["", " ", "\t", "\x0c", "\r", ",".join(_PLAIN[:8]),
+           ",".join(_PLAIN) + ",", ",".join(_PLAIN) + ",x"]
+
+
+def _quote(value):
+    return '"' + value.replace('"', '""') + '"'
+
+
+@st.composite
+def _packet_files(draw):
+    """CSV text of plain rows (all fields quoted, or none), some of which
+    carry one odd spelling in the same column or have one odd shape:
+    blank or whitespace lines, a field short or over. Lines end in LF or
+    CRLF, and the last may leave a quote open."""
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    plain = [_quote(v) for v in _PLAIN] if draw(st.booleans()) else _PLAIN
+    column, value = draw(st.sampled_from(
+        [(c, v) for c, values in enumerate(_ODD) for v in values]
+        + [(9, shape) for shape in _SHAPES] + [(8, None)] * 5))
+    if column == 9:
+        odd = value
+    else:
+        if value is None:
+            value = draw(st.text(max_size=9))
+        if draw(st.booleans()):
+            value = _quote(value)
+        odd = ",".join([*plain[:column], value, *plain[column + 1:]])
+    rows = draw(st.integers(0, 150))
+    lines = [",".join(CSV_HEADER)] + [",".join(plain)] * rows
+    for _ in range(draw(st.sampled_from([0, 1, 2, 5, 40])) if rows else 0):
+        lines[draw(st.integers(1, rows))] = odd
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(",".join(_PLAIN[:8]) + ',"dev'
+                     + draw(st.sampled_from(["", eol, eol + eol])))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _one_odd_row(row, plain_rows=150):
+    plain = ",".join(_PLAIN) + "\n"
+    return ",".join(CSV_HEADER) + "\n" + row + "\n" + plain * plain_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_packet_files())
+# for each check of the column reader, a file that needs it; the generator
+# draws each of these too, though not in every run
+@example(text=_one_odd_row("1.5,80,443,1,0,tcp,90,out,cam#2"))
+@example(text=_one_odd_row("1.5,80,443,1,0,tcp,90,out," + "x" * 70))
+@example(text=_one_odd_row("1.5,80,443,1,0,tcp,90,out,"))
+@example(text=_one_odd_row('1.5,80,443,1,0,tcp,90,out,"a\nb"'))
+@example(text=_one_odd_row('1.5,80,443,1,0,tcp,90,out,"a\rb"'))
+@example(text=_one_odd_row("1.5,80,443,10,0,tcp,90,out,d"))
+@example(text=_one_odd_row("1.5,80,443,1,0,otherx,90,out,d"))
+@example(text=_one_odd_row("1.5,80,443,1,0,tcp\x00,90,out,d"))
+@example(text=_one_odd_row("1.5,\x1d80,443,1,0,tcp,90,out,d"))
+@example(text=_one_odd_row("nan,80,443,1,0,tcp,90,out,d"))
+def test_parse_matches_the_row_rules(text):
+    with _scratch() as tmp, _line_warnings() as messages:
+        path = tmp / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected, skipped = _row_rules_parse(path)
+        if expected is None:
+            with pytest.raises(IngestError, match="unparseable"):
+                parse_packet_csv(path)
+        else:
+            packets = parse_packet_csv(path)
+            assert packets.dtype == expected.dtype
+            assert packets.tobytes() == expected.tobytes()
+    warned = [int(m.group(1)) for m in
+              (re.match(r".*:(\d+) skipped: ", m) for m in messages) if m]
+    assert warned == skipped
 
 
 @settings(max_examples=60, deadline=None)
