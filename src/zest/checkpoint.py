@@ -1,12 +1,13 @@
-"""Atomic file writes, JSON artifacts and deterministic model checkpoints.
+"""Atomic file writes, JSON artifacts, npz array files and deterministic
+model checkpoints.
 
 Every writer here writes a temp file beside its target and moves it into
 place, so a crash never leaves a half-written file.
 
-A checkpoint is an npz archive, like every other array file of a run: one
-float32 array per tensor, in sorted name order, then the model config as a
-JSON string under the reserved key `CONFIG_KEY`. It loads without pickle,
-and identical runs produce identical bytes.
+Every array file of a run is an npz archive written by `save_arrays`: it
+loads without pickle, and identical arrays give identical bytes. A
+checkpoint is one too: one float32 array per tensor, in sorted name order,
+then the model config as a JSON string under the reserved key `CONFIG_KEY`.
 """
 
 from __future__ import annotations
@@ -58,18 +59,25 @@ def read_json(path: str | Path) -> dict | list:
         return json.load(fh)
 
 
+def save_arrays(path: str | Path, **arrays: np.ndarray) -> None:
+    """The arrays as one npz archive, in argument order."""
+    with atomic_write(path) as fh:
+        np.savez(fh, **arrays)
+
+
+def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
                     config: dict) -> None:
     arrays = {name: np.ascontiguousarray(tensors[name], dtype="<f4")
               for name in sorted(tensors)}
     arrays[CONFIG_KEY] = np.array(json.dumps(config, sort_keys=True))
-    with atomic_write(path) as fh:
-        np.savez(fh, **arrays)
+    save_arrays(path, **arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    with np.load(path, allow_pickle=False) as archive:
-        tensors = {name: archive[name] for name in archive.files
-                   if name != CONFIG_KEY}
-        config = json.loads(str(archive[CONFIG_KEY]))
-    return tensors, config
+    tensors = load_arrays(path)
+    return tensors, json.loads(str(tensors.pop(CONFIG_KEY)))

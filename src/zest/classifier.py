@@ -2,8 +2,9 @@
 
 A linear one-vs-rest SVM is trained on pseudo latents by subgradient descent
 on the L2-regularized hinge objective, with the weights of all classes in one
-(classes, dim) matrix updated together, and evaluated on real latents
-extracted from held-out test traffic.
+(classes, dim) matrix updated together, stored as an npz archive of its
+classes, weights and biases, and evaluated on real latents extracted from
+held-out test traffic.
 """
 
 from __future__ import annotations
@@ -14,51 +15,33 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_json
+from .checkpoint import load_arrays, save_arrays, write_json
 
 logger = logging.getLogger("zest.classifier")
 
 
 @dataclass
 class SvmModel:
-    """Per-class weights/biases of a linear one-vs-rest SVM."""
+    """Per-class weights/biases of a linear one-vs-rest SVM. Zero weights
+    over a single class make the ZSL model when only one class is unseen:
+    it predicts that class for every input."""
 
     classes: list[int]
     weights: np.ndarray      # (num_classes, dim)
     biases: np.ndarray       # (num_classes,)
-    regularization: float
-    metadata: dict = field(default_factory=dict)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) @ self.weights.T + self.biases
 
-    def to_dict(self) -> dict:
-        return {
-            "classes": self.classes,
-            "weights": self.weights.tolist(),
-            "biases": self.biases.tolist(),
-            "regularization": self.regularization,
-            "metadata": self.metadata,
-        }
+    def save(self, path: str | Path) -> None:
+        save_arrays(path, classes=np.asarray(self.classes, dtype=np.int64),
+                    weights=self.weights, biases=self.biases)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SvmModel":
-        return cls(classes=list(d["classes"]),
-                   weights=np.asarray(d["weights"], dtype=np.float64),
-                   biases=np.asarray(d["biases"], dtype=np.float64),
-                   regularization=d["regularization"],
-                   metadata=d.get("metadata", {}))
-
-
-@dataclass
-class ConstantClassifier:
-    """Degenerate predictor for a single-class label set (the 1-unseen-device
-    ZSL case, where there is nothing to separate)."""
-
-    classes: list[int]
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros((np.asarray(x).shape[0], 1))
+    def load(cls, path: str | Path) -> "SvmModel":
+        arrays = load_arrays(path)
+        return cls(classes=arrays["classes"].tolist(),
+                   weights=arrays["weights"], biases=arrays["biases"])
 
 
 def hinge_objective(w: np.ndarray, margins: np.ndarray,
@@ -101,12 +84,10 @@ def train_svm(x: np.ndarray, y: np.ndarray, c_reg: float = 1.0,
         better = obj < best_obj
         best_obj = np.where(better, obj, best_obj)
         best_w[better], best_b[better] = w[better], b[better]
-    return SvmModel(classes=classes, weights=best_w, biases=best_b,
-                    regularization=c_reg,
-                    metadata={"epochs": epochs, "lr": lr})
+    return SvmModel(classes=classes, weights=best_w, biases=best_b)
 
 
-def predict(model, latents: np.ndarray) -> np.ndarray:
+def predict(model: SvmModel, latents: np.ndarray) -> np.ndarray:
     """Argmax over class scores; ties break to the lowest class index."""
     scores = model.scores(np.asarray(latents))
     return np.asarray(model.classes, dtype=np.int64)[scores.argmax(axis=1)]
@@ -190,7 +171,7 @@ def build_report(setting: str, y_true: np.ndarray, y_pred: np.ndarray,
                       num_test=len(y_true), extra=extra or {})
 
 
-def evaluate(setting: str, model, test_latents: np.ndarray,
+def evaluate(setting: str, model: SvmModel, test_latents: np.ndarray,
              test_labels: np.ndarray, extra: dict | None = None) -> EvalReport:
     """Score a trained classifier on real test latents.
 

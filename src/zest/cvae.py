@@ -250,21 +250,20 @@ class PseudoDataset:
     labels: np.ndarray     # (num_classes * k,)
 
 
-def generate_pseudo(model: CvaeModel, class_attributes: dict[int, np.ndarray],
-                    k: int, seed: int) -> PseudoDataset:
-    """Decode k Gaussian noise draws per class conditioned on that class's
-    attribute vector. Reads no real latents; per-class seeds derive from the
-    run seed so classes can generate independently."""
+def generate_pseudo(model: CvaeModel, attrs: np.ndarray, k: int,
+                    seed: int) -> PseudoDataset:
+    """Decode k Gaussian noise draws per class c, conditioned on row c of
+    the (num_classes, N) attribute array `attrs`, classes in label order.
+    Reads no real latents; per-class seeds derive from the run seed so
+    classes can generate independently."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    attrs = np.asarray(attrs, dtype=np.float32)
     samples = []
-    labels = []
-    for label in sorted(class_attributes):
+    for label, attr in enumerate(attrs):
         rng = np.random.default_rng([seed, label])
         noise = rng.standard_normal((k, model.config.z_dim)).astype(np.float32)
-        attr = np.asarray(class_attributes[label], dtype=np.float32)
         cond = np.broadcast_to(attr, (k, attr.shape[0]))
         samples.append(model.decode_arrays(noise, cond))
-        labels.append(np.full(k, label, dtype=np.int64))
-    return PseudoDataset(samples=np.concatenate(samples),
-                         labels=np.concatenate(labels))
+    labels = np.repeat(np.arange(len(attrs), dtype=np.int64), k)
+    return PseudoDataset(samples=np.concatenate(samples), labels=labels)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write, read_json, write_json
+from .checkpoint import read_json, save_arrays, write_json
 
 logger = logging.getLogger("zest.ingest")
 
@@ -125,8 +125,8 @@ def _parse_row(row: list[str]) -> tuple:
     if proto not in PROTO_CODES:
         raise ValueError(f"unknown proto {row[5]!r}")
     size = int(row[6])
-    if size < 0:
-        raise ValueError(f"negative packet size {size}")
+    if not 0 <= size <= np.iinfo(np.int64).max:
+        raise ValueError(f"packet size {size} out of range")
     direction = row[7].lower()
     if direction not in DIRECTION_CODES:
         raise ValueError(f"unknown direction {row[7]!r}")
@@ -288,31 +288,16 @@ def segment(feature_rows: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class Normalizer:
-    """Per-feature min-max scaling, with log1p first for heavy-tailed columns."""
+    """Per-feature min-max scaling, with log1p first for the heavy-tailed
+    `LOG1P_COLUMNS`."""
 
     mins: np.ndarray
     maxs: np.ndarray
-    log1p_columns: tuple = LOG1P_COLUMNS
-
-    def to_dict(self) -> dict:
-        return {
-            "mins": self.mins.tolist(),
-            "maxs": self.maxs.tolist(),
-            "log1p_columns": list(self.log1p_columns),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Normalizer":
-        return cls(
-            mins=np.asarray(d["mins"], dtype=np.float64),
-            maxs=np.asarray(d["maxs"], dtype=np.float64),
-            log1p_columns=tuple(d["log1p_columns"]),
-        )
 
 
-def _log1p_columns(x: np.ndarray, columns: tuple) -> np.ndarray:
+def _log1p_columns(x: np.ndarray) -> np.ndarray:
     out = x.astype(np.float64, copy=True)
-    out[..., list(columns)] = np.log1p(out[..., list(columns)])
+    out[..., LOG1P_COLUMNS] = np.log1p(out[..., LOG1P_COLUMNS])
     return out
 
 
@@ -321,13 +306,13 @@ def fit_normalizer(x: np.ndarray) -> Normalizer:
     training-split data of seen devices."""
     if x.size == 0:
         raise IngestError("cannot fit normalizer on empty training data")
-    t = _log1p_columns(x.reshape(-1, x.shape[-1]), LOG1P_COLUMNS)
+    t = _log1p_columns(x.reshape(-1, x.shape[-1]))
     return Normalizer(mins=t.min(axis=0), maxs=t.max(axis=0))
 
 
 def apply_normalizer(normalizer: Normalizer, x: np.ndarray) -> np.ndarray:
     """Scale every row of `x` (..., f) into [0, 1] as float32."""
-    t = _log1p_columns(x, normalizer.log1p_columns)
+    t = _log1p_columns(x)
     span = normalizer.maxs - normalizer.mins
     scaled = np.where(span > 0, (t - normalizer.mins)
                       / np.where(span > 0, span, 1.0), 0.0)
@@ -418,8 +403,7 @@ def build_dataset(packets: np.ndarray, n: int) -> Dataset:
 
 def save_dataset(dataset: Dataset, npz_path: str | Path,
                  manifest_path: str | Path) -> None:
-    with atomic_write(npz_path) as fh:
-        np.savez(fh, features=dataset.features, labels=dataset.labels)
+    save_arrays(npz_path, features=dataset.features, labels=dataset.labels)
     write_json(manifest_path, {
         "n": dataset.n,
         "f": dataset.features.shape[2],

@@ -11,10 +11,15 @@ match the upstream manifest.
 entry of `STAGES`, in dependency order: the files it reads and the stage that
 makes each one, the files it writes, the config its cache key covers, and a
 body. `run_stage` does the checking and caching for all of them, and the
-body gets a `StageContext` that loads the dataset, partition, latents and
-class attributes only when the body first asks for them. `run_seed` runs the
-table in order; the CLI builds one command per entry and runs `partition`
-before the named stage.
+body gets a `StageContext` that loads the dataset, partition and latents
+only when the body first asks for them. `run_seed` runs the table in order;
+the CLI builds one command per entry and runs `partition` before the named
+stage.
+
+Every array artifact of a run is an npz archive: the normalizer, the
+checkpoints, the SVMs, the pseudo data, and `latents.npz`, which holds the
+latents of every sequence and the class attributes as one (num_classes, N)
+array indexed by class label.
 """
 
 from __future__ import annotations
@@ -32,11 +37,10 @@ from typing import Callable
 import numpy as np
 
 from . import baselines as bl
-from .attributes import (compute_attributes, extract_latents,
-                         load_attributes_csv, save_attributes_csv)
-from .checkpoint import atomic_write, json_default, read_json, write_json
-from .classifier import (ConstantClassifier, EvalReport, SvmModel, evaluate,
-                         train_svm)
+from .attributes import compute_attributes, extract_latents
+from .checkpoint import (atomic_write, json_default, load_arrays, read_json,
+                         save_arrays, write_json)
+from .classifier import EvalReport, SvmModel, evaluate, train_svm
 from .cvae import CvaeConfig, CvaeModel, generate_pseudo, train_cvae
 from .ingest import (Dataset, Normalizer, apply_normalizer, build_dataset,
                      fit_normalizer, load_dataset, make_partition,
@@ -215,8 +219,9 @@ class StageRunner:
     def _manifest_path(self, stage: str) -> Path:
         return self.root / f"{stage}.manifest.json"
 
-    def require_input(self, stage: str, producer: str, path: Path) -> Path:
-        """Validate that `path` exists and matches the producer's manifest."""
+    def require_input(self, stage: str, producer: str, path: Path) -> str:
+        """The checksum of `path`, once it is checked to exist and to match
+        the producer's manifest."""
         manifest_path = self._manifest_path(producer)
         if not manifest_path.exists() or not path.exists():
             raise StageError(
@@ -233,18 +238,18 @@ class StageRunner:
             raise StageError(
                 stage, f"upstream artifact {path.name} does not match the "
                        f"manifest of stage '{producer}'; re-run '{producer}'")
-        return path
+        return recorded
 
-    def run(self, stage: str, config: dict, inputs: list[Path],
+    def run(self, stage: str, config: dict, inputs: dict[str, str],
             outputs: list[Path], fn) -> bool:
         """Execute fn() unless the stage manifest shows a valid cache hit.
+        `inputs` maps the name of each file the stage reads to its checksum.
         Returns True when the stage actually ran. A file that the replaced
         manifest lists as an output and `outputs` does not (an older file
         name, say) is deleted: no manifest names it any more."""
         manifest_path = self._manifest_path(stage)
         config = json.loads(json.dumps(config, default=json_default,
                                        sort_keys=True))
-        input_sums = {p.name: sha256_file(p) for p in inputs}
         declared = {p.name for p in outputs}
         try:
             manifest = read_json(manifest_path)
@@ -253,7 +258,7 @@ class StageRunner:
         # a manifest whose outputs are not the declared ones (say, an older
         # file name) is a miss: the stages that read them would fail
         if (manifest and manifest.get("config") == config
-                and manifest.get("inputs") == input_sums
+                and manifest.get("inputs") == inputs
                 and set(manifest["outputs"]) == declared
                 and all((self.root / name).exists()
                         and sha256_file(self.root / name) == digest
@@ -266,7 +271,7 @@ class StageRunner:
         if missing:
             raise StageError(stage, f"stage did not produce {missing}")
         write_json(manifest_path, {
-            "stage": stage, "config": config, "inputs": input_sums,
+            "stage": stage, "config": config, "inputs": inputs,
             "outputs": {p.name: sha256_file(p) for p in outputs}})
         for name in set(manifest.get("outputs", ())) - declared:
             if Path(name).name == name:     # only files of this directory
@@ -311,7 +316,7 @@ def stage_ingest(config: ExperimentConfig) -> Dataset:
                                                    config.n))
             generate_csv(profiles, seed=source.get("seed", 0), path=csv_path)
 
-        runner.run("synth", {"source": source}, [], [csv_path], synth_fn)
+        runner.run("synth", {"source": source}, {}, [csv_path], synth_fn)
     elif "csv" in source:
         csv_path = Path(source["csv"])
         if not csv_path.exists():
@@ -329,7 +334,8 @@ def stage_ingest(config: ExperimentConfig) -> Dataset:
         save_dataset(dataset, npz_path, manifest_path)
 
     runner.run("ingest", {"n": config.n, "source": source},
-               [csv_path], [npz_path, manifest_path], ingest_fn)
+               {csv_path.name: sha256_file(csv_path)},
+               [npz_path, manifest_path], ingest_fn)
     return load_dataset(npz_path, manifest_path)
 
 
@@ -352,23 +358,14 @@ class StageContext:
                             self.ddir / "dataset.json")
 
     @cached_property
-    def class_map(self) -> dict[str, int]:
-        class_map = read_json(self.ddir / "dataset.json")["class_map"]
-        return {dev: int(label) for dev, label in class_map.items()}
-
-    @cached_property
     def partition(self) -> dict:
         return read_json(self.rdir / "partition.json")
 
     @cached_property
     def latents(self) -> dict[str, np.ndarray]:
-        data = np.load(self.rdir / "latents.npz")
-        return {"l": data["l"], "lam": data["lam"], "labels": data["labels"]}
-
-    @cached_property
-    def class_attrs(self) -> dict[int, np.ndarray]:
-        attrs = load_attributes_csv(self.rdir / "attributes.csv")
-        return {self.class_map[dev]: attrs[dev] for dev in attrs}
+        """`l`, `lam` and `labels` of every sequence, and the class
+        attributes `attrs`."""
+        return load_arrays(self.rdir / "latents.npz")
 
     def sane_config(self) -> SaneConfig:
         return self.config.sane_config(num_classes=len(self.partition["seen"]),
@@ -424,7 +421,7 @@ def _train_sane(ctx: StageContext) -> None:
     train_idx = _select(splits["train"], labels, seen)
     val_idx = _select(splits["val"], labels, seen)
     norm = fit_normalizer(features[train_idx])
-    write_json(ctx.rdir / "normalizer.json", norm.to_dict())
+    save_arrays(ctx.rdir / "normalizer.npz", mins=norm.mins, maxs=norm.maxs)
 
     def localized(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # seen classes renumbered 0..len(seen)-1 in sorted order
@@ -446,77 +443,67 @@ def _fit_idx(partition: dict, labels: np.ndarray) -> np.ndarray:
 
 
 def _extract_attrs(ctx: StageContext) -> None:
-    dataset = ctx.dataset
-    model = SaneModel.load(ctx.rdir / "sane.npz")
-    norm = Normalizer.from_dict(read_json(ctx.rdir / "normalizer.json"))
-    l, lam = extract_latents(model, apply_normalizer(norm, dataset.features))
-    with atomic_write(ctx.rdir / "latents.npz") as fh:
-        np.savez(fh, l=l, lam=lam, labels=dataset.labels)
+    dataset, devices = ctx.dataset, ctx.dataset.device_ids
     fit_idx = _fit_idx(ctx.partition, dataset.labels)
-    devices = np.asarray(dataset.device_ids)[dataset.labels[fit_idx]]
-    save_attributes_csv(compute_attributes(lam[fit_idx], devices),
-                        ctx.rdir / "attributes.csv")
+    empty = np.setdiff1d(np.arange(len(devices)), dataset.labels[fit_idx])
+    if len(empty):
+        raise StageError(
+            "extract-attrs",
+            f"device(s) {', '.join(devices[c] for c in empty)} have no "
+            f"sequence in the train split (or, if unseen, the val split) to "
+            f"fit attributes on; give them more sessions")
+    model = SaneModel.load(ctx.rdir / "sane.npz")
+    norm = Normalizer(**load_arrays(ctx.rdir / "normalizer.npz"))
+    l, lam = extract_latents(model, apply_normalizer(norm, dataset.features))
+    attrs = compute_attributes(lam[fit_idx], dataset.labels[fit_idx],
+                               len(devices))
+    save_arrays(ctx.rdir / "latents.npz", l=l, lam=lam, labels=dataset.labels,
+                attrs=attrs)
 
 
 def _train_cvae(ctx: StageContext) -> None:
-    labels, class_attrs = ctx.latents["labels"], ctx.class_attrs
+    labels = ctx.latents["labels"]
     train_idx = _select(ctx.partition["splits"]["train"], labels,
                         ctx.partition["seen"])
-    classes, row_class = np.unique(labels[train_idx], return_inverse=True)
-    for c in classes.tolist():
-        if c not in class_attrs:
-            raise StageError("train-cvae",
-                             f"missing attribute for seen class {c}")
-    conds = np.stack([class_attrs[c] for c in classes.tolist()])[row_class]
-    model, _ = train_cvae(ctx.latents["l"][train_idx], conds,
+    model, _ = train_cvae(ctx.latents["l"][train_idx],
+                          ctx.latents["attrs"][labels[train_idx]],
                           ctx.config.cvae_config(seed=ctx.seed))
     model.save(ctx.rdir / "cvae.npz")
 
 
 def _gen_pseudo(ctx: StageContext) -> None:
-    cvae_path = ctx.rdir / "cvae.npz"
-    k = ctx.config.pseudo_k
-    pseudo = generate_pseudo(CvaeModel.load(cvae_path), ctx.class_attrs, k=k,
+    pseudo = generate_pseudo(CvaeModel.load(ctx.rdir / "cvae.npz"),
+                             ctx.latents["attrs"], k=ctx.config.pseudo_k,
                              seed=ctx.seed)
-    with atomic_write(ctx.rdir / "pseudo.npz") as fh:
-        np.savez(fh, samples=pseudo.samples, labels=pseudo.labels)
-    write_json(ctx.rdir / "pseudo.json",
-               {"k": k, "seed": ctx.seed,
-                "decoder_checksum": sha256_file(cvae_path)})
+    save_arrays(ctx.rdir / "pseudo.npz", samples=pseudo.samples,
+                labels=pseudo.labels)
 
 
 def _train_clf(ctx: StageContext) -> None:
     svm_cfg = ctx.config.svm
-    with np.load(ctx.rdir / "pseudo.npz") as pseudo:
-        samples, labels = pseudo["samples"], pseudo["labels"]
+    pseudo = load_arrays(ctx.rdir / "pseudo.npz")
+    samples, labels = pseudo["samples"], pseudo["labels"]
     unseen = ctx.partition["unseen"]
 
-    def fit(keep) -> dict:
-        model = train_svm(samples[keep], labels[keep], c_reg=svm_cfg["c_reg"],
-                          epochs=svm_cfg["epochs"], lr=svm_cfg["lr"])
-        return {"type": "svm", "model": model.to_dict()}
+    def fit(keep) -> SvmModel:
+        return train_svm(samples[keep], labels[keep], c_reg=svm_cfg["c_reg"],
+                         epochs=svm_cfg["epochs"], lr=svm_cfg["lr"])
 
-    write_json(ctx.rdir / "svm_gzsl.json", fit(slice(None)))
+    fit(slice(None)).save(ctx.rdir / "svm_gzsl.npz")
     if len(unseen) == 1:
-        # one unseen class: nothing to separate in the ZSL setting
-        write_json(ctx.rdir / "svm_zsl.json",
-                   {"type": "constant", "classes": [unseen[0]]})
+        # one unseen class: nothing to separate, and zero weights predict it
+        zsl = SvmModel(classes=unseen, weights=np.zeros((1, samples.shape[1])),
+                       biases=np.zeros(1))
     else:
-        write_json(ctx.rdir / "svm_zsl.json", fit(np.isin(labels, unseen)))
-
-
-def _load_classifier(path: Path):
-    payload = read_json(path)
-    if payload["type"] == "constant":
-        return ConstantClassifier(classes=payload["classes"])
-    return SvmModel.from_dict(payload["model"])
+        zsl = fit(np.isin(labels, unseen))
+    zsl.save(ctx.rdir / "svm_zsl.npz")
 
 
 def _eval(ctx: StageContext) -> None:
     labels = ctx.latents["labels"]
     lines = []
     for setting in SETTINGS:
-        model = _load_classifier(ctx.rdir / f"svm_{setting}.json")
+        model = SvmModel.load(ctx.rdir / f"svm_{setting}.npz")
         idx = _test_idx(ctx.partition, labels, setting)
         report = evaluate(setting, model, ctx.latents["l"][idx], labels[idx],
                           extra={"method": "zest", "seed": ctx.seed})
@@ -529,11 +516,8 @@ def _eval(ctx: StageContext) -> None:
 def _baseline(ctx: StageContext, name: str) -> None:
     latent, attr_seeded = BASELINES[name]
     labels, features = ctx.latents["labels"], ctx.latents[latent]
-    num_classes = len(ctx.partition["seen"]) + len(ctx.partition["unseen"])
+    attrs = ctx.latents["attrs"]
     fit_idx = _fit_idx(ctx.partition, labels)
-    if set(ctx.class_attrs) != set(range(num_classes)):
-        raise StageError(f"baseline-{name}", "missing attribute for seeding")
-    attr_seeds = np.stack([ctx.class_attrs[c] for c in range(num_classes)])
     pipeline = getattr(bl, name.replace("-", "_"))
 
     tests = {}
@@ -541,7 +525,7 @@ def _baseline(ctx: StageContext, name: str) -> None:
         idx = _test_idx(ctx.partition, labels, setting)
         tests[setting] = (features[idx], labels[idx])
     reports = pipeline(features[fit_idx], labels[fit_idx], tests,
-                       *([attr_seeds] if attr_seeded else []), num_classes,
+                       *([attrs] if attr_seeded else []), len(attrs),
                        ctx.seed)
     for report in reports.values():
         report.extra["method"] = name
@@ -549,54 +533,50 @@ def _baseline(ctx: StageContext, name: str) -> None:
                {s: r.to_dict() for s, r in reports.items()})
 
 
-_NPZ = ("ingest", "dataset.npz")
-_CLASS_MAP = ("ingest", "dataset.json")
+_DATASET = (("ingest", "dataset.npz"), ("ingest", "dataset.json"))
 _PARTITION = ("partition", "partition.json")
-_ATTRS = (("extract-attrs", "latents.npz"),
-          ("extract-attrs", "attributes.csv"))
+_LATENTS = ("extract-attrs", "latents.npz")
 
 # every per-seed stage, in dependency order
 STAGES: dict[str, Stage] = {stage.name: stage for stage in (
     Stage("partition", "split devices into seen/unseen and sequences into "
                        "train/val/test",
-          reads=(_NPZ, _CLASS_MAP), writes=("partition.json",),
+          reads=_DATASET, writes=("partition.json",),
           key=lambda ctx: {"seed": ctx.seed,
                            "num_unseen": ctx.config.num_unseen,
                            "ratios": ctx.config.ratios},
           body=_partition),
     Stage("train-sane", "train the feature extractor on seen devices",
-          reads=(_NPZ, _CLASS_MAP, _PARTITION),
-          writes=("normalizer.json", "sane.npz", "sane_log.csv"),
+          reads=(*_DATASET, _PARTITION),
+          writes=("normalizer.npz", "sane.npz", "sane_log.csv"),
           key=lambda ctx: {"sane": asdict(ctx.sane_config())},
           body=_train_sane),
     Stage("extract-attrs", "extract latents and attribute vectors",
-          reads=(_NPZ, _CLASS_MAP, _PARTITION, ("train-sane", "sane.npz"),
-                 ("train-sane", "normalizer.json")),
-          writes=("latents.npz", "attributes.csv"),
+          reads=(*_DATASET, _PARTITION, ("train-sane", "sane.npz"),
+                 ("train-sane", "normalizer.npz")),
+          writes=("latents.npz",),
           key=lambda ctx: {"N": SaneConfig(**ctx.config.sane).N},
           body=_extract_attrs),
     Stage("train-cvae", "train the conditional VAE on seen latents",
-          reads=(_CLASS_MAP, _PARTITION, *_ATTRS), writes=("cvae.npz",),
+          reads=(_PARTITION, _LATENTS), writes=("cvae.npz",),
           key=lambda ctx: {"cvae": asdict(ctx.config.cvae_config(ctx.seed))},
           body=_train_cvae),
     Stage("gen-pseudo", "generate balanced pseudo latents",
-          reads=(_CLASS_MAP, ("train-cvae", "cvae.npz"),
-                 ("extract-attrs", "attributes.csv")),
-          writes=("pseudo.npz", "pseudo.json"),
+          reads=(("train-cvae", "cvae.npz"), _LATENTS),
+          writes=("pseudo.npz",),
           key=lambda ctx: {"k": ctx.config.pseudo_k, "seed": ctx.seed},
           body=_gen_pseudo),
     Stage("train-clf", "train the final classifiers on pseudo data",
           reads=(_PARTITION, ("gen-pseudo", "pseudo.npz")),
-          writes=("svm_zsl.json", "svm_gzsl.json"),
+          writes=("svm_zsl.npz", "svm_gzsl.npz"),
           key=lambda ctx: {"svm": ctx.config.svm}, body=_train_clf),
     Stage("eval", "evaluate ZSL and GZSL accuracy on test latents",
-          reads=(_PARTITION, ("extract-attrs", "latents.npz"),
-                 ("train-clf", "svm_zsl.json"),
-                 ("train-clf", "svm_gzsl.json")),
+          reads=(_PARTITION, _LATENTS, ("train-clf", "svm_zsl.npz"),
+                 ("train-clf", "svm_gzsl.npz")),
           writes=("report_zsl.json", "report_gzsl.json", "report.txt"),
           key=lambda ctx: {"svm": ctx.config.svm}, body=_eval, method="zest"),
     *(Stage(f"baseline-{name}", f"run the {name} comparison pipeline",
-            reads=(_CLASS_MAP, _PARTITION, *_ATTRS),
+            reads=(_PARTITION, _LATENTS),
             writes=(f"baseline_{name}.json",),
             key=lambda ctx, name=name: {"name": name},
             body=partial(_baseline, name=name), method=name)
@@ -613,11 +593,11 @@ def run_stage(name: str, config: ExperimentConfig, seed: int) -> bool:
     stage = STAGES[name]
     ctx = StageContext(config, seed)
     ctx.rdir.mkdir(parents=True, exist_ok=True)
-    inputs = []
+    inputs = {}
     for producer, file in stage.reads:
         root = ctx.ddir if producer == "ingest" else ctx.rdir
-        inputs.append(StageRunner(root).require_input(name, producer,
-                                                      root / file))
+        inputs[file] = StageRunner(root).require_input(name, producer,
+                                                       root / file)
     return StageRunner(ctx.rdir).run(
         name, stage.key(ctx), inputs, [ctx.rdir / f for f in stage.writes],
         lambda: stage.body(ctx))

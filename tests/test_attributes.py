@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from zest.attributes import (compute_attributes, extract_latents,
-                             load_attributes_csv, save_attributes_csv)
+from zest.attributes import compute_attributes, extract_latents
 
 
 @pytest.fixture(scope="module")
@@ -69,36 +68,51 @@ def test_extract_empty_fatal(trained):
 
 def test_attribute_is_mean():
     lam = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=np.float32)
-    attrs = compute_attributes(lam, ["d", "d"])
-    np.testing.assert_allclose(attrs["d"], [0.5, 0.5, 0.0])
+    attrs = compute_attributes(lam, [0, 0], 1)
+    np.testing.assert_allclose(attrs, [[0.5, 0.5, 0.0]])
 
 
 def test_attribute_of_constant_device():
     lam = np.tile(np.array([[0.3, -0.2, 1.1]], dtype=np.float32), (5, 1))
-    attrs = compute_attributes(lam, ["d"] * 5)
-    np.testing.assert_allclose(attrs["d"], [0.3, -0.2, 1.1], atol=1e-6)
+    attrs = compute_attributes(lam, [0] * 5, 1)
+    np.testing.assert_allclose(attrs[0], [0.3, -0.2, 1.1], atol=1e-6)
 
 
 def test_attribute_permutation_invariant(trained):
     model, x, y = trained
     x = x[y == y[0]][:10]
     shuffled = x[np.random.default_rng(0).permutation(len(x))]
-    a1 = compute_attributes(extract_latents(model, x)[1], ["d"] * len(x))
+    a1 = compute_attributes(extract_latents(model, x)[1], [0] * len(x), 1)
     a2 = compute_attributes(extract_latents(model, shuffled)[1],
-                            ["d"] * len(x))
-    np.testing.assert_allclose(a1["d"], a2["d"], atol=1e-6)
+                            [0] * len(x), 1)
+    np.testing.assert_allclose(a1, a2, atol=1e-6)
 
 
 def test_empty_latent_set_fatal():
     with pytest.raises(ValueError, match="no latents"):
-        compute_attributes(np.zeros((0, 3), dtype=np.float32), [])
+        compute_attributes(np.zeros((0, 3), dtype=np.float32), [], 1)
 
 
 def test_every_device_gets_one_attribute(trained):
     model, x, y = trained
-    devices = np.array([f"dev-{label}" for label in y])
-    attrs = compute_attributes(extract_latents(model, x)[1], devices)
-    assert set(attrs) == set(devices)
+    _, lam = extract_latents(model, x)
+    attrs = compute_attributes(lam, y, len(set(y.tolist())))
+    assert attrs.shape == (len(set(y.tolist())), model.config.N)
+    assert attrs.dtype == lam.dtype
+    for c in range(len(attrs)):
+        np.testing.assert_array_equal(attrs[c], lam[y == c].mean(axis=0))
+
+
+def test_rows_follow_labels_not_input_order():
+    lam = np.array([[4.0], [1.0], [2.0], [3.0]], dtype=np.float32)
+    attrs = compute_attributes(lam, [2, 0, 0, 1], 3)
+    np.testing.assert_array_equal(attrs, [[1.5], [3.0], [4.0]])
+
+
+def test_class_without_latents_fatal():
+    lam = np.ones((3, 2), dtype=np.float32)
+    with pytest.raises(ValueError, match=r"classes \[1, 3\]"):
+        compute_attributes(lam, [0, 2, 2], 4)
 
 
 def test_attributes_separate_distinct_devices(trained):
@@ -106,28 +120,11 @@ def test_attributes_separate_distinct_devices(trained):
     # exceed the within-device lambda spread
     model, x, y = trained
     _, lam = extract_latents(model, x)
-    attrs = compute_attributes(lam, y)
-    devices = sorted(attrs)
-    within = max(float(np.linalg.norm(lam[y == int(d)] - attrs[d],
-                                      axis=1).std())
-                 for d in devices)
-    between = min(
-        float(np.linalg.norm(attrs[a] - attrs[b]))
-        for i, a in enumerate(devices) for b in devices[i + 1:]
-    )
+    attrs = compute_attributes(lam, y, len(set(y.tolist())))
+    classes = range(len(attrs))
+    within = max(float(np.linalg.norm(lam[y == c] - attrs[c], axis=1).std())
+                 for c in classes)
+    between = min(float(np.linalg.norm(attrs[a] - attrs[b]))
+                  for a in classes for b in classes if a < b)
     assert between > within
 
-
-def test_csv_roundtrip(tmp_path):
-    attrs = {
-        "dev-b": np.array([0.25, -1.5, 3.0], dtype=np.float32),
-        "dev-a": np.array([1.0, 2.0, -0.125], dtype=np.float32),
-    }
-    path = tmp_path / "attrs.csv"
-    save_attributes_csv(attrs, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "device_id,a_0,a_1,a_2"
-    loaded = load_attributes_csv(path)
-    assert sorted(loaded) == ["dev-a", "dev-b"]
-    for dev in attrs:
-        np.testing.assert_allclose(loaded[dev], attrs[dev], atol=1e-6)

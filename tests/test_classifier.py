@@ -6,9 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from zest.classifier import (ConstantClassifier, EvalReport, SvmModel,
-                             build_report, evaluate, hinge_objective,
-                             predict, train_svm)
+from zest.classifier import (EvalReport, SvmModel, build_report, evaluate,
+                             hinge_objective, predict, train_svm)
 
 
 def _blobs(centers, per_class=30, spread=0.3, seed=0):
@@ -84,7 +83,7 @@ def test_single_class_fatal():
 
 def test_tie_breaks_to_lowest_class_index():
     model = SvmModel(classes=[1, 3], weights=np.zeros((2, 2)),
-                     biases=np.zeros(2), regularization=1.0)
+                     biases=np.zeros(2))
     # all scores are zero: tie between class 1 and class 3
     assert predict(model, np.ones((4, 2))).tolist() == [1, 1, 1, 1]
 
@@ -93,8 +92,7 @@ def test_prediction_invariant_to_positive_rescaling():
     x, y = _blobs([(-2, 0), (2, 0), (0, 2)], per_class=20, seed=7)
     model = train_svm(x, y, epochs=100)
     scaled = SvmModel(classes=model.classes, weights=3.7 * model.weights,
-                      biases=3.7 * model.biases,
-                      regularization=model.regularization)
+                      biases=3.7 * model.biases)
     grid = np.random.default_rng(8).normal(size=(50, 2)) * 3
     np.testing.assert_array_equal(predict(model, grid),
                                   predict(scaled, grid))
@@ -108,12 +106,17 @@ def test_deterministic_training():
     np.testing.assert_array_equal(a.biases, b.biases)
 
 
-def test_svm_serialization_roundtrip():
+def test_svm_serialization_roundtrip(tmp_path):
     x, y = _blobs([(-1, 0), (1, 0)])
     model = train_svm(x, y, epochs=30)
-    restored = SvmModel.from_dict(model.to_dict())
+    model.save(tmp_path / "svm.npz")
+    restored = SvmModel.load(tmp_path / "svm.npz")
     np.testing.assert_array_equal(model.weights, restored.weights)
+    np.testing.assert_array_equal(model.biases, restored.biases)
     assert model.classes == restored.classes
+    assert all(type(c) is int for c in restored.classes)
+    with np.load(tmp_path / "svm.npz", allow_pickle=False) as archive:
+        assert sorted(archive.files) == ["biases", "classes", "weights"]
 
 
 class TestEvaluate:
@@ -168,11 +171,12 @@ class TestEvaluate:
         np.testing.assert_array_equal(loaded.confusion, report.confusion)
 
 
-def test_constant_classifier_single_unseen():
-    model = ConstantClassifier(classes=[7])
-    preds = predict(model, np.zeros((5, 4)))
+def test_zero_weight_svm_single_unseen():
+    model = SvmModel(classes=[7], weights=np.zeros((1, 4)), biases=np.zeros(1))
+    x = np.random.default_rng(0).normal(size=(5, 4))
+    preds = predict(model, x)
     assert preds.tolist() == [7] * 5
-    report = evaluate("zsl", model, np.zeros((5, 4)), np.full(5, 7))
+    report = evaluate("zsl", model, x, np.full(5, 7))
     assert report.accuracy == 1.0
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import tiny_profiles
 from zest.cli import main
+from zest.ingest import make_partition
 from zest.pipeline import (STAGES, ExperimentConfig, StageError,
                            resolve_config, run_pipeline, run_sweep,
                            stage_baseline, stage_eval, stage_ingest)
@@ -110,11 +111,24 @@ def test_ingest_entry_point_aborts_over_one_percent(tmp_path):
 
 def test_stage_artifacts_exist(experiment):
     rdir = experiment / "runs" / "seed-0"
-    for name in ("partition.json", "normalizer.json", "sane.npz",
-                 "sane_log.csv", "latents.npz", "attributes.csv",
-                 "cvae.npz", "pseudo.npz", "svm_zsl.json", "svm_gzsl.json",
-                 "report_zsl.json", "report_gzsl.json", "report.txt"):
+    names = ("partition.json", "normalizer.npz", "sane.npz", "sane_log.csv",
+             "latents.npz", "cvae.npz", "pseudo.npz", "svm_zsl.npz",
+             "svm_gzsl.npz", "report_zsl.json", "report_gzsl.json",
+             "report.txt")
+    for name in names:
         assert (rdir / name).exists(), name
+    assert names == tuple(name for stage in STAGES.values()
+                          if stage.method in (None, "zest")
+                          for name in stage.writes)
+    # every array file loads without pickle, and the one CSV is the log
+    for name in names:
+        if name.endswith(".npz"):
+            with np.load(rdir / name, allow_pickle=False) as archive:
+                assert all(archive[key].dtype != object
+                           for key in archive.files), name
+    writes = [name for stage in STAGES.values() for name in stage.writes]
+    assert [name for name in writes if name.endswith(".csv")] == [
+        "sane_log.csv"]
 
 
 def test_stage_cache_hit_skips_retraining(experiment):
@@ -163,6 +177,25 @@ def test_missing_upstream_manifest_fatal(tmp_path, profile_file):
     # skip train-sane: extract-attrs must name the stage to re-run
     assert main(["extract-attrs", "--outdir", str(outdir),
                  "--seed", "0"]) == 1
+
+
+def test_device_without_fit_sequences_is_named(tmp_path, capsys):
+    # one session is one sequence, which the split puts in test: the
+    # unseen device has none in train or val to fit its attributes on
+    profiles = tiny_profiles(num_devices=5, sessions=25)
+    profiles[3].sessions = 1
+    path = tmp_path / "profiles.json"
+    save_profiles(profiles, path)
+    devices = sorted(p.device_id for p in profiles)
+    seed = next(s for s in range(100)
+                if 3 in make_partition(devices, 2, s).unseen)
+    outdir = tmp_path / "exp"
+    args = _base_args(outdir, path)
+    args[args.index("--seed-list") + 1] = str(seed)
+    assert main(["pipeline"] + args) == 1
+    err = capsys.readouterr().err
+    assert "[extract-attrs]" in err and profiles[3].device_id in err
+    assert not (outdir / "runs" / f"seed-{seed}" / "latents.npz").exists()
 
 
 def test_baseline_command(experiment):

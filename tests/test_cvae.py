@@ -239,41 +239,53 @@ def trained():
     latents, conds, labels, centers, attrs = _toy_latents()
     config = CvaeConfig(input_dim=8, cond_dim=3, z_dim=4, epochs=300, seed=2)
     model, _ = train_cvae(latents, conds, config)
-    class_attrs = {c: attrs[c] for c in range(attrs.shape[0])}
-    return model, class_attrs, latents, labels, centers
+    return model, attrs, latents, labels, centers
 
 
 class TestGeneratePseudo:
     def test_balanced_counts(self, trained):
-        model, class_attrs, _, _, _ = trained
-        pseudo = generate_pseudo(model, class_attrs, k=50, seed=0)
-        assert pseudo.samples.shape == (len(class_attrs) * 50, 8)
+        model, attrs, _, _, _ = trained
+        pseudo = generate_pseudo(model, attrs, k=50, seed=0)
+        assert pseudo.samples.shape == (len(attrs) * 50, 8)
         counts = np.bincount(pseudo.labels)
         assert (counts == 50).all()
 
+    def test_row_c_of_attrs_is_class_c(self, trained):
+        model, attrs, _, _, _ = trained
+        pseudo = generate_pseudo(model, attrs, k=5, seed=1)
+        assert pseudo.labels.dtype == np.int64
+        assert pseudo.labels.tolist() == np.repeat(range(len(attrs)),
+                                                   5).tolist()
+        for c in range(len(attrs)):
+            noise = np.random.default_rng([1, c]).standard_normal(
+                (5, model.config.z_dim)).astype(np.float32)
+            cond = np.tile(attrs[c].astype(np.float32), (5, 1))
+            np.testing.assert_array_equal(pseudo.samples[pseudo.labels == c],
+                                          model.decode_arrays(noise, cond))
+
     def test_same_seed_identical(self, trained):
-        model, class_attrs, _, _, _ = trained
-        a = generate_pseudo(model, class_attrs, k=20, seed=3)
-        b = generate_pseudo(model, class_attrs, k=20, seed=3)
+        model, attrs, _, _, _ = trained
+        a = generate_pseudo(model, attrs, k=20, seed=3)
+        b = generate_pseudo(model, attrs, k=20, seed=3)
         np.testing.assert_array_equal(a.samples, b.samples)
-        c = generate_pseudo(model, class_attrs, k=20, seed=4)
+        c = generate_pseudo(model, attrs, k=20, seed=4)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_pseudo_lands_near_own_class_centroid(self, trained):
-        model, class_attrs, latents, labels, _ = trained
-        pseudo = generate_pseudo(model, class_attrs, k=100, seed=5)
+        model, attrs, latents, labels, _ = trained
+        pseudo = generate_pseudo(model, attrs, k=100, seed=5)
         real_centroids = np.stack([latents[labels == c].mean(axis=0)
-                                   for c in sorted(class_attrs)])
-        for c in sorted(class_attrs):
+                                   for c in range(len(attrs))])
+        for c in range(len(attrs)):
             cloud = pseudo.samples[pseudo.labels == c]
             dists = np.linalg.norm(cloud.mean(axis=0) - real_centroids,
                                    axis=1)
             assert dists.argmin() == c
 
     def test_k_must_be_positive(self, trained):
-        model, class_attrs, _, _, _ = trained
+        model, attrs, _, _, _ = trained
         with pytest.raises(ValueError, match="k"):
-            generate_pseudo(model, class_attrs, k=0, seed=0)
+            generate_pseudo(model, attrs, k=0, seed=0)
 
 
 def test_checkpoint_roundtrip(tmp_path):

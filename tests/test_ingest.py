@@ -56,6 +56,17 @@ class TestParse:
         assert len(records) == 2
         assert any("skipped" in m for m in caplog.messages)
 
+    def test_size_beyond_int64_skipped_with_warning(self, tmp_path, caplog):
+        path = _write(tmp_path, [
+            "1.0,1234,443,1,0,tcp,99999999999999999999,out,dev-a\n",
+            "2.0,1234,443,1,0,tcp,100,out,dev-a\n",
+        ])
+        with caplog.at_level("WARNING", logger="zest.ingest"):
+            packets = parse_packet_csv(path)
+        assert packets["size"].tolist() == [100]
+        assert any(f"{path}:2 skipped: packet size" in m
+                   for m in caplog.messages)
+
     def test_clean_file_skips_the_row_rules(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.csv"
         path.write_bytes(HEADER.encode() + b"".join(

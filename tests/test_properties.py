@@ -95,7 +95,8 @@ def _row_rules_parse(path):
         if row[3] not in ("0", "1") or row[4] not in ("0", "1"):
             raise ValueError
         proto, size, direction = row[5].lower(), int(row[6]), row[7].lower()
-        if proto not in protos or size < 0 or direction not in directions:
+        if (proto not in protos or not 0 <= size < 2 ** 63
+                or direction not in directions):
             raise ValueError
         if not row[8]:
             raise ValueError
@@ -135,8 +136,8 @@ _ODD = [
     ["0 ", "\x1f1", "00", "0\x00", "1"],
     ["TCP", "Udp", "oTHer", "tcp ", " udp", "icmp", "", "tcp\x00", "otherx",
      "othe", "İcp", "udp\x1c"],
-    ["0", "9223372036854775807", " 7 ", "+0", "1_000", "٧", "-3", "5.0",
-     "9e2", "\x1f7", "-1_0", "7\x00"],
+    ["0", "9223372036854775807", "9223372036854775808", " 7 ", "+0",
+     "1_000", "٧", "-3", "5.0", "9e2", "\x1f7", "-1_0", "7\x00"],
     ["IN", "Out", "iN", "İn", "in ", "inn", "", "ou", "o\x00ut", "out\x00",
      "ın", "outx"],
     ["cam#2", "c\xe2m", "a,b", 'a"b', '"', " d", "d ", "x" * 70, "d\x1c",

@@ -19,8 +19,8 @@ import zest
 from zest import baselines as bl
 from zest import checkpoint
 from zest import pipeline as pl
-from zest.attributes import save_attributes_csv
-from zest.classifier import build_report
+from zest.attributes import compute_attributes
+from zest.classifier import SvmModel, build_report
 from zest.cli import build_parser, main
 from zest.forest import RandomForest
 from zest.ingest import Dataset, load_dataset, save_dataset
@@ -84,8 +84,6 @@ def _aggregate_rows(version):
 
 # artifact name -> writer(directory, version, tiny splits)
 TEXT_WRITERS = {
-    "attributes.csv": lambda d, v, _: save_attributes_csv(
-        {"dev": np.full(3, v, dtype=np.float32)}, d / "attributes.csv"),
     "sane_log.csv": lambda d, v, splits: train_sane(
         *splits[0], *splits[1], tiny_config(epochs=v),
         log_path=d / "sane_log.csv"),
@@ -175,7 +173,7 @@ def test_renamed_output_is_a_cache_miss(experiment, tmp_path):
     assert not (rdir / "pseudo.csv").exists()   # no manifest names it now
     assert main(["train-clf", "--outdir", str(work), "--seed", "0"]) == 0
     assert set(json.loads(manifest_path.read_text())["outputs"]) == {
-        "pseudo.npz", "pseudo.json"}
+        "pseudo.npz"}
 
 
 def test_no_file_has_two_producers():
@@ -186,18 +184,35 @@ def test_no_file_has_two_producers():
     assert not {"traffic.csv", "dataset.npz", "dataset.json"} & set(writes)
 
 
-def _to_ckpt_layout(rdir: Path) -> None:
-    """The older layout: the checkpoints named `sane.ckpt` and `cvae.ckpt`,
-    in the run directory and in every manifest."""
-    old = {"sane.npz": "sane.ckpt", "cvae.npz": "cvae.ckpt"}
-    for new, name in old.items():
+def _to_old_layout(rdir: Path, renamed: dict[str, str],
+                   added: dict[str, list[str]]) -> None:
+    """An older layout: each file of `renamed` under its old name, in the
+    run directory and in every manifest, and the files that `added` lists
+    per stage written as further outputs of that stage. Each manifest then
+    records the checksums of the files as they now are."""
+    for new, name in renamed.items():
         (rdir / new).rename(rdir / name)
+    for stage, names in added.items():
+        path = rdir / f"{stage}.manifest.json"
+        manifest = json.loads(path.read_text())
+        for name in names:
+            (rdir / name).write_text(f"{name} of an older layout\n")
+            manifest["outputs"][name] = ""
+        write_json(path, manifest)
     for path in rdir.glob("*.manifest.json"):
         manifest = json.loads(path.read_text())
         for part in ("inputs", "outputs"):
-            manifest[part] = {old.get(k, k): v
+            manifest[part] = {renamed.get(k, k): v
                               for k, v in manifest[part].items()}
+            manifest[part] = {
+                k: pl.sha256_file(rdir / k) if (rdir / k).is_file() else v
+                for k, v in manifest[part].items()}
         write_json(path, manifest)
+
+
+def _manifests(rdir: Path) -> dict[str, bytes]:
+    return {name: (rdir / f"{name}.manifest.json").read_bytes()
+            for name in STAGES}
 
 
 def test_ckpt_layout_upgrades_from_train_sane(experiment, tmp_path):
@@ -205,7 +220,9 @@ def test_ckpt_layout_upgrades_from_train_sane(experiment, tmp_path):
     shutil.copytree(experiment, work)
     rdir = work / "runs" / "seed-0"
     assert main(["pipeline", "--outdir", str(work)]) == 0
-    _to_ckpt_layout(rdir)
+    # the checkpoints named `sane.ckpt` and `cvae.ckpt`
+    _to_old_layout(rdir, {"sane.npz": "sane.ckpt", "cvae.npz": "cvae.ckpt"},
+                   {})
     # files no manifest names stay, as does one outside the run directory
     (rdir / "notes.txt").write_text("mine")
     (rdir.parent / "keep.txt").write_text("mine")
@@ -213,14 +230,12 @@ def test_ckpt_layout_upgrades_from_train_sane(experiment, tmp_path):
     manifest = json.loads(manifest_path.read_text())
     manifest["outputs"]["../keep.txt"] = "0" * 64
     write_json(manifest_path, manifest)
-    before = {name: (rdir / f"{name}.manifest.json").read_bytes()
-              for name in STAGES}
+    before = _manifests(rdir)
 
     assert main(["pipeline", "--outdir", str(work)]) == 0
     assert not list(rdir.glob("*.ckpt"))
     assert (rdir / "notes.txt").exists() and (rdir.parent / "keep.txt").exists()
-    after = {name: (rdir / f"{name}.manifest.json").read_bytes()
-             for name in STAGES}
+    after = _manifests(rdir)
     rerun = {name for name in STAGES if after[name] != before[name]}
     # train-clf, eval and the baselines read unchanged bytes: cache hits
     assert rerun == {"train-sane", "extract-attrs", "train-cvae",
@@ -231,6 +246,32 @@ def test_ckpt_layout_upgrades_from_train_sane(experiment, tmp_path):
     assert {p.name: p.stat().st_mtime_ns for p in rdir.iterdir()} == files
 
 
+def test_json_layout_upgrades_from_train_sane(experiment, tmp_path):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    rdir = work / "runs" / "seed-0"
+    assert main(["pipeline", "--outdir", str(work)]) == 0
+    new = {name: (rdir / name).read_bytes() for name in (
+        "latents.npz", "report_zsl.json", "report_gzsl.json",
+        *(f"baseline_{name}.json" for name in pl.BASELINE_NAMES))}
+    # the normalizer and the SVMs as JSON, the attributes as a CSV beside
+    # latents without them, and the decoder's checksum in pseudo.json
+    with np.load(rdir / "latents.npz") as latents:
+        np.savez(rdir / "latents.npz",
+                 **{k: latents[k] for k in ("l", "lam", "labels")})
+    old = {"normalizer.npz": "normalizer.json",
+           "svm_zsl.npz": "svm_zsl.json", "svm_gzsl.npz": "svm_gzsl.json"}
+    _to_old_layout(rdir, old, {"extract-attrs": ["attributes.csv"],
+                               "gen-pseudo": ["pseudo.json"]})
+    before = _manifests(rdir)
+
+    assert main(["pipeline", "--outdir", str(work)]) == 0
+    for name in (*old.values(), "attributes.csv", "pseudo.json"):
+        assert not (rdir / name).exists(), name
+    after = _manifests(rdir)
+    assert {name for name in STAGES if after[name] != before[name]} == (
+        set(STAGES) - {"partition"})
+    assert {name: (rdir / name).read_bytes() for name in new} == new
 def test_zsl_classifier_sees_only_unseen_pseudo(experiment):
     rdir = experiment / "runs" / "seed-0"
     partition = json.loads((rdir / "partition.json").read_text())
@@ -239,10 +280,22 @@ def test_zsl_classifier_sees_only_unseen_pseudo(experiment):
         assert pseudo["labels"].dtype == np.int64
         labels = sorted(set(pseudo["labels"].tolist()))
     assert labels == sorted(partition["seen"] + partition["unseen"])
-    svm = {s: json.loads((rdir / f"svm_{s}.json").read_text())["model"]
-           for s in ("zsl", "gzsl")}
-    assert svm["zsl"]["classes"] == sorted(partition["unseen"])
-    assert svm["gzsl"]["classes"] == labels
+    svm = {s: SvmModel.load(rdir / f"svm_{s}.npz") for s in ("zsl", "gzsl")}
+    assert svm["zsl"].classes == sorted(partition["unseen"])
+    assert svm["gzsl"].classes == labels
+
+
+def test_latents_hold_exact_class_attributes(experiment):
+    rdir = experiment / "runs" / "seed-0"
+    partition = json.loads((rdir / "partition.json").read_text())
+    with np.load(rdir / "latents.npz", allow_pickle=False) as latents:
+        lam, labels = latents["lam"], latents["labels"]
+        attrs = latents["attrs"]
+    fit = pl._fit_idx(partition, labels)
+    num_classes = len(partition["seen"]) + len(partition["unseen"])
+    assert attrs.shape == (num_classes, lam.shape[1])
+    np.testing.assert_array_equal(
+        attrs, compute_attributes(lam[fit], labels[fit], num_classes))
 
 
 KILLED_WRITER = """
@@ -342,7 +395,7 @@ def test_truncated_own_manifest_is_a_cache_miss(experiment, tmp_path):
     assert main(["train-clf", "--outdir", str(work), "--seed", "0"]) == 0
     payload = json.loads(manifest.read_text())
     assert payload["stage"] == "train-clf"
-    assert set(payload["outputs"]) == {"svm_zsl.json", "svm_gzsl.json"}
+    assert set(payload["outputs"]) == {"svm_zsl.npz", "svm_gzsl.npz"}
 
 
 def test_unreadable_producer_manifest_names_producer(experiment, tmp_path,
