@@ -14,12 +14,12 @@ import numpy as np
 from .sane import SaneModel
 
 
-def extract_latents(model: SaneModel, x: np.ndarray,
-                    batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def extract_latents(model: SaneModel,
+                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(l, lambda), one row per sequence of `x`, in input order."""
     if len(x) == 0:
         raise ValueError("no sequences to encode")
-    out = model.predict_arrays(x, batch_size=batch_size)
+    out = model.predict_arrays(x)
     return out["l"], out["lam"]
 
 

@@ -4,11 +4,13 @@ the narrow latents), SeqCS (k-means seeded with attribute vectors), and DEFT
 (random forest on SeqCS cluster labels). Includes Lloyd k-means and optimal
 cluster-to-label accuracy scoring.
 
-Each pipeline fits its model (k-means, plus the VAE or the forest) once on
-the fit rows, then scores every evaluation setting's test split against
-it: `tests` maps a setting name to that split's (features, labels), and
-the result maps it to one `EvalReport`. The fit never sees test rows, so
-the ZSL and GZSL reports come from one and the same model.
+Every pipeline is called as `(fit_x, fit_y, tests, attrs, seed)` and makes
+one cluster per row of `attrs`, the (num_classes, N) class attributes. It
+fits its model (k-means, plus the VAE or the forest) once on the fit rows,
+then scores every evaluation setting's test split against it: `tests` maps
+a setting name to that split's (features, labels), and the result maps it
+to one `EvalReport`. The fit never sees test rows, so the ZSL and GZSL
+reports come from one and the same model.
 """
 
 from __future__ import annotations
@@ -48,17 +50,16 @@ class ClusterResult:
         return d.argmin(axis=1)
 
 
-def kmeans(points: np.ndarray, k: int, init: str | np.ndarray = "random",
+def kmeans(points: np.ndarray, k: int, init: np.ndarray | None = None,
            max_iter: int = 100, seed: int = 0) -> ClusterResult:
-    """Lloyd iterations to an assignment fixpoint. Empty clusters are
+    """Lloyd iterations to an assignment fixpoint from the centers `init`,
+    or from k points drawn by `seed` when it is None. Empty clusters are
     re-seeded at the point farthest from its current center."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     if k > n:
         raise BaselineError(f"k={k} exceeds number of points {n}")
-    if isinstance(init, str):
-        if init != "random":
-            raise BaselineError(f"unknown init {init!r}")
+    if init is None:
         rng = np.random.default_rng(seed)
         centers = x[rng.choice(n, size=k, replace=False)].copy()
     else:
@@ -113,11 +114,9 @@ def cluster_label_mapping(assignments: np.ndarray, labels: np.ndarray,
 
 
 def cluster_accuracy(assignments: np.ndarray, labels: np.ndarray,
-                     k: int | None = None) -> float:
+                     k: int) -> float:
     """Accuracy under the optimal cluster <-> label mapping."""
     labels = np.asarray(labels, dtype=np.int64)
-    if k is None:
-        k = int(max(np.max(assignments), labels.max())) + 1
     mapping = cluster_label_mapping(assignments, labels, k)
     mapped = mapping[np.asarray(assignments, dtype=np.int64)]
     return float((mapped == labels).mean())
@@ -139,50 +138,43 @@ def _test_report(setting: str, test_labels: np.ndarray, test_pred: np.ndarray,
 
 
 def _clustering_reports(cluster: ClusterResult, train_labels: np.ndarray,
-                        tests: Tests, num_classes: int, pipeline: str,
+                        tests: Tests, pipeline: str,
                         seed: int) -> dict[str, EvalReport]:
     """Map clusters to labels on the training data, then score each
     setting's held-out test points routed through nearest centers and the
     same mapping."""
-    mapping = cluster_label_mapping(cluster.assignments, train_labels,
-                                    num_classes)
+    k = len(cluster.centers)
+    mapping = cluster_label_mapping(cluster.assignments, train_labels, k)
     extra = {"pipeline": pipeline, "seed": seed,
              "train_accuracy": cluster_accuracy(cluster.assignments,
-                                                train_labels, num_classes)}
+                                                train_labels, k)}
     return {setting: _test_report(setting, test_labels,
                                   mapping[cluster.assign(test_points)], extra)
             for setting, (test_points, test_labels) in tests.items()}
 
 
 def seqcr(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
-          num_classes: int, seed: int) -> dict[str, EvalReport]:
+          attrs: np.ndarray, seed: int) -> dict[str, EvalReport]:
     """k-means with random centers on the narrow latents."""
-    cluster = kmeans(train_lam, k=num_classes, init="random", seed=seed)
-    return _clustering_reports(cluster, train_labels, tests, num_classes,
-                               "seqcr", seed)
+    cluster = kmeans(train_lam, k=len(attrs), seed=seed)
+    return _clustering_reports(cluster, train_labels, tests, "seqcr", seed)
 
 
 def seqcs(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
-          attribute_seeds: np.ndarray, num_classes: int,
-          seed: int) -> dict[str, EvalReport]:
+          attrs: np.ndarray, seed: int) -> dict[str, EvalReport]:
     """Seeded k-means: initial centers are the attribute vectors of all
     devices."""
-    if attribute_seeds.shape[0] != num_classes:
-        raise BaselineError(
-            f"need {num_classes} attribute seeds, got {attribute_seeds.shape[0]}")
-    cluster = kmeans(train_lam, k=num_classes, init=attribute_seeds, seed=seed)
-    return _clustering_reports(cluster, train_labels, tests, num_classes,
-                               "seqcs", seed)
+    cluster = kmeans(train_lam, k=len(attrs), init=attrs, seed=seed)
+    return _clustering_reports(cluster, train_labels, tests, "seqcs", seed)
 
 
 def deft(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
-         attribute_seeds: np.ndarray, num_classes: int,
-         seed: int) -> dict[str, EvalReport]:
+         attrs: np.ndarray, seed: int) -> dict[str, EvalReport]:
     """Seeded clustering followed by a random forest trained on the cluster
     labels; test predictions route through the clustering's label mapping."""
-    cluster = kmeans(train_lam, k=num_classes, init=attribute_seeds, seed=seed)
+    cluster = kmeans(train_lam, k=len(attrs), init=attrs, seed=seed)
     mapping = cluster_label_mapping(cluster.assignments, train_labels,
-                                    num_classes)
+                                    len(attrs))
     forest = RandomForest(seed=seed).fit(train_lam, cluster.assignments)
     extra = {"pipeline": "deft", "seed": seed}
     return {setting: _test_report(setting, test_labels,
@@ -191,22 +183,21 @@ def deft(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
 
 
 def vae_k(train_l: np.ndarray, train_labels: np.ndarray, tests: Tests,
-          attributes: np.ndarray, num_classes: int, seed: int,
+          attrs: np.ndarray, seed: int,
           epochs: int = 100) -> dict[str, EvalReport]:
     """A plain VAE, the CVAE given zero-width attributes, compresses the
-    wide latents to the attribute width N (the columns of the class
-    `attributes`, which seed nothing here), then random-init k-means
-    clusters the compressed features. `epochs=0` keeps the initial,
-    untrained compression."""
+    wide latents to the attribute width N (the columns of `attrs`, whose
+    values seed nothing here), then random-init k-means clusters the
+    compressed features. `epochs=0` keeps the initial, untrained
+    compression."""
     config = CvaeConfig(input_dim=train_l.shape[1], cond_dim=0,
-                        z_dim=attributes.shape[1], epochs=epochs, seed=seed)
+                        z_dim=attrs.shape[1], epochs=epochs, seed=seed)
     model, _ = train_cvae(train_l, np.empty((len(train_l), 0)), config)
 
     def encode(x: np.ndarray) -> np.ndarray:
         return model.encode_arrays(x, np.empty((len(x), 0)))[0]
 
-    cluster = kmeans(encode(train_l), k=num_classes, init="random", seed=seed)
+    cluster = kmeans(encode(train_l), k=len(attrs), seed=seed)
     encoded = {setting: (encode(test_l), test_labels)
                for setting, (test_l, test_labels) in tests.items()}
-    return _clustering_reports(cluster, train_labels, encoded, num_classes,
-                               "vae_k", seed)
+    return _clustering_reports(cluster, train_labels, encoded, "vae_k", seed)

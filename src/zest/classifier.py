@@ -15,23 +15,34 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_arrays, save_arrays, write_json
+from .checkpoint import load_arrays, save_arrays
 
 logger = logging.getLogger("zest.classifier")
 
 
 @dataclass
+class SvmConfig:
+    c_reg: float = 1.0
+    epochs: int = 300
+    lr: float = 1.0
+
+    def __post_init__(self):
+        if not self.c_reg > 0:
+            raise ValueError(f"c_reg must be > 0, got {self.c_reg}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+
+
+@dataclass
 class SvmModel:
-    """Per-class weights/biases of a linear one-vs-rest SVM. Zero weights
-    over a single class make the ZSL model when only one class is unseen:
-    it predicts that class for every input."""
+    """Per-class weights/biases of a linear one-vs-rest SVM over one class
+    or more; with one class, every input is predicted as that class."""
 
     classes: list[int]
     weights: np.ndarray      # (num_classes, dim)
     biases: np.ndarray       # (num_classes,)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) @ self.weights.T + self.biases
 
     def save(self, path: str | Path) -> None:
         save_arrays(path, classes=np.asarray(self.classes, dtype=np.int64),
@@ -53,34 +64,34 @@ def hinge_objective(w: np.ndarray, margins: np.ndarray,
     return 0.5 * (w * w).sum(axis=1) + c_reg * hinge
 
 
-def train_svm(x: np.ndarray, y: np.ndarray, c_reg: float = 1.0,
-              epochs: int = 100, lr: float = 0.01) -> SvmModel:
-    """One-vs-rest linear SVM on a balanced labeled set, every class fitted
-    at once by full-batch subgradient descent with 1/t decay from zero
-    weights. Each class keeps the iterate with its lowest objective
-    (subgradient descent is not monotone). Each iterate's margins give both
-    its objective and the next subgradient."""
+def train_svm(x: np.ndarray, y: np.ndarray, config: SvmConfig) -> SvmModel:
+    """One-vs-rest linear SVM on a balanced labeled set of one class or
+    more, every class fitted at once by full-batch subgradient descent with
+    1/t decay from zero weights. Each class keeps the iterate with its
+    lowest objective (subgradient descent is not monotone). Each iterate's
+    margins give both its objective and the next subgradient. Raises when
+    there are no rows."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if not len(y):
+        raise ValueError("no rows to fit the SVM on")
     classes = sorted(set(int(v) for v in y))
-    if len(classes) < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
     y_signed = np.where(y[:, None] == np.asarray(classes), 1.0, -1.0)
     n = x.shape[0]
     w = np.zeros((len(classes), x.shape[1]))
     b = np.zeros(len(classes))
     margins = 1.0 - y_signed * (x @ w.T + b)
-    best_obj = hinge_objective(w, margins, c_reg)
+    best_obj = hinge_objective(w, margins, config.c_reg)
     best_w, best_b = w.copy(), b.copy()
-    for t in range(1, epochs + 1):
+    for t in range(1, config.epochs + 1):
         active = np.where(margins > 0, y_signed, 0.0)
-        grad_w = w - c_reg * (active.T @ x) / n
-        grad_b = -c_reg * active.sum(axis=0) / n
-        step = lr / t
+        grad_w = w - config.c_reg * (active.T @ x) / n
+        grad_b = -config.c_reg * active.sum(axis=0) / n
+        step = config.lr / t
         w = w - step * grad_w
         b = b - step * grad_b
         margins = 1.0 - y_signed * (x @ w.T + b)
-        obj = hinge_objective(w, margins, c_reg)
+        obj = hinge_objective(w, margins, config.c_reg)
         better = obj < best_obj
         best_obj = np.where(better, obj, best_obj)
         best_w[better], best_b[better] = w[better], b[better]
@@ -89,7 +100,8 @@ def train_svm(x: np.ndarray, y: np.ndarray, c_reg: float = 1.0,
 
 def predict(model: SvmModel, latents: np.ndarray) -> np.ndarray:
     """Argmax over class scores; ties break to the lowest class index."""
-    scores = model.scores(np.asarray(latents))
+    scores = (np.asarray(latents, dtype=np.float64) @ model.weights.T
+              + model.biases)
     return np.asarray(model.classes, dtype=np.int64)[scores.argmax(axis=1)]
 
 
@@ -129,9 +141,6 @@ class EvalReport:
                                        d["per_class_accuracy"].items()},
                    confusion=np.asarray(d["confusion"], dtype=np.int64),
                    num_test=d["num_test"], extra=d.get("extra", {}))
-
-    def save_json(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
 
     def format_table(self) -> str:
         lines = [f"setting: {self.setting}",

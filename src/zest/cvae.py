@@ -242,18 +242,12 @@ def train_cvae(latents: np.ndarray, conds: np.ndarray,
     return model, log
 
 
-@dataclass
-class PseudoDataset:
-    """Decoder-generated labeled latents, exactly balanced across classes."""
-
-    samples: np.ndarray    # (num_classes * k, M)
-    labels: np.ndarray     # (num_classes * k,)
-
-
 def generate_pseudo(model: CvaeModel, attrs: np.ndarray, k: int,
-                    seed: int) -> PseudoDataset:
-    """Decode k Gaussian noise draws per class c, conditioned on row c of
-    the (num_classes, N) attribute array `attrs`, classes in label order.
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo latents, exactly balanced across classes: (samples, labels),
+    (num_classes * k, M) float32 and (num_classes * k,) int64. Class c's k
+    rows decode k Gaussian noise draws conditioned on row c of the
+    (num_classes, N) attribute array `attrs`, classes in label order.
     Reads no real latents; per-class seeds derive from the run seed so
     classes can generate independently."""
     if k < 1:
@@ -266,4 +260,4 @@ def generate_pseudo(model: CvaeModel, attrs: np.ndarray, k: int,
         cond = np.broadcast_to(attr, (k, attr.shape[0]))
         samples.append(model.decode_arrays(noise, cond))
     labels = np.repeat(np.arange(len(attrs), dtype=np.int64), k)
-    return PseudoDataset(samples=np.concatenate(samples), labels=labels)
+    return np.concatenate(samples), labels

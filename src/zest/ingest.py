@@ -319,36 +319,25 @@ def apply_normalizer(normalizer: Normalizer, x: np.ndarray) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0).astype(np.float32)
 
 
-@dataclass
-class DevicePartition:
-    """Disjoint split of all device class indices into seen and unseen."""
-
-    seen: set[int]
-    unseen: set[int]
-    seed: int
-
-
-def make_partition(device_ids: list[str], num_unseen: int,
-                   seed: int) -> DevicePartition:
-    """Randomly designate num_unseen device classes as unseen; deterministic
-    per seed."""
-    num_devices = len(device_ids)
+def make_partition(num_devices: int, num_unseen: int,
+                   seed: int) -> tuple[list[int], list[int]]:
+    """(seen, unseen): the device classes 0..num_devices-1 split at random
+    into two sorted lists, `num_unseen` of them unseen; deterministic per
+    seed."""
     if not 1 <= num_unseen < num_devices:
         raise IngestError(
             f"num_unseen={num_unseen} must be in [1, {num_devices - 1}]")
     rng = np.random.default_rng(seed)
-    unseen = set(rng.choice(num_devices, size=num_unseen, replace=False).tolist())
-    seen = set(range(num_devices)) - unseen
-    return DevicePartition(seen=seen, unseen=unseen, seed=seed)
+    unseen = rng.choice(num_devices, size=num_unseen, replace=False)
+    return (np.setdiff1d(np.arange(num_devices), unseen).tolist(),
+            sorted(unseen.tolist()))
 
 
 def split_indices(labels, ratios: tuple = (0.6, 0.2, 0.2),
                   seed: int = 0) -> dict[str, list[int]]:
-    """Index lists for a train/val/test split, shuffled within each class
-    of `labels` (one per point, taken in sorted order); deterministic per
-    seed."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise IngestError(f"split ratios {ratios} must sum to 1")
+    """Index lists for a train/val/test split by `ratios` (checked by
+    `ExperimentConfig`), shuffled within each class of `labels` (one per
+    point, taken in sorted order); deterministic per seed."""
     rng = np.random.default_rng(seed)
     labels = np.asarray(labels)
     out: dict[str, list[int]] = {"train": [], "val": [], "test": []}

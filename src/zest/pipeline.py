@@ -40,7 +40,7 @@ from . import baselines as bl
 from .attributes import compute_attributes, extract_latents
 from .checkpoint import (atomic_write, json_default, load_arrays, read_json,
                          save_arrays, write_json)
-from .classifier import EvalReport, SvmModel, evaluate, train_svm
+from .classifier import EvalReport, SvmConfig, SvmModel, evaluate, train_svm
 from .cvae import CvaeConfig, CvaeModel, generate_pseudo, train_cvae
 from .ingest import (Dataset, Normalizer, apply_normalizer, build_dataset,
                      fit_normalizer, load_dataset, make_partition,
@@ -50,16 +50,15 @@ from .synth import generate_csv, load_profiles, preset_profiles
 
 logger = logging.getLogger("zest.pipeline")
 
-# baseline -> (the latent it clusters, whether it takes the class attributes:
-# as k-means seeds, or for VAE-K as the width to compress to)
-BASELINES = {"vae-k": ("l", True), "seqcr": ("lam", False),
-             "seqcs": ("lam", True), "deft": ("lam", True)}
+# baseline -> the latent it clusters
+BASELINES = {"vae-k": "l", "seqcr": "lam", "seqcs": "lam", "deft": "lam"}
 BASELINE_NAMES = tuple(BASELINES)
 SETTINGS = ("zsl", "gzsl")
 # model fields the experiment sets, from the data, the partition seed, the
 # seen classes or SANE's widths: an override of one is an error
 DERIVED_FIELDS = {"sane": ("n", "f", "num_classes", "seed"),
                   "cvae": ("input_dim", "cond_dim", "seed")}
+SOURCE_KINDS = ("preset", "profiles", "csv")    # a source names exactly one
 
 
 class StageError(RuntimeError):
@@ -86,14 +85,24 @@ class ExperimentConfig:
     ratios: list = field(default_factory=lambda: [0.6, 0.2, 0.2])
     sane: dict = field(default_factory=dict)     # SaneConfig overrides
     cvae: dict = field(default_factory=dict)     # CvaeConfig overrides
-    svm: dict = field(default_factory=lambda: {"c_reg": 1.0, "epochs": 300,
-                                               "lr": 1.0})
+    svm: dict = field(default_factory=dict)      # SvmConfig overrides
     pseudo_k: int = 500
     baselines: list = field(default_factory=lambda: list(BASELINE_NAMES))
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds list must be non-empty")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be a non-empty list of distinct "
+                             f"seeds, got {self.seeds}")
+        if sum(kind in self.source for kind in SOURCE_KINDS) != 1:
+            raise ValueError(f"source must name exactly one of "
+                             f"{SOURCE_KINDS}, got {self.source}")
+        # every split is needed: an empty one fails a later stage
+        if (len(self.ratios) != 3 or min(self.ratios) <= 0
+                or abs(sum(self.ratios) - 1.0) > 1e-9):
+            raise ValueError(f"ratios must be three positive numbers that "
+                             f"sum to 1, got {self.ratios}")
+        if self.pseudo_k < 1:
+            raise ValueError(f"pseudo_k must be >= 1, got {self.pseudo_k}")
         if self.num_unseen < 1:
             raise ValueError(f"num_unseen must be >= 1, got {self.num_unseen}")
         unknown = set(self.baselines) - set(BASELINE_NAMES)
@@ -110,6 +119,7 @@ class ExperimentConfig:
         try:
             SaneConfig(**self.sane)
             self.cvae_config(seed=0)
+            self.svm_config()
         except TypeError as exc:        # an unknown field
             raise ValueError(str(exc)) from None
 
@@ -129,10 +139,15 @@ class ExperimentConfig:
         params.update(input_dim=sane.M, cond_dim=sane.N, seed=seed)
         return CvaeConfig(**params)
 
+    def svm_config(self) -> SvmConfig:
+        return SvmConfig(**self.svm)
+
 
 def resolve_config(outdir: str | Path, overrides: dict | None = None) -> ExperimentConfig:
     """Load outdir/config.json if present, apply overrides, validate the
-    result and persist it. A rejected config creates no directory."""
+    result and persist it. A rejected config creates no directory. Model
+    sections, and a source that names no kind (only `sessions`, say), merge
+    into the persisted ones; a source that names a kind replaces it."""
     outdir = Path(outdir)
     path = outdir / "config.json"
     fields = (read_json(path) if path.exists()
@@ -141,7 +156,8 @@ def resolve_config(outdir: str | Path, overrides: dict | None = None) -> Experim
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key in ("sane", "cvae", "svm"):
+        if key in ("sane", "cvae", "svm") or (
+                key == "source" and not set(SOURCE_KINDS) & set(value)):
             fields[key] = {**fields.get(key, {}), **value}
         else:
             fields[key] = value
@@ -303,7 +319,11 @@ def stage_ingest(config: ExperimentConfig) -> Dataset:
     runner = StageRunner(ddir)
     source = dict(config.source)
 
-    if "preset" in source or "profiles" in source:
+    if "csv" in source:
+        csv_path = Path(source["csv"])
+        if not csv_path.exists():
+            raise StageError("ingest", f"csv source not found: {csv_path}")
+    else:
         csv_path = ddir / "traffic.csv"
 
         def synth_fn():
@@ -312,17 +332,10 @@ def stage_ingest(config: ExperimentConfig) -> Dataset:
             else:
                 profiles = preset_profiles(
                     source["preset"], sessions=source.get("sessions"),
-                    packets_per_session=source.get("packets_per_session",
-                                                   config.n))
+                    packets_per_session=config.n)
             generate_csv(profiles, seed=source.get("seed", 0), path=csv_path)
 
         runner.run("synth", {"source": source}, {}, [csv_path], synth_fn)
-    elif "csv" in source:
-        csv_path = Path(source["csv"])
-        if not csv_path.exists():
-            raise StageError("ingest", f"csv source not found: {csv_path}")
-    else:
-        raise StageError("ingest", f"unusable source spec: {source}")
 
     npz_path = ddir / "dataset.npz"
     manifest_path = ddir / "dataset.json"
@@ -391,9 +404,8 @@ class Stage:
 
 def _partition(ctx: StageContext) -> None:
     config, dataset = ctx.config, ctx.dataset
-    devices = dataset.device_ids
-    part = make_partition(devices, config.num_unseen, ctx.seed)
-    seen, unseen = sorted(part.seen), sorted(part.unseen)
+    seen, unseen = make_partition(len(dataset.class_map), config.num_unseen,
+                                  ctx.seed)
     splits = split_indices(dataset.labels, tuple(config.ratios), ctx.seed)
     write_json(ctx.rdir / "partition.json",
                {"seed": ctx.seed, "seen": seen, "unseen": unseen,
@@ -472,31 +484,19 @@ def _train_cvae(ctx: StageContext) -> None:
 
 
 def _gen_pseudo(ctx: StageContext) -> None:
-    pseudo = generate_pseudo(CvaeModel.load(ctx.rdir / "cvae.npz"),
-                             ctx.latents["attrs"], k=ctx.config.pseudo_k,
-                             seed=ctx.seed)
-    save_arrays(ctx.rdir / "pseudo.npz", samples=pseudo.samples,
-                labels=pseudo.labels)
+    samples, labels = generate_pseudo(CvaeModel.load(ctx.rdir / "cvae.npz"),
+                                      ctx.latents["attrs"],
+                                      k=ctx.config.pseudo_k, seed=ctx.seed)
+    save_arrays(ctx.rdir / "pseudo.npz", samples=samples, labels=labels)
 
 
 def _train_clf(ctx: StageContext) -> None:
-    svm_cfg = ctx.config.svm
     pseudo = load_arrays(ctx.rdir / "pseudo.npz")
     samples, labels = pseudo["samples"], pseudo["labels"]
-    unseen = ctx.partition["unseen"]
-
-    def fit(keep) -> SvmModel:
-        return train_svm(samples[keep], labels[keep], c_reg=svm_cfg["c_reg"],
-                         epochs=svm_cfg["epochs"], lr=svm_cfg["lr"])
-
-    fit(slice(None)).save(ctx.rdir / "svm_gzsl.npz")
-    if len(unseen) == 1:
-        # one unseen class: nothing to separate, and zero weights predict it
-        zsl = SvmModel(classes=unseen, weights=np.zeros((1, samples.shape[1])),
-                       biases=np.zeros(1))
-    else:
-        zsl = fit(np.isin(labels, unseen))
-    zsl.save(ctx.rdir / "svm_zsl.npz")
+    for setting, keep in (("gzsl", slice(None)),
+                          ("zsl", np.isin(labels, ctx.partition["unseen"]))):
+        train_svm(samples[keep], labels[keep], ctx.config.svm_config()).save(
+            ctx.rdir / f"svm_{setting}.npz")
 
 
 def _eval(ctx: StageContext) -> None:
@@ -507,16 +507,14 @@ def _eval(ctx: StageContext) -> None:
         idx = _test_idx(ctx.partition, labels, setting)
         report = evaluate(setting, model, ctx.latents["l"][idx], labels[idx],
                           extra={"method": "zest", "seed": ctx.seed})
-        report.save_json(ctx.rdir / f"report_{setting}.json")
+        write_json(ctx.rdir / f"report_{setting}.json", report.to_dict())
         lines.append(report.format_table())
     with atomic_write(ctx.rdir / "report.txt", "w") as fh:
         fh.write("\n\n".join(lines) + "\n")
 
 
 def _baseline(ctx: StageContext, name: str) -> None:
-    latent, attr_seeded = BASELINES[name]
-    labels, features = ctx.latents["labels"], ctx.latents[latent]
-    attrs = ctx.latents["attrs"]
+    labels, features = ctx.latents["labels"], ctx.latents[BASELINES[name]]
     fit_idx = _fit_idx(ctx.partition, labels)
     pipeline = getattr(bl, name.replace("-", "_"))
 
@@ -525,8 +523,7 @@ def _baseline(ctx: StageContext, name: str) -> None:
         idx = _test_idx(ctx.partition, labels, setting)
         tests[setting] = (features[idx], labels[idx])
     reports = pipeline(features[fit_idx], labels[fit_idx], tests,
-                       *([attrs] if attr_seeded else []), len(attrs),
-                       ctx.seed)
+                       ctx.latents["attrs"], ctx.seed)
     for report in reports.values():
         report.extra["method"] = name
     write_json(ctx.rdir / f"baseline_{name}.json",
@@ -569,12 +566,14 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
     Stage("train-clf", "train the final classifiers on pseudo data",
           reads=(_PARTITION, ("gen-pseudo", "pseudo.npz")),
           writes=("svm_zsl.npz", "svm_gzsl.npz"),
-          key=lambda ctx: {"svm": ctx.config.svm}, body=_train_clf),
+          key=lambda ctx: {"svm": asdict(ctx.config.svm_config())},
+          body=_train_clf),
     Stage("eval", "evaluate ZSL and GZSL accuracy on test latents",
           reads=(_PARTITION, _LATENTS, ("train-clf", "svm_zsl.npz"),
                  ("train-clf", "svm_gzsl.npz")),
           writes=("report_zsl.json", "report_gzsl.json", "report.txt"),
-          key=lambda ctx: {"svm": ctx.config.svm}, body=_eval, method="zest"),
+          key=lambda ctx: {"svm": asdict(ctx.config.svm_config())},
+          body=_eval, method="zest"),
     *(Stage(f"baseline-{name}", f"run the {name} comparison pipeline",
             reads=(_PARTITION, _LATENTS),
             writes=(f"baseline_{name}.json",),

@@ -115,8 +115,6 @@ class SaneModel(Model):
         c = self.config
         p = self.params
         x = np.asarray(x, dtype=self.dtype)
-        if x.ndim == 2:
-            x = x[None, :, :]
         if x.shape[1:] != (c.n, c.f):
             raise nm.NumericsError(
                 f"input shape {x.shape} incompatible with (B, {c.n}, {c.f})")
@@ -148,10 +146,8 @@ class SaneModel(Model):
         return {"logits": logits, "l": latent_l, "lam": latent_lam}
 
     def predict_arrays(self, x: np.ndarray, batch_size: int = 64) -> dict:
-        """Forward without keeping graphs; returns plain arrays."""
+        """Graph-free forward over a (B, n, f) batch; returns plain arrays."""
         x = np.asarray(x, dtype=self.dtype)
-        if x.ndim == 2:
-            x = x[None, :, :]
         logits, l, lam = [], [], []
         for start in range(0, x.shape[0], batch_size):
             out = self.forward(x[start:start + batch_size])

@@ -6,8 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from zest.classifier import (EvalReport, SvmModel, build_report, evaluate,
-                             hinge_objective, predict, train_svm)
+from zest.checkpoint import write_json
+from zest.classifier import (EvalReport, SvmConfig, SvmModel, build_report,
+                             evaluate, hinge_objective, predict, train_svm)
 
 
 def _blobs(centers, per_class=30, spread=0.3, seed=0):
@@ -20,15 +21,20 @@ def _blobs(centers, per_class=30, spread=0.3, seed=0):
     return np.concatenate(xs), np.array(ys)
 
 
+def _svm(epochs):
+    """The step size the unit tests were tuned for, with C = 1."""
+    return SvmConfig(c_reg=1.0, epochs=epochs, lr=0.01)
+
+
 def test_separable_blobs_perfect_training_accuracy():
     x, y = _blobs([(-3.0, 0.0), (3.0, 0.0)])
-    model = train_svm(x, y, epochs=200)
+    model = train_svm(x, y, _svm(200))
     assert (predict(model, x) == y).all()
 
 
 def test_multiclass_blobs():
     x, y = _blobs([(-4, 0), (4, 0), (0, 4)], per_class=40)
-    model = train_svm(x, y, epochs=300)
+    model = train_svm(x, y, _svm(300))
     assert (predict(model, x) == y).mean() >= 0.99
     assert model.classes == [0, 1, 2]
     assert model.weights.shape == (3, 2)
@@ -36,9 +42,9 @@ def test_multiclass_blobs():
 
 def test_duplicated_data_same_decision_function():
     x, y = _blobs([(-2, 1), (2, -1)], per_class=25, seed=3)
-    model_a = train_svm(x, y, epochs=150)
+    model_a = train_svm(x, y, _svm(150))
     model_b = train_svm(np.concatenate([x, x]), np.concatenate([y, y]),
-                        epochs=150)
+                        _svm(150))
     gx, gy = np.meshgrid(np.linspace(-4, 4, 21), np.linspace(-4, 4, 21))
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
     np.testing.assert_array_equal(predict(model_a, grid),
@@ -67,18 +73,34 @@ def test_objective_within_two_percent_of_grid_optimum():
 
     # convergent schedule for the oracle comparison: the objective has unit
     # strong convexity, so lr/t with lr=1.0 is the textbook step size
-    model = train_svm(x, (y_signed > 0).astype(int), c_reg=c_reg,
-                      epochs=1000, lr=1.0)
+    model = train_svm(x, (y_signed > 0).astype(int),
+                      SvmConfig(c_reg=c_reg, epochs=1000, lr=1.0))
     row = model.classes.index(1)
     w, b = model.weights[row:row + 1], model.biases[row:row + 1]
     ours = hinge_objective(w, _margins(w, b, x, y_signed), c_reg)[0]
     assert ours <= best_grid * 1.02
 
 
-def test_single_class_fatal():
-    x = np.zeros((5, 3))
-    with pytest.raises(ValueError, match="2 classes"):
-        train_svm(x, np.zeros(5, dtype=int))
+def test_single_class_fits_and_predicts_it():
+    x = np.random.default_rng(4).normal(size=(6, 3))
+    model = train_svm(x, np.full(6, 7), _svm(20))
+    assert model.classes == [7]
+    assert model.weights.shape == (1, 3)
+    assert model.biases[0] > 0       # fitted: every margin pushes it up
+    grid = np.random.default_rng(5).normal(size=(10, 3)) * 5
+    assert predict(model, grid).tolist() == [7] * 10
+
+
+def test_no_rows_fatal():
+    with pytest.raises(ValueError, match="no rows"):
+        train_svm(np.zeros((0, 3)), np.zeros(0, dtype=int), _svm(20))
+
+
+@pytest.mark.parametrize("field, value", [("c_reg", 0.0), ("c_reg", -1.0),
+                                          ("lr", 0), ("epochs", -1)])
+def test_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SvmConfig(**{field: value})
 
 
 def test_tie_breaks_to_lowest_class_index():
@@ -90,7 +112,7 @@ def test_tie_breaks_to_lowest_class_index():
 
 def test_prediction_invariant_to_positive_rescaling():
     x, y = _blobs([(-2, 0), (2, 0), (0, 2)], per_class=20, seed=7)
-    model = train_svm(x, y, epochs=100)
+    model = train_svm(x, y, _svm(100))
     scaled = SvmModel(classes=model.classes, weights=3.7 * model.weights,
                       biases=3.7 * model.biases)
     grid = np.random.default_rng(8).normal(size=(50, 2)) * 3
@@ -100,15 +122,15 @@ def test_prediction_invariant_to_positive_rescaling():
 
 def test_deterministic_training():
     x, y = _blobs([(-1, 0), (1, 0)], seed=9)
-    a = train_svm(x, y, epochs=50)
-    b = train_svm(x, y, epochs=50)
+    a = train_svm(x, y, _svm(50))
+    b = train_svm(x, y, _svm(50))
     np.testing.assert_array_equal(a.weights, b.weights)
     np.testing.assert_array_equal(a.biases, b.biases)
 
 
 def test_svm_serialization_roundtrip(tmp_path):
     x, y = _blobs([(-1, 0), (1, 0)])
-    model = train_svm(x, y, epochs=30)
+    model = train_svm(x, y, _svm(30))
     model.save(tmp_path / "svm.npz")
     restored = SvmModel.load(tmp_path / "svm.npz")
     np.testing.assert_array_equal(model.weights, restored.weights)
@@ -122,7 +144,7 @@ def test_svm_serialization_roundtrip(tmp_path):
 class TestEvaluate:
     def _model(self):
         x, y = _blobs([(-3, 0), (3, 0), (0, 3)], per_class=30, seed=1)
-        return train_svm(x, y, epochs=200), x, y
+        return train_svm(x, y, _svm(200)), x, y
 
     def test_perfect_predictor_accuracy_one(self):
         model, x, y = self._model()
@@ -163,21 +185,12 @@ class TestEvaluate:
         model, x, y = self._model()
         report = evaluate("gzsl", model, x, y, extra={"pipeline": "zest"})
         path = tmp_path / "report.json"
-        report.save_json(path)
+        write_json(path, report.to_dict())
         import json
         loaded = EvalReport.from_dict(json.loads(path.read_text()))
         assert loaded.accuracy == report.accuracy
         assert loaded.extra == {"pipeline": "zest"}
         np.testing.assert_array_equal(loaded.confusion, report.confusion)
-
-
-def test_zero_weight_svm_single_unseen():
-    model = SvmModel(classes=[7], weights=np.zeros((1, 4)), biases=np.zeros(1))
-    x = np.random.default_rng(0).normal(size=(5, 4))
-    preds = predict(model, x)
-    assert preds.tolist() == [7] * 5
-    report = evaluate("zsl", model, x, np.full(5, 7))
-    assert report.accuracy == 1.0
 
 
 def test_report_with_predictions_outside_label_set():

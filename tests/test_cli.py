@@ -186,9 +186,8 @@ def test_device_without_fit_sequences_is_named(tmp_path, capsys):
     profiles[3].sessions = 1
     path = tmp_path / "profiles.json"
     save_profiles(profiles, path)
-    devices = sorted(p.device_id for p in profiles)
     seed = next(s for s in range(100)
-                if 3 in make_partition(devices, 2, s).unseen)
+                if 3 in make_partition(len(profiles), 2, s)[1])
     outdir = tmp_path / "exp"
     args = _base_args(outdir, path)
     args[args.index("--seed-list") + 1] = str(seed)
@@ -279,13 +278,23 @@ class TestPipelineAndSweep:
 
 
 @pytest.mark.parametrize("flag, value, field", [
-    ("--num-unseen", "0", "num_unseen"), ("--seeds", "0", "seeds")])
+    ("--num-unseen", "0", "num_unseen"), ("--seeds", "0", "seeds"),
+    ("--pseudo-k", "0", "pseudo_k"), ("--seed-list", "0 0", "seeds"),
+    # no flag sets the ratios: a --config file does
+    ("--config", '{"ratios": [0.5, 0.5]}', "ratios"),
+    ("--config", '{"ratios": [0.7, 0.5, -0.2]}', "ratios"),
+    ("--config", '{"ratios": [0.6, 0.2, 0.1]}', "ratios"),
+    ("--config", '{"ratios": [0.8, 0.2, 0.0]}', "ratios")])
 def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,
                                                     capsys, flag, value,
                                                     field):
     outdir = tmp_path / "exp"
+    values = value.split()
+    if flag == "--config":
+        values = [str(tmp_path / "config.json")]
+        Path(values[0]).write_text(value)
     args = ["pipeline", "--outdir", str(outdir), "--profiles",
-            str(profile_file), "--n", "10", flag, value]
+            str(profile_file), "--n", "10", flag, *values]
     assert main(args) == 1
     assert field in capsys.readouterr().err
     assert not outdir.exists()
@@ -320,7 +329,10 @@ def test_invalid_sweep_model_value_rejected_before_any_stage(tmp_path,
     *(("--sane", json.dumps({key: 5}), f"sane.{key}")
       for key in ("n", "f", "num_classes", "seed")),
     *(("--cvae", json.dumps({key: 5}), f"cvae.{key}")
-      for key in ("input_dim", "cond_dim", "seed"))])
+      for key in ("input_dim", "cond_dim", "seed")),
+    ("--svm", '{"epoch": 5}', "'epoch'"),
+    ("--svm", '{"c_reg": -1.0}', "c_reg"), ("--svm", '{"lr": 0}', "lr"),
+    ("--svm", '{"epochs": -1}', "epochs")])
 def test_invalid_model_override_rejected_before_any_stage(
         tmp_path, profile_file, capsys, flag, value, field):
     outdir = tmp_path / "exp"
@@ -329,3 +341,20 @@ def test_invalid_model_override_rejected_before_any_stage(
     assert main(args) == 1
     assert field in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_source_override_merges_unless_it_names_a_kind(tmp_path, capsys):
+    outdir = tmp_path / "exp"
+    assert main(["ingest", "--outdir", str(outdir), "--preset", "hard-12",
+                 "--sessions", "5", "--n", "10"]) == 0
+    assert main(["ingest", "--outdir", str(outdir), "--sessions", "6"]) == 0
+    config = json.loads((outdir / "config.json").read_text())
+    assert config["source"] == {"preset": "hard-12", "sessions": 6}
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "dataset: 72 sequences, 12 devices")
+    csv_path = tmp_path / "traffic.csv"
+    shutil.copy(outdir / "data" / "traffic.csv", csv_path)
+    assert main(["ingest", "--outdir", str(outdir), "--csv",
+                 str(csv_path)]) == 0
+    config = json.loads((outdir / "config.json").read_text())
+    assert config["source"] == {"csv": str(csv_path)}

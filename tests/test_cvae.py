@@ -10,8 +10,8 @@ from conftest import mul, scale
 from zest import cvae
 from zest import numerics as nm
 from zest.checkpoint import save_checkpoint
-from zest.cvae import (CvaeConfig, CvaeModel, PseudoDataset, cvae_loss,
-                       generate_pseudo, train_cvae)
+from zest.cvae import (CvaeConfig, CvaeModel, cvae_loss, generate_pseudo,
+                       train_cvae)
 
 
 def _zeroed_model(config):
@@ -245,39 +245,39 @@ def trained():
 class TestGeneratePseudo:
     def test_balanced_counts(self, trained):
         model, attrs, _, _, _ = trained
-        pseudo = generate_pseudo(model, attrs, k=50, seed=0)
-        assert pseudo.samples.shape == (len(attrs) * 50, 8)
-        counts = np.bincount(pseudo.labels)
+        samples, labels = generate_pseudo(model, attrs, k=50, seed=0)
+        assert samples.shape == (len(attrs) * 50, 8)
+        assert samples.dtype == np.float32
+        counts = np.bincount(labels)
         assert (counts == 50).all()
 
     def test_row_c_of_attrs_is_class_c(self, trained):
         model, attrs, _, _, _ = trained
-        pseudo = generate_pseudo(model, attrs, k=5, seed=1)
-        assert pseudo.labels.dtype == np.int64
-        assert pseudo.labels.tolist() == np.repeat(range(len(attrs)),
-                                                   5).tolist()
+        samples, labels = generate_pseudo(model, attrs, k=5, seed=1)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == np.repeat(range(len(attrs)), 5).tolist()
         for c in range(len(attrs)):
             noise = np.random.default_rng([1, c]).standard_normal(
                 (5, model.config.z_dim)).astype(np.float32)
             cond = np.tile(attrs[c].astype(np.float32), (5, 1))
-            np.testing.assert_array_equal(pseudo.samples[pseudo.labels == c],
+            np.testing.assert_array_equal(samples[labels == c],
                                           model.decode_arrays(noise, cond))
 
     def test_same_seed_identical(self, trained):
         model, attrs, _, _, _ = trained
-        a = generate_pseudo(model, attrs, k=20, seed=3)
-        b = generate_pseudo(model, attrs, k=20, seed=3)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        c = generate_pseudo(model, attrs, k=20, seed=4)
-        assert not np.array_equal(a.samples, c.samples)
+        a, _ = generate_pseudo(model, attrs, k=20, seed=3)
+        b, _ = generate_pseudo(model, attrs, k=20, seed=3)
+        np.testing.assert_array_equal(a, b)
+        c, _ = generate_pseudo(model, attrs, k=20, seed=4)
+        assert not np.array_equal(a, c)
 
     def test_pseudo_lands_near_own_class_centroid(self, trained):
         model, attrs, latents, labels, _ = trained
-        pseudo = generate_pseudo(model, attrs, k=100, seed=5)
+        samples, pseudo_labels = generate_pseudo(model, attrs, k=100, seed=5)
         real_centroids = np.stack([latents[labels == c].mean(axis=0)
                                    for c in range(len(attrs))])
         for c in range(len(attrs)):
-            cloud = pseudo.samples[pseudo.labels == c]
+            cloud = samples[pseudo_labels == c]
             dists = np.linalg.norm(cloud.mean(axis=0) - real_centroids,
                                    axis=1)
             assert dists.argmin() == c

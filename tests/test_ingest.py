@@ -247,29 +247,25 @@ class TestNormalizer:
 
 class TestPartitionAndSplit:
     def test_sizes_and_disjoint(self):
-        devices = [f"device-{i:02d}" for i in range(12)]
-        part = make_partition(devices, num_unseen=2, seed=0)
-        assert len(part.seen) == 10 and len(part.unseen) == 2
-        assert part.seen.isdisjoint(part.unseen)
-        assert part.seen | part.unseen == set(range(12))
+        seen, unseen = make_partition(12, num_unseen=2, seed=0)
+        assert len(seen) == 10 and len(unseen) == 2
+        assert seen == sorted(seen) and unseen == sorted(unseen)
+        assert all(type(c) is int for c in seen + unseen)
+        assert sorted(seen + unseen) == list(range(12))
 
     def test_deterministic_per_seed(self):
-        devices = [f"d{i}" for i in range(12)]
-        a = make_partition(devices, 2, seed=42)
-        b = make_partition(devices, 2, seed=42)
-        assert a.seen == b.seen and a.unseen == b.unseen
+        assert make_partition(12, 2, seed=42) == make_partition(12, 2,
+                                                                seed=42)
 
     def test_five_seeds_all_valid_covers(self):
-        devices = [f"d{i}" for i in range(12)]
-        partitions = [make_partition(devices, 2, seed=s) for s in range(5)]
-        assert len({frozenset(p.unseen) for p in partitions}) >= 2
-        for p in partitions:
-            assert p.seen | p.unseen == set(range(12))
-            assert not p.seen & p.unseen
+        partitions = [make_partition(12, 2, seed=s) for s in range(5)]
+        assert len({tuple(unseen) for _, unseen in partitions}) >= 2
+        for seen, unseen in partitions:
+            assert sorted(seen + unseen) == list(range(12))
 
     def test_num_unseen_bounds(self):
         with pytest.raises(IngestError):
-            make_partition(["a", "b"], 2, seed=0)
+            make_partition(2, 2, seed=0)
 
     def test_split_ratios_per_device(self):
         labels = np.repeat([0, 1], 20)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zest.baselines import kmeans
-from zest.classifier import build_report, train_svm
+from zest.classifier import SvmConfig, build_report, train_svm
 from zest.forest import RandomForest
 from zest.ingest import (COL_INTER_ARRIVAL, CSV_HEADER, NUM_FEATURES,
                          Dataset, IngestError, apply_normalizer, featurize,
@@ -297,7 +297,7 @@ def test_kmeans_inertia_never_rises(points, data):
     seeded = data.draw(st.booleans())
     # seeded centres anywhere in the box, so clusters can start empty
     init = (data.draw(arrays(np.float64, (k, points.shape[1]),
-                             elements=_coords)) if seeded else "random")
+                             elements=_coords)) if seeded else None)
     result = kmeans(points, k, init=init, seed=data.draw(st.integers(0, 99)))
     history = np.asarray(result.inertia_history)
     assert len(history) == result.n_iter >= 1
@@ -391,7 +391,7 @@ def _fit_binary(x, y_signed, c_reg, epochs, lr):
 @given(data=st.data())
 def test_svm_fits_each_class_like_one_binary_fit(data):
     n, dim = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 4))
-    num_classes = data.draw(st.integers(2, min(n, 5)))
+    num_classes = data.draw(st.integers(1, min(n, 5)))
     # multiples of 1/16: the gradient sums are exact in any order
     x = data.draw(arrays(np.float64, (n, dim),
                          elements=st.integers(-64, 64).map(lambda v: v / 16)))
@@ -400,7 +400,7 @@ def test_svm_fits_each_class_like_one_binary_fit(data):
     c_reg = data.draw(st.sampled_from([0.1, 1.0, 4.0]))
     lr = data.draw(st.sampled_from([0.05, 0.5, 1.0, 2.0]))
     epochs = data.draw(st.integers(1, 40))
-    model = train_svm(x, y, c_reg=c_reg, epochs=epochs, lr=lr)
+    model = train_svm(x, y, SvmConfig(c_reg=c_reg, epochs=epochs, lr=lr))
     assert model.classes == list(range(num_classes))
     for row, cls in enumerate(model.classes):
         w, b = _fit_binary(x, np.where(y == cls, 1.0, -1.0), c_reg, epochs,

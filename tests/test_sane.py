@@ -59,11 +59,11 @@ def test_permutation_invariance_with_zero_positional(tiny_model):
     model = SaneModel(c, rng=np.random.default_rng(5))
     model.params["pos"].data = np.zeros_like(model.params["pos"].data)
     rng = np.random.default_rng(2)
-    x = rng.random((c.n, c.f), dtype=np.float32)
+    x = rng.random((1, c.n, c.f), dtype=np.float32)
     base = model.forward(x)
     for _ in range(3):
         perm = rng.permutation(c.n)
-        out = model.forward(x[perm])
+        out = model.forward(x[:, perm])
         np.testing.assert_allclose(out["logits"].data, base["logits"].data,
                                    atol=1e-5)
         np.testing.assert_allclose(out["l"].data, base["l"].data, atol=1e-5)

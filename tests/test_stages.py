@@ -20,7 +20,7 @@ from zest import baselines as bl
 from zest import checkpoint
 from zest import pipeline as pl
 from zest.attributes import compute_attributes
-from zest.classifier import SvmModel, build_report
+from zest.classifier import SvmModel, build_report, predict
 from zest.cli import build_parser, main
 from zest.forest import RandomForest
 from zest.ingest import Dataset, load_dataset, save_dataset
@@ -49,6 +49,16 @@ def test_cvae_config_follows_sane_dims(tmp_path):
 def test_unknown_baseline_in_config_rejected(tmp_path):
     with pytest.raises(ValueError, match="nope"):
         ExperimentConfig(outdir=str(tmp_path), baselines=["seqcs", "nope"])
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"ratios": [0.5, 0.5]}, "ratios"),
+    # a source names exactly one kind: a preset, a profile file or a CSV
+    ({"source": {}}, "source"), ({"source": {"sessions": 5}}, "source"),
+    ({"source": {"preset": "hard-12", "csv": "x.csv"}}, "source")])
+def test_invalid_field_rejected_by_config(tmp_path, fields, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(outdir=str(tmp_path), **fields)
 
 
 def test_write_json_keeps_old_file_on_failure(tmp_path):
@@ -89,8 +99,9 @@ TEXT_WRITERS = {
         log_path=d / "sane_log.csv"),
     "report.csv": lambda d, v, _: pl.write_aggregate(_aggregate_rows(v), d),
     "report.txt": lambda d, v, _: pl.write_aggregate(_aggregate_rows(v), d),
-    "report_gzsl.json": lambda d, v, _: build_report(
-        "gzsl", [0, 1], [0, v % 2], [0, 1]).save_json(d / "report_gzsl.json"),
+    "report_gzsl.json": lambda d, v, _: write_json(
+        d / "report_gzsl.json",
+        build_report("gzsl", [0, 1], [0, v % 2], [0, 1]).to_dict()),
     "profiles.json": lambda d, v, _: save_profiles(
         tiny_profiles(num_devices=2, sessions=v), d / "profiles.json"),
     "traffic.csv": lambda d, v, _: generate_csv(
@@ -498,3 +509,54 @@ def test_each_baseline_fits_once(experiment, tmp_path, monkeypatch):
         fits[name] = sorted(calls)
     assert fits == {"vae-k": ["kmeans", "train_cvae"], "seqcr": ["kmeans"],
                     "seqcs": ["kmeans"], "deft": ["forest", "kmeans"]}
+
+
+def test_every_baseline_gets_the_same_arguments(experiment, tmp_path,
+                                                monkeypatch):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    ctx = StageContext(resolve_config(work), 0)
+    calls = {}
+
+    def spy(name):
+        def pipeline(*args, **kwargs):
+            calls[name] = (args, kwargs)
+            return {}
+        return pipeline
+
+    for name in pl.BASELINES:
+        monkeypatch.setattr(bl, name.replace("-", "_"), spy(name))
+        pl._baseline(ctx, name)
+    labels, partition = ctx.latents["labels"], ctx.partition
+    fit_idx = pl._fit_idx(partition, labels)
+    for name, latent in pl.BASELINES.items():
+        (fit_x, fit_y, tests, attrs, seed), kwargs = calls[name]
+        features = ctx.latents[latent]
+        np.testing.assert_array_equal(fit_x, features[fit_idx])
+        np.testing.assert_array_equal(fit_y, labels[fit_idx])
+        assert list(tests) == list(pl.SETTINGS)
+        for setting, (x, y) in tests.items():
+            idx = pl._test_idx(partition, labels, setting)
+            np.testing.assert_array_equal(x, features[idx])
+            np.testing.assert_array_equal(y, labels[idx])
+        np.testing.assert_array_equal(attrs, ctx.latents["attrs"])
+        assert (seed, kwargs) == (0, {})
+
+
+def test_single_unseen_zsl_svm_predicts_it(experiment, tmp_path):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    config = resolve_config(work, {"num_unseen": 1})
+    for name in ("partition", "train-sane", "extract-attrs", "train-cvae",
+                 "gen-pseudo", "train-clf", "eval"):
+        assert pl.run_stage(name, config, 0)
+    rdir = work / "runs" / "seed-0"
+    partition = json.loads((rdir / "partition.json").read_text())
+    (unseen,) = partition["unseen"]
+    zsl = SvmModel.load(rdir / "svm_zsl.npz")
+    assert zsl.classes == [unseen]
+    assert zsl.biases[0] != 0     # fitted, not a zero-weight stand-in
+    with np.load(rdir / "latents.npz") as latents:
+        test_l = latents["l"][partition["splits"]["test"]]
+    assert predict(zsl, test_l).tolist() == [unseen] * len(test_l)
+    assert pl.read_reports(config, 0, "zest")["zsl"].accuracy == 1.0
