@@ -28,11 +28,26 @@ GELU_BLOCK_ELEMS elements.
 parameters' arrays view, and updates it with whole-buffer vector operations.
 Its beta1, beta2 and epsilon are the constants of Kingma & Ba (arXiv
 1412.6980); only the learning rate is set by the caller.
+
+An `Arena` lends the outputs that a graph keeps their memory. While one is
+active (`using_arena`), `add`, `linear_arrays`, `attention` (its qkv, q, k,
+v and context), `layer_norm` (xhat and the output), `gelu_arrays` (output
+and derivative), `concat` and `broadcast_to` take the i-th array they
+allocate from the arena's i-th buffer, grown when it is too small, and
+`rewind` starts the count again. A loop that rewinds before each forward of
+the same shape then reuses one step's memory, where fresh arrays would fault
+in new pages on every step, or be handed back to the OS and faulted in
+again. Backward passes and temporaries inside an op allocate as usual, and
+without an active arena every op does. The one rule: nothing built while an
+arena was active is used after that arena rewinds, since the next forward
+overwrites it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import contextlib
+import math
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +80,56 @@ def require_finite(op: str, data: np.ndarray) -> None:
     # min/max propagate NaN and expose Inf without allocating a bool mask
     if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise NumericsError(f"non-finite output in op '{op}'")
+
+
+class Arena:
+    """Buffers lent in call order: the i-th `take` after a `rewind` returns
+    a view of `buffers[i]`, replaced by a larger one when it is too small
+    or of another dtype."""
+
+    def __init__(self):
+        self.buffers: list[np.ndarray] = []
+        self._next = 0
+
+    def rewind(self) -> None:
+        self._next = 0
+
+    def take(self, shape: tuple, dtype) -> np.ndarray:
+        i = self._next
+        self._next += 1
+        size = math.prod(shape)
+        if i == len(self.buffers):
+            self.buffers.append(np.empty(size, dtype=dtype))
+        elif self.buffers[i].dtype != dtype or self.buffers[i].size < size:
+            self.buffers[i] = np.empty(size, dtype=dtype)
+        return self.buffers[i][:size].reshape(shape)
+
+
+_arena: Arena | None = None
+
+
+def active_arena() -> Arena | None:
+    return _arena
+
+
+@contextlib.contextmanager
+def using_arena(arena: Arena) -> Iterator[Arena]:
+    """Make `arena` the active one for the body, then restore the one that
+    was active before, also when the body raises."""
+    global _arena
+    previous, _arena = _arena, arena
+    try:
+        yield arena
+    finally:
+        _arena = previous
+
+
+def _empty(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised array for an output the graph keeps: from the
+    active arena, if there is one."""
+    if _arena is None:
+        return np.empty(shape, dtype=dtype)
+    return _arena.take(shape, dtype)
 
 
 class Tensor:
@@ -159,7 +224,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
+    out_data = np.add(a.data, b.data, out=_empty(
+        np.broadcast_shapes(a.shape, b.shape),
+        np.result_type(a.data, b.data)))
     require_finite("add", out_data)
     out = Tensor(out_data, name="add", _parents=(a, b))
 
@@ -210,7 +277,8 @@ def linear_arrays(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if x.shape[-1] != w.shape[0]:
         raise NumericsError(
             f"linear shape mismatch: input {x.shape}, weight {w.shape}")
-    out = x @ w
+    out = np.matmul(x, w, out=_empty(x.shape[:-1] + w.shape[1:],
+                                     np.result_type(x, w)))
     out += b
     require_finite("linear", out)
     return out
@@ -297,23 +365,26 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
     w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
     # the bias is added in place: a fresh (B, T, 3d) sum would fault in
     # new pages on every call
-    qkv = x.data @ w
+    qkv = np.matmul(x.data, w, out=_empty((batch, tokens, 3 * d),
+                                          np.result_type(x.data, w)))
     qkv += np.concatenate([bq.data, np.zeros_like(bq.data), bv.data])
     require_finite("attention", qkv)
     # (3, B, h, T, head_dim) views of q, k and v
     qkv = qkv.reshape(batch, tokens, 3, heads, head_dim)
     qkv = qkv.transpose(2, 0, 3, 1, 4)
     # scale q rather than the much larger score matrix
-    q = np.multiply(qkv[0], c, order="C")
-    k = np.ascontiguousarray(qkv[1])
-    v = np.ascontiguousarray(qkv[2])
+    q, k, v = (_empty((batch, heads, tokens, head_dim), qkv.dtype)
+               for _ in range(3))
+    np.multiply(qkv[0], c, out=q)
+    np.copyto(k, qkv[1])
+    np.copyto(v, qkv[2])
     step = max(1, ATTN_SCORE_ELEMS // (heads * tokens * tokens))
     # per-query softmax statistics, laid out (B, h, 1, T) as the key-major
     # scores' reductions leave them
     row_max = np.empty((batch, heads, 1, tokens), dtype=q.dtype)
     row_sum = np.empty_like(row_max)
     ones = np.ones((1, tokens), dtype=q.dtype)
-    out_data = np.empty((batch, tokens, heads, head_dim), dtype=q.dtype)
+    out_data = _empty((batch, tokens, heads, head_dim), q.dtype)
     for start in range(0, batch, step):
         sl = slice(start, start + step)
         # key-major scores: column j holds query j's scores over the keys
@@ -388,15 +459,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     # (B*T, d) product sums a row in an order that depends on where it is
     d = x.data.shape[-1]
     col = np.full((d, 1), 1.0 / d, dtype=x.dtype)
-    # `mean` stays referenced until return: freed at once, it moved where
-    # glibc placed later arrays, and the peak RSS of one SANE training
-    # step on 64 sequences of 201 tokens rose from 237 to 246 MB
-    mean = x.data @ col
-    centered = x.data - mean
+    centered = x.data - x.data @ col
     var = (centered ** 2) @ col
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv_std
-    out_data = gain.data * xhat + bias.data
+    xhat = np.multiply(centered, inv_std, out=_empty(
+        centered.shape, np.result_type(centered, inv_std)))
+    out_data = np.multiply(gain.data, xhat, out=_empty(
+        xhat.shape, np.result_type(gain.data, xhat)))
+    out_data += bias.data
     require_finite("layer_norm", out_data)
     out = Tensor(out_data, name="layer_norm", _parents=(x, gain, bias))
 
@@ -429,8 +499,8 @@ def gelu_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the same pass. A non-finite output raises NumericsError.
     """
     flat = x.reshape(-1)
-    out_data = np.empty_like(flat)
-    deriv = np.empty_like(flat)
+    out_data = _empty(flat.shape, flat.dtype)
+    deriv = _empty(flat.shape, flat.dtype)
     temps = np.empty((4, min(flat.size, GELU_BLOCK_ELEMS)), dtype=flat.dtype)
     # over: x^2 of a huge |x|, whose pdf is then 0; invalid: an inf or NaN
     # input, whose non-finite output is fatal below
@@ -505,7 +575,11 @@ def mean_pool(x: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    datas = [t.data for t in tensors]
+    shape = list(datas[0].shape)
+    shape[axis] = sum(a.shape[axis] for a in datas)
+    out_data = np.concatenate(datas, axis=axis, out=_empty(
+        tuple(shape), np.result_type(*datas)))
     require_finite("concat", out_data)
     out = Tensor(out_data, name="concat", _parents=tuple(tensors))
 
@@ -529,8 +603,9 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
 
 
 def broadcast_to(x: Tensor, shape: tuple) -> Tensor:
-    out = Tensor(np.broadcast_to(x.data, shape).copy(), name="broadcast",
-                 _parents=(x,))
+    out_data = _empty(shape, x.dtype)
+    np.copyto(out_data, x.data)
+    out = Tensor(out_data, name="broadcast", _parents=(x,))
 
     def bw(o: Tensor) -> None:
         g = _unbroadcast(o.grad, x.shape)

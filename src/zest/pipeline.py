@@ -58,7 +58,10 @@ SETTINGS = ("zsl", "gzsl")
 # seen classes or SANE's widths: an override of one is an error
 DERIVED_FIELDS = {"sane": ("n", "f", "num_classes", "seed"),
                   "cvae": ("input_dim", "cond_dim", "seed")}
-SOURCE_KINDS = ("preset", "profiles", "csv")    # a source names exactly one
+# a source names exactly one kind; the keys each kind reads besides its own
+SOURCE_KEYS = {"preset": ("sessions", "seed"), "profiles": ("seed",),
+               "csv": ()}
+SOURCE_KINDS = tuple(SOURCE_KEYS)
 
 
 class StageError(RuntimeError):
@@ -96,6 +99,14 @@ class ExperimentConfig:
         if sum(kind in self.source for kind in SOURCE_KINDS) != 1:
             raise ValueError(f"source must name exactly one of "
                              f"{SOURCE_KINDS}, got {self.source}")
+        # a key the kind never reads would be ignored, yet still enter the
+        # synth and ingest cache keys
+        kind = next(k for k in SOURCE_KINDS if k in self.source)
+        for key in self.source:
+            if key != kind and key not in SOURCE_KEYS[kind]:
+                raise ValueError(f"source.{key} means nothing for a {kind} "
+                                 f"source, which reads only "
+                                 f"{list(SOURCE_KEYS[kind])}")
         # every split is needed: an empty one fails a later stage
         if (len(self.ratios) != 3 or min(self.ratios) <= 0
                 or abs(sum(self.ratios) - 1.0) > 1e-9):

@@ -11,6 +11,12 @@ in a single op with a hand-written backward) followed by the output
 projection `wo`/`bo`. That op works through the batch in bounded chunks and
 recomputes the attention probabilities in backward, so neither training nor
 encoding keeps a (B, h, n+1, n+1) array; the attention maps are not returned.
+
+Training and `predict_arrays` both build a full graph for every batch, and
+hold one batch's graph at a time: each forward takes the arrays its graph
+keeps from a `numerics.Arena` rewound before it, so every step reuses the
+memory of the step before. `train_sane`'s steps and its per-epoch
+validation forwards share one arena.
 """
 
 from __future__ import annotations
@@ -146,19 +152,25 @@ class SaneModel(Model):
         return {"logits": logits, "l": latent_l, "lam": latent_lam}
 
     def predict_arrays(self, x: np.ndarray, batch_size: int = 64) -> dict:
-        """Graph-free forward over a (B, n, f) batch; returns plain arrays."""
+        """`forward` over (P, n, f) sequences in batches of `batch_size`;
+        returns the 'logits', 'l' and 'lam' arrays of all P.
+
+        Each batch builds a graph, in the active arena or else in one of
+        its own, rewound before every batch; the results are copied out, so
+        none of the returned arrays is arena memory."""
+        c = self.config
         x = np.asarray(x, dtype=self.dtype)
-        logits, l, lam = [], [], []
-        for start in range(0, x.shape[0], batch_size):
-            out = self.forward(x[start:start + batch_size])
-            logits.append(out["logits"].data)
-            l.append(out["l"].data)
-            lam.append(out["lam"].data)
-        return {
-            "logits": np.concatenate(logits),
-            "l": np.concatenate(l),
-            "lam": np.concatenate(lam),
-        }
+        result = {name: np.empty((len(x), width), dtype=self.dtype)
+                  for name, width in (("logits", c.num_classes), ("l", c.M),
+                                      ("lam", c.N))}
+        arena = nm.active_arena() or nm.Arena()
+        with nm.using_arena(arena):
+            for start in range(0, len(x), batch_size):
+                arena.rewind()
+                out = self.forward(x[start:start + batch_size])
+                for name, rows in result.items():
+                    rows[start:start + batch_size] = out[name].data
+        return result
 
     # -- persistence ------------------------------------------------------
 
@@ -203,22 +215,29 @@ def train_sane(x_train: np.ndarray, y_train: np.ndarray, x_val: np.ndarray,
     best_state: dict[str, np.ndarray] | None = None
     best_val = -1.0
     log: list[dict] = []
+    # one step's graph at a time: each step's forward, and the validation
+    # forwards after each epoch, take their arrays from the same buffers
+    arena = nm.Arena()
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(x_train))
         total_loss = 0.0
         total_correct = 0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            out = model.forward(x_train[idx])
-            loss = nm.cross_entropy(out["logits"], y_train[idx])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total_loss += float(loss.data) * len(idx)
-            total_correct += int((out["logits"].data.argmax(axis=1) == y_train[idx]).sum())
+        with nm.using_arena(arena):
+            for start in range(0, len(order), config.batch_size):
+                idx = order[start:start + config.batch_size]
+                arena.rewind()
+                out = model.forward(x_train[idx])
+                loss = nm.cross_entropy(out["logits"], y_train[idx])
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                total_loss += float(loss.data) * len(idx)
+                total_correct += int(
+                    (out["logits"].data.argmax(axis=1) == y_train[idx]).sum())
+                del out, loss
+            val_pred = model.predict_arrays(x_val)["logits"].argmax(axis=1)
         train_loss = total_loss / len(order)
         train_acc = total_correct / len(order)
-        val_pred = model.predict_arrays(x_val)["logits"].argmax(axis=1)
         val_acc = float((val_pred == y_val).mean())
         log.append({"epoch": epoch, "train_loss": train_loss,
                     "train_acc": train_acc, "val_acc": val_acc})

@@ -358,3 +358,9 @@ def test_source_override_merges_unless_it_names_a_kind(tmp_path, capsys):
                  str(csv_path)]) == 0
     config = json.loads((outdir / "config.json").read_text())
     assert config["source"] == {"csv": str(csv_path)}
+    # a CSV has no sessions to set: the merged source is rejected, and the
+    # persisted one stays
+    assert main(["ingest", "--outdir", str(outdir), "--sessions", "5"]) == 1
+    assert "source.sessions" in capsys.readouterr().err
+    config = json.loads((outdir / "config.json").read_text())
+    assert config["source"] == {"csv": str(csv_path)}

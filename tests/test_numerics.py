@@ -398,6 +398,33 @@ def test_gelu_non_finite_is_fatal():
             nm.gelu(nm.param(x))
 
 
+def test_arena_lends_buffers_in_call_order():
+    arena = nm.Arena()
+    a = arena.take((2, 3), np.float32)
+    b = arena.take((4,), np.float32)
+    assert not np.shares_memory(a, b)
+    arena.rewind()
+    # a smaller request is a view of the same buffer
+    assert np.shares_memory(arena.take((5,), np.float32), a)
+    # a larger one, or one of another dtype, replaces it
+    grown = arena.take((9,), np.float32)
+    assert grown.shape == (9,) and not np.shares_memory(grown, b)
+    arena.rewind()
+    assert arena.take((1,), np.float64).dtype == np.float64
+    assert [buf.dtype for buf in arena.buffers] == [np.float64, np.float32]
+
+
+def test_using_arena_restores_the_previous_arena_when_the_body_raises():
+    outer, inner = nm.Arena(), nm.Arena()
+    assert nm.active_arena() is None
+    with nm.using_arena(outer):
+        with pytest.raises(KeyError), nm.using_arena(inner):
+            assert nm.active_arena() is inner
+            raise KeyError("body")
+        assert nm.active_arena() is outer
+    assert nm.active_arena() is None
+
+
 def _reference_linear(x, w, b, g):
     """Output and x, w, b gradients of x @ w + b for the upstream gradient
     g, with the input gradient as one 3-D product."""

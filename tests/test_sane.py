@@ -1,6 +1,8 @@
 """Feature extractor structure, gradients, training behavior, and
 serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,87 @@ def test_checkpoint_roundtrip_bit_exact(tiny_trained, tmp_path):
 def test_bad_input_shape_fatal(tiny_model):
     with pytest.raises(nm.NumericsError, match="incompatible"):
         tiny_model.forward(np.zeros((2, 3, 8), dtype=np.float32))
+
+
+def test_rewound_arena_forwards_share_buffers(tiny_model):
+    c = tiny_model.config
+    x = np.random.default_rng(0).random((4, c.n, c.f), dtype=np.float32)
+    arena = nm.Arena()
+    with nm.using_arena(arena):
+        first = tiny_model.forward(x)["logits"].data
+        want = first.copy()
+        taken = len(arena.buffers)
+        arena.rewind()
+        again = tiny_model.forward(x)["logits"].data
+    assert len(arena.buffers) == taken
+    assert np.shares_memory(first, again)
+    np.testing.assert_array_equal(again, want)
+
+
+def test_arena_growth_is_bit_identical(tiny_model):
+    c = tiny_model.config
+    rng = np.random.default_rng(1)
+    small = rng.random((3, c.n, c.f), dtype=np.float32)
+    large = rng.random((7, c.n, c.f), dtype=np.float32)
+    labels = np.arange(7) % c.num_classes
+    params = tiny_model.parameters()
+
+    def step(x):
+        out = tiny_model.forward(x)
+        for p in params:
+            p.zero_grad()
+        nm.cross_entropy(out["logits"], labels[:len(x)]).backward()
+        return ({k: t.data.copy() for k, t in out.items()},
+                [p.grad.copy() for p in params])
+
+    want = step(large)
+    arena = nm.Arena()
+    with nm.using_arena(arena):
+        step(small)
+        arena.rewind()
+        got = step(large)
+    for name, data in want[0].items():
+        np.testing.assert_array_equal(got[0][name], data)
+    for g_got, g_want in zip(got[1], want[1]):
+        np.testing.assert_array_equal(g_got, g_want)
+
+
+def test_predict_arrays_outputs_never_alias_the_arena(tiny_model):
+    c = tiny_model.config
+    x = np.random.default_rng(2).random((10, c.n, c.f), dtype=np.float32)
+    arena = nm.Arena()
+    with nm.using_arena(arena):
+        out = tiny_model.predict_arrays(x, batch_size=4)
+    assert arena.buffers
+    for data in out.values():
+        assert data.flags.owndata
+        assert not any(np.shares_memory(data, b) for b in arena.buffers)
+    # with no arena active it uses one of its own, and returns the same
+    for name, data in tiny_model.predict_arrays(x, batch_size=4).items():
+        assert data.flags.owndata
+        np.testing.assert_array_equal(data, out[name])
+
+
+def _traced_training_peak(steps):
+    """tracemalloc's peak over `train_sane` on `steps` batches of 16, with
+    3 validation sequences: the validation forward is smaller than a
+    training step's, so a one-step run holds one step's graph at its
+    peak."""
+    c = tiny_config(batch_size=16, epochs=1)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((16 * steps, c.n, c.f), dtype=np.float32)
+    y = np.arange(16 * steps) % c.num_classes
+    x_val = rng.standard_normal((3, c.n, c.f), dtype=np.float32)
+    y_val = np.arange(3) % c.num_classes
+    tracemalloc.start()
+    try:
+        train_sane(x, y, x_val, y_val, c)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_holds_one_step_of_memory():
+    # a step whose forward runs while the last step's graph is alive peaks
+    # at about two graphs: 1.45 times a one-step run on this config
+    assert _traced_training_peak(6) <= 1.05 * _traced_training_peak(1)

@@ -61,6 +61,26 @@ def test_invalid_field_rejected_by_config(tmp_path, fields, match):
         ExperimentConfig(outdir=str(tmp_path), **fields)
 
 
+@pytest.mark.parametrize("source, key", [
+    ({"preset": "hard-12", "sesions": 5}, "sesions"),
+    ({"csv": "a.csv", "sessions": 5}, "sessions"),
+    ({"csv": "a.csv", "seed": 1}, "seed"),
+    ({"profiles": "p.json", "sessions": 5}, "sessions")])
+def test_source_key_its_kind_never_reads_rejected(tmp_path, source, key):
+    outdir = tmp_path / "exp"
+    with pytest.raises(ValueError, match=rf"source\.{key} means nothing"):
+        resolve_config(outdir, {"source": source})
+    assert not outdir.exists()
+
+
+def test_source_keys_each_kind_reads_accepted(tmp_path):
+    for source in ({"preset": "hard-12", "sessions": 5, "seed": 2},
+                   {"profiles": "p.json", "seed": 2}, {"csv": "a.csv"}):
+        config = resolve_config(tmp_path / next(iter(source)),
+                                {"source": source})
+        assert config.source == source
+
+
 def test_write_json_keeps_old_file_on_failure(tmp_path):
     path = tmp_path / "m.json"
     write_json(path, {"a": 1})
