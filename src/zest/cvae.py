@@ -90,8 +90,9 @@ class CvaeModel(Model):
         hidden activation and its GELU derivative, mu and logvar."""
         p = self.params
         xc = self._with_cond_arrays(x, cond)
-        h, dh = nm.gelu_arrays(nm.linear_arrays(xc, p["enc.w1"].data,
-                                                p["enc.b1"].data))
+        # GELU over the product, which nothing else reads
+        h = nm.linear_arrays(xc, p["enc.w1"].data, p["enc.b1"].data)
+        h, dh = nm.gelu_arrays(h, out=h)
         mu = nm.linear_arrays(h, p["enc.mu_w"].data, p["enc.mu_b"].data)
         logvar = nm.linear_arrays(h, p["enc.lv_w"].data, p["enc.lv_b"].data)
         return xc, h, dh, mu, logvar
@@ -101,8 +102,8 @@ class CvaeModel(Model):
         hidden activation and its GELU derivative, and the reconstruction."""
         p = self.params
         zc = self._with_cond_arrays(z, cond)
-        h, dh = nm.gelu_arrays(nm.linear_arrays(zc, p["dec.w1"].data,
-                                                p["dec.b1"].data))
+        h = nm.linear_arrays(zc, p["dec.w1"].data, p["dec.b1"].data)
+        h, dh = nm.gelu_arrays(h, out=h)
         return zc, h, dh, nm.linear_arrays(h, p["dec.w2"].data,
                                            p["dec.b2"].data)
 

@@ -30,8 +30,8 @@ Its beta1, beta2 and epsilon are the constants of Kingma & Ba (arXiv
 1412.6980); only the learning rate is set by the caller.
 
 An `Arena` lends the outputs that a graph keeps their memory. While one is
-active (`using_arena`), `add`, `linear_arrays`, `attention` (its qkv, q, k,
-v and context), `layer_norm` (xhat and the output), `gelu_arrays` (output
+active (`using_arena`), `add`, `linear_arrays`, `attention` (its q, k, v
+and context), `layer_norm` (xhat and the output), `gelu_arrays` (output
 and derivative), `concat` and `broadcast_to` take the i-th array they
 allocate from the arena's i-th buffer, grown when it is too small, and
 `rewind` starts the count again. A loop that rewinds before each forward of
@@ -41,6 +41,13 @@ again. Backward passes and temporaries inside an op allocate as usual, and
 without an active arena every op does. The one rule: nothing built while an
 arena was active is used after that arena rewinds, since the next forward
 overwrites it.
+
+`add` and `gelu` take an `out` array, as numpy's ufuncs do, and take
+nothing from the arena when given one. It may be an input's `.data`, the
+one exception to a graph's data being immutable, when nothing reads that
+data afterwards: the output of a `linear`, whose backward reads only its
+input and weight, consumed by nothing else. SANE and the CVAE write GELU
+and SANE's residual sums over such outputs.
 """
 
 from __future__ import annotations
@@ -137,7 +144,9 @@ class Tensor:
 
     Tensors form a DAG as ops are applied; calling ``backward()`` on a scalar
     result accumulates gradients into every tensor that contributed to it.
-    Treat `.data` as immutable once the tensor has been fed into an op.
+    Treat `.data` as immutable once the tensor has been fed into an op,
+    except as the `out` of `add` or `gelu` when no op reads it afterwards
+    (see the module docstring).
     """
 
     __slots__ = ("data", "grad", "name", "_parents", "_backward")
@@ -223,10 +232,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = np.add(a.data, b.data, out=_empty(
-        np.broadcast_shapes(a.shape, b.shape),
-        np.result_type(a.data, b.data)))
+def add(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """a + b with numpy broadcasting, written into `out` when given."""
+    if out is None:
+        out = _empty(np.broadcast_shapes(a.shape, b.shape),
+                     np.result_type(a.data, b.data))
+    out_data = np.add(a.data, b.data, out=out)
     require_finite("add", out_data)
     out = Tensor(out_data, name="add", _parents=(a, b))
 
@@ -363,10 +374,9 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
     head_dim = d // heads
     c = 1.0 / float(np.sqrt(head_dim))
     w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    # the bias is added in place: a fresh (B, T, 3d) sum would fault in
-    # new pages on every call
-    qkv = np.matmul(x.data, w, out=_empty((batch, tokens, 3 * d),
-                                          np.result_type(x.data, w)))
+    # per-call scratch: backward reads only the q, k and v copied out of
+    # it below, so it is not kept; the bias is added in place
+    qkv = x.data @ w
     qkv += np.concatenate([bq.data, np.zeros_like(bq.data), bv.data])
     require_finite("attention", qkv)
     # (3, B, h, T, head_dim) views of q, k and v
@@ -484,9 +494,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def gelu_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu_arrays(x: np.ndarray, out: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian error linear unit x Phi(x), Phi the standard normal cdf, and
-    its derivative Phi(x) + x pdf(x), of an array.
+    its derivative Phi(x) + x pdf(x), of an array; the first is written into
+    `out` when given, which may be x itself.
 
     Computed as max(x, 0) - |x| Phi(-|x|), from the tail mass
     Phi(-|x|) = pdf(x) R(|x| / sqrt 2), where R is a rational fit to
@@ -499,7 +511,13 @@ def gelu_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the same pass. A non-finite output raises NumericsError.
     """
     flat = x.reshape(-1)
-    out_data = _empty(flat.shape, flat.dtype)
+    if out is None:
+        out = _empty(x.shape, x.dtype)
+    elif (out.shape != x.shape or out.dtype != x.dtype
+          or not out.flags.c_contiguous):
+        raise NumericsError(f"gelu out must be a contiguous {x.dtype} "
+                            f"array of shape {x.shape}")
+    out_data = out.reshape(-1)
     deriv = _empty(flat.shape, flat.dtype)
     temps = np.empty((4, min(flat.size, GELU_BLOCK_ELEMS)), dtype=flat.dtype)
     # over: x^2 of a huge |x|, whose pdf is then 0; invalid: an inf or NaN
@@ -529,29 +547,30 @@ def gelu_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 qb += c
             pb /= qb
             pb *= db
-            # x Phi(x) = max(x, 0) - |x| Phi(-|x|)
-            np.maximum(xb, 0.0, out=ob)
             ab *= pb
-            ob -= ab
-            # Phi(x) = 1/2 + sign(x) (1/2 - Phi(-|x|))
+            # the derivative reads xb, so it comes before ob, which may be
+            # xb: Phi(x) = 1/2 + sign(x) (1/2 - Phi(-|x|))
             np.subtract(0.5, pb, out=pb)
             np.copysign(pb, xb, out=pb)
             db *= xb
             db += pb
             db += 0.5
-    out_data = out_data.reshape(x.shape)
-    require_finite("gelu", out_data)
-    return out_data, deriv.reshape(x.shape)
+            # x Phi(x) = max(x, 0) - |x| Phi(-|x|)
+            np.maximum(xb, 0.0, out=ob)
+            ob -= ab
+    require_finite("gelu", out)
+    return out, deriv.reshape(x.shape)
 
 
-def gelu(x: Tensor) -> Tensor:
+def gelu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
     """`gelu_arrays` as a graph node: backward is one product with the
-    derivative."""
-    out_data, deriv = gelu_arrays(x.data)
+    derivative, taken in place in the node's own gradient."""
+    out_data, deriv = gelu_arrays(x.data, out)
     out = Tensor(out_data, name="gelu", _parents=(x,))
 
     def bw(o: Tensor) -> None:
-        x._accumulate(o.grad * deriv, own=True)
+        o.grad *= deriv
+        x._accumulate(o.grad, own=True)
 
     out._backward = bw
     return out

@@ -17,6 +17,12 @@ hold one batch's graph at a time: each forward takes the arrays its graph
 keeps from a `numerics.Arena` rewound before it, so every step reuses the
 memory of the step before. `train_sane`'s steps and its per-epoch
 validation forwards share one arena.
+
+A step keeps, per block, only what backward reads: both layer norms'
+normalised input and output, attention's q, k, v and context, and GELU's
+output and derivative, plus the two residual sums the forward passes on.
+GELU and the sums are written over the linear outputs they consume, and
+attention's packed qkv product is scratch.
 """
 
 from __future__ import annotations
@@ -135,15 +141,16 @@ class SaneModel(Model):
         for i in range(c.e):
             pre = f"block{i}"
             # as printed: R1 = MHA(Norm(E)); R2 = MLP(Norm(E + R1));
-            # E <- R2 + (E + R1)
+            # E <- R2 + (E + R1). No backward reads a linear's output, so
+            # each sum, and GELU, is written over the output it consumes
             r1 = self._attention(
                 nm.layer_norm(e, p[f"{pre}.ln1.gain"], p[f"{pre}.ln1.bias"]), i)
-            e_r1 = nm.add(e, r1)
+            e_r1 = nm.add(e, r1, out=r1.data)
             m = nm.layer_norm(e_r1, p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
             m = nm.linear(m, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"])
-            m = nm.gelu(m)
+            m = nm.gelu(m, out=m.data)
             m = nm.linear(m, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
-            e = nm.add(m, e_r1)
+            e = nm.add(m, e_r1, out=m.data)
 
         pooled = nm.mean_pool(e)
         latent_l = nm.linear(pooled, p["latent_l.w"], p["latent_l.b"])

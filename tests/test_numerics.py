@@ -398,6 +398,84 @@ def test_gelu_non_finite_is_fatal():
             nm.gelu(nm.param(x))
 
 
+def _bits(a):
+    """The bytes of an array, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+# both sides of the clamp at |x| / sqrt 2 = 4, and float64 subnormals and
+# magnitudes beyond the float32 range
+_GELU_EDGES_64 = np.concatenate([
+    _GELU_EDGES.astype(np.float64),
+    [5.656, -5.656, 5.658, -5.658, 5e-324, -5e-324, 1e-310, 1e300, -1e300],
+    np.linspace(-8.0, 8.0, 3001)])
+
+
+@pytest.mark.parametrize("x", [
+    np.concatenate([_GELU_EDGES, np.float32([5.656, -5.656, 5.658,
+                                             -5.658])]),
+    _GELU_EDGES_64], ids=["float32", "float64"])
+def test_gelu_over_its_input_is_bit_identical(x):
+    with mock.patch.object(nm, "GELU_BLOCK_ELEMS", 1000):
+        want, want_deriv = nm.gelu_arrays(x)
+        inplace = x.copy()
+        got, got_deriv = nm.gelu_arrays(inplace, out=inplace)
+    assert got is inplace
+    assert _bits(got) == _bits(want) and _bits(got_deriv) == _bits(want_deriv)
+    # and as a graph node, whose backward gives the same input gradient
+    grads = []
+    for out in (None, "input"):
+        t = nm.param(x.reshape(1, -1).copy())
+        g = nm.gelu(t, out=t.data if out else None)
+        assert _bits(g.data) == _bits(want)
+        nm.l1_loss(g, np.zeros(g.shape)).backward()
+        grads.append(t.grad)
+    assert _bits(grads[0]) == _bits(grads[1])
+
+
+def test_gelu_over_its_input_non_finite_is_fatal():
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.linspace(-3.0, 3.0, 12, dtype=np.float32)
+        x[6] = bad
+        with mock.patch.object(nm, "GELU_BLOCK_ELEMS", 5), \
+                pytest.raises(nm.NumericsError, match="gelu"):
+            nm.gelu_arrays(x, out=x)
+
+
+def test_gelu_rejects_an_out_it_cannot_fill():
+    x = np.zeros((4, 6), dtype=np.float32)
+    for out in (np.zeros((4, 5), np.float32), np.zeros((4, 6)),
+                np.zeros((6, 4), np.float32).T):
+        with pytest.raises(nm.NumericsError, match="gelu out"):
+            nm.gelu_arrays(x, out=out)
+
+
+def test_add_over_an_input_is_bit_identical():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 4, 5)).astype(np.float32)
+    b = rng.standard_normal((3, 4, 5)).astype(np.float32)
+    pos = rng.standard_normal((4, 5)).astype(np.float32)
+
+    def run(x, y, over, arena):
+        ts = [nm.param(x.copy()), nm.param(y.copy())]
+        with nm.using_arena(arena):
+            out = nm.add(*ts, out=None if over is None else ts[over].data)
+        data = out.data.copy()
+        nm.l1_loss(out, np.full(out.shape, 0.5)).backward()
+        return out, ts, data
+
+    for x, y, over in ((a, b, 0), (a, b, 1), (a, pos, 0)):
+        want, want_ts, want_data = run(x, y, None, nm.Arena())
+        # an output given as `out` takes nothing from the arena
+        arena = nm.Arena()
+        got, got_ts, got_data = run(x, y, over, arena)
+        assert not arena.buffers
+        assert got.data is got_ts[over].data
+        assert _bits(got_data) == _bits(want_data)
+        for t_got, t_want in zip(got_ts, want_ts):
+            assert _bits(t_got.grad) == _bits(t_want.grad)
+
+
 def test_arena_lends_buffers_in_call_order():
     arena = nm.Arena()
     a = arena.take((2, 3), np.float32)

@@ -2,6 +2,7 @@
 serialization."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -283,3 +284,33 @@ def test_training_holds_one_step_of_memory():
     # a step whose forward runs while the last step's graph is alive peaks
     # at about two graphs: 1.45 times a one-step run on this config
     assert _traced_training_peak(6) <= 1.05 * _traced_training_peak(1)
+
+
+def test_a_training_step_keeps_only_what_backward_reads():
+    # per block, in (B, T) rows of float32: both layer norms' xhat and
+    # output (4 d), q, k, v and the context (4 d), the wo and w2 outputs
+    # that the residual sums overwrite (2 d), and GELU's output, written
+    # over the w1 output, and its derivative (2 d_mlp); the packed qkv
+    # product and the MLP pre-activation are not kept
+    made = []
+
+    class Recording(nm.Arena):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    c = tiny_config(e=2, batch_size=16, epochs=1)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((16, c.n, c.f), dtype=np.float32)
+    x_val = rng.standard_normal((3, c.n, c.f), dtype=np.float32)
+    with mock.patch.object(nm, "Arena", Recording):
+        train_sane(x, np.arange(16) % c.num_classes, x_val,
+                   np.arange(3) % c.num_classes, c)
+    (arena,) = made
+    b, t, d = c.batch_size, c.n + 1, c.d_model
+    elems = (b * c.n * d          # the packet embeddings
+             + b * d              # the SLA token, broadcast over the batch
+             + 2 * b * t * d      # their concatenation, plus positions
+             + c.e * b * t * (10 * d + 2 * c.d_mlp)
+             + b * (c.M + c.N + c.num_classes))  # the latent and class heads
+    assert sum(buf.nbytes for buf in arena.buffers) == 4 * elems
