@@ -1,8 +1,9 @@
 """Comparison pipelines over the shared attention-extracted features:
 VAE-K (VAE compression to the attribute width + k-means), SeqCR (k-means on
 the narrow latents), SeqCS (k-means seeded with attribute vectors), and DEFT
-(random forest on SeqCS cluster labels). Includes Lloyd k-means and optimal
-cluster-to-label accuracy scoring.
+(random forest on SeqCS cluster labels). Includes Lloyd k-means and the
+optimal one-to-one cluster-to-label mapping that scores a clustering, solved
+in-module so that the package needs numpy alone.
 
 Every pipeline is called as `(fit_x, fit_y, tests, attrs, seed)` and makes
 one cluster per row of `attrs`, the (num_classes, N) class attributes. It
@@ -19,7 +20,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .classifier import EvalReport, build_report
 from .cvae import CvaeConfig, train_cvae
@@ -93,13 +93,66 @@ def kmeans(points: np.ndarray, k: int, init: np.ndarray | None = None,
 
 
 # ---------------------------------------------------------------------------
-# cluster accuracy (optimal one-to-one mapping)
+# optimal one-to-one cluster -> label mapping
 # ---------------------------------------------------------------------------
+
+def _max_assignment(gain: np.ndarray) -> list[int]:
+    """The column assigned to each row of a square matrix so that the summed
+    gain is largest. A port of scipy's `linear_sum_assignment` for the
+    square case (Crouse's shortest augmenting path, IEEE TAES 2016): float64
+    costs are the negated gains, and the scan order, tie rule, dual updates
+    and augmentation are scipy's, so ties resolve to the same columns."""
+    cost = (-np.asarray(gain, dtype=np.float64)).tolist()
+    k = len(cost)
+    u, v = [0.0] * k, [0.0] * k
+    col4row, row4col, path = [-1] * k, [-1] * k, [-1] * k
+    for cur_row in range(k):
+        # reverse order makes a constant matrix solve to the identity
+        remaining = list(range(k - 1, -1, -1))
+        shortest = [np.inf] * k
+        visited_rows, visited_cols = set(), set()
+        i, min_val, sink = cur_row, 0.0, -1
+        while sink == -1:
+            index, lowest = -1, np.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                # at equal cost, a free column ends the path
+                if shortest[j] < lowest or (shortest[j] == lowest
+                                            and row4col[j] == -1):
+                    index, lowest = it, shortest[j]
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                visited_rows.add(i)
+            visited_cols.add(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for r in visited_rows:
+            u[r] += min_val - shortest[col4row[r]]
+        for c in visited_cols:
+            v[c] -= min_val - shortest[c]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
 
 def cluster_label_mapping(assignments: np.ndarray, labels: np.ndarray,
                           k: int) -> np.ndarray:
-    """Optimal one-to-one cluster -> label mapping maximizing matched count
-    (Hungarian assignment on the contingency matrix)."""
+    """The one-to-one cluster -> label mapping that matches the most points:
+    `mapping[c]` is cluster c's label, from a maximum-weight assignment on
+    the (k, k) cluster-by-label contingency table. A cluster with no points
+    still gets the label no other cluster took."""
     assignments = np.asarray(assignments, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if assignments.shape != labels.shape:
@@ -107,19 +160,7 @@ def cluster_label_mapping(assignments: np.ndarray, labels: np.ndarray,
             f"length mismatch: {assignments.shape} vs {labels.shape}")
     contingency = np.zeros((k, k), dtype=np.int64)
     np.add.at(contingency, (assignments, labels), 1)
-    rows, cols = linear_sum_assignment(contingency, maximize=True)
-    mapping = np.full(k, -1, dtype=np.int64)
-    mapping[rows] = cols
-    return mapping
-
-
-def cluster_accuracy(assignments: np.ndarray, labels: np.ndarray,
-                     k: int) -> float:
-    """Accuracy under the optimal cluster <-> label mapping."""
-    labels = np.asarray(labels, dtype=np.int64)
-    mapping = cluster_label_mapping(assignments, labels, k)
-    mapped = mapping[np.asarray(assignments, dtype=np.int64)]
-    return float((mapped == labels).mean())
+    return np.array(_max_assignment(contingency), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +186,10 @@ def _clustering_reports(cluster: ClusterResult, train_labels: np.ndarray,
     same mapping."""
     k = len(cluster.centers)
     mapping = cluster_label_mapping(cluster.assignments, train_labels, k)
+    train_accuracy = float((mapping[cluster.assignments]
+                            == train_labels).mean())
     extra = {"pipeline": pipeline, "seed": seed,
-             "train_accuracy": cluster_accuracy(cluster.assignments,
-                                                train_labels, k)}
+             "train_accuracy": train_accuracy}
     return {setting: _test_report(setting, test_labels,
                                   mapping[cluster.assign(test_points)], extra)
             for setting, (test_points, test_labels) in tests.items()}

@@ -1,16 +1,42 @@
-"""k-means, Hungarian cluster accuracy, the random forest, and the four
-comparison pipelines."""
+"""k-means, the optimal cluster-to-label mapping (against scipy's solver and
+a factorial brute force), the random forest, and the four comparison
+pipelines."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from zest import baselines as bl
-from zest.baselines import (BaselineError, cluster_accuracy,
-                            cluster_label_mapping, deft, kmeans, seqcr,
-                            seqcs, vae_k)
+from zest.baselines import (BaselineError, cluster_label_mapping, deft,
+                            kmeans, seqcr, seqcs, vae_k)
 from zest.forest import RandomForest
+
+
+def _mapped_accuracy(assignments, labels, k):
+    """Accuracy of the assignments under the optimal cluster -> label
+    mapping."""
+    mapping = cluster_label_mapping(assignments, labels, k)
+    return float((mapping[assignments] == labels).mean())
+
+
+def _points(table):
+    """Cluster assignments and labels whose contingency table is `table`."""
+    rows, cols = np.indices(table.shape)
+    return (np.repeat(rows.ravel(), table.ravel()),
+            np.repeat(cols.ravel(), table.ravel()))
+
+
+@st.composite
+def _tables(draw):
+    """Square count tables; small maxima make many ties and zeros."""
+    k = draw(st.integers(1, 12))
+    top = draw(st.sampled_from([1, 2, 3, 50]))
+    return draw(arrays(np.int64, (k, k), elements=st.integers(0, top)))
 
 
 def _blobs(centers, per_class=30, spread=0.25, seed=0):
@@ -33,7 +59,7 @@ class TestKmeans:
     def test_two_blobs_recovered(self):
         x, y = _blobs([(-5, 0), (5, 0)], per_class=50)
         result = kmeans(x, k=2, seed=1)
-        assert cluster_accuracy(result.assignments, y, k=2) == 1.0
+        assert _mapped_accuracy(result.assignments, y, k=2) == 1.0
 
     def test_inertia_non_increasing(self):
         rng = np.random.default_rng(2)
@@ -59,7 +85,7 @@ class TestKmeans:
         centroids = np.stack([x[y == c].mean(axis=0) for c in range(3)])
         result = kmeans(x, k=3, init=centroids, seed=0)
         assert result.n_iter <= 2
-        assert cluster_accuracy(result.assignments, y, k=3) == 1.0
+        assert _mapped_accuracy(result.assignments, y, k=3) == 1.0
 
     def test_seeded_init_shape_checked(self):
         with pytest.raises(BaselineError, match="seeded"):
@@ -78,14 +104,14 @@ class TestClusterAccuracy:
     def test_permuted_labels_perfect(self):
         labels = np.array([0, 0, 1, 1, 2, 2])
         assignments = np.array([2, 2, 0, 0, 1, 1])
-        assert cluster_accuracy(assignments, labels, k=3) == 1.0
+        assert _mapped_accuracy(assignments, labels, k=3) == 1.0
 
     def test_uniform_random_near_chance(self):
         rng = np.random.default_rng(7)
         k = 12
         labels = np.repeat(np.arange(k), 400)
         assignments = rng.integers(0, k, size=labels.size)
-        acc = cluster_accuracy(assignments, labels, k=k)
+        acc = _mapped_accuracy(assignments, labels, k=k)
         assert acc == pytest.approx(1.0 / k, abs=0.02)
 
     def test_matches_factorial_brute_force(self):
@@ -95,25 +121,42 @@ class TestClusterAccuracy:
                 n = 40
                 assignments = rng.integers(0, k, size=n)
                 labels = rng.integers(0, k, size=n)
-                hungarian = cluster_accuracy(assignments, labels, k=k)
+                hungarian = _mapped_accuracy(assignments, labels, k=k)
                 best = 0.0
                 for perm in itertools.permutations(range(k)):
                     mapped = np.array([perm[a] for a in assignments])
                     best = max(best, float((mapped == labels).mean()))
                 assert hungarian == pytest.approx(best)
 
+    @settings(max_examples=300, deadline=None)
+    @given(table=_tables())
+    @example(table=np.array([[7]]))
+    @example(table=np.zeros((1, 1), dtype=np.int64))
+    @example(table=np.zeros((5, 5), dtype=np.int64))
+    @example(table=np.full((6, 6), 3))
+    # a cluster with no training rows; two clusters with the same counts
+    @example(table=np.array([[3, 1, 0], [0, 0, 0], [2, 2, 5]]))
+    @example(table=np.array([[4, 1, 1, 0], [4, 1, 1, 0], [0, 2, 2, 2],
+                             [1, 0, 3, 3]]))
+    def test_matches_scipy_column_for_column(self, table):
+        # ties resolve as scipy resolves them, so reports stay the same
+        assignments, labels = _points(table)
+        _, cols = linear_sum_assignment(table, maximize=True)
+        np.testing.assert_array_equal(
+            cluster_label_mapping(assignments, labels, len(table)), cols)
+
     def test_beats_any_fixed_mapping(self):
         rng = np.random.default_rng(9)
         assignments = rng.integers(0, 4, size=100)
         labels = rng.integers(0, 4, size=100)
-        acc = cluster_accuracy(assignments, labels, k=4)
+        acc = _mapped_accuracy(assignments, labels, k=4)
         identity = float((assignments == labels).mean())
         assert acc >= identity
 
     def test_length_mismatch_fatal(self):
         with pytest.raises(BaselineError, match="mismatch"):
-            cluster_accuracy(np.zeros(3, dtype=int), np.zeros(4, dtype=int),
-                             k=2)
+            cluster_label_mapping(np.zeros(3, dtype=int),
+                                  np.zeros(4, dtype=int), k=2)
 
 
 class TestForest:

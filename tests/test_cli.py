@@ -75,6 +75,24 @@ def test_python_m_zest_runs_from_checkout():
         assert name.replace("baseline-", "baseline ", 1) in done.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    # numpy is the only run-time dependency: loading scipy more than doubles
+    # the memory and start-up time of a cached command
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import json, sys, zest.cli; print(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in ('zest', 'scipy'))))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    # the CLI's import reaches every module of the package
+    package = {f"zest.{p.stem}" for p in (src / "zest").glob("*.py")
+               if p.stem not in ("__init__", "__main__")}
+    assert package <= set(loaded)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
 def _packet_csv(path, bad_lines):
     """200 packets of two devices, 100 each; the rows on `bad_lines` (file
     line numbers, the header being line 1) have an out-of-range port."""
