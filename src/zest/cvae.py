@@ -11,11 +11,11 @@ with cond_dim=0 and zero-width (n, 0) attributes.
 The encoder and decoder run on plain arrays, for inference
 (`encode_arrays`, `decode_arrays`) and for training alike: `cvae_loss` is
 one graph node whose parents are the model's ten parameters, and one
-hand-written backward fills their gradients, as `nm.attention` does for
-SANE. The forward keeps every finite check of the composite of `nm`
-primitives it replaces, under the same op names, and the backward does
-that composite's float operations in the same order, so a trained model
-is bit-identical to one trained through the composite.
+hand-written backward fills their gradients through `nm.linear_backward`,
+as `SaneModel.forward` does. The forward keeps every finite check of the
+composite of graph nodes it replaces, under the same op names, and the
+backward does that composite's float operations in the same order, so a
+trained model is bit-identical to one trained through the composite.
 
 The model's tensors, their Glorot initialisation and their shape-checked
 loading are the `params.Model` layer the SANE encoder uses too. `train_cvae`
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import load_checkpoint, save_checkpoint
-from .params import Model, xavier
+from .params import Model, require_positive, xavier
 
 logger = logging.getLogger("zest.cvae")
 
@@ -49,8 +49,10 @@ class CvaeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        require_positive(self, "input_dim", "z_dim", "hidden_dim",
+                         "batch_size", "learning_rate")
+        if self.cond_dim < 0:
+            raise ValueError(f"cond_dim must be >= 0, got {self.cond_dim}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
@@ -80,7 +82,7 @@ class CvaeModel(Model):
         add_param("dec.b2", np.zeros(c.input_dim))
 
     def _with_cond_arrays(self, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        """x with its attribute columns appended, as `nm.concat`."""
+        """x with its attribute columns appended, checked as a concat."""
         out = np.concatenate([x, np.asarray(cond, dtype=x.dtype)], axis=-1)
         nm.require_finite("concat", out)
         return out
@@ -127,21 +129,14 @@ class CvaeModel(Model):
         return model
 
 
-def _dense_param_grads(g: np.ndarray, x: np.ndarray, w: nm.Tensor,
-                       b: nm.Tensor) -> None:
-    """`nm.linear`'s backward into w and b, for a 2-D input x."""
-    w._accumulate(x.T @ g, own=True)
-    b._accumulate(g.sum(axis=0), own=True)
-
-
 def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray,
               eps: np.ndarray) -> tuple[nm.Tensor, float, float]:
     """L1 reconstruction + KL(N(mu, sigma) || N(0, 1)) with a reparameterized
     sample z = mu + sigma * eps. Returns (loss tensor, recon value, kl value).
 
     The loss is one node whose parents are the model's parameters. Its
-    forward and backward are those of the composite of `nm` primitives
-    concat, linear, gelu, scale (logvar / 2), exp, mul, add, l1_loss and
+    forward and backward are those of the composite of graph nodes concat,
+    linear, gelu, scale (logvar / 2), exp, mul, add, l1_loss and
     gaussian_kl, op for op: each forward output is checked under that op's
     name, and the backward takes the same float operations in the order
     `Tensor.backward` ran the composite's closures."""
@@ -182,11 +177,16 @@ def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray,
                      _parents=tuple(model.parameters()))
 
     def bw(o: nm.Tensor) -> None:
+        grads = {name: np.empty_like(t.data) for name, t in p.items()}
+
+        def dense(g, x, w, b):
+            nm.linear_backward(g, x, p[w].data, grads[w], grads[b])
+
         # decoder, from the l1 term
         g = o.grad * np.sign(diff) / n
-        _dense_param_grads(g, h2, p["dec.w2"], p["dec.b2"])
+        dense(g, h2, "dec.w2", "dec.b2")
         g = (g @ p["dec.w2"].data.T) * d2
-        _dense_param_grads(g, zc, p["dec.w1"], p["dec.b1"])
+        dense(g, zc, "dec.w1", "dec.b1")
         g_z = (g @ p["dec.w1"].data.T)[:, :z.shape[1]]
         # through z = mu + exp(logvar / 2) eps, plus the KL term's
         # gradients; each sum has two terms, so its order is free
@@ -196,10 +196,12 @@ def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray,
         g_logvar *= 0.5
         g_logvar += o.grad * 0.5 * (var - 1.0) / n
         # encoder
-        _dense_param_grads(g_mu, h1, p["enc.mu_w"], p["enc.mu_b"])
-        _dense_param_grads(g_logvar, h1, p["enc.lv_w"], p["enc.lv_b"])
+        dense(g_mu, h1, "enc.mu_w", "enc.mu_b")
+        dense(g_logvar, h1, "enc.lv_w", "enc.lv_b")
         g = (g_mu @ p["enc.mu_w"].data.T + g_logvar @ p["enc.lv_w"].data.T)
-        _dense_param_grads(g * d1, xc, p["enc.w1"], p["enc.b1"])
+        dense(g * d1, xc, "enc.w1", "enc.b1")
+        for name, t in p.items():
+            t._accumulate(grads[name])
 
     loss._backward = bw
     return loss, float(recon_v), float(kl_v)

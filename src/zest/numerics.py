@@ -1,60 +1,40 @@
-"""Dense numeric core: tensors with hand-written backward rules, one Adam
-optimizer, and finite-difference gradient checking.
+"""Dense numeric core: array primitives with hand-written backward rules,
+tensors that wrap them as graph nodes, one Adam optimizer, and
+finite-difference gradient checking.
 
-This is intentionally *not* a general autodiff system. The models call
-linear, attention, layer_norm, gelu, add, mean_pool, concat, reshape,
-broadcast_to and the loss cross_entropy. A model may also make one node of
-its own whose backward fills its parameters' gradients directly, as
-`cvae.cvae_loss` does from `linear_arrays` and `gelu_arrays`. exp, matmul,
-softmax, l1_loss and gaussian_kl have no caller in the models: the tests
-build reference graphs from them, and the benchmark's tracer wraps them by
-name. Each primitive has an explicit backward rule that is validated
-against central finite differences in the test suite. Model computation
-runs in float32; gradient checks run in float64.
+This is intentionally *not* a general autodiff system. A model is one graph
+node whose parents are its parameters and whose hand-written backward fills
+their gradients (`sane.SaneModel.forward`, `cvae.cvae_loss`), from array
+primitives that come in forward/backward pairs:
 
-`attention` and `layer_norm` take no reduction over a short last axis,
-which numpy runs several times slower than the same sum as a BLAS product:
-attention lays its scores out key-major, takes each query's softmax sum
-as a product with a row of ones and divides the small context, not the
-scores, by it; layer norm takes each row mean as a product with a column
-of 1/d.
+- `linear_arrays` and `linear_backward`;
+- `layer_norm_arrays` and `layer_norm_backward`;
+- `attention_arrays` and `attention_backward`, over the arrays that
+  `attention_saved` and `attention_scratch` allocate;
+- `gelu_arrays`, whose backward is one product with its derivative.
 
-`gelu` evaluates the normal cdf through a rational approximation: it is
-within 2.4e-7 absolute of the erf-based GELU for every float32 input (1e-8
-in float64), and it works through its input in cache-sized blocks of
-GELU_BLOCK_ELEMS elements.
+Each writes its outputs, what its backward reads and its larger
+temporaries into arrays it is given, so a caller that hands every step the
+same arrays, as SANE's step workspace does, faults in no new pages after
+its first step.
+
+The Tensor-level linear, layer_norm, attention and gelu wrap these pairs
+as graph nodes. With add, exp, matmul, softmax, l1_loss and gaussian_kl
+they have no caller in the models: the tests build reference graphs and
+gradient checks from them, and the benchmark's tracer wraps them by name.
+cross_entropy is the loss on SANE's logits. Each backward rule is checked
+against central finite differences in the test suite. Models run in
+float32; gradient checks run in float64.
 
 `Adam` keeps the parameters and both moments in one flat buffer, which the
 parameters' arrays view, and updates it with whole-buffer vector operations.
 Its beta1, beta2 and epsilon are the constants of Kingma & Ba (arXiv
 1412.6980); only the learning rate is set by the caller.
-
-An `Arena` lends the outputs that a graph keeps their memory. While one is
-active (`using_arena`), `add`, `linear_arrays`, `attention` (its q, k, v
-and context), `layer_norm` (xhat and the output), `gelu_arrays` (output
-and derivative), `concat` and `broadcast_to` take the i-th array they
-allocate from the arena's i-th buffer, grown when it is too small, and
-`rewind` starts the count again. A loop that rewinds before each forward of
-the same shape then reuses one step's memory, where fresh arrays would fault
-in new pages on every step, or be handed back to the OS and faulted in
-again. Backward passes and temporaries inside an op allocate as usual, and
-without an active arena every op does. The one rule: nothing built while an
-arena was active is used after that arena rewinds, since the next forward
-overwrites it.
-
-`add` and `gelu` take an `out` array, as numpy's ufuncs do, and take
-nothing from the arena when given one. It may be an input's `.data`, the
-one exception to a graph's data being immutable, when nothing reads that
-data afterwards: the output of a `linear`, whose backward reads only its
-input and weight, consumed by nothing else. SANE and the CVAE write GELU
-and SANE's residual sums over such outputs.
 """
 
 from __future__ import annotations
 
-import contextlib
-import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,64 +69,12 @@ def require_finite(op: str, data: np.ndarray) -> None:
         raise NumericsError(f"non-finite output in op '{op}'")
 
 
-class Arena:
-    """Buffers lent in call order: the i-th `take` after a `rewind` returns
-    a view of `buffers[i]`, replaced by a larger one when it is too small
-    or of another dtype."""
-
-    def __init__(self):
-        self.buffers: list[np.ndarray] = []
-        self._next = 0
-
-    def rewind(self) -> None:
-        self._next = 0
-
-    def take(self, shape: tuple, dtype) -> np.ndarray:
-        i = self._next
-        self._next += 1
-        size = math.prod(shape)
-        if i == len(self.buffers):
-            self.buffers.append(np.empty(size, dtype=dtype))
-        elif self.buffers[i].dtype != dtype or self.buffers[i].size < size:
-            self.buffers[i] = np.empty(size, dtype=dtype)
-        return self.buffers[i][:size].reshape(shape)
-
-
-_arena: Arena | None = None
-
-
-def active_arena() -> Arena | None:
-    return _arena
-
-
-@contextlib.contextmanager
-def using_arena(arena: Arena) -> Iterator[Arena]:
-    """Make `arena` the active one for the body, then restore the one that
-    was active before, also when the body raises."""
-    global _arena
-    previous, _arena = _arena, arena
-    try:
-        yield arena
-    finally:
-        _arena = previous
-
-
-def _empty(shape: tuple, dtype) -> np.ndarray:
-    """An uninitialised array for an output the graph keeps: from the
-    active arena, if there is one."""
-    if _arena is None:
-        return np.empty(shape, dtype=dtype)
-    return _arena.take(shape, dtype)
-
-
 class Tensor:
     """N-d array plus an optional gradient buffer and a backward closure.
 
     Tensors form a DAG as ops are applied; calling ``backward()`` on a scalar
     result accumulates gradients into every tensor that contributed to it.
-    Treat `.data` as immutable once the tensor has been fed into an op,
-    except as the `out` of `add` or `gelu` when no op reads it afterwards
-    (see the module docstring).
+    Treat `.data` as immutable once the tensor has been fed into an op.
     """
 
     __slots__ = ("data", "grad", "name", "_parents", "_backward")
@@ -169,12 +97,11 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, own: bool = False) -> None:
-        """Add g to the gradient buffer. `own=True` promises g is freshly
-        allocated and handed to this tensor only, so it can be adopted
-        without a copy."""
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add g to the gradient buffer, or adopt g as the buffer: g must be
+        handed to this tensor only."""
         if self.grad is None:
-            self.grad = g if own else g.copy()
+            self.grad = g
         else:
             self.grad += g
 
@@ -232,36 +159,39 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> Tensor:
-    """a + b with numpy broadcasting, written into `out` when given."""
-    if out is None:
-        out = _empty(np.broadcast_shapes(a.shape, b.shape),
-                     np.result_type(a.data, b.data))
-    out_data = np.add(a.data, b.data, out=out)
-    require_finite("add", out_data)
-    out = Tensor(out_data, name="add", _parents=(a, b))
+def _node(op: str, data: np.ndarray, parents: tuple,
+          backward: Callable) -> Tensor:
+    """A graph node of `op`'s finite output `data`. Its backward calls
+    `backward(g, grads)` with the node's gradient and one fresh array per
+    parent, to be filled with that parent's gradient."""
+    require_finite(op, data)
+    out = Tensor(data, name=op, _parents=parents)
 
     def bw(o: Tensor) -> None:
-        ga = _unbroadcast(o.grad, a.shape)
-        a._accumulate(ga, own=ga is not o.grad)
-        gb = _unbroadcast(o.grad, b.shape)
-        b._accumulate(gb, own=gb is not o.grad)
+        grads = [np.empty(t.shape, o.grad.dtype) for t in parents]
+        backward(o.grad, grads)
+        for t, g in zip(parents, grads):
+            t._accumulate(g)
 
     out._backward = bw
     return out
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b with numpy broadcasting."""
+
+    def backward(g, grads):
+        grads[0][...] = _unbroadcast(g, a.shape)
+        grads[1][...] = _unbroadcast(g, b.shape)
+
+    return _node("add", a.data + b.data, (a, b), backward)
 
 
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out_data = np.exp(a.data)
-    require_finite("exp", out_data)
-    out = Tensor(out_data, name="exp", _parents=(a,))
-
-    def bw(o: Tensor) -> None:
-        a._accumulate(o.grad * o.data, own=True)
-
-    out._backward = bw
-    return out
+    return _node("exp", out_data, (a,), lambda g, grads: np.multiply(
+        g, out_data, out=grads[0]))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -269,48 +199,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise NumericsError(
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-    require_finite("matmul", out_data)
-    out = Tensor(out_data, name="matmul", _parents=(a, b))
 
-    def bw(o: Tensor) -> None:
-        ga = o.grad @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ o.grad
-        a._accumulate(_unbroadcast(ga, a.shape), own=True)
-        b._accumulate(_unbroadcast(gb, b.shape), own=True)
+    def backward(g, grads):
+        grads[0][...] = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        grads[1][...] = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
-    out._backward = bw
-    return out
+    return _node("matmul", a.data @ b.data, (a, b), backward)
 
 
-def linear_arrays(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b over the last axis of x, on arrays."""
+def linear_arrays(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """x @ w + b over the last axis of x, written into `out` when given."""
     if x.shape[-1] != w.shape[0]:
         raise NumericsError(
             f"linear shape mismatch: input {x.shape}, weight {w.shape}")
-    out = np.matmul(x, w, out=_empty(x.shape[:-1] + w.shape[1:],
-                                     np.result_type(x, w)))
+    out = np.matmul(x, w, out=out)
     out += b
     require_finite("linear", out)
     return out
 
 
+def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
+                    gw: np.ndarray, gb: np.ndarray,
+                    gx: np.ndarray | None = None) -> None:
+    """`linear_arrays`' backward for the upstream gradient g: w's gradient
+    into gw, b's into gb and, when a contiguous gx is given, x's into gx.
+    The products run on 2-D views: one matrix product, where a (B, T, n)
+    gradient times w.T runs as B small ones."""
+    g2 = g.reshape(-1, g.shape[-1])
+    if gx is not None:
+        np.matmul(g2, w.T, out=gx.reshape(len(g2), -1))
+    np.matmul(x.reshape(-1, x.shape[-1]).T, g2, out=gw)
+    g2.sum(axis=0, out=gb)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """`linear_arrays` as a graph node."""
-    out_data = linear_arrays(x.data, w.data, b.data)
-    out = Tensor(out_data, name="linear", _parents=(x, w, b))
-
-    def bw(o: Tensor) -> None:
-        # products on 2-D views: one matrix product, where a (B, T, n)
-        # gradient times w.T runs as B small ones
-        g2 = o.grad.reshape(-1, o.grad.shape[-1])
-        x2 = x.data.reshape(-1, x.data.shape[-1])
-        x._accumulate((g2 @ w.data.T).reshape(x.shape), own=True)
-        w._accumulate(x2.T @ g2, own=True)
-        b._accumulate(g2.sum(axis=0), own=True)
-
-    out._backward = bw
-    return out
+    """The linear pair as a graph node."""
+    return _node("linear", linear_arrays(x.data, w.data, b.data), (x, w, b),
+                 lambda g, grads: linear_backward(g, x.data, w.data, grads[1],
+                                                  grads[2], grads[0]))
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -318,26 +245,56 @@ def softmax(x: Tensor) -> Tensor:
     out_data = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= out_data.sum(axis=-1, keepdims=True)
-    require_finite("softmax", out_data)
-    out = Tensor(out_data, name="softmax", _parents=(x,))
 
-    def bw(o: Tensor) -> None:
-        dot = (o.grad * o.data).sum(axis=-1, keepdims=True)
-        g = o.grad - dot
-        g *= o.data
-        x._accumulate(g, own=True)
+    def backward(g, grads):
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        np.multiply(g - dot, out_data, out=grads[0])
 
-    out._backward = bw
-    return out
+    return _node("softmax", out_data, (x,), backward)
 
 
-def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
-              bv: Tensor, heads: int) -> Tensor:
+def _attention_step(heads: int, tokens: int) -> int:
+    """Sequences per chunk: the most whose scores fit ATTN_SCORE_ELEMS."""
+    return max(1, ATTN_SCORE_ELEMS // (heads * tokens * tokens))
+
+
+def attention_saved(batch: int, tokens: int, d: int, heads: int,
+                    dtype) -> dict[str, np.ndarray]:
+    """Fresh arrays for what attention's backward reads, for (batch, tokens,
+    d) inputs: "q", "k" and "v", (batch, heads, tokens, d / heads), and
+    each query's score "max" and exp-"sum", (batch, heads, 1, tokens)."""
+    shapes = (dict.fromkeys("qkv", (tokens, d // heads))
+              | dict.fromkeys(("max", "sum"), (1, tokens)))
+    return {k: np.empty((batch, heads) + s, dtype) for k, s in shapes.items()}
+
+
+def attention_scratch(batch: int, tokens: int, d: int, heads: int,
+                      dtype) -> dict[str, np.ndarray]:
+    """Fresh temporaries of attention's forward and backward for (batch,
+    tokens, d) inputs: "qkv" (batch, tokens, 3 d), the packed projections
+    and then their gradient, and per chunk of c sequences, the scores "s"
+    and "s2", (c, heads, tokens, tokens), and the context-shaped "o" and
+    "o2", (c, heads, tokens, d / heads)."""
+    c = min(batch, _attention_step(heads, tokens))
+    scores, ctx = (c, heads, tokens, tokens), (c, heads, tokens, d // heads)
+    shapes = {"qkv": (batch, tokens, 3 * d), "s": scores, "s2": scores,
+              "o": ctx, "o2": ctx}
+    return {k: np.empty(s, dtype) for k, s in shapes.items()}
+
+
+def attention_arrays(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
+                     wk: np.ndarray, wv: np.ndarray, bv: np.ndarray,
+                     heads: int, out: np.ndarray | None = None,
+                     saved: dict | None = None, scratch: dict | None = None
+                     ) -> tuple[np.ndarray, dict, dict]:
     """Multi-head scaled dot-product self-attention over x (B, T, d).
 
     With q = x wq + bq, k = x wk and v = x wv + bv split into `heads` heads
-    of width d / heads, returns the (B, T, d) context
-    softmax(q k^T / sqrt(d / heads)) v, heads side by side.
+    of width d / heads, writes the (B, T, d) context
+    softmax(q k^T / sqrt(d / heads)) v, heads side by side, into the
+    contiguous `out`, and what backward reads into `saved`; `scratch` holds
+    the temporaries. Returns all three: fresh ones (`attention_saved`,
+    `attention_scratch`) when `out` is None.
 
     k has no bias: a key bias bk adds q.bk to every score of a query, which
     the softmax cancels, so its gradient is rounding noise. Whisper drops
@@ -360,7 +317,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
     forward divides the context by l, and backward works with E and dO / l,
     so no (T, T) array is divided.
     """
-    if x.data.ndim != 3:
+    if x.ndim != 3:
         raise NumericsError(
             f"attention expects (B, T, d) input, got {x.shape}")
     batch, tokens, d = x.shape
@@ -371,134 +328,203 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
             f"attention shape mismatch: input {x.shape}, {heads} heads, "
             f"weights {[w.shape for w in (wq, wk, wv)]}, "
             f"biases {[b.shape for b in (bq, bv)]}")
+    if out is None:
+        dims = (batch, tokens, d, heads, np.result_type(x, wq))
+        out = np.empty(x.shape, dims[-1])
+        saved, scratch = attention_saved(*dims), attention_scratch(*dims)
     head_dim = d // heads
     c = 1.0 / float(np.sqrt(head_dim))
-    w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    # per-call scratch: backward reads only the q, k and v copied out of
-    # it below, so it is not kept; the bias is added in place
-    qkv = x.data @ w
-    qkv += np.concatenate([bq.data, np.zeros_like(bq.data), bv.data])
+    # scratch: backward reads only the q, k and v copied out of it below;
+    # the bias is added in place
+    qkv = np.matmul(x, np.concatenate([wq, wk, wv], axis=1),
+                    out=scratch["qkv"])
+    qkv += np.concatenate([bq, np.zeros_like(bq), bv])
     require_finite("attention", qkv)
     # (3, B, h, T, head_dim) views of q, k and v
     qkv = qkv.reshape(batch, tokens, 3, heads, head_dim)
     qkv = qkv.transpose(2, 0, 3, 1, 4)
+    q, k, v, row_max, row_sum = (saved[name] for name in
+                                 ("q", "k", "v", "max", "sum"))
     # scale q rather than the much larger score matrix
-    q, k, v = (_empty((batch, heads, tokens, head_dim), qkv.dtype)
-               for _ in range(3))
     np.multiply(qkv[0], c, out=q)
     np.copyto(k, qkv[1])
     np.copyto(v, qkv[2])
-    step = max(1, ATTN_SCORE_ELEMS // (heads * tokens * tokens))
-    # per-query softmax statistics, laid out (B, h, 1, T) as the key-major
-    # scores' reductions leave them
-    row_max = np.empty((batch, heads, 1, tokens), dtype=q.dtype)
-    row_sum = np.empty_like(row_max)
+    step = _attention_step(heads, tokens)
     ones = np.ones((1, tokens), dtype=q.dtype)
-    out_data = _empty((batch, tokens, heads, head_dim), q.dtype)
+    out_heads = out.reshape(batch, tokens, heads, head_dim)
     for start in range(0, batch, step):
         sl = slice(start, start + step)
+        rows = len(q[sl])
         # key-major scores: column j holds query j's scores over the keys
-        e = k[sl] @ np.swapaxes(q[sl], -1, -2)
+        e = np.matmul(k[sl], np.swapaxes(q[sl], -1, -2),
+                      out=scratch["s"][:rows])
         require_finite("attention", e)
         np.max(e, axis=-2, keepdims=True, out=row_max[sl])
         e -= row_max[sl]
         np.exp(e, out=e)
         np.matmul(ones, e, out=row_sum[sl])
         # normalise the (T, head_dim) context, not the (T, T) scores
-        ctx = np.swapaxes(e, -1, -2) @ v[sl]
+        ctx = np.matmul(np.swapaxes(e, -1, -2), v[sl],
+                        out=scratch["o"][:rows])
         ctx /= np.swapaxes(row_sum[sl], -1, -2)
-        out_data[sl] = ctx.transpose(0, 2, 1, 3)
-    out_data = out_data.reshape(batch, tokens, d)
-    require_finite("attention", out_data)
-    out = Tensor(out_data, name="attention",
-                 _parents=(x, wq, bq, wk, wv, bv))
-
-    def bw(o: Tensor) -> None:
-        g = o.grad.reshape(batch, tokens, heads, head_dim)
-        g = g.transpose(0, 2, 1, 3)
-        # rowsum(dP * P) = rowsum(dO * O), since dP = dO v^T and O = P v:
-        # a sum over head_dim, taken as one product with a ones vector
-        dot = ((o.grad * o.data).reshape(-1, head_dim)
-               @ np.ones(head_dim, dtype=q.dtype))
-        dot = dot.reshape(batch, tokens, 1, heads).transpose(0, 3, 2, 1)
-        # divided by l into a contiguous (B, h, 1, T) array: a strided one
-        # slows the subtraction from every score row below
-        dot = np.divide(dot, row_sum, order="C")
-        # laid out as the forward's qkv, so it reshapes to (B*T, 3d)
-        g_qkv = np.empty((batch, tokens, 3, heads, head_dim), dtype=q.dtype)
-        gq, gk, gv = g_qkv.transpose(2, 0, 3, 1, 4)
-        for start in range(0, batch, step):
-            sl = slice(start, start + step)
-            # key-major E again, by exactly the forward's operations
-            e = k[sl] @ np.swapaxes(q[sl], -1, -2)
-            e -= row_max[sl]
-            np.exp(e, out=e)
-            # dO / l, so that E = exp(S - max) stands in for P = E / l
-            gl = np.divide(g[sl], np.swapaxes(row_sum[sl], -1, -2),
-                           order="C")
-            gv[sl] = e @ gl
-            # softmax Jacobian folded into the key-major score gradient:
-            # dS^T = E * (v (dO / l)^T - rowsum(dO * O) / l)
-            gs = v[sl] @ np.swapaxes(gl, -1, -2)
-            gs -= dot[sl]
-            gs *= e
-            gq[sl] = np.swapaxes(gs, -1, -2) @ k[sl]
-            gk[sl] = gs @ q[sl]
-        gq *= c
-        g_qkv = g_qkv.reshape(batch * tokens, 3 * d)
-        x._accumulate((g_qkv @ w.T).reshape(x.shape), own=True)
-        g_w = np.split(x.data.reshape(-1, d).T @ g_qkv, 3, axis=1)
-        g_bq, _, g_bv = np.split(g_qkv.sum(axis=0), 3)
-        for t, g_t in zip((wq, wk, wv, bq, bv), g_w + [g_bq, g_bv]):
-            t._accumulate(g_t, own=True)
-
-    out._backward = bw
-    return out
+        out_heads[sl] = ctx.transpose(0, 2, 1, 3)
+    require_finite("attention", out)
+    return out, saved, scratch
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+def attention_backward(g: np.ndarray, x: np.ndarray, wq: np.ndarray,
+                       wk: np.ndarray, wv: np.ndarray, heads: int,
+                       out: np.ndarray, saved: dict, scratch: dict,
+                       gx: np.ndarray, grads: Sequence[np.ndarray]) -> None:
+    """`attention_arrays`' backward for the upstream gradient g of its
+    output `out`: x's gradient into the contiguous gx, which holds g * out
+    before that, and the gradients of wq, bq, wk, wv and bv into the five
+    arrays of `grads`, from the forward's `saved` arrays and in its
+    `scratch`."""
+    batch, tokens, d = x.shape
+    head_dim = d // heads
+    c = 1.0 / float(np.sqrt(head_dim))
+    q, k, v, row_max, row_sum = (saved[name] for name in
+                                 ("q", "k", "v", "max", "sum"))
+    g_heads = g.reshape(batch, tokens, heads, head_dim).transpose(0, 2, 1, 3)
+    # rowsum(dP * P) = rowsum(dO * O), since dP = dO v^T and O = P v:
+    # a sum over head_dim, taken as one product with a ones vector
+    dot = (np.multiply(g, out, out=gx).reshape(-1, head_dim)
+           @ np.ones(head_dim, dtype=q.dtype))
+    dot = dot.reshape(batch, tokens, 1, heads).transpose(0, 3, 2, 1)
+    # divided by l into a contiguous (B, h, 1, T) array: a strided one
+    # slows the subtraction from every score row below
+    dot = np.divide(dot, row_sum, order="C")
+    # laid out as the forward's qkv, so it reshapes to (B*T, 3d)
+    g_qkv = scratch["qkv"]
+    gq, gk, gv = g_qkv.reshape(batch, tokens, 3, heads, head_dim).transpose(
+        2, 0, 3, 1, 4)
+    step = _attention_step(heads, tokens)
+    for start in range(0, batch, step):
+        sl = slice(start, start + step)
+        rows = len(q[sl])
+        # key-major E again, by exactly the forward's operations
+        e = np.matmul(k[sl], np.swapaxes(q[sl], -1, -2),
+                      out=scratch["s"][:rows])
+        e -= row_max[sl]
+        np.exp(e, out=e)
+        # dO / l, so that E = exp(S - max) stands in for P = E / l
+        gl = np.divide(g_heads[sl], np.swapaxes(row_sum[sl], -1, -2),
+                       out=scratch["o"][:rows])
+        gv[sl] = np.matmul(e, gl, out=scratch["o2"][:rows])
+        # softmax Jacobian folded into the key-major score gradient:
+        # dS^T = E * (v (dO / l)^T - rowsum(dO * O) / l)
+        gs = np.matmul(v[sl], np.swapaxes(gl, -1, -2),
+                       out=scratch["s2"][:rows])
+        gs -= dot[sl]
+        gs *= e
+        gq[sl] = np.matmul(np.swapaxes(gs, -1, -2), k[sl],
+                           out=scratch["o2"][:rows])
+        gk[sl] = np.matmul(gs, q[sl], out=scratch["o2"][:rows])
+    gq *= c
+    g_qkv = g_qkv.reshape(batch * tokens, 3 * d)
+    np.matmul(g_qkv, np.concatenate([wq, wk, wv], axis=1).T,
+              out=gx.reshape(batch * tokens, d))
+    g_w = np.split(x.reshape(-1, d).T @ g_qkv, 3, axis=1)
+    g_bq, _, g_bv = np.split(g_qkv.sum(axis=0), 3)
+    for dst, src in zip(grads, (g_w[0], g_bq, g_w[1], g_w[2], g_bv)):
+        dst[...] = src
+
+
+def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
+              bv: Tensor, heads: int) -> Tensor:
+    """The attention pair as a graph node."""
+    parents = (x, wq, bq, wk, wv, bv)
+    out, saved, scratch = attention_arrays(*(t.data for t in parents), heads)
+    return _node("attention", out, parents, lambda g, grads: (
+        attention_backward(g, x.data, wq.data, wk.data, wv.data, heads, out,
+                           saved, scratch, grads[0], grads[1:])))
+
+
+def layer_norm_arrays(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      out: np.ndarray | None = None,
+                      xhat: np.ndarray | None = None,
+                      inv_std: np.ndarray | None = None) -> tuple:
     """Row-wise normalization over the last axis with learnable gain/bias.
+    Returns (out, xhat, inv_std): gain * xhat + bias, the normalised input
+    and each row's 1 / std, of shape x.shape[:-1] + (1,), each written into
+    the array given for it. Backward reads xhat and inv_std.
 
     Every row mean, the forward's mean and variance and the backward's two,
     is a product with a (d, 1) column of 1/d: on (64, 26, 64) float32
     input, numpy's `mean` over the short last axis took 0.041 ms and the
     product 0.008 ms.
     """
+    out, xhat, inv_std = (np.empty(shape, x.dtype) if a is None else a
+                          for a, shape in ((out, x.shape), (xhat, x.shape),
+                                           (inv_std, x.shape[:-1] + (1,))))
     # numpy runs one (T, d) @ (d, 1) product per leading index, so a
     # sequence's statistics do not depend on its place in the batch; one
     # (B*T, d) product sums a row in an order that depends on where it is
-    d = x.data.shape[-1]
+    d = x.shape[-1]
     col = np.full((d, 1), 1.0 / d, dtype=x.dtype)
-    centered = x.data - x.data @ col
-    var = (centered ** 2) @ col
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = np.multiply(centered, inv_std, out=_empty(
-        centered.shape, np.result_type(centered, inv_std)))
-    out_data = np.multiply(gain.data, xhat, out=_empty(
-        xhat.shape, np.result_type(gain.data, xhat)))
-    out_data += bias.data
-    require_finite("layer_norm", out_data)
-    out = Tensor(out_data, name="layer_norm", _parents=(x, gain, bias))
-
-    def bw(o: Tensor) -> None:
-        gxhat = o.grad * gain.data
-        # d xhat / d x folded analytically
-        term = gxhat - gxhat @ col - xhat * ((gxhat * xhat) @ col)
-        x._accumulate(term * inv_std, own=True)
-        flat = (o.grad * xhat).reshape(-1, d)
-        gain._accumulate(flat.sum(axis=0).reshape(gain.shape), own=True)
-        bias._accumulate(o.grad.reshape(-1, d).sum(axis=0).reshape(bias.shape),
-                         own=True)
-
-    out._backward = bw
-    return out
+    # the row means and then variances pass through inv_std, and the
+    # centred rows and their squares through xhat and out
+    np.matmul(x, col, out=inv_std)
+    np.subtract(x, inv_std, out=xhat)
+    np.square(xhat, out=out)
+    np.matmul(out, col, out=inv_std)
+    inv_std += LN_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(gain, xhat, out=out)
+    out += bias
+    require_finite("layer_norm", out)
+    return out, xhat, inv_std
 
 
-def gelu_arrays(x: np.ndarray, out: np.ndarray | None = None
+def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                        gain: np.ndarray, ggain: np.ndarray, gbias: np.ndarray,
+                        scratch: np.ndarray | None = None) -> None:
+    """`layer_norm_arrays`' backward for the upstream gradient g: gain's and
+    bias's gradients into ggain and gbias, then x's into g itself.
+    `scratch`, an array of g's shape, holds the temporary products."""
+    d = g.shape[-1]
+    col = np.full((d, 1), 1.0 / d, dtype=g.dtype)
+    if scratch is None:
+        scratch = np.empty(g.shape, g.dtype)
+    np.multiply(g, xhat, out=scratch)
+    np.sum(scratch.reshape(-1, d), axis=0, out=ggain)
+    np.sum(g.reshape(-1, d), axis=0, out=gbias)
+    # d xhat / d x folded analytically: with gxhat = g gain, x's gradient
+    # is (gxhat - mean(gxhat) - xhat mean(gxhat xhat)) inv_std
+    g *= gain
+    mean = g @ col
+    np.multiply(g, xhat, out=scratch)
+    mean_prod = scratch @ col
+    g -= mean
+    np.multiply(xhat, mean_prod, out=scratch)
+    g -= scratch
+    g *= inv_std
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """The layer norm pair as a graph node."""
+    out, xhat, inv_std = layer_norm_arrays(x.data, gain.data, bias.data)
+
+    def backward(g, grads):
+        grads[0][...] = g
+        layer_norm_backward(grads[0], xhat, inv_std, gain.data, *grads[1:])
+
+    return _node("layer_norm", out, (x, gain, bias), backward)
+
+
+def gelu_arrays(x: np.ndarray, out: np.ndarray | None = None,
+                deriv: np.ndarray | None = None,
+                scratch: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian error linear unit x Phi(x), Phi the standard normal cdf, and
     its derivative Phi(x) + x pdf(x), of an array; the first is written into
-    `out` when given, which may be x itself.
+    `out` when given, which may be x itself, and the second into `deriv`.
+    `scratch`, a (4, m) array with m at least min(x.size,
+    GELU_BLOCK_ELEMS), holds the temporaries. Backward is one product with
+    the derivative.
 
     Computed as max(x, 0) - |x| Phi(-|x|), from the tail mass
     Phi(-|x|) = pdf(x) R(|x| / sqrt 2), where R is a rational fit to
@@ -512,22 +538,25 @@ def gelu_arrays(x: np.ndarray, out: np.ndarray | None = None
     """
     flat = x.reshape(-1)
     if out is None:
-        out = _empty(x.shape, x.dtype)
+        out = np.empty(x.shape, x.dtype)
     elif (out.shape != x.shape or out.dtype != x.dtype
           or not out.flags.c_contiguous):
         raise NumericsError(f"gelu out must be a contiguous {x.dtype} "
                             f"array of shape {x.shape}")
+    if deriv is None:
+        deriv = np.empty(x.shape, x.dtype)
+    if scratch is None:
+        scratch = np.empty((4, min(flat.size, GELU_BLOCK_ELEMS)), x.dtype)
     out_data = out.reshape(-1)
-    deriv = _empty(flat.shape, flat.dtype)
-    temps = np.empty((4, min(flat.size, GELU_BLOCK_ELEMS)), dtype=flat.dtype)
+    deriv_data = deriv.reshape(-1)
     # over: x^2 of a huge |x|, whose pdf is then 0; invalid: an inf or NaN
     # input, whose non-finite output is fatal below
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, flat.size, GELU_BLOCK_ELEMS):
             xb = flat[start:start + GELU_BLOCK_ELEMS]
             ob = out_data[start:start + GELU_BLOCK_ELEMS]
-            db = deriv[start:start + GELU_BLOCK_ELEMS]
-            ab, zb, pb, qb = temps[:, :xb.size]
+            db = deriv_data[start:start + GELU_BLOCK_ELEMS]
+            ab, zb, pb, qb = scratch[:, :xb.size]
             np.absolute(xb, out=ab)
             np.multiply(ab, _INV_SQRT2, out=zb)
             # db <- pdf(x) = exp(log(1 / sqrt(2 pi)) - z^2), z = |x| / sqrt 2
@@ -559,79 +588,15 @@ def gelu_arrays(x: np.ndarray, out: np.ndarray | None = None
             np.maximum(xb, 0.0, out=ob)
             ob -= ab
     require_finite("gelu", out)
-    return out, deriv.reshape(x.shape)
+    return out, deriv
 
 
-def gelu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
+def gelu(x: Tensor) -> Tensor:
     """`gelu_arrays` as a graph node: backward is one product with the
-    derivative, taken in place in the node's own gradient."""
-    out_data, deriv = gelu_arrays(x.data, out)
-    out = Tensor(out_data, name="gelu", _parents=(x,))
-
-    def bw(o: Tensor) -> None:
-        o.grad *= deriv
-        x._accumulate(o.grad, own=True)
-
-    out._backward = bw
-    return out
-
-
-def mean_pool(x: Tensor) -> Tensor:
-    """Mean over the row axis (second-to-last)."""
-    if x.data.ndim < 2:
-        raise NumericsError("mean_pool needs at least 2 dims")
-    n = x.data.shape[-2]
-    out_data = x.data.mean(axis=-2)
-    require_finite("mean_pool", out_data)
-    out = Tensor(out_data, name="mean_pool", _parents=(x,))
-
-    def bw(o: Tensor) -> None:
-        x._accumulate(np.repeat(np.expand_dims(o.grad / n, -2), n, axis=-2),
-                      own=True)
-
-    out._backward = bw
-    return out
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    datas = [t.data for t in tensors]
-    shape = list(datas[0].shape)
-    shape[axis] = sum(a.shape[axis] for a in datas)
-    out_data = np.concatenate(datas, axis=axis, out=_empty(
-        tuple(shape), np.result_type(*datas)))
-    require_finite("concat", out_data)
-    out = Tensor(out_data, name="concat", _parents=tuple(tensors))
-
-    def bw(o: Tensor) -> None:
-        offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        for t, piece in zip(tensors, np.split(o.grad, offsets, axis=axis)):
-            t._accumulate(piece, own=True)
-
-    out._backward = bw
-    return out
-
-
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    out = Tensor(x.data.reshape(shape), name="reshape", _parents=(x,))
-
-    def bw(o: Tensor) -> None:
-        x._accumulate(o.grad.reshape(x.shape), own=True)
-
-    out._backward = bw
-    return out
-
-
-def broadcast_to(x: Tensor, shape: tuple) -> Tensor:
-    out_data = _empty(shape, x.dtype)
-    np.copyto(out_data, x.data)
-    out = Tensor(out_data, name="broadcast", _parents=(x,))
-
-    def bw(o: Tensor) -> None:
-        g = _unbroadcast(o.grad, x.shape)
-        x._accumulate(g, own=g is not o.grad)
-
-    out._backward = bw
-    return out
+    derivative."""
+    out, deriv = gelu_arrays(x.data)
+    return _node("gelu", out, (x,), lambda g, grads: np.multiply(
+        g, deriv, out=grads[0]))
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -655,17 +620,14 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     log_probs = shifted - log_z
     batch = logits.data.shape[0]
     nll = -log_probs[np.arange(batch), labels].mean()
-    require_finite("cross_entropy", np.asarray(nll))
-    out = Tensor(np.asarray(nll, dtype=logits.dtype), name="cross_entropy",
-                 _parents=(logits,))
 
-    def bw(o: Tensor) -> None:
+    def backward(g, grads):
         probs = np.exp(log_probs)
         probs[np.arange(batch), labels] -= 1.0
-        logits._accumulate(o.grad * probs / batch, own=True)
+        grads[0][...] = g * probs / batch
 
-    out._backward = bw
-    return out
+    return _node("cross_entropy", np.asarray(nll, dtype=logits.dtype),
+                 (logits,), backward)
 
 
 def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -677,15 +639,9 @@ def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     diff = pred.data - target
     batch = pred.data.shape[0] if pred.data.ndim > 1 else 1
     val = np.abs(diff).sum() / batch
-    require_finite("l1_loss", np.asarray(val))
-    out = Tensor(np.asarray(val, dtype=pred.dtype), name="l1_loss",
-                 _parents=(pred,))
-
-    def bw(o: Tensor) -> None:
-        pred._accumulate(o.grad * np.sign(diff) / batch, own=True)
-
-    out._backward = bw
-    return out
+    return _node("l1_loss", np.asarray(val, dtype=pred.dtype), (pred,),
+                 lambda g, grads: np.divide(g * np.sign(diff), batch,
+                                            out=grads[0]))
 
 
 def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
@@ -698,16 +654,13 @@ def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
     var = np.exp(logvar.data)
     batch = mu.data.shape[0] if mu.data.ndim > 1 else 1
     val = 0.5 * (mu.data ** 2 + var - 1.0 - logvar.data).sum() / batch
-    require_finite("gaussian_kl", np.asarray(val))
-    out = Tensor(np.asarray(val, dtype=mu.dtype), name="gaussian_kl",
-                 _parents=(mu, logvar))
 
-    def bw(o: Tensor) -> None:
-        mu._accumulate(o.grad * mu.data / batch, own=True)
-        logvar._accumulate(o.grad * 0.5 * (var - 1.0) / batch, own=True)
+    def backward(g, grads):
+        grads[0][...] = g * mu.data / batch
+        grads[1][...] = g * 0.5 * (var - 1.0) / batch
 
-    out._backward = bw
-    return out
+    return _node("gaussian_kl", np.asarray(val, dtype=mu.dtype), (mu, logvar),
+                 backward)
 
 
 # ---------------------------------------------------------------------------

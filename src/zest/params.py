@@ -1,7 +1,8 @@
 """The parameter layer shared by the SANE encoder and the CVAE: Glorot
-initialisation and a model's named tensors as plain arrays, the form its
+initialisation, a model's named tensors as plain arrays, the form its
 best-epoch snapshot keeps and its npz checkpoint stores, one array per
-tensor name (`checkpoint.save_checkpoint`)."""
+tensor name (`checkpoint.save_checkpoint`), and the check of their
+configs' widths and learning rates."""
 
 from __future__ import annotations
 
@@ -15,6 +16,13 @@ def xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
     """Glorot-uniform (fan_in, fan_out) weight, drawn in float64."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+
+
+def require_positive(config, *names: str) -> None:
+    """Raise ValueError for the first of `names` not > 0 in `config`."""
+    for name in names:
+        if not getattr(config, name) > 0:
+            raise ValueError(f"{name} must be > 0, got {getattr(config, name)}")
 
 
 class Model:

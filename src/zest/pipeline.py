@@ -112,6 +112,8 @@ class ExperimentConfig:
                 or abs(sum(self.ratios) - 1.0) > 1e-9):
             raise ValueError(f"ratios must be three positive numbers that "
                              f"sum to 1, got {self.ratios}")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.pseudo_k < 1:
             raise ValueError(f"pseudo_k must be >= 1, got {self.pseudo_k}")
         if self.num_unseen < 1:

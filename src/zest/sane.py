@@ -4,25 +4,26 @@ A stack of pre-norm encoder blocks, in the one form the paper prints, over
 packet embeddings with a learnable sequence-level aggregation (SLA) token
 and positional embedding, average pooling, two latent heads (l of width M,
 lambda of width N) and a softmax classifier over seen device classes.
+Each block's self-attention is one `numerics.attention_arrays` call, which
+recomputes the attention probabilities in backward, so no (B, h, n+1, n+1)
+array is kept, followed by the output projection `wo`/`bo`.
 
-Each block's multi-head self-attention is one `numerics.attention` call
-(Q/K/V projections, K's without a bias; scaled scores, softmax and context
-in a single op with a hand-written backward) followed by the output
-projection `wo`/`bo`. That op works through the batch in bounded chunks and
-recomputes the attention probabilities in backward, so neither training nor
-encoding keeps a (B, h, n+1, n+1) array; the attention maps are not returned.
+The model is one graph node, as the CVAE's loss is: `forward` runs on
+arrays and returns the logits as an `nm.Tensor` whose parents are the
+parameters. Its backward runs the blocks in reverse through the `numerics`
+array backwards, with the float operations of the per-op graph it replaced
+in the same order, so training is bit-identical to that graph's.
 
-Training and `predict_arrays` both build a full graph for every batch, and
-hold one batch's graph at a time: each forward takes the arrays its graph
-keeps from a `numerics.Arena` rewound before it, so every step reuses the
-memory of the step before. `train_sane`'s steps and its per-epoch
-validation forwards share one arena.
-
-A step keeps, per block, only what backward reads: both layer norms'
-normalised input and output, attention's q, k, v and context, and GELU's
-output and derivative, plus the two residual sums the forward passes on.
-GELU and the sums are written over the linear outputs they consume, and
-attention's packed qkv product is scratch.
+Every array a step writes lives in a `Workspace`, sized once for up to
+`rows` sequences; a shorter batch takes leading-row views, so each step
+reuses the memory of the step before. `train_sane`'s steps and validation
+forwards share one, and `predict_arrays` makes its own unless given one.
+A forward's outputs are valid until the next forward in its workspace; a
+backward after that raises. A step keeps, per block, only what backward
+reads, plus the two residual sums the forward passes on: GELU and the sums
+are written over the linear outputs they consume. The blocks share the
+backward's gradients and scratch, since one block's backward runs at a
+time.
 """
 
 from __future__ import annotations
@@ -36,9 +37,17 @@ import numpy as np
 from . import numerics as nm
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .ingest import NUM_FEATURES
-from .params import Model, xavier
+from .params import Model, require_positive, xavier
 
 logger = logging.getLogger("zest.sane")
+
+# sequences per forward of `predict_arrays`
+PREDICT_BATCH = 64
+# attention's parameters, as `numerics.attention_arrays` takes them
+_QKV = ("wq", "bq", "wk", "wv", "bv")
+# the head's linear layers: parameter prefix, input and output
+_HEAD = (("latent_l", "pooled", "l"), ("latent_lam", "l", "lam"),
+         ("head", "lam", "logits"))
 
 
 @dataclass
@@ -58,16 +67,71 @@ class SaneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.e < 1:
+            raise ValueError(f"encoder stack size must be >= 1, got {self.e}")
+        require_positive(self, "n", "f", "d_model", "h", "d_mlp", "M", "N",
+                         "num_classes", "batch_size", "learning_rate")
         if self.d_model % self.h != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by h={self.h}")
         if self.N >= self.M:
             raise ValueError(f"require N < M, got N={self.N}, M={self.M}")
-        if self.e < 1:
-            raise ValueError(f"encoder stack size must be >= 1, got {self.e}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+
+
+def _block(arrays: dict, i: int) -> dict:
+    """Block i's entries of a dict keyed by parameter name, keyed by the
+    rest of the name."""
+    return {k.split(".", 1)[1]: v for k, v in arrays.items()
+            if k.startswith(f"block{i}.")}
+
+
+class Workspace:
+    """Every array a SANE step writes, for batches of up to `rows`
+    sequences of T = n + 1 tokens; a batch of b sequences takes each
+    array's first b rows (`views`).
+
+    - `blocks[i]`, what block i's backward reads: layer norm k's output,
+      normalised input and row 1 / std ("lnk", "xhatk", "invk"),
+      attention's saved arrays (`nm.attention_saved`) and context
+      ("ctx"), and GELU's output and derivative ("mlp", "dmlp"); and the
+      residual sums ("res1", "res2");
+    - `shared` by the blocks: the "stem" (the SLA token and embeddings plus
+      positions; in backward, the embeddings' gradient), the head's
+      outputs, the backward's gradients ("g_*"; g_ctx is also layer norm
+      backward's scratch) and attention's scratch;
+    - `gelu`, GELU's scratch."""
+
+    def __init__(self, model: SaneModel, rows: int):
+        c, dtype = model.config, model.dtype
+        t, d, m = c.n + 1, c.d_model, c.d_mlp
+
+        def new(**shapes):
+            return {k: np.empty((rows,) + s, dtype) for k, s in shapes.items()}
+
+        self.rows, self.forwards = rows, 0
+        self.blocks = [nm.attention_saved(rows, t, d, c.h, dtype) | new(
+            ln1=(t, d), xhat1=(t, d), inv1=(t, 1), ctx=(t, d), res1=(t, d),
+            ln2=(t, d), xhat2=(t, d), inv2=(t, 1), mlp=(t, m), dmlp=(t, m),
+            res2=(t, d)) for _ in range(c.e)]
+        self.shared = nm.attention_scratch(rows, t, d, c.h, dtype) | new(
+            stem=(t, d), pooled=(d,), l=(c.M,), lam=(c.N,),
+            logits=(c.num_classes,), g_res=(t, d), g_ln=(t, d), g_ctx=(t, d),
+            g_mlp=(t, m), g_pooled=(d,), g_l=(c.M,), g_lam=(c.N,))
+        self.gelu = np.empty((4, min(rows * t * m, nm.GELU_BLOCK_ELEMS)),
+                             dtype)
+
+    def views(self, batch: int) -> tuple[list[dict], dict]:
+        """The first `batch` rows of each block's arrays and the shared
+        ones."""
+        if batch > self.rows:
+            raise ValueError(f"a batch of {batch} sequences does not fit a "
+                             f"workspace of {self.rows}")
+
+        def cut(arrays):
+            return {k: a[:batch] for k, a in arrays.items()}
+
+        return [cut(b) for b in self.blocks], cut(self.shared)
 
 
 class SaneModel(Model):
@@ -108,75 +172,124 @@ class SaneModel(Model):
         add_param("head.w", xavier(rng, c.N, c.num_classes, dtype))
         add_param("head.b", np.zeros(c.num_classes))
 
-    # -- forward ----------------------------------------------------------
+    # -- forward and backward ---------------------------------------------
 
-    def _attention(self, x: nm.Tensor, block: int) -> nm.Tensor:
-        p = self.params
-        pre = f"block{block}.attn"
-        ctx = nm.attention(x, *(p[f"{pre}.{name}"] for name in
-                                ("wq", "bq", "wk", "wv", "bv")),
-                           heads=self.config.h)
-        return nm.linear(ctx, p[f"{pre}.wo"], p[f"{pre}.bo"])
-
-    def forward(self, x: np.ndarray) -> dict:
-        """Run a batch (B, n, f) through the network.
-
-        Returns a dict of live Tensors: 'logits' (B, num_classes),
-        'l' (B, M) and 'lam' (B, N).
-        """
-        c = self.config
-        p = self.params
+    def forward(self, x: np.ndarray, workspace: Workspace | None = None
+                ) -> dict:
+        """Run a batch (B, n, f) through the network, in `workspace` or in
+        one of its own. Returns a dict: 'logits' (B, num_classes), the graph
+        node whose backward fills every parameter's gradient, and the arrays
+        'l' (B, M) and 'lam' (B, N)."""
+        c, p = self.config, {k: t.data for k, t in self.params.items()}
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != (c.n, c.f):
             raise nm.NumericsError(
                 f"input shape {x.shape} incompatible with (B, {c.n}, {c.f})")
-        batch = x.shape[0]
-
-        emb = nm.linear(nm.param(x, "input"), p["embed.w"], p["embed.b"])
-        sla = nm.broadcast_to(nm.reshape(p["sla"], (1, 1, c.d_model)),
-                              (batch, 1, c.d_model))
-        e = nm.concat([sla, emb], axis=-2)
-        e = nm.add(e, p["pos"])
-
-        for i in range(c.e):
-            pre = f"block{i}"
+        ws = Workspace(self, len(x)) if workspace is None else workspace
+        blocks, s = ws.views(len(x))
+        ws.forwards += 1
+        forwards = ws.forwards
+        # the SLA token and the packet embeddings, plus positions
+        e = s["stem"]
+        nm.linear_arrays(x, p["embed.w"], p["embed.b"], out=e[:, 1:])
+        e[:, 0] = p["sla"]
+        nm.require_finite("concat", e)
+        e += p["pos"]
+        nm.require_finite("add", e)
+        for i, a in enumerate(blocks):
+            w = _block(p, i)
             # as printed: R1 = MHA(Norm(E)); R2 = MLP(Norm(E + R1));
             # E <- R2 + (E + R1). No backward reads a linear's output, so
             # each sum, and GELU, is written over the output it consumes
-            r1 = self._attention(
-                nm.layer_norm(e, p[f"{pre}.ln1.gain"], p[f"{pre}.ln1.bias"]), i)
-            e_r1 = nm.add(e, r1, out=r1.data)
-            m = nm.layer_norm(e_r1, p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
-            m = nm.linear(m, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"])
-            m = nm.gelu(m, out=m.data)
-            m = nm.linear(m, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
-            e = nm.add(m, e_r1, out=m.data)
+            nm.layer_norm_arrays(e, w["ln1.gain"], w["ln1.bias"], a["ln1"],
+                                 a["xhat1"], a["inv1"])
+            nm.attention_arrays(a["ln1"], *(w["attn." + k] for k in _QKV),
+                                c.h, a["ctx"], a, s)
+            r1 = nm.linear_arrays(a["ctx"], w["attn.wo"], w["attn.bo"],
+                                  out=a["res1"])
+            nm.require_finite("add", np.add(e, r1, out=r1))
+            nm.layer_norm_arrays(r1, w["ln2.gain"], w["ln2.bias"], a["ln2"],
+                                 a["xhat2"], a["inv2"])
+            m = nm.linear_arrays(a["ln2"], w["mlp.w1"], w["mlp.b1"],
+                                 out=a["mlp"])
+            nm.gelu_arrays(m, out=m, deriv=a["dmlp"], scratch=ws.gelu)
+            e = nm.linear_arrays(m, w["mlp.w2"], w["mlp.b2"], out=a["res2"])
+            nm.require_finite("add", np.add(e, r1, out=e))
+        nm.require_finite("mean_pool", np.mean(e, axis=-2, out=s["pooled"]))
+        for layer, x_in, out in _HEAD:
+            nm.linear_arrays(s[x_in], p[layer + ".w"], p[layer + ".b"],
+                             out=s[out])
+        logits = nm.Tensor(s["logits"], name="sane",
+                           _parents=tuple(self.parameters()))
+        logits._backward = lambda o: self._backward(o.grad, x, ws, forwards)
+        return {"logits": logits, "l": s["l"], "lam": s["lam"]}
 
-        pooled = nm.mean_pool(e)
-        latent_l = nm.linear(pooled, p["latent_l.w"], p["latent_l.b"])
-        latent_lam = nm.linear(latent_l, p["latent_lam.w"], p["latent_lam.b"])
-        logits = nm.linear(latent_lam, p["head.w"], p["head.b"])
-        return {"logits": logits, "l": latent_l, "lam": latent_lam}
+    def _backward(self, g: np.ndarray, x: np.ndarray, ws: Workspace,
+                  forwards: int) -> None:
+        """Every parameter's gradient from the logits' gradient g, by the
+        blocks in reverse, in ws."""
+        if ws.forwards != forwards:
+            raise nm.NumericsError("the workspace ran another forward before "
+                                   "this backward")
+        c, p = self.config, {k: t.data for k, t in self.params.items()}
+        pg = {k: np.empty_like(a) for k, a in p.items()}
+        blocks, s = ws.views(len(x))
+        for layer, x_in, _ in reversed(_HEAD):
+            nm.linear_backward(g, s[x_in], p[layer + ".w"], pg[layer + ".w"],
+                               pg[layer + ".b"], s["g_" + x_in])
+            g = s["g_" + x_in]
+        # mean pooling hands every token g / T. g_res is then the gradient
+        # of a block's output, and so of R2; plus layer norm 2's input
+        # gradient, of E + R1, and so of R1; plus layer norm 1's, of E.
+        # g_ctx is layer norm backward's scratch
+        g_res, g_ln, g_ctx, g_mlp = (s[k] for k in
+                                     ("g_res", "g_ln", "g_ctx", "g_mlp"))
+        g_res[...] = np.divide(g, c.n + 1, out=g)[:, None]
+        for i in reversed(range(c.e)):
+            a, w, gw = blocks[i], _block(p, i), _block(pg, i)
+            nm.linear_backward(g_res, a["mlp"], w["mlp.w2"], gw["mlp.w2"],
+                               gw["mlp.b2"], g_mlp)
+            g_mlp *= a["dmlp"]
+            nm.linear_backward(g_mlp, a["ln2"], w["mlp.w1"], gw["mlp.w1"],
+                               gw["mlp.b1"], g_ln)
+            nm.layer_norm_backward(g_ln, a["xhat2"], a["inv2"], w["ln2.gain"],
+                                   gw["ln2.gain"], gw["ln2.bias"], g_ctx)
+            g_res += g_ln
+            nm.linear_backward(g_res, a["ctx"], w["attn.wo"], gw["attn.wo"],
+                               gw["attn.bo"], g_ctx)
+            nm.attention_backward(g_ctx, a["ln1"], w["attn.wq"], w["attn.wk"],
+                                  w["attn.wv"], c.h, a["ctx"], a, s, g_ln,
+                                  [gw["attn." + k] for k in _QKV])
+            nm.layer_norm_backward(g_ln, a["xhat1"], a["inv1"], w["ln1.gain"],
+                                   gw["ln1.gain"], gw["ln1.bias"], g_ctx)
+            g_res += g_ln
+        np.sum(g_res, axis=0, out=pg["pos"])
+        np.sum(g_res[:, 0], axis=0, out=pg["sla"])
+        # the packet embeddings' gradient, made contiguous in the front of
+        # the stem, which no backward reads
+        g_emb = s["stem"].reshape(-1)[:g_res[:, 1:].size]
+        np.copyto(g_emb.reshape(g_res[:, 1:].shape), g_res[:, 1:])
+        nm.linear_backward(g_emb.reshape(-1, c.d_model), x, p["embed.w"],
+                           pg["embed.w"], pg["embed.b"])
+        for name, t in self.params.items():
+            t._accumulate(pg[name])
 
-    def predict_arrays(self, x: np.ndarray, batch_size: int = 64) -> dict:
-        """`forward` over (P, n, f) sequences in batches of `batch_size`;
-        returns the 'logits', 'l' and 'lam' arrays of all P.
-
-        Each batch builds a graph, in the active arena or else in one of
-        its own, rewound before every batch; the results are copied out, so
-        none of the returned arrays is arena memory."""
+    def predict_arrays(self, x: np.ndarray, batch_size: int = PREDICT_BATCH,
+                       workspace: Workspace | None = None) -> dict:
+        """`forward` over (P, n, f) sequences in batches of `batch_size`, in
+        `workspace` or in one of its own; returns the 'logits', 'l' and
+        'lam' arrays of all P, copied out of the workspace."""
         c = self.config
-        x = np.asarray(x, dtype=self.dtype)
+        if workspace is None:
+            workspace = Workspace(self, min(batch_size, len(x)))
         result = {name: np.empty((len(x), width), dtype=self.dtype)
                   for name, width in (("logits", c.num_classes), ("l", c.M),
                                       ("lam", c.N))}
-        arena = nm.active_arena() or nm.Arena()
-        with nm.using_arena(arena):
-            for start in range(0, len(x), batch_size):
-                arena.rewind()
-                out = self.forward(x[start:start + batch_size])
-                for name, rows in result.items():
-                    rows[start:start + batch_size] = out[name].data
+        for start in range(0, len(x), batch_size):
+            out = self.forward(x[start:start + batch_size], workspace)
+            out["logits"] = out["logits"].data
+            for name, rows in result.items():
+                rows[start:start + batch_size] = out[name]
         return result
 
     # -- persistence ------------------------------------------------------
@@ -222,27 +335,26 @@ def train_sane(x_train: np.ndarray, y_train: np.ndarray, x_val: np.ndarray,
     best_state: dict[str, np.ndarray] | None = None
     best_val = -1.0
     log: list[dict] = []
-    # one step's graph at a time: each step's forward, and the validation
-    # forwards after each epoch, take their arrays from the same buffers
-    arena = nm.Arena()
+    # each step's forward, and the validation forwards after each epoch,
+    # write into the same arrays
+    workspace = Workspace(model, max(min(config.batch_size, len(x_train)),
+                                     min(PREDICT_BATCH, len(x_val))))
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(x_train))
         total_loss = 0.0
         total_correct = 0
-        with nm.using_arena(arena):
-            for start in range(0, len(order), config.batch_size):
-                idx = order[start:start + config.batch_size]
-                arena.rewind()
-                out = model.forward(x_train[idx])
-                loss = nm.cross_entropy(out["logits"], y_train[idx])
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                total_loss += float(loss.data) * len(idx)
-                total_correct += int(
-                    (out["logits"].data.argmax(axis=1) == y_train[idx]).sum())
-                del out, loss
-            val_pred = model.predict_arrays(x_val)["logits"].argmax(axis=1)
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            logits = model.forward(x_train[idx], workspace)["logits"]
+            loss = nm.cross_entropy(logits, y_train[idx])
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            total_loss += float(loss.data) * len(idx)
+            total_correct += int(
+                (logits.data.argmax(axis=1) == y_train[idx]).sum())
+        val_pred = model.predict_arrays(
+            x_val, workspace=workspace)["logits"].argmax(axis=1)
         train_loss = total_loss / len(order)
         train_acc = total_correct / len(order)
         val_acc = float((val_pred == y_val).mean())

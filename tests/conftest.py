@@ -1,5 +1,6 @@
 """Shared fixtures: small synthetic datasets and trained tiny models, and
-the two elementwise graph nodes the tests build composites from."""
+the graph nodes the tests build reference composites from, which the models
+no longer use: mul, scale, mean_pool, concat, reshape and broadcast_to."""
 
 import numpy as np
 import pytest
@@ -45,8 +46,8 @@ def mul(a, b):
     out = nm.Tensor(out_data, name="mul", _parents=(a, b))
 
     def bw(o):
-        a._accumulate(nm._unbroadcast(o.grad * b.data, a.shape), own=True)
-        b._accumulate(nm._unbroadcast(o.grad * a.data, b.shape), own=True)
+        a._accumulate(nm._unbroadcast(o.grad * b.data, a.shape))
+        b._accumulate(nm._unbroadcast(o.grad * a.data, b.shape))
 
     out._backward = bw
     return out
@@ -57,7 +58,54 @@ def scale(a, c):
     out_data = a.data * c
     nm.require_finite("scale", out_data)
     out = nm.Tensor(out_data, name="scale", _parents=(a,))
-    out._backward = lambda o: a._accumulate(o.grad * c, own=True)
+    out._backward = lambda o: a._accumulate(o.grad * c)
+    return out
+
+
+def mean_pool(x):
+    """Mean over the row axis (second-to-last)."""
+    if x.data.ndim < 2:
+        raise nm.NumericsError("mean_pool needs at least 2 dims")
+    n = x.data.shape[-2]
+    out_data = x.data.mean(axis=-2)
+    nm.require_finite("mean_pool", out_data)
+    out = nm.Tensor(out_data, name="mean_pool", _parents=(x,))
+    out._backward = lambda o: x._accumulate(
+        np.repeat(np.expand_dims(o.grad / n, -2), n, axis=-2))
+    return out
+
+
+def concat(tensors, axis=-1):
+    """np.concatenate as a graph node, with a finite check."""
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    nm.require_finite("concat", out_data)
+    out = nm.Tensor(out_data, name="concat", _parents=tuple(tensors))
+
+    def bw(o):
+        offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        for t, piece in zip(tensors, np.split(o.grad, offsets, axis=axis)):
+            t._accumulate(piece)
+
+    out._backward = bw
+    return out
+
+
+def reshape(x, shape):
+    out = nm.Tensor(x.data.reshape(shape), name="reshape", _parents=(x,))
+    out._backward = lambda o: x._accumulate(o.grad.reshape(x.shape))
+    return out
+
+
+def broadcast_to(x, shape):
+    """x broadcast to `shape`, copied into an array of its own."""
+    out = nm.Tensor(np.broadcast_to(x.data, shape).copy(), name="broadcast",
+                    _parents=(x,))
+
+    def bw(o):
+        g = nm._unbroadcast(o.grad, x.shape)
+        x._accumulate(g.copy() if g is o.grad else g)
+
+    out._backward = bw
     return out
 
 

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import mul, scale
+from conftest import concat, mul, scale
 from zest import cvae
 from zest import numerics as nm
 from zest.checkpoint import save_checkpoint
@@ -90,8 +90,8 @@ def _graph_loss(model, batch, cond, eps):
     batch = np.asarray(batch, dtype=model.dtype)
 
     def with_cond(t):
-        return nm.concat([t, nm.param(np.asarray(cond, dtype=t.dtype))],
-                         axis=-1)
+        return concat([t, nm.param(np.asarray(cond, dtype=t.dtype))],
+                      axis=-1)
 
     h = nm.gelu(nm.linear(with_cond(nm.param(batch)), p["enc.w1"],
                           p["enc.b1"]))
@@ -227,8 +227,10 @@ def test_attribute_shape_mismatch_fatal():
         train_cvae(latents, conds, plain)
 
 
-@pytest.mark.parametrize("field, value", [("batch_size", 0),
-                                          ("batch_size", -3), ("epochs", -1)])
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", -3), ("epochs", -1),
+    ("input_dim", 0), ("cond_dim", -1), ("z_dim", 0), ("hidden_dim", 0),
+    ("learning_rate", 0), ("learning_rate", -1)])
 def test_config_rejects_bad_batch_size_and_epochs(field, value):
     with pytest.raises(ValueError, match=field):
         CvaeConfig(**{field: value})

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
-from conftest import mul, scale
+from conftest import broadcast_to, concat, mean_pool, mul, reshape, scale
 from zest import numerics as nm
 from zest.checkpoint import CONFIG_KEY, load_checkpoint, save_checkpoint
 from zest.cvae import CvaeConfig, CvaeModel
@@ -107,10 +107,10 @@ def test_grad_pool_concat_reshape_transpose(seed):
     b = nm.param(_rand(rng, 2, 1, 4))
 
     def f():
-        c = nm.concat([b, a], axis=-2)        # (2, 4, 4)
-        c = nm.reshape(c, (2, 16))
-        c = nm.reshape(c, (2, 4, 4))
-        p = nm.mean_pool(c)                   # (2, 4)
+        c = concat([b, a], axis=-2)           # (2, 4, 4)
+        c = reshape(c, (2, 16))
+        c = reshape(c, (2, 4, 4))
+        p = mean_pool(c)                      # (2, 4)
         return _l2_loss(p, np.zeros((2, 4)))
 
     _check(f, [a, b])
@@ -126,7 +126,7 @@ def _transpose(x, axes):
     """Axis permutation with its backward rule, for the reference below."""
     out = nm.Tensor(x.data.transpose(axes), _parents=(x,))
     out._backward = lambda o: x._accumulate(
-        o.grad.transpose(np.argsort(axes)), own=True)
+        o.grad.transpose(np.argsort(axes)))
     return out
 
 
@@ -136,7 +136,7 @@ def _reference_attention(x, wq, bq, wk, wv, bv, heads):
     batch, tokens, d = x.shape
 
     def split_heads(t):
-        t = nm.reshape(t, (batch, tokens, heads, d // heads))
+        t = reshape(t, (batch, tokens, heads, d // heads))
         return _transpose(t, (0, 2, 1, 3))
 
     q = scale(nm.linear(x, wq, bq), 1.0 / np.sqrt(d // heads))
@@ -144,7 +144,7 @@ def _reference_attention(x, wq, bq, wk, wv, bv, heads):
                (q, nm.matmul(x, wk), nm.linear(x, wv, bv)))
     attn = nm.softmax(nm.matmul(q, _transpose(k, (0, 1, 3, 2))))
     ctx = _transpose(nm.matmul(attn, v), (0, 2, 1, 3))
-    return nm.reshape(ctx, (batch, tokens, d))
+    return reshape(ctx, (batch, tokens, d))
 
 
 @pytest.mark.parametrize("seed", RNG_SEEDS[:6])
@@ -251,8 +251,8 @@ def test_grad_broadcast(seed):
     v = nm.param(_rand(rng, 5))
 
     def f():
-        t = nm.broadcast_to(nm.reshape(v, (1, 1, 5)), (2, 3, 5))
-        return _l2_loss(nm.mean_pool(t), np.zeros((2, 5)))
+        t = broadcast_to(reshape(v, (1, 1, 5)), (2, 3, 5))
+        return _l2_loss(mean_pool(t), np.zeros((2, 5)))
 
     _check(f, [v])
 
@@ -422,15 +422,12 @@ def test_gelu_over_its_input_is_bit_identical(x):
         got, got_deriv = nm.gelu_arrays(inplace, out=inplace)
     assert got is inplace
     assert _bits(got) == _bits(want) and _bits(got_deriv) == _bits(want_deriv)
-    # and as a graph node, whose backward gives the same input gradient
-    grads = []
-    for out in (None, "input"):
-        t = nm.param(x.reshape(1, -1).copy())
-        g = nm.gelu(t, out=t.data if out else None)
-        assert _bits(g.data) == _bits(want)
-        nm.l1_loss(g, np.zeros(g.shape)).backward()
-        grads.append(t.grad)
-    assert _bits(grads[0]) == _bits(grads[1])
+    # and as a graph node, whose backward is one product with the derivative
+    t = nm.param(x.reshape(1, -1).copy())
+    g = nm.gelu(t)
+    assert _bits(g.data) == _bits(want)
+    nm.l1_loss(g, np.zeros(g.shape)).backward()
+    np.testing.assert_array_equal(t.grad[0], np.sign(want) * want_deriv)
 
 
 def test_gelu_over_its_input_non_finite_is_fatal():
@@ -448,59 +445,6 @@ def test_gelu_rejects_an_out_it_cannot_fill():
                 np.zeros((6, 4), np.float32).T):
         with pytest.raises(nm.NumericsError, match="gelu out"):
             nm.gelu_arrays(x, out=out)
-
-
-def test_add_over_an_input_is_bit_identical():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 4, 5)).astype(np.float32)
-    b = rng.standard_normal((3, 4, 5)).astype(np.float32)
-    pos = rng.standard_normal((4, 5)).astype(np.float32)
-
-    def run(x, y, over, arena):
-        ts = [nm.param(x.copy()), nm.param(y.copy())]
-        with nm.using_arena(arena):
-            out = nm.add(*ts, out=None if over is None else ts[over].data)
-        data = out.data.copy()
-        nm.l1_loss(out, np.full(out.shape, 0.5)).backward()
-        return out, ts, data
-
-    for x, y, over in ((a, b, 0), (a, b, 1), (a, pos, 0)):
-        want, want_ts, want_data = run(x, y, None, nm.Arena())
-        # an output given as `out` takes nothing from the arena
-        arena = nm.Arena()
-        got, got_ts, got_data = run(x, y, over, arena)
-        assert not arena.buffers
-        assert got.data is got_ts[over].data
-        assert _bits(got_data) == _bits(want_data)
-        for t_got, t_want in zip(got_ts, want_ts):
-            assert _bits(t_got.grad) == _bits(t_want.grad)
-
-
-def test_arena_lends_buffers_in_call_order():
-    arena = nm.Arena()
-    a = arena.take((2, 3), np.float32)
-    b = arena.take((4,), np.float32)
-    assert not np.shares_memory(a, b)
-    arena.rewind()
-    # a smaller request is a view of the same buffer
-    assert np.shares_memory(arena.take((5,), np.float32), a)
-    # a larger one, or one of another dtype, replaces it
-    grown = arena.take((9,), np.float32)
-    assert grown.shape == (9,) and not np.shares_memory(grown, b)
-    arena.rewind()
-    assert arena.take((1,), np.float64).dtype == np.float64
-    assert [buf.dtype for buf in arena.buffers] == [np.float64, np.float32]
-
-
-def test_using_arena_restores_the_previous_arena_when_the_body_raises():
-    outer, inner = nm.Arena(), nm.Arena()
-    assert nm.active_arena() is None
-    with nm.using_arena(outer):
-        with pytest.raises(KeyError), nm.using_arena(inner):
-            assert nm.active_arena() is inner
-            raise KeyError("body")
-        assert nm.active_arena() is outer
-    assert nm.active_arena() is None
 
 
 def _reference_linear(x, w, b, g):

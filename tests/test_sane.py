@@ -1,5 +1,6 @@
-"""Feature extractor structure, gradients, training behavior, and
-serialization."""
+"""Feature extractor structure, gradients against finite differences and
+against the per-op graph it replaced, its step workspace, training behavior,
+and serialization."""
 
 import tracemalloc
 from unittest import mock
@@ -7,10 +8,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import TINY_N, make_tiny_splits, tiny_config
+from conftest import (TINY_N, broadcast_to, concat, make_tiny_splits,
+                      mean_pool, reshape, tiny_config)
 from zest import numerics as nm
+from zest import sane
 from zest.cvae import CvaeConfig, CvaeModel, cvae_loss
-from zest.sane import SaneConfig, SaneModel, evaluate_supervised, train_sane
+from zest.sane import (SaneConfig, SaneModel, Workspace, evaluate_supervised,
+                       train_sane)
 
 
 def test_config_validation():
@@ -24,6 +28,15 @@ def test_config_validation():
         SaneConfig(batch_size=0)
     with pytest.raises(ValueError, match="epochs"):
         SaneConfig(epochs=-1)
+    # zero-width attributes, and widths, heads and learning rates that
+    # would fail only when a stage builds the model
+    for field, value in (("N", 0), ("h", 0), ("d_model", 0), ("d_mlp", 0),
+                         ("n", 0), ("f", 0), ("num_classes", 0),
+                         ("learning_rate", 0), ("learning_rate", -1e-3)):
+        with pytest.raises(ValueError, match=rf"^{field} must be > 0"):
+            SaneConfig(**{field: value})
+    with pytest.raises(ValueError, match=r"^M must be > 0"):
+        SaneConfig(M=0, N=-1)
 
 
 def test_output_shapes(tiny_model):
@@ -69,11 +82,29 @@ def test_permutation_invariance_with_zero_positional(tiny_model):
         out = model.forward(x[:, perm])
         np.testing.assert_allclose(out["logits"].data, base["logits"].data,
                                    atol=1e-5)
-        np.testing.assert_allclose(out["l"].data, base["l"].data, atol=1e-5)
+        np.testing.assert_allclose(out["l"], base["l"], atol=1e-5)
 
 
 def test_full_loss_gradcheck_tiny_config():
     config = SaneConfig(n=4, f=3, d_model=8, e=1, h=2, d_mlp=16, M=5, N=2,
+                        num_classes=3, seed=7)
+    model = SaneModel(config, dtype=np.float64,
+                      rng=np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    x = rng.random((2, 4, 3))
+    y = np.array([0, 2])
+
+    def f():
+        return nm.cross_entropy(model.forward(x)["logits"], y)
+
+    err = nm.grad_check(f, model.parameters())
+    assert err < 1e-4, f"max relative error {err}"
+
+
+def test_full_loss_gradcheck_two_blocks():
+    # the reverse block loop hands the residual gradient from one block to
+    # the one before
+    config = SaneConfig(n=4, f=3, d_model=8, e=2, h=2, d_mlp=16, M=5, N=2,
                         num_classes=3, seed=7)
     model = SaneModel(config, dtype=np.float64,
                       rng=np.random.default_rng(7))
@@ -202,61 +233,167 @@ def test_bad_input_shape_fatal(tiny_model):
         tiny_model.forward(np.zeros((2, 3, 8), dtype=np.float32))
 
 
-def test_rewound_arena_forwards_share_buffers(tiny_model):
+def _over(t, node):
+    """`node` with its output written over t's data, as the per-op graph
+    wrote GELU and the residual sums over the linear outputs they
+    consumed."""
+    t.data[...] = node.data
+    node.data = t.data
+    return node
+
+
+def _graph_forward(model, x, workspace=None):
+    """`SaneModel.forward` as the per-op graph it replaced, node for node:
+    `numerics` primitives and the conftest helpers."""
+    c, p = model.config, model.params
+    x = np.asarray(x, dtype=model.dtype)
+    emb = nm.linear(nm.param(x, "input"), p["embed.w"], p["embed.b"])
+    sla = broadcast_to(reshape(p["sla"], (1, 1, c.d_model)),
+                       (len(x), 1, c.d_model))
+    e = nm.add(concat([sla, emb], axis=-2), p["pos"])
+    for i in range(c.e):
+        w = {k[len(f"block{i}."):]: t for k, t in p.items()
+             if k.startswith(f"block{i}.")}
+        ctx = nm.attention(nm.layer_norm(e, w["ln1.gain"], w["ln1.bias"]),
+                           *(w["attn." + k] for k in ("wq", "bq", "wk", "wv",
+                                                      "bv")), heads=c.h)
+        r1 = nm.linear(ctx, w["attn.wo"], w["attn.bo"])
+        e_r1 = _over(r1, nm.add(e, r1))
+        m = nm.linear(nm.layer_norm(e_r1, w["ln2.gain"], w["ln2.bias"]),
+                      w["mlp.w1"], w["mlp.b1"])
+        m = _over(m, nm.gelu(m))
+        m = nm.linear(m, w["mlp.w2"], w["mlp.b2"])
+        e = _over(m, nm.add(m, e_r1))
+    latent_l = nm.linear(mean_pool(e), p["latent_l.w"], p["latent_l.b"])
+    latent_lam = nm.linear(latent_l, p["latent_lam.w"], p["latent_lam.b"])
+    logits = nm.linear(latent_lam, p["head.w"], p["head.b"])
+    return {"logits": logits, "l": latent_l.data, "lam": latent_lam.data}
+
+
+def _step(model, forward, x, y, *args):
+    """Logits, l, lam, loss and every parameter gradient of one step, as
+    copies."""
+    for t in model.parameters():
+        t.zero_grad()
+    out = forward(model, x, *args)
+    loss = nm.cross_entropy(out["logits"], y)
+    loss.backward()
+    return ([out["logits"].data.copy(), out["l"].copy(), out["lam"].copy(),
+             loss.data.copy()],
+            {name: t.grad.copy() for name, t in model.params.items()})
+
+
+def test_forward_matches_primitive_graph(tiny_splits, monkeypatch):
+    train, val, test, _ = tiny_splits
+    config = tiny_config(e=2, epochs=3)
+    # a trained model, so that no weight is at its initial value
+    model, _ = train_sane(*train, *val, config)
+    x, y = test
+    # a full batch, and one shorter than the workspace it runs in
+    for batch, args in ((16, ()), (9, (Workspace(model, 16),))):
+        want = _step(model, _graph_forward, x[:batch], y[:batch])
+        got = _step(model, SaneModel.forward, x[:batch], y[:batch], *args)
+        for g, w in zip(got[0], want[0]):
+            assert g.dtype == w.dtype == np.float32
+            np.testing.assert_array_equal(g, w)
+        assert len(got[1]) == len(model.params)
+        for name, g in got[1].items():
+            assert g.dtype == np.float32, name
+            np.testing.assert_array_equal(g, want[1][name], err_msg=name)
+
+    # every step and validation forward through the graph: 3 epochs of
+    # three batches of 16 and one of 6
+    trained, log = train_sane(*train, *val, config)
+    monkeypatch.setattr(SaneModel, "forward", _graph_forward)
+    reference, reference_log = train_sane(*train, *val, config)
+    assert log == reference_log
+    for name, t in trained.params.items():
+        np.testing.assert_array_equal(t.data, reference.params[name].data,
+                                      err_msg=name)
+
+
+def test_backward_after_a_later_forward_raises(tiny_model):
     c = tiny_model.config
     x = np.random.default_rng(0).random((4, c.n, c.f), dtype=np.float32)
-    arena = nm.Arena()
-    with nm.using_arena(arena):
-        first = tiny_model.forward(x)["logits"].data
-        want = first.copy()
-        taken = len(arena.buffers)
-        arena.rewind()
-        again = tiny_model.forward(x)["logits"].data
-    assert len(arena.buffers) == taken
-    assert np.shares_memory(first, again)
-    np.testing.assert_array_equal(again, want)
+    workspace = Workspace(tiny_model, 4)
+    first = tiny_model.forward(x, workspace)["logits"]
+    tiny_model.forward(x, workspace)
+    with pytest.raises(nm.NumericsError, match="another forward"):
+        nm.cross_entropy(first, np.zeros(4, dtype=np.int64)).backward()
+    with pytest.raises(ValueError, match="does not fit"):
+        tiny_model.forward(np.concatenate([x, x]), workspace)
 
 
-def test_arena_growth_is_bit_identical(tiny_model):
+def _arrays(workspace):
+    """Every array a workspace holds."""
+    return [workspace.gelu] + [a for arrays in (*workspace.blocks,
+                                                 workspace.shared)
+                               for a in arrays.values()]
+
+
+def test_steps_at_one_shape_allocate_no_workspace_array(tiny_model):
+    c = tiny_model.config
+    x = np.random.default_rng(0).random((4, c.n, c.f), dtype=np.float32)
+    y = np.arange(4) % c.num_classes
+    workspace = Workspace(tiny_model, 4)
+    before = [(a, a.__array_interface__["data"]) for a in _arrays(workspace)]
+    first = _step(tiny_model, SaneModel.forward, x, y, workspace)
+    for t in tiny_model.parameters():
+        t.zero_grad()
+    out = tiny_model.forward(x, workspace)
+    nm.cross_entropy(out["logits"], y).backward()
+    assert [(a, a.__array_interface__["data"])
+            for a in _arrays(workspace)] == before
+    # the outputs are workspace memory
+    assert np.shares_memory(out["logits"].data, workspace.shared["logits"])
+    assert np.shares_memory(out["l"], workspace.shared["l"])
+    np.testing.assert_array_equal(out["logits"].data, first[0][0])
+    for name, t in tiny_model.params.items():
+        np.testing.assert_array_equal(t.grad, first[1][name])
+
+
+def test_an_unzeroed_gradient_accumulates(tiny_model):
+    c = tiny_model.config
+    x = np.random.default_rng(3).random((4, c.n, c.f), dtype=np.float32)
+    y = np.arange(4) % c.num_classes
+    workspace = Workspace(tiny_model, 4)
+    _, once = _step(tiny_model, SaneModel.forward, x, y, workspace)
+    nm.cross_entropy(tiny_model.forward(x, workspace)["logits"], y).backward()
+    for name, t in tiny_model.params.items():
+        np.testing.assert_array_equal(t.grad, once[name] + once[name])
+
+
+def test_a_shorter_batch_in_a_larger_workspace_is_bit_identical(tiny_model):
     c = tiny_model.config
     rng = np.random.default_rng(1)
     small = rng.random((3, c.n, c.f), dtype=np.float32)
     large = rng.random((7, c.n, c.f), dtype=np.float32)
-    labels = np.arange(7) % c.num_classes
-    params = tiny_model.parameters()
-
-    def step(x):
-        out = tiny_model.forward(x)
-        for p in params:
-            p.zero_grad()
-        nm.cross_entropy(out["logits"], labels[:len(x)]).backward()
-        return ({k: t.data.copy() for k, t in out.items()},
-                [p.grad.copy() for p in params])
-
-    want = step(large)
-    arena = nm.Arena()
-    with nm.using_arena(arena):
-        step(small)
-        arena.rewind()
-        got = step(large)
-    for name, data in want[0].items():
-        np.testing.assert_array_equal(got[0][name], data)
-    for g_got, g_want in zip(got[1], want[1]):
-        np.testing.assert_array_equal(g_got, g_want)
+    y = np.arange(7) % c.num_classes
+    want = _step(tiny_model, SaneModel.forward, small, y[:3],
+                 Workspace(tiny_model, 3))
+    workspace = Workspace(tiny_model, 7)
+    _step(tiny_model, SaneModel.forward, large, y, workspace)
+    got = _step(tiny_model, SaneModel.forward, small, y[:3], workspace)
+    for g, w in zip(got[0], want[0]):
+        np.testing.assert_array_equal(g, w)
+    for name, g in got[1].items():
+        np.testing.assert_array_equal(g, want[1][name], err_msg=name)
 
 
-def test_predict_arrays_outputs_never_alias_the_arena(tiny_model):
+def test_predict_arrays_outputs_never_alias_the_workspace(tiny_model):
     c = tiny_model.config
     x = np.random.default_rng(2).random((10, c.n, c.f), dtype=np.float32)
-    arena = nm.Arena()
-    with nm.using_arena(arena):
-        out = tiny_model.predict_arrays(x, batch_size=4)
-    assert arena.buffers
-    for data in out.values():
-        assert data.flags.owndata
-        assert not any(np.shares_memory(data, b) for b in arena.buffers)
-    # with no arena active it uses one of its own, and returns the same
-    for name, data in tiny_model.predict_arrays(x, batch_size=4).items():
+    workspace = Workspace(tiny_model, 4)
+    # several batches, and one
+    for rows in (10, 4):
+        out = tiny_model.predict_arrays(x[:rows], batch_size=4,
+                                        workspace=workspace)
+        for data in out.values():
+            assert data.flags.owndata and len(data) == rows
+            assert not any(np.shares_memory(data, a)
+                           for a in _arrays(workspace))
+    # with no workspace given it uses one of its own, and returns the same
+    for name, data in tiny_model.predict_arrays(x[:4], batch_size=4).items():
         assert data.flags.owndata
         np.testing.assert_array_equal(data, out[name])
 
@@ -287,30 +424,38 @@ def test_training_holds_one_step_of_memory():
 
 
 def test_a_training_step_keeps_only_what_backward_reads():
-    # per block, in (B, T) rows of float32: both layer norms' xhat and
-    # output (4 d), q, k, v and the context (4 d), the wo and w2 outputs
-    # that the residual sums overwrite (2 d), and GELU's output, written
-    # over the w1 output, and its derivative (2 d_mlp); the packed qkv
-    # product and the MLP pre-activation are not kept
     made = []
 
-    class Recording(nm.Arena):
-        def __init__(self):
-            super().__init__()
+    class Recording(Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
             made.append(self)
 
     c = tiny_config(e=2, batch_size=16, epochs=1)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((16, c.n, c.f), dtype=np.float32)
     x_val = rng.standard_normal((3, c.n, c.f), dtype=np.float32)
-    with mock.patch.object(nm, "Arena", Recording):
+    with mock.patch.object(sane, "Workspace", Recording):
         train_sane(x, np.arange(16) % c.num_classes, x_val,
                    np.arange(3) % c.num_classes, c)
-    (arena,) = made
-    b, t, d = c.batch_size, c.n + 1, c.d_model
-    elems = (b * c.n * d          # the packet embeddings
-             + b * d              # the SLA token, broadcast over the batch
-             + 2 * b * t * d      # their concatenation, plus positions
-             + c.e * b * t * (10 * d + 2 * c.d_mlp)
-             + b * (c.M + c.N + c.num_classes))  # the latent and class heads
-    assert sum(buf.nbytes for buf in arena.buffers) == 4 * elems
+    (workspace,) = made
+    b, t, d, h = c.batch_size, c.n + 1, c.d_model, c.h
+    chunk = min(b, nm.ATTN_SCORE_ELEMS // (h * t * t))
+    # per block, in (B, T) rows of float32, what backward reads: both layer
+    # norms' output and xhat (4 d), q, k, v and the context (4 d), GELU's
+    # output, written over the w1 output, and its derivative (2 d_mlp);
+    # the residual sums, written over the wo and w2 outputs (2 d); and the
+    # row statistics: each layer norm's 1 / std (2) and attention's score
+    # max and sum per head (2 h). No packed qkv product is kept
+    block = b * t * (10 * d + 2 * c.d_mlp + 2 + 2 * h)
+    shared = (b * t * d                          # the stem
+              + b * (d + c.M + c.N + c.num_classes)  # the head's outputs
+              # the backward's gradients: the residual stream, a layer
+              # norm output, the context and the MLP, and the head's
+              + b * t * (3 * d + c.d_mlp) + b * (d + c.M + c.N)
+              # attention's scratch: the packed qkv product, and per chunk
+              # of sequences two score and two context arrays
+              + b * t * 3 * d + 2 * chunk * h * t * (t + d // h))
+    gelu = 4 * min(b * t * c.d_mlp, nm.GELU_BLOCK_ELEMS)
+    assert sum(a.nbytes for a in _arrays(workspace)) == 4 * (
+        c.e * block + shared + gelu)

@@ -55,7 +55,12 @@ def test_unknown_baseline_in_config_rejected(tmp_path):
     ({"ratios": [0.5, 0.5]}, "ratios"),
     # a source names exactly one kind: a preset, a profile file or a CSV
     ({"source": {}}, "source"), ({"source": {"sessions": 5}}, "source"),
-    ({"source": {"preset": "hard-12", "csv": "x.csv"}}, "source")])
+    ({"source": {"preset": "hard-12", "csv": "x.csv"}}, "source"),
+    # packets per sequence, and model settings that fail only when a stage
+    # builds the model: zero-width attributes and zero learning rates
+    ({"n": 0}, r"^n must be >= 1"), ({"sane": {"N": 0}}, r"^N must be > 0"),
+    ({"sane": {"learning_rate": 0}}, "^learning_rate"),
+    ({"cvae": {"learning_rate": 0}}, "^learning_rate")])
 def test_invalid_field_rejected_by_config(tmp_path, fields, match):
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(outdir=str(tmp_path), **fields)
