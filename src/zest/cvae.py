@@ -9,17 +9,18 @@ call takes an attribute array; the VAE-K baseline's plain VAE is this model
 with cond_dim=0 and zero-width (n, 0) attributes.
 
 The encoder and decoder run on plain arrays, for inference
-(`encode_arrays`, `decode_arrays`) and for training alike: `cvae_loss` is
-one graph node whose parents are the model's ten parameters, and one
-hand-written backward fills their gradients through `nm.linear_backward`,
-as `SaneModel.forward` does. The forward keeps every finite check of the
+(`encode_arrays`, `decode_arrays`) and for training alike: `cvae_loss`
+runs the forward and one hand-written backward, which writes the ten
+parameters' gradients into `model.grads` through `nm.linear_backward`, as
+`SaneModel.backward` does. The forward keeps every finite check of the
 composite of graph nodes it replaces, under the same op names, and the
 backward does that composite's float operations in the same order, so a
 trained model is bit-identical to one trained through the composite.
 
-The model's tensors, their Glorot initialisation and their shape-checked
-loading are the `params.Model` layer the SANE encoder uses too. `train_cvae`
-with epochs=0 returns the model as initialised and an empty log.
+The model's flat parameter and gradient buffers, their Glorot
+initialisation and their shape-checked loading are the `params.Model`
+layer the SANE encoder uses too. `train_cvae` with epochs=0 returns the
+model as initialised and an empty log.
 """
 
 from __future__ import annotations
@@ -62,24 +63,23 @@ class CvaeModel(Model):
 
     def __init__(self, config: CvaeConfig, dtype=np.float32,
                  rng: np.random.Generator | None = None):
-        super().__init__(dtype)
         self.config = config
         if rng is None:
             rng = np.random.default_rng(config.seed)
         c = config
         enc_in = c.input_dim + c.cond_dim
         dec_in = c.z_dim + c.cond_dim
-        add_param = self.add_param
-        add_param("enc.w1", xavier(rng, enc_in, c.hidden_dim, dtype))
-        add_param("enc.b1", np.zeros(c.hidden_dim))
-        add_param("enc.mu_w", xavier(rng, c.hidden_dim, c.z_dim, dtype))
-        add_param("enc.mu_b", np.zeros(c.z_dim))
-        add_param("enc.lv_w", xavier(rng, c.hidden_dim, c.z_dim, dtype))
-        add_param("enc.lv_b", np.zeros(c.z_dim))
-        add_param("dec.w1", xavier(rng, dec_in, c.hidden_dim, dtype))
-        add_param("dec.b1", np.zeros(c.hidden_dim))
-        add_param("dec.w2", xavier(rng, c.hidden_dim, c.input_dim, dtype))
-        add_param("dec.b2", np.zeros(c.input_dim))
+        super().__init__({
+            "enc.w1": xavier(rng, enc_in, c.hidden_dim, dtype),
+            "enc.b1": np.zeros(c.hidden_dim),
+            "enc.mu_w": xavier(rng, c.hidden_dim, c.z_dim, dtype),
+            "enc.mu_b": np.zeros(c.z_dim),
+            "enc.lv_w": xavier(rng, c.hidden_dim, c.z_dim, dtype),
+            "enc.lv_b": np.zeros(c.z_dim),
+            "dec.w1": xavier(rng, dec_in, c.hidden_dim, dtype),
+            "dec.b1": np.zeros(c.hidden_dim),
+            "dec.w2": xavier(rng, c.hidden_dim, c.input_dim, dtype),
+            "dec.b2": np.zeros(c.input_dim)}, dtype)
 
     def _with_cond_arrays(self, x: np.ndarray, cond: np.ndarray) -> np.ndarray:
         """x with its attribute columns appended, checked as a concat."""
@@ -93,10 +93,10 @@ class CvaeModel(Model):
         p = self.params
         xc = self._with_cond_arrays(x, cond)
         # GELU over the product, which nothing else reads
-        h = nm.linear_arrays(xc, p["enc.w1"].data, p["enc.b1"].data)
+        h = nm.linear_arrays(xc, p["enc.w1"], p["enc.b1"])
         h, dh = nm.gelu_arrays(h, out=h)
-        mu = nm.linear_arrays(h, p["enc.mu_w"].data, p["enc.mu_b"].data)
-        logvar = nm.linear_arrays(h, p["enc.lv_w"].data, p["enc.lv_b"].data)
+        mu = nm.linear_arrays(h, p["enc.mu_w"], p["enc.mu_b"])
+        logvar = nm.linear_arrays(h, p["enc.lv_w"], p["enc.lv_b"])
         return xc, h, dh, mu, logvar
 
     def _decoder(self, z: np.ndarray, cond: np.ndarray) -> tuple:
@@ -104,10 +104,9 @@ class CvaeModel(Model):
         hidden activation and its GELU derivative, and the reconstruction."""
         p = self.params
         zc = self._with_cond_arrays(z, cond)
-        h = nm.linear_arrays(zc, p["dec.w1"].data, p["dec.b1"].data)
+        h = nm.linear_arrays(zc, p["dec.w1"], p["dec.b1"])
         h, dh = nm.gelu_arrays(h, out=h)
-        return zc, h, dh, nm.linear_arrays(h, p["dec.w2"].data,
-                                           p["dec.b2"].data)
+        return zc, h, dh, nm.linear_arrays(h, p["dec.w2"], p["dec.b2"])
 
     def decode_arrays(self, z: np.ndarray, cond: np.ndarray) -> np.ndarray:
         return self._decoder(np.asarray(z, dtype=self.dtype), cond)[-1]
@@ -130,22 +129,23 @@ class CvaeModel(Model):
 
 
 def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray,
-              eps: np.ndarray) -> tuple[nm.Tensor, float, float]:
+              eps: np.ndarray) -> tuple[float, float, float]:
     """L1 reconstruction + KL(N(mu, sigma) || N(0, 1)) with a reparameterized
-    sample z = mu + sigma * eps. Returns (loss tensor, recon value, kl value).
+    sample z = mu + sigma * eps. Writes every parameter's gradient into
+    `model.grads` and returns the loss, recon and kl values.
 
-    The loss is one node whose parents are the model's parameters. Its
-    forward and backward are those of the composite of graph nodes concat,
-    linear, gelu, scale (logvar / 2), exp, mul, add, l1_loss and
-    gaussian_kl, op for op: each forward output is checked under that op's
-    name, and the backward takes the same float operations in the order
-    `Tensor.backward` ran the composite's closures."""
+    The forward and backward are those of the composite of graph nodes
+    concat, linear, gelu, scale (logvar / 2), exp, mul, add, l1_loss and
+    gaussian_kl that the loss replaced, op for op: each forward output is
+    checked under that op's name, and the backward takes the same float
+    operations in the order `Tensor.backward` ran the composite's
+    closures."""
     dtype = model.dtype
     batch = np.asarray(batch, dtype=dtype)
     if batch.ndim != 2:
         raise nm.NumericsError(
             f"cvae_loss expects a (B, input_dim) batch, got {batch.shape}")
-    p = model.params
+    p, grads = model.params, model.grads
     xc, h1, d1, mu, logvar = model._encoder(batch, cond)
     half_logvar = logvar * 0.5
     nm.require_finite("scale", half_logvar)
@@ -171,40 +171,31 @@ def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray,
     kl_v = 0.5 * (mu ** 2 + var - 1.0 - logvar).sum() / n
     nm.require_finite("gaussian_kl", np.asarray(kl_v))
     kl_v = np.asarray(kl_v, dtype=dtype)
-    loss_data = recon_v + kl_v
-    nm.require_finite("add", loss_data)
-    loss = nm.Tensor(loss_data, name="cvae_loss",
-                     _parents=tuple(model.parameters()))
+    loss = recon_v + kl_v
+    nm.require_finite("add", loss)
 
-    def bw(o: nm.Tensor) -> None:
-        grads = {name: np.empty_like(t.data) for name, t in p.items()}
+    def dense(g, x, w, b):
+        nm.linear_backward(g, x, p[w], grads[w], grads[b])
 
-        def dense(g, x, w, b):
-            nm.linear_backward(g, x, p[w].data, grads[w], grads[b])
-
-        # decoder, from the l1 term
-        g = o.grad * np.sign(diff) / n
-        dense(g, h2, "dec.w2", "dec.b2")
-        g = (g @ p["dec.w2"].data.T) * d2
-        dense(g, zc, "dec.w1", "dec.b1")
-        g_z = (g @ p["dec.w1"].data.T)[:, :z.shape[1]]
-        # through z = mu + exp(logvar / 2) eps, plus the KL term's
-        # gradients; each sum has two terms, so its order is free
-        g_mu = g_z + o.grad * mu / n
-        g_logvar = g_z * eps
-        g_logvar *= sigma
-        g_logvar *= 0.5
-        g_logvar += o.grad * 0.5 * (var - 1.0) / n
-        # encoder
-        dense(g_mu, h1, "enc.mu_w", "enc.mu_b")
-        dense(g_logvar, h1, "enc.lv_w", "enc.lv_b")
-        g = (g_mu @ p["enc.mu_w"].data.T + g_logvar @ p["enc.lv_w"].data.T)
-        dense(g * d1, xc, "enc.w1", "enc.b1")
-        for name, t in p.items():
-            t._accumulate(grads[name])
-
-    loss._backward = bw
-    return loss, float(recon_v), float(kl_v)
+    # decoder, from the l1 term; the loss's own gradient is 1
+    g = np.sign(diff) / n
+    dense(g, h2, "dec.w2", "dec.b2")
+    g = (g @ p["dec.w2"].T) * d2
+    dense(g, zc, "dec.w1", "dec.b1")
+    g_z = (g @ p["dec.w1"].T)[:, :z.shape[1]]
+    # through z = mu + exp(logvar / 2) eps, plus the KL term's gradients;
+    # each sum has two terms, so its order is free
+    g_mu = g_z + mu / n
+    g_logvar = g_z * eps
+    g_logvar *= sigma
+    g_logvar *= 0.5
+    g_logvar += 0.5 * (var - 1.0) / n
+    # encoder
+    dense(g_mu, h1, "enc.mu_w", "enc.mu_b")
+    dense(g_logvar, h1, "enc.lv_w", "enc.lv_b")
+    g = (g_mu @ p["enc.mu_w"].T + g_logvar @ p["enc.lv_w"].T)
+    dense(g * d1, xc, "enc.w1", "enc.b1")
+    return float(loss), float(recon_v), float(kl_v)
 
 
 def train_cvae(latents: np.ndarray, conds: np.ndarray,
@@ -220,7 +211,7 @@ def train_cvae(latents: np.ndarray, conds: np.ndarray,
             f"({latents.shape[0]}, {config.cond_dim})")
     rng = np.random.default_rng(config.seed)
     model = CvaeModel(config, rng=rng)
-    opt = nm.Adam(model.parameters(), learning_rate=config.learning_rate)
+    opt = nm.Adam(model.data, model.grad, config.learning_rate)
     log: list[dict] = []
     num = latents.shape[0]
     for epoch in range(1, config.epochs + 1):
@@ -231,10 +222,8 @@ def train_cvae(latents: np.ndarray, conds: np.ndarray,
             eps = rng.standard_normal((len(idx), config.z_dim))
             loss, recon_v, kl_v = cvae_loss(model, latents[idx], conds[idx],
                                             eps)
-            opt.zero_grad()
-            loss.backward()
             opt.step()
-            tot_loss += float(loss.data) * len(idx)
+            tot_loss += loss * len(idx)
             tot_recon += recon_v * len(idx)
             tot_kl += kl_v * len(idx)
         log.append({"epoch": epoch, "loss": tot_loss / num,

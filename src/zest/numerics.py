@@ -1,35 +1,36 @@
 """Dense numeric core: array primitives with hand-written backward rules,
-tensors that wrap them as graph nodes, one Adam optimizer, and
+one Adam optimizer, tensors that wrap the primitives as graph nodes, and
 finite-difference gradient checking.
 
-This is intentionally *not* a general autodiff system. A model is one graph
-node whose parents are its parameters and whose hand-written backward fills
-their gradients (`sane.SaneModel.forward`, `cvae.cvae_loss`), from array
-primitives that come in forward/backward pairs:
+This is intentionally *not* a general autodiff system. The models run on
+plain arrays: each has a hand-written backward that writes every
+parameter's gradient into the model's flat gradient buffer
+(`sane.SaneModel.backward`, `cvae.cvae_loss`), from array primitives that
+come in forward/backward pairs:
 
 - `linear_arrays` and `linear_backward`;
 - `layer_norm_arrays` and `layer_norm_backward`;
 - `attention_arrays` and `attention_backward`, over the arrays that
   `attention_saved` and `attention_scratch` allocate;
-- `gelu_arrays`, whose backward is one product with its derivative.
+- `gelu_arrays`, whose backward is one product with its derivative;
+- `cross_entropy_arrays`, which returns the loss and its gradient.
 
 Each writes its outputs, what its backward reads and its larger
 temporaries into arrays it is given, so a caller that hands every step the
 same arrays, as SANE's step workspace does, faults in no new pages after
 its first step.
 
-The Tensor-level linear, layer_norm, attention and gelu wrap these pairs
-as graph nodes. With add, exp, matmul, softmax, l1_loss and gaussian_kl
-they have no caller in the models: the tests build reference graphs and
-gradient checks from them, and the benchmark's tracer wraps them by name.
-cross_entropy is the loss on SANE's logits. Each backward rule is checked
-against central finite differences in the test suite. Models run in
-float32; gradient checks run in float64.
+`Tensor` and the Tensor-level ops (linear, layer_norm, attention, gelu and
+cross_entropy, which wrap the pairs as graph nodes, and add, exp, matmul,
+softmax, l1_loss and gaussian_kl) have no caller on the run-time path: the
+tests build reference graphs and gradient checks from them, and the
+benchmark's tracer wraps them by name. Each backward rule is checked
+against central finite differences. Models run in float32; gradient checks
+run in float64.
 
-`Adam` keeps the parameters and both moments in one flat buffer, which the
-parameters' arrays view, and updates it with whole-buffer vector operations.
-Its beta1, beta2 and epsilon are the constants of Kingma & Ba (arXiv
-1412.6980); only the learning rate is set by the caller.
+`Adam` updates a model's flat parameter buffer from its flat gradient
+buffer. Its beta1, beta2 and epsilon are the constants of Kingma & Ba
+(arXiv 1412.6980); only the learning rate is set by the caller.
 """
 
 from __future__ import annotations
@@ -599,14 +600,16 @@ def gelu(x: Tensor) -> Tensor:
         g, deriv, out=grads[0]))
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax(logits)."""
+def cross_entropy_arrays(logits: np.ndarray, labels: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean negative log-likelihood of integer labels under softmax(logits),
+    and its gradient with respect to the (B, C) logits."""
     labels = np.asarray(labels)
-    if logits.data.ndim != 2 or labels.shape != (logits.data.shape[0],):
+    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise NumericsError(
             f"cross_entropy expects (B,C) logits and (B,) labels, got "
-            f"{logits.data.shape} and {labels.shape}")
-    classes = logits.data.shape[1]
+            f"{logits.shape} and {labels.shape}")
+    batch, classes = logits.shape
     if not np.issubdtype(labels.dtype, np.integer):
         raise NumericsError(
             f"cross_entropy labels must be integers, got {labels.dtype}")
@@ -615,19 +618,23 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise NumericsError(
             f"cross_entropy labels outside [0, {classes}): "
             f"{labels.min()}..{labels.max()}")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
-    batch = logits.data.shape[0]
-    nll = -log_probs[np.arange(batch), labels].mean()
+    nll = np.asarray(-log_probs[np.arange(batch), labels].mean(),
+                     dtype=logits.dtype)
+    require_finite("cross_entropy", nll)
+    probs = np.exp(log_probs)
+    probs[np.arange(batch), labels] -= 1.0
+    probs /= batch
+    return nll, probs
 
-    def backward(g, grads):
-        probs = np.exp(log_probs)
-        probs[np.arange(batch), labels] -= 1.0
-        grads[0][...] = g * probs / batch
 
-    return _node("cross_entropy", np.asarray(nll, dtype=logits.dtype),
-                 (logits,), backward)
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """The cross-entropy pair as a graph node."""
+    nll, g_logits = cross_entropy_arrays(logits.data, labels)
+    return _node("cross_entropy", nll, (logits,), lambda g, grads: (
+        np.multiply(g, g_logits, out=grads[0])))
 
 
 def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -711,59 +718,36 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list, in one flat buffer.
+    """Bias-corrected Adam over one flat parameter buffer `data` and its
+    gradient buffer `grad` (`params.Model`). `step()` updates `data` in
+    place from `grad`, with one vector operation per term of the update
+    rule, and reads `grad` without writing it."""
 
-    `state` is a (3, total) array whose rows hold the parameters, the first
-    moments and the second moments; each parameter owns the same slice of
-    every row, in list order. Building the optimizer copies each parameter
-    into its slice and makes its `.data` a view of it, so code that writes
-    a parameter in place (`params.Model.load_state_arrays`) writes the
-    buffer. `step()` gathers the gradients into one vector (zero where a
-    parameter has none) and updates the whole buffer with one vector
-    operation per term of the update rule."""
-
-    def __init__(self, params: Sequence[Tensor], learning_rate: float):
+    def __init__(self, data: np.ndarray, grad: np.ndarray,
+                 learning_rate: float):
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        self.params = list(params)
-        dtypes = {p.data.dtype for p in self.params}
-        if len(dtypes) != 1:
-            raise NumericsError(f"Adam needs parameters of one dtype, got "
-                                f"{sorted(map(str, dtypes))}")
+        if (data.ndim != 1 or grad.shape != data.shape
+                or grad.dtype != data.dtype):
+            raise NumericsError(f"Adam needs a flat param and a grad of its "
+                                f"shape and dtype, got {data.shape} "
+                                f"{data.dtype} and {grad.shape} {grad.dtype}")
+        self.data, self.grad = data, grad
         self.learning_rate = learning_rate
         self.step_count = 0
-        self._bounds = np.cumsum([0] + [p.data.size for p in self.params])
-        self.state = np.zeros((3, self._bounds[-1]), dtype=dtypes.pop())
-        self._grad = np.empty_like(self.state[0])
-        for p, lo, hi in zip(self.params, self._bounds, self._bounds[1:]):
-            view = self.state[0, lo:hi].reshape(p.data.shape)
-            view[...] = p.data
-            p.data = view
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.m, self.v, self._sq = (np.zeros_like(data) for _ in range(3))
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
         b1, b2, lr = ADAM_BETA1, ADAM_BETA2, self.learning_rate
-        g = self._grad
-        for p, lo, hi in zip(self.params, self._bounds, self._bounds[1:]):
-            if p.grad is None:
-                g[lo:hi] = 0
-            elif p.grad.shape != p.data.shape:
-                raise NumericsError(
-                    f"Adam grad shape {p.grad.shape} != param shape {p.data.shape}")
-            else:
-                g[lo:hi] = p.grad.reshape(-1)
-        x, m, v = self.state
+        g, m, v = self.grad, self.m, self.v
         m *= b1
         m += (1 - b1) * g
         v *= b2
-        g *= g
-        g *= 1 - b2
-        v += g
+        sq = np.multiply(g, g, out=self._sq)
+        sq *= 1 - b2
+        v += sq
         # lr * m_hat / (sqrt(v_hat) + eps)
         update = m / (1 - b1 ** t)
         update *= lr
@@ -771,4 +755,4 @@ class Adam:
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         update /= denom
-        x -= update
+        self.data -= update

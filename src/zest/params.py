@@ -1,14 +1,12 @@
 """The parameter layer shared by the SANE encoder and the CVAE: Glorot
-initialisation, a model's named tensors as plain arrays, the form its
-best-epoch snapshot keeps and its npz checkpoint stores, one array per
-tensor name (`checkpoint.save_checkpoint`), and the check of their
+initialisation, a model's parameters and gradients as named views of one
+flat buffer each, the form its npz checkpoint stores, one array per
+parameter name (`checkpoint.save_checkpoint`), and the check of their
 configs' widths and learning rates."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .numerics import Tensor, param
 
 
 def xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -26,28 +24,34 @@ def require_positive(config, *names: str) -> None:
 
 
 class Model:
-    """Named parameter tensors of a model, in the order they were added."""
+    """A model's parameters, given as named initial arrays, in one flat
+    buffer `data`, and their gradients in one flat buffer `grad` of the
+    same layout. `params` and `grads` map each name to its view of the two,
+    in the order given. A backward writes every view of `grad`; an
+    optimizer updates `data` from `grad` (`numerics.Adam`), and a snapshot
+    of the model is a copy of `data`."""
 
-    def __init__(self, dtype):
+    def __init__(self, arrays: dict[str, np.ndarray], dtype):
         self.dtype = dtype
-        self.params: dict[str, Tensor] = {}
-
-    def add_param(self, name: str, data) -> None:
-        self.params[name] = param(np.asarray(data, dtype=self.dtype), name)
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
+        arrays = {name: np.asarray(a, dtype=dtype)
+                  for name, a in arrays.items()}
+        self.data = np.concatenate([a.reshape(-1) for a in arrays.values()])
+        self.grad = np.zeros_like(self.data)
+        bounds = np.cumsum([0] + [a.size for a in arrays.values()])
+        self.params, self.grads = (
+            {name: flat[lo:hi].reshape(a.shape) for (name, a), lo, hi
+             in zip(arrays.items(), bounds, bounds[1:])}
+            for flat in (self.data, self.grad))
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
+        return {name: a.copy() for name, a in self.params.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        """Write each named array into its tensor in place, so an optimizer
-        whose buffer the tensors view keeps training the loaded values."""
-        for name, t in self.params.items():
+        """Write each named array into its view of `data`."""
+        for name, view in self.params.items():
             arr = np.asarray(state[name], dtype=self.dtype)
-            if arr.shape != t.data.shape:
+            if arr.shape != view.shape:
                 raise ValueError(
                     f"checkpoint tensor {name} has shape {arr.shape}, "
-                    f"expected {t.data.shape}")
-            t.data[...] = arr
+                    f"expected {view.shape}")
+            view[...] = arr

@@ -46,7 +46,7 @@ from .ingest import (Dataset, Normalizer, apply_normalizer, build_dataset,
                      fit_normalizer, load_dataset, make_partition,
                      parse_packet_csv, save_dataset, split_indices)
 from .sane import SaneConfig, SaneModel, train_sane
-from .synth import generate_csv, load_profiles, preset_profiles
+from .synth import PRESETS, generate_csv, load_profiles, preset_profiles
 
 logger = logging.getLogger("zest.pipeline")
 
@@ -62,6 +62,12 @@ DERIVED_FIELDS = {"sane": ("n", "f", "num_classes", "seed"),
 SOURCE_KEYS = {"preset": ("sessions", "seed"), "profiles": ("seed",),
                "csv": ()}
 SOURCE_KINDS = tuple(SOURCE_KEYS)
+
+
+def _is_int(value, least: int) -> bool:
+    """Whether `value` is an integer, not a bool, of at least `least`."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= least)
 
 
 class StageError(RuntimeError):
@@ -93,9 +99,11 @@ class ExperimentConfig:
     baselines: list = field(default_factory=lambda: list(BASELINE_NAMES))
 
     def __post_init__(self):
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+        # each seeds numpy's generator, which takes no negative integer
+        if (not self.seeds or not all(_is_int(s, 0) for s in self.seeds)
+                or len(set(self.seeds)) != len(self.seeds)):
             raise ValueError(f"seeds must be a non-empty list of distinct "
-                             f"seeds, got {self.seeds}")
+                             f"integers >= 0, got {self.seeds}")
         if sum(kind in self.source for kind in SOURCE_KINDS) != 1:
             raise ValueError(f"source must name exactly one of "
                              f"{SOURCE_KINDS}, got {self.source}")
@@ -107,6 +115,14 @@ class ExperimentConfig:
                 raise ValueError(f"source.{key} means nothing for a {kind} "
                                  f"source, which reads only "
                                  f"{list(SOURCE_KEYS[kind])}")
+        # the synth stage reads these only after config.json is written
+        if kind == "preset" and self.source["preset"] not in list(PRESETS):
+            raise ValueError(f"source.preset must be one of "
+                             f"{sorted(PRESETS)}, got {self.source['preset']!r}")
+        for key, least in (("sessions", 1), ("seed", 0)):
+            if key in self.source and not _is_int(self.source[key], least):
+                raise ValueError(f"source.{key} must be an integer >= "
+                                 f"{least}, got {self.source[key]!r}")
         # every split is needed: an empty one fails a later stage
         if (len(self.ratios) != 3 or min(self.ratios) <= 0
                 or abs(sum(self.ratios) - 1.0) > 1e-9):

@@ -8,9 +8,10 @@ Each block's self-attention is one `numerics.attention_arrays` call, which
 recomputes the attention probabilities in backward, so no (B, h, n+1, n+1)
 array is kept, followed by the output projection `wo`/`bo`.
 
-The model is one graph node, as the CVAE's loss is: `forward` runs on
-arrays and returns the logits as an `nm.Tensor` whose parents are the
-parameters. Its backward runs the blocks in reverse through the `numerics`
+The model runs on plain arrays, as the CVAE does: `forward` returns the
+logits and latents, and `backward` takes the logits' gradient and writes
+every parameter's gradient into the model's flat gradient buffer
+(`params.Model`). It runs the blocks in reverse through the `numerics`
 array backwards, with the float operations of the per-op graph it replaced
 in the same order, so training is bit-identical to that graph's.
 
@@ -18,8 +19,9 @@ Every array a step writes lives in a `Workspace`, sized once for up to
 `rows` sequences; a shorter batch takes leading-row views, so each step
 reuses the memory of the step before. `train_sane`'s steps and validation
 forwards share one, and `predict_arrays` makes its own unless given one.
-A forward's outputs are valid until the next forward in its workspace; a
-backward after that raises. A step keeps, per block, only what backward
+A forward's outputs are valid until the next forward in its workspace,
+which keeps the forward's input, so `backward` always back-propagates the
+workspace's latest forward. A step keeps, per block, only what backward
 reads, plus the two residual sums the forward passes on: GELU and the sums
 are written over the linear outputs they consume. The blocks share the
 backward's gradients and scratch, since one block's backward runs at a
@@ -100,7 +102,8 @@ class Workspace:
       positions; in backward, the embeddings' gradient), the head's
       outputs, the backward's gradients ("g_*"; g_ctx is also layer norm
       backward's scratch) and attention's scratch;
-    - `gelu`, GELU's scratch."""
+    - `gelu`, GELU's scratch;
+    - `x`, the latest forward's input, which backward reads too."""
 
     def __init__(self, model: SaneModel, rows: int):
         c, dtype = model.config, model.dtype
@@ -109,7 +112,7 @@ class Workspace:
         def new(**shapes):
             return {k: np.empty((rows,) + s, dtype) for k, s in shapes.items()}
 
-        self.rows, self.forwards = rows, 0
+        self.rows, self.x = rows, None
         self.blocks = [nm.attention_saved(rows, t, d, c.h, dtype) | new(
             ln1=(t, d), xhat1=(t, d), inv1=(t, 1), ctx=(t, d), res1=(t, d),
             ln2=(t, d), xhat2=(t, d), inv2=(t, 1), mlp=(t, m), dmlp=(t, m),
@@ -139,56 +142,52 @@ class SaneModel(Model):
 
     def __init__(self, config: SaneConfig, dtype=np.float32,
                  rng: np.random.Generator | None = None):
-        super().__init__(dtype)
         self.config = config
         if rng is None:
             rng = np.random.default_rng(config.seed)
         c = config
-        add_param = self.add_param
-
-        add_param("embed.w", xavier(rng, c.f, c.d_model, dtype))
-        add_param("embed.b", np.zeros(c.d_model))
-        add_param("sla", rng.normal(0.0, 0.02, size=c.d_model))
-        add_param("pos", rng.normal(0.0, 0.02, size=(c.n + 1, c.d_model)))
+        p = {"embed.w": xavier(rng, c.f, c.d_model, dtype),
+             "embed.b": np.zeros(c.d_model),
+             "sla": rng.normal(0.0, 0.02, size=c.d_model),
+             "pos": rng.normal(0.0, 0.02, size=(c.n + 1, c.d_model))}
         for i in range(c.e):
             pre = f"block{i}"
-            add_param(f"{pre}.ln1.gain", np.ones(c.d_model))
-            add_param(f"{pre}.ln1.bias", np.zeros(c.d_model))
+            p[f"{pre}.ln1.gain"] = np.ones(c.d_model)
+            p[f"{pre}.ln1.bias"] = np.zeros(c.d_model)
             for proj in ("wq", "wk", "wv", "wo"):
-                add_param(f"{pre}.attn.{proj}",
-                          xavier(rng, c.d_model, c.d_model, dtype))
+                p[f"{pre}.attn.{proj}"] = xavier(rng, c.d_model, c.d_model,
+                                                 dtype)
             for bias in ("bq", "bv", "bo"):
-                add_param(f"{pre}.attn.{bias}", np.zeros(c.d_model))
-            add_param(f"{pre}.ln2.gain", np.ones(c.d_model))
-            add_param(f"{pre}.ln2.bias", np.zeros(c.d_model))
-            add_param(f"{pre}.mlp.w1", xavier(rng, c.d_model, c.d_mlp, dtype))
-            add_param(f"{pre}.mlp.b1", np.zeros(c.d_mlp))
-            add_param(f"{pre}.mlp.w2", xavier(rng, c.d_mlp, c.d_model, dtype))
-            add_param(f"{pre}.mlp.b2", np.zeros(c.d_model))
-        add_param("latent_l.w", xavier(rng, c.d_model, c.M, dtype))
-        add_param("latent_l.b", np.zeros(c.M))
-        add_param("latent_lam.w", xavier(rng, c.M, c.N, dtype))
-        add_param("latent_lam.b", np.zeros(c.N))
-        add_param("head.w", xavier(rng, c.N, c.num_classes, dtype))
-        add_param("head.b", np.zeros(c.num_classes))
+                p[f"{pre}.attn.{bias}"] = np.zeros(c.d_model)
+            p[f"{pre}.ln2.gain"] = np.ones(c.d_model)
+            p[f"{pre}.ln2.bias"] = np.zeros(c.d_model)
+            p[f"{pre}.mlp.w1"] = xavier(rng, c.d_model, c.d_mlp, dtype)
+            p[f"{pre}.mlp.b1"] = np.zeros(c.d_mlp)
+            p[f"{pre}.mlp.w2"] = xavier(rng, c.d_mlp, c.d_model, dtype)
+            p[f"{pre}.mlp.b2"] = np.zeros(c.d_model)
+        p["latent_l.w"] = xavier(rng, c.d_model, c.M, dtype)
+        p["latent_l.b"] = np.zeros(c.M)
+        p["latent_lam.w"] = xavier(rng, c.M, c.N, dtype)
+        p["latent_lam.b"] = np.zeros(c.N)
+        p["head.w"] = xavier(rng, c.N, c.num_classes, dtype)
+        p["head.b"] = np.zeros(c.num_classes)
+        super().__init__(p, dtype)
 
     # -- forward and backward ---------------------------------------------
 
     def forward(self, x: np.ndarray, workspace: Workspace | None = None
                 ) -> dict:
         """Run a batch (B, n, f) through the network, in `workspace` or in
-        one of its own. Returns a dict: 'logits' (B, num_classes), the graph
-        node whose backward fills every parameter's gradient, and the arrays
-        'l' (B, M) and 'lam' (B, N)."""
-        c, p = self.config, {k: t.data for k, t in self.params.items()}
+        one of its own. Returns a dict of workspace arrays: 'logits'
+        (B, num_classes), 'l' (B, M) and 'lam' (B, N)."""
+        c, p = self.config, self.params
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != (c.n, c.f):
             raise nm.NumericsError(
                 f"input shape {x.shape} incompatible with (B, {c.n}, {c.f})")
         ws = Workspace(self, len(x)) if workspace is None else workspace
         blocks, s = ws.views(len(x))
-        ws.forwards += 1
-        forwards = ws.forwards
+        ws.x = x
         # the SLA token and the packet embeddings, plus positions
         e = s["stem"]
         nm.linear_arrays(x, p["embed.w"], p["embed.b"], out=e[:, 1:])
@@ -219,20 +218,13 @@ class SaneModel(Model):
         for layer, x_in, out in _HEAD:
             nm.linear_arrays(s[x_in], p[layer + ".w"], p[layer + ".b"],
                              out=s[out])
-        logits = nm.Tensor(s["logits"], name="sane",
-                           _parents=tuple(self.parameters()))
-        logits._backward = lambda o: self._backward(o.grad, x, ws, forwards)
-        return {"logits": logits, "l": s["l"], "lam": s["lam"]}
+        return {name: s[name] for name in ("logits", "l", "lam")}
 
-    def _backward(self, g: np.ndarray, x: np.ndarray, ws: Workspace,
-                  forwards: int) -> None:
-        """Every parameter's gradient from the logits' gradient g, by the
-        blocks in reverse, in ws."""
-        if ws.forwards != forwards:
-            raise nm.NumericsError("the workspace ran another forward before "
-                                   "this backward")
-        c, p = self.config, {k: t.data for k, t in self.params.items()}
-        pg = {k: np.empty_like(a) for k, a in p.items()}
+    def backward(self, g: np.ndarray, ws: Workspace) -> None:
+        """Every parameter's gradient, written into `grads`, from the
+        gradient g of the logits of the latest forward in ws, by the blocks
+        in reverse."""
+        c, p, pg, x = self.config, self.params, self.grads, ws.x
         blocks, s = ws.views(len(x))
         for layer, x_in, _ in reversed(_HEAD):
             nm.linear_backward(g, s[x_in], p[layer + ".w"], pg[layer + ".w"],
@@ -271,8 +263,6 @@ class SaneModel(Model):
         np.copyto(g_emb.reshape(g_res[:, 1:].shape), g_res[:, 1:])
         nm.linear_backward(g_emb.reshape(-1, c.d_model), x, p["embed.w"],
                            pg["embed.w"], pg["embed.b"])
-        for name, t in self.params.items():
-            t._accumulate(pg[name])
 
     def predict_arrays(self, x: np.ndarray, batch_size: int = PREDICT_BATCH,
                        workspace: Workspace | None = None) -> dict:
@@ -287,7 +277,6 @@ class SaneModel(Model):
                                       ("lam", c.N))}
         for start in range(0, len(x), batch_size):
             out = self.forward(x[start:start + batch_size], workspace)
-            out["logits"] = out["logits"].data
             for name, rows in result.items():
                 rows[start:start + batch_size] = out[name]
         return result
@@ -330,10 +319,10 @@ def train_sane(x_train: np.ndarray, y_train: np.ndarray, x_val: np.ndarray,
 
     rng = np.random.default_rng(config.seed)
     model = SaneModel(config, rng=rng)
-    opt = nm.Adam(model.parameters(), learning_rate=config.learning_rate)
+    opt = nm.Adam(model.data, model.grad, config.learning_rate)
 
-    best_state: dict[str, np.ndarray] | None = None
-    best_val = -1.0
+    # any epoch's accuracy beats -1: only with no epoch is this kept
+    best_data, best_val = model.data.copy(), -1.0
     log: list[dict] = []
     # each step's forward, and the validation forwards after each epoch,
     # write into the same arrays
@@ -346,13 +335,11 @@ def train_sane(x_train: np.ndarray, y_train: np.ndarray, x_val: np.ndarray,
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
             logits = model.forward(x_train[idx], workspace)["logits"]
-            loss = nm.cross_entropy(logits, y_train[idx])
-            opt.zero_grad()
-            loss.backward()
+            loss, g = nm.cross_entropy_arrays(logits, y_train[idx])
+            model.backward(g, workspace)
             opt.step()
-            total_loss += float(loss.data) * len(idx)
-            total_correct += int(
-                (logits.data.argmax(axis=1) == y_train[idx]).sum())
+            total_loss += float(loss) * len(idx)
+            total_correct += int((logits.argmax(axis=1) == y_train[idx]).sum())
         val_pred = model.predict_arrays(
             x_val, workspace=workspace)["logits"].argmax(axis=1)
         train_loss = total_loss / len(order)
@@ -364,10 +351,9 @@ def train_sane(x_train: np.ndarray, y_train: np.ndarray, x_val: np.ndarray,
                     epoch, train_loss, train_acc, val_acc)
         if val_acc > best_val:
             best_val = val_acc
-            best_state = model.state_arrays()
+            best_data = model.data.copy()
 
-    if best_state is not None:
-        model.load_state_arrays(best_state)
+    model.data[...] = best_data
     if log_path is not None:
         with atomic_write(log_path, "w") as fh:
             fh.write("epoch,train_loss,train_acc,val_acc\n")

@@ -1,6 +1,8 @@
-"""Shared fixtures: small synthetic datasets and trained tiny models, and
-the graph nodes the tests build reference composites from, which the models
-no longer use: mul, scale, mean_pool, concat, reshape and broadcast_to."""
+"""Shared fixtures: small synthetic datasets and trained tiny models; the
+graph nodes the tests build reference composites from, which the models
+no longer use: mul, scale, mean_pool, concat, reshape and broadcast_to;
+and the adapter that puts a model, which runs on arrays, into a graph:
+`param_leaves` and `model_node`."""
 
 import numpy as np
 import pytest
@@ -107,6 +109,45 @@ def broadcast_to(x, shape):
 
     out._backward = bw
     return out
+
+
+def param_leaves(model):
+    """One leaf tensor per parameter of `model`, by name, over the model's
+    own view of it: `nm.grad_check` then perturbs the model's parameters."""
+    return {name: nm.param(view, name) for name, view in model.params.items()}
+
+
+def model_node(model, leaves, loss, backward=lambda: None):
+    """A model's scalar `loss` as one graph node whose parents are `leaves`
+    (`param_leaves`). Its backward calls `backward()`, which fills
+    `model.grads` unless the loss did, and hands each leaf its gradient
+    times the node's."""
+    out = nm.Tensor(np.asarray(loss, dtype=model.dtype), name="model",
+                    _parents=tuple(leaves.values()))
+
+    def bw(o):
+        backward()
+        for name, t in leaves.items():
+            t._accumulate(o.grad * model.grads[name])
+
+    out._backward = bw
+    return out
+
+
+def assert_flat_views(model):
+    """Every parameter and gradient view of `model` lies in its flat `data`
+    and `grad` buffers, and together the views tile them."""
+    for views, flat in ((model.params, model.data), (model.grads, model.grad)):
+        assert all(np.shares_memory(a, flat) for a in views.values())
+        assert sum(a.size for a in views.values()) == flat.size
+
+
+def backward_from(node, g):
+    """Run the graph's backward from a non-scalar `node` whose gradient is
+    g."""
+    root = nm.Tensor(np.zeros((), node.dtype), _parents=(node,))
+    root._backward = lambda o: node._accumulate(g)
+    root.backward()
 
 
 def tiny_config(num_classes=3, **overrides):

@@ -15,16 +15,16 @@ def trained(tiny_trained):
 def test_composition_identity(trained):
     model, x, _ = trained
     l, lam = extract_latents(model, x[:6])
-    w = model.params["latent_lam.w"].data
-    b = model.params["latent_lam.b"].data
+    w = model.params["latent_lam.w"]
+    b = model.params["latent_lam.b"]
     np.testing.assert_allclose(lam, l @ w + b, atol=1e-6)
 
 
 def test_logits_reconstruction_identity(trained):
     model, x, _ = trained
     _, lam = extract_latents(model, x[:6])
-    w = model.params["head.w"].data
-    b = model.params["head.b"].data
+    w = model.params["head.w"]
+    b = model.params["head.b"]
     logits = model.predict_arrays(x[:6])["logits"]
     np.testing.assert_allclose(logits, lam @ w + b, atol=1e-6)
 

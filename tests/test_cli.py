@@ -302,7 +302,19 @@ class TestPipelineAndSweep:
     ("--config", '{"ratios": [0.5, 0.5]}', "ratios"),
     ("--config", '{"ratios": [0.7, 0.5, -0.2]}', "ratios"),
     ("--config", '{"ratios": [0.6, 0.2, 0.1]}', "ratios"),
-    ("--config", '{"ratios": [0.8, 0.2, 0.0]}', "ratios")])
+    ("--config", '{"ratios": [0.8, 0.2, 0.0]}', "ratios"),
+    # partition seeds numpy's generator rejects
+    ("--seed-list", "-1", "seeds"), ("--config", '{"seeds": [1.5]}', "seeds"),
+    ("--config", '{"seeds": ["a"]}', "seeds"),
+    # source settings the synth stage would reject only after config.json
+    ("--preset", "nope", "source.preset"),
+    ("--config", '{"source": {"preset": "nope"}}', "source.preset"),
+    ("--sessions", "0", "source.sessions"),
+    ("--config", '{"source": {"preset": "hard-12", "sessions": "5"}}',
+     "source.sessions"),
+    ("--synth-seed", "-1", "source.seed"),
+    ("--config", '{"source": {"preset": "hard-12", "seed": 1.5}}',
+     "source.seed")])
 def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,
                                                     capsys, flag, value,
                                                     field):
@@ -311,8 +323,16 @@ def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,
     if flag == "--config":
         values = [str(tmp_path / "config.json")]
         Path(values[0]).write_text(value)
-    args = ["pipeline", "--outdir", str(outdir), "--profiles",
-            str(profile_file), "--n", "10", flag, *values]
+    # a preset's own settings need a preset source: a --profiles one
+    # rejects them as meaningless, and replaces a --config file's source
+    if flag in ("--sessions", "--synth-seed"):
+        base = ["--preset", "hard-12"]
+    elif flag == "--preset" or "source" in value:
+        base = []
+    else:
+        base = ["--profiles", str(profile_file)]
+    args = ["pipeline", "--outdir", str(outdir), *base, "--n", "10", flag,
+            *values]
     assert main(args) == 1
     assert field in capsys.readouterr().err
     assert not outdir.exists()

@@ -6,7 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import concat, mul, scale
+from conftest import (assert_flat_views, concat, model_node, mul,
+                      param_leaves, scale)
 from zest import cvae
 from zest import numerics as nm
 from zest.checkpoint import save_checkpoint
@@ -18,7 +19,7 @@ def _zeroed_model(config):
     """Model whose encoder emits mu=0, logvar=0 regardless of input."""
     model = CvaeModel(config)
     for name in ("enc.mu_w", "enc.mu_b", "enc.lv_w", "enc.lv_b"):
-        model.params[name].data = np.zeros_like(model.params[name].data)
+        model.params[name][...] = 0
     return model
 
 
@@ -35,7 +36,7 @@ def test_kl_zero_for_standard_gaussian():
 def test_kl_half_for_unit_mean():
     config = CvaeConfig(input_dim=4, cond_dim=0, z_dim=1)
     model = _zeroed_model(config)
-    model.params["enc.mu_b"].data = np.ones(1, dtype=np.float32)
+    model.params["enc.mu_b"][...] = 1
     batch = np.zeros((3, 4), dtype=np.float32)
     _, _, kl = cvae_loss(model, batch, np.zeros((3, 0)), np.zeros((3, 1)))
     assert kl == pytest.approx(0.5, abs=1e-6)
@@ -59,11 +60,12 @@ def test_full_loss_gradcheck():
     cond = rng.normal(size=(2, 2))
     eps = rng.normal(size=(2, 3))
 
-    def f():
-        loss, _, _ = cvae_loss(model, batch, cond, eps)
-        return loss
+    leaves = param_leaves(model)
 
-    err = nm.grad_check(f, model.parameters())
+    def f():
+        return model_node(model, leaves, cvae_loss(model, batch, cond, eps)[0])
+
+    err = nm.grad_check(f, list(leaves.values()))
     assert err < 1e-4, f"max relative error {err}"
 
 
@@ -76,17 +78,21 @@ def test_unconditional_loss_gradcheck():
     batch = rng.normal(size=(3, 5))
     eps = rng.normal(size=(3, 3))
 
-    def f():
-        return cvae_loss(model, batch, np.zeros((3, 0)), eps)[0]
+    leaves = param_leaves(model)
 
-    err = nm.grad_check(f, model.parameters())
+    def f():
+        return model_node(model, leaves,
+                          cvae_loss(model, batch, np.zeros((3, 0)), eps)[0])
+
+    err = nm.grad_check(f, list(leaves.values()))
     assert err < 1e-4, f"max relative error {err}"
 
 
 def _graph_loss(model, batch, cond, eps):
     """`cvae_loss` as the composite of graph primitives it replaced, node
-    for node."""
-    p = model.params
+    for node, over the parameter leaves: its backward fills
+    `model.grads`."""
+    p = param_leaves(model)
     batch = np.asarray(batch, dtype=model.dtype)
 
     def with_cond(t):
@@ -103,8 +109,13 @@ def _graph_loss(model, batch, cond, eps):
     recon = nm.linear(h, p["dec.w2"], p["dec.b2"])
     recon_term = nm.l1_loss(recon, batch)
     kl_term = nm.gaussian_kl(mu, logvar)
-    return (nm.add(recon_term, kl_term), float(recon_term.data),
-            float(kl_term.data))
+    loss = nm.add(recon_term, kl_term)
+    loss.backward()
+    for name, t in p.items():
+        assert t.grad.dtype == model.dtype, name
+        model.grads[name][...] = t.grad
+    assert loss.dtype == model.dtype
+    return float(loss.data), float(recon_term.data), float(kl_term.data)
 
 
 @pytest.mark.parametrize("cond_dim", [3, 0])
@@ -120,29 +131,42 @@ def test_cvae_loss_matches_primitive_graph(cond_dim, monkeypatch):
     cond = conds[10:34]
     results = []
     for loss_fn in (_graph_loss, cvae_loss):
-        for t in model.parameters():
-            t.zero_grad()
-        loss, recon, kl = loss_fn(model, batch, cond, eps)
-        loss.backward()
-        results.append((loss.data, recon, kl,
-                        {name: t.grad for name, t in model.params.items()}))
-    (want_loss, want_recon, want_kl, want_grads), (loss, recon, kl, grads) = \
-        results
-    assert loss.dtype == want_loss.dtype == np.float32
-    np.testing.assert_array_equal(loss, want_loss)
-    assert (recon, kl) == (want_recon, want_kl)
+        model.grad[...] = np.nan
+        values = loss_fn(model, batch, cond, eps)
+        results.append((values, {name: g.copy()
+                                 for name, g in model.grads.items()}))
+    (want, want_grads), (got, grads) = results
+    assert got == want
     assert len(grads) == 10
     for name, g in grads.items():
-        assert g.dtype == want_grads[name].dtype, name
+        assert g.dtype == np.float32, name
         np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
 
     # 5 batches an epoch for 10 epochs: 50 Adam steps either way
     trained, _ = train_cvae(latents, conds, config)
     monkeypatch.setattr(cvae, "cvae_loss", _graph_loss)
     reference, _ = train_cvae(latents, conds, config)
-    for name, t in trained.params.items():
-        np.testing.assert_array_equal(t.data, reference.params[name].data,
-                                      err_msg=name)
+    for name, a in trained.params.items():
+        np.testing.assert_array_equal(a, reference.params[name], err_msg=name)
+
+
+def test_steps_write_every_gradient_into_one_buffer():
+    config = CvaeConfig(input_dim=4, cond_dim=2, z_dim=2, hidden_dim=5)
+    model = CvaeModel(config)
+    rng = np.random.default_rng(0)
+    batch, cond, eps = (rng.standard_normal((6, k)) for k in (4, 2, 2))
+    opt = nm.Adam(model.data, model.grad, learning_rate=0.01)
+    before = [(a, a.__array_interface__["data"])
+              for a in (model.data, model.grad)]
+    for _ in range(2):
+        # each step overwrites every gradient in the same buffer
+        model.grad[...] = np.nan
+        cvae_loss(model, batch, cond, eps)
+        assert np.isfinite(model.grad).all()
+        opt.step()
+    assert [(a, a.__array_interface__["data"])
+            for a in (model.data, model.grad)] == before
+    assert_flat_views(model)
 
 
 @pytest.mark.parametrize("cond_dim, op", [(3, "concat"), (0, "concat")])
@@ -165,7 +189,7 @@ def test_overflowing_logvar_is_fatal():
     # logvar = 1000 makes sigma = exp(500), beyond float32
     config = CvaeConfig(input_dim=4, cond_dim=2, z_dim=2)
     model = _zeroed_model(config)
-    model.params["enc.lv_b"].data = np.full(2, 1000.0, dtype=np.float32)
+    model.params["enc.lv_b"][...] = 1000
     with pytest.raises(nm.NumericsError, match="'exp'"):
         cvae_loss(model, np.ones((3, 4), dtype=np.float32),
                   np.zeros((3, 2), dtype=np.float32), np.zeros((3, 2)))
@@ -209,9 +233,7 @@ def test_training_isolated_from_extra_data():
     config = CvaeConfig(input_dim=8, cond_dim=3, z_dim=4, epochs=10, seed=1)
     model_a, _ = train_cvae(latents, conds, config)
     model_b, _ = train_cvae(latents.copy(), conds.copy(), config)
-    for name in model_a.params:
-        np.testing.assert_array_equal(model_a.params[name].data,
-                                      model_b.params[name].data)
+    np.testing.assert_array_equal(model_a.data, model_b.data)
 
 
 def test_attribute_shape_mismatch_fatal():

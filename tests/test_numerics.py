@@ -17,6 +17,7 @@ from conftest import broadcast_to, concat, mean_pool, mul, reshape, scale
 from zest import numerics as nm
 from zest.checkpoint import CONFIG_KEY, load_checkpoint, save_checkpoint
 from zest.cvae import CvaeConfig, CvaeModel
+from zest.params import Model
 
 RNG_SEEDS = list(range(12))
 
@@ -475,58 +476,59 @@ def test_linear_matches_3d_reference(shape):
         np.testing.assert_array_equal(got, ref)
 
 
-def _adam_step(opt, grads):
-    for p, g in zip(opt.params, grads):
-        p.grad = np.asarray(g, dtype=p.data.dtype)
+def _adam(data, learning_rate):
+    """Adam over the flat float array `data` and a zero gradient buffer."""
+    data = np.array(data, dtype=float)
+    return nm.Adam(data, np.zeros_like(data), learning_rate)
+
+
+def _adam_step(opt, g):
+    opt.grad[...] = g
     opt.step()
 
 
 def test_adam_zero_gradient_keeps_params():
-    p = nm.param(np.array([1.0, -2.0, 3.0]))
-    opt = nm.Adam([p], learning_rate=0.1)
-    _adam_step(opt, [np.zeros(3)])
-    np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
-    opt.zero_grad()    # no gradient counts as a zero gradient
-    opt.step()
-    np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
+    opt = _adam([1.0, -2.0, 3.0], learning_rate=0.1)
+    for _ in range(2):
+        _adam_step(opt, 0.0)
+        np.testing.assert_array_equal(opt.data, [1.0, -2.0, 3.0])
 
 
 def test_adam_first_step_is_lr_times_sign():
     # bias correction: m_hat = g, v_hat = g^2, update = -lr*g/(|g|+eps)
     g = np.array([0.3, -4.0, 1e-3])
-    p = nm.param(np.zeros(3))
-    _adam_step(nm.Adam([p], learning_rate=0.05), [g])
-    np.testing.assert_allclose(p.data, -0.05 * np.sign(g), rtol=1e-4)
+    opt = _adam(np.zeros(3), learning_rate=0.05)
+    _adam_step(opt, g)
+    np.testing.assert_allclose(opt.data, -0.05 * np.sign(g), rtol=1e-4)
+    # the step reads the gradient and leaves it as it was
+    np.testing.assert_array_equal(opt.grad, g)
 
 
 def test_adam_constant_gradient_step_approaches_lr():
     # with constant g, m_hat/v_hat -> g/|g|, so |delta| -> lr
-    g = np.array([2.5])
-    p = nm.param(np.array([0.0]))
-    opt = nm.Adam([p], learning_rate=0.01)
-    prev = p.data.copy()
+    opt = _adam([0.0], learning_rate=0.01)
+    prev = opt.data.copy()
     for _ in range(500):
-        prev = p.data.copy()
-        _adam_step(opt, [g])
-    assert abs(abs(p.data.item() - prev.item()) - 0.01) < 1e-4
+        prev = opt.data.copy()
+        _adam_step(opt, 2.5)
+    assert abs(abs(opt.data.item() - prev.item()) - 0.01) < 1e-4
 
 
 def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(5)
-        p = nm.param(rng.normal(size=(4, 4)))
-        opt = nm.Adam([p], learning_rate=0.01)
+        opt = _adam(rng.normal(size=16), learning_rate=0.01)
         for i in range(10):
-            g = rng.normal(size=(4, 4))
-            _adam_step(opt, [g])
-        return p.data
+            _adam_step(opt, rng.normal(size=16))
+        return opt.data
 
     np.testing.assert_array_equal(run(), run())
 
 
 def _reference_adam(values, grads, lr):
     """Adam applied parameter by parameter, the rule the flat buffer
-    implements; `grads` holds one list per step, None for no gradient."""
+    implements; `grads` holds one list per step, None for a zero
+    gradient."""
     b1, b2 = nm.ADAM_BETA1, nm.ADAM_BETA2
     params = [x.copy() for x in values]
     m = [np.zeros_like(x) for x in values]
@@ -553,42 +555,42 @@ def test_adam_flat_buffer_matches_per_parameter_rule():
     grads = [[rng.normal(size=s).astype(np.float32)
               if i != 2 and not (i == 3 and t % 7 == 0) else None
               for i, s in enumerate(shapes)] for t in range(50)]
-    params = [nm.param(v.copy()) for v in values]
-    opt = nm.Adam(params, learning_rate=3e-3)
+    model = Model(dict(enumerate(values)), np.float32)
+    opt = nm.Adam(model.data, model.grad, learning_rate=3e-3)
     for step_grads in grads:
-        opt.zero_grad()
-        for p, g in zip(params, step_grads):
-            p.grad = g
+        for i, g in enumerate(step_grads):
+            model.grads[i][...] = 0 if g is None else g
         opt.step()
-    for p, want in zip(params, _reference_adam(values, grads, 3e-3)):
-        assert p.data.dtype == np.float32 and p.data.shape == want.shape
-        np.testing.assert_array_equal(p.data, want)
-    np.testing.assert_array_equal(params[2].data, values[2])
+    for i, want in enumerate(_reference_adam(values, grads, 3e-3)):
+        got = model.params[i]
+        assert got.dtype == np.float32 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(model.params[2], values[2])
 
 
 def test_adam_keeps_training_a_loaded_model():
     config = CvaeConfig(input_dim=4, cond_dim=2, z_dim=2, hidden_dim=5)
     model = CvaeModel(config)
-    opt = nm.Adam(model.parameters(), learning_rate=0.1)
+    opt = nm.Adam(model.data, model.grad, learning_rate=0.1)
     loaded = CvaeModel(config, rng=np.random.default_rng(8)).state_arrays()
     model.load_state_arrays(loaded)
-    for name, t in model.params.items():
-        np.testing.assert_array_equal(t.data, loaded[name])
-        t.grad = np.ones_like(t.data)
+    for name, a in model.params.items():
+        np.testing.assert_array_equal(a, loaded[name])
+    model.grad[...] = 1
     opt.step()
-    for name, t in model.params.items():
-        assert np.all(t.data != loaded[name]), name
+    for name, a in model.params.items():
+        assert np.all(a != loaded[name]), name
 
 
 def test_adam_rejects_bad_learning_rate_and_grad_shape():
-    p = nm.param(np.zeros(3))
+    data = np.zeros(3)
     with pytest.raises(ValueError, match="learning rate"):
-        nm.Adam([p], learning_rate=0.0)
-    p.grad = np.zeros(4)
-    with pytest.raises(nm.NumericsError, match="grad shape"):
-        nm.Adam([p], learning_rate=0.1).step()
-    with pytest.raises(nm.NumericsError, match="one dtype"):
-        nm.Adam([p, nm.param(np.zeros(3, dtype=np.float32))], 0.1)
+        nm.Adam(data, np.zeros(3), learning_rate=0.0)
+    for param, grad in ((data, np.zeros(4)), (data, np.zeros((3, 1))),
+                        (np.zeros((3, 1)), np.zeros((3, 1))),
+                        (data, np.zeros(3, dtype=np.float32))):
+        with pytest.raises(nm.NumericsError, match="shape and dtype"):
+            nm.Adam(param, grad, learning_rate=0.1)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -620,8 +622,8 @@ def test_checkpoint_members_load_without_pickle(tmp_path):
     model.save(path)
     with np.load(path, allow_pickle=False) as archive:
         assert archive.files == [*sorted(model.params), CONFIG_KEY]
-        for name, t in model.params.items():
+        for name, a in model.params.items():
             arr = archive[name]
             assert arr.dtype == np.float32, name
-            np.testing.assert_array_equal(arr, t.data, err_msg=name)
+            np.testing.assert_array_equal(arr, a, err_msg=name)
         assert json.loads(str(archive[CONFIG_KEY])) == config

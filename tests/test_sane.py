@@ -8,11 +8,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import (TINY_N, broadcast_to, concat, make_tiny_splits,
-                      mean_pool, reshape, tiny_config)
+from conftest import (TINY_N, assert_flat_views, backward_from, broadcast_to,
+                      concat, make_tiny_splits, mean_pool, model_node,
+                      param_leaves, reshape, tiny_config)
 from zest import numerics as nm
 from zest import sane
-from zest.cvae import CvaeConfig, CvaeModel, cvae_loss
+from zest.cvae import (CvaeConfig, CvaeModel, cvae_loss, generate_pseudo,
+                       train_cvae)
 from zest.sane import (SaneConfig, SaneModel, Workspace, evaluate_supervised,
                        train_sane)
 
@@ -59,7 +61,7 @@ def test_attention_rows_sum_to_one(tiny_model):
     wv = np.zeros((c.d_model, c.d_model), dtype=np.float32)
     for head in range(c.h):
         wv[np.arange(tokens), head * head_dim + np.arange(tokens)] = 1.0
-    p = tiny_model.params
+    p = param_leaves(tiny_model)
     ctx = nm.attention(nm.param(x), p["block0.attn.wq"], p["block0.attn.bq"],
                        p["block0.attn.wk"], nm.param(wv),
                        nm.param(np.zeros(c.d_model, np.float32)),
@@ -73,16 +75,25 @@ def test_attention_rows_sum_to_one(tiny_model):
 def test_permutation_invariance_with_zero_positional(tiny_model):
     c = tiny_model.config
     model = SaneModel(c, rng=np.random.default_rng(5))
-    model.params["pos"].data = np.zeros_like(model.params["pos"].data)
+    model.params["pos"][...] = 0
     rng = np.random.default_rng(2)
     x = rng.random((1, c.n, c.f), dtype=np.float32)
     base = model.forward(x)
     for _ in range(3):
         perm = rng.permutation(c.n)
         out = model.forward(x[:, perm])
-        np.testing.assert_allclose(out["logits"].data, base["logits"].data,
-                                   atol=1e-5)
+        np.testing.assert_allclose(out["logits"], base["logits"], atol=1e-5)
         np.testing.assert_allclose(out["l"], base["l"], atol=1e-5)
+
+
+def _loss_node(model, leaves, x, y):
+    """The cross-entropy of the model's logits as one graph node over
+    `leaves`, whose backward runs the model's."""
+    workspace = Workspace(model, len(x))
+    loss, g = nm.cross_entropy_arrays(model.forward(x, workspace)["logits"],
+                                      y)
+    return model_node(model, leaves, loss,
+                      lambda: model.backward(g, workspace))
 
 
 def test_full_loss_gradcheck_tiny_config():
@@ -93,11 +104,10 @@ def test_full_loss_gradcheck_tiny_config():
     rng = np.random.default_rng(8)
     x = rng.random((2, 4, 3))
     y = np.array([0, 2])
+    leaves = param_leaves(model)
 
-    def f():
-        return nm.cross_entropy(model.forward(x)["logits"], y)
-
-    err = nm.grad_check(f, model.parameters())
+    err = nm.grad_check(lambda: _loss_node(model, leaves, x, y),
+                        list(leaves.values()))
     assert err < 1e-4, f"max relative error {err}"
 
 
@@ -111,11 +121,10 @@ def test_full_loss_gradcheck_two_blocks():
     rng = np.random.default_rng(8)
     x = rng.random((2, 4, 3))
     y = np.array([0, 2])
+    leaves = param_leaves(model)
 
-    def f():
-        return nm.cross_entropy(model.forward(x)["logits"], y)
-
-    err = nm.grad_check(f, model.parameters())
+    err = nm.grad_check(lambda: _loss_node(model, leaves, x, y),
+                        list(leaves.values()))
     assert err < 1e-4, f"max relative error {err}"
 
 
@@ -128,18 +137,16 @@ def test_every_parameter_moves_the_loss(model_name, tiny_splits):
     if model_name == "cvae":
         model = CvaeModel(CvaeConfig())
         c = model.config
-        loss, _, _ = cvae_loss(model, rng.normal(size=(16, c.input_dim)),
-                               rng.normal(size=(16, c.cond_dim)),
-                               rng.standard_normal((16, c.z_dim)))
+        cvae_loss(model, rng.normal(size=(16, c.input_dim)),
+                  rng.normal(size=(16, c.cond_dim)),
+                  rng.standard_normal((16, c.z_dim)))
     else:
         config = (tiny_config() if model_name == "sane-tiny"
                   else SaneConfig(n=TINY_N, num_classes=3))
         model = SaneModel(config)
         x, y = tiny_splits[0]
-        loss = nm.cross_entropy(model.forward(x[:16])["logits"], y[:16])
-    loss.backward()
-    peaks = {name: float(np.abs(t.grad).max())
-             for name, t in model.params.items()}
+        _step(model, x[:16], y[:16])
+    peaks = {name: float(np.abs(g).max()) for name, g in model.grads.items()}
     top = max(peaks.values())
     assert {name: peak / top for name, peak in peaks.items()
             if peak <= 1e-5 * top} == {}
@@ -242,10 +249,11 @@ def _over(t, node):
     return node
 
 
-def _graph_forward(model, x, workspace=None):
+def _graph_forward(model, x, p):
     """`SaneModel.forward` as the per-op graph it replaced, node for node:
-    `numerics` primitives and the conftest helpers."""
-    c, p = model.config, model.params
+    `numerics` primitives and the conftest helpers, over the parameter
+    leaves p (`param_leaves`). The logits are a graph node."""
+    c = model.config
     x = np.asarray(x, dtype=model.dtype)
     emb = nm.linear(nm.param(x, "input"), p["embed.w"], p["embed.b"])
     sla = broadcast_to(reshape(p["sla"], (1, 1, c.d_model)),
@@ -270,17 +278,47 @@ def _graph_forward(model, x, workspace=None):
     return {"logits": logits, "l": latent_l.data, "lam": latent_lam.data}
 
 
-def _step(model, forward, x, y, *args):
-    """Logits, l, lam, loss and every parameter gradient of one step, as
-    copies."""
-    for t in model.parameters():
-        t.zero_grad()
-    out = forward(model, x, *args)
+def _step(model, x, y, workspace=None):
+    """Logits, l, lam, loss and every parameter gradient of one step, in
+    `workspace` or in one of its own, as copies."""
+    if workspace is None:
+        workspace = Workspace(model, len(x))
+    out = model.forward(x, workspace)
+    loss, g = nm.cross_entropy_arrays(out["logits"], y)
+    model.backward(g, workspace)
+    return ([out[k].copy() for k in ("logits", "l", "lam")] + [loss],
+            {name: g.copy() for name, g in model.grads.items()})
+
+
+def _graph_step(model, x, y):
+    """`_step` through the per-op graph."""
+    leaves = param_leaves(model)
+    out = _graph_forward(model, x, leaves)
     loss = nm.cross_entropy(out["logits"], y)
     loss.backward()
     return ([out["logits"].data.copy(), out["l"].copy(), out["lam"].copy(),
              loss.data.copy()],
-            {name: t.grad.copy() for name, t in model.params.items()})
+            {name: t.grad.copy() for name, t in leaves.items()})
+
+
+def _train_through_graph(monkeypatch):
+    """Make `SaneModel.forward` build the per-op graph and
+    `SaneModel.backward` run it from the logits' gradient into
+    `model.grads`."""
+    def forward(model, x, workspace=None):
+        leaves = param_leaves(model)
+        out = _graph_forward(model, x, leaves)
+        model.graph = leaves, out["logits"]
+        return out | {"logits": out["logits"].data}
+
+    def backward(model, g, workspace):
+        leaves, logits = model.graph
+        backward_from(logits, g)
+        for name, t in leaves.items():
+            model.grads[name][...] = t.grad
+
+    monkeypatch.setattr(SaneModel, "forward", forward)
+    monkeypatch.setattr(SaneModel, "backward", backward)
 
 
 def test_forward_matches_primitive_graph(tiny_splits, monkeypatch):
@@ -291,8 +329,8 @@ def test_forward_matches_primitive_graph(tiny_splits, monkeypatch):
     x, y = test
     # a full batch, and one shorter than the workspace it runs in
     for batch, args in ((16, ()), (9, (Workspace(model, 16),))):
-        want = _step(model, _graph_forward, x[:batch], y[:batch])
-        got = _step(model, SaneModel.forward, x[:batch], y[:batch], *args)
+        want = _graph_step(model, x[:batch], y[:batch])
+        got = _step(model, x[:batch], y[:batch], *args)
         for g, w in zip(got[0], want[0]):
             assert g.dtype == w.dtype == np.float32
             np.testing.assert_array_equal(g, w)
@@ -304,24 +342,26 @@ def test_forward_matches_primitive_graph(tiny_splits, monkeypatch):
     # every step and validation forward through the graph: 3 epochs of
     # three batches of 16 and one of 6
     trained, log = train_sane(*train, *val, config)
-    monkeypatch.setattr(SaneModel, "forward", _graph_forward)
+    _train_through_graph(monkeypatch)
     reference, reference_log = train_sane(*train, *val, config)
     assert log == reference_log
-    for name, t in trained.params.items():
-        np.testing.assert_array_equal(t.data, reference.params[name].data,
-                                      err_msg=name)
+    for name, a in trained.params.items():
+        np.testing.assert_array_equal(a, reference.params[name], err_msg=name)
 
 
-def test_backward_after_a_later_forward_raises(tiny_model):
-    c = tiny_model.config
-    x = np.random.default_rng(0).random((4, c.n, c.f), dtype=np.float32)
-    workspace = Workspace(tiny_model, 4)
-    first = tiny_model.forward(x, workspace)["logits"]
-    tiny_model.forward(x, workspace)
-    with pytest.raises(nm.NumericsError, match="another forward"):
-        nm.cross_entropy(first, np.zeros(4, dtype=np.int64)).backward()
-    with pytest.raises(ValueError, match="does not fit"):
-        tiny_model.forward(np.concatenate([x, x]), workspace)
+def test_no_run_time_path_builds_a_graph_node(tiny_splits, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph node was built")
+
+    monkeypatch.setattr(nm, "Tensor", refuse)
+    train, val, test, _ = tiny_splits
+    config = tiny_config(epochs=2)
+    model, _ = train_sane(*train, *val, config)
+    out = model.predict_arrays(test[0])
+    cvae_model, _ = train_cvae(out["l"], out["lam"], CvaeConfig(
+        input_dim=config.M, cond_dim=config.N, epochs=2))
+    samples, _ = generate_pseudo(cvae_model, out["lam"][:3], k=4, seed=0)
+    assert np.isfinite(samples).all()
 
 
 def _arrays(workspace):
@@ -336,31 +376,23 @@ def test_steps_at_one_shape_allocate_no_workspace_array(tiny_model):
     x = np.random.default_rng(0).random((4, c.n, c.f), dtype=np.float32)
     y = np.arange(4) % c.num_classes
     workspace = Workspace(tiny_model, 4)
-    before = [(a, a.__array_interface__["data"]) for a in _arrays(workspace)]
-    first = _step(tiny_model, SaneModel.forward, x, y, workspace)
-    for t in tiny_model.parameters():
-        t.zero_grad()
+    before = [(a, a.__array_interface__["data"])
+              for a in _arrays(workspace) + [tiny_model.grad]]
+    first = _step(tiny_model, x, y, workspace)
+    # the second step overwrites every gradient in the same buffer
+    tiny_model.grad[...] = np.nan
     out = tiny_model.forward(x, workspace)
-    nm.cross_entropy(out["logits"], y).backward()
+    tiny_model.backward(nm.cross_entropy_arrays(out["logits"], y)[1],
+                        workspace)
     assert [(a, a.__array_interface__["data"])
-            for a in _arrays(workspace)] == before
+            for a in _arrays(workspace) + [tiny_model.grad]] == before
+    assert_flat_views(tiny_model)
     # the outputs are workspace memory
-    assert np.shares_memory(out["logits"].data, workspace.shared["logits"])
+    assert np.shares_memory(out["logits"], workspace.shared["logits"])
     assert np.shares_memory(out["l"], workspace.shared["l"])
-    np.testing.assert_array_equal(out["logits"].data, first[0][0])
-    for name, t in tiny_model.params.items():
-        np.testing.assert_array_equal(t.grad, first[1][name])
-
-
-def test_an_unzeroed_gradient_accumulates(tiny_model):
-    c = tiny_model.config
-    x = np.random.default_rng(3).random((4, c.n, c.f), dtype=np.float32)
-    y = np.arange(4) % c.num_classes
-    workspace = Workspace(tiny_model, 4)
-    _, once = _step(tiny_model, SaneModel.forward, x, y, workspace)
-    nm.cross_entropy(tiny_model.forward(x, workspace)["logits"], y).backward()
-    for name, t in tiny_model.params.items():
-        np.testing.assert_array_equal(t.grad, once[name] + once[name])
+    np.testing.assert_array_equal(out["logits"], first[0][0])
+    for name, g in tiny_model.grads.items():
+        np.testing.assert_array_equal(g, first[1][name])
 
 
 def test_a_shorter_batch_in_a_larger_workspace_is_bit_identical(tiny_model):
@@ -369,15 +401,16 @@ def test_a_shorter_batch_in_a_larger_workspace_is_bit_identical(tiny_model):
     small = rng.random((3, c.n, c.f), dtype=np.float32)
     large = rng.random((7, c.n, c.f), dtype=np.float32)
     y = np.arange(7) % c.num_classes
-    want = _step(tiny_model, SaneModel.forward, small, y[:3],
-                 Workspace(tiny_model, 3))
+    want = _step(tiny_model, small, y[:3], Workspace(tiny_model, 3))
     workspace = Workspace(tiny_model, 7)
-    _step(tiny_model, SaneModel.forward, large, y, workspace)
-    got = _step(tiny_model, SaneModel.forward, small, y[:3], workspace)
+    _step(tiny_model, large, y, workspace)
+    got = _step(tiny_model, small, y[:3], workspace)
     for g, w in zip(got[0], want[0]):
         np.testing.assert_array_equal(g, w)
     for name, g in got[1].items():
         np.testing.assert_array_equal(g, want[1][name], err_msg=name)
+    with pytest.raises(ValueError, match="does not fit"):
+        tiny_model.forward(np.concatenate([large, small]), workspace)
 
 
 def test_predict_arrays_outputs_never_alias_the_workspace(tiny_model):
