@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_arrays, save_arrays
+from .params import check_fields
 
 logger = logging.getLogger("zest.classifier")
 
@@ -27,12 +28,7 @@ class SvmConfig:
     lr: float = 1.0
 
     def __post_init__(self):
-        if not self.c_reg > 0:
-            raise ValueError(f"c_reg must be > 0, got {self.c_reg}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        check_fields(self, {"epochs": ">= 0"})
 
 
 @dataclass

@@ -122,34 +122,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    source: dict = {}
-    if getattr(args, "preset", None):
-        source["preset"] = args.preset
-    if getattr(args, "profiles", None):
-        source["profiles"] = args.profiles
-    if getattr(args, "csv", None):
-        source["csv"] = args.csv
-    if getattr(args, "sessions", None) is not None:
-        source["sessions"] = args.sessions
-    if getattr(args, "synth_seed", None) is not None:
-        source["seed"] = args.synth_seed
+    """The config fields the flags set; an empty string sets nothing."""
+    given = {k: v for k, v in vars(args).items() if v is not None and v != ""}
+    overrides = {key: given[key] for key in ("n", "num_unseen", "pseudo_k")
+                 if key in given}
+    source = {key: given[flag] for flag, key in (
+        ("preset", "preset"), ("profiles", "profiles"), ("csv", "csv"),
+        ("sessions", "sessions"), ("synth_seed", "seed")) if flag in given}
     if source:
         overrides["source"] = source
-    if getattr(args, "n", None) is not None:
-        overrides["n"] = args.n
-    if getattr(args, "num_unseen", None) is not None:
-        overrides["num_unseen"] = args.num_unseen
-    if getattr(args, "seed_list", None):
-        overrides["seeds"] = args.seed_list
-    elif getattr(args, "seeds", None) is not None:
-        overrides["seeds"] = list(range(args.seeds))
-    if getattr(args, "pseudo_k", None) is not None:
-        overrides["pseudo_k"] = args.pseudo_k
-    for section in ("sane", "cvae", "svm"):
-        raw = getattr(args, section, None)
-        if raw:
-            overrides[section] = json.loads(raw)
+    if "seed_list" in given:
+        overrides["seeds"] = given["seed_list"]
+    elif "seeds" in given:
+        overrides["seeds"] = list(range(given["seeds"]))
+    for section in pl.MODEL_SECTIONS:
+        if section in given:
+            overrides[section] = json.loads(given[section])
     return overrides
 
 

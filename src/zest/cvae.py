@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import load_checkpoint, save_checkpoint
-from .params import Model, require_positive, xavier
+from .params import Model, check_fields, xavier
 
 logger = logging.getLogger("zest.cvae")
 
@@ -50,12 +50,8 @@ class CvaeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_positive(self, "input_dim", "z_dim", "hidden_dim",
-                         "batch_size", "learning_rate")
-        if self.cond_dim < 0:
-            raise ValueError(f"cond_dim must be >= 0, got {self.cond_dim}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        check_fields(self, {"cond_dim": ">= 0", "epochs": ">= 0",
+                            "seed": ">= 0"})
 
 
 class CvaeModel(Model):

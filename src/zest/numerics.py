@@ -725,7 +725,7 @@ class Adam:
 
     def __init__(self, data: np.ndarray, grad: np.ndarray,
                  learning_rate: float):
-        if learning_rate <= 0:
+        if not learning_rate > 0:
             raise ValueError("learning rate must be positive")
         if (data.ndim != 1 or grad.shape != data.shape
                 or grad.dtype != data.dtype):

@@ -1,10 +1,14 @@
 """The parameter layer shared by the SANE encoder and the CVAE: Glorot
 initialisation, a model's parameters and gradients as named views of one
 flat buffer each, the form its npz checkpoint stores, one array per
-parameter name (`checkpoint.save_checkpoint`), and the check of their
-configs' widths and learning rates."""
+parameter name (`checkpoint.save_checkpoint`), and the field checker that
+every settings dataclass runs: each field's kind from its annotation, and
+its bound from one small per-class table."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -16,11 +20,38 @@ def xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def require_positive(config, *names: str) -> None:
-    """Raise ValueError for the first of `names` not > 0 in `config`."""
-    for name in names:
-        if not getattr(config, name) > 0:
-            raise ValueError(f"{name} must be > 0, got {getattr(config, name)}")
+def is_int(value) -> bool:
+    """Whether `value` is an integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """Whether `value` is an int or a float that is neither NaN nor inf."""
+    return ((is_int(value) or isinstance(value, (float, np.floating)))
+            and -math.inf < value < math.inf)
+
+
+# annotation -> whether a value is of that kind, the kind, a number's bound
+_KINDS = {"int": (is_int, "an integer", "> 0"),
+          "float": (is_finite, "a finite number", "> 0"),
+          "str": (lambda v: isinstance(v, str), "a string", None),
+          "dict": (lambda v: isinstance(v, dict), "a dict", None),
+          "list": (lambda v: isinstance(v, list), "a list", None)}
+
+
+def check_fields(config, bounds: dict[str, str | None] | None = None) -> None:
+    """Raise a ValueError, naming the field first, for the first field of
+    the dataclass `config` not of its annotation's kind (a float field
+    takes an int too, kept as given) or outside its bound: "> 0" for a
+    number, unless `bounds` gives the field ">= 0", or None for none."""
+    for f in fields(config):
+        holds, kind, bound = _KINDS[f.type.split("[")[0]]
+        bound = (bounds or {}).get(f.name, bound)
+        value = getattr(config, f.name)
+        if not holds(value):
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        if bound and not (value >= 0 if bound == ">= 0" else value > 0):
+            raise ValueError(f"{f.name} must be {bound}, got {value!r}")
 
 
 class Model:

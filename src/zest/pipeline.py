@@ -29,7 +29,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable
@@ -45,6 +45,7 @@ from .cvae import CvaeConfig, CvaeModel, generate_pseudo, train_cvae
 from .ingest import (Dataset, Normalizer, apply_normalizer, build_dataset,
                      fit_normalizer, load_dataset, make_partition,
                      parse_packet_csv, save_dataset, split_indices)
+from .params import check_fields, is_finite, is_int
 from .sane import SaneConfig, SaneModel, train_sane
 from .synth import PRESETS, generate_csv, load_profiles, preset_profiles
 
@@ -54,20 +55,16 @@ logger = logging.getLogger("zest.pipeline")
 BASELINES = {"vae-k": "l", "seqcr": "lam", "seqcs": "lam", "deft": "lam"}
 BASELINE_NAMES = tuple(BASELINES)
 SETTINGS = ("zsl", "gzsl")
+# each model section of the config: the settings it overrides
+MODEL_SECTIONS = {"sane": SaneConfig, "cvae": CvaeConfig, "svm": SvmConfig}
 # model fields the experiment sets, from the data, the partition seed, the
 # seen classes or SANE's widths: an override of one is an error
 DERIVED_FIELDS = {"sane": ("n", "f", "num_classes", "seed"),
-                  "cvae": ("input_dim", "cond_dim", "seed")}
+                  "cvae": ("input_dim", "cond_dim", "seed"), "svm": ()}
 # a source names exactly one kind; the keys each kind reads besides its own
 SOURCE_KEYS = {"preset": ("sessions", "seed"), "profiles": ("seed",),
                "csv": ()}
 SOURCE_KINDS = tuple(SOURCE_KEYS)
-
-
-def _is_int(value, least: int) -> bool:
-    """Whether `value` is an integer, not a bool, of at least `least`."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool) and value >= least)
 
 
 class StageError(RuntimeError):
@@ -84,7 +81,10 @@ class StageError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    """Resolved settings for one experiment directory."""
+    """Resolved settings for one experiment directory. `check_fields` checks
+    each field's kind and bound; the rules here are cross-field: distinct
+    seeds, the source's kind and keys, ratios that sum to 1, known
+    baselines, and model sections that set no unknown or derived field."""
 
     outdir: str
     source: dict = field(default_factory=lambda: {"preset": "separable-12"})
@@ -99,8 +99,10 @@ class ExperimentConfig:
     baselines: list = field(default_factory=lambda: list(BASELINE_NAMES))
 
     def __post_init__(self):
+        check_fields(self)
         # each seeds numpy's generator, which takes no negative integer
-        if (not self.seeds or not all(_is_int(s, 0) for s in self.seeds)
+        if (not self.seeds
+                or not all(is_int(s) and s >= 0 for s in self.seeds)
                 or len(set(self.seeds)) != len(self.seeds)):
             raise ValueError(f"seeds must be a non-empty list of distinct "
                              f"integers >= 0, got {self.seeds}")
@@ -120,53 +122,45 @@ class ExperimentConfig:
             raise ValueError(f"source.preset must be one of "
                              f"{sorted(PRESETS)}, got {self.source['preset']!r}")
         for key, least in (("sessions", 1), ("seed", 0)):
-            if key in self.source and not _is_int(self.source[key], least):
+            value = self.source.get(key, least)     # unset: nothing to check
+            if not (is_int(value) and value >= least):
                 raise ValueError(f"source.{key} must be an integer >= "
                                  f"{least}, got {self.source[key]!r}")
         # every split is needed: an empty one fails a later stage
-        if (len(self.ratios) != 3 or min(self.ratios) <= 0
+        if (len(self.ratios) != 3
+                or not all(is_finite(r) and r > 0 for r in self.ratios)
                 or abs(sum(self.ratios) - 1.0) > 1e-9):
             raise ValueError(f"ratios must be three positive numbers that "
                              f"sum to 1, got {self.ratios}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.pseudo_k < 1:
-            raise ValueError(f"pseudo_k must be >= 1, got {self.pseudo_k}")
-        if self.num_unseen < 1:
-            raise ValueError(f"num_unseen must be >= 1, got {self.num_unseen}")
-        unknown = set(self.baselines) - set(BASELINE_NAMES)
+        unknown = [b for b in self.baselines if b not in BASELINE_NAMES]
         if unknown:
-            raise ValueError(f"unknown baselines {sorted(unknown)}; "
+            raise ValueError(f"unknown baselines {unknown}; "
                              f"have {BASELINE_NAMES}")
         # the model sections fail here, naming the field, not at the stage
         # that first builds them
-        for section, keys in DERIVED_FIELDS.items():
-            for key in keys:
-                if key in getattr(self, section):
+        for section, config_class in MODEL_SECTIONS.items():
+            overrides = getattr(self, section)
+            for key in overrides:
+                if key not in config_class.__dataclass_fields__:
+                    raise ValueError(f"{section} has no field {key!r}")
+                if key in DERIVED_FIELDS[section]:
                     raise ValueError(f"{section}.{key} is set by the "
                                      f"experiment and cannot be overridden")
-        try:
-            SaneConfig(**self.sane)
-            self.cvae_config(seed=0)
-            self.svm_config()
-        except TypeError as exc:        # an unknown field
-            raise ValueError(str(exc)) from None
-
-    def save(self, path: str | Path) -> None:
-        write_json(path, asdict(self))
+            try:
+                config_class(**overrides)
+            except ValueError as exc:
+                raise ValueError(f"{section}.{exc}") from None
 
     def sane_config(self, num_classes: int, seed: int) -> SaneConfig:
         # n, num_classes, and seed come from the experiment, not the overrides
-        params = dict(self.sane)
-        params.update(n=self.n, num_classes=num_classes, seed=seed)
-        return SaneConfig(**params)
+        return SaneConfig(**self.sane, n=self.n, num_classes=num_classes,
+                          seed=seed)
 
     def cvae_config(self, seed: int) -> CvaeConfig:
         # the CVAE decodes SANE's l latents (width M) from attributes (width N)
         sane = SaneConfig(**self.sane)
-        params = dict(self.cvae)
-        params.update(input_dim=sane.M, cond_dim=sane.N, seed=seed)
-        return CvaeConfig(**params)
+        return CvaeConfig(**self.cvae, input_dim=sane.M, cond_dim=sane.N,
+                          seed=seed)
 
     def svm_config(self) -> SvmConfig:
         return SvmConfig(**self.svm)
@@ -185,14 +179,15 @@ def resolve_config(outdir: str | Path, overrides: dict | None = None) -> Experim
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key in ("sane", "cvae", "svm") or (
-                key == "source" and not set(SOURCE_KINDS) & set(value)):
+        # a section that is not a dict replaces its own, and fails the check
+        if isinstance(value, dict) and (key in MODEL_SECTIONS or (
+                key == "source" and not set(SOURCE_KINDS) & set(value))):
             fields[key] = {**fields.get(key, {}), **value}
         else:
             fields[key] = value
     config = ExperimentConfig(**fields)
     outdir.mkdir(parents=True, exist_ok=True)
-    config.save(path)
+    write_json(path, asdict(config))
     return config
 
 
@@ -729,12 +724,9 @@ def run_pipeline(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-SWEEP_PARAMS = {
-    "attr-dim": ("sane", "N", int),
-    "encoders": ("sane", "e", int),
-    "heads": ("sane", "h", int),
-    "unseen": (None, "num_unseen", int),
-}
+# a sweep parameter -> the section (None: the top level) and field it sets
+SWEEP_PARAMS = {"attr-dim": ("sane", "N"), "encoders": ("sane", "e"),
+                "heads": ("sane", "h"), "unseen": (None, "num_unseen")}
 
 
 def run_sweep(config: ExperimentConfig, param: str,
@@ -743,27 +735,26 @@ def run_sweep(config: ExperimentConfig, param: str,
     if param not in SWEEP_PARAMS:
         raise StageError("sweep", f"unknown sweep parameter {param!r}; "
                                   f"have {sorted(SWEEP_PARAMS)}")
-    section, key, cast = SWEEP_PARAMS[param]
+    section, key = SWEEP_PARAMS[param]
+    try:
+        values = [int(value) for value in values]
+    except ValueError:
+        raise StageError("sweep", f"{param} takes integers, got "
+                                  f"{values}") from None
     sweep_root = Path(config.outdir) / f"sweep-{param}"
     subs = []
-    for value in map(cast, values):
-        fields = asdict(config)
-        fields["outdir"] = str(sweep_root / str(value))
-        if section is None:
-            fields[key] = value
-        else:
-            fields[section][key] = value
+    for value in values:
+        change = ({key: value} if section is None
+                  else {section: {**getattr(config, section), key: value}})
         # every value is validated before the first one runs
-        subs.append((value, ExperimentConfig(**fields)))
+        subs.append((value, replace(config, **change,
+                                    outdir=str(sweep_root / str(value)))))
     all_rows = []
     for value, sub in subs:
         Path(sub.outdir).mkdir(parents=True, exist_ok=True)
-        sub.save(Path(sub.outdir) / "config.json")
-        rows = run_pipeline(sub)
-        for row in rows:
-            row["param"] = param
-            row["value"] = value
-            all_rows.append(row)
+        write_json(Path(sub.outdir) / "config.json", asdict(sub))
+        all_rows += [{**row, "param": param, "value": value}
+                     for row in run_pipeline(sub)]
     _write_accuracy_csv(sweep_root / "sweep.csv", all_rows,
                         ("param", "value", "method", "setting"))
     return all_rows

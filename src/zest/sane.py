@@ -39,7 +39,7 @@ import numpy as np
 from . import numerics as nm
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .ingest import NUM_FEATURES
-from .params import Model, require_positive, xavier
+from .params import Model, check_fields, xavier
 
 logger = logging.getLogger("zest.sane")
 
@@ -69,16 +69,11 @@ class SaneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.e < 1:
-            raise ValueError(f"encoder stack size must be >= 1, got {self.e}")
-        require_positive(self, "n", "f", "d_model", "h", "d_mlp", "M", "N",
-                         "num_classes", "batch_size", "learning_rate")
+        check_fields(self, {"epochs": ">= 0", "seed": ">= 0"})
         if self.d_model % self.h != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by h={self.h}")
         if self.N >= self.M:
-            raise ValueError(f"require N < M, got N={self.N}, M={self.M}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+            raise ValueError(f"N < M is required, got N={self.N}, M={self.M}")
 
 
 def _block(arrays: dict, i: int) -> dict:

@@ -20,6 +20,7 @@ from .checkpoint import atomic_write, read_json, write_json
 from .ingest import (CSV_HEADER, COL_DIRECTION, COL_INTER_ARRIVAL,
                      COL_PORT_CATEGORY, COL_PROTO, COL_SIZE, DIRECTION_CODES,
                      PROTO_CODES, packet_dtype, port_category)
+from .params import check_fields
 
 _EPHEMERAL_LOW = 49152
 _EPHEMERAL_HIGH = 65536
@@ -27,8 +28,8 @@ _BASE_TIMESTAMP = 1_700_000_000.0
 _NUM_PORT_CATEGORIES = 10
 
 
-class SynthError(RuntimeError):
-    pass
+class SynthError(ValueError):
+    """A synthetic source's bad setting: a preset, profile or their count."""
 
 
 @dataclass
@@ -47,17 +48,18 @@ class DeviceProfile:
     packets_per_session: int = 200
 
     def validate(self) -> None:
+        try:
+            check_fields(self, {"size_log_mean": None, "iat_log_mean": None})
+        except ValueError as exc:
+            raise SynthError(f"{self.device_id}: {exc}") from None
         for name, probs in (("proto", self.proto_probs),
                             ("port", self.port_probs),
                             ("direction", self.direction_probs)):
             total = sum(probs.values())
-            if abs(total - 1.0) > 1e-9 or any(p < 0 for p in probs.values()):
+            if (abs(total - 1.0) > 1e-9
+                    or any(not p >= 0 for p in probs.values())):
                 raise SynthError(
                     f"{self.device_id}: {name} probabilities sum to {total}")
-        if self.size_log_sigma <= 0 or self.iat_log_sigma <= 0:
-            raise SynthError(f"{self.device_id}: log-normal sigma must be > 0")
-        if self.sessions < 1 or self.packets_per_session < 1:
-            raise SynthError(f"{self.device_id}: session counts must be >= 1")
 
     def to_dict(self) -> dict:
         d = asdict(self)

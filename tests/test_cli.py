@@ -314,7 +314,13 @@ class TestPipelineAndSweep:
      "source.sessions"),
     ("--synth-seed", "-1", "source.seed"),
     ("--config", '{"source": {"preset": "hard-12", "seed": 1.5}}',
-     "source.seed")])
+     "source.seed"),
+    # a field of the wrong kind, in a model section or at the top level;
+    # Python's json reads NaN
+    ("--sane", '{"e":2.5}', "sane.e"), ("--sane", "5", "sane must be a dict"),
+    ("--config", '{"n": 2.5}', "n must be an integer"),
+    ("--config", '{"ratios": [0.6, 0.2, NaN]}', "ratios"),
+    ("--config", '{"source": 5}', "source must be a dict")])
 def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,
                                                     capsys, flag, value,
                                                     field):
@@ -344,6 +350,16 @@ def test_invalid_sweep_value_rejected_before_any_stage(tmp_path,
     assert main(["sweep", "unseen", "2", "0"]
                 + _base_args(outdir, profile_file)) == 1
     assert "num_unseen" in capsys.readouterr().err
+    assert [p.name for p in outdir.iterdir()] == ["config.json"]
+
+
+def test_non_integer_sweep_value_rejected_before_any_stage(tmp_path,
+                                                           profile_file,
+                                                           capsys):
+    outdir = tmp_path / "exp"
+    assert main(["sweep", "attr-dim", "2.5"]
+                + _base_args(outdir, profile_file)) == 1
+    assert "attr-dim" in capsys.readouterr().err
     assert [p.name for p in outdir.iterdir()] == ["config.json"]
 
 

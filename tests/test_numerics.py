@@ -584,8 +584,9 @@ def test_adam_keeps_training_a_loaded_model():
 
 def test_adam_rejects_bad_learning_rate_and_grad_shape():
     data = np.zeros(3)
-    with pytest.raises(ValueError, match="learning rate"):
-        nm.Adam(data, np.zeros(3), learning_rate=0.0)
+    for learning_rate in (0.0, np.nan):
+        with pytest.raises(ValueError, match="learning rate"):
+            nm.Adam(data, np.zeros(3), learning_rate=learning_rate)
     for param, grad in ((data, np.zeros(4)), (data, np.zeros((3, 1))),
                         (np.zeros((3, 1)), np.zeros((3, 1))),
                         (data, np.zeros(3, dtype=np.float32))):

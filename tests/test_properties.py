@@ -1,11 +1,12 @@
 """Property tests of the data path (CSV parsing, featurize and segment,
 normalization, splits, the dataset round trip), of the metrics (k-means
-inertia and the evaluation report's confusion matrix) and of the downstream
-models against scalar references: the flat forest's vote and the all-class
-SVM fit."""
+inertia and the evaluation report's confusion matrix), of the downstream
+models against scalar references (the flat forest's vote and the all-class
+SVM fit) and of the settings classes' field checks."""
 
 import contextlib
 import csv
+import dataclasses
 import logging
 import re
 import tempfile
@@ -19,12 +20,16 @@ from hypothesis.extra.numpy import arrays
 
 from zest.baselines import kmeans
 from zest.classifier import SvmConfig, build_report, train_svm
+from zest.cvae import CvaeConfig
 from zest.forest import RandomForest
 from zest.ingest import (COL_INTER_ARRIVAL, CSV_HEADER, NUM_FEATURES,
                          Dataset, IngestError, apply_normalizer, featurize,
                          fit_normalizer, load_dataset, packet_array,
                          packet_dtype, parse_packet_csv, save_dataset,
                          segment, split_indices)
+from zest.pipeline import ExperimentConfig
+from zest.sane import SaneConfig
+from zest.synth import DeviceProfile, preset_profiles
 
 GOOD_ROW = "{i}.5,51514,443,1,0,tcp,90,out,dev-{d}\n"
 BAD_ROWS = ["1.0,70000,443,1,0,tcp,9,out,d\n",    # port out of range
@@ -410,3 +415,28 @@ def test_svm_fits_each_class_like_one_binary_fit(data):
                                    atol=1e-15)
         np.testing.assert_allclose(model.biases[row], b, rtol=1e-12,
                                    atol=1e-15)
+
+
+# a valid instance of every settings class; a profile is checked when
+# traffic is generated from it
+_SETTINGS = {SaneConfig: SaneConfig(), CvaeConfig: CvaeConfig(),
+             SvmConfig: SvmConfig(), ExperimentConfig: ExperimentConfig("x"),
+             DeviceProfile: preset_profiles("hard-12")[0]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       value=st.one_of(st.integers(), st.floats(), st.booleans(), st.text(),
+                       st.just(float("nan")), st.just(float("inf")),
+                       st.integers(max_value=-1), st.floats(max_value=-1e-3),
+                       st.none()))
+def test_settings_field_holds_its_kind_or_is_named(data, value):
+    cls = data.draw(st.sampled_from(list(_SETTINGS)))
+    name = data.draw(st.sampled_from(
+        [f.name for f in dataclasses.fields(cls)]))
+    try:
+        built = dataclasses.replace(_SETTINGS[cls], **{name: value})
+        if cls is DeviceProfile:
+            built.validate()
+    except ValueError as exc:
+        assert re.search(rf"\b{name}\b", str(exc)), (name, str(exc))

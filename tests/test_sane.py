@@ -24,12 +24,14 @@ def test_config_validation():
         SaneConfig(d_model=30, h=8)
     with pytest.raises(ValueError, match="N < M"):
         SaneConfig(M=3, N=3)
-    with pytest.raises(ValueError, match="stack"):
+    with pytest.raises(ValueError, match=r"^e must be > 0"):
         SaneConfig(e=0)
     with pytest.raises(ValueError, match="batch_size"):
         SaneConfig(batch_size=0)
     with pytest.raises(ValueError, match="epochs"):
         SaneConfig(epochs=-1)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0"):
+        SaneConfig(seed=-1)
     # zero-width attributes, and widths, heads and learning rates that
     # would fail only when a stage builds the model
     for field, value in (("N", 0), ("h", 0), ("d_model", 0), ("d_mlp", 0),

@@ -58,9 +58,28 @@ def test_unknown_baseline_in_config_rejected(tmp_path):
     ({"source": {"preset": "hard-12", "csv": "x.csv"}}, "source"),
     # packets per sequence, and model settings that fail only when a stage
     # builds the model: zero-width attributes and zero learning rates
-    ({"n": 0}, r"^n must be >= 1"), ({"sane": {"N": 0}}, r"^N must be > 0"),
-    ({"sane": {"learning_rate": 0}}, "^learning_rate"),
-    ({"cvae": {"learning_rate": 0}}, "^learning_rate")])
+    ({"n": 0}, "^n must be > 0"),
+    ({"sane": {"N": 0}}, "^sane.N must be > 0"),
+    ({"sane": {"learning_rate": 0}}, "^sane.learning_rate"),
+    ({"cvae": {"learning_rate": 0}}, "^cvae.learning_rate"),
+    # each field holds its kind: an integer that is not a bool, a finite
+    # number, or a list; a model section's field is named with its section
+    *(({key: value}, rf"^{key} must be an integer") for key, value in (
+        ("n", 2.5), ("n", True), ("n", "5"), ("pseudo_k", 2.5),
+        ("num_unseen", 1.5))),
+    ({"ratios": [0.6, 0.2, float("nan")]}, "^ratios"),
+    ({"ratios": "abc"}, "^ratios must be a list"),
+    *(({section: {key: value}}, rf"^{section}.{key} must be {kind}")
+      for section, key, value, kind in (
+          ("sane", "e", 2.5, "an integer"),
+          ("sane", "batch_size", True, "an integer"),
+          ("sane", "epochs", 1.5, "an integer"),
+          ("sane", "h", "8", "an integer"),
+          ("sane", "learning_rate", float("inf"), "a finite number"),
+          ("cvae", "z_dim", 2.5, "an integer"),
+          ("svm", "lr", float("inf"), "a finite number"),
+          ("svm", "epochs", 2.5, "an integer"),
+          ("svm", "epochs", "3", "an integer")))])
 def test_invalid_field_rejected_by_config(tmp_path, fields, match):
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(outdir=str(tmp_path), **fields)

@@ -91,9 +91,12 @@ def test_separable_preset_oracle_calibration():
 
 def test_invalid_profile_fatal():
     bad = _profile("a", 53)
-    bad.proto_probs = {"tcp": 0.5, "udp": 0.1, "other": 0.1}
-    with pytest.raises(SynthError, match="probabilities"):
-        generate_records([bad, _profile("b", 80)], seed=0)
+    # NaN fails no `< 0` and no sum check
+    for probs in ({"tcp": 0.5, "udp": 0.1, "other": 0.1},
+                  {"tcp": float("nan"), "udp": 1.0}):
+        bad.proto_probs = probs
+        with pytest.raises(SynthError, match="probabilities"):
+            generate_records([bad, _profile("b", 80)], seed=0)
     with pytest.raises(SynthError, match="2 profiles"):
         generate_records([_profile("a", 53)], seed=0)
 
