@@ -28,10 +28,6 @@ from .forest import RandomForest
 logger = logging.getLogger("zest.baselines")
 
 
-class BaselineError(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # k-means
 # ---------------------------------------------------------------------------
@@ -58,14 +54,14 @@ def kmeans(points: np.ndarray, k: int, init: np.ndarray | None = None,
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     if k > n:
-        raise BaselineError(f"k={k} exceeds number of points {n}")
+        raise ValueError(f"k={k} exceeds number of points {n}")
     if init is None:
         rng = np.random.default_rng(seed)
         centers = x[rng.choice(n, size=k, replace=False)].copy()
     else:
         centers = np.asarray(init, dtype=np.float64).copy()
         if centers.shape != (k, x.shape[1]):
-            raise BaselineError(
+            raise ValueError(
                 f"seeded init shape {centers.shape} != ({k}, {x.shape[1]})")
 
     assignments = np.full(n, -1, dtype=np.int64)
@@ -156,7 +152,7 @@ def cluster_label_mapping(assignments: np.ndarray, labels: np.ndarray,
     assignments = np.asarray(assignments, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if assignments.shape != labels.shape:
-        raise BaselineError(
+        raise ValueError(
             f"length mismatch: {assignments.shape} vs {labels.shape}")
     contingency = np.zeros((k, k), dtype=np.int64)
     np.add.at(contingency, (assignments, labels), 1)

@@ -25,10 +25,11 @@ CONFIG_KEY = "__config__"
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "wb",
                  newline: str | None = None):
-    """Yield a file open on a temp file beside `path`; move it into place
-    when the block ends without an error, and delete it otherwise.
-    `newline` is passed to `open` (text modes only)."""
+    """Yield a file open on a temp file beside `path`, making its directory;
+    move it into place when the block ends without an error, and delete it
+    otherwise. `newline` is passed to `open` (text modes only)."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, newline=newline) as fh:

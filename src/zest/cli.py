@@ -1,13 +1,14 @@
 """Command-line entry point for the fingerprinting pipeline.
 
 Every experiment lives in an output directory holding config.json plus the
-staged artifacts. Flags override the persisted config. Each per-seed stage
-in `pipeline.STAGES` gets one command (the baselines share `zest baseline
-NAME`); it runs `partition` first, which is cheap and cached, then the named
-stage, under the directory's lock. Commands are idempotent: re-running with
-an unchanged config is a cache hit. Any other upstream artifact that is
-missing or does not match its manifest is fatal, and the error names the
-stage to re-run.
+staged artifacts. Its config resolves in one call, from the persisted
+config, the --config file, then the flags, checked after each; config.json
+is written once, after the last. Each per-seed stage in `pipeline.STAGES`
+gets one command (the baselines share `zest baseline NAME`); it runs
+`partition` first, which is cheap and cached, then the named stage, under
+the directory's lock. Commands are idempotent: re-running with an unchanged
+config is a cache hit. Any other upstream artifact that is missing or does
+not match its manifest is fatal, and the error names the stage to re-run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .pipeline import ExperimentConfig, RunLock, StageError, resolve_config
-from .synth import generate_csv, load_profiles, preset_profiles
+from .synth import generate_csv, source_profiles
 
 
 def _add_outdir(parser: argparse.ArgumentParser) -> None:
@@ -126,40 +127,34 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     given = {k: v for k, v in vars(args).items() if v is not None and v != ""}
     overrides = {key: given[key] for key in ("n", "num_unseen", "pseudo_k")
                  if key in given}
-    source = {key: given[flag] for flag, key in (
+    overrides["source"] = {key: given[flag] for flag, key in (
         ("preset", "preset"), ("profiles", "profiles"), ("csv", "csv"),
         ("sessions", "sessions"), ("synth_seed", "seed")) if flag in given}
-    if source:
-        overrides["source"] = source
     if "seed_list" in given:
         overrides["seeds"] = given["seed_list"]
     elif "seeds" in given:
         overrides["seeds"] = list(range(given["seeds"]))
     for section in pl.MODEL_SECTIONS:
         if section in given:
-            overrides[section] = json.loads(given[section])
+            try:
+                overrides[section] = json.loads(given[section])
+            except ValueError as exc:
+                raise ValueError(f"--{section} takes a JSON dict: "
+                                 f"{exc}") from None
     return overrides
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     """The persisted config, then the --config file, then the flags."""
-    if getattr(args, "config", None):
-        file_cfg = pl.read_json(args.config)
-        file_cfg.pop("outdir", None)
-        resolve_config(args.outdir, file_cfg)
-    return resolve_config(args.outdir, _overrides_from_args(args))
+    return resolve_config(args.outdir, *([args.config] if args.config else []),
+                          _overrides_from_args(args))
 
 
 def _synth(args: argparse.Namespace) -> None:
-    if bool(args.preset) == bool(args.profiles):
-        raise StageError("synth", "give exactly one of --preset/--profiles")
-    if args.profiles:
-        profiles = load_profiles(args.profiles)
-    else:
-        profiles = preset_profiles(
-            args.preset, sessions=args.sessions,
-            packets_per_session=args.packets_per_session)
-    generate_csv(profiles, seed=args.seed, path=args.out)
+    source = {key: getattr(args, key) for key in ("preset", "profiles",
+              "sessions") if getattr(args, key) not in (None, "")}
+    generate_csv(source_profiles(source, args.packets_per_session),
+                 seed=args.seed, path=args.out)
     print(f"wrote {args.out}")
 
 
@@ -201,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be an integer >= 0, "
+                             f"got {args.seed}")
         if args.command == "synth":
             _synth(args)
         else:

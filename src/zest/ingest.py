@@ -72,10 +72,6 @@ PROTO_CODES = {"tcp": 0, "udp": 1, "other": 2}
 DIRECTION_CODES = {"in": 0, "out": 1}
 
 
-class IngestError(RuntimeError):
-    pass
-
-
 def packet_dtype(id_width: int = 1) -> np.dtype:
     """One packet per row; `id_width` is the length of the longest device
     id."""
@@ -146,7 +142,7 @@ def _parse_rows(path: Path, lines: list[str]) -> np.ndarray:
     reader = csv.reader(lines)
     header = next(reader, None)
     if header != CSV_HEADER:
-        raise IngestError(
+        raise ValueError(
             f"{path}: header {header} does not match {CSV_HEADER}")
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -158,7 +154,7 @@ def _parse_rows(path: Path, lines: list[str]) -> np.ndarray:
             logger.warning("%s:%d skipped: %s", path, line_no, exc)
     total = len(rows) + skipped
     if skipped > max(1, 0.01 * total):
-        raise IngestError(
+        raise ValueError(
             f"{path}: {skipped}/{total} rows unparseable (limit 1%)")
     if skipped:
         logger.warning("%s: skipped %d of %d rows", path, skipped, total)
@@ -244,7 +240,7 @@ def parse_packet_csv(path: str | Path) -> np.ndarray:
     each malformed line and applies the 1% limit."""
     path = Path(path)
     if not path.exists():
-        raise IngestError(f"packet CSV not found: {path}")
+        raise ValueError(f"packet CSV not found: {path}")
     with open(path, newline="") as fh:
         lines = fh.readlines()
     packets = _parse_columns(lines)
@@ -261,7 +257,7 @@ def featurize(packets: np.ndarray) -> np.ndarray:
     gaps = np.diff(ts, prepend=ts[:1])
     if (gaps < 0).any():
         i = int(np.argmax(gaps < 0))
-        raise IngestError(
+        raise ValueError(
             f"packets not sorted by timestamp at index {i} "
             f"(device {packets['device_id'][i]})")
     service_port = np.minimum(packets["src_port"], packets["dst_port"])
@@ -281,7 +277,7 @@ def segment(feature_rows: np.ndarray, n: int) -> np.ndarray:
     """Non-overlapping windows of n rows as a (count, n, f) float32 tensor;
     the trailing remainder is dropped."""
     if n < 1:
-        raise IngestError(f"sequence length must be >= 1, got {n}")
+        raise ValueError(f"sequence length must be >= 1, got {n}")
     count, f = feature_rows.shape[0] // n, feature_rows.shape[1]
     return feature_rows[:count * n].reshape(count, n, f).astype(np.float32)
 
@@ -305,7 +301,7 @@ def fit_normalizer(x: np.ndarray) -> Normalizer:
     """Fit per-feature ranges over every row of `x` (..., f); call only on
     training-split data of seen devices."""
     if x.size == 0:
-        raise IngestError("cannot fit normalizer on empty training data")
+        raise ValueError("cannot fit normalizer on empty training data")
     t = _log1p_columns(x.reshape(-1, x.shape[-1]))
     return Normalizer(mins=t.min(axis=0), maxs=t.max(axis=0))
 
@@ -325,7 +321,7 @@ def make_partition(num_devices: int, num_unseen: int,
     into two sorted lists, `num_unseen` of them unseen; deterministic per
     seed."""
     if not 1 <= num_unseen < num_devices:
-        raise IngestError(
+        raise ValueError(
             f"num_unseen={num_unseen} must be in [1, {num_devices - 1}]")
     rng = np.random.default_rng(seed)
     unseen = rng.choice(num_devices, size=num_unseen, replace=False)

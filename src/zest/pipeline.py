@@ -7,14 +7,15 @@ its manifest matches the current config and all input/output checksums still
 agree; downstream stages refuse to run against inputs whose checksums do not
 match the upstream manifest.
 
-`ingest` runs once per experiment into `data/`. Every per-seed stage is one
-entry of `STAGES`, in dependency order: the files it reads and the stage that
-makes each one, the files it writes, the config its cache key covers, and a
-body. `run_stage` does the checking and caching for all of them, and the
-body gets a `StageContext` that loads the dataset, partition and latents
-only when the body first asks for them. `run_seed` runs the table in order;
-the CLI builds one command per entry and runs `partition` before the named
-stage.
+`ingest` runs once per experiment into `data/`, after `synth` for a preset
+or profile-file source; synth's key covers the profile file's checksum and
+ingest's the CSV's. Every per-seed stage is one entry of `STAGES`, in
+dependency order: the files it reads and the stage that makes each one, the
+files it writes, the config its cache key covers, and a body. `run_stage`
+does the checking and caching for all of them, and the body gets a
+`StageContext` that loads the dataset, partition and latents only when the
+body first asks for them. `run_seed` runs the table in order; the CLI builds
+one command per entry and runs `partition` before the named stage.
 
 Every array artifact of a run is an npz archive: the normalizer, the
 checkpoints, the SVMs, the pseudo data, and `latents.npz`, which holds the
@@ -47,7 +48,7 @@ from .ingest import (Dataset, Normalizer, apply_normalizer, build_dataset,
                      parse_packet_csv, save_dataset, split_indices)
 from .params import check_fields, is_finite, is_int
 from .sane import SaneConfig, SaneModel, train_sane
-from .synth import PRESETS, generate_csv, load_profiles, preset_profiles
+from .synth import PRESETS, generate_csv, source_profiles
 
 logger = logging.getLogger("zest.pipeline")
 
@@ -166,27 +167,36 @@ class ExperimentConfig:
         return SvmConfig(**self.svm)
 
 
-def resolve_config(outdir: str | Path, overrides: dict | None = None) -> ExperimentConfig:
-    """Load outdir/config.json if present, apply overrides, validate the
-    result and persist it. A rejected config creates no directory. Model
-    sections, and a source that names no kind (only `sessions`, say), merge
-    into the persisted ones; a source that names a kind replaces it."""
+def resolve_config(outdir: str | Path, *layers: dict | str | Path) -> ExperimentConfig:
+    """outdir/config.json if present, then each layer (a dict of overrides
+    or a JSON file of one), checked after each; a rejected config writes
+    nothing. None sets nothing; `outdir` is the argument. Model sections,
+    and a source naming no kind (only `sessions`, say), merge; others
+    replace."""
     outdir = Path(outdir)
     path = outdir / "config.json"
     fields = (read_json(path) if path.exists()
               else asdict(ExperimentConfig(outdir=str(outdir))))
     fields["outdir"] = str(outdir)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        # a section that is not a dict replaces its own, and fails the check
-        if isinstance(value, dict) and (key in MODEL_SECTIONS or (
-                key == "source" and not set(SOURCE_KINDS) & set(value))):
-            fields[key] = {**fields.get(key, {}), **value}
-        else:
-            fields[key] = value
-    config = ExperimentConfig(**fields)
-    outdir.mkdir(parents=True, exist_ok=True)
+    for layer in layers or ({},):
+        name = "config overrides"
+        if isinstance(layer, (str, Path)):
+            name, layer = f"config file {layer}", read_json(layer)
+        if not isinstance(layer, dict):
+            raise ValueError(f"{name} must hold a JSON dict, "
+                             f"got {type(layer).__name__}")
+        for key, value in layer.items():
+            if value is None or key == "outdir":
+                continue
+            if key not in ExperimentConfig.__dataclass_fields__:
+                raise ValueError(f"{name} has no field {key!r}")
+            # a section that is not a dict replaces its own: the check fails
+            if isinstance(value, dict) and (key in MODEL_SECTIONS or (
+                    key == "source" and not set(SOURCE_KINDS) & set(value))):
+                fields[key] = {**fields.get(key, {}), **value}
+            else:
+                fields[key] = value
+        config = ExperimentConfig(**fields)
     write_json(path, asdict(config))
     return config
 
@@ -336,30 +346,22 @@ def run_dir(config: ExperimentConfig, seed: int) -> Path:
 # ---------------------------------------------------------------------------
 
 def stage_ingest(config: ExperimentConfig) -> Dataset:
-    """Build the segmented raw-feature dataset (synthesizing traffic first
-    when the source is a preset)."""
-    ddir = data_dir(config)
-    ddir.mkdir(parents=True, exist_ok=True)
-    runner = StageRunner(ddir)
+    """Build the segmented raw-feature dataset, synthesizing traffic first
+    when the source is a preset or a profile file."""
     source = dict(config.source)
-
-    if "csv" in source:
-        csv_path = Path(source["csv"])
-        if not csv_path.exists():
-            raise StageError("ingest", f"csv source not found: {csv_path}")
-    else:
-        csv_path = ddir / "traffic.csv"
-
-        def synth_fn():
-            if "profiles" in source:
-                profiles = load_profiles(source["profiles"])
-            else:
-                profiles = preset_profiles(
-                    source["preset"], sessions=source.get("sessions"),
-                    packets_per_session=config.n)
-            generate_csv(profiles, seed=source.get("seed", 0), path=csv_path)
-
-        runner.run("synth", {"source": source}, {}, [csv_path], synth_fn)
+    kind = next(k for k in SOURCE_KINDS if k in source)
+    if kind != "preset" and not Path(source[kind]).exists():
+        raise StageError("ingest", f"{kind} source not found: {source[kind]}")
+    ddir = data_dir(config)
+    runner = StageRunner(ddir)
+    csv_path = Path(source["csv"]) if kind == "csv" else ddir / "traffic.csv"
+    if kind != "csv":
+        inputs = ({} if kind == "preset" else
+                  {Path(source[kind]).name: sha256_file(source[kind])})
+        runner.run("synth", {"source": source}, inputs, [csv_path],
+                   lambda: generate_csv(source_profiles(source, config.n),
+                                        seed=source.get("seed", 0),
+                                        path=csv_path))
 
     npz_path = ddir / "dataset.npz"
     manifest_path = ddir / "dataset.json"
@@ -677,8 +679,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> dict:
 def aggregate_reports(per_seed: list[dict]) -> list[dict]:
     """Mean and std accuracy per (method, setting) over seeds."""
     rows = []
-    methods = list(per_seed[0])
-    for method in methods:
+    for method in per_seed[0]:
         for setting in SETTINGS:
             accs = [res[method][setting].accuracy for res in per_seed]
             rows.append({
@@ -687,7 +688,6 @@ def aggregate_reports(per_seed: list[dict]) -> list[dict]:
                 "mean_accuracy": float(np.mean(accs)),
                 "std_accuracy": float(np.std(accs)),
                 "num_seeds": len(accs),
-                "accuracies": [float(a) for a in accs],
             })
     return rows
 
@@ -751,7 +751,6 @@ def run_sweep(config: ExperimentConfig, param: str,
                                     outdir=str(sweep_root / str(value)))))
     all_rows = []
     for value, sub in subs:
-        Path(sub.outdir).mkdir(parents=True, exist_ok=True)
         write_json(Path(sub.outdir) / "config.json", asdict(sub))
         all_rows += [{**row, "param": param, "value": value}
                      for row in run_pipeline(sub)]

@@ -4,9 +4,9 @@ Bayes oracle.
 Each device profile draws per-packet transport protocol, service port, and
 direction from categorical distributions, and packet size / inter-arrival
 time from log-normals, as whole columns of one packet array (the fields of
-`ingest.packet_dtype`). The oracle classifies a (P, n, f) tensor of raw
-feature sequences under the true generator parameters and serves as the
-accuracy ceiling for calibrating model thresholds.
+`ingest.packet_dtype`), from a preset or a profile file (`source_profiles`).
+The oracle classifies a (P, n, f) tensor of raw feature sequences under the
+true generator parameters; the tests use it as the accuracy ceiling.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ _BASE_TIMESTAMP = 1_700_000_000.0
 _NUM_PORT_CATEGORIES = 10
 
 
-class SynthError(ValueError):
-    """A synthetic source's bad setting: a preset, profile or their count."""
-
-
 @dataclass
 class DeviceProfile:
     """Generator parameters for one synthetic device."""
@@ -51,14 +47,14 @@ class DeviceProfile:
         try:
             check_fields(self, {"size_log_mean": None, "iat_log_mean": None})
         except ValueError as exc:
-            raise SynthError(f"{self.device_id}: {exc}") from None
+            raise ValueError(f"{self.device_id}: {exc}") from None
         for name, probs in (("proto", self.proto_probs),
                             ("port", self.port_probs),
                             ("direction", self.direction_probs)):
             total = sum(probs.values())
             if (abs(total - 1.0) > 1e-9
                     or any(not p >= 0 for p in probs.values())):
-                raise SynthError(
+                raise ValueError(
                     f"{self.device_id}: {name} probabilities sum to {total}")
 
     def to_dict(self) -> dict:
@@ -68,13 +64,18 @@ class DeviceProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceProfile":
-        d = dict(d)
-        d["port_probs"] = {int(k): v for k, v in d["port_probs"].items()}
-        return cls(**d)
-
-
-def load_profiles(path: str | Path) -> list[DeviceProfile]:
-    return [DeviceProfile.from_dict(d) for d in read_json(path)]
+        """A checked profile from its JSON form; an error names the device."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a profile must be a dict, got {d!r}")
+        try:
+            profile = cls(**d)
+        except TypeError as exc:    # an unknown or a missing field
+            raise ValueError(f"{d.get('device_id')}: {exc}") from None
+        if isinstance(profile.port_probs, dict):    # JSON keys are strings
+            profile.port_probs = {int(k): v
+                                  for k, v in profile.port_probs.items()}
+        profile.validate()
+        return profile
 
 
 def save_profiles(profiles: list[DeviceProfile], path: str | Path) -> None:
@@ -91,7 +92,7 @@ def generate_records(profiles: list[DeviceProfile],
     with per-device derived seeds and monotone timestamps; deterministic per
     seed."""
     if len(profiles) < 2:
-        raise SynthError("need at least 2 profiles")
+        raise ValueError("need at least 2 profiles")
     dtype = packet_dtype(max(len(p.device_id) for p in profiles))
     parts = []
     for dev_idx, profile in enumerate(sorted(profiles,
@@ -305,8 +306,23 @@ PRESETS = {
 def preset_profiles(name: str, sessions: int | None = None,
                     packets_per_session: int = 200) -> list[DeviceProfile]:
     if name not in PRESETS:
-        raise SynthError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    factory = PRESETS[name]
-    if sessions is None:
-        return factory(packets_per_session=packets_per_session)
-    return factory(sessions=sessions, packets_per_session=packets_per_session)
+        raise ValueError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
+    given = {} if sessions is None else {"sessions": sessions}
+    return PRESETS[name](**given, packets_per_session=packets_per_session)
+
+
+def source_profiles(source: dict,
+                    packets_per_session: int = 200) -> list[DeviceProfile]:
+    """The profiles of a source that names a preset (and perhaps its sessions
+    per device) or a file that holds a JSON list of profiles."""
+    if ("preset" in source) == ("profiles" in source):
+        raise ValueError(f"a synthetic source names exactly one of preset "
+                         f"and profiles, got {sorted(source)}")
+    if "preset" in source:
+        return preset_profiles(source["preset"], source.get("sessions"),
+                               packets_per_session)
+    dicts = read_json(source["profiles"])
+    if not isinstance(dicts, list):
+        raise ValueError(f"{source['profiles']} must hold a JSON list of "
+                         f"profiles, got {type(dicts).__name__}")
+    return [DeviceProfile.from_dict(d) for d in dicts]

@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from zest import baselines as bl
-from zest.baselines import (BaselineError, cluster_label_mapping, deft,
-                            kmeans, seqcr, seqcs, vae_k)
+from zest.baselines import (cluster_label_mapping, deft, kmeans, seqcr,
+                            seqcs, vae_k)
 from zest.forest import RandomForest
 
 
@@ -77,7 +77,7 @@ class TestKmeans:
         np.testing.assert_array_equal(a.centers, b.centers)
 
     def test_k_larger_than_points_fatal(self):
-        with pytest.raises(BaselineError, match="exceeds"):
+        with pytest.raises(ValueError, match="exceeds"):
             kmeans(np.zeros((3, 2)), k=4)
 
     def test_seeded_centers_at_centroids_converge_fast(self):
@@ -88,7 +88,7 @@ class TestKmeans:
         assert _mapped_accuracy(result.assignments, y, k=3) == 1.0
 
     def test_seeded_init_shape_checked(self):
-        with pytest.raises(BaselineError, match="seeded"):
+        with pytest.raises(ValueError, match="seeded"):
             kmeans(np.zeros((10, 2)), k=3, init=np.zeros((2, 2)))
 
     def test_assign_new_points(self):
@@ -154,7 +154,7 @@ class TestClusterAccuracy:
         assert acc >= identity
 
     def test_length_mismatch_fatal(self):
-        with pytest.raises(BaselineError, match="mismatch"):
+        with pytest.raises(ValueError, match="mismatch"):
             cluster_label_mapping(np.zeros(3, dtype=int),
                                   np.zeros(4, dtype=int), k=2)
 

@@ -173,7 +173,7 @@ class TestEvaluate:
         model, x, y = self._model()
         y_bad = y.copy()
         y_bad[0] = 99
-        with pytest.raises(ValueError, match="outside the declared"):
+        with pytest.raises(ValueError, match="true labels outside"):
             evaluate("zsl", model, x, y_bad)
 
     def test_unknown_setting_fatal(self):

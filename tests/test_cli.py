@@ -2,6 +2,7 @@
 experiment."""
 
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -18,7 +19,7 @@ from zest.ingest import make_partition
 from zest.pipeline import (STAGES, ExperimentConfig, StageError,
                            resolve_config, run_pipeline, run_sweep,
                            stage_baseline, stage_eval, stage_ingest)
-from zest.synth import save_profiles
+from zest.synth import generate_csv, save_profiles
 
 SANE_OVERRIDES = {"d_model": 16, "e": 1, "h": 2, "d_mlp": 32, "M": 8, "N": 3,
                   "batch_size": 16, "epochs": 6, "learning_rate": 3e-3}
@@ -320,15 +321,27 @@ class TestPipelineAndSweep:
     ("--sane", '{"e":2.5}', "sane.e"), ("--sane", "5", "sane must be a dict"),
     ("--config", '{"n": 2.5}', "n must be an integer"),
     ("--config", '{"ratios": [0.6, 0.2, NaN]}', "ratios"),
-    ("--config", '{"source": 5}', "source must be a dict")])
+    ("--config", '{"source": 5}', "source must be a dict"),
+    # a value that is not JSON names its flag
+    ("--sane", "e=2", "--sane"),
+    # a --config file that holds no dict, and flags rejected after a valid
+    # --config file: nothing is written, not even the file's config
+    ("--config", "[1, 2]", "config.json must hold a JSON dict"),
+    ("--config", '{"bogus": 1}', "config.json has no field 'bogus'"),
+    ("--config", '{"num_unseen": 3} --sane {"e":0}', "sane.e"),
+    # the seed of a per-seed stage command, as the config's seeds
+    ("--seed", "-1", "--seed")])
 def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,
                                                     capsys, flag, value,
                                                     field):
     outdir = tmp_path / "exp"
     values = value.split()
     if flag == "--config":
-        values = [str(tmp_path / "config.json")]
-        Path(values[0]).write_text(value)
+        # the file's content, then the flags that follow it
+        content, _, flags = value.partition(" --")
+        values = [str(tmp_path / "config.json"),
+                  *(f"--{flags}".split() if flags else [])]
+        Path(values[0]).write_text(content)
     # a preset's own settings need a preset source: a --profiles one
     # rejects them as meaningless, and replaces a --config file's source
     if flag in ("--sessions", "--synth-seed"):
@@ -339,6 +352,8 @@ def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,
         base = ["--profiles", str(profile_file)]
     args = ["pipeline", "--outdir", str(outdir), *base, "--n", "10", flag,
             *values]
+    if flag == "--seed":
+        args = ["partition", "--outdir", str(outdir), flag, *values]
     assert main(args) == 1
     assert field in capsys.readouterr().err
     assert not outdir.exists()
@@ -418,3 +433,64 @@ def test_source_override_merges_unless_it_names_a_kind(tmp_path, capsys):
     assert "source.sessions" in capsys.readouterr().err
     config = json.loads((outdir / "config.json").read_text())
     assert config["source"] == {"csv": str(csv_path)}
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--profiles"])
+def test_missing_source_file_makes_no_data_dir(tmp_path, capsys, flag):
+    outdir = tmp_path / "exp"
+    assert main(["ingest", "--outdir", str(outdir), flag,
+                 str(tmp_path / "missing"), "--n", "10"]) == 1
+    assert f"{flag[2:]} source not found" in capsys.readouterr().err
+    assert not (outdir / "data").exists()
+
+
+def _stages_run(caplog) -> list[str]:
+    """The stages that ran since the last call, by the pipeline's log."""
+    ran = [r.args[0] for r in caplog.records if r.msg == "stage %s: running"]
+    caplog.clear()
+    return ran
+
+
+def test_edited_profile_file_resynthesizes(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="zest.pipeline")
+    path = tmp_path / "profiles.json"
+    profiles = tiny_profiles(num_devices=3, sessions=5)
+    save_profiles(profiles, path)
+    outdir, fresh = tmp_path / "exp", tmp_path / "fresh"
+    ingest = ["ingest", "--outdir", str(outdir), "--profiles", str(path),
+              "--n", "10"]
+    assert main(ingest) == 0
+    assert _stages_run(caplog) == ["synth", "ingest"]
+    profiles[0].size_log_mean += 1.0
+    save_profiles(profiles, path)
+    assert main(ingest) == 0
+    assert _stages_run(caplog) == ["synth", "ingest"]
+    assert main(["ingest", "--outdir", str(fresh), "--profiles", str(path),
+                 "--n", "10"]) == 0
+    assert ((outdir / "data" / "traffic.csv").read_bytes()
+            == (fresh / "data" / "traffic.csv").read_bytes())
+    _stages_run(caplog)
+    assert main(ingest) == 0
+    assert _stages_run(caplog) == []
+
+
+@pytest.mark.parametrize("source", ["preset", "csv"])
+def test_unchanged_source_rerun_hits_every_stage(tmp_path, caplog, source):
+    caplog.set_level(logging.INFO, logger="zest.pipeline")
+    outdir = tmp_path / "exp"
+    if source == "preset":
+        flags = ["--preset", "hard-12", "--sessions", "2"]
+    else:
+        csv_path = tmp_path / "trace.csv"
+        generate_csv(tiny_profiles(num_devices=3, sessions=5), seed=0,
+                     path=csv_path)
+        flags = ["--csv", str(csv_path)]
+    assert main(["ingest", "--outdir", str(outdir), *flags, "--n", "10"]) == 0
+    data = outdir / "data"
+    manifests = {p.name: p.read_bytes() for p in data.glob("*.manifest.json")}
+    assert _stages_run(caplog) == [*(["synth"] if source == "preset" else []),
+                                   "ingest"]
+    assert main(["ingest", "--outdir", str(outdir)]) == 0
+    assert _stages_run(caplog) == []
+    assert manifests == {p.name: p.read_bytes()
+                         for p in data.glob("*.manifest.json")}

@@ -7,10 +7,9 @@ import pytest
 from zest import ingest
 from zest.ingest import (COL_APP_PROTO, COL_DIRECTION, COL_INTER_ARRIVAL,
                          COL_PORT_CATEGORY, COL_SIZE, DIRECTION_CODES,
-                         PROTO_CODES, IngestError, apply_normalizer,
-                         featurize, fit_normalizer, make_partition,
-                         packet_array, parse_packet_csv, segment,
-                         split_indices)
+                         PROTO_CODES, apply_normalizer, featurize,
+                         fit_normalizer, make_partition, packet_array,
+                         parse_packet_csv, segment, split_indices)
 
 HEADER = "timestamp,src_port,dst_port,src_internal,dst_internal,proto,size,direction,device_id\n"
 
@@ -83,20 +82,20 @@ class TestParse:
         assert len(parse_packet_csv(path)) == 0
 
     def test_missing_file_fatal(self, tmp_path):
-        with pytest.raises(IngestError, match="not found"):
+        with pytest.raises(ValueError, match="not found"):
             parse_packet_csv(tmp_path / "nope.csv")
 
     def test_header_mismatch_fatal(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(IngestError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             parse_packet_csv(path)
 
     def test_too_many_bad_rows_aborts(self, tmp_path):
         good = ["%d.0,1,443,1,0,tcp,9,out,d\n" % i for i in range(300)]
         bad = ["1.0,70000,443,1,0,tcp,9,out,d\n"] * 5
         path = _write(tmp_path, good + bad)
-        with pytest.raises(IngestError, match="unparseable"):
+        with pytest.raises(ValueError, match="unparseable"):
             parse_packet_csv(path)
 
 
@@ -117,7 +116,7 @@ class TestFeaturize:
         assert rows[0, COL_INTER_ARRIVAL] == 0.0
 
     def test_unsorted_fatal(self):
-        with pytest.raises(IngestError, match="sorted"):
+        with pytest.raises(ValueError, match="sorted"):
             featurize(_packets(_record(ts=2.0), _record(ts=1.0)))
 
     def test_port_swap_invariance(self):
@@ -264,7 +263,7 @@ class TestPartitionAndSplit:
             assert sorted(seen + unseen) == list(range(12))
 
     def test_num_unseen_bounds(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(ValueError):
             make_partition(2, 2, seed=0)
 
     def test_split_ratios_per_device(self):

@@ -23,7 +23,7 @@ from zest.classifier import SvmConfig, build_report, train_svm
 from zest.cvae import CvaeConfig
 from zest.forest import RandomForest
 from zest.ingest import (COL_INTER_ARRIVAL, CSV_HEADER, NUM_FEATURES,
-                         Dataset, IngestError, apply_normalizer, featurize,
+                         Dataset, apply_normalizer, featurize,
                          fit_normalizer, load_dataset, packet_array,
                          packet_dtype, parse_packet_csv, save_dataset,
                          segment, split_indices)
@@ -73,7 +73,7 @@ def test_parse_skips_up_to_one_percent(good, bad, data):
         path = tmp / "trace.csv"
         path.write_text(",".join(CSV_HEADER) + "\n" + "".join(rows))
         if len(bad) > limit:
-            with pytest.raises(IngestError, match="unparseable"):
+            with pytest.raises(ValueError, match="unparseable"):
                 parse_packet_csv(path)
             return
         packets = parse_packet_csv(path)
@@ -210,7 +210,7 @@ def test_parse_matches_the_row_rules(text):
         path.write_bytes(text.encode("utf-8"))
         expected, skipped = _row_rules_parse(path)
         if expected is None:
-            with pytest.raises(IngestError, match="unparseable"):
+            with pytest.raises(ValueError, match="unparseable"):
                 parse_packet_csv(path)
         else:
             packets = parse_packet_csv(path)

@@ -1,12 +1,14 @@
 """Synthetic traffic generation determinism and Bayes-oracle behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
 from zest.ingest import build_dataset, parse_packet_csv
-from zest.synth import (DeviceProfile, SynthError, bayes_oracle, generate_csv,
+from zest.synth import (DeviceProfile, bayes_oracle, generate_csv,
                         generate_records, oracle_predict, preset_profiles,
-                        separable_profiles, write_csv)
+                        separable_profiles, source_profiles, write_csv)
 
 
 def _profile(device_id, port, proto="udp", sessions=3,
@@ -95,12 +97,33 @@ def test_invalid_profile_fatal():
     for probs in ({"tcp": 0.5, "udp": 0.1, "other": 0.1},
                   {"tcp": float("nan"), "udp": 1.0}):
         bad.proto_probs = probs
-        with pytest.raises(SynthError, match="probabilities"):
+        with pytest.raises(ValueError, match="probabilities"):
             generate_records([bad, _profile("b", 80)], seed=0)
-    with pytest.raises(SynthError, match="2 profiles"):
+    with pytest.raises(ValueError, match="2 profiles"):
         generate_records([_profile("a", 53)], seed=0)
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.update(port_probs=5), "^b: port_probs must be a dict"),
+    (lambda d: d.update(bogus=1), "^b: .*'bogus'"),
+    (lambda d: d.pop("size_log_mean"), "^b: .*'size_log_mean'"),
+    # the file holds one profile where a list of them belongs
+    (None, "profiles.json must hold a JSON list of profiles, got dict")],
+    ids=["port_probs", "unknown-key", "missing-key", "dict-file"])
+def test_invalid_profile_file_fatal(tmp_path, edit, match):
+    profiles = [_profile("a", 53).to_dict(), _profile("b", 80).to_dict()]
+    if edit is None:
+        profiles = profiles[1]
+    else:
+        edit(profiles[1])
+    path, out = tmp_path / "profiles.json", tmp_path / "traffic.csv"
+    path.write_text(json.dumps(profiles))
+    with pytest.raises(ValueError, match=match):
+        generate_csv(source_profiles({"profiles": str(path)}), seed=0,
+                     path=out)
+    assert not out.exists()
+
+
 def test_unknown_preset():
-    with pytest.raises(SynthError, match="unknown preset"):
+    with pytest.raises(ValueError, match="unknown preset"):
         preset_profiles("nope")
