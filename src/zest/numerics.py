@@ -8,8 +8,9 @@ parameter's gradient into the model's flat gradient buffer
 (`sane.SaneModel.backward`, `cvae.cvae_loss`), from array primitives that
 come in forward/backward pairs:
 
-- `linear_arrays` and `linear_backward`;
-- `layer_norm_arrays` and `layer_norm_backward`;
+- `linear_arrays` and `linear_backward`, whose gx may be x itself;
+- `layer_norm_arrays` and `layer_norm_backward`, and `layer_norm_output`,
+  by which a backward rebuilds the output it does not keep;
 - `attention_arrays` and `attention_backward`, over the arrays that
   `attention_saved` and `attention_scratch` allocate;
 - `gelu_arrays`, whose backward is one product with its derivative;
@@ -224,14 +225,14 @@ def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
                     gw: np.ndarray, gb: np.ndarray,
                     gx: np.ndarray | None = None) -> None:
     """`linear_arrays`' backward for the upstream gradient g: w's gradient
-    into gw, b's into gb and, when a contiguous gx is given, x's into gx.
-    The products run on 2-D views: one matrix product, where a (B, T, n)
-    gradient times w.T runs as B small ones."""
+    into gw, b's into gb and then, when a contiguous gx is given, x's into
+    gx, which may be x itself. The products run on 2-D views: one matrix
+    product, where a (B, T, n) gradient times w.T runs as B small ones."""
     g2 = g.reshape(-1, g.shape[-1])
-    if gx is not None:
-        np.matmul(g2, w.T, out=gx.reshape(len(g2), -1))
     np.matmul(x.reshape(-1, x.shape[-1]).T, g2, out=gw)
     g2.sum(axis=0, out=gb)
+    if gx is not None:
+        np.matmul(g2, w.T, out=gx.reshape(len(g2), -1))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -474,10 +475,16 @@ def layer_norm_arrays(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
+    require_finite("layer_norm", layer_norm_output(xhat, gain, bias, out))
+    return out, xhat, inv_std
+
+
+def layer_norm_output(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """gain * xhat + bias into `out`: layer norm's last two operations."""
     np.multiply(gain, xhat, out=out)
     out += bias
-    require_finite("layer_norm", out)
-    return out, xhat, inv_std
+    return out
 
 
 def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,

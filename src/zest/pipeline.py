@@ -181,7 +181,11 @@ def resolve_config(outdir: str | Path, *layers: dict | str | Path) -> Experiment
     for layer in layers or ({},):
         name = "config overrides"
         if isinstance(layer, (str, Path)):
-            name, layer = f"config file {layer}", read_json(layer)
+            name = f"config file {layer}"
+            try:
+                layer = read_json(layer)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{name} is not JSON: {exc}") from None
         if not isinstance(layer, dict):
             raise ValueError(f"{name} must hold a JSON dict, "
                              f"got {type(layer).__name__}")

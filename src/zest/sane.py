@@ -20,12 +20,12 @@ Every array a step writes lives in a `Workspace`, sized once for up to
 reuses the memory of the step before. `train_sane`'s steps and validation
 forwards share one, and `predict_arrays` makes its own unless given one.
 A forward's outputs are valid until the next forward in its workspace,
-which keeps the forward's input, so `backward` always back-propagates the
-workspace's latest forward. A step keeps, per block, only what backward
-reads, plus the two residual sums the forward passes on: GELU and the sums
-are written over the linear outputs they consume. The blocks share the
-backward's gradients and scratch, since one block's backward runs at a
-time.
+and `backward` back-propagates the workspace's latest forward, once. A
+block keeps only what backward reads and cannot rebuild (Chen et al.,
+arXiv 1604.06174). Every other (B, T, d) array, the residual stream E, the
+sum E + R1 and the layer norm output, is one that the blocks share, and
+backward writes its gradients over them; it rebuilds each layer norm
+output from xhat by the forward's own two operations.
 """
 
 from __future__ import annotations
@@ -88,17 +88,18 @@ class Workspace:
     sequences of T = n + 1 tokens; a batch of b sequences takes each
     array's first b rows (`views`).
 
-    - `blocks[i]`, what block i's backward reads: layer norm k's output,
-      normalised input and row 1 / std ("lnk", "xhatk", "invk"),
+    - `blocks[i]`, what block i's backward reads and cannot rebuild:
+      layer norm k's normalised input and row 1 / std ("xhatk", "invk"),
       attention's saved arrays (`nm.attention_saved`) and context
-      ("ctx"), and GELU's output and derivative ("mlp", "dmlp"); and the
-      residual sums ("res1", "res2");
-    - `shared` by the blocks: the "stem" (the SLA token and embeddings plus
-      positions; in backward, the embeddings' gradient), the head's
-      outputs, the backward's gradients ("g_*"; g_ctx is also layer norm
-      backward's scratch) and attention's scratch;
+      ("ctx"), and GELU's output, over which backward writes the MLP's
+      gradient, and derivative ("mlp", "dmlp");
+    - `shared` by the blocks: the residual stream "stem" (in backward, its
+      gradient), "res" (E + R1; in backward, layer norm's input gradient,
+      then the embeddings'), the layer norm output "ln", which backward
+      rebuilds, the head's outputs, the other gradients ("g_*"; g_ctx is
+      also layer norm backward's scratch) and attention's scratch;
     - `gelu`, GELU's scratch;
-    - `x`, the latest forward's input, which backward reads too."""
+    - `x`, the input of the forward that backward has yet to run, or None."""
 
     def __init__(self, model: SaneModel, rows: int):
         c, dtype = model.config, model.dtype
@@ -109,13 +110,12 @@ class Workspace:
 
         self.rows, self.x = rows, None
         self.blocks = [nm.attention_saved(rows, t, d, c.h, dtype) | new(
-            ln1=(t, d), xhat1=(t, d), inv1=(t, 1), ctx=(t, d), res1=(t, d),
-            ln2=(t, d), xhat2=(t, d), inv2=(t, 1), mlp=(t, m), dmlp=(t, m),
-            res2=(t, d)) for _ in range(c.e)]
+            xhat1=(t, d), inv1=(t, 1), ctx=(t, d), xhat2=(t, d),
+            inv2=(t, 1), mlp=(t, m), dmlp=(t, m)) for _ in range(c.e)]
         self.shared = nm.attention_scratch(rows, t, d, c.h, dtype) | new(
-            stem=(t, d), pooled=(d,), l=(c.M,), lam=(c.N,),
-            logits=(c.num_classes,), g_res=(t, d), g_ln=(t, d), g_ctx=(t, d),
-            g_mlp=(t, m), g_pooled=(d,), g_l=(c.M,), g_lam=(c.N,))
+            stem=(t, d), res=(t, d), ln=(t, d), pooled=(d,), l=(c.M,),
+            lam=(c.N,), logits=(c.num_classes,), g_ctx=(t, d),
+            g_pooled=(d,), g_l=(c.M,), g_lam=(c.N,))
         self.gelu = np.empty((4, min(rows * t * m, nm.GELU_BLOCK_ELEMS)),
                              dtype)
 
@@ -184,7 +184,7 @@ class SaneModel(Model):
         blocks, s = ws.views(len(x))
         ws.x = x
         # the SLA token and the packet embeddings, plus positions
-        e = s["stem"]
+        e, r, ln = s["stem"], s["res"], s["ln"]
         nm.linear_arrays(x, p["embed.w"], p["embed.b"], out=e[:, 1:])
         e[:, 0] = p["sla"]
         nm.require_finite("concat", e)
@@ -195,20 +195,18 @@ class SaneModel(Model):
             # as printed: R1 = MHA(Norm(E)); R2 = MLP(Norm(E + R1));
             # E <- R2 + (E + R1). No backward reads a linear's output, so
             # each sum, and GELU, is written over the output it consumes
-            nm.layer_norm_arrays(e, w["ln1.gain"], w["ln1.bias"], a["ln1"],
+            nm.layer_norm_arrays(e, w["ln1.gain"], w["ln1.bias"], ln,
                                  a["xhat1"], a["inv1"])
-            nm.attention_arrays(a["ln1"], *(w["attn." + k] for k in _QKV),
-                                c.h, a["ctx"], a, s)
-            r1 = nm.linear_arrays(a["ctx"], w["attn.wo"], w["attn.bo"],
-                                  out=a["res1"])
-            nm.require_finite("add", np.add(e, r1, out=r1))
-            nm.layer_norm_arrays(r1, w["ln2.gain"], w["ln2.bias"], a["ln2"],
+            nm.attention_arrays(ln, *(w["attn." + k] for k in _QKV), c.h,
+                                a["ctx"], a, s)
+            nm.linear_arrays(a["ctx"], w["attn.wo"], w["attn.bo"], out=r)
+            nm.require_finite("add", np.add(e, r, out=r))
+            nm.layer_norm_arrays(r, w["ln2.gain"], w["ln2.bias"], ln,
                                  a["xhat2"], a["inv2"])
-            m = nm.linear_arrays(a["ln2"], w["mlp.w1"], w["mlp.b1"],
-                                 out=a["mlp"])
+            m = nm.linear_arrays(ln, w["mlp.w1"], w["mlp.b1"], out=a["mlp"])
             nm.gelu_arrays(m, out=m, deriv=a["dmlp"], scratch=ws.gelu)
-            e = nm.linear_arrays(m, w["mlp.w2"], w["mlp.b2"], out=a["res2"])
-            nm.require_finite("add", np.add(e, r1, out=e))
+            nm.linear_arrays(m, w["mlp.w2"], w["mlp.b2"], out=e)
+            nm.require_finite("add", np.add(e, r, out=e))
         nm.require_finite("mean_pool", np.mean(e, axis=-2, out=s["pooled"]))
         for layer, x_in, out in _HEAD:
             nm.linear_arrays(s[x_in], p[layer + ".w"], p[layer + ".b"],
@@ -218,8 +216,10 @@ class SaneModel(Model):
     def backward(self, g: np.ndarray, ws: Workspace) -> None:
         """Every parameter's gradient, written into `grads`, from the
         gradient g of the logits of the latest forward in ws, by the blocks
-        in reverse."""
+        in reverse; once per forward."""
         c, p, pg, x = self.config, self.params, self.grads, ws.x
+        if x is None:
+            raise nm.NumericsError("backward needs a pending forward")
         blocks, s = ws.views(len(x))
         for layer, x_in, _ in reversed(_HEAD):
             nm.linear_backward(g, s[x_in], p[layer + ".w"], pg[layer + ".w"],
@@ -229,22 +229,24 @@ class SaneModel(Model):
         # of a block's output, and so of R2; plus layer norm 2's input
         # gradient, of E + R1, and so of R1; plus layer norm 1's, of E.
         # g_ctx is layer norm backward's scratch
-        g_res, g_ln, g_ctx, g_mlp = (s[k] for k in
-                                     ("g_res", "g_ln", "g_ctx", "g_mlp"))
+        g_res, g_ln, ln, g_ctx = (s[k] for k in ("stem", "res", "ln", "g_ctx"))
         g_res[...] = np.divide(g, c.n + 1, out=g)[:, None]
         for i in reversed(range(c.e)):
             a, w, gw = blocks[i], _block(p, i), _block(pg, i)
-            nm.linear_backward(g_res, a["mlp"], w["mlp.w2"], gw["mlp.w2"],
+            g_mlp = a["mlp"]
+            nm.linear_backward(g_res, g_mlp, w["mlp.w2"], gw["mlp.w2"],
                                gw["mlp.b2"], g_mlp)
             g_mlp *= a["dmlp"]
-            nm.linear_backward(g_mlp, a["ln2"], w["mlp.w1"], gw["mlp.w1"],
+            nm.layer_norm_output(a["xhat2"], w["ln2.gain"], w["ln2.bias"], ln)
+            nm.linear_backward(g_mlp, ln, w["mlp.w1"], gw["mlp.w1"],
                                gw["mlp.b1"], g_ln)
             nm.layer_norm_backward(g_ln, a["xhat2"], a["inv2"], w["ln2.gain"],
                                    gw["ln2.gain"], gw["ln2.bias"], g_ctx)
             g_res += g_ln
             nm.linear_backward(g_res, a["ctx"], w["attn.wo"], gw["attn.wo"],
                                gw["attn.bo"], g_ctx)
-            nm.attention_backward(g_ctx, a["ln1"], w["attn.wq"], w["attn.wk"],
+            nm.layer_norm_output(a["xhat1"], w["ln1.gain"], w["ln1.bias"], ln)
+            nm.attention_backward(g_ctx, ln, w["attn.wq"], w["attn.wk"],
                                   w["attn.wv"], c.h, a["ctx"], a, s, g_ln,
                                   [gw["attn." + k] for k in _QKV])
             nm.layer_norm_backward(g_ln, a["xhat1"], a["inv1"], w["ln1.gain"],
@@ -252,12 +254,12 @@ class SaneModel(Model):
             g_res += g_ln
         np.sum(g_res, axis=0, out=pg["pos"])
         np.sum(g_res[:, 0], axis=0, out=pg["sla"])
-        # the packet embeddings' gradient, made contiguous in the front of
-        # the stem, which no backward reads
-        g_emb = s["stem"].reshape(-1)[:g_res[:, 1:].size]
+        # the packet embeddings' gradient, made contiguous in front of g_ln
+        g_emb = g_ln.reshape(-1)[:g_res[:, 1:].size]
         np.copyto(g_emb.reshape(g_res[:, 1:].shape), g_res[:, 1:])
         nm.linear_backward(g_emb.reshape(-1, c.d_model), x, p["embed.w"],
                            pg["embed.w"], pg["embed.b"])
+        ws.x = None
 
     def predict_arrays(self, x: np.ndarray, batch_size: int = PREDICT_BATCH,
                        workspace: Workspace | None = None) -> dict:

@@ -20,7 +20,7 @@ from .checkpoint import atomic_write, read_json, write_json
 from .ingest import (CSV_HEADER, COL_DIRECTION, COL_INTER_ARRIVAL,
                      COL_PORT_CATEGORY, COL_PROTO, COL_SIZE, DIRECTION_CODES,
                      PROTO_CODES, packet_dtype, port_category)
-from .params import check_fields
+from .params import check_fields, is_int
 
 _EPHEMERAL_LOW = 49152
 _EPHEMERAL_HIGH = 65536
@@ -48,9 +48,15 @@ class DeviceProfile:
             check_fields(self, {"size_log_mean": None, "iat_log_mean": None})
         except ValueError as exc:
             raise ValueError(f"{self.device_id}: {exc}") from None
-        for name, probs in (("proto", self.proto_probs),
-                            ("port", self.port_probs),
-                            ("direction", self.direction_probs)):
+        for name, probs, keys in (("proto", self.proto_probs, PROTO_CODES),
+                                  ("port", self.port_probs, None),
+                                  ("direction", self.direction_probs,
+                                   DIRECTION_CODES)):
+            for k in probs:
+                if not (k in keys if keys else is_int(k) and 0 <= k < 2 ** 16):
+                    want = f"one of {list(keys)}" if keys else "a port number"
+                    raise ValueError(f"{self.device_id}: {name}_probs key "
+                                     f"{k!r} is not {want}")
             total = sum(probs.values())
             if (abs(total - 1.0) > 1e-9
                     or any(not p >= 0 for p in probs.values())):
@@ -72,7 +78,7 @@ class DeviceProfile:
         except TypeError as exc:    # an unknown or a missing field
             raise ValueError(f"{d.get('device_id')}: {exc}") from None
         if isinstance(profile.port_probs, dict):    # JSON keys are strings
-            profile.port_probs = {int(k): v
+            profile.port_probs = {int(k) if str(k).isdecimal() else k: v
                                   for k, v in profile.port_probs.items()}
         profile.validate()
         return profile

@@ -327,6 +327,7 @@ class TestPipelineAndSweep:
     # a --config file that holds no dict, and flags rejected after a valid
     # --config file: nothing is written, not even the file's config
     ("--config", "[1, 2]", "config.json must hold a JSON dict"),
+    ("--config", "notjson", "config.json is not JSON"),
     ("--config", '{"bogus": 1}', "config.json has no field 'bogus'"),
     ("--config", '{"num_unseen": 3} --sane {"e":0}', "sane.e"),
     # the seed of a per-seed stage command, as the config's seeds

@@ -476,6 +476,22 @@ def test_linear_matches_3d_reference(shape):
         np.testing.assert_array_equal(got, ref)
 
 
+@pytest.mark.parametrize("x_shape", [(12, 16), (3, 4, 16)])
+def test_linear_backward_may_write_x_gradient_over_x(x_shape):
+    rng = np.random.default_rng(len(x_shape))
+    k, n = x_shape[-1], 24
+    x, w, g = (rng.standard_normal(s, dtype=np.float32)
+               for s in (x_shape, (k, n), x_shape[:-1] + (n,)))
+    want = (np.empty((k, n), np.float32), np.empty(n, np.float32),
+            np.empty_like(x))
+    nm.linear_backward(g, x, w, *want)
+    got = (np.empty((k, n), np.float32), np.empty(n, np.float32), x.copy())
+    nm.linear_backward(g, got[2], w, *got)
+    for a, ref in zip(got, want):
+        assert a.dtype == np.float32
+        np.testing.assert_array_equal(a, ref)
+
+
 def _adam(data, learning_rate):
     """Adam over the flat float array `data` and a zero gradient buffer."""
     data = np.array(data, dtype=float)

@@ -415,6 +415,27 @@ def test_a_shorter_batch_in_a_larger_workspace_is_bit_identical(tiny_model):
         tiny_model.forward(np.concatenate([large, small]), workspace)
 
 
+def test_backward_runs_once_per_forward(tiny_model):
+    c = tiny_model.config
+    x = np.random.default_rng(3).random((4, c.n, c.f), dtype=np.float32)
+    y = np.arange(4) % c.num_classes
+    workspace = Workspace(tiny_model, 4)
+    want = _step(tiny_model, x, y, workspace)
+    # a second backward would read the MLP's gradients as GELU's outputs
+    with pytest.raises(nm.NumericsError, match="needs a pending forward"):
+        tiny_model.backward(nm.cross_entropy_arrays(want[0][0], y)[1],
+                            workspace)
+    # and a workspace that never ran a forward has none either
+    with pytest.raises(nm.NumericsError, match="needs a pending forward"):
+        tiny_model.backward(nm.cross_entropy_arrays(want[0][0], y)[1],
+                            Workspace(tiny_model, 4))
+    got = _step(tiny_model, x, y, workspace)
+    for g, w in zip(got[0], want[0]):
+        np.testing.assert_array_equal(g, w)
+    for name, g in got[1].items():
+        np.testing.assert_array_equal(g, want[1][name], err_msg=name)
+
+
 def test_predict_arrays_outputs_never_alias_the_workspace(tiny_model):
     c = tiny_model.config
     x = np.random.default_rng(2).random((10, c.n, c.f), dtype=np.float32)
@@ -474,23 +495,40 @@ def test_a_training_step_keeps_only_what_backward_reads():
         train_sane(x, np.arange(16) % c.num_classes, x_val,
                    np.arange(3) % c.num_classes, c)
     (workspace,) = made
+    _assert_workspace_bytes(workspace, c)
+
+
+def test_a_default_shape_workspace_takes_at_most_118_mib():
+    # 64 sequences of T = 201 tokens; np.empty touches no page of it
+    c = SaneConfig(num_classes=10)
+    workspace = Workspace(SaneModel(c), c.batch_size)
+    assert _assert_workspace_bytes(workspace, c) <= 118 * 2 ** 20
+
+
+def _assert_workspace_bytes(workspace, c):
+    """Assert that `workspace`, made for config c's batch size, holds what
+    a step's backward reads and its shared arrays, and return its bytes."""
     b, t, d, h = c.batch_size, c.n + 1, c.d_model, c.h
-    chunk = min(b, nm.ATTN_SCORE_ELEMS // (h * t * t))
-    # per block, in (B, T) rows of float32, what backward reads: both layer
-    # norms' output and xhat (4 d), q, k, v and the context (4 d), GELU's
-    # output, written over the w1 output, and its derivative (2 d_mlp);
-    # the residual sums, written over the wo and w2 outputs (2 d); and the
-    # row statistics: each layer norm's 1 / std (2) and attention's score
-    # max and sum per head (2 h). No packed qkv product is kept
-    block = b * t * (10 * d + 2 * c.d_mlp + 2 + 2 * h)
+    # at least one sequence, however long
+    chunk = min(b, max(1, nm.ATTN_SCORE_ELEMS // (h * t * t)))
+    # per block, in (B, T) rows of float32, what backward reads and cannot
+    # rebuild: both layer norms' xhat, q, k, v and the context (6 d),
+    # GELU's output, written over the w1 output, and its derivative
+    # (2 d_mlp); and the row statistics: each layer norm's 1 / std (2) and
+    # attention's score max and sum per head (2 h). No layer norm output,
+    # residual sum or packed qkv product is kept
+    block = b * t * (6 * d + 2 * c.d_mlp + 2 + 2 * h)
     shared = (b * t * d                          # the stem
               + b * (d + c.M + c.N + c.num_classes)  # the head's outputs
-              # the backward's gradients: the residual stream, a layer
-              # norm output, the context and the MLP, and the head's
-              + b * t * (3 * d + c.d_mlp) + b * (d + c.M + c.N)
+              # the residual sum E + R1 and a layer norm output; in
+              # backward, a layer norm input gradient and a rebuilt output
+              + b * t * 2 * d
+              # the backward's gradients: the context, and the head's
+              + b * t * d + b * (d + c.M + c.N)
               # attention's scratch: the packed qkv product, and per chunk
               # of sequences two score and two context arrays
               + b * t * 3 * d + 2 * chunk * h * t * (t + d // h))
     gelu = 4 * min(b * t * c.d_mlp, nm.GELU_BLOCK_ELEMS)
-    assert sum(a.nbytes for a in _arrays(workspace)) == 4 * (
-        c.e * block + shared + gelu)
+    total = sum(a.nbytes for a in _arrays(workspace))
+    assert total == 4 * (c.e * block + shared + gelu)
+    return total

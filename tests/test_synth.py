@@ -107,9 +107,18 @@ def test_invalid_profile_fatal():
     (lambda d: d.update(port_probs=5), "^b: port_probs must be a dict"),
     (lambda d: d.update(bogus=1), "^b: .*'bogus'"),
     (lambda d: d.pop("size_log_mean"), "^b: .*'size_log_mean'"),
+    # a key that names no protocol, and one that is not a port number
+    (lambda d: d.update(proto_probs={"TCP": 1.0}),
+     "^b: proto_probs key 'TCP' is not one of"),
+    (lambda d: d.update(port_probs={"abc": 1.0}),
+     "^b: port_probs key 'abc' is not a port number"),
+    # ingest rejects a port outside 0..65535 only after synth wrote it
+    (lambda d: d.update(port_probs={"70000": 1.0}),
+     "^b: port_probs key 70000 is not a port number"),
     # the file holds one profile where a list of them belongs
     (None, "profiles.json must hold a JSON list of profiles, got dict")],
-    ids=["port_probs", "unknown-key", "missing-key", "dict-file"])
+    ids=["port_probs", "unknown-key", "missing-key", "proto-key", "port-key",
+         "port-range", "dict-file"])
 def test_invalid_profile_file_fatal(tmp_path, edit, match):
     profiles = [_profile("a", 53).to_dict(), _profile("b", 80).to_dict()]
     if edit is None:
