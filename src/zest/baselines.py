@@ -8,10 +8,11 @@ in-module so that the package needs numpy alone.
 Every pipeline is called as `(fit_x, fit_y, tests, attrs, seed)` and makes
 one cluster per row of `attrs`, the (num_classes, N) class attributes. It
 fits its model (k-means, plus the VAE or the forest) once on the fit rows,
-then scores every evaluation setting's test split against it: `tests` maps
-a setting name to that split's (features, labels), and the result maps it
-to one `EvalReport`. The fit never sees test rows, so the ZSL and GZSL
-reports come from one and the same model.
+then predicts every evaluation setting's test split with it: `tests` maps a
+setting name to that split's features, and the pipeline returns
+`({setting: predicted labels}, extra)`, where `extra` describes the fit. A
+pipeline sees no test label; the caller scores the predictions, so the ZSL
+and GZSL reports come from one and the same model.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import EvalReport, build_report
 from .cvae import CvaeConfig, train_cvae
 from .forest import RandomForest
 
@@ -163,66 +163,55 @@ def cluster_label_mapping(assignments: np.ndarray, labels: np.ndarray,
 # baseline pipelines
 # ---------------------------------------------------------------------------
 
-# evaluation setting -> its test split's (features, labels)
-Tests = dict[str, tuple[np.ndarray, np.ndarray]]
+# evaluation setting -> its test split's features
+Tests = dict[str, np.ndarray]
+# ({setting: predicted labels}, what the fit reports of itself)
+Predictions = tuple[dict[str, np.ndarray], dict]
 
 
-def _test_report(setting: str, test_labels: np.ndarray, test_pred: np.ndarray,
-                 extra: dict) -> EvalReport:
-    return build_report(setting, test_labels, test_pred,
-                        sorted(set(int(v) for v in test_labels)),
-                        extra=dict(extra))
-
-
-def _clustering_reports(cluster: ClusterResult, train_labels: np.ndarray,
-                        tests: Tests, pipeline: str,
-                        seed: int) -> dict[str, EvalReport]:
-    """Map clusters to labels on the training data, then score each
-    setting's held-out test points routed through nearest centers and the
-    same mapping."""
+def _clustering_predictions(cluster: ClusterResult, train_labels: np.ndarray,
+                            tests: Tests, pipeline: str) -> Predictions:
+    """Map clusters to labels on the training data, then route each
+    setting's held-out test points through nearest centers and the same
+    mapping."""
     k = len(cluster.centers)
     mapping = cluster_label_mapping(cluster.assignments, train_labels, k)
     train_accuracy = float((mapping[cluster.assignments]
                             == train_labels).mean())
-    extra = {"pipeline": pipeline, "seed": seed,
-             "train_accuracy": train_accuracy}
-    return {setting: _test_report(setting, test_labels,
-                                  mapping[cluster.assign(test_points)], extra)
-            for setting, (test_points, test_labels) in tests.items()}
+    return ({setting: mapping[cluster.assign(points)]
+             for setting, points in tests.items()},
+            {"pipeline": pipeline, "train_accuracy": train_accuracy})
 
 
 def seqcr(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
-          attrs: np.ndarray, seed: int) -> dict[str, EvalReport]:
+          attrs: np.ndarray, seed: int) -> Predictions:
     """k-means with random centers on the narrow latents."""
     cluster = kmeans(train_lam, k=len(attrs), seed=seed)
-    return _clustering_reports(cluster, train_labels, tests, "seqcr", seed)
+    return _clustering_predictions(cluster, train_labels, tests, "seqcr")
 
 
 def seqcs(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
-          attrs: np.ndarray, seed: int) -> dict[str, EvalReport]:
+          attrs: np.ndarray, seed: int) -> Predictions:
     """Seeded k-means: initial centers are the attribute vectors of all
     devices."""
     cluster = kmeans(train_lam, k=len(attrs), init=attrs, seed=seed)
-    return _clustering_reports(cluster, train_labels, tests, "seqcs", seed)
+    return _clustering_predictions(cluster, train_labels, tests, "seqcs")
 
 
 def deft(train_lam: np.ndarray, train_labels: np.ndarray, tests: Tests,
-         attrs: np.ndarray, seed: int) -> dict[str, EvalReport]:
+         attrs: np.ndarray, seed: int) -> Predictions:
     """Seeded clustering followed by a random forest trained on the cluster
     labels; test predictions route through the clustering's label mapping."""
     cluster = kmeans(train_lam, k=len(attrs), init=attrs, seed=seed)
     mapping = cluster_label_mapping(cluster.assignments, train_labels,
                                     len(attrs))
     forest = RandomForest(seed=seed).fit(train_lam, cluster.assignments)
-    extra = {"pipeline": "deft", "seed": seed}
-    return {setting: _test_report(setting, test_labels,
-                                  mapping[forest.predict(test_lam)], extra)
-            for setting, (test_lam, test_labels) in tests.items()}
+    return ({setting: mapping[forest.predict(test_lam)]
+             for setting, test_lam in tests.items()}, {"pipeline": "deft"})
 
 
 def vae_k(train_l: np.ndarray, train_labels: np.ndarray, tests: Tests,
-          attrs: np.ndarray, seed: int,
-          epochs: int = 100) -> dict[str, EvalReport]:
+          attrs: np.ndarray, seed: int, epochs: int = 100) -> Predictions:
     """A plain VAE, the CVAE given zero-width attributes, compresses the
     wide latents to the attribute width N (the columns of `attrs`, whose
     values seed nothing here), then random-init k-means clusters the
@@ -236,6 +225,5 @@ def vae_k(train_l: np.ndarray, train_labels: np.ndarray, tests: Tests,
         return model.encode_arrays(x, np.empty((len(x), 0)))[0]
 
     cluster = kmeans(encode(train_l), k=len(attrs), seed=seed)
-    encoded = {setting: (encode(test_l), test_labels)
-               for setting, (test_l, test_labels) in tests.items()}
-    return _clustering_reports(cluster, train_labels, encoded, "vae_k", seed)
+    encoded = {setting: encode(test_l) for setting, test_l in tests.items()}
+    return _clustering_predictions(cluster, train_labels, encoded, "vae_k")

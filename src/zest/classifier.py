@@ -1,10 +1,11 @@
-"""Final supervised classifier and the ZSL/GZSL evaluation protocols.
+"""Final supervised classifier and the one report builder.
 
 A linear one-vs-rest SVM is trained on pseudo latents by subgradient descent
 on the L2-regularized hinge objective, with the weights of all classes in one
-(classes, dim) matrix updated together, stored as an npz archive of its
-classes, weights and biases, and evaluated on real latents extracted from
-held-out test traffic.
+(classes, dim) matrix updated together, and stored as an npz archive of its
+classes, weights and biases. `evaluate` builds every report, ZEST's and each
+baseline's: one setting's true and predicted labels scored over the classes
+the setting covers.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def predict(model: SvmModel, latents: np.ndarray) -> np.ndarray:
 class EvalReport:
     """Accuracy summary for one evaluation run."""
 
-    setting: str                       # "zsl" | "gzsl" | "supervised"
+    setting: str                       # "zsl" | "gzsl"
     accuracy: float
     class_labels: list[int]
     per_class_accuracy: dict[int, float]
@@ -149,10 +150,14 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def build_report(setting: str, y_true: np.ndarray, y_pred: np.ndarray,
-                 class_labels: list[int], extra: dict | None = None) -> EvalReport:
-    """Confusion over class_labels; predictions outside the set count as a
-    dedicated overflow column so row sums equal per-class test counts."""
+def evaluate(setting: str, y_true: np.ndarray, y_pred: np.ndarray,
+             class_labels: list[int], extra: dict | None = None) -> EvalReport:
+    """The report of one setting ("zsl" or "gzsl"): accuracy, per-class
+    accuracy and the confusion over `class_labels`, which must hold every
+    true label. Predictions outside the set count in a dedicated overflow
+    column, so row sums equal per-class test counts."""
+    if setting not in ("zsl", "gzsl"):
+        raise ValueError(f"unknown setting {setting!r}")
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     labels = np.asarray(class_labels, dtype=np.int64)
@@ -175,16 +180,3 @@ def build_report(setting: str, y_true: np.ndarray, y_pred: np.ndarray,
                       per_class_accuracy=per_class, confusion=confusion,
                       num_test=len(y_true), extra=extra or {})
 
-
-def evaluate(setting: str, model: SvmModel, test_latents: np.ndarray,
-             test_labels: np.ndarray, extra: dict | None = None) -> EvalReport:
-    """Score a trained classifier on real test latents.
-
-    ZSL: the model's label set is the unseen classes and test latents must
-    come from unseen devices only. GZSL: label set is seen + unseen.
-    """
-    if setting not in ("zsl", "gzsl"):
-        raise ValueError(f"unknown setting {setting!r}")
-    y_pred = predict(model, test_latents)
-    return build_report(setting, test_labels, y_pred, list(model.classes),
-                        extra=extra)

@@ -17,6 +17,11 @@ does the checking and caching for all of them, and the body gets a
 body first asks for them. `run_seed` runs the table in order; the CLI builds
 one command per entry and runs `partition` before the named stage.
 
+One rule, `_classes`, gives the classes an evaluation setting covers: all
+of them for GZSL, the unseen ones for ZSL. It picks each SVM's pseudo
+classes, each setting's test split and the labels its reports are scored
+over; `evaluate` scores ZEST's and each baseline's test predictions.
+
 Every array artifact of a run is an npz archive: the normalizer, the
 checkpoints, the SVMs, the pseudo data, and `latents.npz`, which holds the
 latents of every sequence and the class attributes as one (num_classes, N)
@@ -41,7 +46,8 @@ from . import baselines as bl
 from .attributes import compute_attributes, extract_latents
 from .checkpoint import (atomic_write, json_default, load_arrays, read_json,
                          save_arrays, write_json)
-from .classifier import EvalReport, SvmConfig, SvmModel, evaluate, train_svm
+from .classifier import (EvalReport, SvmConfig, SvmModel, evaluate, predict,
+                         train_svm)
 from .cvae import CvaeConfig, CvaeModel, generate_pseudo, train_cvae
 from .ingest import (Dataset, Normalizer, apply_normalizer, build_dataset,
                      fit_normalizer, load_dataset, make_partition,
@@ -201,6 +207,10 @@ def resolve_config(outdir: str | Path, *layers: dict | str | Path) -> Experiment
             else:
                 fields[key] = value
         config = ExperimentConfig(**fields)
+    # the synth stage reads a profile file; a missing one is its error
+    profiles = config.source.get("profiles")
+    if profiles is not None and Path(profiles).exists():
+        source_profiles(config.source)
     write_json(path, asdict(config))
     return config
 
@@ -410,6 +420,14 @@ class StageContext:
         attributes `attrs`."""
         return load_arrays(self.rdir / "latents.npz")
 
+    @cached_property
+    def test_idx(self) -> dict[str, np.ndarray]:
+        """Each setting's test split: its classes' test sequences."""
+        return {setting: _select(self.partition["splits"]["test"],
+                                 self.latents["labels"],
+                                 _classes(self.partition, setting))
+                for setting in SETTINGS}
+
     def sane_config(self) -> SaneConfig:
         return self.config.sane_config(num_classes=len(self.partition["seen"]),
                                        seed=self.seed)
@@ -449,12 +467,10 @@ def _select(idx: list[int], labels: np.ndarray, classes) -> np.ndarray:
     return idx[np.isin(labels[idx], classes)]
 
 
-def _test_idx(partition: dict, labels: np.ndarray, setting: str) -> np.ndarray:
-    """The test split; for ZSL, only its sequences of unseen devices."""
-    test = partition["splits"]["test"]
-    if setting == "zsl":
-        return _select(test, labels, partition["unseen"])
-    return np.asarray(test, dtype=np.int64)
+def _classes(partition: dict, setting: str) -> list[int]:
+    """The classes a setting covers: all for GZSL, the unseen for ZSL."""
+    return (sorted(partition["seen"] + partition["unseen"])
+            if setting == "gzsl" else partition["unseen"])
 
 
 def _train_sane(ctx: StageContext) -> None:
@@ -463,7 +479,6 @@ def _train_sane(ctx: StageContext) -> None:
     train_idx = _select(splits["train"], labels, seen)
     val_idx = _select(splits["val"], labels, seen)
     norm = fit_normalizer(features[train_idx])
-    save_arrays(ctx.rdir / "normalizer.npz", mins=norm.mins, maxs=norm.maxs)
 
     def localized(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # seen classes renumbered 0..len(seen)-1 in sorted order
@@ -473,6 +488,8 @@ def _train_sane(ctx: StageContext) -> None:
     model, _ = train_sane(*localized(train_idx), *localized(val_idx),
                           ctx.sane_config(),
                           log_path=ctx.rdir / "sane_log.csv")
+    # saved after the fit: a failed one leaves no file that no manifest lists
+    save_arrays(ctx.rdir / "normalizer.npz", mins=norm.mins, maxs=norm.maxs)
     model.save(ctx.rdir / "sane.npz")
 
 
@@ -523,41 +540,45 @@ def _gen_pseudo(ctx: StageContext) -> None:
 def _train_clf(ctx: StageContext) -> None:
     pseudo = load_arrays(ctx.rdir / "pseudo.npz")
     samples, labels = pseudo["samples"], pseudo["labels"]
-    for setting, keep in (("gzsl", slice(None)),
-                          ("zsl", np.isin(labels, ctx.partition["unseen"]))):
+    for setting in SETTINGS:
+        keep = np.isin(labels, _classes(ctx.partition, setting))
         train_svm(samples[keep], labels[keep], ctx.config.svm_config()).save(
             ctx.rdir / f"svm_{setting}.npz")
 
 
+def _reports(ctx: StageContext, method: str, predictions: dict[str, np.ndarray],
+             extra: dict) -> dict[str, EvalReport]:
+    """The report of each setting that `predictions` maps to the method's
+    labels for that setting's test split."""
+    return {setting: evaluate(setting,
+                              ctx.latents["labels"][ctx.test_idx[setting]],
+                              pred, _classes(ctx.partition, setting),
+                              {**extra, "method": method, "seed": ctx.seed})
+            for setting, pred in predictions.items()}
+
+
 def _eval(ctx: StageContext) -> None:
-    labels = ctx.latents["labels"]
-    lines = []
-    for setting in SETTINGS:
-        model = SvmModel.load(ctx.rdir / f"svm_{setting}.npz")
-        idx = _test_idx(ctx.partition, labels, setting)
-        report = evaluate(setting, model, ctx.latents["l"][idx], labels[idx],
-                          extra={"method": "zest", "seed": ctx.seed})
+    reports = _reports(ctx, "zest", {
+        setting: predict(SvmModel.load(ctx.rdir / f"svm_{setting}.npz"),
+                         ctx.latents["l"][idx])
+        for setting, idx in ctx.test_idx.items()}, {})
+    for setting, report in reports.items():
         write_json(ctx.rdir / f"report_{setting}.json", report.to_dict())
-        lines.append(report.format_table())
     with atomic_write(ctx.rdir / "report.txt", "w") as fh:
-        fh.write("\n\n".join(lines) + "\n")
+        fh.write("\n\n".join(r.format_table() for r in reports.values())
+                 + "\n")
 
 
 def _baseline(ctx: StageContext, name: str) -> None:
     labels, features = ctx.latents["labels"], ctx.latents[BASELINES[name]]
     fit_idx = _fit_idx(ctx.partition, labels)
-    pipeline = getattr(bl, name.replace("-", "_"))
-
-    tests = {}
-    for setting in SETTINGS:
-        idx = _test_idx(ctx.partition, labels, setting)
-        tests[setting] = (features[idx], labels[idx])
-    reports = pipeline(features[fit_idx], labels[fit_idx], tests,
-                       ctx.latents["attrs"], ctx.seed)
-    for report in reports.values():
-        report.extra["method"] = name
+    tests = {setting: features[idx] for setting, idx in ctx.test_idx.items()}
+    predictions, extra = getattr(bl, name.replace("-", "_"))(
+        features[fit_idx], labels[fit_idx], tests, ctx.latents["attrs"],
+        ctx.seed)
     write_json(ctx.rdir / f"baseline_{name}.json",
-               {s: r.to_dict() for s, r in reports.items()})
+               {s: r.to_dict() for s, r in
+                _reports(ctx, name, predictions, extra).items()})
 
 
 _DATASET = (("ingest", "dataset.npz"), ("ingest", "dataset.json"))

@@ -11,12 +11,12 @@ true generator parameters; the tests use it as the accuracy ceiling.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write, read_json, write_json
+from .checkpoint import atomic_write, read_json
 from .ingest import (CSV_HEADER, COL_DIRECTION, COL_INTER_ARRIVAL,
                      COL_PORT_CATEGORY, COL_PROTO, COL_SIZE, DIRECTION_CODES,
                      PROTO_CODES, packet_dtype, port_category)
@@ -63,11 +63,6 @@ class DeviceProfile:
                 raise ValueError(
                     f"{self.device_id}: {name} probabilities sum to {total}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["port_probs"] = {str(k): v for k, v in self.port_probs.items()}
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceProfile":
         """A checked profile from its JSON form; an error names the device."""
@@ -82,10 +77,6 @@ class DeviceProfile:
                                   for k, v in profile.port_probs.items()}
         profile.validate()
         return profile
-
-
-def save_profiles(profiles: list[DeviceProfile], path: str | Path) -> None:
-    write_json(path, [p.to_dict() for p in profiles])
 
 
 # ---------------------------------------------------------------------------

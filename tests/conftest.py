@@ -2,13 +2,17 @@
 graph nodes the tests build reference composites from, which the models
 no longer use: mul, scale, mean_pool, concat, reshape and broadcast_to;
 and the adapter that puts a model, which runs on arrays, into a graph:
-`param_leaves` and `model_node`."""
+`param_leaves` and `model_node`; and `write_profiles`, which writes a
+profile file."""
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from zest import numerics as nm
+from zest.checkpoint import write_json
 from zest.ingest import (apply_normalizer, build_dataset, fit_normalizer,
                          split_indices)
 from zest.sane import SaneConfig, SaneModel, train_sane
@@ -39,6 +43,12 @@ def tiny_profiles(num_devices=3, sessions=30):
             sessions=sessions, packets_per_session=TINY_N,
         ))
     return profiles
+
+
+def write_profiles(profiles, path):
+    """A profile file: the JSON list of `profiles`, which a `profiles`
+    source reads back to equal profiles."""
+    write_json(path, [asdict(p) for p in profiles])
 
 
 def mul(a, b):

@@ -214,34 +214,39 @@ def _pipeline_data(seed=0):
             num_classes)
 
 
-def _gzsl(features, labels):
-    return {"gzsl": (features, labels)}
+def _gzsl_accuracy(result, labels):
+    """The accuracy of a pipeline's GZSL predictions."""
+    predictions, _ = result
+    return float((predictions["gzsl"] == labels).mean())
 
 
 def _settings(features, labels):
-    """A ZSL split of the last two classes' test points, and the GZSL split
-    of all of them."""
-    zsl = labels >= 2
-    return {"zsl": (features[zsl], labels[zsl]), "gzsl": (features, labels)}
+    """The features of a ZSL split of the last two classes' test points,
+    and of the GZSL split of all of them."""
+    return {"zsl": features[labels >= 2], "gzsl": features}
 
 
 class TestPipelines:
     def test_seqcr_and_seqcs_on_separable(self):
         (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,
          k) = _pipeline_data()
-        tests = _gzsl(test_lam, test_y)
-        r_cr = seqcr(train_lam, train_y, tests, attrs, seed=0)["gzsl"]
-        r_cs = seqcs(train_lam, train_y, tests, attrs, seed=0)["gzsl"]
-        assert r_cs.accuracy >= r_cr.accuracy
-        assert r_cs.accuracy == 1.0
+        tests = {"gzsl": test_lam}
+        acc_cr = _gzsl_accuracy(seqcr(train_lam, train_y, tests, attrs,
+                                      seed=0), test_y)
+        acc_cs = _gzsl_accuracy(seqcs(train_lam, train_y, tests, attrs,
+                                      seed=0), test_y)
+        assert acc_cs >= acc_cr
+        assert acc_cs == 1.0
 
     def test_deft_close_to_seqcs_on_clean_clusters(self):
         (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,
          k) = _pipeline_data()
-        tests = _gzsl(test_lam, test_y)
-        r_cs = seqcs(train_lam, train_y, tests, attrs, seed=0)["gzsl"]
-        r_df = deft(train_lam, train_y, tests, attrs, seed=0)["gzsl"]
-        assert r_df.accuracy >= r_cs.accuracy - 0.02
+        tests = {"gzsl": test_lam}
+        acc_cs = _gzsl_accuracy(seqcs(train_lam, train_y, tests, attrs,
+                                      seed=0), test_y)
+        acc_df = _gzsl_accuracy(deft(train_lam, train_y, tests, attrs,
+                                     seed=0), test_y)
+        assert acc_df >= acc_cs - 0.02
 
     def test_vae_k_trained_vs_untrained(self):
         accs = {60: [], 0: []}
@@ -252,9 +257,9 @@ class TestPipelines:
             attrs_l = np.stack([train_l[train_y == c].mean(axis=0)
                                 for c in range(k)])
             for epochs in accs:
-                r = vae_k(train_l, train_y, _gzsl(test_l, test_y), attrs_l,
-                          seed=seed, epochs=epochs)["gzsl"]
-                accs[epochs].append(r.accuracy)
+                accs[epochs].append(_gzsl_accuracy(
+                    vae_k(train_l, train_y, {"gzsl": test_l}, attrs_l,
+                          seed=seed, epochs=epochs), test_y))
         assert np.mean(accs[60]) >= np.mean(accs[0])
 
     def test_vae_k_compresses_to_attribute_width(self, monkeypatch):
@@ -275,12 +280,12 @@ class TestPipelines:
     def test_reports_tag_pipeline(self):
         (train_l, train_lam, train_y, test_l, test_lam, test_y, attrs,
          k) = _pipeline_data()
-        reports = seqcr(train_lam, train_y, _settings(test_lam, test_y),
-                        attrs, seed=0)
-        assert list(reports) == ["zsl", "gzsl"]
-        for setting, r in reports.items():
-            assert r.extra["pipeline"] == "seqcr"
-            assert r.setting == setting
+        tests = _settings(test_lam, test_y)
+        predictions, extra = seqcr(train_lam, train_y, tests, attrs, seed=0)
+        assert list(predictions) == ["zsl", "gzsl"]
+        assert extra["pipeline"] == "seqcr"
+        for setting, pred in predictions.items():
+            assert pred.shape == (len(tests[setting]),)
 
     @pytest.mark.parametrize("name", ["seqcr", "seqcs", "deft", "vae_k"])
     def test_one_fit_reports_as_one_fit_per_setting(self, name):
@@ -294,9 +299,10 @@ class TestPipelines:
         else:
             train, tests = train_lam, _settings(test_lam, test_y)
             kwargs = {}
-        both = pipeline(train, train_y, tests, attrs, 3, **kwargs)
+        both, both_extra = pipeline(train, train_y, tests, attrs, 3, **kwargs)
         assert list(both) == ["zsl", "gzsl"]
         for setting, split in tests.items():
-            alone = pipeline(train, train_y, {setting: split}, attrs, 3,
-                             **kwargs)
-            assert both[setting].to_dict() == alone[setting].to_dict()
+            alone, extra = pipeline(train, train_y, {setting: split}, attrs, 3,
+                                    **kwargs)
+            np.testing.assert_array_equal(both[setting], alone[setting])
+            assert both_extra == extra

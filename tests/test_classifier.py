@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zest.checkpoint import write_json
-from zest.classifier import (EvalReport, SvmConfig, SvmModel, build_report,
-                             evaluate, hinge_objective, predict, train_svm)
+from zest.classifier import (EvalReport, SvmConfig, SvmModel, evaluate,
+                             hinge_objective, predict, train_svm)
 
 
 def _blobs(centers, per_class=30, spread=0.3, seed=0):
@@ -148,14 +148,14 @@ class TestEvaluate:
 
     def test_perfect_predictor_accuracy_one(self):
         model, x, y = self._model()
-        report = evaluate("gzsl", model, x, y)
+        report = evaluate("gzsl", y, predict(model, x), model.classes)
         assert report.accuracy == 1.0
         assert report.num_test == len(y)
         assert np.trace(report.confusion) == len(y)
 
     def test_row_sums_match_class_counts(self):
         model, x, y = self._model()
-        report = evaluate("gzsl", model, x, y)
+        report = evaluate("gzsl", y, predict(model, x), model.classes)
         for i, label in enumerate(report.class_labels):
             assert report.confusion[i].sum() == (y == label).sum()
 
@@ -164,7 +164,7 @@ class TestEvaluate:
         # corrupt some points so accuracy is below 1
         x2 = x.copy()
         x2[:10] = -x2[:10]
-        report = evaluate("gzsl", model, x2, y)
+        report = evaluate("gzsl", y, predict(model, x2), model.classes)
         weighted = sum(report.per_class_accuracy[c] * (y == c).sum()
                        for c in report.class_labels) / len(y)
         assert report.accuracy == pytest.approx(weighted)
@@ -174,16 +174,17 @@ class TestEvaluate:
         y_bad = y.copy()
         y_bad[0] = 99
         with pytest.raises(ValueError, match="true labels outside"):
-            evaluate("zsl", model, x, y_bad)
+            evaluate("zsl", y_bad, predict(model, x), model.classes)
 
     def test_unknown_setting_fatal(self):
         model, x, y = self._model()
         with pytest.raises(ValueError, match="setting"):
-            evaluate("train", model, x, y)
+            evaluate("train", y, predict(model, x), model.classes)
 
     def test_report_json_roundtrip(self, tmp_path):
         model, x, y = self._model()
-        report = evaluate("gzsl", model, x, y, extra={"pipeline": "zest"})
+        report = evaluate("gzsl", y, predict(model, x), model.classes,
+                          extra={"pipeline": "zest"})
         path = tmp_path / "report.json"
         write_json(path, report.to_dict())
         import json
@@ -197,7 +198,7 @@ def test_report_with_predictions_outside_label_set():
     # baselines can predict seen classes for unseen-only test data
     y_true = np.array([5, 5, 6, 6])
     y_pred = np.array([5, 2, 6, 1])
-    report = build_report("zsl", y_true, y_pred, [5, 6])
+    report = evaluate("zsl", y_true, y_pred, [5, 6])
     assert report.accuracy == 0.5
     assert report.confusion.shape == (2, 3)      # overflow column
     assert report.confusion.sum() == 4
@@ -205,4 +206,4 @@ def test_report_with_predictions_outside_label_set():
 
 def test_report_true_label_outside_label_set_fatal():
     with pytest.raises(ValueError, match="outside"):
-        build_report("gzsl", np.array([0, 9]), np.array([0, 0]), [0, 1])
+        evaluate("gzsl", np.array([0, 9]), np.array([0, 0]), [0, 1])

@@ -8,18 +8,19 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import tiny_profiles
+from conftest import tiny_profiles, write_profiles
 from zest.cli import main
 from zest.ingest import make_partition
 from zest.pipeline import (STAGES, ExperimentConfig, StageError,
                            resolve_config, run_pipeline, run_sweep,
                            stage_baseline, stage_eval, stage_ingest)
-from zest.synth import generate_csv, save_profiles
+from zest.synth import generate_csv
 
 SANE_OVERRIDES = {"d_model": 16, "e": 1, "h": 2, "d_mlp": 32, "M": 8, "N": 3,
                   "batch_size": 16, "epochs": 6, "learning_rate": 3e-3}
@@ -28,7 +29,7 @@ SANE_OVERRIDES = {"d_model": 16, "e": 1, "h": 2, "d_mlp": 32, "M": 8, "N": 3,
 @pytest.fixture(scope="module")
 def profile_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("profiles") / "tiny.json"
-    save_profiles(tiny_profiles(num_devices=5, sessions=25), path)
+    write_profiles(tiny_profiles(num_devices=5, sessions=25), path)
     return path
 
 
@@ -204,7 +205,7 @@ def test_device_without_fit_sequences_is_named(tmp_path, capsys):
     profiles = tiny_profiles(num_devices=5, sessions=25)
     profiles[3].sessions = 1
     path = tmp_path / "profiles.json"
-    save_profiles(profiles, path)
+    write_profiles(profiles, path)
     seed = next(s for s in range(100)
                 if 3 in make_partition(len(profiles), 2, s)[1])
     outdir = tmp_path / "exp"
@@ -316,6 +317,11 @@ class TestPipelineAndSweep:
     ("--synth-seed", "-1", "source.seed"),
     ("--config", '{"source": {"preset": "hard-12", "seed": 1.5}}',
      "source.seed"),
+    # a profile file is read before config.json is written: the value edits
+    # the second profile of a good file
+    ("--profiles", '{"port_probs": 5}', "tiny-01: port_probs must be a dict"),
+    ("--profiles", '{"proto_probs": {"TCP": 1.0}}',
+     "tiny-01: proto_probs key 'TCP'"),
     # a field of the wrong kind, in a model section or at the top level;
     # Python's json reads NaN
     ("--sane", '{"e":2.5}', "sane.e"), ("--sane", "5", "sane must be a dict"),
@@ -343,11 +349,17 @@ def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,
         values = [str(tmp_path / "config.json"),
                   *(f"--{flags}".split() if flags else [])]
         Path(values[0]).write_text(content)
+    if flag == "--profiles":
+        profiles = [asdict(p) for p in tiny_profiles(num_devices=5,
+                                                     sessions=25)]
+        profiles[1].update(json.loads(value))
+        values = [str(tmp_path / "profiles.json")]
+        Path(values[0]).write_text(json.dumps(profiles))
     # a preset's own settings need a preset source: a --profiles one
     # rejects them as meaningless, and replaces a --config file's source
     if flag in ("--sessions", "--synth-seed"):
         base = ["--preset", "hard-12"]
-    elif flag == "--preset" or "source" in value:
+    elif flag in ("--preset", "--profiles") or "source" in value:
         base = []
     else:
         base = ["--profiles", str(profile_file)]
@@ -456,14 +468,14 @@ def test_edited_profile_file_resynthesizes(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="zest.pipeline")
     path = tmp_path / "profiles.json"
     profiles = tiny_profiles(num_devices=3, sessions=5)
-    save_profiles(profiles, path)
+    write_profiles(profiles, path)
     outdir, fresh = tmp_path / "exp", tmp_path / "fresh"
     ingest = ["ingest", "--outdir", str(outdir), "--profiles", str(path),
               "--n", "10"]
     assert main(ingest) == 0
     assert _stages_run(caplog) == ["synth", "ingest"]
     profiles[0].size_log_mean += 1.0
-    save_profiles(profiles, path)
+    write_profiles(profiles, path)
     assert main(ingest) == 0
     assert _stages_run(caplog) == ["synth", "ingest"]
     assert main(["ingest", "--outdir", str(fresh), "--profiles", str(path),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zest.baselines import kmeans
-from zest.classifier import SvmConfig, build_report, train_svm
+from zest.classifier import SvmConfig, evaluate, train_svm
 from zest.cvae import CvaeConfig
 from zest.forest import RandomForest
 from zest.ingest import (COL_INTER_ARRIVAL, CSV_HEADER, NUM_FEATURES,
@@ -323,7 +323,7 @@ def test_confusion_rows_sum_to_class_counts(labels, data):
     y_pred = np.asarray(data.draw(st.lists(
         st.one_of(st.sampled_from(labels), st.integers(-10, 60)),
         min_size=size, max_size=size)), dtype=np.int64)
-    report = build_report("gzsl", y_true, y_pred, labels)
+    report = evaluate("gzsl", y_true, y_pred, labels)
     k = len(labels)
     outside = ~np.isin(y_pred, labels)
     assert report.confusion.shape == (k, k + int(outside.any()))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_config, tiny_profiles
+from conftest import tiny_config, tiny_profiles, write_profiles
 from test_cli import (SANE_OVERRIDES, _base_args,  # noqa: F401
                       experiment, profile_file)
 import zest
@@ -20,14 +20,14 @@ from zest import baselines as bl
 from zest import checkpoint
 from zest import pipeline as pl
 from zest.attributes import compute_attributes
-from zest.classifier import SvmModel, build_report, predict
+from zest.classifier import SvmModel, evaluate, predict
 from zest.cli import build_parser, main
 from zest.forest import RandomForest
 from zest.ingest import Dataset, load_dataset, save_dataset
 from zest.pipeline import (STAGES, ExperimentConfig, RunLock, StageContext,
                            StageError, resolve_config, write_json)
 from zest.sane import SaneConfig, SaneModel, train_sane
-from zest.synth import generate_csv, save_profiles
+from zest.synth import generate_csv
 
 
 def _command(stage_name: str) -> list[str]:
@@ -145,8 +145,8 @@ TEXT_WRITERS = {
     "report.txt": lambda d, v, _: pl.write_aggregate(_aggregate_rows(v), d),
     "report_gzsl.json": lambda d, v, _: write_json(
         d / "report_gzsl.json",
-        build_report("gzsl", [0, 1], [0, v % 2], [0, 1]).to_dict()),
-    "profiles.json": lambda d, v, _: save_profiles(
+        evaluate("gzsl", [0, 1], [0, v % 2], [0, 1]).to_dict()),
+    "profiles.json": lambda d, v, _: write_profiles(
         tiny_profiles(num_devices=2, sessions=v), d / "profiles.json"),
     "traffic.csv": lambda d, v, _: generate_csv(
         tiny_profiles(num_devices=2, sessions=v), seed=0,
@@ -483,7 +483,7 @@ def test_cli_stages_match_pipeline(experiment, tmp_path, profile_file):
 
 def test_dataset_loads_only_where_needed(tmp_path, monkeypatch):
     profiles = tmp_path / "tiny.json"
-    save_profiles(tiny_profiles(num_devices=5, sessions=25), profiles)
+    write_profiles(tiny_profiles(num_devices=5, sessions=25), profiles)
     config = resolve_config(tmp_path / "exp", {
         "source": {"profiles": str(profiles)}, "n": 10, "num_unseen": 2,
         "seeds": [0], "sane": SANE_OVERRIDES,
@@ -565,7 +565,7 @@ def test_every_baseline_gets_the_same_arguments(experiment, tmp_path,
     def spy(name):
         def pipeline(*args, **kwargs):
             calls[name] = (args, kwargs)
-            return {}
+            return {}, {}
         return pipeline
 
     for name in pl.BASELINES:
@@ -573,18 +573,68 @@ def test_every_baseline_gets_the_same_arguments(experiment, tmp_path,
         pl._baseline(ctx, name)
     labels, partition = ctx.latents["labels"], ctx.partition
     fit_idx = pl._fit_idx(partition, labels)
+    test = np.asarray(partition["splits"]["test"])
+    test_idx = {"zsl": test[np.isin(labels[test], partition["unseen"])],
+                "gzsl": test}
     for name, latent in pl.BASELINES.items():
         (fit_x, fit_y, tests, attrs, seed), kwargs = calls[name]
         features = ctx.latents[latent]
         np.testing.assert_array_equal(fit_x, features[fit_idx])
         np.testing.assert_array_equal(fit_y, labels[fit_idx])
+        # each setting's test features, and no test label: ZSL's are the
+        # unseen devices' test sequences, GZSL's the whole test split
         assert list(tests) == list(pl.SETTINGS)
-        for setting, (x, y) in tests.items():
-            idx = pl._test_idx(partition, labels, setting)
-            np.testing.assert_array_equal(x, features[idx])
-            np.testing.assert_array_equal(y, labels[idx])
+        for setting, x in tests.items():
+            np.testing.assert_array_equal(x, features[test_idx[setting]])
         np.testing.assert_array_equal(attrs, ctx.latents["attrs"])
         assert (seed, kwargs) == (0, {})
+
+
+def test_every_report_is_scored_over_its_settings_classes(experiment,
+                                                          tmp_path,
+                                                          monkeypatch):
+    # one builder for ZEST and every baseline, over one rule's classes
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    ctx = StageContext(resolve_config(work), 0)
+    calls = []
+
+    def spy(setting, y_true, y_pred, class_labels, extra):
+        calls.append((extra["method"], setting, list(class_labels)))
+        return evaluate(setting, y_true, y_pred, class_labels, extra)
+
+    monkeypatch.setattr(pl, "evaluate", spy)
+    pl._eval(ctx)
+    for name in pl.BASELINE_NAMES:
+        pl._baseline(ctx, name)
+    assert len(calls) == 2 * (1 + len(pl.BASELINE_NAMES))
+    seen, unseen = ctx.partition["seen"], ctx.partition["unseen"]
+    classes = {"gzsl": sorted(seen + unseen), "zsl": unseen}
+    for method in ("zest", *pl.BASELINE_NAMES):
+        assert sorted(setting for m, setting, _ in calls if m == method) == [
+            "gzsl", "zsl"]
+        for setting, report in pl.read_reports(ctx.config, 0, method).items():
+            assert (method, setting, classes[setting]) in calls
+            assert report.class_labels == classes[setting]
+            assert report.extra["method"] == method
+            assert report.extra["seed"] == 0
+
+
+def test_failed_train_sane_leaves_only_the_partition(experiment, tmp_path,
+                                                     monkeypatch):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    config = resolve_config(work)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("fit failed")
+
+    monkeypatch.setattr(pl, "train_sane", failing)
+    pl.run_stage("partition", config, 1)
+    with pytest.raises(RuntimeError, match="fit failed"):
+        pl.run_stage("train-sane", config, 1)
+    assert sorted(p.name for p in (work / "runs" / "seed-1").iterdir()) == [
+        "partition.json", "partition.manifest.json"]
 
 
 def test_single_unseen_zsl_svm_predicts_it(experiment, tmp_path):

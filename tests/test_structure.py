@@ -1,0 +1,81 @@
+"""The package's own structure: every definition in `src/zest` is reached
+by something other than the tests."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "zest"
+
+# definitions that only tests reach today, each with the ROADMAP item that
+# gives it a caller or deletes it; an entry leaves when its item lands
+NO_CALLER_YET = {
+    "sane.evaluate_supervised": "item 6 (run-directory telemetry)",
+    "synth.bayes_oracle": "item 2 (the oracle row)",
+    "numerics.grad_check": "item 3 (the graph moves to the tests)",
+    "numerics.attention": "item 3 (the graph moves to the tests)",
+    "pipeline.stage_partition": "item 5 (the bench reaches it by getattr)",
+}
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(qualified name, node) of each top-level function and class, and of
+    each method of a top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, defs):
+                        yield f"{module}.{node.name}.{item.name}", item
+
+
+def _references(tree: ast.AST, strings: bool = False) -> Counter:
+    """The names and attribute names `tree` refers to; with `strings`, its
+    string literals too."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            refs[node.value] += 1
+    return refs
+
+
+def _uncalled() -> set[str]:
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    src_refs = sum((_references(tree) for tree in trees.values()), Counter())
+    outside = sum((_references(ast.parse(path.read_text()), strings=True)
+                   for path in sorted((ROOT / "bench").glob("*.py"))),
+                  Counter())
+    # the console script, `module:function`
+    scripts = re.findall(r'^\w+ = "zest\.(\w+):(\w+)"',
+                         (ROOT / "pyproject.toml").read_text(), re.M)
+    entries = {f"{module}.{name}" for module, name in scripts}
+    uncalled = set()
+    for module, tree in trees.items():
+        for qualified, node in _definitions(tree, module):
+            name = node.name
+            # a definition's references to itself do not count
+            elsewhere = src_refs[name] - _references(node)[name]
+            if (elsewhere > 0 or outside[name] > 0 or qualified in entries
+                    or (name.startswith("__") and name.endswith("__"))):
+                continue
+            uncalled.add(qualified)
+    return uncalled
+
+
+def test_every_src_definition_has_a_caller():
+    uncalled = _uncalled()
+    assert uncalled - set(NO_CALLER_YET) == set(), (
+        "reached only by tests, or by nothing: give each a caller in src/, "
+        "bench/ or the CLI, or delete it")
+    # the allowlist only shrinks: an entry that gained a caller leaves it
+    assert set(NO_CALLER_YET) - uncalled == set()

@@ -1,6 +1,7 @@
 """Synthetic traffic generation determinism and Bayes-oracle behavior."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_invalid_profile_fatal():
     ids=["port_probs", "unknown-key", "missing-key", "proto-key", "port-key",
          "port-range", "dict-file"])
 def test_invalid_profile_file_fatal(tmp_path, edit, match):
-    profiles = [_profile("a", 53).to_dict(), _profile("b", 80).to_dict()]
+    profiles = [asdict(_profile("a", 53)), asdict(_profile("b", 80))]
     if edit is None:
         profiles = profiles[1]
     else:
