@@ -12,7 +12,8 @@ come in forward/backward pairs:
 - `layer_norm_arrays` and `layer_norm_backward`, and `layer_norm_output`,
   by which a backward rebuilds the output it does not keep;
 - `attention_arrays` and `attention_backward`, over the arrays that
-  `attention_saved` and `attention_scratch` allocate;
+  `attention_saved` and `attention_scratch` allocate and a packed
+  projection buffer that the caller places;
 - `gelu_arrays`, whose backward is one product with its derivative;
 - `cross_entropy_arrays`, which returns the loss and its gradient.
 
@@ -36,6 +37,7 @@ buffer. Its beta1, beta2 and epsilon are the constants of Kingma & Ba
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,8 +68,11 @@ class NumericsError(RuntimeError):
 
 
 def require_finite(op: str, data: np.ndarray) -> None:
-    # min/max propagate NaN and expose Inf without allocating a bool mask
-    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+    # min/max propagate NaN and expose Inf without allocating a bool mask;
+    # the ufunc reductions skip `ndarray.min`'s python wrapper: on (64, 32)
+    # float32, 3.1 us a call against 4.1 us
+    if data.size and not (math.isfinite(np.minimum.reduce(data, axis=None))
+                          and math.isfinite(np.maximum.reduce(data, axis=None))):
         raise NumericsError(f"non-finite output in op '{op}'")
 
 
@@ -272,31 +277,34 @@ def attention_saved(batch: int, tokens: int, d: int, heads: int,
 
 def attention_scratch(batch: int, tokens: int, d: int, heads: int,
                       dtype) -> dict[str, np.ndarray]:
-    """Fresh temporaries of attention's forward and backward for (batch,
-    tokens, d) inputs: "qkv" (batch, tokens, 3 d), the packed projections
-    and then their gradient, and per chunk of c sequences, the scores "s"
+    """Fresh per-chunk temporaries of attention's forward and backward for
+    (batch, tokens, d) inputs: for chunks of c sequences, the scores "s"
     and "s2", (c, heads, tokens, tokens), and the context-shaped "o" and
-    "o2", (c, heads, tokens, d / heads)."""
+    "o2", (c, heads, tokens, d / heads). The (batch, tokens, 3 d) packed
+    projection buffer is not among them: its caller places it."""
     c = min(batch, _attention_step(heads, tokens))
     scores, ctx = (c, heads, tokens, tokens), (c, heads, tokens, d // heads)
-    shapes = {"qkv": (batch, tokens, 3 * d), "s": scores, "s2": scores,
-              "o": ctx, "o2": ctx}
+    shapes = {"s": scores, "s2": scores, "o": ctx, "o2": ctx}
     return {k: np.empty(s, dtype) for k, s in shapes.items()}
 
 
 def attention_arrays(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
                      wk: np.ndarray, wv: np.ndarray, bv: np.ndarray,
                      heads: int, out: np.ndarray | None = None,
-                     saved: dict | None = None, scratch: dict | None = None
-                     ) -> tuple[np.ndarray, dict, dict]:
+                     saved: dict | None = None, scratch: dict | None = None,
+                     qkv: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, dict, dict, np.ndarray]:
     """Multi-head scaled dot-product self-attention over x (B, T, d).
 
     With q = x wq + bq, k = x wk and v = x wv + bv split into `heads` heads
     of width d / heads, writes the (B, T, d) context
     softmax(q k^T / sqrt(d / heads)) v, heads side by side, into the
     contiguous `out`, and what backward reads into `saved`; `scratch` holds
-    the temporaries. Returns all three: fresh ones (`attention_saved`,
-    `attention_scratch`) when `out` is None.
+    the per-chunk temporaries and the contiguous (B, T, 3 d) `qkv` the
+    packed projections, which must not overlap x. Returns all four: fresh
+    ones (`attention_saved`, `attention_scratch`) when `out` is None. No
+    array but `out` and `saved` is read after the call, so `qkv` may lie in
+    memory that the caller uses otherwise before and after it.
 
     k has no bias: a key bias bk adds q.bk to every score of a query, which
     the softmax cancels, so its gradient is rounding noise. Whisper drops
@@ -333,24 +341,24 @@ def attention_arrays(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
     if out is None:
         dims = (batch, tokens, d, heads, np.result_type(x, wq))
         out = np.empty(x.shape, dims[-1])
+        qkv = np.empty((batch, tokens, 3 * d), dims[-1])
         saved, scratch = attention_saved(*dims), attention_scratch(*dims)
     head_dim = d // heads
     c = 1.0 / float(np.sqrt(head_dim))
-    # scratch: backward reads only the q, k and v copied out of it below;
-    # the bias is added in place
-    qkv = np.matmul(x, np.concatenate([wq, wk, wv], axis=1),
-                    out=scratch["qkv"])
+    # backward reads only the q, k and v copied out of qkv below; the bias
+    # is added in place
+    np.matmul(x, np.concatenate([wq, wk, wv], axis=1), out=qkv)
     qkv += np.concatenate([bq, np.zeros_like(bq), bv])
     require_finite("attention", qkv)
     # (3, B, h, T, head_dim) views of q, k and v
-    qkv = qkv.reshape(batch, tokens, 3, heads, head_dim)
-    qkv = qkv.transpose(2, 0, 3, 1, 4)
+    proj = qkv.reshape(batch, tokens, 3, heads, head_dim).transpose(
+        2, 0, 3, 1, 4)
     q, k, v, row_max, row_sum = (saved[name] for name in
                                  ("q", "k", "v", "max", "sum"))
     # scale q rather than the much larger score matrix
-    np.multiply(qkv[0], c, out=q)
-    np.copyto(k, qkv[1])
-    np.copyto(v, qkv[2])
+    np.multiply(proj[0], c, out=q)
+    np.copyto(k, proj[1])
+    np.copyto(v, proj[2])
     step = _attention_step(heads, tokens)
     ones = np.ones((1, tokens), dtype=q.dtype)
     out_heads = out.reshape(batch, tokens, heads, head_dim)
@@ -371,18 +379,20 @@ def attention_arrays(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
         ctx /= np.swapaxes(row_sum[sl], -1, -2)
         out_heads[sl] = ctx.transpose(0, 2, 1, 3)
     require_finite("attention", out)
-    return out, saved, scratch
+    return out, saved, scratch, qkv
 
 
 def attention_backward(g: np.ndarray, x: np.ndarray, wq: np.ndarray,
                        wk: np.ndarray, wv: np.ndarray, heads: int,
                        out: np.ndarray, saved: dict, scratch: dict,
-                       gx: np.ndarray, grads: Sequence[np.ndarray]) -> None:
+                       qkv: np.ndarray, gx: np.ndarray,
+                       grads: Sequence[np.ndarray]) -> None:
     """`attention_arrays`' backward for the upstream gradient g of its
     output `out`: x's gradient into the contiguous gx, which holds g * out
     before that, and the gradients of wq, bq, wk, wv and bv into the five
     arrays of `grads`, from the forward's `saved` arrays and in its
-    `scratch`."""
+    `scratch`. The packed projections' gradient goes into `qkv`, shaped as
+    the forward's, which must overlap none of g, x and gx."""
     batch, tokens, d = x.shape
     head_dim = d // heads
     c = 1.0 / float(np.sqrt(head_dim))
@@ -397,9 +407,9 @@ def attention_backward(g: np.ndarray, x: np.ndarray, wq: np.ndarray,
     # divided by l into a contiguous (B, h, 1, T) array: a strided one
     # slows the subtraction from every score row below
     dot = np.divide(dot, row_sum, order="C")
-    # laid out as the forward's qkv, so it reshapes to (B*T, 3d)
-    g_qkv = scratch["qkv"]
-    gq, gk, gv = g_qkv.reshape(batch, tokens, 3, heads, head_dim).transpose(
+    # the gradients of q, k and v, laid out in qkv as the forward's
+    # projections, so that it reshapes to (B*T, 3d)
+    gq, gk, gv = qkv.reshape(batch, tokens, 3, heads, head_dim).transpose(
         2, 0, 3, 1, 4)
     step = _attention_step(heads, tokens)
     for start in range(0, batch, step):
@@ -424,7 +434,7 @@ def attention_backward(g: np.ndarray, x: np.ndarray, wq: np.ndarray,
                            out=scratch["o2"][:rows])
         gk[sl] = np.matmul(gs, q[sl], out=scratch["o2"][:rows])
     gq *= c
-    g_qkv = g_qkv.reshape(batch * tokens, 3 * d)
+    g_qkv = qkv.reshape(batch * tokens, 3 * d)
     np.matmul(g_qkv, np.concatenate([wq, wk, wv], axis=1).T,
               out=gx.reshape(batch * tokens, d))
     g_w = np.split(x.reshape(-1, d).T @ g_qkv, 3, axis=1)
@@ -437,10 +447,11 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
               bv: Tensor, heads: int) -> Tensor:
     """The attention pair as a graph node."""
     parents = (x, wq, bq, wk, wv, bv)
-    out, saved, scratch = attention_arrays(*(t.data for t in parents), heads)
+    out, saved, scratch, qkv = attention_arrays(*(t.data for t in parents),
+                                                heads)
     return _node("attention", out, parents, lambda g, grads: (
         attention_backward(g, x.data, wq.data, wk.data, wv.data, heads, out,
-                           saved, scratch, grads[0], grads[1:])))
+                           saved, scratch, qkv, grads[0], grads[1:])))
 
 
 def layer_norm_arrays(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -557,6 +568,10 @@ def gelu_arrays(x: np.ndarray, out: np.ndarray | None = None,
         scratch = np.empty((4, min(flat.size, GELU_BLOCK_ELEMS)), x.dtype)
     out_data = out.reshape(-1)
     deriv_data = deriv.reshape(-1)
+    # the sign bit, and every other bit, of x's float format
+    bits = np.dtype(f"u{x.dtype.itemsize}")
+    sign = bits.type(1 << (8 * bits.itemsize - 1))
+    magnitude = ~sign
     # over: x^2 of a huge |x|, whose pdf is then 0; invalid: an inf or NaN
     # input, whose non-finite output is fatal below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -586,9 +601,14 @@ def gelu_arrays(x: np.ndarray, out: np.ndarray | None = None,
             pb *= db
             ab *= pb
             # the derivative reads xb, so it comes before ob, which may be
-            # xb: Phi(x) = 1/2 + sign(x) (1/2 - Phi(-|x|))
+            # xb: Phi(x) = 1/2 + sign(x) (1/2 - Phi(-|x|)), the sign copied
+            # by bit operations (through zb, now free): on a 32,768-element
+            # float32 block np.copysign took 28 us and these 14 to 18 us
             np.subtract(0.5, pb, out=pb)
-            np.copysign(pb, xb, out=pb)
+            pbits, zbits = pb.view(bits), zb.view(bits)
+            np.bitwise_and(pbits, magnitude, out=pbits)
+            np.bitwise_and(xb.view(bits), sign, out=zbits)
+            np.bitwise_or(pbits, zbits, out=pbits)
             db *= xb
             db += pb
             db += 0.5

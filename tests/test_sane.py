@@ -323,32 +323,51 @@ def _train_through_graph(monkeypatch):
     monkeypatch.setattr(SaneModel, "backward", backward)
 
 
+def _attention_in_mlp_memory(workspace):
+    a = workspace.blocks[0]
+    return np.shares_memory(a["qkv"], a["mlp"])
+
+
+def _both_layouts(**overrides):
+    """tiny_config, whose d_mlp 32 keeps attention's buffers shared by the
+    blocks, and with d_mlp 64 (5 d_model <= 2 d_mlp), where they live in
+    each block's MLP memory."""
+    configs = [tiny_config(**overrides, d_mlp=m) for m in (32, 64)]
+    assert [_attention_in_mlp_memory(Workspace(SaneModel(c), 1))
+            for c in configs] == [False, True]
+    return configs
+
+
 def test_forward_matches_primitive_graph(tiny_splits, monkeypatch):
     train, val, test, _ = tiny_splits
-    config = tiny_config(e=2, epochs=3)
-    # a trained model, so that no weight is at its initial value
-    model, _ = train_sane(*train, *val, config)
     x, y = test
-    # a full batch, and one shorter than the workspace it runs in
-    for batch, args in ((16, ()), (9, (Workspace(model, 16),))):
-        want = _graph_step(model, x[:batch], y[:batch])
-        got = _step(model, x[:batch], y[:batch], *args)
-        for g, w in zip(got[0], want[0]):
-            assert g.dtype == w.dtype == np.float32
-            np.testing.assert_array_equal(g, w)
-        assert len(got[1]) == len(model.params)
-        for name, g in got[1].items():
-            assert g.dtype == np.float32, name
-            np.testing.assert_array_equal(g, want[1][name], err_msg=name)
+    configs = _both_layouts(e=2, epochs=3)
+    trained = []
+    for config in configs:
+        # a trained model, so that no weight is at its initial value
+        model, log = train_sane(*train, *val, config)
+        trained.append((model, log))
+        # a full batch, and one shorter than the workspace it runs in
+        for batch, args in ((16, ()), (9, (Workspace(model, 16),))):
+            want = _graph_step(model, x[:batch], y[:batch])
+            got = _step(model, x[:batch], y[:batch], *args)
+            for g, w in zip(got[0], want[0]):
+                assert g.dtype == w.dtype == np.float32
+                np.testing.assert_array_equal(g, w)
+            assert len(got[1]) == len(model.params)
+            for name, g in got[1].items():
+                assert g.dtype == np.float32, name
+                np.testing.assert_array_equal(g, want[1][name], err_msg=name)
 
     # every step and validation forward through the graph: 3 epochs of
     # three batches of 16 and one of 6
-    trained, log = train_sane(*train, *val, config)
     _train_through_graph(monkeypatch)
-    reference, reference_log = train_sane(*train, *val, config)
-    assert log == reference_log
-    for name, a in trained.params.items():
-        np.testing.assert_array_equal(a, reference.params[name], err_msg=name)
+    for config, (model, log) in zip(configs, trained):
+        reference, reference_log = train_sane(*train, *val, config)
+        assert log == reference_log
+        for name, a in model.params.items():
+            np.testing.assert_array_equal(a, reference.params[name],
+                                          err_msg=name)
 
 
 def test_no_run_time_path_builds_a_graph_node(tiny_splits, monkeypatch):
@@ -397,22 +416,23 @@ def test_steps_at_one_shape_allocate_no_workspace_array(tiny_model):
         np.testing.assert_array_equal(g, first[1][name])
 
 
-def test_a_shorter_batch_in_a_larger_workspace_is_bit_identical(tiny_model):
-    c = tiny_model.config
-    rng = np.random.default_rng(1)
-    small = rng.random((3, c.n, c.f), dtype=np.float32)
-    large = rng.random((7, c.n, c.f), dtype=np.float32)
-    y = np.arange(7) % c.num_classes
-    want = _step(tiny_model, small, y[:3], Workspace(tiny_model, 3))
-    workspace = Workspace(tiny_model, 7)
-    _step(tiny_model, large, y, workspace)
-    got = _step(tiny_model, small, y[:3], workspace)
-    for g, w in zip(got[0], want[0]):
-        np.testing.assert_array_equal(g, w)
-    for name, g in got[1].items():
-        np.testing.assert_array_equal(g, want[1][name], err_msg=name)
-    with pytest.raises(ValueError, match="does not fit"):
-        tiny_model.forward(np.concatenate([large, small]), workspace)
+def test_a_shorter_batch_in_a_larger_workspace_is_bit_identical():
+    for c in _both_layouts():
+        model = SaneModel(c, rng=np.random.default_rng(3))
+        rng = np.random.default_rng(1)
+        small = rng.random((3, c.n, c.f), dtype=np.float32)
+        large = rng.random((7, c.n, c.f), dtype=np.float32)
+        y = np.arange(7) % c.num_classes
+        want = _step(model, small, y[:3], Workspace(model, 3))
+        workspace = Workspace(model, 7)
+        _step(model, large, y, workspace)
+        got = _step(model, small, y[:3], workspace)
+        for g, w in zip(got[0], want[0]):
+            np.testing.assert_array_equal(g, w)
+        for name, g in got[1].items():
+            np.testing.assert_array_equal(g, want[1][name], err_msg=name)
+        with pytest.raises(ValueError, match="does not fit"):
+            model.forward(np.concatenate([large, small]), workspace)
 
 
 def test_backward_runs_once_per_forward(tiny_model):
@@ -452,6 +472,22 @@ def test_predict_arrays_outputs_never_alias_the_workspace(tiny_model):
     for name, data in tiny_model.predict_arrays(x[:4], batch_size=4).items():
         assert data.flags.owndata
         np.testing.assert_array_equal(data, out[name])
+
+
+@pytest.mark.parametrize("n", [25, 200])
+def test_predict_arrays_does_not_depend_on_the_batch_split(n):
+    # a one-sequence batch is not covered: its head products differ in
+    # the last bits from the same sequence's in a larger batch
+    c = SaneConfig(n=n, num_classes=10)
+    model = SaneModel(c)
+    x = np.random.default_rng(n).standard_normal((64, n, c.f),
+                                                 dtype=np.float32)
+    want = model.predict_arrays(x, batch_size=64)
+    for batch_size in (32, 8):
+        got = model.predict_arrays(x, batch_size=batch_size)
+        for name in ("l", "lam", "logits"):
+            np.testing.assert_array_equal(got[name], want[name],
+                                          err_msg=f"{name}, {batch_size}")
 
 
 def _traced_training_peak(steps):
@@ -498,16 +534,43 @@ def test_a_training_step_keeps_only_what_backward_reads():
     _assert_workspace_bytes(workspace, c)
 
 
-def test_a_default_shape_workspace_takes_at_most_118_mib():
+def test_a_default_shape_workspace_takes_at_most_100_mib():
     # 64 sequences of T = 201 tokens; np.empty touches no page of it
     c = SaneConfig(num_classes=10)
     workspace = Workspace(SaneModel(c), c.batch_size)
-    assert _assert_workspace_bytes(workspace, c) <= 118 * 2 ** 20
+    assert _assert_workspace_bytes(workspace, c) <= 100 * 2 ** 20
+
+
+@pytest.mark.parametrize("d_model, d_mlp, e", [
+    (64, 64, 6), (16, 16, 6), (16, 40, 2), (64, 128, 2), (64, 158, 2),
+    (64, 160, 2), (64, 256, 1), (64, 512, 6), (128, 256, 2), (128, 320, 3)])
+def test_no_config_grows_its_workspace(d_model, d_mlp, e):
+    c = SaneConfig(d_model=d_model, d_mlp=d_mlp, e=e, num_classes=10)
+    workspace = Workspace(SaneModel(c), c.batch_size)
+    # attention's buffers move into the MLP memory only where they fit
+    assert _attention_in_mlp_memory(workspace) == (5 * d_model <= 2 * d_mlp)
+    assert (_assert_workspace_bytes(workspace, c)
+            <= _workspace_bytes(c, attention_in_mlp_memory=False))
 
 
 def _assert_workspace_bytes(workspace, c):
     """Assert that `workspace`, made for config c's batch size, holds what
-    a step's backward reads and its shared arrays, and return its bytes."""
+    a step's backward reads and its shared arrays, and return its bytes:
+    those of each memory buffer under its arrays, once."""
+    buffers = {}
+    for a in _arrays(workspace):
+        while a.base is not None:
+            a = a.base
+        buffers[id(a)] = a
+    total = sum(a.nbytes for a in buffers.values())
+    assert total == _workspace_bytes(
+        c, attention_in_mlp_memory=5 * c.d_model <= 2 * c.d_mlp)
+    return total
+
+
+def _workspace_bytes(c, attention_in_mlp_memory):
+    """The bytes of a workspace for config c's batch size, with attention's
+    buffers in each block's MLP memory or shared by the blocks."""
     b, t, d, h = c.batch_size, c.n + 1, c.d_model, c.h
     # at least one sequence, however long
     chunk = min(b, max(1, nm.ATTN_SCORE_ELEMS // (h * t * t)))
@@ -520,15 +583,17 @@ def _assert_workspace_bytes(workspace, c):
     block = b * t * (6 * d + 2 * c.d_mlp + 2 + 2 * h)
     shared = (b * t * d                          # the stem
               + b * (d + c.M + c.N + c.num_classes)  # the head's outputs
-              # the residual sum E + R1 and a layer norm output; in
-              # backward, a layer norm input gradient and a rebuilt output
-              + b * t * 2 * d
-              # the backward's gradients: the context, and the head's
-              + b * t * d + b * (d + c.M + c.N)
-              # attention's scratch: the packed qkv product, and per chunk
-              # of sequences two score and two context arrays
-              + b * t * 3 * d + 2 * chunk * h * t * (t + d // h))
+              # the residual sum E + R1; in backward, a layer norm input
+              # gradient
+              + b * t * d
+              # the head's gradients
+              + b * (d + c.M + c.N)
+              # attention's per-chunk scratch: two score and two context
+              # arrays
+              + 2 * chunk * h * t * (t + d // h))
+    if not attention_in_mlp_memory:
+        # a layer norm output (in backward, a rebuilt one), the context
+        # gradient and the packed qkv product, each shared by the blocks
+        shared += b * t * 5 * d
     gelu = 4 * min(b * t * c.d_mlp, nm.GELU_BLOCK_ELEMS)
-    total = sum(a.nbytes for a in _arrays(workspace))
-    assert total == 4 * (c.e * block + shared + gelu)
-    return total
+    return 4 * (c.e * block + shared + gelu)
