@@ -174,16 +174,15 @@ class ExperimentConfig:
 
 
 def resolve_config(outdir: str | Path, *layers: dict | str | Path) -> ExperimentConfig:
-    """outdir/config.json if present, then each layer (a dict of overrides
-    or a JSON file of one), checked after each; a rejected config writes
-    nothing. None sets nothing; `outdir` is the argument. Model sections,
-    and a source naming no kind (only `sessions`, say), merge; others
-    replace."""
+    """The defaults, then each layer (a dict of overrides or a JSON file of
+    one), outdir/config.json first if present, checked after each; a
+    rejected config writes nothing. None sets nothing; `outdir` is the
+    argument. Model sections, and a source naming no kind (only `sessions`,
+    say), merge; others replace."""
     outdir = Path(outdir)
     path = outdir / "config.json"
-    fields = (read_json(path) if path.exists()
-              else asdict(ExperimentConfig(outdir=str(outdir))))
-    fields["outdir"] = str(outdir)
+    fields = asdict(ExperimentConfig(outdir=str(outdir)))
+    layers = ((path,) if path.exists() else ()) + layers
     for layer in layers or ({},):
         name = "config overrides"
         if isinstance(layer, (str, Path)):
@@ -283,20 +282,31 @@ class StageRunner:
     def _manifest_path(self, stage: str) -> Path:
         return self.root / f"{stage}.manifest.json"
 
+    def _manifest(self, stage: str) -> dict | None:
+        """The stage's manifest, or None when it is missing, is not JSON or
+        is not a dict holding `config`, `inputs` and a dict `outputs`."""
+        try:
+            manifest = read_json(self._manifest_path(stage))
+        except (OSError, ValueError):
+            return None
+        if (isinstance(manifest, dict) and "config" in manifest
+                and "inputs" in manifest
+                and isinstance(manifest.get("outputs"), dict)):
+            return manifest
+        return None
+
     def require_input(self, stage: str, producer: str, path: Path) -> str:
         """The checksum of `path`, once it is checked to exist and to match
         the producer's manifest."""
-        manifest_path = self._manifest_path(producer)
-        if not manifest_path.exists() or not path.exists():
+        if not self._manifest_path(producer).exists() or not path.exists():
             raise StageError(
                 stage, f"missing upstream artifact {path.name}; "
                        f"re-run stage '{producer}'")
-        try:
-            manifest = read_json(manifest_path)
-        except (OSError, ValueError):
+        manifest = self._manifest(producer)
+        if manifest is None:
             raise StageError(
                 stage, f"the manifest of stage '{producer}' is unreadable; "
-                       f"re-run '{producer}'") from None
+                       f"re-run '{producer}'")
         recorded = manifest["outputs"].get(path.name)
         if recorded is None or sha256_file(path) != recorded:
             raise StageError(
@@ -311,18 +321,14 @@ class StageRunner:
         Returns True when the stage actually ran. A file that the replaced
         manifest lists as an output and `outputs` does not (an older file
         name, say) is deleted: no manifest names it any more."""
-        manifest_path = self._manifest_path(stage)
         config = json.loads(json.dumps(config, default=json_default,
                                        sort_keys=True))
         declared = {p.name for p in outputs}
-        try:
-            manifest = read_json(manifest_path)
-        except (OSError, ValueError):
-            manifest = {}   # none yet, or unreadable: a cache miss
+        manifest = self._manifest(stage) or {}   # none, or unreadable: a miss
         # a manifest whose outputs are not the declared ones (say, an older
         # file name) is a miss: the stages that read them would fail
-        if (manifest and manifest.get("config") == config
-                and manifest.get("inputs") == inputs
+        if (manifest and manifest["config"] == config
+                and manifest["inputs"] == inputs
                 and set(manifest["outputs"]) == declared
                 and all((self.root / name).exists()
                         and sha256_file(self.root / name) == digest
@@ -334,7 +340,7 @@ class StageRunner:
         missing = [p for p in outputs if not p.exists()]
         if missing:
             raise StageError(stage, f"stage did not produce {missing}")
-        write_json(manifest_path, {
+        write_json(self._manifest_path(stage), {
             "stage": stage, "config": config, "inputs": inputs,
             "outputs": {p.name: sha256_file(p) for p in outputs}})
         for name in set(manifest.get("outputs", ())) - declared:

@@ -24,12 +24,11 @@ and `backward` back-propagates the workspace's latest forward, once. A
 block keeps only what backward reads and cannot rebuild (Chen et al.,
 arXiv 1604.06174). The residual stream E and the sum E + R1 are (B, T, d)
 arrays that the blocks share, and backward writes its gradients over them.
-A block's GELU output and derivative are dead while its attention runs, not
-yet written in forward and consumed in backward, so when they are wide
-enough (5 d_model <= 2 d_mlp, as by default) the block's layer norm output,
-which backward rebuilds from xhat by the forward's own two operations,
-attention's packed projections and the context gradient live in their
-memory; otherwise the blocks share these three as well.
+So are the layer norm output, which backward rebuilds from xhat by the
+forward's own two operations, attention's packed projections and the
+context gradient, and they live in the last block's GELU output and
+derivative: those are dead while any block's attention runs, not yet
+written in forward and consumed first in backward.
 """
 
 from __future__ import annotations
@@ -98,16 +97,15 @@ class Workspace:
       ("ctx"), and GELU's output, over which backward writes the MLP's
       gradient, and derivative ("mlp", "dmlp"), both carved from one flat
       region per block;
-    - also in `blocks[i]`, what the block uses only while "mlp" and "dmlp"
-      are dead: the layer norm output "ln", which backward rebuilds,
-      attention's packed projections "qkv" (in backward, their gradient)
-      and the context gradient "g_ctx" (also layer norm backward's
-      scratch). They lie in the block's region when it holds all three,
-      and are otherwise the same arrays in every block;
     - `shared` by the blocks: the residual stream "stem" (in backward, its
       gradient), "res" (E + R1; in backward, layer norm's input gradient,
-      then the embeddings'), the head's outputs and gradients ("g_*") and
-      attention's per-chunk scratch;
+      then the embeddings'), the head's outputs and gradients ("g_*"),
+      attention's per-chunk scratch, and what a block uses only while
+      attention runs: the layer norm output "ln", which backward rebuilds,
+      attention's packed projections "qkv" (in backward, their gradient)
+      and the context gradient "g_ctx" (also layer norm backward's
+      scratch). These three lie in the last block's region, widened to
+      hold them where 2 d_mlp does not;
     - `gelu`, GELU's scratch;
     - `x`, the input of the forward that backward has yet to run, or None."""
 
@@ -120,35 +118,29 @@ class Workspace:
 
         # a block's region holds (rows, t, width) arrays `offset` rows * t
         # elements in, so that every leading-row view is contiguous: mlp
-        # from 0 and dmlp from m; and when they fit (5 d <= 2 m), qkv from
-        # 0, and ln and g_ctx past both qkv and mlp, since attention reads
-        # ln into qkv and w1 reads it into mlp. Where they do not fit, a
-        # wider region would grow the workspace, so the blocks share them
+        # from 0 and dmlp from m. The last region also holds qkv from 0,
+        # and ln and g_ctx past both qkv and mlp, since attention reads ln
+        # into qkv and w1 reads it into mlp
         def at(region, offset, width):
             return region[rows * t * offset:rows * t * (offset + width)
                           ].reshape(rows, t, width)
 
         lo = max(3 * d, m)
-        overlay = lo + 2 * d <= 2 * m
-        transient = ({} if overlay
-                     else new(ln=(t, d), qkv=(t, 3 * d), g_ctx=(t, d)))
+        # the last region is block e - 1's; with no block, only the shared
+        regions = [np.empty(rows * t * 2 * m, dtype) for _ in range(c.e - 1)]
+        regions.append(np.empty(rows * t * max(2 * m, lo + 2 * d), dtype))
         self.rows, self.x = rows, None
-        self.blocks = []
-        for _ in range(c.e):
-            region = np.empty(rows * t * 2 * m, dtype)
-            if overlay:
-                transient = {"ln": at(region, lo, d),
-                             "qkv": at(region, 0, 3 * d),
-                             "g_ctx": at(region, lo + d, d)}
-            self.blocks.append(
-                nm.attention_saved(rows, t, d, c.h, dtype)
-                | new(xhat1=(t, d), inv1=(t, 1), ctx=(t, d), xhat2=(t, d),
-                      inv2=(t, 1))
-                | {"mlp": at(region, 0, m), "dmlp": at(region, m, m)}
-                | transient)
+        self.blocks = [
+            nm.attention_saved(rows, t, d, c.h, dtype)
+            | new(xhat1=(t, d), inv1=(t, 1), ctx=(t, d), xhat2=(t, d),
+                  inv2=(t, 1))
+            | {"mlp": at(region, 0, m), "dmlp": at(region, m, m)}
+            for region in regions[:c.e]]
         self.shared = nm.attention_scratch(rows, t, d, c.h, dtype) | new(
             stem=(t, d), res=(t, d), pooled=(d,), l=(c.M,), lam=(c.N,),
-            logits=(c.num_classes,), g_pooled=(d,), g_l=(c.M,), g_lam=(c.N,))
+            logits=(c.num_classes,), g_pooled=(d,), g_l=(c.M,), g_lam=(c.N,)
+        ) | {"ln": at(regions[-1], lo, d), "qkv": at(regions[-1], 0, 3 * d),
+             "g_ctx": at(regions[-1], lo + d, d)}
         self.gelu = np.empty((4, min(rows * t * m, nm.GELU_BLOCK_ELEMS)),
                              dtype)
 
@@ -228,11 +220,11 @@ class SaneModel(Model):
             # as printed: R1 = MHA(Norm(E)); R2 = MLP(Norm(E + R1));
             # E <- R2 + (E + R1). No backward reads a linear's output, so
             # each sum, and GELU, is written over the output it consumes
-            ln = a["ln"]
+            ln = s["ln"]
             nm.layer_norm_arrays(e, w["ln1.gain"], w["ln1.bias"], ln,
                                  a["xhat1"], a["inv1"])
             nm.attention_arrays(ln, *(w["attn." + k] for k in _QKV), c.h,
-                                a["ctx"], a, s, a["qkv"])
+                                a["ctx"], a, s, s["qkv"])
             nm.linear_arrays(a["ctx"], w["attn.wo"], w["attn.bo"], out=r)
             nm.require_finite("add", np.add(e, r, out=r))
             nm.layer_norm_arrays(r, w["ln2.gain"], w["ln2.bias"], ln,
@@ -263,12 +255,13 @@ class SaneModel(Model):
         # of a block's output, and so of R2; plus layer norm 2's input
         # gradient, of E + R1, and so of R1; plus layer norm 1's, of E.
         # g_ctx is layer norm backward's scratch. ln and g_ctx are written
-        # only once the block's dmlp is consumed, and qkv once its mlp is
+        # only once the last block's dmlp is consumed, and qkv once its mlp
+        # is, in the first iteration, since they lie in its MLP memory
         g_res, g_ln = s["stem"], s["res"]
         g_res[...] = np.divide(g, c.n + 1, out=g)[:, None]
         for i in reversed(range(c.e)):
             a, w, gw = blocks[i], _block(p, i), _block(pg, i)
-            g_mlp, ln, g_ctx = a["mlp"], a["ln"], a["g_ctx"]
+            g_mlp, ln, g_ctx = a["mlp"], s["ln"], s["g_ctx"]
             nm.linear_backward(g_res, g_mlp, w["mlp.w2"], gw["mlp.w2"],
                                gw["mlp.b2"], g_mlp)
             g_mlp *= a["dmlp"]
@@ -283,7 +276,7 @@ class SaneModel(Model):
             nm.layer_norm_output(a["xhat1"], w["ln1.gain"], w["ln1.bias"], ln)
             nm.attention_backward(g_ctx, ln, w["attn.wq"], w["attn.wk"],
                                   w["attn.wv"], c.h, a["ctx"], a, s,
-                                  a["qkv"], g_ln,
+                                  s["qkv"], g_ln,
                                   [gw["attn." + k] for k in _QKV])
             nm.layer_norm_backward(g_ln, a["xhat1"], a["inv1"], w["ln1.gain"],
                                    gw["ln1.gain"], gw["ln1.bias"], g_ctx)

@@ -446,6 +446,18 @@ def test_source_override_merges_unless_it_names_a_kind(tmp_path, capsys):
     assert "source.sessions" in capsys.readouterr().err
     config = json.loads((outdir / "config.json").read_text())
     assert config["source"] == {"csv": str(csv_path)}
+    # config.json is the first layer: a valid one resolves to itself, byte
+    # for byte, and one that is not a JSON dict names its file
+    path = outdir / "config.json"
+    text = path.read_text()
+    assert resolve_config(outdir) == ExperimentConfig(**json.loads(text))
+    assert path.read_text() == text
+    for bad, message in (("[]", "must hold a JSON dict, got list"),
+                         ("{", "is not JSON")):
+        path.write_text(bad)
+        assert main(["ingest", "--outdir", str(outdir)]) == 1
+        assert f"config file {path} {message}" in capsys.readouterr().err
+        assert path.read_text() == bad
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--profiles"])

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (TINY_N, assert_flat_views, backward_from, broadcast_to,
                       concat, make_tiny_splits, mean_pool, model_node,
@@ -323,25 +325,17 @@ def _train_through_graph(monkeypatch):
     monkeypatch.setattr(SaneModel, "backward", backward)
 
 
-def _attention_in_mlp_memory(workspace):
-    a = workspace.blocks[0]
-    return np.shares_memory(a["qkv"], a["mlp"])
-
-
-def _both_layouts(**overrides):
-    """tiny_config, whose d_mlp 32 keeps attention's buffers shared by the
-    blocks, and with d_mlp 64 (5 d_model <= 2 d_mlp), where they live in
-    each block's MLP memory."""
-    configs = [tiny_config(**overrides, d_mlp=m) for m in (32, 64)]
-    assert [_attention_in_mlp_memory(Workspace(SaneModel(c), 1))
-            for c in configs] == [False, True]
-    return configs
+def _last_region_widths(**overrides):
+    """tiny_config (d_mlp 32), whose last block's MLP region widens to
+    hold attention's buffers, and the same with d_mlp 64, whose region
+    holds them as it is."""
+    return [tiny_config(**overrides, d_mlp=m) for m in (32, 64)]
 
 
 def test_forward_matches_primitive_graph(tiny_splits, monkeypatch):
     train, val, test, _ = tiny_splits
     x, y = test
-    configs = _both_layouts(e=2, epochs=3)
+    configs = _last_region_widths(e=2, epochs=3)
     trained = []
     for config in configs:
         # a trained model, so that no weight is at its initial value
@@ -368,6 +362,29 @@ def test_forward_matches_primitive_graph(tiny_splits, monkeypatch):
         for name, a in model.params.items():
             np.testing.assert_array_equal(a, reference.params[name],
                                           err_msg=name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=st.sampled_from([1, 2, 4]), head_width=st.integers(1, 4),
+       d_mlp=st.integers(1, 48), e=st.integers(1, 3))
+# one config whose last MLP region widens (lo + 2 d > 2 d_mlp), one whose
+# region holds attention's buffers as it is
+@example(h=2, head_width=8, d_mlp=20, e=3)
+@example(h=2, head_width=4, d_mlp=48, e=2)
+def test_every_config_steps_as_the_primitive_graph(h, head_width, d_mlp, e):
+    c = tiny_config(d_model=h * head_width, h=h, d_mlp=d_mlp, e=e)
+    model = SaneModel(c, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    # no gain at 1 and no bias at 0
+    model.data += rng.normal(0.0, 0.1, model.data.shape).astype(model.dtype)
+    x = rng.standard_normal((3, c.n, c.f), dtype=np.float32)
+    y = np.arange(3) % c.num_classes
+    want = _graph_step(model, x, y)
+    got = _step(model, x, y)
+    for g, w in zip(got[0], want[0]):
+        np.testing.assert_array_equal(g, w)
+    for name, g in got[1].items():
+        np.testing.assert_array_equal(g, want[1][name], err_msg=name)
 
 
 def test_no_run_time_path_builds_a_graph_node(tiny_splits, monkeypatch):
@@ -417,7 +434,7 @@ def test_steps_at_one_shape_allocate_no_workspace_array(tiny_model):
 
 
 def test_a_shorter_batch_in_a_larger_workspace_is_bit_identical():
-    for c in _both_layouts():
+    for c in _last_region_widths():
         model = SaneModel(c, rng=np.random.default_rng(3))
         rng = np.random.default_rng(1)
         small = rng.random((3, c.n, c.f), dtype=np.float32)
@@ -546,11 +563,16 @@ def test_a_default_shape_workspace_takes_at_most_100_mib():
     (64, 160, 2), (64, 256, 1), (64, 512, 6), (128, 256, 2), (128, 320, 3)])
 def test_no_config_grows_its_workspace(d_model, d_mlp, e):
     c = SaneConfig(d_model=d_model, d_mlp=d_mlp, e=e, num_classes=10)
-    workspace = Workspace(SaneModel(c), c.batch_size)
-    # attention's buffers move into the MLP memory only where they fit
-    assert _attention_in_mlp_memory(workspace) == (5 * d_model <= 2 * d_mlp)
-    assert (_assert_workspace_bytes(workspace, c)
-            <= _workspace_bytes(c, attention_in_mlp_memory=False))
+    total = _assert_workspace_bytes(Workspace(SaneModel(c), c.batch_size), c)
+    rows = c.batch_size * (c.n + 1)
+    widened = max(0, max(3 * d_model, d_mlp) + 2 * d_model - 2 * d_mlp)
+    # the earlier layout: attention's buffers in each block's MLP region
+    # where they fit in it (5 d_model <= 2 d_mlp), and otherwise 5 d_model
+    # more columns that the blocks share
+    earlier = total - 4 * rows * (
+        widened - (5 * d_model if 5 * d_model > 2 * d_mlp else 0))
+    assert total <= earlier
+    assert (total < earlier) == (5 * d_model > 2 * d_mlp)
 
 
 def _assert_workspace_bytes(workspace, c):
@@ -563,14 +585,12 @@ def _assert_workspace_bytes(workspace, c):
             a = a.base
         buffers[id(a)] = a
     total = sum(a.nbytes for a in buffers.values())
-    assert total == _workspace_bytes(
-        c, attention_in_mlp_memory=5 * c.d_model <= 2 * c.d_mlp)
+    assert total == _workspace_bytes(c)
     return total
 
 
-def _workspace_bytes(c, attention_in_mlp_memory):
-    """The bytes of a workspace for config c's batch size, with attention's
-    buffers in each block's MLP memory or shared by the blocks."""
+def _workspace_bytes(c):
+    """The bytes of a workspace for config c's batch size."""
     b, t, d, h = c.batch_size, c.n + 1, c.d_model, c.h
     # at least one sequence, however long
     chunk = min(b, max(1, nm.ATTN_SCORE_ELEMS // (h * t * t)))
@@ -591,9 +611,10 @@ def _workspace_bytes(c, attention_in_mlp_memory):
               # attention's per-chunk scratch: two score and two context
               # arrays
               + 2 * chunk * h * t * (t + d // h))
-    if not attention_in_mlp_memory:
-        # a layer norm output (in backward, a rebuilt one), the context
-        # gradient and the packed qkv product, each shared by the blocks
-        shared += b * t * 5 * d
+    # a layer norm output (in backward, a rebuilt one), the packed qkv
+    # product and the context gradient, shared by the blocks in the last
+    # block's MLP region: qkv from 0, the other two past both qkv and GELU's
+    # output, widening the region where 2 d_mlp does not reach
+    last = b * t * max(0, max(3 * d, c.d_mlp) + 2 * d - 2 * c.d_mlp)
     gelu = 4 * min(b * t * c.d_mlp, nm.GELU_BLOCK_ELEMS)
-    return 4 * (c.e * block + shared + gelu)
+    return 4 * (c.e * block + last + shared + gelu)

@@ -446,21 +446,34 @@ def test_truncated_own_manifest_is_a_cache_miss(experiment, tmp_path):
     work = tmp_path / "copy"
     shutil.copytree(experiment, work)
     manifest = work / "runs" / "seed-0" / "train-clf.manifest.json"
-    manifest.write_text(manifest.read_text()[:20])
-    assert main(["train-clf", "--outdir", str(work), "--seed", "0"]) == 0
-    payload = json.loads(manifest.read_text())
-    assert payload["stage"] == "train-clf"
-    assert set(payload["outputs"]) == {"svm_zsl.npz", "svm_gzsl.npz"}
+    text = manifest.read_text()
+    for bad in (text[:20], *_misshapen_manifests(text)):
+        manifest.write_text(bad)
+        assert main(["train-clf", "--outdir", str(work), "--seed", "0"]) == 0
+        payload = json.loads(manifest.read_text())
+        assert payload["stage"] == "train-clf"
+        assert set(payload["outputs"]) == {"svm_zsl.npz", "svm_gzsl.npz"}
 
 
 def test_unreadable_producer_manifest_names_producer(experiment, tmp_path,
                                                       capsys):
     work = tmp_path / "copy"
     shutil.copytree(experiment, work)
-    (work / "runs" / "seed-0" / "train-sane.manifest.json").write_text("{")
-    assert main(["extract-attrs", "--outdir", str(work), "--seed", "0"]) == 1
-    err = capsys.readouterr().err
-    assert "[extract-attrs]" in err and "re-run 'train-sane'" in err
+    manifest = work / "runs" / "seed-0" / "train-sane.manifest.json"
+    for bad in ("{", *_misshapen_manifests(manifest.read_text())):
+        manifest.write_text(bad)
+        assert main(["extract-attrs", "--outdir", str(work),
+                     "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "[extract-attrs]" in err and "re-run 'train-sane'" in err
+
+
+def _misshapen_manifests(text):
+    """JSON that is no manifest: a manifest's text with `outputs` renamed,
+    and a list."""
+    renamed = {("output" if key == "outputs" else key): value
+               for key, value in json.loads(text).items()}
+    return json.dumps(renamed), "[1]"
 
 
 def test_missing_upstream_names_stage_to_rerun(tmp_path, profile_file,
