@@ -169,11 +169,10 @@ def evaluate(setting: str, y_true: np.ndarray, y_pred: np.ndarray,
     cols = np.where(col_hit.any(axis=1), col_hit.argmax(axis=1), k)
     confusion = np.zeros((k, k + int((cols == k).any())), dtype=np.int64)
     np.add.at(confusion, (row_hit.argmax(axis=1), cols), 1)
-    per_class = {}
-    for c in class_labels:
-        mask = y_true == c
-        if mask.any():
-            per_class[c] = float((y_pred[mask] == c).mean())
+    # each class's hits over its support, for the classes with any
+    per_class = {c: hits / support for c, hits, support in zip(
+        class_labels, confusion.diagonal().tolist(),
+        confusion.sum(axis=1).tolist()) if support}
     accuracy = float((y_true == y_pred).mean())
     return EvalReport(setting=setting, accuracy=accuracy,
                       class_labels=list(class_labels),

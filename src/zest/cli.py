@@ -9,6 +9,7 @@ gets one command (the baselines share `zest baseline NAME`); it runs
 the directory's lock. Commands are idempotent: re-running with an unchanged
 config is a cache hit. Any other upstream artifact that is missing or does
 not match its manifest is fatal, and the error names the stage to re-run.
+`zest synth` checks its source by the config's rule, `pipeline.check_source`.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", help="preset name (e.g. separable-12)")
     p.add_argument("--profiles", help="device profile JSON file")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, dest="synth_seed", metavar="SEED")
     p.add_argument("--sessions", type=int, default=None)
-    p.add_argument("--packets-per-session", type=int, default=200)
+    p.add_argument("--packets-per-session", type=int)
 
     p = sub.add_parser("ingest", help="build the segmented dataset")
     _add_outdir(p)
@@ -151,10 +152,13 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _synth(args: argparse.Namespace) -> None:
-    source = {key: getattr(args, key) for key in ("preset", "profiles",
-              "sessions") if getattr(args, key) not in (None, "")}
+    source = _overrides_from_args(args)["source"]
+    if (pl.check_source(source) == "profiles"
+            and args.packets_per_session is not None):
+        raise ValueError("--packets-per-session means nothing for a "
+                         "profiles source, whose profiles set their own")
     generate_csv(source_profiles(source, args.packets_per_session),
-                 seed=args.seed, path=args.out)
+                 seed=source.get("seed", 0), path=args.out)
     print(f"wrote {args.out}")
 
 

@@ -71,7 +71,6 @@ DERIVED_FIELDS = {"sane": ("n", "f", "num_classes", "seed"),
 # a source names exactly one kind; the keys each kind reads besides its own
 SOURCE_KEYS = {"preset": ("sessions", "seed"), "profiles": ("seed",),
                "csv": ()}
-SOURCE_KINDS = tuple(SOURCE_KEYS)
 
 
 class StageError(RuntimeError):
@@ -90,7 +89,7 @@ class StageError(RuntimeError):
 class ExperimentConfig:
     """Resolved settings for one experiment directory. `check_fields` checks
     each field's kind and bound; the rules here are cross-field: distinct
-    seeds, the source's kind and keys, ratios that sum to 1, known
+    seeds, the source's (`check_source`), ratios that sum to 1, known
     baselines, and model sections that set no unknown or derived field."""
 
     outdir: str
@@ -113,26 +112,7 @@ class ExperimentConfig:
                 or len(set(self.seeds)) != len(self.seeds)):
             raise ValueError(f"seeds must be a non-empty list of distinct "
                              f"integers >= 0, got {self.seeds}")
-        if sum(kind in self.source for kind in SOURCE_KINDS) != 1:
-            raise ValueError(f"source must name exactly one of "
-                             f"{SOURCE_KINDS}, got {self.source}")
-        # a key the kind never reads would be ignored, yet still enter the
-        # synth and ingest cache keys
-        kind = next(k for k in SOURCE_KINDS if k in self.source)
-        for key in self.source:
-            if key != kind and key not in SOURCE_KEYS[kind]:
-                raise ValueError(f"source.{key} means nothing for a {kind} "
-                                 f"source, which reads only "
-                                 f"{list(SOURCE_KEYS[kind])}")
-        # the synth stage reads these only after config.json is written
-        if kind == "preset" and self.source["preset"] not in list(PRESETS):
-            raise ValueError(f"source.preset must be one of "
-                             f"{sorted(PRESETS)}, got {self.source['preset']!r}")
-        for key, least in (("sessions", 1), ("seed", 0)):
-            value = self.source.get(key, least)     # unset: nothing to check
-            if not (is_int(value) and value >= least):
-                raise ValueError(f"source.{key} must be an integer >= "
-                                 f"{least}, got {self.source[key]!r}")
+        check_source(self.source)
         # every split is needed: an empty one fails a later stage
         if (len(self.ratios) != 3
                 or not all(is_finite(r) and r > 0 for r in self.ratios)
@@ -173,6 +153,32 @@ class ExperimentConfig:
         return SvmConfig(**self.svm)
 
 
+def check_source(source: dict) -> str:
+    """The kind of `source`, once it names one kind, only the keys that kind
+    reads, a known preset, and integers `sessions` >= 1 and `seed` >= 0."""
+    if sum(kind in source for kind in SOURCE_KEYS) != 1:
+        raise ValueError(f"source must name exactly one of "
+                         f"{tuple(SOURCE_KEYS)}, got {source}")
+    kind = next(k for k in SOURCE_KEYS if k in source)
+    # a key the kind never reads would be ignored, yet still enter the
+    # synth and ingest cache keys
+    for key in source:
+        if key != kind and key not in SOURCE_KEYS[kind]:
+            raise ValueError(f"source.{key} means nothing for a {kind} "
+                             f"source, which reads only "
+                             f"{list(SOURCE_KEYS[kind])}")
+    # the synth stage reads these only after config.json is written
+    if kind == "preset" and source["preset"] not in list(PRESETS):
+        raise ValueError(f"source.preset must be one of "
+                         f"{sorted(PRESETS)}, got {source['preset']!r}")
+    for key, least in (("sessions", 1), ("seed", 0)):
+        value = source.get(key, least)     # unset: nothing to check
+        if not (is_int(value) and value >= least):
+            raise ValueError(f"source.{key} must be an integer >= "
+                             f"{least}, got {source[key]!r}")
+    return kind
+
+
 def resolve_config(outdir: str | Path, *layers: dict | str | Path) -> ExperimentConfig:
     """The defaults, then each layer (a dict of overrides or a JSON file of
     one), outdir/config.json first if present, checked after each; a
@@ -201,7 +207,7 @@ def resolve_config(outdir: str | Path, *layers: dict | str | Path) -> Experiment
                 raise ValueError(f"{name} has no field {key!r}")
             # a section that is not a dict replaces its own: the check fails
             if isinstance(value, dict) and (key in MODEL_SECTIONS or (
-                    key == "source" and not set(SOURCE_KINDS) & set(value))):
+                    key == "source" and not SOURCE_KEYS.keys() & value)):
                 fields[key] = {**fields.get(key, {}), **value}
             else:
                 fields[key] = value
@@ -369,7 +375,7 @@ def stage_ingest(config: ExperimentConfig) -> Dataset:
     """Build the segmented raw-feature dataset, synthesizing traffic first
     when the source is a preset or a profile file."""
     source = dict(config.source)
-    kind = next(k for k in SOURCE_KINDS if k in source)
+    kind = check_source(source)
     if kind != "preset" and not Path(source[kind]).exists():
         raise StageError("ingest", f"{kind} source not found: {source[kind]}")
     ddir = data_dir(config)
@@ -670,27 +676,17 @@ def read_reports(config: ExperimentConfig, seed: int,
     return {s: EvalReport.from_dict(d) for s, d in payload.items()}
 
 
-def stage_partition(config: ExperimentConfig, seed: int) -> dict:
-    run_stage("partition", config, seed)
-    return read_json(run_dir(config, seed) / "partition.json")
-
-
+stage_partition = partial(run_stage, "partition")
 stage_train_sane = partial(run_stage, "train-sane")
 stage_extract_attrs = partial(run_stage, "extract-attrs")
 stage_train_cvae = partial(run_stage, "train-cvae")
 stage_gen_pseudo = partial(run_stage, "gen-pseudo")
 stage_train_clf = partial(run_stage, "train-clf")
+stage_eval = partial(run_stage, "eval")
 
 
-def stage_eval(config: ExperimentConfig, seed: int) -> dict[str, EvalReport]:
-    run_stage("eval", config, seed)
-    return read_reports(config, seed, "zest")
-
-
-def stage_baseline(config: ExperimentConfig, seed: int,
-                   name: str) -> dict[str, EvalReport]:
-    run_stage(f"baseline-{name}", config, seed)
-    return read_reports(config, seed, name)
+def stage_baseline(config: ExperimentConfig, seed: int, name: str) -> bool:
+    return run_stage(f"baseline-{name}", config, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -768,13 +764,16 @@ def run_sweep(config: ExperimentConfig, param: str,
                                   f"have {sorted(SWEEP_PARAMS)}")
     section, key = SWEEP_PARAMS[param]
     try:
-        values = [int(value) for value in values]
+        ints = [int(value) for value in values]
     except ValueError:
-        raise StageError("sweep", f"{param} takes integers, got "
-                                  f"{values}") from None
+        ints = []
+    # each value has one subdir: a repeated one would run twice
+    if len(set(ints)) != len(values):
+        raise StageError("sweep", f"{param} takes distinct integers, got "
+                                  f"{values}")
     sweep_root = Path(config.outdir) / f"sweep-{param}"
     subs = []
-    for value in values:
+    for value in ints:
         change = ({key: value} if section is None
                   else {section: {**getattr(config, section), key: value}})
         # every value is validated before the first one runs

@@ -301,20 +301,17 @@ PRESETS = {
 
 
 def preset_profiles(name: str, sessions: int | None = None,
-                    packets_per_session: int = 200) -> list[DeviceProfile]:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    given = {} if sessions is None else {"sessions": sessions}
-    return PRESETS[name](**given, packets_per_session=packets_per_session)
+                    packets_per_session: int | None = None
+                    ) -> list[DeviceProfile]:
+    """The profiles of the preset `name`; None keeps the preset's default."""
+    given = {"sessions": sessions, "packets_per_session": packets_per_session}
+    return PRESETS[name](**{k: v for k, v in given.items() if v is not None})
 
 
-def source_profiles(source: dict,
-                    packets_per_session: int = 200) -> list[DeviceProfile]:
-    """The profiles of a source that names a preset (and perhaps its sessions
-    per device) or a file that holds a JSON list of profiles."""
-    if ("preset" in source) == ("profiles" in source):
-        raise ValueError(f"a synthetic source names exactly one of preset "
-                         f"and profiles, got {sorted(source)}")
+def source_profiles(source: dict, packets_per_session: int | None = None
+                    ) -> list[DeviceProfile]:
+    """The profiles of a checked source that names a preset (and perhaps its
+    sessions per device) or a file that holds a JSON list of profiles."""
     if "preset" in source:
         return preset_profiles(source["preset"], source.get("sessions"),
                                packets_per_session)

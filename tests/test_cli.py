@@ -7,7 +7,6 @@ import os
 import shutil
 import subprocess
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -17,9 +16,7 @@ import pytest
 from conftest import tiny_profiles, write_profiles
 from zest.cli import main
 from zest.ingest import make_partition
-from zest.pipeline import (STAGES, ExperimentConfig, StageError,
-                           resolve_config, run_pipeline, run_sweep,
-                           stage_baseline, stage_eval, stage_ingest)
+from zest.pipeline import STAGES, ExperimentConfig, resolve_config
 from zest.synth import generate_csv
 
 SANE_OVERRIDES = {"d_model": 16, "e": 1, "h": 2, "d_mlp": 32, "M": 8, "N": 3,
@@ -61,6 +58,28 @@ def test_synth_command(tmp_path, profile_file):
 
 def test_synth_requires_one_source(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("flags, field", [
+    ("--preset nope", "source.preset"),
+    ("--preset hard-12 --sessions 0", "source.sessions"),
+    ("--profiles {} --sessions 5", "source.sessions"),
+    ("--preset hard-12 --seed -1", "source.seed"),
+    ("--profiles {} --packets-per-session 7", "--packets-per-session")])
+def test_synth_checks_its_source_by_the_config_rule(tmp_path, profile_file,
+                                                    capsys, flags, field):
+    out = tmp_path / "x.csv"
+    flags = flags.format(profile_file).split()
+    assert main(["synth", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert field in err
+    assert not out.exists()
+    if field.startswith("source."):
+        # `zest ingest` gives the generator seed as --synth-seed
+        flags = [{"--seed": "--synth-seed"}.get(f, f) for f in flags]
+        assert main(["ingest", "--outdir", str(tmp_path / "exp"),
+                     *flags]) == 1
+        assert capsys.readouterr().err == err.replace("[synth]", "[ingest]")
 
 
 def _zest(*args):
@@ -372,12 +391,16 @@ def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,
     assert not outdir.exists()
 
 
-def test_invalid_sweep_value_rejected_before_any_stage(tmp_path,
-                                                       profile_file, capsys):
+@pytest.mark.parametrize("values, field", [
+    # no unseen device is out of range; 03 repeats 3 once read as an integer
+    ("2 0", "num_unseen"), ("3 03", "unseen takes distinct integers")],
+    ids=["out-of-range", "repeated"])
+def test_invalid_sweep_value_rejected_before_any_stage(tmp_path, profile_file,
+                                                       capsys, values, field):
     outdir = tmp_path / "exp"
-    assert main(["sweep", "unseen", "2", "0"]
+    assert main(["sweep", "unseen", *values.split()]
                 + _base_args(outdir, profile_file)) == 1
-    assert "num_unseen" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
     assert [p.name for p in outdir.iterdir()] == ["config.json"]
 
 

@@ -1,5 +1,6 @@
 """The package's own structure: every definition in `src/zest` is reached
-by something other than the tests."""
+by something other than the tests, and every module of `src/zest` and the
+tests uses each name it imports."""
 
 import ast
 import re
@@ -16,7 +17,6 @@ NO_CALLER_YET = {
     "synth.bayes_oracle": "item 2 (the oracle row)",
     "numerics.grad_check": "item 3 (the graph moves to the tests)",
     "numerics.attention": "item 3 (the graph moves to the tests)",
-    "pipeline.stage_partition": "item 5 (the bench reaches it by getattr)",
 }
 
 
@@ -79,3 +79,26 @@ def test_every_src_definition_has_a_caller():
         "bench/ or the CLI, or delete it")
     # the allowlist only shrinks: an entry that gained a caller leaves it
     assert set(NO_CALLER_YET) - uncalled == set()
+
+
+def test_every_import_is_used():
+    # a name counts as used where it is read, on its own or as the root of
+    # an attribute; `from __future__` imports set compiler flags instead
+    unused = []
+    paths = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                       for name in bound if name not in used]
+    assert unused == [], "imported and never used: delete each import"
