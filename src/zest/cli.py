@@ -153,6 +153,8 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
 
 def _synth(args: argparse.Namespace) -> None:
     source = _overrides_from_args(args)["source"]
+    if ("preset" in source) == ("profiles" in source):
+        raise ValueError("exactly one of --preset and --profiles is needed")
     if (pl.check_source(source) == "profiles"
             and args.packets_per_session is not None):
         raise ValueError("--packets-per-session means nothing for a "

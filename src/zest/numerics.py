@@ -12,8 +12,8 @@ come in forward/backward pairs:
 - `layer_norm_arrays` and `layer_norm_backward`, and `layer_norm_output`,
   by which a backward rebuilds the output it does not keep;
 - `attention_arrays` and `attention_backward`, over the arrays that
-  `attention_saved` and `attention_scratch` allocate and a packed
-  projection buffer that the caller places;
+  `attention_saved` and `attention_scratch` allocate and projections that
+  the caller places and may rebuild by `attention_projections`;
 - `gelu_arrays`, whose backward is one product with its derivative;
 - `cross_entropy_arrays`, which returns the loss and its gradient.
 
@@ -267,12 +267,11 @@ def _attention_step(heads: int, tokens: int) -> int:
 
 def attention_saved(batch: int, tokens: int, d: int, heads: int,
                     dtype) -> dict[str, np.ndarray]:
-    """Fresh arrays for what attention's backward reads, for (batch, tokens,
-    d) inputs: "q", "k" and "v", (batch, heads, tokens, d / heads), and
-    each query's score "max" and exp-"sum", (batch, heads, 1, tokens)."""
-    shapes = (dict.fromkeys("qkv", (tokens, d // heads))
-              | dict.fromkeys(("max", "sum"), (1, tokens)))
-    return {k: np.empty((batch, heads) + s, dtype) for k, s in shapes.items()}
+    """Fresh arrays for what attention's backward reads and cannot rebuild,
+    for (batch, tokens, d) inputs: each query's score "max" and exp-"sum",
+    (batch, heads, 1, tokens)."""
+    return {k: np.empty((batch, heads, 1, tokens), dtype)
+            for k in ("max", "sum")}
 
 
 def attention_scratch(batch: int, tokens: int, d: int, heads: int,
@@ -280,31 +279,50 @@ def attention_scratch(batch: int, tokens: int, d: int, heads: int,
     """Fresh per-chunk temporaries of attention's forward and backward for
     (batch, tokens, d) inputs: for chunks of c sequences, the scores "s"
     and "s2", (c, heads, tokens, tokens), and the context-shaped "o" and
-    "o2", (c, heads, tokens, d / heads). The (batch, tokens, 3 d) packed
-    projection buffer is not among them: its caller places it."""
+    "o2", (c, heads, tokens, d / heads). Not the projections: their caller
+    places them."""
     c = min(batch, _attention_step(heads, tokens))
     scores, ctx = (c, heads, tokens, tokens), (c, heads, tokens, d // heads)
     shapes = {"s": scores, "s2": scores, "o": ctx, "o2": ctx}
     return {k: np.empty(s, dtype) for k, s in shapes.items()}
 
 
+def attention_projections(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
+                          wk: np.ndarray, wv: np.ndarray, bv: np.ndarray,
+                          heads: int, proj: dict) -> None:
+    """`attention_arrays`' projections of x (B, T, d): x [wq | wk | wv] +
+    [bq, 0, bv] into the contiguous (B, T, 3 d) proj["qkv"], which must
+    not overlap x, then q / sqrt(d / heads), k and v into proj's "q", "k"
+    and "v", (B, heads, T, d / heads). The same inputs give the same bits,
+    so a backward may rebuild the projections by this call, not keep them."""
+    qkv = np.matmul(x, np.concatenate([wq, wk, wv], axis=1), out=proj["qkv"])
+    qkv += np.concatenate([bq, np.zeros_like(bq), bv])
+    # (3, B, h, T, head_dim) views of q, k and v
+    q, k, v = qkv.reshape(x.shape[:2] + (3, heads, x.shape[2] // heads)
+                          ).transpose(2, 0, 3, 1, 4)
+    # scale q rather than the much larger score matrix
+    np.multiply(q, 1.0 / float(np.sqrt(q.shape[-1])), out=proj["q"])
+    np.copyto(proj["k"], k)
+    np.copyto(proj["v"], v)
+
+
 def attention_arrays(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
                      wk: np.ndarray, wv: np.ndarray, bv: np.ndarray,
                      heads: int, out: np.ndarray | None = None,
                      saved: dict | None = None, scratch: dict | None = None,
-                     qkv: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, dict, dict, np.ndarray]:
+                     proj: dict | None = None
+                     ) -> tuple[np.ndarray, dict, dict, dict]:
     """Multi-head scaled dot-product self-attention over x (B, T, d).
 
     With q = x wq + bq, k = x wk and v = x wv + bv split into `heads` heads
     of width d / heads, writes the (B, T, d) context
     softmax(q k^T / sqrt(d / heads)) v, heads side by side, into the
-    contiguous `out`, and what backward reads into `saved`; `scratch` holds
-    the per-chunk temporaries and the contiguous (B, T, 3 d) `qkv` the
-    packed projections, which must not overlap x. Returns all four: fresh
-    ones (`attention_saved`, `attention_scratch`) when `out` is None. No
-    array but `out` and `saved` is read after the call, so `qkv` may lie in
-    memory that the caller uses otherwise before and after it.
+    contiguous `out`, and what backward cannot rebuild into `saved`;
+    `scratch` holds the per-chunk temporaries and `proj` the projections
+    (`attention_projections`). Returns all four: fresh ones when `out` is
+    None. No array but `out` and `saved` is read after the call, so `proj`
+    may lie in memory that the caller uses otherwise, if it rebuilds the
+    projections for backward.
 
     k has no bias: a key bias bk adds q.bk to every score of a query, which
     the softmax cancels, so its gradient is rounding noise. Whisper drops
@@ -341,24 +359,16 @@ def attention_arrays(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
     if out is None:
         dims = (batch, tokens, d, heads, np.result_type(x, wq))
         out = np.empty(x.shape, dims[-1])
-        qkv = np.empty((batch, tokens, 3 * d), dims[-1])
+        proj = {"qkv": np.empty((batch, tokens, 3 * d), dims[-1])} | dict(
+            zip("qkv", np.empty((3, batch, heads, tokens, d // heads),
+                                dims[-1])))
         saved, scratch = attention_saved(*dims), attention_scratch(*dims)
     head_dim = d // heads
-    c = 1.0 / float(np.sqrt(head_dim))
-    # backward reads only the q, k and v copied out of qkv below; the bias
-    # is added in place
-    np.matmul(x, np.concatenate([wq, wk, wv], axis=1), out=qkv)
-    qkv += np.concatenate([bq, np.zeros_like(bq), bv])
-    require_finite("attention", qkv)
-    # (3, B, h, T, head_dim) views of q, k and v
-    proj = qkv.reshape(batch, tokens, 3, heads, head_dim).transpose(
-        2, 0, 3, 1, 4)
-    q, k, v, row_max, row_sum = (saved[name] for name in
-                                 ("q", "k", "v", "max", "sum"))
-    # scale q rather than the much larger score matrix
-    np.multiply(proj[0], c, out=q)
-    np.copyto(k, proj[1])
-    np.copyto(v, proj[2])
+    attention_projections(x, wq, bq, wk, wv, bv, heads, proj)
+    # a rebuild gives the same bits, so only the forward checks them
+    require_finite("attention", proj["qkv"])
+    q, k, v = proj["q"], proj["k"], proj["v"]
+    row_max, row_sum = saved["max"], saved["sum"]
     step = _attention_step(heads, tokens)
     ones = np.ones((1, tokens), dtype=q.dtype)
     out_heads = out.reshape(batch, tokens, heads, head_dim)
@@ -379,25 +389,26 @@ def attention_arrays(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
         ctx /= np.swapaxes(row_sum[sl], -1, -2)
         out_heads[sl] = ctx.transpose(0, 2, 1, 3)
     require_finite("attention", out)
-    return out, saved, scratch, qkv
+    return out, saved, scratch, proj
 
 
 def attention_backward(g: np.ndarray, x: np.ndarray, wq: np.ndarray,
                        wk: np.ndarray, wv: np.ndarray, heads: int,
                        out: np.ndarray, saved: dict, scratch: dict,
-                       qkv: np.ndarray, gx: np.ndarray,
+                       proj: dict, gx: np.ndarray,
                        grads: Sequence[np.ndarray]) -> None:
     """`attention_arrays`' backward for the upstream gradient g of its
     output `out`: x's gradient into the contiguous gx, which holds g * out
     before that, and the gradients of wq, bq, wk, wv and bv into the five
     arrays of `grads`, from the forward's `saved` arrays and in its
-    `scratch`. The packed projections' gradient goes into `qkv`, shaped as
-    the forward's, which must overlap none of g, x and gx."""
+    `scratch`. It reads q, k and v from `proj`, as the forward wrote them
+    or a rebuild by `attention_projections`, and writes the projections'
+    gradient over proj["qkv"], which must overlap none of g, x and gx."""
     batch, tokens, d = x.shape
     head_dim = d // heads
     c = 1.0 / float(np.sqrt(head_dim))
-    q, k, v, row_max, row_sum = (saved[name] for name in
-                                 ("q", "k", "v", "max", "sum"))
+    q, k, v = proj["q"], proj["k"], proj["v"]
+    row_max, row_sum = saved["max"], saved["sum"]
     g_heads = g.reshape(batch, tokens, heads, head_dim).transpose(0, 2, 1, 3)
     # rowsum(dP * P) = rowsum(dO * O), since dP = dO v^T and O = P v:
     # a sum over head_dim, taken as one product with a ones vector
@@ -409,8 +420,8 @@ def attention_backward(g: np.ndarray, x: np.ndarray, wq: np.ndarray,
     dot = np.divide(dot, row_sum, order="C")
     # the gradients of q, k and v, laid out in qkv as the forward's
     # projections, so that it reshapes to (B*T, 3d)
-    gq, gk, gv = qkv.reshape(batch, tokens, 3, heads, head_dim).transpose(
-        2, 0, 3, 1, 4)
+    gq, gk, gv = proj["qkv"].reshape(batch, tokens, 3, heads,
+                                     head_dim).transpose(2, 0, 3, 1, 4)
     step = _attention_step(heads, tokens)
     for start in range(0, batch, step):
         sl = slice(start, start + step)
@@ -434,7 +445,7 @@ def attention_backward(g: np.ndarray, x: np.ndarray, wq: np.ndarray,
                            out=scratch["o2"][:rows])
         gk[sl] = np.matmul(gs, q[sl], out=scratch["o2"][:rows])
     gq *= c
-    g_qkv = qkv.reshape(batch * tokens, 3 * d)
+    g_qkv = proj["qkv"].reshape(batch * tokens, 3 * d)
     np.matmul(g_qkv, np.concatenate([wq, wk, wv], axis=1).T,
               out=gx.reshape(batch * tokens, d))
     g_w = np.split(x.reshape(-1, d).T @ g_qkv, 3, axis=1)
@@ -447,11 +458,11 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
               bv: Tensor, heads: int) -> Tensor:
     """The attention pair as a graph node."""
     parents = (x, wq, bq, wk, wv, bv)
-    out, saved, scratch, qkv = attention_arrays(*(t.data for t in parents),
-                                                heads)
+    out, saved, scratch, proj = attention_arrays(
+        *(t.data for t in parents), heads)
     return _node("attention", out, parents, lambda g, grads: (
         attention_backward(g, x.data, wq.data, wk.data, wv.data, heads, out,
-                           saved, scratch, qkv, grads[0], grads[1:])))
+                           saved, scratch, proj, grads[0], grads[1:])))
 
 
 def layer_norm_arrays(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

@@ -24,11 +24,11 @@ and `backward` back-propagates the workspace's latest forward, once. A
 block keeps only what backward reads and cannot rebuild (Chen et al.,
 arXiv 1604.06174). The residual stream E and the sum E + R1 are (B, T, d)
 arrays that the blocks share, and backward writes its gradients over them.
-So are the layer norm output, which backward rebuilds from xhat by the
-forward's own two operations, attention's packed projections and the
-context gradient, and they live in the last block's GELU output and
-derivative: those are dead while any block's attention runs, not yet
-written in forward and consumed first in backward.
+So are the layer norm output and attention's projections, which backward
+rebuilds by the forward's own operations (from xhat, then from that
+output), and the context gradient. They live in the last block's GELU
+output and derivative: those are dead while any block's attention runs,
+not yet written in forward and consumed first in backward.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class Workspace:
 
     - `blocks[i]`, what block i's backward reads and cannot rebuild:
       layer norm k's normalised input and row 1 / std ("xhatk", "invk"),
-      attention's saved arrays (`nm.attention_saved`) and context
+      attention's score statistics (`nm.attention_saved`) and context
       ("ctx"), and GELU's output, over which backward writes the MLP's
       gradient, and derivative ("mlp", "dmlp"), both carved from one flat
       region per block;
@@ -101,11 +101,11 @@ class Workspace:
       gradient), "res" (E + R1; in backward, layer norm's input gradient,
       then the embeddings'), the head's outputs and gradients ("g_*"),
       attention's per-chunk scratch, and what a block uses only while
-      attention runs: the layer norm output "ln", which backward rebuilds,
-      attention's packed projections "qkv" (in backward, their gradient)
-      and the context gradient "g_ctx" (also layer norm backward's
-      scratch). These three lie in the last block's region, widened to
-      hold them where 2 d_mlp does not;
+      attention runs: the layer norm output "ln" and attention's
+      projections "q", "k", "v" and "qkv", which backward rebuilds (over
+      "qkv" it then writes their gradient), and the context gradient
+      "g_ctx" (also layer norm backward's scratch). These lie in the last
+      block's region, widened to hold them where 2 d_mlp does not;
     - `gelu`, GELU's scratch;
     - `x`, the input of the forward that backward has yet to run, or None."""
 
@@ -119,13 +119,13 @@ class Workspace:
         # a block's region holds (rows, t, width) arrays `offset` rows * t
         # elements in, so that every leading-row view is contiguous: mlp
         # from 0 and dmlp from m. The last region also holds qkv from 0,
-        # and ln and g_ctx past both qkv and mlp, since attention reads ln
-        # into qkv and w1 reads it into mlp
+        # q, k and v from 3 d, and ln and g_ctx past both those and mlp,
+        # since attention reads ln into them and w1 reads it into mlp
         def at(region, offset, width):
             return region[rows * t * offset:rows * t * (offset + width)
                           ].reshape(rows, t, width)
 
-        lo = max(3 * d, m)
+        lo = max(6 * d, m)
         # the last region is block e - 1's; with no block, only the shared
         regions = [np.empty(rows * t * 2 * m, dtype) for _ in range(c.e - 1)]
         regions.append(np.empty(rows * t * max(2 * m, lo + 2 * d), dtype))
@@ -140,7 +140,9 @@ class Workspace:
             stem=(t, d), res=(t, d), pooled=(d,), l=(c.M,), lam=(c.N,),
             logits=(c.num_classes,), g_pooled=(d,), g_l=(c.M,), g_lam=(c.N,)
         ) | {"ln": at(regions[-1], lo, d), "qkv": at(regions[-1], 0, 3 * d),
-             "g_ctx": at(regions[-1], lo + d, d)}
+             "g_ctx": at(regions[-1], lo + d, d)} | {
+            k: at(regions[-1], (3 + i) * d, d).reshape(rows, c.h, t, -1)
+            for i, k in enumerate("qkv")}
         self.gelu = np.empty((4, min(rows * t * m, nm.GELU_BLOCK_ELEMS)),
                              dtype)
 
@@ -224,7 +226,7 @@ class SaneModel(Model):
             nm.layer_norm_arrays(e, w["ln1.gain"], w["ln1.bias"], ln,
                                  a["xhat1"], a["inv1"])
             nm.attention_arrays(ln, *(w["attn." + k] for k in _QKV), c.h,
-                                a["ctx"], a, s, s["qkv"])
+                                a["ctx"], a, s, s)
             nm.linear_arrays(a["ctx"], w["attn.wo"], w["attn.bo"], out=r)
             nm.require_finite("add", np.add(e, r, out=r))
             nm.layer_norm_arrays(r, w["ln2.gain"], w["ln2.bias"], ln,
@@ -255,8 +257,8 @@ class SaneModel(Model):
         # of a block's output, and so of R2; plus layer norm 2's input
         # gradient, of E + R1, and so of R1; plus layer norm 1's, of E.
         # g_ctx is layer norm backward's scratch. ln and g_ctx are written
-        # only once the last block's dmlp is consumed, and qkv once its mlp
-        # is, in the first iteration, since they lie in its MLP memory
+        # only once the last block's dmlp is consumed, and the projections,
+        # rebuilt from ln, once its mlp is: they lie in its MLP memory
         g_res, g_ln = s["stem"], s["res"]
         g_res[...] = np.divide(g, c.n + 1, out=g)[:, None]
         for i in reversed(range(c.e)):
@@ -274,9 +276,10 @@ class SaneModel(Model):
             nm.linear_backward(g_res, a["ctx"], w["attn.wo"], gw["attn.wo"],
                                gw["attn.bo"], g_ctx)
             nm.layer_norm_output(a["xhat1"], w["ln1.gain"], w["ln1.bias"], ln)
+            nm.attention_projections(ln, *(w["attn." + k] for k in _QKV),
+                                     c.h, s)
             nm.attention_backward(g_ctx, ln, w["attn.wq"], w["attn.wk"],
-                                  w["attn.wv"], c.h, a["ctx"], a, s,
-                                  s["qkv"], g_ln,
+                                  w["attn.wv"], c.h, a["ctx"], a, s, s, g_ln,
                                   [gw["attn." + k] for k in _QKV])
             nm.layer_norm_backward(g_ln, a["xhat1"], a["inv1"], w["ln1.gain"],
                                    gw["ln1.gain"], gw["ln1.bias"], g_ctx)
@@ -332,10 +335,12 @@ def train_sane(x_train: np.ndarray, y_train: np.ndarray, x_val: np.ndarray,
     earlier epoch) and the per-epoch log."""
     x_train = np.asarray(x_train, dtype=np.float32)
     y_train = np.asarray(y_train, dtype=np.int64)
-    counts = np.bincount(y_train, minlength=config.num_classes)
+    if len(y_train) == 0:
+        raise ValueError("the training split is empty")
     if y_train.min() < 0 or y_train.max() >= config.num_classes:
         raise ValueError(
             f"training labels outside 0..{config.num_classes - 1}")
+    counts = np.bincount(y_train, minlength=config.num_classes)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValueError(f"no training data for class {int(empty[0])}")

@@ -56,8 +56,15 @@ def test_synth_command(tmp_path, profile_file):
     assert header.startswith("timestamp,src_port,dst_port")
 
 
-def test_synth_requires_one_source(tmp_path):
-    assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 1
+def test_synth_requires_one_source(tmp_path, profile_file, capsys):
+    out = tmp_path / "x.csv"
+    two = ["--preset", "hard-12", "--profiles", str(profile_file)]
+    for flags in ([], two):
+        assert main(["synth", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("[synth] error: exactly one of "
+                                           "--preset and --profiles is "
+                                           "needed\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, field", [

@@ -206,6 +206,22 @@ def test_empty_class_fatal(tiny_splits):
         train_sane(x[y != 1], y[y != 1], *val, tiny_config())
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([0, 1, 2, -1], "training labels outside 0..2"),
+    ([0, 1, 2, 3], "training labels outside 0..2"),
+    ([0, 2, 2, 0], "no training data for class 1"),
+    ([], "the training split is empty")],
+    ids=["negative", "num-classes", "missing-class", "empty"])
+def test_bad_training_labels_fatal(labels, message):
+    c = tiny_config()
+    x = np.zeros((len(labels), c.n, c.f), dtype=np.float32)
+    x_val = np.zeros((1, c.n, c.f), dtype=np.float32)
+    with pytest.raises(ValueError) as info:
+        train_sane(x, np.array(labels, dtype=np.int64), x_val,
+                   np.zeros(1, dtype=np.int64), c)
+    assert str(info.value) == message
+
+
 def test_empty_validation_split_fatal():
     # two sequences per device: the 60/20/20 split leaves no val sequence
     train, val, _, _ = make_tiny_splits(sessions=2)
@@ -551,11 +567,11 @@ def test_a_training_step_keeps_only_what_backward_reads():
     _assert_workspace_bytes(workspace, c)
 
 
-def test_a_default_shape_workspace_takes_at_most_100_mib():
+def test_a_default_shape_workspace_takes_at_most_81_mib():
     # 64 sequences of T = 201 tokens; np.empty touches no page of it
     c = SaneConfig(num_classes=10)
     workspace = Workspace(SaneModel(c), c.batch_size)
-    assert _assert_workspace_bytes(workspace, c) <= 100 * 2 ** 20
+    assert _assert_workspace_bytes(workspace, c) <= 81 * 2 ** 20
 
 
 @pytest.mark.parametrize("d_model, d_mlp, e", [
@@ -565,14 +581,17 @@ def test_no_config_grows_its_workspace(d_model, d_mlp, e):
     c = SaneConfig(d_model=d_model, d_mlp=d_mlp, e=e, num_classes=10)
     total = _assert_workspace_bytes(Workspace(SaneModel(c), c.batch_size), c)
     rows = c.batch_size * (c.n + 1)
-    widened = max(0, max(3 * d_model, d_mlp) + 2 * d_model - 2 * d_mlp)
-    # the earlier layout: attention's buffers in each block's MLP region
-    # where they fit in it (5 d_model <= 2 d_mlp), and otherwise 5 d_model
-    # more columns that the blocks share
-    earlier = total - 4 * rows * (
-        widened - (5 * d_model if 5 * d_model > 2 * d_mlp else 0))
-    assert total <= earlier
-    assert (total < earlier) == (5 * d_model > 2 * d_mlp)
+
+    def widened(lo):
+        return max(0, lo + 2 * d_model - 2 * d_mlp)
+
+    # the earlier layout: each block kept its own q, k and v (3 d_model
+    # columns), and the last region held qkv, ln and g_ctx alone, from
+    # lo = max(3 d_model, d_mlp)
+    earlier = total + 4 * rows * (
+        e * 3 * d_model + widened(max(3 * d_model, d_mlp))
+        - widened(max(6 * d_model, d_mlp)))
+    assert total < earlier
 
 
 def _assert_workspace_bytes(workspace, c):
@@ -595,12 +614,12 @@ def _workspace_bytes(c):
     # at least one sequence, however long
     chunk = min(b, max(1, nm.ATTN_SCORE_ELEMS // (h * t * t)))
     # per block, in (B, T) rows of float32, what backward reads and cannot
-    # rebuild: both layer norms' xhat, q, k, v and the context (6 d),
-    # GELU's output, written over the w1 output, and its derivative
-    # (2 d_mlp); and the row statistics: each layer norm's 1 / std (2) and
-    # attention's score max and sum per head (2 h). No layer norm output,
-    # residual sum or packed qkv product is kept
-    block = b * t * (6 * d + 2 * c.d_mlp + 2 + 2 * h)
+    # rebuild: both layer norms' xhat and the context (3 d), GELU's output,
+    # written over the w1 output, and its derivative (2 d_mlp); and the row
+    # statistics: each layer norm's 1 / std (2) and attention's score max
+    # and sum per head (2 h). No layer norm output, residual sum or
+    # projection (q, k, v or their packed product) is kept
+    block = b * t * (3 * d + 2 * c.d_mlp + 2 + 2 * h)
     shared = (b * t * d                          # the stem
               + b * (d + c.M + c.N + c.num_classes)  # the head's outputs
               # the residual sum E + R1; in backward, a layer norm input
@@ -611,10 +630,11 @@ def _workspace_bytes(c):
               # attention's per-chunk scratch: two score and two context
               # arrays
               + 2 * chunk * h * t * (t + d // h))
-    # a layer norm output (in backward, a rebuilt one), the packed qkv
-    # product and the context gradient, shared by the blocks in the last
-    # block's MLP region: qkv from 0, the other two past both qkv and GELU's
-    # output, widening the region where 2 d_mlp does not reach
-    last = b * t * max(0, max(3 * d, c.d_mlp) + 2 * d - 2 * c.d_mlp)
+    # a layer norm output and attention's projections (in backward,
+    # rebuilt ones) and the context gradient, shared by the blocks in the
+    # last block's MLP region: the packed qkv product from 0, q, k and v
+    # from 3 d, the other two past both those and GELU's output, widening
+    # the region where 2 d_mlp does not reach
+    last = b * t * max(0, max(6 * d, c.d_mlp) + 2 * d - 2 * c.d_mlp)
     gelu = 4 * min(b * t * c.d_mlp, nm.GELU_BLOCK_ELEMS)
     return 4 * (c.e * block + last + shared + gelu)
