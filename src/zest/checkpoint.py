@@ -4,6 +4,9 @@ model checkpoints.
 Every writer here writes a temp file beside its target and moves it into
 place, so a crash never leaves a half-written file.
 
+A JSON artifact holds JSON-native values only: a numpy value in its
+payload is a `TypeError`, and the old file stays.
+
 Every array file of a run is an npz archive written by `save_arrays`: it
 loads without pickle, and identical arrays give identical bytes. A
 checkpoint is one too: one float32 array per tensor, in sorted name order,
@@ -39,19 +42,9 @@ def atomic_write(path: str | Path, mode: str = "wb",
         tmp.unlink(missing_ok=True)
 
 
-def json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def write_json(path: str | Path, payload: dict | list) -> None:
     with atomic_write(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

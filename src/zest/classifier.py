@@ -5,13 +5,14 @@ on the L2-regularized hinge objective, with the weights of all classes in one
 (classes, dim) matrix updated together, and stored as an npz archive of its
 classes, weights and biases. `evaluate` builds every report, ZEST's and each
 baseline's: one setting's true and predicted labels scored over the classes
-the setting covers.
+the setting covers. A report is a plain dict of JSON values, the very dict
+that `write_json` writes and `read_json` reads back.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -106,56 +107,24 @@ def predict(model: SvmModel, latents: np.ndarray) -> np.ndarray:
 # evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvalReport:
-    """Accuracy summary for one evaluation run."""
-
-    setting: str                       # "zsl" | "gzsl"
-    accuracy: float
-    class_labels: list[int]
-    per_class_accuracy: dict[int, float]
-    confusion: np.ndarray              # true x predicted over class_labels
-    num_test: int
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "accuracy": self.accuracy,
-            "class_labels": self.class_labels,
-            "per_class_accuracy": {str(k): v for k, v in
-                                   self.per_class_accuracy.items()},
-            "confusion": self.confusion.tolist(),
-            "num_test": self.num_test,
-            "extra": self.extra,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(setting=d["setting"], accuracy=d["accuracy"],
-                   class_labels=list(d["class_labels"]),
-                   per_class_accuracy={int(k): v for k, v in
-                                       d["per_class_accuracy"].items()},
-                   confusion=np.asarray(d["confusion"], dtype=np.int64),
-                   num_test=d["num_test"], extra=d.get("extra", {}))
-
-    def format_table(self) -> str:
-        lines = [f"setting: {self.setting}",
-                 f"accuracy: {self.accuracy:.4f}  (n={self.num_test})",
-                 "per-class accuracy:"]
-        for label in self.class_labels:
-            if label in self.per_class_accuracy:
-                lines.append(f"  class {label}: "
-                             f"{self.per_class_accuracy[label]:.4f}")
-        return "\n".join(lines)
+def format_report(report: dict) -> str:
+    """The plain-text table of one report: its accuracy, then each class's."""
+    per_class = report["per_class_accuracy"]
+    lines = [f"setting: {report['setting']}",
+             f"accuracy: {report['accuracy']:.4f}  (n={report['num_test']})",
+             "per-class accuracy:"]
+    lines += [f"  class {label}: {per_class[str(label)]:.4f}"
+              for label in report["class_labels"] if str(label) in per_class]
+    return "\n".join(lines)
 
 
 def evaluate(setting: str, y_true: np.ndarray, y_pred: np.ndarray,
-             class_labels: list[int], extra: dict | None = None) -> EvalReport:
+             class_labels: list[int], extra: dict | None = None) -> dict:
     """The report of one setting ("zsl" or "gzsl"): accuracy, per-class
-    accuracy and the confusion over `class_labels`, which must hold every
-    true label. Predictions outside the set count in a dedicated overflow
-    column, so row sums equal per-class test counts."""
+    accuracy (keyed by label as a string) and the confusion (nested lists)
+    over `class_labels`, which must hold every true label. Predictions
+    outside the set count in a dedicated overflow column, so row sums equal
+    per-class test counts."""
     if setting not in ("zsl", "gzsl"):
         raise ValueError(f"unknown setting {setting!r}")
     y_true = np.asarray(y_true, dtype=np.int64)
@@ -170,12 +139,12 @@ def evaluate(setting: str, y_true: np.ndarray, y_pred: np.ndarray,
     confusion = np.zeros((k, k + int((cols == k).any())), dtype=np.int64)
     np.add.at(confusion, (row_hit.argmax(axis=1), cols), 1)
     # each class's hits over its support, for the classes with any
-    per_class = {c: hits / support for c, hits, support in zip(
-        class_labels, confusion.diagonal().tolist(),
+    per_class = {str(c): hits / support for c, hits, support in zip(
+        labels.tolist(), confusion.diagonal().tolist(),
         confusion.sum(axis=1).tolist()) if support}
-    accuracy = float((y_true == y_pred).mean())
-    return EvalReport(setting=setting, accuracy=accuracy,
-                      class_labels=list(class_labels),
-                      per_class_accuracy=per_class, confusion=confusion,
-                      num_test=len(y_true), extra=extra or {})
-
+    return {"setting": setting,
+            "accuracy": float((y_true == y_pred).mean()),
+            "class_labels": labels.tolist(),
+            "per_class_accuracy": per_class,
+            "confusion": confusion.tolist(),
+            "num_test": len(y_true), "extra": extra or {}}

@@ -165,9 +165,9 @@ def _synth(args: argparse.Namespace) -> None:
 
 
 def _ingest(args: argparse.Namespace, config: ExperimentConfig) -> None:
-    dataset = pl.stage_ingest(config)
-    print(f"dataset: {len(dataset.labels)} sequences, "
-          f"{len(dataset.class_map)} devices")
+    manifest = pl.stage_ingest(config)
+    print(f"dataset: {manifest['num_points']} sequences, "
+          f"{len(manifest['class_map'])} devices")
 
 
 def _stage(args: argparse.Namespace, config: ExperimentConfig) -> None:
@@ -181,8 +181,8 @@ def _stage(args: argparse.Namespace, config: ExperimentConfig) -> None:
     method = pl.STAGES[name].method
     if method:
         for setting, report in pl.read_reports(config, seed, method).items():
-            print(f"{method} {setting}: accuracy {report.accuracy:.4f} "
-                  f"(n={report.num_test})")
+            print(f"{method} {setting}: accuracy {report['accuracy']:.4f} "
+                  f"(n={report['num_test']})")
 
 
 def _pipeline(args: argparse.Namespace, config: ExperimentConfig) -> None:

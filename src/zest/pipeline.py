@@ -20,7 +20,8 @@ one command per entry and runs `partition` before the named stage.
 One rule, `_classes`, gives the classes an evaluation setting covers: all
 of them for GZSL, the unseen ones for ZSL. It picks each SVM's pseudo
 classes, each setting's test split and the labels its reports are scored
-over; `evaluate` scores ZEST's and each baseline's test predictions.
+over; `evaluate` scores ZEST's and each baseline's test predictions, and
+the report dicts it builds are the JSON that `read_reports` reads back.
 
 Every array artifact of a run is an npz archive: the normalizer, the
 checkpoints, the SVMs, the pseudo data, and `latents.npz`, which holds the
@@ -44,10 +45,10 @@ import numpy as np
 
 from . import baselines as bl
 from .attributes import compute_attributes, extract_latents
-from .checkpoint import (atomic_write, json_default, load_arrays, read_json,
-                         save_arrays, write_json)
-from .classifier import (EvalReport, SvmConfig, SvmModel, evaluate, predict,
-                         train_svm)
+from .checkpoint import (atomic_write, load_arrays, read_json, save_arrays,
+                         write_json)
+from .classifier import (SvmConfig, SvmModel, evaluate, format_report,
+                         predict, train_svm)
 from .cvae import CvaeConfig, CvaeModel, generate_pseudo, train_cvae
 from .ingest import (Dataset, Normalizer, apply_normalizer, build_dataset,
                      fit_normalizer, load_dataset, make_partition,
@@ -327,8 +328,7 @@ class StageRunner:
         Returns True when the stage actually ran. A file that the replaced
         manifest lists as an output and `outputs` does not (an older file
         name, say) is deleted: no manifest names it any more."""
-        config = json.loads(json.dumps(config, default=json_default,
-                                       sort_keys=True))
+        config = json.loads(json.dumps(config, sort_keys=True))
         declared = {p.name for p in outputs}
         manifest = self._manifest(stage) or {}   # none, or unreadable: a miss
         # a manifest whose outputs are not the declared ones (say, an older
@@ -371,9 +371,10 @@ def run_dir(config: ExperimentConfig, seed: int) -> Path:
 # data stage
 # ---------------------------------------------------------------------------
 
-def stage_ingest(config: ExperimentConfig) -> Dataset:
+def stage_ingest(config: ExperimentConfig) -> dict:
     """Build the segmented raw-feature dataset, synthesizing traffic first
-    when the source is a preset or a profile file."""
+    when the source is a preset or a profile file. Returns the dataset's
+    manifest, `dataset.json`: its `n`, `f`, `num_points` and `class_map`."""
     source = dict(config.source)
     kind = check_source(source)
     if kind != "preset" and not Path(source[kind]).exists():
@@ -401,7 +402,7 @@ def stage_ingest(config: ExperimentConfig) -> Dataset:
     runner.run("ingest", {"n": config.n, "source": source},
                {csv_path.name: sha256_file(csv_path)},
                [npz_path, manifest_path], ingest_fn)
-    return load_dataset(npz_path, manifest_path)
+    return read_json(manifest_path)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +560,7 @@ def _train_clf(ctx: StageContext) -> None:
 
 
 def _reports(ctx: StageContext, method: str, predictions: dict[str, np.ndarray],
-             extra: dict) -> dict[str, EvalReport]:
+             extra: dict) -> dict[str, dict]:
     """The report of each setting that `predictions` maps to the method's
     labels for that setting's test split."""
     return {setting: evaluate(setting,
@@ -575,10 +576,9 @@ def _eval(ctx: StageContext) -> None:
                          ctx.latents["l"][idx])
         for setting, idx in ctx.test_idx.items()}, {})
     for setting, report in reports.items():
-        write_json(ctx.rdir / f"report_{setting}.json", report.to_dict())
+        write_json(ctx.rdir / f"report_{setting}.json", report)
     with atomic_write(ctx.rdir / "report.txt", "w") as fh:
-        fh.write("\n\n".join(r.format_table() for r in reports.values())
-                 + "\n")
+        fh.write("\n\n".join(map(format_report, reports.values())) + "\n")
 
 
 def _baseline(ctx: StageContext, name: str) -> None:
@@ -589,8 +589,7 @@ def _baseline(ctx: StageContext, name: str) -> None:
         features[fit_idx], labels[fit_idx], tests, ctx.latents["attrs"],
         ctx.seed)
     write_json(ctx.rdir / f"baseline_{name}.json",
-               {s: r.to_dict() for s, r in
-                _reports(ctx, name, predictions, extra).items()})
+               _reports(ctx, name, predictions, extra))
 
 
 _DATASET = (("ingest", "dataset.npz"), ("ingest", "dataset.json"))
@@ -666,14 +665,13 @@ def run_stage(name: str, config: ExperimentConfig, seed: int) -> bool:
 
 
 def read_reports(config: ExperimentConfig, seed: int,
-                 method: str) -> dict[str, EvalReport]:
-    """{setting: EvalReport} as written by the stage of `method`."""
+                 method: str) -> dict[str, dict]:
+    """{setting: report} as the stage of `method` wrote them, each report
+    the dict `evaluate` built."""
     rdir = run_dir(config, seed)
     if method == "zest":
-        payload = {s: read_json(rdir / f"report_{s}.json") for s in SETTINGS}
-    else:
-        payload = read_json(rdir / f"baseline_{method}.json")
-    return {s: EvalReport.from_dict(d) for s, d in payload.items()}
+        return {s: read_json(rdir / f"report_{s}.json") for s in SETTINGS}
+    return read_json(rdir / f"baseline_{method}.json")
 
 
 stage_partition = partial(run_stage, "partition")
@@ -695,7 +693,7 @@ def stage_baseline(config: ExperimentConfig, seed: int, name: str) -> bool:
 
 def run_seed(config: ExperimentConfig, seed: int) -> dict:
     """Every per-seed stage in table order, leaving out the baselines the
-    config does not list; returns {method: {setting: EvalReport}}."""
+    config does not list; returns {method: {setting: report}}."""
     methods = ["zest", *config.baselines]
     for stage in STAGES.values():
         if stage.method is None or stage.method in methods:
@@ -708,7 +706,7 @@ def aggregate_reports(per_seed: list[dict]) -> list[dict]:
     rows = []
     for method in per_seed[0]:
         for setting in SETTINGS:
-            accs = [res[method][setting].accuracy for res in per_seed]
+            accs = [res[method][setting]["accuracy"] for res in per_seed]
             rows.append({
                 "method": method,
                 "setting": setting,

@@ -60,7 +60,7 @@ class SaneConfig:
     n: int = 200               # packets per sequence
     f: int = NUM_FEATURES      # raw features per packet
     d_model: int = 64
-    e: int = 2                 # encoder stack size
+    e: int = 2                 # encoder blocks; 0 pools the embeddings
     h: int = 8                 # attention heads
     d_mlp: int = 256
     M: int = 20                # latent l width
@@ -72,7 +72,7 @@ class SaneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, {"epochs": ">= 0", "seed": ">= 0"})
+        check_fields(self, {"e": ">= 0", "epochs": ">= 0", "seed": ">= 0"})
         if self.d_model % self.h != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by h={self.h}")
         if self.N >= self.M:

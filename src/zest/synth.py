@@ -63,21 +63,6 @@ class DeviceProfile:
                 raise ValueError(
                     f"{self.device_id}: {name} probabilities sum to {total}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeviceProfile":
-        """A checked profile from its JSON form; an error names the device."""
-        if not isinstance(d, dict):
-            raise ValueError(f"a profile must be a dict, got {d!r}")
-        try:
-            profile = cls(**d)
-        except TypeError as exc:    # an unknown or a missing field
-            raise ValueError(f"{d.get('device_id')}: {exc}") from None
-        if isinstance(profile.port_probs, dict):    # JSON keys are strings
-            profile.port_probs = {int(k) if str(k).isdecimal() else k: v
-                                  for k, v in profile.port_probs.items()}
-        profile.validate()
-        return profile
-
 
 # ---------------------------------------------------------------------------
 # generation
@@ -311,7 +296,8 @@ def preset_profiles(name: str, sessions: int | None = None,
 def source_profiles(source: dict, packets_per_session: int | None = None
                     ) -> list[DeviceProfile]:
     """The profiles of a checked source that names a preset (and perhaps its
-    sessions per device) or a file that holds a JSON list of profiles."""
+    sessions per device) or a file that holds a JSON list of profiles, each
+    checked; an error names the device."""
     if "preset" in source:
         return preset_profiles(source["preset"], source.get("sessions"),
                                packets_per_session)
@@ -319,4 +305,17 @@ def source_profiles(source: dict, packets_per_session: int | None = None
     if not isinstance(dicts, list):
         raise ValueError(f"{source['profiles']} must hold a JSON list of "
                          f"profiles, got {type(dicts).__name__}")
-    return [DeviceProfile.from_dict(d) for d in dicts]
+    profiles = []
+    for d in dicts:
+        if not isinstance(d, dict):
+            raise ValueError(f"a profile must be a dict, got {d!r}")
+        try:
+            profile = DeviceProfile(**d)
+        except TypeError as exc:    # an unknown or a missing field
+            raise ValueError(f"{d.get('device_id')}: {exc}") from None
+        if isinstance(profile.port_probs, dict):    # JSON keys are strings
+            profile.port_probs = {int(k) if str(k).isdecimal() else k: v
+                                  for k, v in profile.port_probs.items()}
+        profile.validate()
+        profiles.append(profile)
+    return profiles

@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from zest.checkpoint import write_json
-from zest.classifier import (EvalReport, SvmConfig, SvmModel, evaluate,
+from zest.checkpoint import read_json, write_json
+from zest.classifier import (SvmConfig, SvmModel, evaluate, format_report,
                              hinge_objective, predict, train_svm)
 
 
@@ -149,15 +149,15 @@ class TestEvaluate:
     def test_perfect_predictor_accuracy_one(self):
         model, x, y = self._model()
         report = evaluate("gzsl", y, predict(model, x), model.classes)
-        assert report.accuracy == 1.0
-        assert report.num_test == len(y)
-        assert np.trace(report.confusion) == len(y)
+        assert report["accuracy"] == 1.0
+        assert report["num_test"] == len(y)
+        assert np.trace(np.asarray(report["confusion"])) == len(y)
 
     def test_row_sums_match_class_counts(self):
         model, x, y = self._model()
         report = evaluate("gzsl", y, predict(model, x), model.classes)
-        for i, label in enumerate(report.class_labels):
-            assert report.confusion[i].sum() == (y == label).sum()
+        for i, label in enumerate(report["class_labels"]):
+            assert sum(report["confusion"][i]) == (y == label).sum()
 
     def test_per_class_weighted_average_is_accuracy(self):
         model, x, y = self._model()
@@ -165,9 +165,9 @@ class TestEvaluate:
         x2 = x.copy()
         x2[:10] = -x2[:10]
         report = evaluate("gzsl", y, predict(model, x2), model.classes)
-        weighted = sum(report.per_class_accuracy[c] * (y == c).sum()
-                       for c in report.class_labels) / len(y)
-        assert report.accuracy == pytest.approx(weighted)
+        weighted = sum(report["per_class_accuracy"][str(c)] * (y == c).sum()
+                       for c in report["class_labels"]) / len(y)
+        assert report["accuracy"] == pytest.approx(weighted)
 
     def test_stray_test_labels_fatal(self):
         model, x, y = self._model()
@@ -186,12 +186,9 @@ class TestEvaluate:
         report = evaluate("gzsl", y, predict(model, x), model.classes,
                           extra={"pipeline": "zest"})
         path = tmp_path / "report.json"
-        write_json(path, report.to_dict())
-        import json
-        loaded = EvalReport.from_dict(json.loads(path.read_text()))
-        assert loaded.accuracy == report.accuracy
-        assert loaded.extra == {"pipeline": "zest"}
-        np.testing.assert_array_equal(loaded.confusion, report.confusion)
+        write_json(path, report)
+        assert read_json(path) == report
+        assert report["extra"] == {"pipeline": "zest"}
 
 
 def test_report_with_predictions_outside_label_set():
@@ -199,11 +196,35 @@ def test_report_with_predictions_outside_label_set():
     y_true = np.array([5, 5, 6, 6])
     y_pred = np.array([5, 2, 6, 1])
     report = evaluate("zsl", y_true, y_pred, [5, 6])
-    assert report.accuracy == 0.5
-    assert report.confusion.shape == (2, 3)      # overflow column
-    assert report.confusion.sum() == 4
+    assert report["accuracy"] == 0.5
+    confusion = np.asarray(report["confusion"])
+    assert confusion.shape == (2, 3)      # overflow column
+    assert confusion.sum() == 4
 
 
 def test_report_true_label_outside_label_set_fatal():
     with pytest.raises(ValueError, match="outside"):
         evaluate("gzsl", np.array([0, 9]), np.array([0, 0]), [0, 1])
+
+
+def test_twelve_class_report_file_is_the_report(tmp_path):
+    # per-class keys are strings, so the file lists them in text order
+    labels = list(range(12))
+    y_true = np.repeat(labels, 3)
+    y_pred = np.roll(y_true, 1)
+    report = evaluate("gzsl", y_true, y_pred, labels)
+    path = tmp_path / "report_gzsl.json"
+    write_json(path, report)
+    assert read_json(path) == report
+    lines = path.read_text().splitlines()
+    start = lines.index('  "per_class_accuracy": {') + 1
+    assert [line.split(":")[0].strip() for line in lines[start:start + 5]] \
+        == ['"0"', '"1"', '"10"', '"11"', '"2"']
+
+
+def test_format_report_lists_each_class_with_support():
+    report = evaluate("zsl", np.array([5, 5, 7]), np.array([5, 6, 7]),
+                      [5, 6, 7])
+    assert format_report(report) == "\n".join([
+        "setting: zsl", "accuracy: 0.6667  (n=3)", "per-class accuracy:",
+        "  class 5: 0.5000", "  class 7: 1.0000"])

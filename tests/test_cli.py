@@ -361,7 +361,7 @@ class TestPipelineAndSweep:
     ("--config", "[1, 2]", "config.json must hold a JSON dict"),
     ("--config", "notjson", "config.json is not JSON"),
     ("--config", '{"bogus": 1}', "config.json has no field 'bogus'"),
-    ("--config", '{"num_unseen": 3} --sane {"e":0}', "sane.e"),
+    ("--config", '{"num_unseen": 3} --sane {"e":-1}', "sane.e"),
     # the seed of a per-seed stage command, as the config's seeds
     ("--seed", "-1", "--seed")])
 def test_invalid_override_rejected_before_any_stage(tmp_path, profile_file,

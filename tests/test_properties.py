@@ -323,14 +323,15 @@ def test_confusion_rows_sum_to_class_counts(labels, data):
     y_pred = np.asarray(data.draw(st.lists(
         st.one_of(st.sampled_from(labels), st.integers(-10, 60)),
         min_size=size, max_size=size)), dtype=np.int64)
-    report = evaluate("gzsl", y_true, y_pred, labels)
+    confusion = np.asarray(evaluate("gzsl", y_true, y_pred,
+                                    labels)["confusion"])
     k = len(labels)
     outside = ~np.isin(y_pred, labels)
-    assert report.confusion.shape == (k, k + int(outside.any()))
-    np.testing.assert_array_equal(report.confusion.sum(axis=1),
+    assert confusion.shape == (k, k + int(outside.any()))
+    np.testing.assert_array_equal(confusion.sum(axis=1),
                                   [(y_true == c).sum() for c in labels])
-    assert report.confusion[:, k:].sum() == outside.sum()
-    assert np.trace(report.confusion) == (y_true == y_pred).sum()
+    assert confusion[:, k:].sum() == outside.sum()
+    assert np.trace(confusion) == (y_true == y_pred).sum()
 
 
 def _walk(forest: RandomForest, root: int, row: np.ndarray) -> int:

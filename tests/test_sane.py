@@ -26,8 +26,8 @@ def test_config_validation():
         SaneConfig(d_model=30, h=8)
     with pytest.raises(ValueError, match="N < M"):
         SaneConfig(M=3, N=3)
-    with pytest.raises(ValueError, match=r"^e must be > 0"):
-        SaneConfig(e=0)
+    with pytest.raises(ValueError, match=r"^e must be >= 0"):
+        SaneConfig(e=-1)
     with pytest.raises(ValueError, match="batch_size"):
         SaneConfig(batch_size=0)
     with pytest.raises(ValueError, match="epochs"):
@@ -382,11 +382,12 @@ def test_forward_matches_primitive_graph(tiny_splits, monkeypatch):
 
 @settings(max_examples=30, deadline=None)
 @given(h=st.sampled_from([1, 2, 4]), head_width=st.integers(1, 4),
-       d_mlp=st.integers(1, 48), e=st.integers(1, 3))
+       d_mlp=st.integers(1, 48), e=st.integers(0, 3))
 # one config whose last MLP region widens (lo + 2 d > 2 d_mlp), one whose
-# region holds attention's buffers as it is
+# region holds attention's buffers as it is, and one with no encoder block
 @example(h=2, head_width=8, d_mlp=20, e=3)
 @example(h=2, head_width=4, d_mlp=48, e=2)
+@example(h=2, head_width=4, d_mlp=48, e=0)
 def test_every_config_steps_as_the_primitive_graph(h, head_width, d_mlp, e):
     c = tiny_config(d_model=h * head_width, h=h, d_mlp=d_mlp, e=e)
     model = SaneModel(c, rng=np.random.default_rng(0))
