@@ -2,22 +2,22 @@
 
 A linear one-vs-rest SVM is trained on pseudo latents by subgradient descent
 on the L2-regularized hinge objective, with the weights of all classes in one
-(classes, dim) matrix updated together, and stored as an npz archive of its
-classes, weights and biases. `evaluate` builds every report, ZEST's and each
-baseline's: one setting's true and predicted labels scored over the classes
-the setting covers. A report is a plain dict of JSON values, the very dict
-that `write_json` writes and `read_json` reads back.
+(classes, dim) matrix updated together. A fitted SVM is a plain dict of its
+int64 `classes`, (classes, dim) `weights` and (classes,) `biases`, the very
+dict that `save_arrays` writes and `load_arrays` reads back. `evaluate`
+builds every report, ZEST's and each baseline's: one setting's true and
+predicted labels scored over the classes the setting covers. A report is
+a plain dict of JSON values, the very dict that `write_json` writes and
+`read_json` reads back.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_arrays, save_arrays
 from .params import check_fields
 
 logger = logging.getLogger("zest.classifier")
@@ -33,26 +33,6 @@ class SvmConfig:
         check_fields(self, {"epochs": ">= 0"})
 
 
-@dataclass
-class SvmModel:
-    """Per-class weights/biases of a linear one-vs-rest SVM over one class
-    or more; with one class, every input is predicted as that class."""
-
-    classes: list[int]
-    weights: np.ndarray      # (num_classes, dim)
-    biases: np.ndarray       # (num_classes,)
-
-    def save(self, path: str | Path) -> None:
-        save_arrays(path, classes=np.asarray(self.classes, dtype=np.int64),
-                    weights=self.weights, biases=self.biases)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SvmModel":
-        arrays = load_arrays(path)
-        return cls(classes=arrays["classes"].tolist(),
-                   weights=arrays["weights"], biases=arrays["biases"])
-
-
 def hinge_objective(w: np.ndarray, margins: np.ndarray,
                     c_reg: float) -> np.ndarray:
     """Per class c: 0.5*||w_c||^2 + C * mean(max(0, margins_c)), for weights
@@ -62,19 +42,20 @@ def hinge_objective(w: np.ndarray, margins: np.ndarray,
     return 0.5 * (w * w).sum(axis=1) + c_reg * hinge
 
 
-def train_svm(x: np.ndarray, y: np.ndarray, config: SvmConfig) -> SvmModel:
+def train_svm(x: np.ndarray, y: np.ndarray, config: SvmConfig) -> dict:
     """One-vs-rest linear SVM on a balanced labeled set of one class or
-    more, every class fitted at once by full-batch subgradient descent with
-    1/t decay from zero weights. Each class keeps the iterate with its
-    lowest objective (subgradient descent is not monotone). Each iterate's
-    margins give both its objective and the next subgradient. Raises when
-    there are no rows."""
+    more, as {"classes", "weights", "biases"}, classes sorted; with one
+    class, every input is predicted as that class. Every class is fitted at
+    once by full-batch subgradient descent with 1/t decay from zero weights.
+    Each class keeps the iterate with its lowest objective (subgradient
+    descent is not monotone). Each iterate's margins give both its
+    objective and the next subgradient. Raises when there are no rows."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if not len(y):
         raise ValueError("no rows to fit the SVM on")
-    classes = sorted(set(int(v) for v in y))
-    y_signed = np.where(y[:, None] == np.asarray(classes), 1.0, -1.0)
+    classes = np.unique(y)
+    y_signed = np.where(y[:, None] == classes, 1.0, -1.0)
     n = x.shape[0]
     w = np.zeros((len(classes), x.shape[1]))
     b = np.zeros(len(classes))
@@ -93,14 +74,14 @@ def train_svm(x: np.ndarray, y: np.ndarray, config: SvmConfig) -> SvmModel:
         better = obj < best_obj
         best_obj = np.where(better, obj, best_obj)
         best_w[better], best_b[better] = w[better], b[better]
-    return SvmModel(classes=classes, weights=best_w, biases=best_b)
+    return {"classes": classes, "weights": best_w, "biases": best_b}
 
 
-def predict(model: SvmModel, latents: np.ndarray) -> np.ndarray:
+def predict(svm: dict, latents: np.ndarray) -> np.ndarray:
     """Argmax over class scores; ties break to the lowest class index."""
-    scores = (np.asarray(latents, dtype=np.float64) @ model.weights.T
-              + model.biases)
-    return np.asarray(model.classes, dtype=np.int64)[scores.argmax(axis=1)]
+    scores = (np.asarray(latents, dtype=np.float64) @ svm["weights"].T
+              + svm["biases"])
+    return svm["classes"][scores.argmax(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +114,7 @@ def evaluate(setting: str, y_true: np.ndarray, y_pred: np.ndarray,
     k = len(labels)
     row_hit = y_true[:, None] == labels
     if not row_hit.any(axis=1).all():
-        raise ValueError(f"true labels outside {list(class_labels)}")
+        raise ValueError(f"true labels outside {labels.tolist()}")
     col_hit = y_pred[:, None] == labels
     cols = np.where(col_hit.any(axis=1), col_hit.argmax(axis=1), k)
     confusion = np.zeros((k, k + int((cols == k).any())), dtype=np.int64)

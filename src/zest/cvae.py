@@ -114,7 +114,7 @@ class CvaeModel(Model):
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        save_checkpoint(path, self.state_arrays(), asdict(self.config))
+        save_checkpoint(path, self.params, asdict(self.config))
 
     @classmethod
     def load(cls, path: str | Path) -> "CvaeModel":

@@ -282,36 +282,29 @@ def segment(feature_rows: np.ndarray, n: int) -> np.ndarray:
     return feature_rows[:count * n].reshape(count, n, f).astype(np.float32)
 
 
-@dataclass
-class Normalizer:
-    """Per-feature min-max scaling, with log1p first for the heavy-tailed
-    `LOG1P_COLUMNS`."""
-
-    mins: np.ndarray
-    maxs: np.ndarray
-
-
 def _log1p_columns(x: np.ndarray) -> np.ndarray:
     out = x.astype(np.float64, copy=True)
     out[..., LOG1P_COLUMNS] = np.log1p(out[..., LOG1P_COLUMNS])
     return out
 
 
-def fit_normalizer(x: np.ndarray) -> Normalizer:
-    """Fit per-feature ranges over every row of `x` (..., f); call only on
-    training-split data of seen devices."""
+def fit_normalizer(x: np.ndarray) -> dict:
+    """Per-feature min-max scaling, with log1p first for the heavy-tailed
+    `LOG1P_COLUMNS`: {"mins", "maxs"}, the float64 ranges over every row of
+    `x` (..., f). Call only on training-split data of seen devices."""
     if x.size == 0:
         raise ValueError("cannot fit normalizer on empty training data")
     t = _log1p_columns(x.reshape(-1, x.shape[-1]))
-    return Normalizer(mins=t.min(axis=0), maxs=t.max(axis=0))
+    return {"mins": t.min(axis=0), "maxs": t.max(axis=0)}
 
 
-def apply_normalizer(normalizer: Normalizer, x: np.ndarray) -> np.ndarray:
-    """Scale every row of `x` (..., f) into [0, 1] as float32."""
+def apply_normalizer(normalizer: dict, x: np.ndarray) -> np.ndarray:
+    """Scale every row of `x` (..., f) into [0, 1] as float32 by the ranges
+    `fit_normalizer` returned."""
     t = _log1p_columns(x)
-    span = normalizer.maxs - normalizer.mins
-    scaled = np.where(span > 0, (t - normalizer.mins)
-                      / np.where(span > 0, span, 1.0), 0.0)
+    mins, span = normalizer["mins"], normalizer["maxs"] - normalizer["mins"]
+    scaled = np.where(span > 0, (t - mins) / np.where(span > 0, span, 1.0),
+                      0.0)
     return np.clip(scaled, 0.0, 1.0).astype(np.float32)
 
 

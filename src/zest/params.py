@@ -1,9 +1,9 @@
 """The parameter layer shared by the SANE encoder and the CVAE: Glorot
 initialisation, a model's parameters and gradients as named views of one
-flat buffer each, the form its npz checkpoint stores, one array per
-parameter name (`checkpoint.save_checkpoint`), and the field checker that
-every settings dataclass runs: each field's kind from its annotation, and
-its bound from one small per-class table."""
+flat buffer each, the parameter views being what its npz checkpoint stores
+(`checkpoint.save_checkpoint`), and the field checker that every settings
+dataclass runs: each field's kind from its annotation, and its bound from
+one small per-class table."""
 
 from __future__ import annotations
 
@@ -59,8 +59,8 @@ class Model:
     buffer `data`, and their gradients in one flat buffer `grad` of the
     same layout. `params` and `grads` map each name to its view of the two,
     in the order given. A backward writes every view of `grad`; an
-    optimizer updates `data` from `grad` (`numerics.Adam`), and a snapshot
-    of the model is a copy of `data`."""
+    optimizer updates `data` from `grad` (`numerics.Adam`); a snapshot of
+    the model is a copy of `data`, and a checkpoint saves `params`."""
 
     def __init__(self, arrays: dict[str, np.ndarray], dtype):
         self.dtype = dtype
@@ -73,9 +73,6 @@ class Model:
             {name: flat[lo:hi].reshape(a.shape) for (name, a), lo, hi
              in zip(arrays.items(), bounds, bounds[1:])}
             for flat in (self.data, self.grad))
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: a.copy() for name, a in self.params.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         """Write each named array into its view of `data`."""

@@ -26,7 +26,8 @@ the report dicts it builds are the JSON that `read_reports` reads back.
 Every array artifact of a run is an npz archive: the normalizer, the
 checkpoints, the SVMs, the pseudo data, and `latents.npz`, which holds the
 latents of every sequence and the class attributes as one (num_classes, N)
-array indexed by class label.
+array indexed by class label. The normalizer and the SVMs are saved as the
+very dicts of arrays that `fit_normalizer` and `train_svm` return.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ from . import baselines as bl
 from .attributes import compute_attributes, extract_latents
 from .checkpoint import (atomic_write, load_arrays, read_json, save_arrays,
                          write_json)
-from .classifier import (SvmConfig, SvmModel, evaluate, format_report,
-                         predict, train_svm)
+from .classifier import (SvmConfig, evaluate, format_report, predict,
+                         train_svm)
 from .cvae import CvaeConfig, CvaeModel, generate_pseudo, train_cvae
-from .ingest import (Dataset, Normalizer, apply_normalizer, build_dataset,
-                     fit_normalizer, load_dataset, make_partition,
-                     parse_packet_csv, save_dataset, split_indices)
+from .ingest import (Dataset, apply_normalizer, build_dataset, fit_normalizer,
+                     load_dataset, make_partition, parse_packet_csv,
+                     save_dataset, split_indices)
 from .params import check_fields, is_finite, is_int
 from .sane import SaneConfig, SaneModel, train_sane
 from .synth import PRESETS, generate_csv, source_profiles
@@ -502,7 +503,7 @@ def _train_sane(ctx: StageContext) -> None:
                           ctx.sane_config(),
                           log_path=ctx.rdir / "sane_log.csv")
     # saved after the fit: a failed one leaves no file that no manifest lists
-    save_arrays(ctx.rdir / "normalizer.npz", mins=norm.mins, maxs=norm.maxs)
+    save_arrays(ctx.rdir / "normalizer.npz", **norm)
     model.save(ctx.rdir / "sane.npz")
 
 
@@ -525,7 +526,7 @@ def _extract_attrs(ctx: StageContext) -> None:
             f"sequence in the train split (or, if unseen, the val split) to "
             f"fit attributes on; give them more sessions")
     model = SaneModel.load(ctx.rdir / "sane.npz")
-    norm = Normalizer(**load_arrays(ctx.rdir / "normalizer.npz"))
+    norm = load_arrays(ctx.rdir / "normalizer.npz")
     l, lam = extract_latents(model, apply_normalizer(norm, dataset.features))
     attrs = compute_attributes(lam[fit_idx], dataset.labels[fit_idx],
                                len(devices))
@@ -555,8 +556,8 @@ def _train_clf(ctx: StageContext) -> None:
     samples, labels = pseudo["samples"], pseudo["labels"]
     for setting in SETTINGS:
         keep = np.isin(labels, _classes(ctx.partition, setting))
-        train_svm(samples[keep], labels[keep], ctx.config.svm_config()).save(
-            ctx.rdir / f"svm_{setting}.npz")
+        save_arrays(ctx.rdir / f"svm_{setting}.npz", **train_svm(
+            samples[keep], labels[keep], ctx.config.svm_config()))
 
 
 def _reports(ctx: StageContext, method: str, predictions: dict[str, np.ndarray],
@@ -572,7 +573,7 @@ def _reports(ctx: StageContext, method: str, predictions: dict[str, np.ndarray],
 
 def _eval(ctx: StageContext) -> None:
     reports = _reports(ctx, "zest", {
-        setting: predict(SvmModel.load(ctx.rdir / f"svm_{setting}.npz"),
+        setting: predict(load_arrays(ctx.rdir / f"svm_{setting}.npz"),
                          ctx.latents["l"][idx])
         for setting, idx in ctx.test_idx.items()}, {})
     for setting, report in reports.items():
@@ -666,12 +667,13 @@ def run_stage(name: str, config: ExperimentConfig, seed: int) -> bool:
 
 def read_reports(config: ExperimentConfig, seed: int,
                  method: str) -> dict[str, dict]:
-    """{setting: report} as the stage of `method` wrote them, each report
-    the dict `evaluate` built."""
+    """{setting: report} in `SETTINGS` order as the stage of `method` wrote
+    them, each report the dict `evaluate` built."""
     rdir = run_dir(config, seed)
     if method == "zest":
         return {s: read_json(rdir / f"report_{s}.json") for s in SETTINGS}
-    return read_json(rdir / f"baseline_{method}.json")
+    reports = read_json(rdir / f"baseline_{method}.json")
+    return {s: reports[s] for s in SETTINGS}
 
 
 stage_partition = partial(run_stage, "partition")

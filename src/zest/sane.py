@@ -313,7 +313,7 @@ class SaneModel(Model):
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        save_checkpoint(path, self.state_arrays(), asdict(self.config))
+        save_checkpoint(path, self.params, asdict(self.config))
 
     @classmethod
     def load(cls, path: str | Path) -> "SaneModel":

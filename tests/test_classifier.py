@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from zest.checkpoint import read_json, write_json
-from zest.classifier import (SvmConfig, SvmModel, evaluate, format_report,
+from zest.checkpoint import load_arrays, read_json, save_arrays, write_json
+from zest.classifier import (SvmConfig, evaluate, format_report,
                              hinge_objective, predict, train_svm)
 
 
@@ -36,8 +36,8 @@ def test_multiclass_blobs():
     x, y = _blobs([(-4, 0), (4, 0), (0, 4)], per_class=40)
     model = train_svm(x, y, _svm(300))
     assert (predict(model, x) == y).mean() >= 0.99
-    assert model.classes == [0, 1, 2]
-    assert model.weights.shape == (3, 2)
+    assert model["classes"].tolist() == [0, 1, 2]
+    assert model["weights"].shape == (3, 2)
 
 
 def test_duplicated_data_same_decision_function():
@@ -75,8 +75,8 @@ def test_objective_within_two_percent_of_grid_optimum():
     # strong convexity, so lr/t with lr=1.0 is the textbook step size
     model = train_svm(x, (y_signed > 0).astype(int),
                       SvmConfig(c_reg=c_reg, epochs=1000, lr=1.0))
-    row = model.classes.index(1)
-    w, b = model.weights[row:row + 1], model.biases[row:row + 1]
+    row = model["classes"].tolist().index(1)
+    w, b = model["weights"][row:row + 1], model["biases"][row:row + 1]
     ours = hinge_objective(w, _margins(w, b, x, y_signed), c_reg)[0]
     assert ours <= best_grid * 1.02
 
@@ -84,9 +84,9 @@ def test_objective_within_two_percent_of_grid_optimum():
 def test_single_class_fits_and_predicts_it():
     x = np.random.default_rng(4).normal(size=(6, 3))
     model = train_svm(x, np.full(6, 7), _svm(20))
-    assert model.classes == [7]
-    assert model.weights.shape == (1, 3)
-    assert model.biases[0] > 0       # fitted: every margin pushes it up
+    assert model["classes"].tolist() == [7]
+    assert model["weights"].shape == (1, 3)
+    assert model["biases"][0] > 0       # fitted: every margin pushes it up
     grid = np.random.default_rng(5).normal(size=(10, 3)) * 5
     assert predict(model, grid).tolist() == [7] * 10
 
@@ -104,8 +104,8 @@ def test_config_rejects_bad_values(field, value):
 
 
 def test_tie_breaks_to_lowest_class_index():
-    model = SvmModel(classes=[1, 3], weights=np.zeros((2, 2)),
-                     biases=np.zeros(2))
+    model = {"classes": np.array([1, 3]), "weights": np.zeros((2, 2)),
+             "biases": np.zeros(2)}
     # all scores are zero: tie between class 1 and class 3
     assert predict(model, np.ones((4, 2))).tolist() == [1, 1, 1, 1]
 
@@ -113,8 +113,8 @@ def test_tie_breaks_to_lowest_class_index():
 def test_prediction_invariant_to_positive_rescaling():
     x, y = _blobs([(-2, 0), (2, 0), (0, 2)], per_class=20, seed=7)
     model = train_svm(x, y, _svm(100))
-    scaled = SvmModel(classes=model.classes, weights=3.7 * model.weights,
-                      biases=3.7 * model.biases)
+    scaled = {"classes": model["classes"], "weights": 3.7 * model["weights"],
+              "biases": 3.7 * model["biases"]}
     grid = np.random.default_rng(8).normal(size=(50, 2)) * 3
     np.testing.assert_array_equal(predict(model, grid),
                                   predict(scaled, grid))
@@ -124,21 +124,19 @@ def test_deterministic_training():
     x, y = _blobs([(-1, 0), (1, 0)], seed=9)
     a = train_svm(x, y, _svm(50))
     b = train_svm(x, y, _svm(50))
-    np.testing.assert_array_equal(a.weights, b.weights)
-    np.testing.assert_array_equal(a.biases, b.biases)
+    np.testing.assert_array_equal(a["weights"], b["weights"])
+    np.testing.assert_array_equal(a["biases"], b["biases"])
 
 
 def test_svm_serialization_roundtrip(tmp_path):
     x, y = _blobs([(-1, 0), (1, 0)])
     model = train_svm(x, y, _svm(30))
-    model.save(tmp_path / "svm.npz")
-    restored = SvmModel.load(tmp_path / "svm.npz")
-    np.testing.assert_array_equal(model.weights, restored.weights)
-    np.testing.assert_array_equal(model.biases, restored.biases)
-    assert model.classes == restored.classes
-    assert all(type(c) is int for c in restored.classes)
-    with np.load(tmp_path / "svm.npz", allow_pickle=False) as archive:
-        assert sorted(archive.files) == ["biases", "classes", "weights"]
+    save_arrays(tmp_path / "svm.npz", **model)
+    restored = load_arrays(tmp_path / "svm.npz")
+    assert list(restored) == list(model) == ["classes", "weights", "biases"]
+    for name, array in model.items():
+        assert restored[name].dtype == array.dtype
+        np.testing.assert_array_equal(restored[name], array)
 
 
 class TestEvaluate:
@@ -148,14 +146,14 @@ class TestEvaluate:
 
     def test_perfect_predictor_accuracy_one(self):
         model, x, y = self._model()
-        report = evaluate("gzsl", y, predict(model, x), model.classes)
+        report = evaluate("gzsl", y, predict(model, x), model["classes"])
         assert report["accuracy"] == 1.0
         assert report["num_test"] == len(y)
         assert np.trace(np.asarray(report["confusion"])) == len(y)
 
     def test_row_sums_match_class_counts(self):
         model, x, y = self._model()
-        report = evaluate("gzsl", y, predict(model, x), model.classes)
+        report = evaluate("gzsl", y, predict(model, x), model["classes"])
         for i, label in enumerate(report["class_labels"]):
             assert sum(report["confusion"][i]) == (y == label).sum()
 
@@ -164,7 +162,7 @@ class TestEvaluate:
         # corrupt some points so accuracy is below 1
         x2 = x.copy()
         x2[:10] = -x2[:10]
-        report = evaluate("gzsl", y, predict(model, x2), model.classes)
+        report = evaluate("gzsl", y, predict(model, x2), model["classes"])
         weighted = sum(report["per_class_accuracy"][str(c)] * (y == c).sum()
                        for c in report["class_labels"]) / len(y)
         assert report["accuracy"] == pytest.approx(weighted)
@@ -174,16 +172,16 @@ class TestEvaluate:
         y_bad = y.copy()
         y_bad[0] = 99
         with pytest.raises(ValueError, match="true labels outside"):
-            evaluate("zsl", y_bad, predict(model, x), model.classes)
+            evaluate("zsl", y_bad, predict(model, x), model["classes"])
 
     def test_unknown_setting_fatal(self):
         model, x, y = self._model()
         with pytest.raises(ValueError, match="setting"):
-            evaluate("train", y, predict(model, x), model.classes)
+            evaluate("train", y, predict(model, x), model["classes"])
 
     def test_report_json_roundtrip(self, tmp_path):
         model, x, y = self._model()
-        report = evaluate("gzsl", y, predict(model, x), model.classes,
+        report = evaluate("gzsl", y, predict(model, x), model["classes"],
                           extra={"pipeline": "zest"})
         path = tmp_path / "report.json"
         write_json(path, report)
@@ -205,6 +203,10 @@ def test_report_with_predictions_outside_label_set():
 def test_report_true_label_outside_label_set_fatal():
     with pytest.raises(ValueError, match="outside"):
         evaluate("gzsl", np.array([0, 9]), np.array([0, 0]), [0, 1])
+    # an SVM's classes are an int64 array: the message lists plain ints
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        evaluate("gzsl", np.array([0, 9]), np.array([0, 0]),
+                 np.array([0, 1], dtype=np.int64))
 
 
 def test_twelve_class_report_file_is_the_report(tmp_path):

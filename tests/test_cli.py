@@ -251,6 +251,16 @@ def test_baseline_command(experiment):
     assert set(payload) == {"zsl", "gzsl"}
 
 
+@pytest.mark.parametrize("command, method", [(["eval"], "zest"),
+                                             (["baseline", "seqcs"], "seqcs")])
+def test_stage_command_prints_zsl_before_gzsl(experiment, capsys, command,
+                                              method):
+    assert main([*command, "--outdir", str(experiment), "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"{method} zsl",
+                                                     f"{method} gzsl"]
+
+
 def test_lock_blocks_concurrent_runs(experiment):
     # a live process holds the lock: this test's own
     lock = experiment / ".lock"

@@ -327,7 +327,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_load_rejects_wrong_shaped_tensor(tmp_path):
     config = CvaeConfig(input_dim=6, cond_dim=2, z_dim=3, seed=9)
-    state = CvaeModel(config).state_arrays()
+    state = CvaeModel(config).params
     state["dec.w2"] = state["dec.w2"][:, :-1]
     path = tmp_path / "cvae.npz"
     save_checkpoint(path, state, asdict(config))
@@ -340,6 +340,6 @@ def test_zero_epochs_returns_initial_model():
     config = CvaeConfig(input_dim=8, cond_dim=3, z_dim=4, epochs=0, seed=4)
     model, log = train_cvae(latents, conds, config)
     assert log == []
-    initial = CvaeModel(config).state_arrays()
-    for name, arr in model.state_arrays().items():
+    initial = CvaeModel(config).params
+    for name, arr in model.params.items():
         np.testing.assert_array_equal(arr, initial[name])

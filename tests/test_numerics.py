@@ -588,7 +588,7 @@ def test_adam_keeps_training_a_loaded_model():
     config = CvaeConfig(input_dim=4, cond_dim=2, z_dim=2, hidden_dim=5)
     model = CvaeModel(config)
     opt = nm.Adam(model.data, model.grad, learning_rate=0.1)
-    loaded = CvaeModel(config, rng=np.random.default_rng(8)).state_arrays()
+    loaded = CvaeModel(config, rng=np.random.default_rng(8)).params
     model.load_state_arrays(loaded)
     for name, a in model.params.items():
         np.testing.assert_array_equal(a, loaded[name])

@@ -407,14 +407,14 @@ def test_svm_fits_each_class_like_one_binary_fit(data):
     lr = data.draw(st.sampled_from([0.05, 0.5, 1.0, 2.0]))
     epochs = data.draw(st.integers(1, 40))
     model = train_svm(x, y, SvmConfig(c_reg=c_reg, epochs=epochs, lr=lr))
-    assert model.classes == list(range(num_classes))
-    for row, cls in enumerate(model.classes):
+    assert model["classes"].tolist() == list(range(num_classes))
+    for row, cls in enumerate(model["classes"]):
         w, b = _fit_binary(x, np.where(y == cls, 1.0, -1.0), c_reg, epochs,
                            lr)
         # the margins are summed in another order: allow float64 rounding
-        np.testing.assert_allclose(model.weights[row], w, rtol=1e-12,
+        np.testing.assert_allclose(model["weights"][row], w, rtol=1e-12,
                                    atol=1e-15)
-        np.testing.assert_allclose(model.biases[row], b, rtol=1e-12,
+        np.testing.assert_allclose(model["biases"][row], b, rtol=1e-12,
                                    atol=1e-15)
 
 
