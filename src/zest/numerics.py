@@ -17,6 +17,19 @@ come in forward/backward pairs:
 - `gelu_arrays`, whose backward is one product with its derivative;
 - `cross_entropy_arrays`, which returns the loss and its gradient.
 
+Each backward comes in two halves, which it calls in turn. The per-row
+half (`linear_input_grad`, `layer_norm_input_grad`,
+`attention_input_grad`) gives a row of a (B, T, .) input its gradient from
+that row alone: its products are 3-D, so numpy runs one (T, .) product per
+sequence, and a sequence gets the same bits in a batch of any size or in
+any part of one. The full-batch half (`linear_param_grads`,
+`layer_norm_param_grads`, `attention_row_dots` and `attention_param_grads`)
+sums over every row of the batch, or runs a 2-D product whose rows' bits
+depend on how many rows it has; it must see the whole batch in one call.
+`sane.SaneModel` runs each per-row half on two row halves of a batch at
+once and each full-batch half once, on the calling thread; no primitive
+here starts a thread.
+
 Each writes its outputs, what its backward reads and its larger
 temporaries into arrays it is given, so a caller that hands every step the
 same arrays, as SANE's step workspace does, faults in no new pages after
@@ -43,13 +56,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 LN_EPS = 1e-5
-# most elements in one chunk of (b, h, T, T) attention scores: 1 MB of
-# float32, so a chunk's scores stay in cache whatever the batch size
+# most elements in one chunk of (b, h, T, T) attention scores, unless one
+# head's T x T scores alone exceed it: 1 MB of float32, so a chunk's scores
+# stay in cache whatever the batch size
 ATTN_SCORE_ELEMS = 2 ** 18
 
 # most elements in one block of `gelu`: the seven arrays a block touches
-# then take 0.9 MB in float32 and stay in L2 cache
-GELU_BLOCK_ELEMS = 2 ** 15
+# then take 1.8 MB in float32 and stay in a 2 MB L2 cache. Half as many
+# take no less time on one thread, and more on two, where every numpy call
+# waits for the GIL: GELU of (32, 201, 256) float32 on each of two threads
+# took 23.6 ms with 2^15-element blocks and 17.2 ms with 2^16
+GELU_BLOCK_ELEMS = 2 ** 16
 
 # python floats: weak scalars that do not promote float32 arrays
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
@@ -230,14 +247,28 @@ def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
                     gw: np.ndarray, gb: np.ndarray,
                     gx: np.ndarray | None = None) -> None:
     """`linear_arrays`' backward for the upstream gradient g: w's gradient
-    into gw, b's into gb and then, when a contiguous gx is given, x's into
-    gx, which may be x itself. The products run on 2-D views: one matrix
-    product, where a (B, T, n) gradient times w.T runs as B small ones."""
+    into gw and b's into gb (`linear_param_grads`) and then, when gx is
+    given, x's into gx (`linear_input_grad`), which may be x itself."""
+    linear_param_grads(g, x, gw, gb)
+    if gx is not None:
+        linear_input_grad(g, w, gx)
+
+
+def linear_param_grads(g: np.ndarray, x: np.ndarray, gw: np.ndarray,
+                       gb: np.ndarray) -> None:
+    """The full-batch half of `linear_backward`: w's gradient x^T g into gw
+    and b's, the column sums of g, into gb, each one call over every row
+    on 2-D views."""
     g2 = g.reshape(-1, g.shape[-1])
     np.matmul(x.reshape(-1, x.shape[-1]).T, g2, out=gw)
     g2.sum(axis=0, out=gb)
-    if gx is not None:
-        np.matmul(g2, w.T, out=gx.reshape(len(g2), -1))
+
+
+def linear_input_grad(g: np.ndarray, w: np.ndarray, gx: np.ndarray) -> None:
+    """The per-row half of `linear_backward`: x's gradient g w^T into gx,
+    which may be x but must not overlap g. A (B, T, n) g runs as B products
+    of (T, n) by w^T."""
+    np.matmul(g, w.T, out=gx)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -260,11 +291,6 @@ def softmax(x: Tensor) -> Tensor:
     return _node("softmax", out_data, (x,), backward)
 
 
-def _attention_step(heads: int, tokens: int) -> int:
-    """Sequences per chunk: the most whose scores fit ATTN_SCORE_ELEMS."""
-    return max(1, ATTN_SCORE_ELEMS // (heads * tokens * tokens))
-
-
 def attention_saved(batch: int, tokens: int, d: int, heads: int,
                     dtype) -> dict[str, np.ndarray]:
     """Fresh arrays for what attention's backward reads and cannot rebuild,
@@ -274,17 +300,40 @@ def attention_saved(batch: int, tokens: int, d: int, heads: int,
             for k in ("max", "sum")}
 
 
-def attention_scratch(batch: int, tokens: int, d: int, heads: int,
-                      dtype) -> dict[str, np.ndarray]:
+def attention_scratch(batch: int, tokens: int, d: int, heads: int, dtype,
+                      elems: int = ATTN_SCORE_ELEMS
+                      ) -> dict[str, np.ndarray]:
     """Fresh per-chunk temporaries of attention's forward and backward for
-    (batch, tokens, d) inputs: for chunks of c sequences, the scores "s"
-    and "s2", (c, heads, tokens, tokens), and the context-shaped "o" and
-    "o2", (c, heads, tokens, d / heads). Not the projections: their caller
-    places them."""
-    c = min(batch, _attention_step(heads, tokens))
-    scores, ctx = (c, heads, tokens, tokens), (c, heads, tokens, d // heads)
+    (batch, tokens, d) inputs, whose chunks' scores hold at most `elems`
+    elements: the scores "s" and "s2", (c, g, tokens, tokens), and the
+    context-shaped "o" and "o2", (c, g, tokens, d / heads). A chunk is c
+    whole sequences when one sequence's scores fit, else a run of g of one
+    sequence's heads: as many as fit, and at least one, whose
+    tokens x tokens scores alone may exceed `elems`. Their shape is the
+    chunking that `attention_arrays` and `attention_input_grad` follow. Not
+    the projections: their caller places them."""
+    per_head = tokens * tokens
+    if heads * per_head <= elems:
+        c, g = min(batch, elems // (heads * per_head)), heads
+    else:
+        c, g = 1, max(1, elems // per_head)
+    scores, ctx = (c, g, tokens, tokens), (c, g, tokens, d // heads)
     shapes = {"s": scores, "s2": scores, "o": ctx, "o2": ctx}
     return {k: np.empty(s, dtype) for k, s in shapes.items()}
+
+
+def _attention_chunks(batch: int, heads: int, scratch: dict):
+    """(sequences, heads, scratch "s", "s2", "o", "o2" views) of each chunk
+    that `scratch`'s shape plans, sequence by sequence, then head by head;
+    the last run of heads may be shorter than the others."""
+    c, g = scratch["s"].shape[:2]
+    for start in range(0, batch, c):
+        rows = min(c, batch - start)
+        for head in range(0, heads, g):
+            width = min(g, heads - head)
+            yield (slice(start, start + rows), slice(head, head + width),
+                   *(scratch[k][:rows, :width] for k in ("s", "s2", "o",
+                                                          "o2")))
 
 
 def attention_projections(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
@@ -328,10 +377,12 @@ def attention_arrays(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
     the softmax cancels, so its gradient is rounding noise. Whisper drops
     it for the same reason (Radford et al., arXiv 2212.04356).
 
-    The batch runs in chunks whose scores hold at most ATTN_SCORE_ELEMS
-    elements, and only each query's score max and exp-sum l are kept:
-    backward recomputes E = exp(S - max) chunk by chunk (Rabe & Staats,
-    arXiv 2112.05682), so no (B, h, T, T) array is ever stored.
+    The batch runs in the chunks that `scratch` plans
+    (`attention_scratch`): runs of whole sequences, or of one sequence's
+    heads, whose scores hold at most ATTN_SCORE_ELEMS elements when the
+    call makes its own scratch. Only each query's score max and exp-sum l
+    are kept: backward recomputes E = exp(S - max) chunk by chunk (Rabe &
+    Staats, arXiv 2112.05682), so no (B, h, T, T) array is ever stored.
 
     Scores are laid out key-major, (b, h, key, query), so that both
     statistics reduce over the second-to-last axis: the max as a numpy
@@ -363,31 +414,28 @@ def attention_arrays(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
             zip("qkv", np.empty((3, batch, heads, tokens, d // heads),
                                 dims[-1])))
         saved, scratch = attention_saved(*dims), attention_scratch(*dims)
-    head_dim = d // heads
     attention_projections(x, wq, bq, wk, wv, bv, heads, proj)
     # a rebuild gives the same bits, so only the forward checks them
     require_finite("attention", proj["qkv"])
     q, k, v = proj["q"], proj["k"], proj["v"]
     row_max, row_sum = saved["max"], saved["sum"]
-    step = _attention_step(heads, tokens)
     ones = np.ones((1, tokens), dtype=q.dtype)
-    out_heads = out.reshape(batch, tokens, heads, head_dim)
-    for start in range(0, batch, step):
-        sl = slice(start, start + step)
-        rows = len(q[sl])
+    # (B, h, T, head_dim), as the context's heads
+    out_heads = out.reshape(batch, tokens, heads, d // heads
+                            ).transpose(0, 2, 1, 3)
+    for sl, hs, e, _, ctx, _ in _attention_chunks(batch, heads, scratch):
         # key-major scores: column j holds query j's scores over the keys
-        e = np.matmul(k[sl], np.swapaxes(q[sl], -1, -2),
-                      out=scratch["s"][:rows])
+        e = np.matmul(k[sl, hs], np.swapaxes(q[sl, hs], -1, -2), out=e)
         require_finite("attention", e)
-        np.max(e, axis=-2, keepdims=True, out=row_max[sl])
-        e -= row_max[sl]
+        m, l = row_max[sl, hs], row_sum[sl, hs]
+        np.max(e, axis=-2, keepdims=True, out=m)
+        e -= m
         np.exp(e, out=e)
-        np.matmul(ones, e, out=row_sum[sl])
+        np.matmul(ones, e, out=l)
         # normalise the (T, head_dim) context, not the (T, T) scores
-        ctx = np.matmul(np.swapaxes(e, -1, -2), v[sl],
-                        out=scratch["o"][:rows])
-        ctx /= np.swapaxes(row_sum[sl], -1, -2)
-        out_heads[sl] = ctx.transpose(0, 2, 1, 3)
+        ctx = np.matmul(np.swapaxes(e, -1, -2), v[sl, hs], out=ctx)
+        ctx /= np.swapaxes(l, -1, -2)
+        out_heads[sl, hs] = ctx
     require_finite("attention", out)
     return out, saved, scratch, proj
 
@@ -398,56 +446,82 @@ def attention_backward(g: np.ndarray, x: np.ndarray, wq: np.ndarray,
                        proj: dict, gx: np.ndarray,
                        grads: Sequence[np.ndarray]) -> None:
     """`attention_arrays`' backward for the upstream gradient g of its
-    output `out`: x's gradient into the contiguous gx, which holds g * out
-    before that, and the gradients of wq, bq, wk, wv and bv into the five
-    arrays of `grads`, from the forward's `saved` arrays and in its
-    `scratch`. It reads q, k and v from `proj`, as the forward wrote them
-    or a rebuild by `attention_projections`, and writes the projections'
-    gradient over proj["qkv"], which must overlap none of g, x and gx."""
-    batch, tokens, d = x.shape
+    output `out`: x's gradient into the contiguous gx and the gradients of
+    wq, bq, wk, wv and bv into the five arrays of `grads`, from the
+    forward's `saved` arrays and in its `scratch`, by its three halves in
+    turn: `attention_row_dots`, `attention_input_grad` and
+    `attention_param_grads`. It reads q, k and v from `proj`, as the
+    forward wrote them or a rebuild by `attention_projections`, and writes
+    the projections' gradient over proj["qkv"], which must overlap none of
+    g, x and gx."""
+    dot = attention_row_dots(g, out, saved, heads, gx)
+    attention_input_grad(g, wq, wk, wv, heads, saved, scratch, proj, dot,
+                         gx)
+    attention_param_grads(x, proj, grads)
+
+
+def attention_row_dots(g: np.ndarray, out: np.ndarray, saved: dict,
+                       heads: int, scratch: np.ndarray) -> np.ndarray:
+    """A full-batch half of `attention_backward`: each query's
+    rowsum(dP * P) / l, a fresh contiguous (B, h, 1, T) array, with
+    g * out held in the contiguous `scratch` of g's shape. The sum over
+    head_dim is one 2-D product of all B T h rows with a ones vector, and
+    that product's rows change in their last bits with the number of rows
+    (OpenBLAS 0.3.31: between 12,864 and 25,728 rows), so it takes the
+    whole batch."""
+    batch, tokens, d = g.shape
     head_dim = d // heads
-    c = 1.0 / float(np.sqrt(head_dim))
-    q, k, v = proj["q"], proj["k"], proj["v"]
-    row_max, row_sum = saved["max"], saved["sum"]
-    g_heads = g.reshape(batch, tokens, heads, head_dim).transpose(0, 2, 1, 3)
-    # rowsum(dP * P) = rowsum(dO * O), since dP = dO v^T and O = P v:
-    # a sum over head_dim, taken as one product with a ones vector
-    dot = (np.multiply(g, out, out=gx).reshape(-1, head_dim)
-           @ np.ones(head_dim, dtype=q.dtype))
+    # rowsum(dP * P) = rowsum(dO * O), since dP = dO v^T and O = P v
+    dot = (np.multiply(g, out, out=scratch).reshape(-1, head_dim)
+           @ np.ones(head_dim, dtype=g.dtype))
     dot = dot.reshape(batch, tokens, 1, heads).transpose(0, 3, 2, 1)
     # divided by l into a contiguous (B, h, 1, T) array: a strided one
     # slows the subtraction from every score row below
-    dot = np.divide(dot, row_sum, order="C")
-    # the gradients of q, k and v, laid out in qkv as the forward's
-    # projections, so that it reshapes to (B*T, 3d)
+    return np.divide(dot, saved["sum"], order="C")
+
+
+def attention_input_grad(g: np.ndarray, wq: np.ndarray, wk: np.ndarray,
+                         wv: np.ndarray, heads: int, saved: dict,
+                         scratch: dict, proj: dict, dot: np.ndarray,
+                         gx: np.ndarray) -> None:
+    """The per-row half of `attention_backward`: the gradients of q, k and
+    v over proj["qkv"], laid out as the forward's projections, and x's
+    gradient, their product with [wq | wk | wv]^T, into gx, from the rows'
+    `attention_row_dots` in `dot`, chunk by chunk as `scratch` plans."""
+    batch, tokens, d = g.shape
+    head_dim = d // heads
+    q, k, v = proj["q"], proj["k"], proj["v"]
+    row_max, row_sum = saved["max"], saved["sum"]
+    g_heads = g.reshape(batch, tokens, heads, head_dim).transpose(0, 2, 1, 3)
     gq, gk, gv = proj["qkv"].reshape(batch, tokens, 3, heads,
                                      head_dim).transpose(2, 0, 3, 1, 4)
-    step = _attention_step(heads, tokens)
-    for start in range(0, batch, step):
-        sl = slice(start, start + step)
-        rows = len(q[sl])
+    for sl, hs, e, gs, gl, o2 in _attention_chunks(batch, heads, scratch):
         # key-major E again, by exactly the forward's operations
-        e = np.matmul(k[sl], np.swapaxes(q[sl], -1, -2),
-                      out=scratch["s"][:rows])
-        e -= row_max[sl]
+        e = np.matmul(k[sl, hs], np.swapaxes(q[sl, hs], -1, -2), out=e)
+        e -= row_max[sl, hs]
         np.exp(e, out=e)
         # dO / l, so that E = exp(S - max) stands in for P = E / l
-        gl = np.divide(g_heads[sl], np.swapaxes(row_sum[sl], -1, -2),
-                       out=scratch["o"][:rows])
-        gv[sl] = np.matmul(e, gl, out=scratch["o2"][:rows])
+        gl = np.divide(g_heads[sl, hs], np.swapaxes(row_sum[sl, hs], -1, -2),
+                       out=gl)
+        gv[sl, hs] = np.matmul(e, gl, out=o2)
         # softmax Jacobian folded into the key-major score gradient:
         # dS^T = E * (v (dO / l)^T - rowsum(dO * O) / l)
-        gs = np.matmul(v[sl], np.swapaxes(gl, -1, -2),
-                       out=scratch["s2"][:rows])
-        gs -= dot[sl]
+        gs = np.matmul(v[sl, hs], np.swapaxes(gl, -1, -2), out=gs)
+        gs -= dot[sl, hs]
         gs *= e
-        gq[sl] = np.matmul(np.swapaxes(gs, -1, -2), k[sl],
-                           out=scratch["o2"][:rows])
-        gk[sl] = np.matmul(gs, q[sl], out=scratch["o2"][:rows])
-    gq *= c
-    g_qkv = proj["qkv"].reshape(batch * tokens, 3 * d)
-    np.matmul(g_qkv, np.concatenate([wq, wk, wv], axis=1).T,
-              out=gx.reshape(batch * tokens, d))
+        gq[sl, hs] = np.matmul(np.swapaxes(gs, -1, -2), k[sl, hs], out=o2)
+        gk[sl, hs] = np.matmul(gs, q[sl, hs], out=o2)
+    gq *= 1.0 / float(np.sqrt(head_dim))
+    np.matmul(proj["qkv"], np.concatenate([wq, wk, wv], axis=1).T, out=gx)
+
+
+def attention_param_grads(x: np.ndarray, proj: dict,
+                          grads: Sequence[np.ndarray]) -> None:
+    """The other full-batch half of `attention_backward`: the gradients of
+    wq, bq, wk, wv and bv into `grads`, sums over every row of x and of the
+    projections' gradient in proj["qkv"]."""
+    d = x.shape[-1]
+    g_qkv = proj["qkv"].reshape(-1, 3 * d)
     g_w = np.split(x.reshape(-1, d).T @ g_qkv, 3, axis=1)
     g_bq, _, g_bv = np.split(g_qkv.sum(axis=0), 3)
     for dst, src in zip(grads, (g_w[0], g_bq, g_w[1], g_w[2], g_bv)):
@@ -513,15 +587,33 @@ def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
                         gain: np.ndarray, ggain: np.ndarray, gbias: np.ndarray,
                         scratch: np.ndarray | None = None) -> None:
     """`layer_norm_arrays`' backward for the upstream gradient g: gain's and
-    bias's gradients into ggain and gbias, then x's into g itself.
-    `scratch`, an array of g's shape, holds the temporary products."""
-    d = g.shape[-1]
-    col = np.full((d, 1), 1.0 / d, dtype=g.dtype)
+    bias's gradients into ggain and gbias (`layer_norm_param_grads`), then
+    x's into g itself (`layer_norm_input_grad`). `scratch`, an array of g's
+    shape, holds the temporary products."""
     if scratch is None:
         scratch = np.empty(g.shape, g.dtype)
+    layer_norm_param_grads(g, xhat, ggain, gbias, scratch)
+    layer_norm_input_grad(g, xhat, inv_std, gain, scratch)
+
+
+def layer_norm_param_grads(g: np.ndarray, xhat: np.ndarray,
+                           ggain: np.ndarray, gbias: np.ndarray,
+                           scratch: np.ndarray) -> None:
+    """The full-batch half of `layer_norm_backward`: gain's gradient, the
+    column sums of g * xhat (formed in the contiguous `scratch` of g's
+    shape), into ggain and bias's, the column sums of g, into gbias."""
+    d = g.shape[-1]
     np.multiply(g, xhat, out=scratch)
     np.sum(scratch.reshape(-1, d), axis=0, out=ggain)
     np.sum(g.reshape(-1, d), axis=0, out=gbias)
+
+
+def layer_norm_input_grad(g: np.ndarray, xhat: np.ndarray,
+                          inv_std: np.ndarray, gain: np.ndarray,
+                          scratch: np.ndarray) -> None:
+    """The per-row half of `layer_norm_backward`: x's gradient, written over
+    g, with `scratch`, an array of g's shape, for the temporary products."""
+    col = np.full((g.shape[-1], 1), 1.0 / g.shape[-1], dtype=g.dtype)
     # d xhat / d x folded analytically: with gxhat = g gain, x's gradient
     # is (gxhat - mean(gxhat) - xhat mean(gxhat xhat)) inv_std
     g *= gain

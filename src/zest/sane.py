@@ -29,13 +29,38 @@ rebuilds by the forward's own operations (from xhat, then from that
 output), and the context gradient. They live in the last block's GELU
 output and derivative: those are dead while any block's attention runs,
 not yet written in forward and consumed first in backward.
+
+A step splits its batch into two row halves (`Workspace.halves`) and runs
+all per-sequence work on both at once, the first half on the calling
+thread and the second on one helper thread (`_run_halves`): the embedding,
+the layer norms, attention's chunks, GELU, the blocks' linear layers and
+every input gradient. Their products are 3-D, one per sequence, so a
+sequence gets the same bits in either half as in the whole batch. What
+sums over the batch runs as one call over all of it on the calling
+thread: every weight, bias, gain, `pos` and `sla` gradient, the head's 2-D
+products, whose one-row batches differ, and attention backward's row dots
+(`numerics.attention_row_dots`). Such a call runs between the halves'
+runs, or, where it shares no array with a run's halves, while the helper
+runs that run's second half. So a step gives the bits of a one-threaded
+one. Each run ends when both halves have returned, a barrier; two more
+sit where the last block's region holds arrays of both halves at once. In
+forward, that block's w1 writes mlp over the other half's projections,
+and its GELU writes dmlp over the other half's ln. In backward, ln is
+written over the other half's dmlp. The helper is started once, in a
+process that may run on two or more CPUs and whose BLAS runs one thread
+(`_helper_gets_a_cpu`); elsewhere the calling thread runs both halves in
+turn, by the same code and to the same bits. Only numpy work runs on it.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import queue
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,10 +111,130 @@ def _block(arrays: dict, i: int) -> dict:
             if k.startswith(f"block{i}.")}
 
 
+# the helper thread's queues of work and of outcomes, made and started on
+# first use where `_helper_gets_a_cpu`; False where it does not
+_helper: tuple | bool | None = None
+# held by the thread whose halves the helper runs
+_helper_busy = threading.Lock()
+# the variables from which OpenBLAS, the BLAS of numpy's wheels, takes its
+# thread count as it loads, the first one set winning; with none set, it
+# runs one thread per CPU
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+
+def _forget_helper() -> None:
+    """In a forked child, which has no helper thread: decide afresh."""
+    global _helper, _helper_busy
+    _helper, _helper_busy = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _helper_gets_a_cpu() -> bool:
+    """Whether the helper would run on a CPU of its own: the process may
+    run on two or more CPUs, and BLAS runs each call on one thread. A BLAS
+    with threads of its own already takes the other CPUs, and the helper
+    then only contends with them: in a default separable-12 pipeline with
+    no thread count set, on 2 vCPUs, train-sane took 60.8 s with the
+    helper and 54.9 s without it."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return cpus > 1 and int(value) == 1
+    return False
+
+
+def _outcome(fn, *args) -> list:
+    """[] when fn(*args) returns, else [the exception it raised]."""
+    try:
+        fn(*args)
+    except BaseException as exc:
+        return [exc]
+    return []
+
+
+def _serve(jobs: queue.SimpleQueue, outcomes: queue.SimpleQueue) -> None:
+    while True:
+        outcomes.put(_outcome(*jobs.get()))
+
+
+def _helper_outcome(outcomes: queue.SimpleQueue) -> list:
+    """The outcome of the helper's job, then each interrupt that came while
+    this thread waited for it: a call returns or raises only once its
+    helper half has, so no half outlives its step and no outcome is left
+    for the next call."""
+    interrupts = []
+    while True:
+        try:
+            return outcomes.get() + interrupts
+        except BaseException as exc:
+            interrupts.append(exc)
+
+
+def _helper_queues() -> tuple | None:
+    """The helper's job and outcome queues, the helper started on first
+    use; None where it would get no CPU of its own. The caller holds
+    `_helper_busy`."""
+    global _helper
+    if _helper is None:
+        _helper = _helper_gets_a_cpu() and (queue.SimpleQueue(),
+                                            queue.SimpleQueue())
+        if _helper:
+            threading.Thread(target=_serve, args=_helper, daemon=True,
+                             name="sane-half").start()
+    return _helper or None
+
+
+def _run_halves(work, halves: list, first=None) -> None:
+    """Call work(half) for each of the one or two `halves` of a batch
+    (`Workspace.halves`) and return once every call has returned: the
+    barrier at which a step's halves meet. The helper thread runs the
+    second half while this thread runs `first()`, when given, and then the
+    first half; so `first`, a full-batch call, must read nothing that the
+    halves write and write nothing that they read. Where the helper gets
+    no CPU of its own, or while another thread's halves hold it, this
+    thread runs all in turn. Raises the first error of `first`, the first
+    half and the second."""
+    calls = ([(first,)] if first else []) + [(work, h) for h in halves]
+    errors, helped = [], False
+    if len(halves) > 1 and _helper_busy.acquire(blocking=False):
+        try:
+            queues = _helper_queues()
+            if queues:
+                helped = True
+                queues[0].put(calls.pop())
+                for call in calls:
+                    errors += _outcome(*call)
+                errors += _helper_outcome(queues[1])
+        finally:
+            _helper_busy.release()
+    if not helped:
+        for call in calls:
+            errors += _outcome(*call)
+    if errors:
+        raise errors[0]
+
+
+class Half(NamedTuple):
+    """One row half of a batch in a workspace: its `rows` of the batch, and
+    views of those rows of each block's arrays and of the shared ones, with
+    that half's scratch among the shared (`Workspace.halves`)."""
+
+    rows: slice
+    blocks: list[dict]
+    s: dict
+
+
 class Workspace:
     """Every array a SANE step writes, for batches of up to `rows`
     sequences of T = n + 1 tokens; a batch of b sequences takes each
-    array's first b rows (`views`).
+    array's first b rows (`views`), and each of its two row halves the
+    half of those rows (`halves`).
 
     - `blocks[i]`, what block i's backward reads and cannot rebuild:
       layer norm k's normalised input and row 1 / std ("xhatk", "invk"),
@@ -99,15 +244,24 @@ class Workspace:
       region per block;
     - `shared` by the blocks: the residual stream "stem" (in backward, its
       gradient), "res" (E + R1; in backward, layer norm's input gradient,
-      then the embeddings'), the head's outputs and gradients ("g_*"),
-      attention's per-chunk scratch, and what a block uses only while
-      attention runs: the layer norm output "ln" and attention's
-      projections "q", "k", "v" and "qkv", which backward rebuilds (over
-      "qkv" it then writes their gradient), and the context gradient
-      "g_ctx" (also layer norm backward's scratch). These lie in the last
-      block's region, widened to hold them where 2 d_mlp does not;
-    - `gelu`, GELU's scratch;
-    - `x`, the input of the forward that backward has yet to run, or None."""
+      then the embeddings'), the head's outputs and gradients ("g_*"), and
+      what a block uses only while attention runs: the layer norm output
+      "ln" and attention's projections "q", "k", "v" and "qkv", which
+      backward rebuilds (over "qkv" it then writes their gradient), and the
+      context gradient "g_ctx" (also layer norm backward's scratch). These
+      lie in the last block's region, widened to hold them where 2 d_mlp
+      does not;
+    - `scratch[k]`, row half k's own per-chunk attention scratch, for
+      chunks of at most half of `nm.ATTN_SCORE_ELEMS` score elements, and
+      its GELU scratch ("gelu") over the same memory;
+    - `x`, the input of the forward that backward has yet to run, or None.
+
+    Every array but the scratch is split by rows, so the halves write
+    disjoint rows of each. But the last block's region holds several
+    arrays at once: half A's rows of ln or of the projections can share
+    memory with half B's rows of mlp or dmlp. So the halves meet at a
+    barrier (`_run_halves`) before either writes one of these over what
+    the other may still read."""
 
     def __init__(self, model: SaneModel, rows: int):
         c, dtype = model.config, model.dtype
@@ -136,27 +290,55 @@ class Workspace:
                   inv2=(t, 1))
             | {"mlp": at(region, 0, m), "dmlp": at(region, m, m)}
             for region in regions[:c.e]]
-        self.shared = nm.attention_scratch(rows, t, d, c.h, dtype) | new(
+        self.shared = new(
             stem=(t, d), res=(t, d), pooled=(d,), l=(c.M,), lam=(c.N,),
             logits=(c.num_classes,), g_pooled=(d,), g_l=(c.M,), g_lam=(c.N,)
         ) | {"ln": at(regions[-1], lo, d), "qkv": at(regions[-1], 0, 3 * d),
              "g_ctx": at(regions[-1], lo + d, d)} | {
             k: at(regions[-1], (3 + i) * d, d).reshape(rows, c.h, t, -1)
             for i, k in enumerate("qkv")}
-        self.gelu = np.empty((4, min(rows * t * m, nm.GELU_BLOCK_ELEMS)),
-                             dtype)
+        # a half's GELU runs only once its attention is done, so GELU's
+        # scratch lies over attention's, in one buffer per half
+        half = (rows + 1) // 2
+        attn = nm.attention_scratch(half, t, d, c.h, dtype,
+                                    nm.ATTN_SCORE_ELEMS // 2)
+        gelu = min(half * t * m, nm.GELU_BLOCK_ELEMS)
+        size = max(sum(a.size for a in attn.values()), 4 * gelu)
+        self.scratch = []
+        for _ in range(2):
+            flat, start = np.empty(size, dtype), 0
+            views = {"gelu": flat[:4 * gelu].reshape(4, gelu)}
+            for k, a in attn.items():
+                views[k] = flat[start:start + a.size].reshape(a.shape)
+                start += a.size
+            self.scratch.append(views)
 
     def views(self, batch: int) -> tuple[list[dict], dict]:
         """The first `batch` rows of each block's arrays and the shared
         ones."""
-        if batch > self.rows:
-            raise ValueError(f"a batch of {batch} sequences does not fit a "
-                             f"workspace of {self.rows}")
+        return self._rows(slice(0, batch), {})
+
+    def halves(self, batch: int) -> list[Half]:
+        """The row halves of a batch of `batch` sequences, the first the
+        larger by one row if `batch` is odd; a one-sequence batch has only
+        the first."""
+        mid = (batch + 1) // 2
+        return [Half(rows, *self._rows(rows, scratch))
+                for rows, scratch in zip((slice(0, mid), slice(mid, batch)),
+                                         self.scratch)
+                if rows.stop > rows.start]
+
+    def _rows(self, rows: slice, scratch: dict) -> tuple[list[dict], dict]:
+        """`rows` of each block's arrays, and of the shared ones with
+        `scratch` among them."""
+        if rows.stop > self.rows:
+            raise ValueError(f"a batch of {rows.stop} sequences does not fit "
+                             f"a workspace of {self.rows}")
 
         def cut(arrays):
-            return {k: a[:batch] for k, a in arrays.items()}
+            return {k: a[rows] for k, a in arrays.items()}
 
-        return [cut(b) for b in self.blocks], cut(self.shared)
+        return [cut(b) for b in self.blocks], cut(self.shared) | scratch
 
 
 class SaneModel(Model):
@@ -208,37 +390,68 @@ class SaneModel(Model):
             raise nm.NumericsError(
                 f"input shape {x.shape} incompatible with (B, {c.n}, {c.f})")
         ws = Workspace(self, len(x)) if workspace is None else workspace
-        blocks, s = ws.views(len(x))
-        ws.x = x
-        # the SLA token and the packet embeddings, plus positions
-        e, r = s["stem"], s["res"]
-        nm.linear_arrays(x, p["embed.w"], p["embed.b"], out=e[:, 1:])
-        e[:, 0] = p["sla"]
-        nm.require_finite("concat", e)
-        e += p["pos"]
-        nm.require_finite("add", e)
-        for i, a in enumerate(blocks):
-            w = _block(p, i)
-            # as printed: R1 = MHA(Norm(E)); R2 = MLP(Norm(E + R1));
-            # E <- R2 + (E + R1). No backward reads a linear's output, so
-            # each sum, and GELU, is written over the output it consumes
-            ln = s["ln"]
-            nm.layer_norm_arrays(e, w["ln1.gain"], w["ln1.bias"], ln,
-                                 a["xhat1"], a["inv1"])
-            nm.attention_arrays(ln, *(w["attn." + k] for k in _QKV), c.h,
-                                a["ctx"], a, s, s)
-            nm.linear_arrays(a["ctx"], w["attn.wo"], w["attn.bo"], out=r)
+        _, s = ws.views(len(x))
+        halves = ws.halves(len(x))
+        ws.x, w, last = None, [_block(p, i) for i in range(c.e)], c.e - 1
+
+        # as printed: R1 = MHA(Norm(E)); R2 = MLP(Norm(E + R1));
+        # E <- R2 + (E + R1). No backward reads a linear's output, so each
+        # sum, and GELU, is written over the output it consumes
+        def attend(h, i):
+            a, hs, e, r = h.blocks[i], h.s, h.s["stem"], h.s["res"]
+            nm.layer_norm_arrays(e, w[i]["ln1.gain"], w[i]["ln1.bias"],
+                                 hs["ln"], a["xhat1"], a["inv1"])
+            nm.attention_arrays(hs["ln"], *(w[i]["attn." + k] for k in _QKV),
+                                c.h, a["ctx"], a, hs, hs)
+            nm.linear_arrays(a["ctx"], w[i]["attn.wo"], w[i]["attn.bo"],
+                             out=r)
             nm.require_finite("add", np.add(e, r, out=r))
-            nm.layer_norm_arrays(r, w["ln2.gain"], w["ln2.bias"], ln,
-                                 a["xhat2"], a["inv2"])
-            m = nm.linear_arrays(ln, w["mlp.w1"], w["mlp.b1"], out=a["mlp"])
-            nm.gelu_arrays(m, out=m, deriv=a["dmlp"], scratch=ws.gelu)
-            nm.linear_arrays(m, w["mlp.w2"], w["mlp.b2"], out=e)
-            nm.require_finite("add", np.add(e, r, out=e))
-        nm.require_finite("mean_pool", np.mean(e, axis=-2, out=s["pooled"]))
+            nm.layer_norm_arrays(r, w[i]["ln2.gain"], w[i]["ln2.bias"],
+                                 hs["ln"], a["xhat2"], a["inv2"])
+
+        def expand(h, i):
+            nm.linear_arrays(h.s["ln"], w[i]["mlp.w1"], w[i]["mlp.b1"],
+                             out=h.blocks[i]["mlp"])
+
+        def contract(h, i):
+            a, e = h.blocks[i], h.s["stem"]
+            m = nm.gelu_arrays(a["mlp"], out=a["mlp"], deriv=a["dmlp"],
+                               scratch=h.s["gelu"])[0]
+            nm.linear_arrays(m, w[i]["mlp.w2"], w[i]["mlp.b2"], out=e)
+            nm.require_finite("add", np.add(e, h.s["res"], out=e))
+
+        def stem(h):
+            # the SLA token and the packet embeddings, plus positions
+            e = h.s["stem"]
+            nm.linear_arrays(x[h.rows], p["embed.w"], p["embed.b"],
+                             out=e[:, 1:])
+            e[:, 0] = p["sla"]
+            nm.require_finite("concat", e)
+            e += p["pos"]
+            nm.require_finite("add", e)
+            for i in range(c.e):
+                attend(h, i)
+                if i < last:
+                    expand(h, i)
+                    contract(h, i)
+
+        def finish(h):
+            if c.e:
+                contract(h, last)
+            nm.require_finite("mean_pool", np.mean(h.s["stem"], axis=-2,
+                                                   out=h.s["pooled"]))
+
+        _run_halves(stem, halves)
+        # the last block's w1 writes mlp over the other half's projections
+        # once its attention has read them, and its GELU writes dmlp over
+        # the other half's ln once its w1 has read that
+        if c.e:
+            _run_halves(lambda h: expand(h, last), halves)
+        _run_halves(finish, halves)
         for layer, x_in, out in _HEAD:
             nm.linear_arrays(s[x_in], p[layer + ".w"], p[layer + ".b"],
                              out=s[out])
+        ws.x = x
         return {name: s[name] for name in ("logits", "l", "lam")}
 
     def backward(self, g: np.ndarray, ws: Workspace) -> None:
@@ -249,6 +462,7 @@ class SaneModel(Model):
         if x is None:
             raise nm.NumericsError("backward needs a pending forward")
         blocks, s = ws.views(len(x))
+        halves = ws.halves(len(x))
         for layer, x_in, _ in reversed(_HEAD):
             nm.linear_backward(g, s[x_in], p[layer + ".w"], pg[layer + ".w"],
                                pg[layer + ".b"], s["g_" + x_in])
@@ -259,38 +473,68 @@ class SaneModel(Model):
         # g_ctx is layer norm backward's scratch. ln and g_ctx are written
         # only once the last block's dmlp is consumed, and the projections,
         # rebuilt from ln, once its mlp is: they lie in its MLP memory
-        g_res, g_ln = s["stem"], s["res"]
-        g_res[...] = np.divide(g, c.n + 1, out=g)[:, None]
+        g_res, g_ln, ln, g_ctx = s["stem"], s["res"], s["ln"], s["g_ctx"]
+        np.divide(g, c.n + 1, out=g)
+        _run_halves(lambda h: np.copyto(h.s["stem"], h.s["g_pooled"][:, None]),
+                    halves)
         for i in reversed(range(c.e)):
             a, w, gw = blocks[i], _block(p, i), _block(pg, i)
-            g_mlp, ln, g_ctx = a["mlp"], s["ln"], s["g_ctx"]
-            nm.linear_backward(g_res, g_mlp, w["mlp.w2"], gw["mlp.w2"],
-                               gw["mlp.b2"], g_mlp)
-            g_mlp *= a["dmlp"]
-            nm.layer_norm_output(a["xhat2"], w["ln2.gain"], w["ln2.bias"], ln)
-            nm.linear_backward(g_mlp, ln, w["mlp.w1"], gw["mlp.w1"],
-                               gw["mlp.b1"], g_ln)
-            nm.layer_norm_backward(g_ln, a["xhat2"], a["inv2"], w["ln2.gain"],
-                                   gw["ln2.gain"], gw["ln2.bias"], g_ctx)
-            g_res += g_ln
-            nm.linear_backward(g_res, a["ctx"], w["attn.wo"], gw["attn.wo"],
-                               gw["attn.bo"], g_ctx)
-            nm.layer_norm_output(a["xhat1"], w["ln1.gain"], w["ln1.bias"], ln)
-            nm.attention_projections(ln, *(w["attn." + k] for k in _QKV),
-                                     c.h, s)
-            nm.attention_backward(g_ctx, ln, w["attn.wq"], w["attn.wk"],
-                                  w["attn.wv"], c.h, a["ctx"], a, s, s, g_ln,
-                                  [gw["attn." + k] for k in _QKV])
-            nm.layer_norm_backward(g_ln, a["xhat1"], a["inv1"], w["ln1.gain"],
-                                   gw["ln1.gain"], gw["ln1.bias"], g_ctx)
-            g_res += g_ln
+
+            def mlp_grad(h):
+                b = h.blocks[i]
+                nm.linear_input_grad(h.s["stem"], w["mlp.w2"], b["mlp"])
+                b["mlp"] *= b["dmlp"]
+
+            def norm_grad(k):
+                def run(h):
+                    b = h.blocks[i]
+                    nm.layer_norm_input_grad(h.s["res"], b[f"xhat{k}"],
+                                             b[f"inv{k}"], w[f"ln{k}.gain"],
+                                             h.s["g_ctx"])
+                    h.s["stem"] += h.s["res"]
+                return run
+
+            nm.linear_param_grads(g_res, a["mlp"], gw["mlp.w2"], gw["mlp.b2"])
+            _run_halves(mlp_grad, halves)
+            # both halves' dmlp is consumed before ln is written over it
+            _run_halves(lambda h: nm.layer_norm_output(
+                h.blocks[i]["xhat2"], w["ln2.gain"], w["ln2.bias"],
+                h.s["ln"]), halves)
+            _run_halves(lambda h: nm.linear_input_grad(
+                h.blocks[i]["mlp"], w["mlp.w1"], h.s["res"]), halves,
+                lambda: nm.linear_param_grads(a["mlp"], ln, gw["mlp.w1"],
+                                              gw["mlp.b1"]))
+            nm.layer_norm_param_grads(g_ln, a["xhat2"], gw["ln2.gain"],
+                                      gw["ln2.bias"], g_ctx)
+            _run_halves(norm_grad(2), halves)
+
+            def attention_inputs(h):
+                b, hs = h.blocks[i], h.s
+                nm.linear_input_grad(hs["stem"], w["attn.wo"], hs["g_ctx"])
+                nm.layer_norm_output(b["xhat1"], w["ln1.gain"],
+                                     w["ln1.bias"], hs["ln"])
+                nm.attention_projections(hs["ln"], *(w["attn." + k]
+                                                     for k in _QKV), c.h, hs)
+
+            _run_halves(attention_inputs, halves,
+                        lambda: nm.linear_param_grads(g_res, a["ctx"],
+                                                      gw["attn.wo"],
+                                                      gw["attn.bo"]))
+            dot = nm.attention_row_dots(g_ctx, a["ctx"], a, c.h, g_ln)
+            _run_halves(lambda h: nm.attention_input_grad(
+                h.s["g_ctx"], w["attn.wq"], w["attn.wk"], w["attn.wv"], c.h,
+                h.blocks[i], h.s, h.s, dot[h.rows], h.s["res"]), halves)
+            nm.layer_norm_param_grads(g_ln, a["xhat1"], gw["ln1.gain"],
+                                      gw["ln1.bias"], g_ctx)
+            _run_halves(norm_grad(1), halves, lambda: nm.attention_param_grads(
+                ln, s, [gw["attn." + k] for k in _QKV]))
         np.sum(g_res, axis=0, out=pg["pos"])
         np.sum(g_res[:, 0], axis=0, out=pg["sla"])
         # the packet embeddings' gradient, made contiguous in front of g_ln
         g_emb = g_ln.reshape(-1)[:g_res[:, 1:].size]
         np.copyto(g_emb.reshape(g_res[:, 1:].shape), g_res[:, 1:])
-        nm.linear_backward(g_emb.reshape(-1, c.d_model), x, p["embed.w"],
-                           pg["embed.w"], pg["embed.b"])
+        nm.linear_param_grads(g_emb.reshape(-1, c.d_model), x,
+                              pg["embed.w"], pg["embed.b"])
         ws.x = None
 
     def predict_arrays(self, x: np.ndarray, batch_size: int = PREDICT_BATCH,

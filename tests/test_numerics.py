@@ -171,14 +171,24 @@ def test_grad_attention(seed):
     # leave a query's exp-sum 0: at 50, some query's max lies more than 745
     # below its chunk's max, where float64 exp underflows
     pytest.param(96, 8, 2, 1, 1.0, 50.0, id="large-scores"),
+    # one sequence's scores exceed a chunk: each of the two sequences runs
+    # in runs of 2, 2 and 1 of its 5 heads
+    pytest.param(300, 10, 5, 2, 1.0, 0.0, id="heads-within-a-sequence"),
 ])
 def test_attention_matches_composite_across_chunks(tokens, d, heads,
                                                    full_chunks, w_scale,
                                                    shift):
     step = nm.ATTN_SCORE_ELEMS // (heads * tokens * tokens)
-    # full chunks and a shorter last one
-    batch = full_chunks * step + step // 2
-    assert step >= 2 and batch % step
+    if step:
+        # full chunks of whole sequences and a shorter last one
+        batch = full_chunks * step + step // 2
+        assert step >= 2 and batch % step
+    else:
+        # full_chunks sequences, each in runs of `run` of its heads and a
+        # shorter last run
+        run = nm.ATTN_SCORE_ELEMS // (tokens * tokens)
+        batch = full_chunks
+        assert 1 <= run < heads and heads % run
     rng = np.random.default_rng(heads)
     inputs = _attention_inputs(rng, batch, tokens, d)
     x, wq, bq, wk, wv, bv = (t.data for t in inputs)

@@ -2,6 +2,10 @@
 against the per-op graph it replaced, its step workspace, training behavior,
 and serialization."""
 
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -380,24 +384,225 @@ def test_forward_matches_primitive_graph(tiny_splits, monkeypatch):
                                           err_msg=name)
 
 
+# the rule itself, before `helper_thread` stands in for it
+_HELPER_GETS_A_CPU = sane._helper_gets_a_cpu
+
+
+@pytest.fixture(autouse=True, scope="module")
+def helper_thread():
+    """Steps here run their second halves on the helper thread, as where
+    it gets a CPU of its own, whatever CPUs and BLAS threads this process
+    has."""
+    with mock.patch.object(sane, "_helper_gets_a_cpu", return_value=True):
+        if sane._helper is False:
+            sane._helper = None
+        yield
+
+
+@pytest.mark.parametrize("cpus, env, want", [
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+    (2, {"OMP_NUM_THREADS": "1"}, True),
+    # OpenBLAS reads its own variable first
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    (2, {"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "1"}, True),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+    # with no count set, BLAS runs one thread per CPU
+    (2, {}, False),
+    (2, {"MKL_NUM_THREADS": "1"}, False),
+])
+def test_the_helper_gets_a_cpu_only_beside_one_blas_thread(monkeypatch,
+                                                            cpus, env, want):
+    for var in (*sane._BLAS_THREAD_VARS, "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(sane.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    assert _HELPER_GETS_A_CPU() is want
+
+
+def _serial(second_first):
+    """A `sane._run_halves` that runs everything on this thread, one whole
+    half after the other: a step whose halves share memory without a
+    barrier between them then reads what the other half wrote. Its
+    full-batch call runs before both halves, or after both, so that one
+    order or the other shows a call that reads what a half writes or
+    writes what a half reads."""
+    def run(work, halves, first=None):
+        calls = [lambda half=half: work(half) for half in halves]
+        if first is not None:
+            calls.insert(0, first)
+        for call in reversed(calls) if second_first else calls:
+            call()
+    return run
+
+
 @settings(max_examples=30, deadline=None)
 @given(h=st.sampled_from([1, 2, 4]), head_width=st.integers(1, 4),
-       d_mlp=st.integers(1, 48), e=st.integers(0, 3))
+       d_mlp=st.integers(1, 48), e=st.integers(0, 3), batch=st.integers(1, 9))
 # one config whose last MLP region widens (lo + 2 d > 2 d_mlp), one whose
 # region holds attention's buffers as it is, and one with no encoder block
-@example(h=2, head_width=8, d_mlp=20, e=3)
-@example(h=2, head_width=4, d_mlp=48, e=2)
-@example(h=2, head_width=4, d_mlp=48, e=0)
-def test_every_config_steps_as_the_primitive_graph(h, head_width, d_mlp, e):
+@example(h=2, head_width=8, d_mlp=20, e=3, batch=9)
+@example(h=2, head_width=4, d_mlp=48, e=2, batch=4)
+@example(h=2, head_width=4, d_mlp=48, e=0, batch=3)
+def test_every_config_steps_as_the_primitive_graph(h, head_width, d_mlp, e,
+                                                   batch):
     c = tiny_config(d_model=h * head_width, h=h, d_mlp=d_mlp, e=e)
     model = SaneModel(c, rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     # no gain at 1 and no bias at 0
     model.data += rng.normal(0.0, 0.1, model.data.shape).astype(model.dtype)
-    x = rng.standard_normal((3, c.n, c.f), dtype=np.float32)
-    y = np.arange(3) % c.num_classes
+    x = rng.standard_normal((batch, c.n, c.f), dtype=np.float32)
+    y = np.arange(batch) % c.num_classes
     want = _graph_step(model, x, y)
-    got = _step(model, x, y)
+    for order in ("first half first", "second half first"):
+        with mock.patch.object(sane, "_run_halves",
+                               _serial(order == "second half first")):
+            got = _step(model, x, y)
+        for g, w in zip(got[0], want[0]):
+            np.testing.assert_array_equal(g, w, err_msg=order)
+        for name, g in got[1].items():
+            np.testing.assert_array_equal(g, want[1][name],
+                                          err_msg=f"{name}, {order}")
+
+
+def test_a_half_that_fails_raises_once_both_halves_return():
+    returned = []
+
+    def work(half):
+        if half == "second":
+            time.sleep(0.05)
+        returned.append(half)
+        if half != "ok":
+            raise ValueError(half)
+
+    # both fail: the first half's error, after the slower second returned
+    with pytest.raises(ValueError, match="^first$"):
+        sane._run_halves(work, ["first", "second"])
+    assert sorted(returned) == ["first", "second"]
+    with pytest.raises(ValueError, match="^second$"):
+        sane._run_halves(work, ["ok", "second"])
+
+
+def test_an_interrupted_wait_for_the_helper_raises_once_it_is_done(
+        monkeypatch):
+    with sane._helper_busy:
+        jobs, outcomes = sane._helper_queues()
+
+    class Interrupted:
+        """The helper's outcomes, the first wait for which is interrupted."""
+
+        def __init__(self):
+            self.interrupts = 1
+
+        def get(self):
+            if self.interrupts:
+                self.interrupts -= 1
+                raise KeyboardInterrupt
+            return outcomes.get()
+
+    monkeypatch.setattr(sane, "_helper", (jobs, Interrupted()))
+    returned = []
+
+    def work(half):
+        if half == "second":
+            time.sleep(0.05)
+        returned.append(half)
+
+    with pytest.raises(KeyboardInterrupt):
+        sane._run_halves(work, ["first", "second"])
+    assert sorted(returned) == ["first", "second"]
+    # no outcome is left for the next call
+    assert outcomes.empty()
+
+
+def test_a_non_finite_second_half_is_fatal_and_the_next_step_is_clean(
+        tiny_model):
+    c = tiny_model.config
+    rng = np.random.default_rng(4)
+    x = rng.random((6, c.n, c.f), dtype=np.float32)
+    y = np.arange(6) % c.num_classes
+    workspace = Workspace(tiny_model, 6)
+    bad = x.copy()
+    # rows 3 to 5 are the second half
+    bad[4, 2, 0] = np.nan
+    with pytest.raises(nm.NumericsError, match="op 'linear'"):
+        tiny_model.forward(bad, workspace)
+    with pytest.raises(nm.NumericsError, match="needs a pending forward"):
+        tiny_model.backward(np.zeros((6, c.num_classes), np.float32),
+                            workspace)
+    want = _step(tiny_model, x, y, Workspace(tiny_model, 6))
+    got = _step(tiny_model, x, y, workspace)
+    for g, w in zip(got[0], want[0]):
+        np.testing.assert_array_equal(g, w)
+    for name, g in got[1].items():
+        np.testing.assert_array_equal(g, want[1][name], err_msg=name)
+
+
+def test_steps_on_more_threads_than_cores_keep_their_bits():
+    # one thread at a time has its halves run by the helper; a step on any
+    # other runs both of its halves itself
+    c = tiny_config(e=2)
+    rng = np.random.default_rng(6)
+    xs = [rng.random((6, c.n, c.f), dtype=np.float32) for _ in range(4)]
+    y = np.arange(6) % c.num_classes
+    models = [SaneModel(c, rng=np.random.default_rng(3)) for _ in xs]
+    want = [_step(model, x, y) for model, x in zip(models, xs)]
+    got = [None] * len(xs)
+
+    def run(i):
+        workspace = Workspace(models[i], len(xs[i]))
+        for _ in range(5):
+            got[i] = _step(models[i], xs[i], y, workspace)
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for (outs, grads), (want_outs, want_grads) in zip(got, want):
+        for g, w in zip(outs, want_outs):
+            np.testing.assert_array_equal(g, w)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
+
+
+def test_training_starts_at_most_one_thread(tiny_splits, monkeypatch):
+    train, val, _, _ = tiny_splits
+    # as in a process that has not yet started the helper
+    monkeypatch.setattr(sane, "_helper", None)
+    before = threading.active_count()
+    for _ in range(2):
+        train_sane(*train, *val, tiny_config(epochs=1))
+    assert threading.active_count() <= before + 1
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork")
+def test_a_forked_child_steps_with_a_helper_of_its_own(tiny_model):
+    c = tiny_model.config
+    x = np.random.default_rng(7).random((6, c.n, c.f), dtype=np.float32)
+    y = np.arange(6) % c.num_classes
+    # the helper this process has: a forked child has none
+    want = _step(tiny_model, x, y)
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(
+        target=lambda: sender.send(_step(tiny_model, x, y)))
+    child.start()
+    try:
+        assert receiver.poll(60), "the child's step never returned"
+        got = receiver.recv()
+    finally:
+        child.kill()
+        child.join()
     for g, w in zip(got[0], want[0]):
         np.testing.assert_array_equal(g, w)
     for name, g in got[1].items():
@@ -420,10 +625,10 @@ def test_no_run_time_path_builds_a_graph_node(tiny_splits, monkeypatch):
 
 
 def _arrays(workspace):
-    """Every array a workspace holds."""
-    return [workspace.gelu] + [a for arrays in (*workspace.blocks,
-                                                 workspace.shared)
-                               for a in arrays.values()]
+    """Every array a workspace holds, both halves' scratch included."""
+    return [a for arrays in (*workspace.blocks, workspace.shared,
+                             *workspace.scratch)
+            for a in arrays.values()]
 
 
 def test_steps_at_one_shape_allocate_no_workspace_array(tiny_model):
@@ -612,8 +817,6 @@ def _assert_workspace_bytes(workspace, c):
 def _workspace_bytes(c):
     """The bytes of a workspace for config c's batch size."""
     b, t, d, h = c.batch_size, c.n + 1, c.d_model, c.h
-    # at least one sequence, however long
-    chunk = min(b, max(1, nm.ATTN_SCORE_ELEMS // (h * t * t)))
     # per block, in (B, T) rows of float32, what backward reads and cannot
     # rebuild: both layer norms' xhat and the context (3 d), GELU's output,
     # written over the w1 output, and its derivative (2 d_mlp); and the row
@@ -627,15 +830,23 @@ def _workspace_bytes(c):
               # gradient
               + b * t * d
               # the head's gradients
-              + b * (d + c.M + c.N)
-              # attention's per-chunk scratch: two score and two context
-              # arrays
-              + 2 * chunk * h * t * (t + d // h))
+              + b * (d + c.M + c.N))
     # a layer norm output and attention's projections (in backward,
     # rebuilt ones) and the context gradient, shared by the blocks in the
     # last block's MLP region: the packed qkv product from 0, q, k and v
     # from 3 d, the other two past both those and GELU's output, widening
     # the region where 2 d_mlp does not reach
     last = b * t * max(0, max(6 * d, c.d_mlp) + 2 * d - 2 * c.d_mlp)
-    gelu = 4 * min(b * t * c.d_mlp, nm.GELU_BLOCK_ELEMS)
-    return 4 * (c.e * block + last + shared + gelu)
+    # each row half's scratch, for its (b + 1) // 2 rows: attention's two
+    # score and two context arrays per chunk, whose scores hold at most
+    # half of ATTN_SCORE_ELEMS elements (whole sequences, or a run of one
+    # sequence's heads), or GELU's four blocks over the same memory
+    half, budget = (b + 1) // 2, nm.ATTN_SCORE_ELEMS // 2
+    if h * t * t <= budget:
+        chunk = min(half, budget // (h * t * t)) * h
+    else:
+        chunk = max(1, budget // (t * t))
+    assert chunk * t * t <= budget
+    scratch = max(2 * chunk * t * (t + d // h),
+                  4 * min(half * t * c.d_mlp, nm.GELU_BLOCK_ELEMS))
+    return 4 * (c.e * block + last + shared + 2 * scratch)

@@ -1,6 +1,6 @@
 """The package's own structure: every definition in `src/zest` is reached
-by something other than the tests, and every module of `src/zest` and the
-tests uses each name it imports."""
+by something other than the tests, every module of `src/zest` and the
+tests uses each name it imports, and only `sane` runs threads."""
 
 import ast
 import re
@@ -102,3 +102,21 @@ def test_every_import_is_used():
             unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
                        for name in bound if name not in used]
     assert unused == [], "imported and never used: delete each import"
+
+
+def test_only_sane_runs_threads():
+    # the numerics primitives stay single-threaded: SANE's step splits its
+    # batch between two threads in one place
+    threaded = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] in ("threading", "concurrent")
+                   for n in names):
+                threaded.add(path.stem)
+    assert threaded == {"sane"}
