@@ -26,6 +26,8 @@ from .cvae import CvaeConfig, train_cvae
 from .forest import RandomForest
 
 logger = logging.getLogger("zest.baselines")
+# most Lloyd iterations of one k-means run
+MAX_ITER = 100
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +49,10 @@ class ClusterResult:
 
 
 def kmeans(points: np.ndarray, k: int, init: np.ndarray | None = None,
-           max_iter: int = 100, seed: int = 0) -> ClusterResult:
-    """Lloyd iterations to an assignment fixpoint from the centers `init`,
-    or from k points drawn by `seed` when it is None. Empty clusters are
-    re-seeded at the point farthest from its current center."""
+           seed: int = 0) -> ClusterResult:
+    """At most MAX_ITER Lloyd iterations to an assignment fixpoint from the
+    centers `init`, or from k points drawn by `seed` when it is None. Empty
+    clusters are re-seeded at the point farthest from its current center."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     if k > n:
@@ -66,7 +68,7 @@ def kmeans(points: np.ndarray, k: int, init: np.ndarray | None = None,
 
     assignments = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
-    for iteration in range(1, max_iter + 1):
+    for _ in range(MAX_ITER):
         dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assignments = dists.argmin(axis=1)
         inertia = float(dists[np.arange(n), new_assignments].sum())

@@ -145,12 +145,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _resolve(args: argparse.Namespace) -> ExperimentConfig:
-    """The persisted config, then the --config file, then the flags."""
-    return resolve_config(args.outdir, *([args.config] if args.config else []),
-                          _overrides_from_args(args))
-
-
 def _synth(args: argparse.Namespace) -> None:
     source = _overrides_from_args(args)["source"]
     if ("preset" in source) == ("profiles" in source):
@@ -208,7 +202,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             _synth(args)
         else:
-            config = _resolve(args)
+            config = resolve_config(
+                args.outdir, *([args.config] if args.config else []),
+                _overrides_from_args(args))
             with RunLock(config.outdir):
                 args.run(args, config)
     except StageError as exc:

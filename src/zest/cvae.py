@@ -11,8 +11,8 @@ with cond_dim=0 and zero-width (n, 0) attributes.
 The encoder and decoder run on plain arrays, for inference
 (`encode_arrays`, `decode_arrays`) and for training alike: `cvae_loss`
 runs the forward and one hand-written backward, which writes the ten
-parameters' gradients into `model.grads` through `nm.linear_backward`, as
-`SaneModel.backward` does. The forward keeps every finite check of the
+parameters' gradients into `model.grads` through `nm.linear_param_grads`,
+as `SaneModel.backward` does. The forward keeps every finite check of the
 composite of graph nodes it replaces, under the same op names, and the
 backward does that composite's float operations in the same order, so a
 trained model is bit-identical to one trained through the composite.
@@ -170,14 +170,11 @@ def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray,
     loss = recon_v + kl_v
     nm.require_finite("add", loss)
 
-    def dense(g, x, w, b):
-        nm.linear_backward(g, x, p[w], grads[w], grads[b])
-
     # decoder, from the l1 term; the loss's own gradient is 1
     g = np.sign(diff) / n
-    dense(g, h2, "dec.w2", "dec.b2")
+    nm.linear_param_grads(g, h2, grads["dec.w2"], grads["dec.b2"])
     g = (g @ p["dec.w2"].T) * d2
-    dense(g, zc, "dec.w1", "dec.b1")
+    nm.linear_param_grads(g, zc, grads["dec.w1"], grads["dec.b1"])
     g_z = (g @ p["dec.w1"].T)[:, :z.shape[1]]
     # through z = mu + exp(logvar / 2) eps, plus the KL term's gradients;
     # each sum has two terms, so its order is free
@@ -187,10 +184,10 @@ def cvae_loss(model: CvaeModel, batch: np.ndarray, cond: np.ndarray,
     g_logvar *= 0.5
     g_logvar += 0.5 * (var - 1.0) / n
     # encoder
-    dense(g_mu, h1, "enc.mu_w", "enc.mu_b")
-    dense(g_logvar, h1, "enc.lv_w", "enc.lv_b")
+    nm.linear_param_grads(g_mu, h1, grads["enc.mu_w"], grads["enc.mu_b"])
+    nm.linear_param_grads(g_logvar, h1, grads["enc.lv_w"], grads["enc.lv_b"])
     g = (g_mu @ p["enc.mu_w"].T + g_logvar @ p["enc.lv_w"].T)
-    dense(g * d1, xc, "enc.w1", "enc.b1")
+    nm.linear_param_grads(g * d1, xc, grads["enc.w1"], grads["enc.b1"])
     return float(loss), float(recon_v), float(kl_v)
 
 

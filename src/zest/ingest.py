@@ -32,6 +32,8 @@ CSV_HEADER = ["timestamp", "src_port", "dst_port", "src_internal",
               "dst_internal", "proto", "size", "direction", "device_id"]
 
 NUM_FEATURES = 8
+# each class's train, val and test shares of its sequences (`split_indices`)
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
 # feature column layout
 COL_SRC_INTERNAL = 0
@@ -322,11 +324,10 @@ def make_partition(num_devices: int, num_unseen: int,
             sorted(unseen.tolist()))
 
 
-def split_indices(labels, ratios: tuple = (0.6, 0.2, 0.2),
-                  seed: int = 0) -> dict[str, list[int]]:
-    """Index lists for a train/val/test split by `ratios` (checked by
-    `ExperimentConfig`), shuffled within each class of `labels` (one per
-    point, taken in sorted order); deterministic per seed."""
+def split_indices(labels, seed: int) -> dict[str, list[int]]:
+    """Index lists for a train/val/test split of each class of `labels` (one
+    per point, taken in sorted order) by SPLIT_RATIOS, shuffled within the
+    class; deterministic per seed."""
     rng = np.random.default_rng(seed)
     labels = np.asarray(labels)
     out: dict[str, list[int]] = {"train": [], "val": [], "test": []}
@@ -334,8 +335,8 @@ def split_indices(labels, ratios: tuple = (0.6, 0.2, 0.2),
         group = np.flatnonzero(labels == label)
         order = group[rng.permutation(len(group))]
         m = len(group)
-        i1 = int(m * ratios[0])
-        i2 = int(m * (ratios[0] + ratios[1]))
+        i1 = int(m * SPLIT_RATIOS[0])
+        i2 = int(m * (SPLIT_RATIOS[0] + SPLIT_RATIOS[1]))
         out["train"].extend(order[:i1].tolist())
         out["val"].extend(order[i1:i2].tolist())
         out["test"].extend(order[i2:].tolist())

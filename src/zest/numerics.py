@@ -5,24 +5,27 @@ finite-difference gradient checking.
 This is intentionally *not* a general autodiff system. The models run on
 plain arrays: each has a hand-written backward that writes every
 parameter's gradient into the model's flat gradient buffer
-(`sane.SaneModel.backward`, `cvae.cvae_loss`), from array primitives that
-come in forward/backward pairs:
+(`sane.SaneModel.backward`, `cvae.cvae_loss`), from array primitives: a
+forward, then the halves of its backward, which a caller runs in turn:
 
-- `linear_arrays` and `linear_backward`, whose gx may be x itself;
-- `layer_norm_arrays` and `layer_norm_backward`, and `layer_norm_output`,
-  by which a backward rebuilds the output it does not keep;
-- `attention_arrays` and `attention_backward`, over the arrays that
-  `attention_saved` and `attention_scratch` allocate and projections that
-  the caller places and may rebuild by `attention_projections`;
+- `linear_arrays`, `linear_param_grads`, `linear_input_grad` (gx may be x);
+- `layer_norm_arrays`, `layer_norm_param_grads`, `layer_norm_input_grad`,
+  and `layer_norm_output`, by which a backward rebuilds the output it does
+  not keep;
+- `attention_arrays`, `attention_row_dots`, `attention_input_grad`,
+  `attention_param_grads`, over the arrays that `attention_saved` and
+  `attention_scratch` allocate and projections that the caller places and
+  may rebuild by `attention_projections`;
 - `gelu_arrays`, whose backward is one product with its derivative;
 - `cross_entropy_arrays`, which returns the loss and its gradient.
 
-Each backward comes in two halves, which it calls in turn. The per-row
-half (`linear_input_grad`, `layer_norm_input_grad`,
+Each input gradient may overwrite what the half before it reads, and
+attention's parameter gradients read what its input gradient leaves in
+proj["qkv"]. The per-row half (`linear_input_grad`, `layer_norm_input_grad`,
 `attention_input_grad`) gives a row of a (B, T, .) input its gradient from
 that row alone: its products are 3-D, so numpy runs one (T, .) product per
 sequence, and a sequence gets the same bits in a batch of any size or in
-any part of one. The full-batch half (`linear_param_grads`,
+any part of one. A full-batch half (`linear_param_grads`,
 `layer_norm_param_grads`, `attention_row_dots` and `attention_param_grads`)
 sums over every row of the batch, or runs a 2-D product whose rows' bits
 depend on how many rows it has; it must see the whole batch in one call.
@@ -57,8 +60,8 @@ import numpy as np
 
 LN_EPS = 1e-5
 # most elements in one chunk of (b, h, T, T) attention scores, unless one
-# head's T x T scores alone exceed it: 1 MB of float32, so a chunk's scores
-# stay in cache whatever the batch size
+# head's T x T scores alone exceed it; sane's 81 MiB workspace test keeps it
+# at 1 MB: 2^20 ran a default-shape step 6 % faster on 3.1 MiB more scratch
 ATTN_SCORE_ELEMS = 2 ** 18
 
 # most elements in one block of `gelu`: the seven arrays a block touches
@@ -243,20 +246,9 @@ def linear_arrays(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return out
 
 
-def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
-                    gw: np.ndarray, gb: np.ndarray,
-                    gx: np.ndarray | None = None) -> None:
-    """`linear_arrays`' backward for the upstream gradient g: w's gradient
-    into gw and b's into gb (`linear_param_grads`) and then, when gx is
-    given, x's into gx (`linear_input_grad`), which may be x itself."""
-    linear_param_grads(g, x, gw, gb)
-    if gx is not None:
-        linear_input_grad(g, w, gx)
-
-
 def linear_param_grads(g: np.ndarray, x: np.ndarray, gw: np.ndarray,
                        gb: np.ndarray) -> None:
-    """The full-batch half of `linear_backward`: w's gradient x^T g into gw
+    """`linear_arrays`' full-batch backward half: w's gradient x^T g into gw
     and b's, the column sums of g, into gb, each one call over every row
     on 2-D views."""
     g2 = g.reshape(-1, g.shape[-1])
@@ -265,7 +257,7 @@ def linear_param_grads(g: np.ndarray, x: np.ndarray, gw: np.ndarray,
 
 
 def linear_input_grad(g: np.ndarray, w: np.ndarray, gx: np.ndarray) -> None:
-    """The per-row half of `linear_backward`: x's gradient g w^T into gx,
+    """`linear_arrays`' per-row backward half: x's gradient g w^T into gx,
     which may be x but must not overlap g. A (B, T, n) g runs as B products
     of (T, n) by w^T."""
     np.matmul(g, w.T, out=gx)
@@ -274,8 +266,8 @@ def linear_input_grad(g: np.ndarray, w: np.ndarray, gx: np.ndarray) -> None:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The linear pair as a graph node."""
     return _node("linear", linear_arrays(x.data, w.data, b.data), (x, w, b),
-                 lambda g, grads: linear_backward(g, x.data, w.data, grads[1],
-                                                  grads[2], grads[0]))
+                 lambda g, grads: (linear_param_grads(g, x.data, *grads[1:]),
+                                   linear_input_grad(g, w.data, grads[0])))
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -440,29 +432,9 @@ def attention_arrays(x: np.ndarray, wq: np.ndarray, bq: np.ndarray,
     return out, saved, scratch, proj
 
 
-def attention_backward(g: np.ndarray, x: np.ndarray, wq: np.ndarray,
-                       wk: np.ndarray, wv: np.ndarray, heads: int,
-                       out: np.ndarray, saved: dict, scratch: dict,
-                       proj: dict, gx: np.ndarray,
-                       grads: Sequence[np.ndarray]) -> None:
-    """`attention_arrays`' backward for the upstream gradient g of its
-    output `out`: x's gradient into the contiguous gx and the gradients of
-    wq, bq, wk, wv and bv into the five arrays of `grads`, from the
-    forward's `saved` arrays and in its `scratch`, by its three halves in
-    turn: `attention_row_dots`, `attention_input_grad` and
-    `attention_param_grads`. It reads q, k and v from `proj`, as the
-    forward wrote them or a rebuild by `attention_projections`, and writes
-    the projections' gradient over proj["qkv"], which must overlap none of
-    g, x and gx."""
-    dot = attention_row_dots(g, out, saved, heads, gx)
-    attention_input_grad(g, wq, wk, wv, heads, saved, scratch, proj, dot,
-                         gx)
-    attention_param_grads(x, proj, grads)
-
-
 def attention_row_dots(g: np.ndarray, out: np.ndarray, saved: dict,
                        heads: int, scratch: np.ndarray) -> np.ndarray:
-    """A full-batch half of `attention_backward`: each query's
+    """A full-batch backward half of `attention_arrays`: each query's
     rowsum(dP * P) / l, a fresh contiguous (B, h, 1, T) array, with
     g * out held in the contiguous `scratch` of g's shape. The sum over
     head_dim is one 2-D product of all B T h rows with a ones vector, and
@@ -484,10 +456,11 @@ def attention_input_grad(g: np.ndarray, wq: np.ndarray, wk: np.ndarray,
                          wv: np.ndarray, heads: int, saved: dict,
                          scratch: dict, proj: dict, dot: np.ndarray,
                          gx: np.ndarray) -> None:
-    """The per-row half of `attention_backward`: the gradients of q, k and
-    v over proj["qkv"], laid out as the forward's projections, and x's
-    gradient, their product with [wq | wk | wv]^T, into gx, from the rows'
-    `attention_row_dots` in `dot`, chunk by chunk as `scratch` plans."""
+    """The per-row backward half of `attention_arrays`: the gradients of q,
+    k and v over proj["qkv"], laid out as the forward's projections, and
+    x's gradient, their product with [wq | wk | wv]^T, into gx, from the
+    rows' `attention_row_dots` in `dot`, chunk by chunk as `scratch` plans.
+    q, k and v are `proj`'s, from the forward or `attention_projections`."""
     batch, tokens, d = g.shape
     head_dim = d // heads
     q, k, v = proj["q"], proj["k"], proj["v"]
@@ -517,9 +490,9 @@ def attention_input_grad(g: np.ndarray, wq: np.ndarray, wk: np.ndarray,
 
 def attention_param_grads(x: np.ndarray, proj: dict,
                           grads: Sequence[np.ndarray]) -> None:
-    """The other full-batch half of `attention_backward`: the gradients of
-    wq, bq, wk, wv and bv into `grads`, sums over every row of x and of the
-    projections' gradient in proj["qkv"]."""
+    """The other full-batch backward half of `attention_arrays`: the
+    gradients of wq, bq, wk, wv and bv into `grads`, sums over every row of
+    x and of the projections' gradient in proj["qkv"]."""
     d = x.shape[-1]
     g_qkv = proj["qkv"].reshape(-1, 3 * d)
     g_w = np.split(x.reshape(-1, d).T @ g_qkv, 3, axis=1)
@@ -534,9 +507,14 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
     parents = (x, wq, bq, wk, wv, bv)
     out, saved, scratch, proj = attention_arrays(
         *(t.data for t in parents), heads)
-    return _node("attention", out, parents, lambda g, grads: (
-        attention_backward(g, x.data, wq.data, wk.data, wv.data, heads, out,
-                           saved, scratch, proj, grads[0], grads[1:])))
+
+    def backward(g, grads):
+        dot = attention_row_dots(g, out, saved, heads, grads[0])
+        attention_input_grad(g, wq.data, wk.data, wv.data, heads, saved,
+                             scratch, proj, dot, grads[0])
+        attention_param_grads(x.data, proj, grads[1:])
+
+    return _node("attention", out, parents, backward)
 
 
 def layer_norm_arrays(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -583,23 +561,10 @@ def layer_norm_output(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     return out
 
 
-def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
-                        gain: np.ndarray, ggain: np.ndarray, gbias: np.ndarray,
-                        scratch: np.ndarray | None = None) -> None:
-    """`layer_norm_arrays`' backward for the upstream gradient g: gain's and
-    bias's gradients into ggain and gbias (`layer_norm_param_grads`), then
-    x's into g itself (`layer_norm_input_grad`). `scratch`, an array of g's
-    shape, holds the temporary products."""
-    if scratch is None:
-        scratch = np.empty(g.shape, g.dtype)
-    layer_norm_param_grads(g, xhat, ggain, gbias, scratch)
-    layer_norm_input_grad(g, xhat, inv_std, gain, scratch)
-
-
 def layer_norm_param_grads(g: np.ndarray, xhat: np.ndarray,
                            ggain: np.ndarray, gbias: np.ndarray,
                            scratch: np.ndarray) -> None:
-    """The full-batch half of `layer_norm_backward`: gain's gradient, the
+    """`layer_norm_arrays`' full-batch backward half: gain's gradient, the
     column sums of g * xhat (formed in the contiguous `scratch` of g's
     shape), into ggain and bias's, the column sums of g, into gbias."""
     d = g.shape[-1]
@@ -611,7 +576,7 @@ def layer_norm_param_grads(g: np.ndarray, xhat: np.ndarray,
 def layer_norm_input_grad(g: np.ndarray, xhat: np.ndarray,
                           inv_std: np.ndarray, gain: np.ndarray,
                           scratch: np.ndarray) -> None:
-    """The per-row half of `layer_norm_backward`: x's gradient, written over
+    """`layer_norm_arrays`' per-row backward half: x's gradient, written over
     g, with `scratch`, an array of g's shape, for the temporary products."""
     col = np.full((g.shape[-1], 1), 1.0 / g.shape[-1], dtype=g.dtype)
     # d xhat / d x folded analytically: with gxhat = g gain, x's gradient
@@ -631,8 +596,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out, xhat, inv_std = layer_norm_arrays(x.data, gain.data, bias.data)
 
     def backward(g, grads):
+        scratch = np.empty(g.shape, g.dtype)
+        layer_norm_param_grads(g, xhat, *grads[1:], scratch)
         grads[0][...] = g
-        layer_norm_backward(grads[0], xhat, inv_std, gain.data, *grads[1:])
+        layer_norm_input_grad(grads[0], xhat, inv_std, gain.data, scratch)
 
     return _node("layer_norm", out, (x, gain, bias), backward)
 

@@ -1,11 +1,11 @@
 """Experiment orchestration: staged artifacts on disk with checksummed
 manifests, deterministic seeds, artifact caching, and multi-seed aggregation.
 
-Every stage writes its outputs plus a manifest recording the stage config and
-the checksums of its inputs and outputs. A stage is skipped (cache hit) when
-its manifest matches the current config and all input/output checksums still
-agree; downstream stages refuse to run against inputs whose checksums do not
-match the upstream manifest.
+Every stage writes its outputs plus a manifest recording the stage's code
+version, its config and the checksums of its inputs and outputs. A stage is
+skipped (cache hit) when its manifest matches the current version and config
+and all input/output checksums still agree; downstream stages refuse to run
+against inputs whose checksums do not match the upstream manifest.
 
 `ingest` runs once per experiment into `data/`, after `synth` for a preset
 or profile-file source; synth's key covers the profile file's checksum and
@@ -51,10 +51,10 @@ from .checkpoint import (atomic_write, load_arrays, read_json, save_arrays,
 from .classifier import (SvmConfig, evaluate, format_report, predict,
                          train_svm)
 from .cvae import CvaeConfig, CvaeModel, generate_pseudo, train_cvae
-from .ingest import (Dataset, apply_normalizer, build_dataset, fit_normalizer,
-                     load_dataset, make_partition, parse_packet_csv,
-                     save_dataset, split_indices)
-from .params import check_fields, is_finite, is_int
+from .ingest import (SPLIT_RATIOS, Dataset, apply_normalizer, build_dataset,
+                     fit_normalizer, load_dataset, make_partition,
+                     parse_packet_csv, save_dataset, split_indices)
+from .params import check_fields, is_int
 from .sane import SaneConfig, SaneModel, train_sane
 from .synth import PRESETS, generate_csv, source_profiles
 
@@ -73,6 +73,10 @@ DERIVED_FIELDS = {"sane": ("n", "f", "num_classes", "seed"),
 # a source names exactly one kind; the keys each kind reads besides its own
 SOURCE_KEYS = {"preset": ("sessions", "seed"), "profiles": ("seed",),
                "csv": ()}
+# fields now constants, at the values an older config.json holds: there, and
+# only there, `resolve_config` skips them
+RETIRED_FIELDS = {"ratios": list(SPLIT_RATIOS),
+                  "baselines": list(BASELINE_NAMES)}
 
 
 class StageError(RuntimeError):
@@ -91,20 +95,18 @@ class StageError(RuntimeError):
 class ExperimentConfig:
     """Resolved settings for one experiment directory. `check_fields` checks
     each field's kind and bound; the rules here are cross-field: distinct
-    seeds, the source's (`check_source`), ratios that sum to 1, known
-    baselines, and model sections that set no unknown or derived field."""
+    seeds, the source's (`check_source`), and model sections that set no
+    unknown or derived field."""
 
     outdir: str
     source: dict = field(default_factory=lambda: {"preset": "separable-12"})
     n: int = 200
     num_unseen: int = 2
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    ratios: list = field(default_factory=lambda: [0.6, 0.2, 0.2])
     sane: dict = field(default_factory=dict)     # SaneConfig overrides
     cvae: dict = field(default_factory=dict)     # CvaeConfig overrides
     svm: dict = field(default_factory=dict)      # SvmConfig overrides
     pseudo_k: int = 500
-    baselines: list = field(default_factory=lambda: list(BASELINE_NAMES))
 
     def __post_init__(self):
         check_fields(self)
@@ -115,16 +117,6 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be a non-empty list of distinct "
                              f"integers >= 0, got {self.seeds}")
         check_source(self.source)
-        # every split is needed: an empty one fails a later stage
-        if (len(self.ratios) != 3
-                or not all(is_finite(r) and r > 0 for r in self.ratios)
-                or abs(sum(self.ratios) - 1.0) > 1e-9):
-            raise ValueError(f"ratios must be three positive numbers that "
-                             f"sum to 1, got {self.ratios}")
-        unknown = [b for b in self.baselines if b not in BASELINE_NAMES]
-        if unknown:
-            raise ValueError(f"unknown baselines {unknown}; "
-                             f"have {BASELINE_NAMES}")
         # the model sections fail here, naming the field, not at the stage
         # that first builds them
         for section, config_class in MODEL_SECTIONS.items():
@@ -192,7 +184,7 @@ def resolve_config(outdir: str | Path, *layers: dict | str | Path) -> Experiment
     fields = asdict(ExperimentConfig(outdir=str(outdir)))
     layers = ((path,) if path.exists() else ()) + layers
     for layer in layers or ({},):
-        name = "config overrides"
+        persisted, name = layer is path, "config overrides"
         if isinstance(layer, (str, Path)):
             name = f"config file {layer}"
             try:
@@ -203,7 +195,8 @@ def resolve_config(outdir: str | Path, *layers: dict | str | Path) -> Experiment
             raise ValueError(f"{name} must hold a JSON dict, "
                              f"got {type(layer).__name__}")
         for key, value in layer.items():
-            if value is None or key == "outdir":
+            if (value is None or key == "outdir"
+                    or persisted and RETIRED_FIELDS.get(key) == value):
                 continue
             if key not in ExperimentConfig.__dataclass_fields__:
                 raise ValueError(f"{name} has no field {key!r}")
@@ -322,20 +315,21 @@ class StageRunner:
                        f"manifest of stage '{producer}'; re-run '{producer}'")
         return recorded
 
-    def run(self, stage: str, config: dict, inputs: dict[str, str],
-            outputs: list[Path], fn) -> bool:
-        """Execute fn() unless the stage manifest shows a valid cache hit.
-        `inputs` maps the name of each file the stage reads to its checksum.
-        Returns True when the stage actually ran. A file that the replaced
-        manifest lists as an output and `outputs` does not (an older file
-        name, say) is deleted: no manifest names it any more."""
+    def run(self, stage: str, version: int, config: dict,
+            inputs: dict[str, str], outputs: list[Path], fn) -> bool:
+        """Execute fn() unless the stage manifest shows a valid cache hit of
+        `version`, `config` and `inputs`, which maps the name of each file
+        the stage reads to its checksum. Returns True when the stage ran. A
+        file that the replaced manifest lists as an output and `outputs`
+        does not (an older file name, say) is deleted: no manifest names it
+        any more."""
         config = json.loads(json.dumps(config, sort_keys=True))
         declared = {p.name for p in outputs}
         manifest = self._manifest(stage) or {}   # none, or unreadable: a miss
         # a manifest whose outputs are not the declared ones (say, an older
         # file name) is a miss: the stages that read them would fail
-        if (manifest and manifest["config"] == config
-                and manifest["inputs"] == inputs
+        if (manifest and (manifest.get("version"), manifest["config"],
+                          manifest["inputs"]) == (version, config, inputs)
                 and set(manifest["outputs"]) == declared
                 and all((self.root / name).exists()
                         and sha256_file(self.root / name) == digest
@@ -348,7 +342,8 @@ class StageRunner:
         if missing:
             raise StageError(stage, f"stage did not produce {missing}")
         write_json(self._manifest_path(stage), {
-            "stage": stage, "config": config, "inputs": inputs,
+            "stage": stage, "version": version, "config": config,
+            "inputs": inputs,
             "outputs": {p.name: sha256_file(p) for p in outputs}})
         for name in set(manifest.get("outputs", ())) - declared:
             if Path(name).name == name:     # only files of this directory
@@ -372,6 +367,10 @@ def run_dir(config: ExperimentConfig, seed: int) -> Path:
 # data stage
 # ---------------------------------------------------------------------------
 
+# the code versions of the synth and ingest runs, as `Stage.version`
+DATA_VERSIONS = {"synth": 1, "ingest": 1}
+
+
 def stage_ingest(config: ExperimentConfig) -> dict:
     """Build the segmented raw-feature dataset, synthesizing traffic first
     when the source is a preset or a profile file. Returns the dataset's
@@ -386,10 +385,10 @@ def stage_ingest(config: ExperimentConfig) -> dict:
     if kind != "csv":
         inputs = ({} if kind == "preset" else
                   {Path(source[kind]).name: sha256_file(source[kind])})
-        runner.run("synth", {"source": source}, inputs, [csv_path],
-                   lambda: generate_csv(source_profiles(source, config.n),
-                                        seed=source.get("seed", 0),
-                                        path=csv_path))
+        runner.run("synth", DATA_VERSIONS["synth"], {"source": source},
+                   inputs, [csv_path], lambda: generate_csv(
+                       source_profiles(source, config.n),
+                       seed=source.get("seed", 0), path=csv_path))
 
     npz_path = ddir / "dataset.npz"
     manifest_path = ddir / "dataset.json"
@@ -400,7 +399,8 @@ def stage_ingest(config: ExperimentConfig) -> dict:
             raise StageError("ingest", "no sequences after segmentation")
         save_dataset(dataset, npz_path, manifest_path)
 
-    runner.run("ingest", {"n": config.n, "source": source},
+    runner.run("ingest", DATA_VERSIONS["ingest"],
+               {"n": config.n, "source": source},
                {csv_path.name: sha256_file(csv_path)},
                [npz_path, manifest_path], ingest_fn)
     return read_json(manifest_path)
@@ -451,9 +451,9 @@ class StageContext:
 class Stage:
     """One per-seed stage. `reads` are (producer stage, file) pairs; the
     stage refuses to run unless each file matches its producer's manifest,
-    and their checksums plus `key(ctx)` form its cache key. `body(ctx)`
-    writes `writes` into the run directory. `method` names the method whose
-    reports the stage writes."""
+    and their checksums plus `key(ctx)` and `version` form its cache key.
+    `body(ctx)` writes `writes` into the run directory; a change to their
+    bytes bumps `version`. `method` names the method whose reports they are."""
 
     name: str
     help: str
@@ -462,13 +462,14 @@ class Stage:
     key: Callable[[StageContext], dict]
     body: Callable[[StageContext], None]
     method: str | None = None
+    version: int = 1
 
 
 def _partition(ctx: StageContext) -> None:
     config, dataset = ctx.config, ctx.dataset
     seen, unseen = make_partition(len(dataset.class_map), config.num_unseen,
                                   ctx.seed)
-    splits = split_indices(dataset.labels, tuple(config.ratios), ctx.seed)
+    splits = split_indices(dataset.labels, ctx.seed)
     write_json(ctx.rdir / "partition.json",
                {"seed": ctx.seed, "seen": seen, "unseen": unseen,
                 "splits": splits})
@@ -603,8 +604,7 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
                        "train/val/test",
           reads=_DATASET, writes=("partition.json",),
           key=lambda ctx: {"seed": ctx.seed,
-                           "num_unseen": ctx.config.num_unseen,
-                           "ratios": ctx.config.ratios},
+                           "num_unseen": ctx.config.num_unseen},
           body=_partition),
     Stage("train-sane", "train the feature extractor on seen devices",
           reads=(*_DATASET, _PARTITION),
@@ -661,8 +661,8 @@ def run_stage(name: str, config: ExperimentConfig, seed: int) -> bool:
         inputs[file] = StageRunner(root).require_input(name, producer,
                                                        root / file)
     return StageRunner(ctx.rdir).run(
-        name, stage.key(ctx), inputs, [ctx.rdir / f for f in stage.writes],
-        lambda: stage.body(ctx))
+        name, stage.version, stage.key(ctx), inputs,
+        [ctx.rdir / f for f in stage.writes], lambda: stage.body(ctx))
 
 
 def read_reports(config: ExperimentConfig, seed: int,
@@ -694,13 +694,12 @@ def stage_baseline(config: ExperimentConfig, seed: int, name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def run_seed(config: ExperimentConfig, seed: int) -> dict:
-    """Every per-seed stage in table order, leaving out the baselines the
-    config does not list; returns {method: {setting: report}}."""
-    methods = ["zest", *config.baselines]
-    for stage in STAGES.values():
-        if stage.method is None or stage.method in methods:
-            run_stage(stage.name, config, seed)
-    return {method: read_reports(config, seed, method) for method in methods}
+    """Every per-seed stage in table order; returns {method: {setting:
+    report}} for ZEST and then each baseline."""
+    for name in STAGES:
+        run_stage(name, config, seed)
+    return {method: read_reports(config, seed, method)
+            for method in ("zest", *BASELINE_NAMES)}
 
 
 def aggregate_reports(per_seed: list[dict]) -> list[dict]:

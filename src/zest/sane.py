@@ -64,6 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _BLAS_THREAD_VARS
 from . import numerics as nm
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .ingest import NUM_FEATURES
@@ -116,11 +117,6 @@ def _block(arrays: dict, i: int) -> dict:
 _helper: tuple | bool | None = None
 # held by the thread whose halves the helper runs
 _helper_busy = threading.Lock()
-# the variables from which OpenBLAS, the BLAS of numpy's wheels, takes its
-# thread count as it loads, the first one set winning; with none set, it
-# runs one thread per CPU
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS")
 
 
 def _forget_helper() -> None:
@@ -137,8 +133,8 @@ def _helper_gets_a_cpu() -> bool:
     """Whether the helper would run on a CPU of its own: the process may
     run on two or more CPUs, and BLAS runs each call on one thread. A BLAS
     with threads of its own already takes the other CPUs, and the helper
-    then only contends with them: in a default separable-12 pipeline with
-    no thread count set, on 2 vCPUs, train-sane took 60.8 s with the
+    then only contends with them: in a separable-12 pipeline with OpenBLAS
+    on one thread per CPU, on 2 vCPUs, train-sane took 60.8 s with the
     helper and 54.9 s without it."""
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -464,8 +460,9 @@ class SaneModel(Model):
         blocks, s = ws.views(len(x))
         halves = ws.halves(len(x))
         for layer, x_in, _ in reversed(_HEAD):
-            nm.linear_backward(g, s[x_in], p[layer + ".w"], pg[layer + ".w"],
-                               pg[layer + ".b"], s["g_" + x_in])
+            nm.linear_param_grads(g, s[x_in], pg[layer + ".w"],
+                                  pg[layer + ".b"])
+            nm.linear_input_grad(g, p[layer + ".w"], s["g_" + x_in])
             g = s["g_" + x_in]
         # mean pooling hands every token g / T. g_res is then the gradient
         # of a block's output, and so of R2; plus layer norm 2's input

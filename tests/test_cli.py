@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_profiles, write_profiles
+import zest
 from zest.cli import main
 from zest.ingest import make_partition
 from zest.pipeline import STAGES, ExperimentConfig, resolve_config
@@ -101,6 +102,25 @@ def test_python_m_zest_runs_from_checkout():
     assert done.returncode == 0, done.stderr
     for name in STAGES:
         assert name.replace("baseline-", "baseline ", 1) in done.stdout
+
+
+@pytest.mark.parametrize("env, probe, want", [
+    ({}, "import zest", "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "import zest", "2"),
+    # numpy's BLAS has read its count by then: setting one would mislead
+    ({}, "import numpy, zest", "None")],
+    ids=["unset", "set", "numpy-first"])
+def test_package_gives_blas_one_thread_where_no_count_is_set(env, probe,
+                                                            want):
+    src = Path(__file__).resolve().parents[1] / "src"
+    clean = {k: v for k, v in os.environ.items()
+             if k not in zest._BLAS_THREAD_VARS}
+    code = f"{probe}; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**clean, **env, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == want
 
 
 def test_cli_import_loads_no_scipy():
@@ -336,11 +356,9 @@ class TestPipelineAndSweep:
 @pytest.mark.parametrize("flag, value, field", [
     ("--num-unseen", "0", "num_unseen"), ("--seeds", "0", "seeds"),
     ("--pseudo-k", "0", "pseudo_k"), ("--seed-list", "0 0", "seeds"),
-    # no flag sets the ratios: a --config file does
+    # the split ratios are constants, so a --config file that sets them
+    # names a field the config lacks
     ("--config", '{"ratios": [0.5, 0.5]}', "ratios"),
-    ("--config", '{"ratios": [0.7, 0.5, -0.2]}', "ratios"),
-    ("--config", '{"ratios": [0.6, 0.2, 0.1]}', "ratios"),
-    ("--config", '{"ratios": [0.8, 0.2, 0.0]}', "ratios"),
     # partition seeds numpy's generator rejects
     ("--seed-list", "-1", "seeds"), ("--config", '{"seeds": [1.5]}', "seeds"),
     ("--config", '{"seeds": ["a"]}', "seeds"),
@@ -358,11 +376,9 @@ class TestPipelineAndSweep:
     ("--profiles", '{"port_probs": 5}', "tiny-01: port_probs must be a dict"),
     ("--profiles", '{"proto_probs": {"TCP": 1.0}}',
      "tiny-01: proto_probs key 'TCP'"),
-    # a field of the wrong kind, in a model section or at the top level;
-    # Python's json reads NaN
+    # a field of the wrong kind, in a model section or at the top level
     ("--sane", '{"e":2.5}', "sane.e"), ("--sane", "5", "sane must be a dict"),
     ("--config", '{"n": 2.5}', "n must be an integer"),
-    ("--config", '{"ratios": [0.6, 0.2, NaN]}', "ratios"),
     ("--config", '{"source": 5}', "source must be a dict"),
     # a value that is not JSON names its flag
     ("--sane", "e=2", "--sane"),

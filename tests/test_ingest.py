@@ -7,7 +7,8 @@ import pytest
 from zest import ingest
 from zest.ingest import (COL_APP_PROTO, COL_DIRECTION, COL_INTER_ARRIVAL,
                          COL_PORT_CATEGORY, COL_SIZE, DIRECTION_CODES,
-                         PROTO_CODES, apply_normalizer, featurize,
+                         PROTO_CODES, SPLIT_RATIOS, apply_normalizer,
+                         featurize,
                          fit_normalizer, make_partition, packet_array,
                          parse_packet_csv, segment, split_indices)
 
@@ -268,7 +269,8 @@ class TestPartitionAndSplit:
 
     def test_split_ratios_per_device(self):
         labels = np.repeat([0, 1], 20)
-        idx = split_indices(labels, (0.6, 0.2, 0.2), seed=1)
+        idx = split_indices(labels, seed=1)
+        assert SPLIT_RATIOS == (0.6, 0.2, 0.2)
         assert [len(idx[s]) for s in ("train", "val", "test")] == [24, 8, 8]
         for subset in idx.values():
             counts = np.bincount(labels[subset], minlength=2)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +48,14 @@ def test_cvae_config_follows_sane_dims(tmp_path):
 
 
 def test_unknown_baseline_in_config_rejected(tmp_path):
-    with pytest.raises(ValueError, match="nope"):
-        ExperimentConfig(outdir=str(tmp_path), baselines=["seqcs", "nope"])
+    # every baseline runs: no config field lists them
+    with pytest.raises(ValueError, match="has no field 'baselines'"):
+        resolve_config(tmp_path, {"baselines": ["seqcs", "nope"]})
+    assert not (tmp_path / "config.json").exists()
 
 
 @pytest.mark.parametrize("fields, match", [
-    ({"ratios": [0.5, 0.5]}, "ratios"),
+    ({"seeds": [0, 0]}, "^seeds must be a non-empty list of distinct"),
     # a source names exactly one kind: a preset, a profile file or a CSV
     ({"source": {}}, "source"), ({"source": {"sessions": 5}}, "source"),
     ({"source": {"preset": "hard-12", "csv": "x.csv"}}, "source"),
@@ -67,8 +70,8 @@ def test_unknown_baseline_in_config_rejected(tmp_path):
     *(({key: value}, rf"^{key} must be an integer") for key, value in (
         ("n", 2.5), ("n", True), ("n", "5"), ("pseudo_k", 2.5),
         ("num_unseen", 1.5))),
-    ({"ratios": [0.6, 0.2, float("nan")]}, "^ratios"),
-    ({"ratios": "abc"}, "^ratios must be a list"),
+    ({"seeds": [0, 1.5]}, "^seeds must be a non-empty list"),
+    ({"seeds": "abc"}, "^seeds must be a list"),
     *(({section: {key: value}}, rf"^{section}.{key} must be {kind}")
       for section, key, value, kind in (
           ("sane", "e", 2.5, "an integer"),
@@ -103,6 +106,44 @@ def test_source_keys_each_kind_reads_accepted(tmp_path):
         config = resolve_config(tmp_path / next(iter(source)),
                                 {"source": source})
         assert config.source == source
+
+
+def _old_config(**fields) -> dict:
+    """A config.json as written before the split ratios and the baselines
+    became constants, with `fields` changed."""
+    return {**asdict(ExperimentConfig(outdir="old")),
+            "ratios": [0.6, 0.2, 0.2],
+            "baselines": ["vae-k", "seqcr", "seqcs", "deft"], **fields}
+
+
+def test_config_json_of_the_old_constants_opens(tmp_path):
+    write_json(tmp_path / "config.json", _old_config(num_unseen=3))
+    config = resolve_config(tmp_path)
+    assert config.num_unseen == 3
+    assert json.loads((tmp_path / "config.json").read_text()) == asdict(config)
+
+
+@pytest.mark.parametrize("persisted, layer, key", [
+    (_old_config(ratios=[0.5, 0.3, 0.2]), {}, "ratios"),
+    (_old_config(baselines=["seqcs"]), {}, "baselines"),
+    # a --config file or an override sets no retired field, at any value
+    (None, {"ratios": [0.6, 0.2, 0.2]}, "ratios"),
+    (None, "config file", "ratios"),
+    (None, {"baselines": ["vae-k", "seqcr", "seqcs", "deft"]}, "baselines")],
+    ids=["persisted-ratios", "persisted-baselines", "override-ratios",
+         "file-ratios", "override-baselines"])
+def test_retired_field_rejected_but_at_its_value_in_config_json(
+        tmp_path, persisted, layer, key):
+    outdir = tmp_path / "exp"
+    if persisted is not None:
+        write_json(outdir / "config.json", persisted)
+    if layer == "config file":
+        layer = tmp_path / "config.json"
+        write_json(layer, {"ratios": [0.6, 0.2, 0.2]})
+    written = {p: p.read_bytes() for p in tmp_path.rglob("*.json")}
+    with pytest.raises(ValueError, match=f"has no field '{key}'"):
+        resolve_config(outdir, layer)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*.json")} == written
 
 
 def test_write_json_keeps_old_file_on_failure(tmp_path):
@@ -231,6 +272,37 @@ def test_renamed_output_is_a_cache_miss(experiment, tmp_path):
     assert main(["train-clf", "--outdir", str(work), "--seed", "0"]) == 0
     assert set(json.loads(manifest_path.read_text())["outputs"]) == {
         "pseudo.npz"}
+
+
+@pytest.mark.parametrize("stage", ["gen-pseudo", "ingest"])
+def test_bumped_stage_version_reruns_only_that_stage(experiment, tmp_path,
+                                                     monkeypatch, stage):
+    work = tmp_path / "copy"
+    shutil.copytree(experiment, work)
+    assert main(["pipeline", "--outdir", str(work)]) == 0
+    outputs = {p: p.read_bytes() for p in work.rglob("*")
+               if p.is_file() and not p.name.endswith(".manifest.json")}
+    ran, run = [], pl.StageRunner.run
+
+    def recording(self, name, *args):
+        body_ran = run(self, name, *args)
+        if body_ran:
+            ran.append(name)
+        return body_ran
+
+    monkeypatch.setattr(pl.StageRunner, "run", recording)
+    if stage == "ingest":
+        monkeypatch.setitem(pl.DATA_VERSIONS, "ingest", 2)
+    else:
+        monkeypatch.setitem(STAGES, stage, replace(STAGES[stage], version=2))
+    assert main(["pipeline", "--outdir", str(work)]) == 0
+    # its outputs keep their bytes, so every stage after it hits too
+    assert ran == [stage]
+    manifest = next(work.rglob(f"{stage}.manifest.json"))
+    assert json.loads(manifest.read_text())["version"] == 2
+    assert {p: p.read_bytes() for p in outputs} == outputs
+    assert main(["pipeline", "--outdir", str(work)]) == 0
+    assert ran == [stage]
 
 
 def test_no_file_has_two_producers():

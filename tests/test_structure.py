@@ -1,11 +1,17 @@
 """The package's own structure: every definition in `src/zest` is reached
-by something other than the tests, every module of `src/zest` and the
-tests uses each name it imports, and only `sane` runs threads."""
+by something other than the tests, and so is every experiment setting;
+every module of `src/zest` and the tests uses each name it imports, and
+only `sane` runs threads."""
 
 import ast
+import importlib
 import re
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from zest import cli
+from zest.pipeline import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "zest"
@@ -120,3 +126,20 @@ def test_only_sane_runs_threads():
                    for n in names):
                 threaded.add(path.stem)
     assert threaded == {"sane"}
+
+
+def test_every_experiment_setting_is_set_outside_the_tests(monkeypatch):
+    # a setting only tests set is a constant: a flag of `zest pipeline` or
+    # a benchmark workload sets each of the others
+    args = cli.build_parser().parse_args([
+        "pipeline", "--outdir", "x", "--config", "c.json", "--preset", "p",
+        "--profiles", "p.json", "--csv", "t.csv", "--sessions", "5",
+        "--synth-seed", "1", "--n", "10", "--seeds", "2", "--seed-list", "0",
+        "--num-unseen", "2", "--sane", "{}", "--cvae", "{}", "--svm", "{}",
+        "--pseudo-k", "40"])
+    assert None not in vars(args).values(), "give every flag"
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("harness").WORKLOADS.values()
+    set_by = ({"outdir"} | set(cli._overrides_from_args(args))
+              | {key for w in workloads for key in w.overrides})
+    assert {f.name for f in fields(ExperimentConfig)} - set_by == set()
