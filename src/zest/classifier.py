@@ -33,12 +33,13 @@ class SvmConfig:
         check_fields(self, {"epochs": ">= 0"})
 
 
-def hinge_objective(w: np.ndarray, margins: np.ndarray,
-                    c_reg: float) -> np.ndarray:
+def hinge_objective(w: np.ndarray, margins: np.ndarray, c_reg: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Per class c: 0.5*||w_c||^2 + C * mean(max(0, margins_c)), for weights
     w (classes, dim) and margins (n, classes), 1 - y_c*(w_c.x + b_c) with
-    signed targets y_c."""
-    hinge = np.maximum(0.0, margins).mean(axis=0)
+    signed targets y_c; the hinge max(0, margins) is written into `out`
+    when given."""
+    hinge = np.maximum(0.0, margins, out=out).mean(axis=0)
     return 0.5 * (w * w).sum(axis=1) + c_reg * hinge
 
 
@@ -59,18 +60,30 @@ def train_svm(x: np.ndarray, y: np.ndarray, config: SvmConfig) -> dict:
     n = x.shape[0]
     w = np.zeros((len(classes), x.shape[1]))
     b = np.zeros(len(classes))
-    margins = 1.0 - y_signed * (x @ w.T + b)
-    best_obj = hinge_objective(w, margins, config.c_reg)
+    # each epoch's (n, classes) margins, their hinge and the active mask,
+    # written in place by the operations of their plain expressions
+    margins, hinge, active = (np.empty(y_signed.shape) for _ in range(3))
+    mask = np.empty(y_signed.shape, dtype=bool)
+
+    def objective(w, b):
+        np.add(np.matmul(x, w.T, out=margins), b, out=margins)
+        np.subtract(1.0, np.multiply(y_signed, margins, out=margins),
+                    out=margins)
+        return hinge_objective(w, margins, config.c_reg, out=hinge)
+
+    best_obj = objective(w, b)
     best_w, best_b = w.copy(), b.copy()
     for t in range(1, config.epochs + 1):
-        active = np.where(margins > 0, y_signed, 0.0)
+        # y_c where the margin is positive, else 0.0: adding 0.0 turns the
+        # -0.0 of a masked -1 into the 0.0 that np.where gives
+        np.multiply(y_signed, np.greater(margins, 0, out=mask), out=active)
+        active += 0.0
         grad_w = w - config.c_reg * (active.T @ x) / n
         grad_b = -config.c_reg * active.sum(axis=0) / n
         step = config.lr / t
         w = w - step * grad_w
         b = b - step * grad_b
-        margins = 1.0 - y_signed * (x @ w.T + b)
-        obj = hinge_objective(w, margins, config.c_reg)
+        obj = objective(w, b)
         better = obj < best_obj
         best_obj = np.where(better, obj, best_obj)
         best_w[better], best_b[better] = w[better], b[better]

@@ -60,8 +60,10 @@ import numpy as np
 
 LN_EPS = 1e-5
 # most elements in one chunk of (b, h, T, T) attention scores, unless one
-# head's T x T scores alone exceed it; sane's 81 MiB workspace test keeps it
-# at 1 MB: 2^20 ran a default-shape step 6 % faster on 3.1 MiB more scratch
+# head's T x T scores alone exceed it. 2^20, a whole T = 201 sequence per
+# half's chunk, takes 3.1 MiB more scratch at the default shape, and on two
+# threads of a shared 2-vCPU host ran a default-shape step faster in only 8
+# of 10 alternating pairs (medians 327 and 353 ms), too few to keep it
 ATTN_SCORE_ELEMS = 2 ** 18
 
 # most elements in one block of `gelu`: the seven arrays a block touches

@@ -22,13 +22,16 @@ forwards share one, and `predict_arrays` makes its own unless given one.
 A forward's outputs are valid until the next forward in its workspace,
 and `backward` back-propagates the workspace's latest forward, once. A
 block keeps only what backward reads and cannot rebuild (Chen et al.,
-arXiv 1604.06174). The residual stream E and the sum E + R1 are (B, T, d)
-arrays that the blocks share, and backward writes its gradients over them.
-So are the layer norm output and attention's projections, which backward
-rebuilds by the forward's own operations (from xhat, then from that
-output), and the context gradient. They live in the last block's GELU
-output and derivative: those are dead while any block's attention runs,
-not yet written in forward and consumed first in backward.
+arXiv 1604.06174): its layer norms' xhat and 1 / std, attention's score
+statistics and its context. The blocks share the rest: the residual
+stream E and the sum E + R1, (B, T, d) arrays over which backward writes
+its gradients, and one MLP region, which holds GELU's output and
+derivative and, over them, the layer norm output, attention's projections
+and the context gradient. Backward rebuilds these by the forward's own
+operations: the projections from xhat1 through ln, and, for each block but
+the last, whose MLP later blocks wrote over, ln2 from xhat2, w1 and GELU.
+Attention's arrays may lie over GELU's, which are dead while any block's
+attention runs.
 
 A step splits its batch into two row halves (`Workspace.halves`) and runs
 all per-sequence work on both at once, the first half on the calling
@@ -42,14 +45,19 @@ products, whose one-row batches differ, and attention backward's row dots
 (`numerics.attention_row_dots`). Such a call runs between the halves'
 runs, or, where it shares no array with a run's halves, while the helper
 runs that run's second half. So a step gives the bits of a one-threaded
-one. Each run ends when both halves have returned, a barrier; two more
-sit where the last block's region holds arrays of both halves at once. In
-forward, that block's w1 writes mlp over the other half's projections,
-and its GELU writes dmlp over the other half's ln. In backward, ln is
-written over the other half's dmlp. The helper is started once, in a
-process that may run on two or more CPUs and whose BLAS runs one thread
-(`_helper_gets_a_cpu`); elsewhere the calling thread runs both halves in
-turn, by the same code and to the same bits. Only numpy work runs on it.
+one. Each run ends when both halves have returned, a barrier. The MLP
+region holds arrays of both halves at once, so a run also ends wherever
+one half would write it over what the other still reads. In forward, each
+block runs as attention | w1 | GELU and w2: w1 writes mlp over the other
+half's projections, GELU writes dmlp over its ln, and the next block's
+attention writes ln and the projections over its mlp and dmlp. In
+backward, each block but the last first runs ln2 and w1 | GELU, whose
+dmlp lies over the other half's ln, and ln is written over dmlp again
+only once the MLP's gradient has consumed it. The helper is started
+once, in a process that may run on two or more CPUs and whose BLAS runs
+one thread (`_helper_gets_a_cpu`); elsewhere the calling thread runs both
+halves in turn, by the same code and to the same bits. Only numpy work
+runs on it.
 """
 
 from __future__ import annotations
@@ -226,6 +234,17 @@ class Half(NamedTuple):
     s: dict
 
 
+def _expand(h: Half, w: dict) -> None:
+    """w1 of the block whose parameters are w, from half h's ln to mlp."""
+    nm.linear_arrays(h.s["ln"], w["mlp.w1"], w["mlp.b1"], out=h.s["mlp"])
+
+
+def _gelu(h: Half) -> np.ndarray:
+    """GELU over half h's mlp, its derivative into dmlp; returns mlp."""
+    return nm.gelu_arrays(h.s["mlp"], out=h.s["mlp"], deriv=h.s["dmlp"],
+                          scratch=h.s["gelu"])[0]
+
+
 class Workspace:
     """Every array a SANE step writes, for batches of up to `rows`
     sequences of T = n + 1 tokens; a batch of b sequences takes each
@@ -235,29 +254,29 @@ class Workspace:
     - `blocks[i]`, what block i's backward reads and cannot rebuild:
       layer norm k's normalised input and row 1 / std ("xhatk", "invk"),
       attention's score statistics (`nm.attention_saved`) and context
-      ("ctx"), and GELU's output, over which backward writes the MLP's
-      gradient, and derivative ("mlp", "dmlp"), both carved from one flat
-      region per block;
+      ("ctx");
     - `shared` by the blocks: the residual stream "stem" (in backward, its
       gradient), "res" (E + R1; in backward, layer norm's input gradient,
       then the embeddings'), the head's outputs and gradients ("g_*"), and
+      the one MLP region: GELU's output, over which backward writes the
+      MLP's gradient, and derivative ("mlp", "dmlp"), the last block's
+      from forward and every other's rebuilt in backward, and over them
       what a block uses only while attention runs: the layer norm output
       "ln" and attention's projections "q", "k", "v" and "qkv", which
-      backward rebuilds (over "qkv" it then writes their gradient), and the
-      context gradient "g_ctx" (also layer norm backward's scratch). These
-      lie in the last block's region, widened to hold them where 2 d_mlp
-      does not;
+      backward rebuilds (over "qkv" it then writes their gradient), and
+      the context gradient "g_ctx" (also layer norm backward's scratch).
+      The region is widened to hold these where 2 d_mlp does not;
     - `scratch[k]`, row half k's own per-chunk attention scratch, for
       chunks of at most half of `nm.ATTN_SCORE_ELEMS` score elements, and
       its GELU scratch ("gelu") over the same memory;
     - `x`, the input of the forward that backward has yet to run, or None.
 
     Every array but the scratch is split by rows, so the halves write
-    disjoint rows of each. But the last block's region holds several
-    arrays at once: half A's rows of ln or of the projections can share
-    memory with half B's rows of mlp or dmlp. So the halves meet at a
-    barrier (`_run_halves`) before either writes one of these over what
-    the other may still read."""
+    disjoint rows of each. But the MLP region holds several arrays at
+    once: half A's rows of ln or of the projections can share memory with
+    half B's rows of mlp or dmlp. So the halves meet at a barrier
+    (`_run_halves`) before either writes one of these over what the other
+    may still read."""
 
     def __init__(self, model: SaneModel, rows: int):
         c, dtype = model.config, model.dtype
@@ -266,32 +285,29 @@ class Workspace:
         def new(**shapes):
             return {k: np.empty((rows,) + s, dtype) for k, s in shapes.items()}
 
-        # a block's region holds (rows, t, width) arrays `offset` rows * t
-        # elements in, so that every leading-row view is contiguous: mlp
-        # from 0 and dmlp from m. The last region also holds qkv from 0,
-        # q, k and v from 3 d, and ln and g_ctx past both those and mlp,
-        # since attention reads ln into them and w1 reads it into mlp
-        def at(region, offset, width):
+        # the MLP region holds (rows, t, width) arrays `offset` rows * t
+        # elements in, so that every leading-row view is contiguous: mlp and
+        # qkv from 0, dmlp from m, q, k and v from 3 d, and ln and g_ctx
+        # past those and mlp, since attention reads ln into them and w1
+        # reads it into mlp
+        def at(offset, width):
             return region[rows * t * offset:rows * t * (offset + width)
                           ].reshape(rows, t, width)
 
         lo = max(6 * d, m)
-        # the last region is block e - 1's; with no block, only the shared
-        regions = [np.empty(rows * t * 2 * m, dtype) for _ in range(c.e - 1)]
-        regions.append(np.empty(rows * t * max(2 * m, lo + 2 * d), dtype))
+        region = np.empty(rows * t * max(2 * m, lo + 2 * d), dtype)
         self.rows, self.x = rows, None
         self.blocks = [
             nm.attention_saved(rows, t, d, c.h, dtype)
             | new(xhat1=(t, d), inv1=(t, 1), ctx=(t, d), xhat2=(t, d),
                   inv2=(t, 1))
-            | {"mlp": at(region, 0, m), "dmlp": at(region, m, m)}
-            for region in regions[:c.e]]
+            for _ in range(c.e)]
         self.shared = new(
             stem=(t, d), res=(t, d), pooled=(d,), l=(c.M,), lam=(c.N,),
             logits=(c.num_classes,), g_pooled=(d,), g_l=(c.M,), g_lam=(c.N,)
-        ) | {"ln": at(regions[-1], lo, d), "qkv": at(regions[-1], 0, 3 * d),
-             "g_ctx": at(regions[-1], lo + d, d)} | {
-            k: at(regions[-1], (3 + i) * d, d).reshape(rows, c.h, t, -1)
+        ) | {"mlp": at(0, m), "dmlp": at(m, m), "ln": at(lo, d),
+             "qkv": at(0, 3 * d), "g_ctx": at(lo + d, d)} | {
+            k: at((3 + i) * d, d).reshape(rows, c.h, t, -1)
             for i, k in enumerate("qkv")}
         # a half's GELU runs only once its attention is done, so GELU's
         # scratch lies over attention's, in one buffer per half
@@ -388,11 +404,21 @@ class SaneModel(Model):
         ws = Workspace(self, len(x)) if workspace is None else workspace
         _, s = ws.views(len(x))
         halves = ws.halves(len(x))
-        ws.x, w, last = None, [_block(p, i) for i in range(c.e)], c.e - 1
+        ws.x, w = None, [_block(p, i) for i in range(c.e)]
 
         # as printed: R1 = MHA(Norm(E)); R2 = MLP(Norm(E + R1));
         # E <- R2 + (E + R1). No backward reads a linear's output, so each
         # sum, and GELU, is written over the output it consumes
+        def embed(h):
+            # the SLA token and the packet embeddings, plus positions
+            e = h.s["stem"]
+            nm.linear_arrays(x[h.rows], p["embed.w"], p["embed.b"],
+                             out=e[:, 1:])
+            e[:, 0] = p["sla"]
+            nm.require_finite("concat", e)
+            e += p["pos"]
+            nm.require_finite("add", e)
+
         def attend(h, i):
             a, hs, e, r = h.blocks[i], h.s, h.s["stem"], h.s["res"]
             nm.layer_norm_arrays(e, w[i]["ln1.gain"], w[i]["ln1.bias"],
@@ -405,45 +431,20 @@ class SaneModel(Model):
             nm.layer_norm_arrays(r, w[i]["ln2.gain"], w[i]["ln2.bias"],
                                  hs["ln"], a["xhat2"], a["inv2"])
 
-        def expand(h, i):
-            nm.linear_arrays(h.s["ln"], w[i]["mlp.w1"], w[i]["mlp.b1"],
-                             out=h.blocks[i]["mlp"])
-
         def contract(h, i):
-            a, e = h.blocks[i], h.s["stem"]
-            m = nm.gelu_arrays(a["mlp"], out=a["mlp"], deriv=a["dmlp"],
-                               scratch=h.s["gelu"])[0]
-            nm.linear_arrays(m, w[i]["mlp.w2"], w[i]["mlp.b2"], out=e)
+            e = h.s["stem"]
+            nm.linear_arrays(_gelu(h), w[i]["mlp.w2"], w[i]["mlp.b2"], out=e)
             nm.require_finite("add", np.add(e, h.s["res"], out=e))
 
-        def stem(h):
-            # the SLA token and the packet embeddings, plus positions
-            e = h.s["stem"]
-            nm.linear_arrays(x[h.rows], p["embed.w"], p["embed.b"],
-                             out=e[:, 1:])
-            e[:, 0] = p["sla"]
-            nm.require_finite("concat", e)
-            e += p["pos"]
-            nm.require_finite("add", e)
-            for i in range(c.e):
-                attend(h, i)
-                if i < last:
-                    expand(h, i)
-                    contract(h, i)
-
-        def finish(h):
-            if c.e:
-                contract(h, last)
-            nm.require_finite("mean_pool", np.mean(h.s["stem"], axis=-2,
-                                                   out=h.s["pooled"]))
-
-        _run_halves(stem, halves)
-        # the last block's w1 writes mlp over the other half's projections
-        # once its attention has read them, and its GELU writes dmlp over
-        # the other half's ln once its w1 has read that
-        if c.e:
-            _run_halves(lambda h: expand(h, last), halves)
-        _run_halves(finish, halves)
+        _run_halves(embed, halves)
+        # each writes over the MLP region's arrays of the other half, once
+        # the run before has read them (see the module docstring)
+        for i in range(c.e):
+            _run_halves(lambda h: attend(h, i), halves)
+            _run_halves(lambda h: _expand(h, w[i]), halves)
+            _run_halves(lambda h: contract(h, i), halves)
+        _run_halves(lambda h: nm.require_finite("mean_pool", np.mean(
+            h.s["stem"], axis=-2, out=h.s["pooled"])), halves)
         for layer, x_in, out in _HEAD:
             nm.linear_arrays(s[x_in], p[layer + ".w"], p[layer + ".b"],
                              out=s[out])
@@ -468,8 +469,8 @@ class SaneModel(Model):
         # of a block's output, and so of R2; plus layer norm 2's input
         # gradient, of E + R1, and so of R1; plus layer norm 1's, of E.
         # g_ctx is layer norm backward's scratch. ln and g_ctx are written
-        # only once the last block's dmlp is consumed, and the projections,
-        # rebuilt from ln, once its mlp is: they lie in its MLP memory
+        # only once a block's dmlp is consumed, and the projections, rebuilt
+        # from ln, once its mlp is: they lie in the MLP region
         g_res, g_ln, ln, g_ctx = s["stem"], s["res"], s["ln"], s["g_ctx"]
         np.divide(g, c.n + 1, out=g)
         _run_halves(lambda h: np.copyto(h.s["stem"], h.s["g_pooled"][:, None]),
@@ -477,10 +478,14 @@ class SaneModel(Model):
         for i in reversed(range(c.e)):
             a, w, gw = blocks[i], _block(p, i), _block(pg, i)
 
+            def rebuild(h):
+                nm.layer_norm_output(h.blocks[i]["xhat2"], w["ln2.gain"],
+                                     w["ln2.bias"], h.s["ln"])
+                _expand(h, w)
+
             def mlp_grad(h):
-                b = h.blocks[i]
-                nm.linear_input_grad(h.s["stem"], w["mlp.w2"], b["mlp"])
-                b["mlp"] *= b["dmlp"]
+                nm.linear_input_grad(h.s["stem"], w["mlp.w2"], h.s["mlp"])
+                h.s["mlp"] *= h.s["dmlp"]
 
             def norm_grad(k):
                 def run(h):
@@ -491,15 +496,22 @@ class SaneModel(Model):
                     h.s["stem"] += h.s["res"]
                 return run
 
-            nm.linear_param_grads(g_res, a["mlp"], gw["mlp.w2"], gw["mlp.b2"])
+            # a block but the last rebuilds its MLP, which later blocks
+            # wrote over, by the forward's operations; GELU writes dmlp
+            # over the other half's ln once its w1 has read that
+            if i < c.e - 1:
+                _run_halves(rebuild, halves)
+                _run_halves(_gelu, halves)
+
+            nm.linear_param_grads(g_res, s["mlp"], gw["mlp.w2"], gw["mlp.b2"])
             _run_halves(mlp_grad, halves)
             # both halves' dmlp is consumed before ln is written over it
             _run_halves(lambda h: nm.layer_norm_output(
                 h.blocks[i]["xhat2"], w["ln2.gain"], w["ln2.bias"],
                 h.s["ln"]), halves)
             _run_halves(lambda h: nm.linear_input_grad(
-                h.blocks[i]["mlp"], w["mlp.w1"], h.s["res"]), halves,
-                lambda: nm.linear_param_grads(a["mlp"], ln, gw["mlp.w1"],
+                h.s["mlp"], w["mlp.w1"], h.s["res"]), halves,
+                lambda: nm.linear_param_grads(s["mlp"], ln, gw["mlp.w1"],
                                               gw["mlp.b1"]))
             nm.layer_norm_param_grads(g_ln, a["xhat2"], gw["ln2.gain"],
                                       gw["ln2.bias"], g_ctx)
